@@ -976,8 +976,8 @@ def _parabolic_comparison_battery(sys, count, horizon, m, icfg, seed=0):
         * (1.0 + rng.uniform(-0.5, 0.5, size=(count, 1, 1)) * np.cos(2 * math.pi * xs / sys.params["L"])) / 1.5
     lo = np.transpose(base, (1, 2, 0))          # (1, m, count)
     up = np.transpose(base + np.abs(bump), (1, 2, 0))
-    _, Ylo, _ = _parabolic_batch_helper(sys, lo, cfg)
-    _, Yup, _ = _parabolic_batch_helper(sys, up, cfg)
+    _, Ylo, _ = integrate_parabolic_batch(sys, lo, cfg)
+    _, Yup, _ = integrate_parabolic_batch(sys, up, cfg)
     scale = float(np.abs(np.stack([Ylo, Yup])).max())
     tol = 1e-9 + 1e-6 * scale
     gap = Ylo - Yup
@@ -986,10 +986,6 @@ def _parabolic_comparison_battery(sys, count, horizon, m, icfg, seed=0):
         return True, worst, None
     idx = np.unravel_index(int(np.argmax(gap)), gap.shape)
     return False, worst, tuple(int(i) for i in idx)
-
-
-def _parabolic_batch_helper(sys, U0, cfg):
-    return integrate_parabolic_batch(sys, U0, cfg)
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,16 @@ function of the start state and the forcing phase.  The forcing family is
 represented lazily by the shift parameter ``base_shift`` on closed-form
 forcings, which keeps time translates exact.
 
+Every registered ODE right-hand side is affine, u' = A u + p(t), with a
+forcing that does not depend on the state.  Fixed-step RK4 on such a system
+is exactly the recurrence y_{k+1} = P(hA) y_k + q_k, with P the degree-4
+Taylor polynomial of exp(hA) and q_k a fixed combination of p at t_k,
+t_k + h/2 and t_k + h; the RK4 drivers run that recurrence, with the forcing
+evaluated in vectorized chunks.  Steps are indexed by integers, t_k = t0 + k h:
+the dense and batch drivers take nsub = ceil(record_dt / dt) steps of
+h = record_dt / nsub per record interval, the snapshot driver the same rule
+per span between snapshots, so the step that runs is the step configured.
+
 Integration of one trajectory is strictly sequential; distinct trajectories
 (ordered-pair batteries, probe sweeps) are independent and the batch helpers
 run them side by side in one vectorized pass.
@@ -85,6 +95,8 @@ class IntegratorConfig:
             raise ConfigInvalid("tolerances must be positive")
         if not (self.t_end > 0 and math.isfinite(self.t_end)):
             raise ConfigInvalid("t_end must be positive")
+        if not (self.record_dt > 0 and math.isfinite(self.record_dt)):
+            raise ConfigInvalid("record_dt must be positive and finite")
         if self.record_dt < self.dt - 1e-15:
             raise ConfigInvalid("record_dt must be >= dt")
 
@@ -128,8 +140,6 @@ class LinearTrigRhs:
         self.dim = n
         self.offset = np.asarray(offset, dtype=float)
         self.proj, self.omegas, self.phases = _fold_terms(components, n, base_shift)
-        self._components = components
-        self._base_shift = base_shift
 
     def forcing(self, t: float) -> np.ndarray:
         if self.omegas.size == 0:
@@ -141,36 +151,6 @@ class LinearTrigRhs:
         if u.ndim == 2:
             return self.A @ u + p[:, None]
         return self.A @ u + p
-
-    def scalar_fn(self) -> Callable[[float, float], float] | None:
-        """Plain-float right-hand side for the 1-D fast path."""
-        if self.dim != 1:
-            return None
-        a = float(self.A[0, 0])
-        c = float(self.offset[0])
-        terms = [
-            (float(self.proj[0, j]), float(self.omegas[j]), float(self.phases[j]))
-            for j in range(self.omegas.size)
-            if self.proj[0, j] != 0.0
-        ]
-        sin = math.sin
-        if not terms:
-            return lambda t, x: a * x + c
-        if len(terms) == 1:
-            (a1, w1, p1), = terms
-            return lambda t, x: a * x + c + a1 * sin(w1 * t + p1)
-        if len(terms) == 2:
-            (a1, w1, p1), (a2, w2, p2) = terms
-            return lambda t, x: a * x + c + a1 * sin(w1 * t + p1) + a2 * sin(w2 * t + p2)
-        tup = tuple(terms)
-
-        def fn(t, x):
-            acc = a * x + c
-            for amp, om, ph in tup:
-                acc += amp * sin(om * t + ph)
-            return acc
-
-        return fn
 
 
 class DelayLinearRhs:
@@ -230,9 +210,12 @@ class ReactionDiffusion:
             return np.ones_like(xs)
         return 1.0 + np.cos(np.pi * xs / self.L)
 
-    def reaction(self, t, xs, W):
-        """Reaction term; W has shape (n, m) or (n, m, batch)."""
-        src = self.source_amp[:, None] * self.profile(xs)[None, :]
+    def source(self, xs: np.ndarray) -> np.ndarray:
+        """Space part of the source, amp * profile(x); shape (n, m)."""
+        return self.source_amp[:, None] * self.profile(xs)[None, :]
+
+    def reaction(self, t, src, W):
+        """Reaction term given ``src = source(xs)``; W has shape (n, m) or (n, m, batch)."""
         amp_t = math.sin(self.omega * t + self.phase)
         if W.ndim == 3:
             return -self.decay[:, None, None] * W + (src * amp_t)[:, :, None]
@@ -382,8 +365,13 @@ def forcing_signal(key: str, t0: float, t_end: float, dt: float, *,
 
 
 # ---------------------------------------------------------------------------
-# fixed-step RK4 cores
+# fixed-step RK4 as an affine recurrence
 # ---------------------------------------------------------------------------
+
+# Steps per chunk of stage forcing, divided by the batch width, so memory
+# stays flat however long the run is.
+_CHUNK = 1 << 16
+
 
 def _check_state(y: np.ndarray, bound: float, t: float) -> None:
     m = np.max(np.abs(y))
@@ -391,15 +379,22 @@ def _check_state(y: np.ndarray, bound: float, t: float) -> None:
         raise BlowupDetected(f"state norm {m:g} exceeds bound {bound:g} at t={t:g}")
 
 
-def _rk4_span(rhs, t0: float, y: np.ndarray, t1: float, h_target: float):
-    """Advance y across [t0, t1] with uniform RK4 substeps of size ~h_target."""
-    span = t1 - t0
-    if span <= 0:
-        return y
-    nsub = max(1, int(math.ceil(span / h_target - 1e-12)))
-    h = span / nsub
-    for i in range(nsub):
-        t = t0 + i * h
+def _check_records(Y: np.ndarray, ts: np.ndarray, bound: float) -> None:
+    """_check_state at every record time; the first bad record is reported."""
+    m = np.abs(Y).reshape(len(Y), -1).max(axis=1)
+    bad = ~(m <= bound)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise BlowupDetected(f"state norm {m[i]:g} exceeds bound {bound:g} at t={ts[i]:g}")
+
+
+def _rk4_span(rhs, t0: float, y: np.ndarray, h: float, steps) -> np.ndarray:
+    """Generic RK4 stage loop over the step indices ``steps``, step k at t0 + k h.
+
+    The brute-force reference for the affine core; only tests call it.
+    """
+    for k in steps:
+        t = t0 + k * h
         k1 = rhs(t, y)
         th = t + 0.5 * h
         k2 = rhs(th, y + (0.5 * h) * k1)
@@ -409,23 +404,71 @@ def _rk4_span(rhs, t0: float, y: np.ndarray, t1: float, h_target: float):
     return y
 
 
-def _rk4_scalar_span(fn, t0: float, x: float, t1: float, h_target: float) -> float:
-    span = t1 - t0
-    if span <= 0:
-        return x
-    nsub = max(1, int(math.ceil(span / h_target - 1e-12)))
-    h = span / nsub
-    h2 = 0.5 * h
-    h6 = h / 6.0
-    for i in range(nsub):
-        t = t0 + i * h
-        k1 = fn(t, x)
-        th = t + h2
-        k2 = fn(th, x + h2 * k1)
-        k3 = fn(th, x + h2 * k2)
-        k4 = fn(t + h, x + h * k3)
-        x += h6 * (k1 + 2.0 * (k2 + k3) + k4)
-    return x
+def _rk4_coeffs(A: np.ndarray, h: float):
+    """One RK4 step of u' = A u + p(t), written out: (P, C0, Ch).
+
+    y_{k+1} = P y_k + q_k with Z = h A, P = I + Z + Z^2/2 + Z^3/6 + Z^4/24
+    and q_k = C0 p(t_k) + Ch p(t_k + h/2) + (h/6) p(t_k + h), where
+    C0 = (h/6)(I + Z + Z^2/2 + Z^3/4) and Ch = (h/6)(4I + 2Z + Z^2/2).
+    """
+    eye = np.eye(A.shape[0])
+    Z = h * A
+    Z2 = Z @ Z
+    Z3 = Z2 @ Z
+    P = eye + Z + Z2 / 2.0 + Z3 / 6.0 + (Z3 @ Z) / 24.0
+    C0 = (h / 6.0) * (eye + Z + Z2 / 2.0 + Z3 / 4.0)
+    Ch = (h / 6.0) * (4.0 * eye + 2.0 * Z + Z2 / 2.0)
+    return P, C0, Ch
+
+
+def _rk4_affine_steps(rhs, coeffs, y: np.ndarray, t0: float, h: float,
+                      k0: int, n: int) -> np.ndarray:
+    """States after steps k0 .. k0+n-1 of y <- P y + q_k, step k at t0 + k h.
+
+    The forcing is evaluated once on the half-step grid.  A scalar state
+    (any batch width) runs through a first-order IIR filter, which computes
+    exactly that recurrence; larger states take one small matrix product per
+    step.  Returns shape (n,) + y.shape.
+    """
+    P, C0, Ch = coeffs
+    s = t0 + (0.5 * h) * np.arange(2 * k0, 2 * (k0 + n) + 1)
+    F = rhs.offset + np.sin(np.outer(s, rhs.omegas) + rhs.phases) @ rhs.proj.T
+    q = F[:-1:2] @ C0.T + F[1::2] @ Ch.T + (h / 6.0) * F[2::2]
+    if P.shape[0] == 1:
+        # Imported here: scipy.signal adds about half a second to the import.
+        from scipy.signal import lfilter
+
+        a = float(P[0, 0])
+        row = y.reshape(1, -1)
+        x = np.broadcast_to(q, (n, row.shape[1]))
+        states, _ = lfilter([1.0], [1.0, -a], x, axis=0, zi=a * row)
+        return states.reshape((n,) + y.shape)
+    if y.ndim == 2:
+        q = q[:, :, None]
+    out = np.empty((n,) + y.shape)
+    for k in range(n):
+        y = P @ y + q[k]
+        out[k] = y
+    return out
+
+
+def _rk4_record(rhs, y: np.ndarray, cfg: IntegratorConfig):
+    """RK4 from t=0 on the record grid: (times, states); step k starts at k h."""
+    ts = _record_times(cfg)
+    nsub = max(1, math.ceil(cfg.record_dt / cfg.dt - 1e-12))
+    h = cfg.record_dt / nsub
+    coeffs = _rk4_coeffs(rhs.A, h)
+    out = np.empty((ts.size,) + y.shape)
+    out[0] = y
+    per_chunk = max(1, _CHUNK // (nsub * y[0].size))
+    for r0 in range(1, ts.size, per_chunk):
+        r1 = min(r0 + per_chunk, ts.size)
+        states = _rk4_affine_steps(rhs, coeffs, y, 0.0, h,
+                                   (r0 - 1) * nsub, (r1 - r0) * nsub)
+        out[r0:r1] = states[nsub - 1::nsub]
+        _check_records(out[r0:r1], ts[r0:r1], cfg.bound)
+        y = states[-1]
+    return ts, out
 
 
 # ---------------------------------------------------------------------------
@@ -514,25 +557,12 @@ def integrate_ode(sys: SystemSpec, u0, cfg: IntegratorConfig) -> Signal:
     """Solve the ODE from u0 at t=0 and sample the result on the record grid."""
     rhs = build_ode_rhs(sys)
     u = _coerce_state(u0, sys.dim)
-    ts = _record_times(cfg)
-    out = np.empty((ts.size, sys.dim))
-    out[0] = u
     if cfg.method == "rk4_fixed":
-        fn = rhs.scalar_fn()
-        if fn is not None:
-            x = float(u[0])
-            for i in range(1, ts.size):
-                x = _rk4_scalar_span(fn, ts[i - 1], x, ts[i], cfg.dt)
-                if not (abs(x) <= cfg.bound):
-                    raise BlowupDetected(f"|x|={abs(x):g} at t={ts[i]:g}")
-                out[i, 0] = x
-        else:
-            y = u
-            for i in range(1, ts.size):
-                y = _rk4_span(rhs, ts[i - 1], y, ts[i], cfg.dt)
-                _check_state(y, cfg.bound, ts[i])
-                out[i] = y
+        _, out = _rk4_record(rhs, u, cfg)
     else:
+        ts = _record_times(cfg)
+        out = np.empty((ts.size, sys.dim))
+        out[0] = u
         stepper = _Dopri5(rhs, 0.0, u, cfg)
         for i in range(1, ts.size):
             out[i] = stepper.advance_to(ts[i])
@@ -541,7 +571,11 @@ def integrate_ode(sys: SystemSpec, u0, cfg: IntegratorConfig) -> Signal:
 
 def integrate_ode_snapshots(sys: SystemSpec, u0, cfg: IntegratorConfig,
                             snapshot_times) -> np.ndarray:
-    """States at the given times only (no dense recording)."""
+    """States at the given times only (no dense recording).
+
+    With RK4 each span between snapshots takes nsub = ceil(span / dt) equal
+    steps, step k at t_prev + k * span / nsub.
+    """
     rhs = build_ode_rhs(sys)
     u = _coerce_state(u0, sys.dim)
     times = np.asarray(snapshot_times, dtype=float)
@@ -549,24 +583,20 @@ def integrate_ode_snapshots(sys: SystemSpec, u0, cfg: IntegratorConfig,
         raise ConfigInvalid("snapshot times must be positive and increasing")
     out = np.empty((times.size, sys.dim))
     if cfg.method == "rk4_fixed":
-        fn = rhs.scalar_fn()
-        if fn is not None:
-            x = float(u[0])
-            t_prev = 0.0
-            for i, t in enumerate(times):
-                x = _rk4_scalar_span(fn, t_prev, x, t, cfg.dt)
-                if not (abs(x) <= cfg.bound):
-                    raise BlowupDetected(f"|x|={abs(x):g} at t={t:g}")
-                out[i, 0] = x
-                t_prev = t
-        else:
-            y = u
-            t_prev = 0.0
-            for i, t in enumerate(times):
-                y = _rk4_span(rhs, t_prev, y, t, cfg.dt)
-                _check_state(y, cfg.bound, t)
-                out[i] = y
-                t_prev = t
+        y = u
+        t_prev = 0.0
+        for i, t in enumerate(times):
+            span = t - t_prev
+            if span > 0:
+                nsub = max(1, math.ceil(span / cfg.dt - 1e-12))
+                h = span / nsub
+                coeffs = _rk4_coeffs(rhs.A, h)
+                for k0 in range(0, nsub, _CHUNK):
+                    y = _rk4_affine_steps(rhs, coeffs, y, t_prev, h, k0,
+                                          min(_CHUNK, nsub - k0))[-1]
+            _check_state(y, cfg.bound, t)
+            out[i] = y
+            t_prev = t
     else:
         stepper = _Dopri5(rhs, 0.0, u, cfg)
         for i, t in enumerate(times):
@@ -584,15 +614,7 @@ def integrate_ode_batch(sys: SystemSpec, U0, cfg: IntegratorConfig):
     U = np.asarray(U0, dtype=float)
     if U.ndim != 2 or U.shape[0] != sys.dim:
         raise DimensionMismatch(f"batch starts must have shape ({sys.dim}, batch)")
-    ts = _record_times(cfg)
-    Y = np.empty((ts.size,) + U.shape)
-    Y[0] = U
-    y = U
-    for i in range(1, ts.size):
-        y = _rk4_span(rhs, ts[i - 1], y, ts[i], cfg.dt)
-        _check_state(y, cfg.bound, ts[i])
-        Y[i] = y
-    return ts, Y
+    return _rk4_record(rhs, U, cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -785,8 +807,10 @@ def _parabolic_core(sys, W0, cfg, batch):
     W = W0.copy()
     nu_col = nu[:, None, None] if batch else nu[:, None]
 
+    src = reaction.source(xs)
+
     def rhs(t, F):
-        return nu_col * _neumann_laplacian(F, dx) + reaction.reaction(t, xs, F)
+        return nu_col * _neumann_laplacian(F, dx) + reaction.reaction(t, src, F)
 
     t = 0.0
     for i in range(1, n_rec + 1):

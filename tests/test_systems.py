@@ -3,6 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, strategies as st
 
 from poisson_lab.errors import (
     BlowupDetected,
@@ -11,14 +12,19 @@ from poisson_lab.errors import (
     GridTooCoarse,
     HistoryDomainMismatch,
 )
+from poisson_lab.scenarios import build_scenario
 from poisson_lab.signals import Signal, sample_function
 from poisson_lab.systems import (
     IntegratorConfig,
     SystemSpec,
+    _rk4_span,
+    build_ode_rhs,
     cocycle_defect,
     dde_cocycle_defect,
     integrate_dde,
     integrate_ode,
+    integrate_ode_batch,
+    integrate_ode_snapshots,
     integrate_parabolic,
     order_check,
     quasimonotone_check,
@@ -146,6 +152,90 @@ def test_blowup_detected():
 def test_negative_dt_rejected():
     with pytest.raises(ConfigInvalid):
         IntegratorConfig(dt=-0.1)
+
+
+@pytest.mark.parametrize("record_dt", [math.nan, math.inf, 0.0, -0.05])
+def test_bad_record_dt_rejected(record_dt):
+    with pytest.raises(ConfigInvalid):
+        IntegratorConfig(method="rk4_fixed", dt=0.01, record_dt=record_dt)
+
+
+# ---------------------------------------------------------------------------
+# affine RK4 core against the generic stage loop
+# ---------------------------------------------------------------------------
+
+@st.composite
+def affine_systems(draw):
+    """Scalar or cooperative Hurwitz 2x2 A with random trig forcing."""
+    dim = draw(st.sampled_from([1, 2]))
+    if dim == 1:
+        A = [[draw(st.floats(-3.0, 0.1))]]
+    else:
+        d1, d2 = draw(st.floats(-3.0, -0.1)), draw(st.floats(-3.0, -0.1))
+        o1, o2 = draw(st.floats(0.0, 1.0)), draw(st.floats(0.0, 1.0))
+        assume(d1 * d2 - o1 * o2 > 1e-3)
+        A = [[d1, o1], [o2, d2]]
+    triple = st.tuples(st.floats(-2.0, 2.0), st.floats(0.1, 3.0), st.floats(0.0, 2 * math.pi))
+    forcing = [draw(st.lists(triple, max_size=2)) for _ in range(dim)]
+    offset = [draw(st.floats(-1.0, 1.0)) for _ in range(dim)]
+    kind = "scalar_ode" if dim == 1 else "cooperative_ode"
+    return SystemSpec(kind, dim, "linear+trig",
+                      {"A": A, "forcing": forcing, "offset": offset})
+
+
+def _close(got, ref):
+    return np.abs(got - ref).max() <= 1e-12 * max(np.abs(ref).max(), 1e-300)
+
+
+@given(sys=affine_systems(), dt=st.floats(0.01, 0.2), m=st.integers(1, 4),
+       t_end=st.floats(0.5, 50.0), seed=st.integers(0, 2**16))
+def test_rk4_drivers_match_stage_loop(sys, dt, m, t_end, seed):
+    rng = np.random.default_rng(seed)
+    record_dt = m * dt
+    assume(t_end >= record_dt)
+    cfg = IntegratorConfig(method="rk4_fixed", dt=dt, t_end=t_end,
+                           record_dt=record_dt, blowup_bound=1e12)
+    rhs = build_ode_rhs(sys)
+    h = record_dt / m
+    u0 = rng.uniform(-2.0, 2.0, size=sys.dim)
+    U0 = rng.uniform(-2.0, 2.0, size=(sys.dim, 3))
+
+    dense = integrate_ode(sys, u0, cfg).samples
+    _, batch = integrate_ode_batch(sys, U0, cfg)
+    ref, ref_batch = [u0], [U0]
+    for i in range(1, len(dense)):
+        steps = range((i - 1) * m, i * m)
+        ref.append(_rk4_span(rhs, 0.0, ref[-1], h, steps))
+        ref_batch.append(_rk4_span(rhs, 0.0, ref_batch[-1], h, steps))
+    assert _close(dense, np.array(ref))
+    assert _close(batch, np.array(ref_batch))
+
+    times = np.unique(rng.uniform(0.0, t_end, size=4))
+    snaps = integrate_ode_snapshots(sys, u0, cfg, times)
+    ref, y, t_prev = [], u0, 0.0
+    for t in times:
+        nsub = max(1, math.ceil((t - t_prev) / dt - 1e-12))
+        y = _rk4_span(rhs, t_prev, y, (t - t_prev) / nsub, range(nsub))
+        ref.append(y)
+        t_prev = t
+    assert _close(snaps, np.array(ref))
+
+
+def test_rk4_long_grid_takes_configured_steps():
+    # Past t ~ 1024, float differences of record times exceed dt by more than
+    # 1e-12 relative; a per-interval ceil(span / dt) then runs two half-steps.
+    sys = build_scenario("s1-opial-scalar").system
+    cfg = IntegratorConfig(method="rk4_fixed", dt=0.1, t_end=5000.0,
+                           record_dt=0.1, blowup_bound=6e6)
+    sol = integrate_ode(sys, [0.0], cfg)
+    rhs = build_ode_rhs(sys)
+    n = 50000
+    ref = np.empty((n + 1, 1))
+    ref[0] = y = np.zeros(1)
+    for k in range(n):
+        ref[k + 1] = y = _rk4_span(rhs, 0.0, y, 0.1, (k,))
+    assert sol.samples.shape == ref.shape
+    assert _close(sol.samples, ref)
 
 
 # ---------------------------------------------------------------------------
