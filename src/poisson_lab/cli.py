@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from .errors import ConfigInvalid, DomainMismatch, ParseError, PoissonLabError
@@ -66,21 +67,22 @@ def _analysis_config(f, path):
             raw = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigInvalid(f"cannot read analysis config: {exc}") from exc
-    cfg = default_classify_config(f)
     kwargs = {}
-    if "window" in raw:
-        kwargs["window"] = Window(*raw["window"])
-    if "tau_grid" in raw:
-        kwargs["tau_grid"] = TauGrid(*raw["tau_grid"])
-    for key in ("bohr_epsilons", "poisson_schedule"):
-        if key in raw:
-            kwargs[key] = tuple(raw[key])
-    for key in ("stationary_tol", "quasi_residual_tol", "poisson_separation",
-                "refute_frac", "periodic_verify_rel"):
-        if key in raw:
-            kwargs[key] = float(raw[key])
-    from dataclasses import replace
-    return replace(cfg, **kwargs)
+    try:
+        if "window" in raw:
+            kwargs["window"] = Window(*raw["window"])
+        if "tau_grid" in raw:
+            kwargs["tau_grid"] = TauGrid(*raw["tau_grid"])
+        for key in ("bohr_epsilons", "poisson_schedule"):
+            if key in raw:
+                kwargs[key] = tuple(raw[key])
+        for key in ("stationary_tol", "quasi_residual_tol", "poisson_separation",
+                    "refute_frac", "periodic_verify_rel"):
+            if key in raw:
+                kwargs[key] = float(raw[key])
+    except (ValueError, TypeError) as exc:
+        raise ConfigInvalid(f"bad analysis config {path}: {exc}") from exc
+    return replace(default_classify_config(f), **kwargs)
 
 
 def _emit(payload: dict, out: str | None) -> None:
@@ -92,8 +94,6 @@ def _emit(payload: dict, out: str | None) -> None:
 
 
 def _cmd_run(args) -> int:
-    from dataclasses import replace
-
     if args.target in CATALOG:
         cfg = build_scenario(args.target, seed=args.seed, outputs=args.out,
                              horizon=args.horizon)

@@ -23,7 +23,10 @@ from .signals import Signal, Window, sup_distance
 from .systems import (
     IntegratorConfig,
     SystemSpec,
+    integrate_dde_batch,
+    integrate_ode_batch,
     integrate_ode_snapshots,
+    integrate_parabolic_batch,
 )
 
 
@@ -204,8 +207,6 @@ def uniform_stability_estimate(sys: SystemSpec, anchor, epsilon_list,
     rng = np.random.default_rng(seed)
     dirs = _probe_directions(sys.dim, probes, rng)
     anchor = np.asarray(anchor, dtype=float)
-    from .systems import integrate_ode_batch
-
     _, anchor_path = integrate_ode_batch(sys, anchor[:, None], cfg)
 
     def max_deviation(delta: float) -> float:
@@ -303,8 +304,6 @@ def contraction_check(sys: SystemSpec, pairs: int, horizon: float, *,
     rng = np.random.default_rng(seed)
     A = rng.uniform(box[:, 0], box[:, 1], size=(pairs, sys.dim)).T
     B = rng.uniform(box[:, 0], box[:, 1], size=(pairs, sys.dim)).T
-    from .systems import integrate_ode_batch
-
     ts, Ya = integrate_ode_batch(sys, A, cfg)
     _, Yb = integrate_ode_batch(sys, B, cfg)
     gaps = np.abs(Ya - Yb).max(axis=1)  # (n_times, pairs)
@@ -331,24 +330,42 @@ def ordered_pairs(box, count: int, rng: np.random.Generator):
     return lo.T, up.T  # each (dim, count)
 
 
+def _ordered_fields(sys: SystemSpec, count: int, m: int, rng: np.random.Generator):
+    """Random ordered start fields (lower, upper) on m nodes, each (1, m, count)."""
+    L = sys.params["L"]
+    xs = np.linspace(0.0, float(L), m)
+    base = rng.uniform(0.0, 1.5, size=(count, 1, 1)) \
+        + rng.uniform(-0.5, 0.5, size=(count, 1, 1)) * np.cos(math.pi * xs / L)
+    bump = rng.uniform(0.0, 1.0, size=(count, 1, 1)) \
+        * (1.0 + rng.uniform(-0.5, 0.5, size=(count, 1, 1)) * np.cos(2 * math.pi * xs / L)) / 1.5
+    return np.transpose(base, (1, 2, 0)), np.transpose(base + np.abs(bump), (1, 2, 0))
+
+
 def comparison_battery(sys: SystemSpec, box, count: int, horizon: float, *,
                        cfg: IntegratorConfig | None = None, seed: int = 0,
                        tol: float | None = None):
     """Integrate ordered pairs side by side and report the worst violation.
 
-    Returns (ordered: bool, worst_violation, witness or None).
+    ODE starts and constant DDE histories are drawn inside ``box``; parabolic
+    start fields have ``cfg.space_points`` nodes (64 when unset) and ignore
+    ``box``.  Returns (ordered: bool, worst_violation, witness or None), the
+    witness being (t, ...index of the violating entry, pair index last).
     """
-    from .systems import integrate_ode_batch
-
     if cfg is None:
         cfg = IntegratorConfig(method="rk4_fixed", dt=1e-3, t_end=horizon,
                                record_dt=0.05)
     else:
         cfg = replace(cfg, t_end=horizon)
     rng = np.random.default_rng(seed)
-    lo, up = ordered_pairs(box, count, rng)
-    _, Ylo = integrate_ode_batch(sys, lo, cfg)
-    _, Yup = integrate_ode_batch(sys, up, cfg)
+    if sys.kind == "parabolic_1d":
+        lo, up = _ordered_fields(sys, count, cfg.space_points or 64, rng)
+        integrate = integrate_parabolic_batch
+    else:
+        lo, up = ordered_pairs(box, count, rng)
+        integrate = integrate_dde_batch if sys.kind == "dde_single_delay" \
+            else integrate_ode_batch
+    ts, Ylo = integrate(sys, lo, cfg)[:2]
+    Yup = integrate(sys, up, cfg)[1]
     if tol is None:
         scale = float(np.abs(np.stack([Ylo, Yup])).max())
         tol = 1e-9 + 1e-6 * scale
@@ -357,5 +374,4 @@ def comparison_battery(sys: SystemSpec, box, count: int, horizon: float, *,
     if worst <= tol:
         return True, worst, None
     idx = np.unravel_index(int(np.argmax(gap)), gap.shape)
-    t_bad = idx[0] * cfg.record_dt
-    return False, worst, (float(t_bad), int(idx[1]), int(idx[2]))
+    return False, worst, (float(ts[idx[0]]), *(int(i) for i in idx[1:]))

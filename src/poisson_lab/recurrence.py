@@ -278,11 +278,27 @@ def density_table(f: Signal, epsilon_list, tau_grid: TauGrid, w: Window,
         D = bebutov_profile(f, taus, w)
     else:
         raise ValueError(f"unknown metric {metric!r}")
+    return _table_rows(f, eps, tau_grid, w, taus, D)
+
+
+def _table_rows(f, epsilons, grid, w, taus, D) -> list:
+    """Rows (epsilon, L, saturated) of an inclusion-length table."""
     rows = []
-    for e in eps:
-        st = _stats_from_profile(f, e, tau_grid, w, taus, D)
-        rows.append((e, st.max_gap, st.saturated))
+    for e in epsilons:
+        st = _stats_from_profile(f, float(e), grid, w, taus, D)
+        rows.append((float(e), st.max_gap, st.saturated))
     return rows
+
+
+def _table_verdict(rows, wdict, notes="") -> Verdict:
+    """yes when no row saturates; otherwise no, witnessed by the first one."""
+    table = {"table": [[e, L, s] for e, L, s in rows]}
+    saturated = [r for r in rows if r[2]]
+    if not saturated:
+        return Verdict("yes", table, window=wdict)
+    e, L, _ = saturated[0]
+    return Verdict("no", table, witness={"epsilon": e, "max_gap": L},
+                   window=wdict, notes=notes)
 
 
 def bebutov_profile(f: Signal, taus: np.ndarray, w: Window) -> np.ndarray:
@@ -388,12 +404,12 @@ def poisson_returns(f: Signal, epsilon_schedule, w: Window, *,
         margin = eps + lip_dt
         tries = 0
         while j <= j_hi and tries < 200_000:
-            j = _next_below(D_probe, j, margin)
+            j = _next_hit(D_probe, j, margin, below=True)
             if j < 0:
                 break
             # The below-margin run is one candidate cluster; refine around
             # its sampled bottom, then certify on the full window.
-            je = _next_at_or_above(D_probe, j + 1, margin)
+            je = _next_hit(D_probe, j + 1, margin, below=False)
             if je < 0:
                 je = j_hi + 1
             jb = j + int(np.argmin(D_probe[j:je]))
@@ -419,27 +435,14 @@ def poisson_returns(f: Signal, epsilon_schedule, w: Window, *,
     return ReturnSequence(tuple(times), tuple(discs), tuple(eps_used))
 
 
-def _next_below(arr: np.ndarray, start: int, thresh: float) -> int:
+def _next_hit(arr: np.ndarray, start: int, thresh: float, below: bool) -> int:
+    """First index >= start with arr < thresh (below) or arr >= thresh; -1 if none."""
     chunk = 1 << 16
-    i = start
-    size = arr.size
-    while i < size:
-        hits = np.flatnonzero(arr[i : i + chunk] < thresh)
+    for i in range(start, arr.size, chunk):
+        seg = arr[i : i + chunk]
+        hits = np.flatnonzero(seg < thresh if below else seg >= thresh)
         if hits.size:
             return i + int(hits[0])
-        i += chunk
-    return -1
-
-
-def _next_at_or_above(arr: np.ndarray, start: int, thresh: float) -> int:
-    chunk = 1 << 16
-    i = start
-    size = arr.size
-    while i < size:
-        hits = np.flatnonzero(arr[i : i + chunk] >= thresh)
-        if hits.size:
-            return i + int(hits[0])
-        i += chunk
     return -1
 
 
@@ -730,34 +733,14 @@ def classify(f: Signal, base: Signal | None = None,
             "no", witness={"residual": fit.residual}, window=wdict)
 
     # Bohr-style table ------------------------------------------------------
-    bohr_rows = []
-    for e in cfg.bohr_epsilons:
-        st = _stats_from_profile(f, float(e), grid, w, taus, D)
-        bohr_rows.append((float(e), st.max_gap, st.saturated))
-    saturated_rows = [r for r in bohr_rows if r[2]]
-    table = {"table": [[e, L, s] for e, L, s in bohr_rows]}
-    if not saturated_rows:
-        classes["bohr_ap"] = Verdict("yes", table, window=wdict)
-    else:
-        e, L, _ = saturated_rows[0]
-        classes["bohr_ap"] = Verdict(
-            "no", table, witness={"epsilon": e, "max_gap": L}, window=wdict,
-            notes="inclusion length saturates the grid at this scale")
+    classes["bohr_ap"] = _table_verdict(
+        _table_rows(f, cfg.bohr_epsilons, grid, w, taus, D), wdict,
+        notes="inclusion length saturates the grid at this scale")
 
     # almost recurrence (shift metric) --------------------------------------
     Db = bebutov_profile(f, taus, w)
-    ar_rows = []
-    for e in cfg.bohr_epsilons:
-        st = _stats_from_profile(f, float(e), grid, w, taus, Db)
-        ar_rows.append((float(e), st.max_gap, st.saturated))
-    ar_sat = [r for r in ar_rows if r[2]]
-    ar_table = {"table": [[e, L, s] for e, L, s in ar_rows]}
-    if not ar_sat:
-        classes["almost_recurrent"] = Verdict("yes", ar_table, window=wdict)
-    else:
-        e, L, _ = ar_sat[0]
-        classes["almost_recurrent"] = Verdict(
-            "no", ar_table, witness={"epsilon": e, "max_gap": L}, window=wdict)
+    classes["almost_recurrent"] = _table_verdict(
+        _table_rows(f, cfg.bohr_epsilons, grid, w, taus, Db), wdict)
 
     # Poisson returns --------------------------------------------------------
     sched = tuple(s * scale for s in cfg.poisson_schedule)

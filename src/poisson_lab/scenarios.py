@@ -22,21 +22,21 @@ import json
 import math
 import os
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .errors import ConfigInvalid, NotCauchy
+from .errors import ConfigInvalid, DomainMismatch, NotCauchy, ParseError, PoissonLabError
 from .limits import (
     comparison_battery,
+    contraction_check,
     convergence_check,
     entire_trajectory_estimate,
     fiber_extrema,
     gamma_extract,
     omega_fiber_sample,
-    ordered_pairs,
 )
 from .recurrence import (
     ClassifyConfig,
@@ -51,11 +51,9 @@ from .systems import (
     SystemSpec,
     forcing_signal,
     integrate_dde,
-    integrate_dde_batch,
     integrate_ode,
     integrate_ode_snapshots,
     integrate_parabolic,
-    integrate_parabolic_batch,
     quasimonotone_check,
 )
 
@@ -66,25 +64,18 @@ _SQRT2 = math.sqrt(2.0)
 # closed-form particular solutions (scenario-side reference formulas)
 # ---------------------------------------------------------------------------
 
-def trig_particular_solution(A, components):
-    """Particular solution of u' = A u + sum of amp sin(omega t + phase).
+def _trig_response(components, n: int, coeff):
+    """Sum of c sin(omega t + phase) + d cos(omega t + phase) over forcing groups.
 
-    Solves (A^2 + omega^2 I) c = -A b and d = -(A c + b)/omega per
-    frequency-phase group; returns a callable ts -> (len(ts), n).
+    Terms sharing a (frequency, phase) pair form one group with amplitude
+    vector b; ``coeff(omega, b)`` returns its (c, d).  Returns a callable
+    ts -> (len(ts), n).
     """
-    A = np.asarray(A, dtype=float)
-    n = A.shape[0]
     groups: dict[tuple, np.ndarray] = {}
     for i, terms in enumerate(components):
         for amp, omega, phase in terms:
-            key = (float(omega), float(phase))
-            groups.setdefault(key, np.zeros(n))[i] += float(amp)
-    coeffs = []
-    eye = np.eye(n)
-    for (omega, phase), b in groups.items():
-        c = np.linalg.solve(A @ A + omega * omega * eye, -A @ b)
-        d = -(A @ c + b) / omega
-        coeffs.append((omega, phase, c, d))
+            groups.setdefault((float(omega), float(phase)), np.zeros(n))[i] += float(amp)
+    coeffs = [(omega, phase, *coeff(omega, b)) for (omega, phase), b in groups.items()]
 
     def u_p(ts):
         ts = np.atleast_1d(np.asarray(ts, dtype=float))
@@ -97,35 +88,39 @@ def trig_particular_solution(A, components):
     return u_p
 
 
+def trig_particular_solution(A, components):
+    """Particular solution of u' = A u + sum of amp sin(omega t + phase).
+
+    Solves (A^2 + omega^2 I) c = -A b and d = -(A c + b)/omega per
+    frequency-phase group.
+    """
+    A = np.asarray(A, dtype=float)
+    eye = np.eye(A.shape[0])
+
+    def coeff(omega, b):
+        c = np.linalg.solve(A @ A + omega * omega * eye, -A @ b)
+        return c, -(A @ c + b) / omega
+
+    return _trig_response(components, A.shape[0], coeff)
+
+
 def dde_particular_solution(A_self, A_delay, r, components):
     """Periodic particular solution of the linear single-delay system."""
     A_s = np.asarray(A_self, dtype=float)
     A_d = np.asarray(A_delay, dtype=float)
     n = A_s.shape[0]
-    groups: dict[tuple, np.ndarray] = {}
-    for i, terms in enumerate(components):
-        for amp, omega, phase in terms:
-            groups.setdefault((float(omega), float(phase)), np.zeros(n))[i] += float(amp)
     eye = np.eye(n)
-    coeffs = []
-    for (omega, phase), b in groups.items():
+
+    def coeff(omega, b):
         cw, sw = math.cos(omega * r), math.sin(omega * r)
         M = np.block([
             [A_s + cw * A_d, sw * A_d + omega * eye],
             [omega * eye + sw * A_d, -(A_s + cw * A_d)],
         ])
         sol = np.linalg.solve(M, np.concatenate([-b, np.zeros(n)]))
-        coeffs.append((omega, phase, sol[:n], sol[n:]))
+        return sol[:n], sol[n:]
 
-    def x_p(ts):
-        ts = np.atleast_1d(np.asarray(ts, dtype=float))
-        out = np.zeros((ts.size, n))
-        for omega, phase, c, d in coeffs:
-            arg = omega * ts + phase
-            out += np.outer(np.sin(arg), c) + np.outer(np.cos(arg), d)
-        return out
-
-    return x_p
+    return _trig_response(components, n, coeff)
 
 
 # ---------------------------------------------------------------------------
@@ -145,14 +140,6 @@ class ScenarioConfig:
         if not self.name:
             raise ConfigInvalid("scenario needs a name")
         object.__setattr__(self, "analysis", dict(self.analysis))
-
-
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    status: str            # pass | fail | skip
-    value: float | None = None
-    detail: str = ""
 
 
 @dataclass
@@ -180,32 +167,6 @@ class RunManifest:
         }
 
 
-def _config_echo(cfg: ScenarioConfig) -> dict:
-    return {
-        "name": cfg.name,
-        "system": {
-            "kind": cfg.system.kind,
-            "dim": cfg.system.dim,
-            "rhs": cfg.system.rhs,
-            "params": cfg.system.params,
-            "base_shift": cfg.system.base_shift,
-        },
-        "integrator": {
-            "method": cfg.integrator.method,
-            "dt": cfg.integrator.dt,
-            "rel_tol": cfg.integrator.rel_tol,
-            "abs_tol": cfg.integrator.abs_tol,
-            "t_end": cfg.integrator.t_end,
-            "record_dt": cfg.integrator.record_dt,
-            "space_points": cfg.integrator.space_points,
-            "blowup_bound": cfg.integrator.blowup_bound,
-        },
-        "analysis": cfg.analysis,
-        "seeds": cfg.seeds,
-        "outputs": cfg.outputs,
-    }
-
-
 class _Emitter:
     """Collects checks and files for a run and writes the manifest last."""
 
@@ -213,19 +174,18 @@ class _Emitter:
         self.cfg = cfg
         self.outdir = Path(outdir)
         self.outdir.mkdir(parents=True, exist_ok=True)
-        self.checks: list[CheckResult] = []
+        self.summary: dict = {}  # check name -> {"status", "value", "detail"}
         self.files: list[str] = []
         self.report: dict = {}
         self._t0 = time.perf_counter()
 
     def check(self, name, passed, value=None, detail=""):
-        status = "pass" if bool(passed) else "fail"
-        if value is not None:
-            value = float(value)
-        self.checks.append(CheckResult(name, status, value, detail))
+        self.summary[name] = {"status": "pass" if passed else "fail",
+                              "value": None if value is None else float(value),
+                              "detail": detail}
 
     def skip(self, name, detail=""):
-        self.checks.append(CheckResult(name, "skip", None, detail))
+        self.summary[name] = {"status": "skip", "value": None, "detail": detail}
 
     def write_signal(self, name: str, sig: Signal):
         write_signal_csv(sig, self.outdir / name)
@@ -238,26 +198,18 @@ class _Emitter:
                 fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
         self.files.append(name)
 
-    def write_report(self):
-        path = self.outdir / "report.json"
-        with open(path, "w", encoding="utf-8") as fh:
+    def finish(self) -> RunManifest:
+        with open(self.outdir / "report.json", "w", encoding="utf-8") as fh:
             json.dump(self.report, fh, indent=1, sort_keys=True)
             fh.write("\n")
         self.files.append("report.json")
-
-    def finish(self) -> RunManifest:
-        self.write_report()
-        summary = {
-            c.name: {"status": c.status, "value": c.value, "detail": c.detail}
-            for c in self.checks
-        }
         manifest = RunManifest(
             name=self.cfg.name,
             version=__version__,
-            config=_config_echo(self.cfg),
+            config=asdict(self.cfg),
             wall_clock_s=round(time.perf_counter() - self._t0, 3),
             files=self.files + ["manifest.json"],
-            summary=summary,
+            summary=self.summary,
         )
         with open(self.outdir / "manifest.json", "w", encoding="utf-8") as fh:
             json.dump(manifest.to_dict(), fh, indent=1, sort_keys=True)
@@ -327,6 +279,94 @@ def _sandwich_violation(gamma, alpha, beta, delta) -> float:
     return max(v1, v2, v3, 0.0)
 
 
+def _check_convergence(em: _Emitter, a: Signal, b: Signal) -> None:
+    conv = convergence_check(a, b, threshold=1e-3, split_count=5)
+    em.check("convergence_check", conv.passed, conv.splits[-1][1],
+             f"trend {conv.trend}")
+    em.write_rows("convergence.csv", "T,sup_dist", conv.splits)
+
+
+def _check_battery(em: _Emitter, cfg: ScenarioConfig,
+                   icfg: IntegratorConfig | None = None) -> None:
+    ana = cfg.analysis
+    count, horizon = ana["battery_count"], ana["battery_horizon"]
+    ordered, worst, witness = comparison_battery(
+        cfg.system, ana["state_box"], count, horizon, cfg=icfg, seed=cfg.seeds)
+    em.check("monotonicity_battery", ordered, worst,
+             f"{count} ordered pairs on [0, {horizon:g}]"
+             + ("" if ordered else f"; violated at {witness}"))
+
+
+def _check_period(em: _Emitter, name: str, rep, ana: dict, detail: str) -> None:
+    """The periodic verdict holds with the forcing's period."""
+    gp = rep.verdict("periodic")
+    period = gp.params.get("period")
+    ok = (gp.verdict == "yes" and period is not None
+          and abs(period - ana["period_target"]) <= ana["period_tol"])
+    em.check(name, ok, value=period, detail=detail)
+
+
+def _extremal_solution(em: _Emitter, cfg: ScenarioConfig, traj: Signal,
+                       returns, snap_cfg: IntegratorConfig):
+    """Omega fiber sample, its extrema, and the extremal restarts.
+
+    Returns the omega sample and the extraction started from alpha, or None
+    when the extractions are not Cauchy.
+    """
+    ana = cfg.analysis
+    sysspec = cfg.system
+    omega = omega_fiber_sample(traj, returns, ana["settle_time"],
+                               fiber_tag=f"{sysspec.rhs}+tau={sysspec.base_shift:g}")
+    em.write_rows("omega_sample.csv",
+                  "t_n," + ",".join(f"x{j+1}" for j in range(traj.dim)),
+                  [(t, *row) for t, row in zip(omega.times, omega.snapshots)])
+    em.check("omega_singleton", omega.diameter() < 1e-3, omega.diameter(),
+             "retained snapshot diameter")
+    pair = fiber_extrema(omega, tol=1e-6)
+    try:
+        g = gamma_extract(sysspec, pair.alpha, returns, snap_cfg,
+                          tol=ana["gamma_tol"])
+        d = gamma_extract(sysspec, pair.beta, returns, snap_cfg,
+                          tol=ana["gamma_tol"])
+    except NotCauchy as exc:
+        em.check("gamma_cauchy", False, None, str(exc))
+        for name in ("gamma_delta_agree", "sandwich"):
+            em.skip(name, "extraction not Cauchy")
+        return omega, None
+    em.check("gamma_cauchy", True, g.cauchy_tail[-1],
+             f"final gap; tail {['%.2e' % x for x in g.cauchy_tail[-5:]]}")
+    agree = float(np.abs(g.gamma - d.gamma).max())
+    em.check("gamma_delta_agree", agree < 1e-3, agree,
+             "extremal-start extractions coincide")
+    viol = _sandwich_violation(g.gamma, pair.alpha, pair.beta, d.gamma)
+    em.check("sandwich", viol <= ana["sandwich_tol"], viol,
+             f"gamma <= alpha <= beta <= delta componentwise within "
+             f"{ana['sandwich_tol']:g}; the report holds the residual")
+    em.report["sandwich_violation"] = viol
+    return omega, g
+
+
+def _classify_entire(em: _Emitter, traj: Signal, returns, half_width: float,
+                     fracs: tuple):
+    """Reconstruct the entire trajectory at the last returns and classify it.
+
+    ``fracs`` = (window, tau) scale the classify window's half-width and the
+    shift range by ``half_width``.  Returns (gamma signal, report).
+    """
+    gamma_signal, agreement = entire_trajectory_estimate(traj, returns, half_width)
+    em.report["entire_trajectory_agreement"] = agreement
+    window_frac, tau_frac = fracs
+    g_cfg = ClassifyConfig(
+        window=Window(-half_width / 2, half_width * window_frac),
+        tau_grid=TauGrid(0.0, half_width * tau_frac, gamma_signal.dt),
+        bohr_epsilons=(0.5, 0.2),
+        fit_window=Window(0.0, half_width * 0.96),
+    )
+    rep = classify(gamma_signal, cfg=g_cfg)
+    em.report["gamma_classification"] = rep.to_dict()
+    return gamma_signal, rep
+
+
 # ---------------------------------------------------------------------------
 # s1-opial-scalar
 # ---------------------------------------------------------------------------
@@ -362,8 +402,7 @@ def build_s1(seed: int = 0, outputs: str | None = None,
                           seed, outputs)
 
 
-def _run_s1(cfg: ScenarioConfig, outdir: Path) -> RunManifest:
-    em = _Emitter(cfg, outdir)
+def _run_s1(em: _Emitter, cfg: ScenarioConfig) -> None:
     ana = cfg.analysis
     sysspec = cfg.system
     u_p = trig_particular_solution(sysspec.params["A"], sysspec.params["forcing"])
@@ -390,10 +429,7 @@ def _run_s1(cfg: ScenarioConfig, outdir: Path) -> RunManifest:
     gap_10_15 = sup_distance(a, b, Window(12.5, 2.5))
     em.check("convergence_gap", gap_10_15 <= math.exp(-10.0) + 1e-6, gap_10_15,
              "sup distance on [10, 15] for starts 1 apart")
-    conv = convergence_check(a, b, threshold=1e-3, split_count=5)
-    em.check("convergence_check", conv.passed, conv.splits[-1][1],
-             f"trend {conv.trend}")
-    em.write_rows("convergence.csv", "T,sup_dist", conv.splits)
+    _check_convergence(em, a, b)
 
     _check_quasimonotone(em, sysspec, ana["state_box"], [0.0, 1.7, 9.3])
 
@@ -418,7 +454,7 @@ def _run_s1(cfg: ScenarioConfig, outdir: Path) -> RunManifest:
             em.skip(name, f"horizon {t_end:g} below {ana['gamma_min_horizon']:g}")
         em.write_signal("forcing.csv", p_short.restrict(0.0, 1000.0))
         em.write_signal("trajectory.csv", sol)
-        return em.finish()
+        return
 
     # Long run: returns from the forcing, omega sampling, extraction.
     wc, hw = ana["return_window"]
@@ -432,58 +468,16 @@ def _run_s1(cfg: ScenarioConfig, outdir: Path) -> RunManifest:
         "schedule": list(returns.epsilon_schedule),
     }
     traj = integrate_ode(sysspec, u0, cfg.integrator)
-    box = np.asarray(ana["state_box"], dtype=float)
-    inside = bool(np.all(traj.samples >= box[:, 0] - 1e-9)
-                  and np.all(traj.samples <= box[:, 1] + 1e-9))
-    em.check("state_box", inside, float(np.abs(traj.samples).max()),
-             "boundedness proxy for conditional compactness")
-
-    omega = omega_fiber_sample(traj, returns, ana["settle_time"],
-                               fiber_tag=f"{sysspec.rhs}+tau={sysspec.base_shift:g}")
-    em.write_rows("omega_sample.csv",
-                  "t_n," + ",".join(f"x{j+1}" for j in range(traj.dim)),
-                  [(t, *row) for t, row in zip(omega.times, omega.snapshots)])
-    em.check("omega_singleton", omega.diameter() < 1e-3, omega.diameter(),
-             "retained snapshot diameter")
-    pair = fiber_extrema(omega, tol=1e-6)
-
+    _check_state_box(em, traj.samples, ana["state_box"])
     snap_cfg = IntegratorConfig(method="rk4_fixed", dt=0.1, t_end=t_end,
                                 record_dt=0.1, blowup_bound=6e6)
-    try:
-        g = gamma_extract(sysspec, pair.alpha, returns, snap_cfg,
-                          tol=ana["gamma_tol"])
-        d = gamma_extract(sysspec, pair.beta, returns, snap_cfg,
-                          tol=ana["gamma_tol"])
-        em.check("gamma_cauchy", True, g.cauchy_tail[-1],
-                 f"final gap; tail {['%.2e' % x for x in g.cauchy_tail[-5:]]}")
-        agree = float(np.abs(g.gamma - d.gamma).max())
-        em.check("gamma_delta_agree", agree < 1e-3, agree,
-                 "extremal-start extractions coincide")
-        viol = _sandwich_violation(g.gamma, pair.alpha, pair.beta, d.gamma)
-        em.check("sandwich", viol <= ana["sandwich_tol"], viol,
-                 "gamma <= alpha <= beta <= delta within the achievable "
-                 "tolerance; see report for the strict residual")
-        em.report["sandwich_violation"] = viol
+    _, g = _extremal_solution(em, cfg, traj, returns, snap_cfg)
+    if g is not None:
         em.report["gamma"] = {"value": g.gamma.tolist(),
                               "cauchy_tail": list(g.cauchy_tail)}
-    except NotCauchy as exc:
-        em.check("gamma_cauchy", False, None, str(exc))
-        for name in ("gamma_delta_agree", "sandwich"):
-            em.skip(name, "extraction not Cauchy")
-
-    gamma_signal, agreement = entire_trajectory_estimate(
-        traj, returns, ana["entire_half_width"])
-    em.report["entire_trajectory_agreement"] = agreement
+    gamma_signal, g_report = _classify_entire(
+        em, traj, returns, ana["entire_half_width"], (0.4, 0.95))
     em.write_signal("gamma_signal.csv", gamma_signal)
-    hw_g = ana["entire_half_width"]
-    g_cfg = ClassifyConfig(
-        window=Window(-hw_g / 2, hw_g * 0.4),
-        tau_grid=TauGrid(0.0, hw_g * 0.95, gamma_signal.dt),
-        bohr_epsilons=(0.5, 0.2),
-        fit_window=Window(0.0, hw_g * 0.96),
-    )
-    g_report = classify(gamma_signal, cfg=g_cfg)
-    em.report["gamma_classification"] = g_report.to_dict()
     gq = g_report.verdict("quasi_periodic")
     freqs = gq.params.get("freqs", [])
     targets = ana["freq_targets"]
@@ -496,7 +490,6 @@ def _run_s1(cfg: ScenarioConfig, outdir: Path) -> RunManifest:
 
     em.write_signal("forcing.csv", p_long.restrict(0.0, 1000.0))
     em.write_signal("trajectory.csv", traj.restrict(0.0, 1000.0))
-    return em.finish()
 
 
 # ---------------------------------------------------------------------------
@@ -521,8 +514,7 @@ def build_levitan(seed: int = 0, outputs: str | None = None,
     return ScenarioConfig("levitan", system, integrator, analysis, seed, outputs)
 
 
-def _run_levitan(cfg: ScenarioConfig, outdir: Path) -> RunManifest:
-    em = _Emitter(cfg, outdir)
+def _run_levitan(em: _Emitter, cfg: ScenarioConfig) -> None:
     ana = cfg.analysis
     dt = ana["dt"]
     span = ana["span"]
@@ -584,7 +576,6 @@ def _run_levitan(cfg: ScenarioConfig, outdir: Path) -> RunManifest:
     em.write_signal("h.csv", h.restrict(0.0, min(200.0, 2 * span)))
     em.write_signal("phi.csv", phi.restrict(-min(100.0, span), min(100.0, span)))
     em.write_signal("psi.csv", psi.restrict(-min(100.0, span), min(100.0, span)))
-    return em.finish()
 
 
 # ---------------------------------------------------------------------------
@@ -620,9 +611,7 @@ def build_s3(seed: int = 0, outputs: str | None = None,
                           seed, outputs)
 
 
-def _run_monotone_ode(cfg: ScenarioConfig, outdir: Path) -> RunManifest:
-    """Shared runner for forced cooperative ODE scenarios (s3 family)."""
-    em = _Emitter(cfg, outdir)
+def _run_s3(em: _Emitter, cfg: ScenarioConfig) -> None:
     ana = cfg.analysis
     sysspec = cfg.system
     u_p = trig_particular_solution(sysspec.params["A"], sysspec.params["forcing"])
@@ -634,22 +623,13 @@ def _run_monotone_ode(cfg: ScenarioConfig, outdir: Path) -> RunManifest:
     em.check("closed_form_match", sup_err < 1e-6, sup_err,
              "trajectory started on the particular solution stays on it")
 
-    ordered, worst, witness = comparison_battery(
-        sysspec, ana["state_box"], ana["battery_count"],
-        ana["battery_horizon"], seed=cfg.seeds)
-    em.check("monotonicity_battery", ordered, worst,
-             f"{ana['battery_count']} ordered pairs on "
-             f"[0, {ana['battery_horizon']:g}]"
-             + ("" if ordered else f"; violated at {witness}"))
+    _check_battery(em, cfg)
     _check_quasimonotone(em, sysspec, ana["state_box"], [0.0, 1.7, 9.3])
 
     # Convergence of two ordered starts.
     a = integrate_ode(sysspec, np.array([-1.0, -0.5]), short_cfg)
     b = integrate_ode(sysspec, np.array([1.0, 0.5]), short_cfg)
-    conv = convergence_check(a, b, threshold=1e-3, split_count=5)
-    em.check("convergence_check", conv.passed, conv.splits[-1][1],
-             f"trend {conv.trend}")
-    em.write_rows("convergence.csv", "T,sup_dist", conv.splits)
+    _check_convergence(em, a, b)
 
     # Returns from the periodic forcing, omega sampling, extraction.
     t_end = cfg.integrator.t_end
@@ -664,69 +644,28 @@ def _run_monotone_ode(cfg: ScenarioConfig, outdir: Path) -> RunManifest:
     u0 = u_p(0.0)[0] + np.array([0.5, -0.3])
     traj = integrate_ode(sysspec, u0, cfg.integrator)
     _check_state_box(em, traj.samples, ana["state_box"])
-    omega = omega_fiber_sample(traj, returns, ana["settle_time"],
-                               fiber_tag=f"{sysspec.rhs}+tau=0")
-    em.write_rows("omega_sample.csv",
-                  "t_n," + ",".join(f"x{j+1}" for j in range(traj.dim)),
-                  [(t, *row) for t, row in zip(omega.times, omega.snapshots)])
-    em.check("omega_singleton", omega.diameter() < 1e-3, omega.diameter(),
-             "retained snapshot diameter")
-    pair = fiber_extrema(omega, tol=1e-6)
-
     snap_cfg = IntegratorConfig(method="rk4_fixed", dt=5e-3, t_end=t_end,
                                 record_dt=5e-3, blowup_bound=4e6)
-    try:
-        g = gamma_extract(sysspec, pair.alpha, returns, snap_cfg,
-                          tol=ana["gamma_tol"])
-        d = gamma_extract(sysspec, pair.beta, returns, snap_cfg,
-                          tol=ana["gamma_tol"])
-        em.check("gamma_cauchy", True, g.cauchy_tail[-1],
-                 f"final gap; tail {['%.2e' % x for x in g.cauchy_tail[-5:]]}")
-        agree = float(np.abs(g.gamma - d.gamma).max())
-        em.check("gamma_delta_agree", agree < 1e-3, agree, "")
-        viol = _sandwich_violation(g.gamma, pair.alpha, pair.beta, d.gamma)
-        em.check("sandwich", viol <= ana["sandwich_tol"], viol,
-                 "gamma <= alpha <= beta <= delta, componentwise")
-        em.report["sandwich_violation"] = viol
-    except NotCauchy as exc:
-        em.check("gamma_cauchy", False, None, str(exc))
-        for name in ("gamma_delta_agree", "sandwich"):
-            em.skip(name, "extraction not Cauchy")
+    omega, _ = _extremal_solution(em, cfg, traj, returns, snap_cfg)
 
     inv_defect = omega_invariance_defect(sysspec, omega, snap_cfg)
     em.check("omega_invariance", inv_defect < 1e-3, inv_defect,
              "restarted snapshots reproduce the sampled fiber set")
 
-    from .limits import contraction_check
     contr = contraction_check(sysspec, pairs=16, horizon=10.0,
                               box=ana["state_box"], seed=cfg.seeds)
     em.check("contraction", contr.contracting,
              detail="same-fiber gaps strictly shrink at sampled times"
              if contr.contracting else f"witness {contr.witness}")
 
-    gamma_signal, agreement = entire_trajectory_estimate(
-        traj, returns, ana["entire_half_width"])
-    em.report["entire_trajectory_agreement"] = agreement
+    gamma_signal, g_report = _classify_entire(
+        em, traj, returns, ana["entire_half_width"], (0.35, 0.9))
     em.write_signal("gamma_signal.csv", gamma_signal)
-    hw_g = ana["entire_half_width"]
-    g_cfg = ClassifyConfig(
-        window=Window(-hw_g / 2, hw_g * 0.35),
-        tau_grid=TauGrid(0.0, hw_g * 0.9, gamma_signal.dt),
-        bohr_epsilons=(0.5, 0.2),
-        fit_window=Window(0.0, hw_g * 0.96),
-    )
-    g_report = classify(gamma_signal, cfg=g_cfg)
-    em.report["gamma_classification"] = g_report.to_dict()
-    gp = g_report.verdict("periodic")
-    period = gp.params.get("period")
-    ok = (gp.verdict == "yes" and period is not None
-          and abs(period - ana["period_target"]) <= ana["period_tol"])
-    em.check("gamma_classification", ok,
-             value=period, detail="periodic with the forcing's period")
+    _check_period(em, "gamma_classification", g_report, ana,
+                  "periodic with the forcing's period")
 
     em.write_signal("forcing.csv", forcing.restrict(0.0, min(200.0, t_end)))
     em.write_signal("trajectory.csv", traj.restrict(0.0, min(200.0, t_end)))
-    return em.finish()
 
 
 # ---------------------------------------------------------------------------
@@ -755,8 +694,7 @@ def build_s4(seed: int = 0, outputs: str | None = None,
                           seed, outputs)
 
 
-def _run_s4(cfg: ScenarioConfig, outdir: Path) -> RunManifest:
-    em = _Emitter(cfg, outdir)
+def _run_s4(em: _Emitter, cfg: ScenarioConfig) -> None:
     ana = cfg.analysis
     sysspec = cfg.system
     p = sysspec.params
@@ -774,11 +712,7 @@ def _run_s4(cfg: ScenarioConfig, outdir: Path) -> RunManifest:
     em.check("closed_form_tail", sup_err < ana["tail_tol"], sup_err,
              "trajectory locks onto the periodic particular solution")
 
-    ordered, worst, witness = _dde_comparison_battery(
-        sysspec, ana["state_box"], ana["battery_count"],
-        ana["battery_horizon"], cfg.integrator, seed=cfg.seeds)
-    em.check("monotonicity_battery", ordered, worst,
-             "" if ordered else f"violated at {witness}")
+    _check_battery(em, cfg, cfg.integrator)
     _check_quasimonotone(em, sysspec, ana["state_box"], [0.0, 1.7, 9.3])
     bad_sys = replace(sysspec, params={**p, "A_delay": [[-1.0]]})
     bad = quasimonotone_check(bad_sys, ana["state_box"], [0.0, 1.7], h=1e-4)
@@ -787,11 +721,7 @@ def _run_s4(cfg: ScenarioConfig, outdir: Path) -> RunManifest:
 
     # Two constant histories converge to the same tail.
     h2 = Signal(-r, r / 2, np.full((3, 1), ana["history_value"] - 1.0))
-    traj2 = integrate_dde(sysspec, h2, cfg.integrator)
-    conv = convergence_check(traj, traj2, threshold=1e-3, split_count=5)
-    em.check("convergence_check", conv.passed, conv.splits[-1][1],
-             f"trend {conv.trend}")
-    em.write_rows("convergence.csv", "T,sup_dist", conv.splits)
+    _check_convergence(em, traj, integrate_dde(sysspec, h2, cfg.integrator))
 
     sub = traj.restrict(20.0, cfg.integrator.t_end)
     c_cfg = ClassifyConfig(
@@ -803,29 +733,8 @@ def _run_s4(cfg: ScenarioConfig, outdir: Path) -> RunManifest:
     )
     rep = classify(sub, cfg=c_cfg)
     em.report["tail_classification"] = rep.to_dict()
-    gp = rep.verdict("periodic")
-    period = gp.params.get("period")
-    ok = (gp.verdict == "yes" and period is not None
-          and abs(period - ana["period_target"]) <= ana["period_tol"])
-    em.check("tail_classification", ok, value=period,
-             detail="asymptotically periodic with the forcing period")
-    return em.finish()
-
-
-def _dde_comparison_battery(sys, box, count, horizon, icfg, seed=0):
-    rng = np.random.default_rng(seed)
-    lo, up = ordered_pairs(box, count, rng)
-    cfg = replace(icfg, t_end=horizon)
-    _, Ylo = integrate_dde_batch(sys, lo, cfg)
-    _, Yup = integrate_dde_batch(sys, up, cfg)
-    scale = float(np.abs(np.stack([Ylo, Yup])).max())
-    tol = 1e-9 + 1e-6 * scale
-    gap = Ylo - Yup
-    worst = float(gap.max())
-    if worst <= tol:
-        return True, worst, None
-    idx = np.unravel_index(int(np.argmax(gap)), gap.shape)
-    return False, worst, tuple(int(i) for i in idx)
+    _check_period(em, "tail_classification", rep, ana,
+                  "asymptotically periodic with the forcing period")
 
 
 # ---------------------------------------------------------------------------
@@ -859,8 +768,7 @@ def build_s5(seed: int = 0, outputs: str | None = None,
                           seed, outputs)
 
 
-def _run_s5(cfg: ScenarioConfig, outdir: Path) -> RunManifest:
-    em = _Emitter(cfg, outdir)
+def _run_s5(em: _Emitter, cfg: ScenarioConfig) -> None:
     ana = cfg.analysis
     sysspec = cfg.system
     p = sysspec.params
@@ -911,11 +819,10 @@ def _run_s5(cfg: ScenarioConfig, outdir: Path) -> RunManifest:
 
     _check_state_box(em, field.values.reshape(field.values.shape[0], -1),
                      ana["state_box"])
-    ordered, worst, witness = _parabolic_comparison_battery(
-        sysspec, ana["battery_count"], ana["battery_horizon"],
-        ana["battery_points"], cfg.integrator, seed=cfg.seeds)
-    em.check("monotonicity_battery", ordered, worst,
-             "" if ordered else f"violated at {witness}")
+    # The battery grid is coarser than the oracle grid; let the stability
+    # cap inside the integrator choose the step for it.
+    _check_battery(em, cfg, replace(cfg.integrator, space_points=ana["battery_points"],
+                                    record_dt=0.5, dt=0.5))
     _check_quasimonotone(em, sysspec,
                          [[0.0, 2.0]] * max(2, sysspec.dim), [0.0, 1.7])
 
@@ -928,11 +835,7 @@ def _run_s5(cfg: ScenarioConfig, outdir: Path) -> RunManifest:
     fb = integrate_parabolic(sysspec,
                              (1.2 + 0.4 * np.cos(math.pi * xs_c / L))[None, :],
                              conv_cfg)
-    conv = convergence_check(fa.to_signal(), fb.to_signal(),
-                             threshold=1e-3, split_count=5)
-    em.check("convergence_check", conv.passed, conv.splits[-1][1],
-             f"trend {conv.trend}")
-    em.write_rows("convergence.csv", "T,sup_dist", conv.splits)
+    _check_convergence(em, fa.to_signal(), fb.to_signal())
 
     # Entire-trajectory reconstruction at forcing return times.
     traj = field.to_signal()
@@ -940,52 +843,13 @@ def _run_s5(cfg: ScenarioConfig, outdir: Path) -> RunManifest:
                              components=[[[1.0, 1.0, 0.0]]])
     returns = poisson_returns(forcing, [0.1, 0.01] + [1e-3] * 5,
                               Window(7.0, 7.0), separation=5.0)
-    gamma_signal, agreement = entire_trajectory_estimate(
-        traj, returns, ana["entire_half_width"])
-    em.report["entire_trajectory_agreement"] = agreement
-    hw_g = ana["entire_half_width"]
-    g_cfg = ClassifyConfig(
-        window=Window(-hw_g / 2, hw_g * 0.35),
-        tau_grid=TauGrid(0.0, hw_g * 0.9, gamma_signal.dt),
-        bohr_epsilons=(0.5, 0.2),
-        fit_window=Window(0.0, hw_g * 0.96),
-    )
-    g_report = classify(gamma_signal, cfg=g_cfg)
-    em.report["gamma_classification"] = g_report.to_dict()
-    gp = g_report.verdict("periodic")
-    period = gp.params.get("period")
-    ok = (gp.verdict == "yes" and period is not None
-          and abs(period - ana["period_target"]) <= ana["period_tol"])
-    em.check("gamma_classification", ok, value=period,
-             detail="field is asymptotically periodic with the forcing period")
+    _, g_report = _classify_entire(em, traj, returns, ana["entire_half_width"],
+                                   (0.35, 0.9))
+    _check_period(em, "gamma_classification", g_report, ana,
+                  "field is asymptotically periodic with the forcing period")
 
     em.write_rows("field_final.csv", "x,u",
                   list(zip(field.xs, field.values[-1, 0, :])))
-    return em.finish()
-
-
-def _parabolic_comparison_battery(sys, count, horizon, m, icfg, seed=0):
-    rng = np.random.default_rng(seed)
-    # The battery grid is coarser than the oracle grid; let the stability
-    # cap inside the integrator choose the step for it.
-    cfg = replace(icfg, t_end=horizon, space_points=m, record_dt=0.5, dt=0.5)
-    xs = np.linspace(0.0, float(sys.params["L"]), m)
-    base = rng.uniform(0.0, 1.5, size=(count, 1, 1)) \
-        + rng.uniform(-0.5, 0.5, size=(count, 1, 1)) * np.cos(math.pi * xs / sys.params["L"])
-    bump = rng.uniform(0.0, 1.0, size=(count, 1, 1)) \
-        * (1.0 + rng.uniform(-0.5, 0.5, size=(count, 1, 1)) * np.cos(2 * math.pi * xs / sys.params["L"])) / 1.5
-    lo = np.transpose(base, (1, 2, 0))          # (1, m, count)
-    up = np.transpose(base + np.abs(bump), (1, 2, 0))
-    _, Ylo, _ = integrate_parabolic_batch(sys, lo, cfg)
-    _, Yup, _ = integrate_parabolic_batch(sys, up, cfg)
-    scale = float(np.abs(np.stack([Ylo, Yup])).max())
-    tol = 1e-9 + 1e-6 * scale
-    gap = Ylo - Yup
-    worst = float(gap.max())
-    if worst <= tol:
-        return True, worst, None
-    idx = np.unravel_index(int(np.argmax(gap)), gap.shape)
-    return False, worst, tuple(int(i) for i in idx)
 
 
 # ---------------------------------------------------------------------------
@@ -997,7 +861,7 @@ CATALOG = {
                         "scalar monotone ODE with quasi-periodic forcing"),
     "levitan": (build_levitan, _run_levitan,
                 "bounded base h and unbounded composition sin(1/h)"),
-    "s3-coop-2d": (build_s3, _run_monotone_ode,
+    "s3-coop-2d": (build_s3, _run_s3,
                    "cooperative Hurwitz pair with periodic forcing"),
     "s4-dde-linear": (build_s4, _run_s4,
                       "single-delay linear equation, positive delayed term"),
@@ -1023,18 +887,20 @@ def load_scenario_config(path) -> ScenarioConfig:
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigInvalid(f"cannot read scenario config {path}: {exc}") from exc
     try:
-        system = SystemSpec(**raw["system"])
-        integrator = IntegratorConfig(**raw.get("integrator", {}))
-    except (KeyError, TypeError) as exc:
+        cfg = ScenarioConfig(
+            name=raw.get("name", Path(path).stem),
+            system=SystemSpec(**raw["system"]),
+            integrator=IntegratorConfig(**raw.get("integrator", {})),
+            analysis=raw.get("analysis", {}),
+            seeds=int(raw.get("seeds", 0)),
+            outputs=raw.get("outputs"),
+        )
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
         raise ConfigInvalid(f"bad scenario config {path}: {exc}") from exc
-    return ScenarioConfig(
-        name=raw.get("name", Path(path).stem),
-        system=system,
-        integrator=integrator,
-        analysis=raw.get("analysis", {}),
-        seeds=int(raw.get("seeds", 0)),
-        outputs=raw.get("outputs"),
-    )
+    if cfg.name in CATALOG:
+        raise ConfigInvalid(f"scenario name {cfg.name!r} is reserved for the "
+                            "built-in catalog; rename the config")
+    return cfg
 
 
 def default_output_dir() -> Path:
@@ -1045,20 +911,26 @@ def run_scenario(cfg: ScenarioConfig, outdir=None) -> RunManifest:
     """Run a scenario end to end and write its artifacts.
 
     The exit status of the returned manifest reflects the pass/fail summary:
-    0 when every scientific check passed, 1 otherwise.
+    0 when every scientific check passed, 1 otherwise.  A stage that stops
+    with a PoissonLabError is recorded as a failed ``aborted`` check, and the
+    report and manifest are still written; configuration, parse and domain
+    errors propagate without a manifest.
     """
     if outdir is None:
         outdir = Path(cfg.outputs) if cfg.outputs else default_output_dir() / cfg.name
-    outdir = Path(outdir)
+    em = _Emitter(cfg, Path(outdir))
     entry = CATALOG.get(cfg.name)
-    if entry is not None:
-        return entry[1](cfg, outdir)
-    return _run_generic(cfg, outdir)
+    try:
+        (entry[1] if entry is not None else _run_generic)(em, cfg)
+    except (ConfigInvalid, ParseError, DomainMismatch):
+        raise
+    except PoissonLabError as exc:
+        em.check("aborted", False, detail=f"{type(exc).__name__}: {exc}")
+    return em.finish()
 
 
-def _run_generic(cfg: ScenarioConfig, outdir: Path) -> RunManifest:
+def _run_generic(em: _Emitter, cfg: ScenarioConfig) -> None:
     """Minimal pipeline for user-supplied configs: integrate and classify."""
-    em = _Emitter(cfg, outdir)
     sysspec = cfg.system
     ana = cfg.analysis
     if sysspec.kind in ("scalar_ode", "cooperative_ode"):
@@ -1078,4 +950,3 @@ def _run_generic(cfg: ScenarioConfig, outdir: Path) -> RunManifest:
     rep = classify(traj, cfg=default_classify_config(traj))
     em.report["classification"] = rep.to_dict()
     em.write_signal("trajectory.csv", traj)
-    return em.finish()

@@ -1,4 +1,4 @@
-"""Equation registry and integrators producing Signals.
+"""Equation families and integrators producing Signals.
 
 A :class:`SystemSpec` names one equation family (scalar or cooperative ODE,
 single-delay DDE, 1-D parabolic system) plus its time-dependent forcing, and
@@ -51,8 +51,9 @@ _DEFAULT_BLOWUP = 1e9
 class SystemSpec:
     """Declarative description of one equation family.
 
-    ``rhs`` is a registry key; ``params`` its real parameters (matrices as
-    nested lists, forcing terms as (amplitude, frequency, phase) triples).
+    ``rhs`` names the right-hand side; ``params`` are its real parameters
+    (matrices as nested lists, forcing terms as (amplitude, frequency, phase)
+    triples).
     ``base_shift`` selects the time translate of the forcing, i.e. which
     member of the forcing's hull drives this trajectory.
     """
@@ -97,6 +98,9 @@ class IntegratorConfig:
             raise ConfigInvalid("t_end must be positive")
         if not (self.record_dt > 0 and math.isfinite(self.record_dt)):
             raise ConfigInvalid("record_dt must be positive and finite")
+        if not (math.isfinite(self.record_dt / self.dt)
+                and math.isfinite(self.t_end / self.dt)):
+            raise ConfigInvalid("dt is too small: record_dt/dt or t_end/dt overflows")
         if self.record_dt < self.dt - 1e-15:
             raise ConfigInvalid("record_dt must be >= dt")
 
@@ -106,7 +110,7 @@ class IntegratorConfig:
 
 
 # ---------------------------------------------------------------------------
-# right-hand-side registry
+# right-hand sides
 # ---------------------------------------------------------------------------
 
 def _fold_terms(components: Sequence[Sequence], dim: int, base_shift: float):
@@ -236,12 +240,11 @@ class ReactionDiffusion:
         return -self.decay * w + self.source_amp * prof * math.sin(self.omega * t + self.phase)
 
 
-_ODE_BUILDERS: dict[str, Callable[[SystemSpec], LinearTrigRhs]] = {}
-_DDE_BUILDERS: dict[str, Callable[[SystemSpec], DelayLinearRhs]] = {}
-_PDE_BUILDERS: dict[str, Callable[[SystemSpec], ReactionDiffusion]] = {}
-
-
-def _build_linear_trig(spec: SystemSpec) -> LinearTrigRhs:
+def build_ode_rhs(spec: SystemSpec) -> LinearTrigRhs:
+    if spec.kind not in ("scalar_ode", "cooperative_ode"):
+        raise ConfigInvalid(f"{spec.kind} is not an ODE kind")
+    if spec.rhs != "linear+trig":
+        raise UnknownRegistryKey(f"no ODE right-hand side {spec.rhs!r}")
     p = spec.params
     A = p.get("A")
     if A is None:
@@ -254,7 +257,11 @@ def _build_linear_trig(spec: SystemSpec) -> LinearTrigRhs:
     return rhs
 
 
-def _build_delay_linear(spec: SystemSpec) -> DelayLinearRhs:
+def build_dde_rhs(spec: SystemSpec) -> DelayLinearRhs:
+    if spec.kind != "dde_single_delay":
+        raise ConfigInvalid(f"{spec.kind} is not a DDE kind")
+    if spec.rhs != "delay-linear":
+        raise UnknownRegistryKey(f"no DDE right-hand side {spec.rhs!r}")
     p = spec.params
     if "delay" not in p:
         raise ConfigInvalid("delay-linear requires 'delay' > 0")
@@ -264,7 +271,11 @@ def _build_delay_linear(spec: SystemSpec) -> DelayLinearRhs:
     )
 
 
-def _build_rd_scalar(spec: SystemSpec) -> ReactionDiffusion:
+def build_reaction(spec: SystemSpec) -> ReactionDiffusion:
+    if spec.kind != "parabolic_1d":
+        raise ConfigInvalid(f"{spec.kind} is not a parabolic kind")
+    if spec.rhs != "rd-scalar":
+        raise UnknownRegistryKey(f"no reaction {spec.rhs!r}")
     p = spec.params
     return ReactionDiffusion(
         p.get("nu", [1.0]), p.get("L", 1.0),
@@ -273,41 +284,6 @@ def _build_rd_scalar(spec: SystemSpec) -> ReactionDiffusion:
         p.get("omega", 1.0), p.get("phase", 0.0), spec.base_shift,
         p.get("profile", "one-plus-cos"),
     )
-
-
-_ODE_BUILDERS["linear+trig"] = _build_linear_trig
-_DDE_BUILDERS["delay-linear"] = _build_delay_linear
-_PDE_BUILDERS["rd-scalar"] = _build_rd_scalar
-
-
-def build_ode_rhs(spec: SystemSpec) -> LinearTrigRhs:
-    if spec.kind not in ("scalar_ode", "cooperative_ode"):
-        raise ConfigInvalid(f"{spec.kind} is not an ODE kind")
-    try:
-        builder = _ODE_BUILDERS[spec.rhs]
-    except KeyError:
-        raise UnknownRegistryKey(f"no ODE right-hand side {spec.rhs!r}") from None
-    return builder(spec)
-
-
-def build_dde_rhs(spec: SystemSpec) -> DelayLinearRhs:
-    if spec.kind != "dde_single_delay":
-        raise ConfigInvalid(f"{spec.kind} is not a DDE kind")
-    try:
-        builder = _DDE_BUILDERS[spec.rhs]
-    except KeyError:
-        raise UnknownRegistryKey(f"no DDE right-hand side {spec.rhs!r}") from None
-    return builder(spec)
-
-
-def build_reaction(spec: SystemSpec) -> ReactionDiffusion:
-    if spec.kind != "parabolic_1d":
-        raise ConfigInvalid(f"{spec.kind} is not a parabolic kind")
-    try:
-        builder = _PDE_BUILDERS[spec.rhs]
-    except KeyError:
-        raise UnknownRegistryKey(f"no reaction {spec.rhs!r}") from None
-    return builder(spec)
 
 
 # ---------------------------------------------------------------------------

@@ -138,3 +138,50 @@ def test_run_custom_config_and_manifest_completeness(tmp_path, capsys):
 
 def test_usage_error_exit_2(capsys):
     assert main(["frobnicate"]) == 2
+
+
+def _write_config(tmp_path, name, params):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "name": name,
+        "system": {"kind": "scalar_ode", "dim": 1, "rhs": "linear+trig",
+                   "params": params},
+        "integrator": {"method": "rk45_adaptive", "dt": 0.01, "t_end": 10.0,
+                       "record_dt": 0.05},
+    }))
+    return cfg
+
+
+def test_run_config_without_matrix_exit_2(tmp_path, capsys):
+    cfg = _write_config(tmp_path, "no-matrix", {"forcing": [[]]})
+    assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2
+
+
+def test_run_config_with_catalog_name_exit_2(tmp_path, capsys):
+    cfg = _write_config(tmp_path, "levitan", {"A": [[-1.0]], "forcing": [[]]})
+    assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert "reserved" in capsys.readouterr().err
+
+
+def test_run_aborted_stage_still_writes_manifest(tmp_path, capsys):
+    # The s3 return window [0, 50] does not fit a horizon of 20.
+    out = tmp_path / "out"
+    assert main(["run", "s3-coop-2d", "--horizon", "20", "--out", str(out)]) == 1
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert {p.name for p in out.iterdir()} == set(manifest["files"])
+    aborted = manifest["summary"]["aborted"]
+    assert aborted["status"] == "fail"
+    assert aborted["detail"].startswith("WindowOutOfDomain: ")
+    assert manifest["exit_code"] == 1
+
+
+@pytest.mark.parametrize("analysis", [
+    {"window": [100.0, -5.0]},
+    {"tau_grid": [0.0, -1.0, 0.1]},
+    {"stationary_tol": "tiny"},
+    {"bohr_epsilons": 0.5},
+])
+def test_classify_bad_analysis_config_exit_2(sine_csv, tmp_path, capsys, analysis):
+    cfg = tmp_path / "analysis.json"
+    cfg.write_text(json.dumps(analysis))
+    assert main(["classify", str(sine_csv), "--config", str(cfg)]) == 2

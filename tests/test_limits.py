@@ -6,6 +6,7 @@ import pytest
 
 from poisson_lab.errors import InsufficientReturns, NotCauchy
 from poisson_lab.limits import (
+    comparison_battery,
     contraction_check,
     convergence_check,
     entire_trajectory_estimate,
@@ -15,6 +16,7 @@ from poisson_lab.limits import (
     uniform_stability_estimate,
 )
 from poisson_lab.recurrence import ReturnSequence
+from poisson_lab.scenarios import build_scenario
 from poisson_lab.signals import Signal, Window, sample_function
 from poisson_lab.systems import IntegratorConfig, SystemSpec, integrate_ode
 
@@ -219,3 +221,45 @@ def test_contraction_verdicts():
     assert not res.contracting
     hurwitz = ode([[-2.0, 1.0], [1.0, -2.0]], [[], []], dim=2)
     assert contraction_check(hurwitz, pairs=8, horizon=5.0)
+
+
+# ---------------------------------------------------------------------------
+# ordered-pair battery
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("name", ["s3-coop-2d", "s4-dde-linear", "s5-rd-scalar"])
+def test_battery_ordered_for_catalog_systems(name):
+    cfg = build_scenario(name)
+    box = cfg.analysis["state_box"]
+    if name == "s3-coop-2d":
+        icfg = None
+    elif name == "s4-dde-linear":
+        icfg = cfg.integrator
+    else:
+        icfg = replace(cfg.integrator, space_points=64, record_dt=0.5, dt=0.5)
+    ordered, worst, witness = comparison_battery(cfg.system, box, 20, 20.0,
+                                                 cfg=icfg, seed=0)
+    assert ordered and witness is None
+    assert worst <= 1e-6
+
+
+def test_battery_unordered_ode_witness():
+    sys = ode([[-1.0, -0.5], [0.5, -1.0]], [[], []], dim=2)
+    ordered, worst, witness = comparison_battery(sys, [[-2.0, 2.0], [-2.0, 2.0]],
+                                                 20, 20.0, seed=0)
+    assert not ordered and worst > 0.1
+    t, comp, pair = witness
+    assert 0.0 < t <= 20.0 and comp in (0, 1) and 0 <= pair < 20
+    assert t / 0.05 == pytest.approx(round(t / 0.05))
+
+
+def test_battery_unordered_dde_witness():
+    sys = SystemSpec("dde_single_delay", 1, "delay-linear",
+                     {"A_self": [[-2.0]], "A_delay": [[-1.0]], "delay": 1.0,
+                      "forcing": [[[1.0, 1.0, 0.0]]]})
+    icfg = IntegratorConfig(method="rk4_fixed", dt=0.01, record_dt=0.05)
+    ordered, worst, witness = comparison_battery(sys, [[-2.0, 2.0]], 20, 20.0,
+                                                 cfg=icfg, seed=0)
+    assert not ordered and worst > 0.1
+    t, comp, pair = witness
+    assert 0.0 < t <= 20.0 + 0.05 and comp == 0 and 0 <= pair < 20

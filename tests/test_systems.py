@@ -154,10 +154,14 @@ def test_negative_dt_rejected():
         IntegratorConfig(dt=-0.1)
 
 
-@pytest.mark.parametrize("record_dt", [math.nan, math.inf, 0.0, -0.05])
-def test_bad_record_dt_rejected(record_dt):
+@pytest.mark.parametrize("record_dt, dt", [
+    *(pytest.param(v, 0.01, id=str(v)) for v in (math.nan, math.inf, 0.0, -0.05)),
+    # record_dt / dt overflows to inf for a subnormal step.
+    pytest.param(1.0, 1e-320, id="subnormal-dt"),
+])
+def test_bad_record_dt_rejected(record_dt, dt):
     with pytest.raises(ConfigInvalid):
-        IntegratorConfig(method="rk4_fixed", dt=0.01, record_dt=record_dt)
+        IntegratorConfig(method="rk4_fixed", dt=dt, t_end=2.0, record_dt=record_dt)
 
 
 # ---------------------------------------------------------------------------
