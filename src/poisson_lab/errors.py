@@ -38,7 +38,7 @@ class ConfigInvalid(PoissonLabError):
     """Scenario or integrator configuration failed validation."""
 
 
-class UnknownRegistryKey(PoissonLabError):
+class UnknownRegistryKey(ConfigInvalid):
     """A right-hand-side or forcing key that is not registered."""
 
 

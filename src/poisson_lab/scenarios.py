@@ -49,6 +49,9 @@ from .signals import Signal, Window, sup_distance, write_signal_csv
 from .systems import (
     IntegratorConfig,
     SystemSpec,
+    build_dde_rhs,
+    build_ode_rhs,
+    build_reaction,
     forcing_signal,
     integrate_dde,
     integrate_ode,
@@ -137,7 +140,7 @@ class ScenarioConfig:
     outputs: str | None = None
 
     def __post_init__(self):
-        if not self.name:
+        if not (isinstance(self.name, str) and self.name):
             raise ConfigInvalid("scenario needs a name")
         object.__setattr__(self, "analysis", dict(self.analysis))
 
@@ -895,7 +898,10 @@ def load_scenario_config(path) -> ScenarioConfig:
             seeds=int(raw.get("seeds", 0)),
             outputs=raw.get("outputs"),
         )
-    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        kind = cfg.system.kind
+        (build_dde_rhs if kind == "dde_single_delay" else
+         build_reaction if kind == "parabolic_1d" else build_ode_rhs)(cfg.system)
+    except (KeyError, TypeError, ValueError, AttributeError, IndexError) as exc:
         raise ConfigInvalid(f"bad scenario config {path}: {exc}") from exc
     if cfg.name in CATALOG:
         raise ConfigInvalid(f"scenario name {cfg.name!r} is reserved for the "
@@ -933,18 +939,25 @@ def _run_generic(em: _Emitter, cfg: ScenarioConfig) -> None:
     """Minimal pipeline for user-supplied configs: integrate and classify."""
     sysspec = cfg.system
     ana = cfg.analysis
-    if sysspec.kind in ("scalar_ode", "cooperative_ode"):
-        u0 = np.asarray(ana.get("u0", [0.0] * sysspec.dim), dtype=float)
-        traj = integrate_ode(sysspec, u0, cfg.integrator)
-    elif sysspec.kind == "dde_single_delay":
-        r = float(sysspec.params["delay"])
-        val = float(ana.get("history_value", 0.0))
-        hist = Signal(-r, r / 2, np.full((3, sysspec.dim), val))
-        traj = integrate_dde(sysspec, hist, cfg.integrator)
+    kind = sysspec.kind
+    try:
+        if kind == "dde_single_delay":
+            r = build_dde_rhs(sysspec).r
+            val = float(ana.get("history_value", 0.0))
+            start = Signal(-r, r / 2, np.full((3, sysspec.dim), val))
+        elif kind == "parabolic_1d":
+            m = cfg.integrator.space_points or 64
+            start = np.full((sysspec.dim, m), float(ana.get("u0_value", 1.0)))
+        else:
+            start = np.asarray(ana.get("u0", [0.0] * sysspec.dim), dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ConfigInvalid(f"bad start value in the analysis section: {exc}") from exc
+    if kind == "dde_single_delay":
+        traj = integrate_dde(sysspec, start, cfg.integrator)
+    elif kind == "parabolic_1d":
+        traj = integrate_parabolic(sysspec, start, cfg.integrator).to_signal()
     else:
-        m = cfg.integrator.space_points or 64
-        field_vals = np.full((sysspec.dim, m), float(ana.get("u0_value", 1.0)))
-        traj = integrate_parabolic(sysspec, field_vals, cfg.integrator).to_signal()
+        traj = integrate_ode(sysspec, start, cfg.integrator)
     em.check("integration", True, float(np.abs(traj.samples).max()),
              "trajectory completed inside the blowup bound")
     rep = classify(traj, cfg=default_classify_config(traj))

@@ -7,15 +7,19 @@ function of the start state and the forcing phase.  The forcing family is
 represented lazily by the shift parameter ``base_shift`` on closed-form
 forcings, which keeps time translates exact.
 
-Every registered ODE right-hand side is affine, u' = A u + p(t), with a
-forcing that does not depend on the state.  Fixed-step RK4 on such a system
-is exactly the recurrence y_{k+1} = P(hA) y_k + q_k, with P the degree-4
-Taylor polynomial of exp(hA) and q_k a fixed combination of p at t_k,
-t_k + h/2 and t_k + h; the RK4 drivers run that recurrence, with the forcing
-evaluated in vectorized chunks.  Steps are indexed by integers, t_k = t0 + k h:
-the dense and batch drivers take nsub = ceil(record_dt / dt) steps of
-h = record_dt / nsub per record interval, the snapshot driver the same rule
-per span between snapshots, so the step that runs is the step configured.
+Every registered right-hand side is affine, u' = A u + g(t), with inputs g
+that do not depend on the current state.  Fixed-step RK4 on such a system is
+exactly the recurrence y_{k+1} = P(hA) y_k + q_k, with P the degree-4 Taylor
+polynomial of exp(hA) and q_k a fixed combination of g at t_k, t_k + h/2 and
+t_k + h; one engine runs that recurrence for all three kinds, with the inputs
+evaluated in vectorized chunks.  For the ODE, g is the trigonometric forcing.
+The parabolic method of lines is such an ODE on the (species, node) grid,
+with A the mirrored-ghost Laplacian plus decay.  For the DDE method of steps,
+g adds A_delay times the delayed solution, which is known one delay interval
+ahead.  Steps are indexed by integers, t_k = t0 + k h: the dense and batch
+drivers take nsub = ceil(record_dt / dt) steps of h = record_dt / nsub per
+record interval, the snapshot driver the same rule per span between
+snapshots, so the step that runs is the step configured.
 
 Integration of one trajectory is strictly sequential; distinct trajectories
 (ordered-pair batteries, probe sweeps) are independent and the batch helpers
@@ -67,8 +71,8 @@ class SystemSpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ConfigInvalid(f"unknown system kind {self.kind!r}")
-        if self.dim < 1:
-            raise ConfigInvalid("dim must be >= 1")
+        if not isinstance(self.dim, int) or self.dim < 1:
+            raise ConfigInvalid("dim must be an integer >= 1")
         object.__setattr__(self, "params", dict(self.params))
 
     def shifted(self, tau: float) -> "SystemSpec":
@@ -98,6 +102,10 @@ class IntegratorConfig:
             raise ConfigInvalid("t_end must be positive")
         if not (self.record_dt > 0 and math.isfinite(self.record_dt)):
             raise ConfigInvalid("record_dt must be positive and finite")
+        if not (isinstance(self.space_points, int) and self.space_points >= 0):
+            raise ConfigInvalid("space_points must be an integer >= 0")
+        if self.blowup_bound is not None and not self.blowup_bound > 0:
+            raise ConfigInvalid("blowup_bound must be positive")
         if not (math.isfinite(self.record_dt / self.dt)
                 and math.isfinite(self.t_end / self.dt)):
             raise ConfigInvalid("dt is too small: record_dt/dt or t_end/dt overflows")
@@ -143,6 +151,8 @@ class LinearTrigRhs:
             raise ConfigInvalid("A must be square")
         self.dim = n
         self.offset = np.asarray(offset, dtype=float)
+        if self.offset.shape != (n,):
+            raise ConfigInvalid("offset must have one entry per component")
         self.proj, self.omegas, self.phases = _fold_terms(components, n, base_shift)
 
     def forcing(self, t: float) -> np.ndarray:
@@ -169,18 +179,14 @@ class DelayLinearRhs:
         if not delay > 0:
             raise ConfigInvalid("delay must be positive")
         self.r = float(delay)
+        self.offset = np.zeros(self.dim)  # the same forcing form as LinearTrigRhs
         self.proj, self.omegas, self.phases = _fold_terms(components, self.dim, base_shift)
 
     def forcing(self, t: float) -> np.ndarray:
-        if self.omegas.size == 0:
-            return np.zeros(self.dim)
-        return self.proj @ np.sin(self.omegas * t + self.phases)
+        return self.offset + self.proj @ np.sin(self.omegas * t + self.phases)
 
     def __call__(self, t, u_now, u_past):
-        p = self.forcing(t)
-        if u_now.ndim == 2:
-            return self.A_self @ u_now + self.A_delay @ u_past + p[:, None]
-        return self.A_self @ u_now + self.A_delay @ u_past + p
+        return self.A_self @ u_now + self.A_delay @ u_past + self.forcing(t)
 
 
 class ReactionDiffusion:
@@ -218,12 +224,21 @@ class ReactionDiffusion:
         """Space part of the source, amp * profile(x); shape (n, m)."""
         return self.source_amp[:, None] * self.profile(xs)[None, :]
 
-    def reaction(self, t, src, W):
-        """Reaction term given ``src = source(xs)``; W has shape (n, m) or (n, m, batch)."""
-        amp_t = math.sin(self.omega * t + self.phase)
-        if W.ndim == 3:
-            return -self.decay[:, None, None] * W + (src * amp_t)[:, :, None]
-        return -self.decay[:, None] * W + src * amp_t
+    def method_of_lines(self, m: int):
+        """(rhs, xs): the system on m nodes as u' = A u + p(t), u the flattened
+        (species, node) field.  A is nu times the Laplacian with mirrored ghost
+        nodes (u[-1] = u[1]), which conserves the trapezoid-weight spatial
+        mean, minus the decay; p(t) = source(xs) sin(omega t + phase)."""
+        dx = self.L / (m - 1)
+        xs = dx * np.arange(m)
+        lap = np.diag(np.ones(m - 1), 1) + np.diag(np.ones(m - 1), -1) - 2.0 * np.eye(m)
+        lap[0, 1] = lap[-1, -2] = 2.0
+        A = np.kron(np.diag(self.nu), lap / (dx * dx)) - np.diag(np.repeat(self.decay, m))
+        size = self.n_species * m
+        rhs = LinearTrigRhs(A, [[]] * size, np.zeros(size), 0.0)
+        rhs.proj = self.source(xs).reshape(size, 1)
+        rhs.omegas, rhs.phases = np.array([self.omega]), np.array([self.phase])
+        return rhs, xs
 
     def species_jacobian_offdiag(self, t, x, w, i, j, h):
         """Central-difference d f_i / d w_j at one space-state sample."""
@@ -344,8 +359,8 @@ def forcing_signal(key: str, t0: float, t_end: float, dt: float, *,
 # fixed-step RK4 as an affine recurrence
 # ---------------------------------------------------------------------------
 
-# Steps per chunk of stage forcing, divided by the batch width, so memory
-# stays flat however long the run is.
+# Steps per chunk of stage inputs, divided by the state size (batch
+# included), so memory stays flat however long the run is.
 _CHUNK = 1 << 16
 
 
@@ -356,8 +371,8 @@ def _check_state(y: np.ndarray, bound: float, t: float) -> None:
 
 
 def _check_records(Y: np.ndarray, ts: np.ndarray, bound: float) -> None:
-    """_check_state at every record time; the first bad record is reported."""
-    m = np.abs(Y).reshape(len(Y), -1).max(axis=1)
+    """_check_state at each record time (Y may be empty); the first bad record is reported."""
+    m = np.abs(Y).max(axis=tuple(range(1, Y.ndim)))
     bad = ~(m <= bound)
     if bad.any():
         i = int(np.argmax(bad))
@@ -397,20 +412,29 @@ def _rk4_coeffs(A: np.ndarray, h: float):
     return P, C0, Ch
 
 
-def _rk4_affine_steps(rhs, coeffs, y: np.ndarray, t0: float, h: float,
-                      k0: int, n: int) -> np.ndarray:
-    """States after steps k0 .. k0+n-1 of y <- P y + q_k, step k at t0 + k h.
+def _trig_inputs(rhs, t0: float, h: float, k0: int, n: int) -> np.ndarray:
+    """offset + proj sin(omegas t + phases) at t = t0 + (j/2) h, j = 2 k0 .. 2 (k0 + n)."""
+    s = t0 + (0.5 * h) * np.arange(2 * k0, 2 * (k0 + n) + 1)
+    return rhs.offset + np.sin(np.outer(s, rhs.omegas) + rhs.phases) @ rhs.proj.T
 
-    The forcing is evaluated once on the half-step grid.  A scalar state
-    (any batch width) runs through a first-order IIR filter, which computes
-    exactly that recurrence; larger states take one small matrix product per
-    step.  Returns shape (n,) + y.shape.
+
+def _rk4_affine_steps(coeffs, y: np.ndarray, F: np.ndarray, h: float) -> np.ndarray:
+    """States after n steps of y <- P y + q_k, given the stage inputs F.
+
+    F[2k], F[2k + 1], F[2k + 2] are what the right-hand side adds to A y at
+    the start, midpoint and end of step k: q_k = C0 F[2k] + Ch F[2k + 1] +
+    (h/6) F[2k + 2].  F has shape (2n + 1, dim) when a whole batch shares it,
+    else (2n + 1,) + y.shape.  A scalar state with shared inputs runs through
+    a first-order IIR filter, which computes exactly that recurrence; other
+    states take one small matrix product per step.  Returns (n,) + y.shape.
     """
     P, C0, Ch = coeffs
-    s = t0 + (0.5 * h) * np.arange(2 * k0, 2 * (k0 + n) + 1)
-    F = rhs.offset + np.sin(np.outer(s, rhs.omegas) + rhs.phases) @ rhs.proj.T
-    q = F[:-1:2] @ C0.T + F[1::2] @ Ch.T + (h / 6.0) * F[2::2]
-    if P.shape[0] == 1:
+    if F.ndim == 2:
+        q = F[:-1:2] @ C0.T + F[1::2] @ Ch.T + (h / 6.0) * F[2::2]
+    else:
+        q = C0 @ F[:-1:2] + Ch @ F[1::2] + (h / 6.0) * F[2::2]
+    n = len(q)
+    if P.shape[0] == 1 and F.ndim == 2:
         # Imported here: scipy.signal adds about half a second to the import.
         from scipy.signal import lfilter
 
@@ -419,7 +443,7 @@ def _rk4_affine_steps(rhs, coeffs, y: np.ndarray, t0: float, h: float,
         x = np.broadcast_to(q, (n, row.shape[1]))
         states, _ = lfilter([1.0], [1.0, -a], x, axis=0, zi=a * row)
         return states.reshape((n,) + y.shape)
-    if y.ndim == 2:
+    if y.ndim == 2 and q.ndim == 2:
         q = q[:, :, None]
     out = np.empty((n,) + y.shape)
     for k in range(n):
@@ -436,11 +460,11 @@ def _rk4_record(rhs, y: np.ndarray, cfg: IntegratorConfig):
     coeffs = _rk4_coeffs(rhs.A, h)
     out = np.empty((ts.size,) + y.shape)
     out[0] = y
-    per_chunk = max(1, _CHUNK // (nsub * y[0].size))
+    per_chunk = max(1, _CHUNK // (nsub * y.size))
     for r0 in range(1, ts.size, per_chunk):
         r1 = min(r0 + per_chunk, ts.size)
-        states = _rk4_affine_steps(rhs, coeffs, y, 0.0, h,
-                                   (r0 - 1) * nsub, (r1 - r0) * nsub)
+        k0, n = (r0 - 1) * nsub, (r1 - r0) * nsub
+        states = _rk4_affine_steps(coeffs, y, _trig_inputs(rhs, 0.0, h, k0, n), h)
         out[r0:r1] = states[nsub - 1::nsub]
         _check_records(out[r0:r1], ts[r0:r1], cfg.bound)
         y = states[-1]
@@ -568,8 +592,8 @@ def integrate_ode_snapshots(sys: SystemSpec, u0, cfg: IntegratorConfig,
                 h = span / nsub
                 coeffs = _rk4_coeffs(rhs.A, h)
                 for k0 in range(0, nsub, _CHUNK):
-                    y = _rk4_affine_steps(rhs, coeffs, y, t_prev, h, k0,
-                                          min(_CHUNK, nsub - k0))[-1]
+                    F = _trig_inputs(rhs, t_prev, h, k0, min(_CHUNK, nsub - k0))
+                    y = _rk4_affine_steps(coeffs, y, F, h)[-1]
             _check_state(y, cfg.bound, t)
             out[i] = y
             t_prev = t
@@ -597,26 +621,29 @@ def integrate_ode_batch(sys: SystemSpec, U0, cfg: IntegratorConfig):
 # DDE method of steps
 # ---------------------------------------------------------------------------
 
-# Cubic Lagrange weights at the half node for stencil offsets 0.5, 1.5, 2.5.
-_HALF_W = {
-    1: (-1 / 16, 9 / 16, 9 / 16, -1 / 16),     # nodes j-1 .. j+2, x = 1.5
-    0: (5 / 16, 15 / 16, -5 / 16, 1 / 16),     # nodes j .. j+3,   x = 0.5
-    2: (1 / 16, -5 / 16, 15 / 16, 5 / 16),     # nodes j-2 .. j+1, x = 2.5
-}
+# Cubic Lagrange weights at the half node, row j - s for the stencil nodes
+# s .. s+3 (offsets 0.5, 1.5, 2.5).
+_HALF_W = np.array([
+    (5 / 16, 15 / 16, -5 / 16, 1 / 16),     # nodes j .. j+3,   x = 0.5
+    (-1 / 16, 9 / 16, 9 / 16, -1 / 16),     # nodes j-1 .. j+2, x = 1.5
+    (1 / 16, -5 / 16, 15 / 16, 5 / 16),     # nodes j-2 .. j+1, x = 2.5
+])
 
 
-def _half_value(U: np.ndarray, j: int, n_sub: int) -> np.ndarray:
-    """Cubic interpolation of the solution buffer at node index j + 1/2.
+def _half_values(V: np.ndarray) -> np.ndarray:
+    """Cubic interpolation at the half nodes j + 1/2 of one delay interval.
 
-    The stencil never crosses a breakpoint (a multiple of the delay, i.e.
-    of n_sub nodes), where the solution loses smoothness.
+    V holds the interval's n + 1 nodes.  The stencils stay inside it: its
+    ends are breakpoints (multiples of the delay), where the solution loses
+    smoothness.  Fewer than 3 steps per delay take the linear midpoint.
     """
-    if n_sub < 3:
-        return 0.5 * (U[j] + U[j + 1])
-    b = (j // n_sub) * n_sub
-    s = min(max(j - 1, b), b + n_sub - 3)
-    w = _HALF_W[j - s]
-    return w[0] * U[s] + w[1] * U[s + 1] + w[2] * U[s + 2] + w[3] * U[s + 3]
+    n = len(V) - 1
+    if n < 3:
+        return 0.5 * (V[:-1] + V[1:])
+    j = np.arange(n)
+    s = np.clip(j - 1, 0, n - 3)
+    w = _HALF_W[j - s].reshape((n, 4) + (1,) * (V.ndim - 1))
+    return w[:, 0] * V[s] + w[:, 1] * V[s + 1] + w[:, 2] * V[s + 2] + w[:, 3] * V[s + 3]
 
 
 def _validate_history(history: Signal, r: float, dim: int) -> None:
@@ -637,8 +664,10 @@ def integrate_dde(sys: SystemSpec, history: Signal, cfg: IntegratorConfig) -> Si
     delayed values are read by cubic interpolation of the computed solution.
     The output coincides with the history on [-r, 0].
     """
-    ts, U, k_rec = _dde_core(sys, history.values, history, cfg, batch=None)
-    return Signal(-build_dde_rhs(sys).r, k_rec, U, "cubic")
+    rhs = build_dde_rhs(sys)
+    _validate_history(history, rhs.r, sys.dim)
+    U, k_rec = _dde_core(rhs, lambda ts: history.values(ts)[:, :, None], cfg)
+    return Signal(-rhs.r, k_rec, U[:, :, 0], "cubic")
 
 
 def integrate_dde_batch(sys: SystemSpec, history_states: np.ndarray,
@@ -647,47 +676,42 @@ def integrate_dde_batch(sys: SystemSpec, history_states: np.ndarray,
     H = np.asarray(history_states, dtype=float)
     if H.ndim != 2 or H.shape[0] != sys.dim:
         raise DimensionMismatch(f"history batch must have shape ({sys.dim}, batch)")
-
-    def hist_vals(times):
-        return np.broadcast_to(H, (len(times),) + H.shape).copy()
-
-    ts, U, k_rec = _dde_core(sys, hist_vals, None, cfg, batch=H.shape[1])
-    return -build_dde_rhs(sys).r + k_rec * np.arange(U.shape[0]), U
-
-
-def _dde_core(sys, hist_vals, history, cfg, batch):
     rhs = build_dde_rhs(sys)
+    U, k_rec = _dde_core(rhs, lambda ts: np.broadcast_to(H, (len(ts),) + H.shape), cfg)
+    return -rhs.r + k_rec * np.arange(U.shape[0]), U
+
+
+def _dde_core(rhs, hist_vals, cfg):
+    """Method of steps on the nodes -r + i h, with a trailing batch axis:
+    (the record nodes, the record step).
+
+    Step i reads the delayed solution at nodes i - n_sub, i - n_sub + 1/2
+    and i - n_sub + 1, all in the delay interval before its own.  So each
+    interval of n_sub steps runs through the affine engine, with A_delay
+    times those values added to the forcing as per-state stage inputs; being
+    per state, they keep even a scalar DDE off the IIR filter.
+    """
     r = rhs.r
-    if history is not None:
-        _validate_history(history, r, sys.dim)
     n_sub = max(1, int(math.ceil(r / cfg.dt - 1e-12)))
     h = r / n_sub
     k_rec = max(1, int(round(cfg.record_dt / h)))
     n_fwd = int(math.ceil(cfg.t_end / h - 1e-9))
     # Extend so the last record node is at or beyond t_end.
-    n_fwd = int(math.ceil(n_fwd / k_rec) * k_rec)
-    total = n_sub + n_fwd
-    shape = (total + 1, sys.dim) if batch is None else (total + 1, sys.dim, batch)
-    U = np.empty(shape)
-    grid_hist = -r + h * np.arange(n_sub + 1)
-    U[: n_sub + 1] = hist_vals(grid_hist)
-    bound = cfg.bound
-    for i in range(n_sub, total):
-        t = -r + i * h
-        y = U[i]
-        jd = i - n_sub
-        yd0 = U[jd]
-        yd1 = U[jd + 1]
-        ydh = _half_value(U, jd, n_sub)
-        k1 = rhs(t, y, yd0)
-        th = t + 0.5 * h
-        k2 = rhs(th, y + (0.5 * h) * k1, ydh)
-        k3 = rhs(th, y + (0.5 * h) * k2, ydh)
-        k4 = rhs(t + h, y + h * k3, yd1)
-        U[i + 1] = y + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
-        if (i + 1) % k_rec == 0:
-            _check_state(U[i + 1], bound, t + h)
-    return None, U[::k_rec].copy(), k_rec * h
+    total = n_sub + int(math.ceil(n_fwd / k_rec) * k_rec)
+    hist = hist_vals(-r + h * np.arange(n_sub + 1))
+    U = np.empty((total + 1,) + hist.shape[1:])
+    U[: n_sub + 1] = hist
+    coeffs = _rk4_coeffs(rhs.A_self, h)
+    D = np.empty((2 * n_sub + 1,) + hist.shape[1:])
+    for i in range(n_sub, total, n_sub):
+        n = min(n_sub, total - i)
+        D[::2] = U[i - n_sub:i + 1]
+        D[1::2] = _half_values(U[i - n_sub:i + 1])
+        F = _trig_inputs(rhs, -r, h, i, n)[:, :, None] + rhs.A_delay @ D[:2 * n + 1]
+        U[i + 1:i + n + 1] = _rk4_affine_steps(coeffs, U[i], F, h)
+        rec = np.arange(-(-(i + 1) // k_rec) * k_rec, i + n + 1, k_rec)
+        _check_records(U[rec], -r + h * rec, cfg.bound)
+    return U[::k_rec].copy(), k_rec * h
 
 
 # ---------------------------------------------------------------------------
@@ -726,20 +750,6 @@ def _trapezoid_weights(m: int) -> np.ndarray:
     return w
 
 
-def _neumann_laplacian(W: np.ndarray, dx: float) -> np.ndarray:
-    """Second-order Laplacian with mirrored ghost nodes (u[-1] = u[1]).
-
-    The mirrored closure conserves the trapezoid-weight spatial mean exactly
-    when the reaction vanishes.  W has shape (n, m) or (n, m, batch).
-    """
-    out = np.empty_like(W)
-    out[:, 1:-1] = W[:, 2:] - 2.0 * W[:, 1:-1] + W[:, :-2]
-    out[:, 0] = 2.0 * (W[:, 1] - W[:, 0])
-    out[:, -1] = 2.0 * (W[:, -2] - W[:, -1])
-    out /= dx * dx
-    return out
-
-
 def integrate_parabolic(sys: SystemSpec, u0, cfg: IntegratorConfig) -> Field:
     """Method of lines on [0, L]: central Laplacian, ghost-node Neumann walls.
 
@@ -768,40 +778,11 @@ def _parabolic_core(sys, W0, cfg, batch):
         raise ConfigInvalid("space_points does not match the initial field")
     if m < 8:
         raise GridTooCoarse(f"space_points={m} < 8")
-    L = reaction.L
-    dx = L / (m - 1)
-    xs = dx * np.arange(m)
-    nu = reaction.nu
-    h_stab = 0.35 * dx * dx / float(nu.max())
-    h_target = min(cfg.dt, h_stab)
-    nsub = max(1, int(math.ceil(cfg.record_dt / h_target - 1e-12)))
-    h = cfg.record_dt / nsub
-    n_rec = int(math.floor(cfg.t_end / cfg.record_dt + 1e-9))
-    rec_ts = cfg.record_dt * np.arange(n_rec + 1)
-    out = np.empty((n_rec + 1,) + W0.shape)
-    out[0] = W0
-    W = W0.copy()
-    nu_col = nu[:, None, None] if batch else nu[:, None]
-
-    src = reaction.source(xs)
-
-    def rhs(t, F):
-        return nu_col * _neumann_laplacian(F, dx) + reaction.reaction(t, src, F)
-
-    t = 0.0
-    for i in range(1, n_rec + 1):
-        for _ in range(nsub):
-            k1 = rhs(t, W)
-            th = t + 0.5 * h
-            k2 = rhs(th, W + (0.5 * h) * k1)
-            k3 = rhs(th, W + (0.5 * h) * k2)
-            k4 = rhs(t + h, W + h * k3)
-            W = W + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
-            t += h
-        t = rec_ts[i]
-        _check_state(W, cfg.bound, t)
-        out[i] = W
-    return rec_ts, out, xs
+    rhs, xs = reaction.method_of_lines(m)
+    h_stab = 0.35 * xs[1] * xs[1] / float(reaction.nu.max())
+    ts, Y = _rk4_record(rhs, W0.reshape((n * m,) + W0.shape[2:]),
+                        replace(cfg, dt=min(cfg.dt, h_stab)))
+    return ts, Y.reshape((ts.size,) + W0.shape), xs
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,12 @@
+import copy
 import json
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from poisson_lab.cli import main
 from poisson_lab.signals import sample_function, write_signal_csv
@@ -185,3 +189,76 @@ def test_classify_bad_analysis_config_exit_2(sine_csv, tmp_path, capsys, analysi
     cfg = tmp_path / "analysis.json"
     cfg.write_text(json.dumps(analysis))
     assert main(["classify", str(sine_csv), "--config", str(cfg)]) == 2
+
+
+def test_run_unknown_rhs_exit_2_without_manifest(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "name": "unknown-rhs",
+        "system": {"kind": "scalar_ode", "dim": 1, "rhs": "foo",
+                   "params": {"A": [[-1.0]], "forcing": [[]]}},
+        "integrator": {"method": "rk45_adaptive", "dt": 0.01, "t_end": 10.0,
+                       "record_dt": 0.05},
+    }))
+    out = tmp_path / "out"
+    assert main(["run", str(cfg), "--out", str(out)]) == 2
+    assert "'foo'" in capsys.readouterr().err
+    assert not (out / "manifest.json").exists()
+
+
+# Small valid configs of each kind; every node of each is corrupted in turn.
+_VALID_CONFIGS = [
+    {"name": "fuzz-ode",
+     "system": {"kind": "cooperative_ode", "dim": 2, "rhs": "linear+trig",
+                "params": {"A": [[-1.0, 0.5], [0.5, -1.0]],
+                           "forcing": [[[1.0, 1.0, 0.0]], []], "offset": [0.0, 0.1]}},
+     "integrator": {"method": "rk45_adaptive", "dt": 0.05, "t_end": 2.0,
+                    "record_dt": 0.1, "rel_tol": 1e-6, "abs_tol": 1e-8,
+                    "blowup_bound": 1e6},
+     "analysis": {"u0": [0.5, -0.5]}, "seeds": 0},
+    {"name": "fuzz-dde",
+     "system": {"kind": "dde_single_delay", "dim": 1, "rhs": "delay-linear",
+                "params": {"A_self": [[-2.0]], "A_delay": [[1.0]], "delay": 1.0,
+                           "forcing": [[[1.0, 1.0, 0.0]]]}},
+     "integrator": {"method": "rk4_fixed", "dt": 0.05, "t_end": 2.0, "record_dt": 0.1},
+     "analysis": {"history_value": 0.5}},
+    {"name": "fuzz-pde",
+     "system": {"kind": "parabolic_1d", "dim": 1, "rhs": "rd-scalar",
+                "params": {"nu": [0.1], "L": 3.0, "decay": [1.0], "source_amp": [1.0],
+                           "omega": 1.0, "phase": 0.0}},
+     "integrator": {"method": "rk4_fixed", "dt": 0.05, "t_end": 2.0, "record_dt": 0.1,
+                    "space_points": 16},
+     "analysis": {"u0_value": 1.0}},
+]
+_DELETE = "<delete>"
+_CORRUPTIONS = [None, "x", math.nan, -1.0, [[1.0, 2.0, 3.0]], _DELETE]
+
+
+def _node_paths(node, prefix=()):
+    items = node.items() if isinstance(node, dict) else \
+        enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield prefix + (key,)
+        yield from _node_paths(child, prefix + (key,))
+
+
+_CASES = [(i, path, bad) for i, base in enumerate(_VALID_CONFIGS)
+          for path in _node_paths(base) for bad in _CORRUPTIONS]
+
+
+@settings(max_examples=300)
+@given(case=st.sampled_from(_CASES))
+def test_run_corrupted_config_never_raises(case):
+    i, path, bad = case
+    raw = copy.deepcopy(_VALID_CONFIGS[i])
+    parent = raw
+    for key in path[:-1]:
+        parent = parent[key]
+    if bad == _DELETE:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = bad
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = Path(tmp) / "cfg.json"
+        cfg.write_text(json.dumps(raw))
+        assert main(["run", str(cfg), "--out", str(Path(tmp) / "out")]) in (0, 1, 2)

@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, example, given, strategies as st
 
 from poisson_lab.errors import (
     BlowupDetected,
@@ -18,14 +18,18 @@ from poisson_lab.systems import (
     IntegratorConfig,
     SystemSpec,
     _rk4_span,
+    build_dde_rhs,
     build_ode_rhs,
+    build_reaction,
     cocycle_defect,
     dde_cocycle_defect,
     integrate_dde,
+    integrate_dde_batch,
     integrate_ode,
     integrate_ode_batch,
     integrate_ode_snapshots,
     integrate_parabolic,
+    integrate_parabolic_batch,
     order_check,
     quasimonotone_check,
 )
@@ -141,12 +145,32 @@ def test_cocycle_identity_random_pairs(A, forcing, dim):
         assert cocycle_defect(sys, u0, cfg, t, tau) < 1e-7
 
 
-def test_blowup_detected():
-    sys = ode([[1.0]], [[]])
+def _grow_ode(cfg):
+    return integrate_ode(ode([[1.0]], [[]]), [1.0], cfg)
+
+
+def _grow_dde(cfg):
+    return integrate_dde(dde(1.0, 0.0, [[]]), const_history(1.0), cfg)
+
+
+def _grow_parabolic(cfg):
+    m = 16
+    return integrate_parabolic(rd(decay=-1.0), np.ones((1, m)),
+                               replace(cfg, space_points=m))
+
+
+@pytest.mark.parametrize("grow", [
+    pytest.param(_grow_ode, id="ode"),
+    pytest.param(_grow_dde, id="dde"),
+    pytest.param(_grow_parabolic, id="parabolic"),
+])
+def test_blowup_detected(grow):
+    # Each state is e^t (the parabolic field stays flat), which first exceeds
+    # the bound at the record t = 7: e^6.9 = 992, e^7 = 1097.
     cfg = IntegratorConfig(method="rk4_fixed", dt=0.01, t_end=20.0,
                            record_dt=0.1, blowup_bound=1e3)
-    with pytest.raises(BlowupDetected):
-        integrate_ode(sys, [1.0], cfg)
+    with pytest.raises(BlowupDetected, match=r"exceeds bound 1000 at t=7$"):
+        grow(cfg)
 
 
 def test_negative_dt_rejected():
@@ -302,6 +326,92 @@ def test_dde_cocycle_identity():
         assert defect < 1e-7
 
 
+# Cubic Lagrange weights at the half node for stencil offsets 0.5, 1.5, 2.5.
+_HALF_W = {
+    1: (-1 / 16, 9 / 16, 9 / 16, -1 / 16),     # nodes j-1 .. j+2, x = 1.5
+    0: (5 / 16, 15 / 16, -5 / 16, 1 / 16),     # nodes j .. j+3,   x = 0.5
+    2: (1 / 16, -5 / 16, 15 / 16, 5 / 16),     # nodes j-2 .. j+1, x = 2.5
+}
+
+
+def _half_value(U, j, n_sub):
+    """Cubic interpolation at node j + 1/2, never across a breakpoint."""
+    if n_sub < 3:
+        return 0.5 * (U[j] + U[j + 1])
+    b = (j // n_sub) * n_sub
+    s = min(max(j - 1, b), b + n_sub - 3)
+    w = _HALF_W[j - s]
+    return w[0] * U[s] + w[1] * U[s + 1] + w[2] * U[s + 2] + w[3] * U[s + 3]
+
+
+def dde_stage_loop(rhs, U, n_sub, h):
+    """Method of steps with one RK4 stage loop per node: the brute-force
+    reference.  U holds the history on its first n_sub + 1 nodes (node i at
+    -r + i h) and is filled in place."""
+    for i in range(n_sub, len(U) - 1):
+        t = -rhs.r + i * h
+        y = U[i]
+        jd = i - n_sub
+        ydh = _half_value(U, jd, n_sub)
+        k1 = rhs(t, y, U[jd])
+        th = t + 0.5 * h
+        k2 = rhs(th, y + (0.5 * h) * k1, ydh)
+        k3 = rhs(th, y + (0.5 * h) * k2, ydh)
+        k4 = rhs(t + h, y + h * k3, U[jd + 1])
+        U[i + 1] = y + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
+    return U
+
+
+@st.composite
+def delay_systems(draw):
+    """Hurwitz A_self, A_delay >= 0, random trig forcing, dim 1 or 2."""
+    dim = draw(st.sampled_from([1, 2]))
+    if dim == 1:
+        A_self = [[draw(st.floats(-3.0, -0.1))]]
+    else:
+        d1, d2 = draw(st.floats(-3.0, -0.1)), draw(st.floats(-3.0, -0.1))
+        o1, o2 = draw(st.floats(-1.0, 1.0)), draw(st.floats(-1.0, 1.0))
+        assume(d1 * d2 - o1 * o2 > 1e-3)
+        A_self = [[d1, o1], [o2, d2]]
+    A_delay = [[draw(st.floats(0.0, 1.0)) for _ in range(dim)] for _ in range(dim)]
+    triple = st.tuples(st.floats(-2.0, 2.0), st.floats(0.1, 3.0), st.floats(0.0, 2 * math.pi))
+    forcing = [draw(st.lists(triple, max_size=2)) for _ in range(dim)]
+    delay = draw(st.floats(0.05, 2.0))
+    return SystemSpec("dde_single_delay", dim, "delay-linear",
+                      {"A_self": A_self, "A_delay": A_delay, "delay": delay,
+                       "forcing": forcing})
+
+
+@given(sys=delay_systems(), dt=st.floats(0.01, 1.0), m=st.integers(1, 4),
+       t_end=st.floats(0.5, 8.0), seed=st.integers(0, 2**16))
+@example(sys=dde(-1.0, 0.5, [[[1.0, 1.0, 0.0]]], r=0.5), dt=0.3, m=2, t_end=3.0, seed=0)
+def test_dde_matches_stage_loop(sys, dt, m, t_end, seed):
+    rng = np.random.default_rng(seed)
+    rhs = build_dde_rhs(sys)
+    r = rhs.r
+    cfg = IntegratorConfig(method="rk4_fixed", dt=dt, t_end=t_end,
+                           record_dt=m * dt, blowup_bound=1e12)
+    n_sub = max(1, math.ceil(r / dt - 1e-12))  # n_sub < 3 takes linear half nodes
+    h = r / n_sub
+    grid = -r + h * np.arange(n_sub + 1)
+    history = Signal(-r, r / 4, rng.uniform(-1.0, 1.0, size=(5, sys.dim)))
+
+    sol = integrate_dde(sys, history, cfg)
+    k_rec = round(sol.dt / h)
+    U = np.empty(((len(sol) - 1) * k_rec + 1, sys.dim))
+    U[:n_sub + 1] = history.values(grid)
+    assert _close(sol.samples, dde_stage_loop(rhs, U, n_sub, h)[::k_rec])
+
+    H = rng.uniform(-1.0, 1.0, size=(sys.dim, 3))
+    _, Y = integrate_dde_batch(sys, H, cfg)
+    ref = np.empty_like(Y)
+    for b in range(H.shape[1]):
+        U = np.empty(((len(Y) - 1) * k_rec + 1, sys.dim))
+        U[:n_sub + 1] = H[:, b]
+        ref[:, :, b] = dde_stage_loop(rhs, U, n_sub, h)[::k_rec]
+    assert _close(Y, ref)
+
+
 # ---------------------------------------------------------------------------
 # parabolic
 # ---------------------------------------------------------------------------
@@ -351,6 +461,54 @@ def test_grid_too_coarse():
                            record_dt=0.5, space_points=4)
     with pytest.raises(GridTooCoarse):
         integrate_parabolic(rd(), np.ones((1, 4)), cfg)
+
+
+def _species_system(n):
+    return SystemSpec("parabolic_1d", n, "rd-scalar",
+                      {"nu": [0.1, 0.3][:n], "L": L, "decay": [1.0, -0.5][:n],
+                       "source_amp": [1.0, 0.5][:n], "omega": 1.3, "phase": 0.4})
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_parabolic_operator_is_mirrored_ghost_stencil(n):
+    m = 24
+    sys = _species_system(n)
+    nu, decay, amp = (np.array(sys.params[k])[:, None] for k in ("nu", "decay", "source_amp"))
+    rhs, xs = build_reaction(sys).method_of_lines(m)
+    W = np.random.default_rng(n).standard_normal((n, m))
+    dx = L / (m - 1)
+    ghost = np.concatenate([W[:, 1:2], W, W[:, -2:-1]], axis=1)  # u[-1] = u[1]
+    lap = (ghost[:, 2:] - 2.0 * W + ghost[:, :-2]) / (dx * dx)
+    t = 0.7
+    src = amp * (1.0 + np.cos(math.pi * xs / L)) * math.sin(1.3 * t + 0.4)
+    assert np.abs(xs - np.linspace(0.0, L, m)).max() < 1e-15
+    assert _close(rhs(t, W.ravel()).reshape(n, m), nu * lap - decay * W + src)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_parabolic_drivers_match_stage_loop(n):
+    m = 24
+    sys = _species_system(n)
+    rhs, _ = build_reaction(sys).method_of_lines(m)
+    cfg = IntegratorConfig(method="rk4_fixed", dt=0.5, t_end=3.0, record_dt=0.5,
+                           space_points=m)
+    dx = L / (m - 1)
+    h_stab = 0.35 * dx * dx / max(sys.params["nu"])  # the explicit stability cap
+    nsub = math.ceil(0.5 / min(0.5, h_stab) - 1e-12)
+    h = 0.5 / nsub
+    rng = np.random.default_rng(n)
+    W0 = rng.uniform(0.0, 1.0, size=(n, m))
+    B0 = rng.uniform(0.0, 1.0, size=(n, m, 3))
+
+    field = integrate_parabolic(sys, W0, cfg)
+    _, batch, _ = integrate_parabolic_batch(sys, B0, cfg)
+    ref, ref_batch = [W0.ravel()], [B0.reshape(n * m, 3)]
+    for i in range(1, len(field.times)):
+        steps = range((i - 1) * nsub, i * nsub)
+        ref.append(_rk4_span(rhs, 0.0, ref[-1], h, steps))
+        ref_batch.append(_rk4_span(rhs, 0.0, ref_batch[-1], h, steps))
+    assert _close(field.values, np.array(ref).reshape(field.values.shape))
+    assert _close(batch, np.array(ref_batch).reshape(batch.shape))
 
 
 def test_parabolic_cocycle_identity():
