@@ -107,13 +107,12 @@ def fiber_extrema(sample: OmegaSample, tol: float) -> ExtremalPair:
 # ---------------------------------------------------------------------------
 
 def gamma_extract(sys: SystemSpec, start, returns: ReturnSequence,
-                  cfg: IntegratorConfig, *, tol: float = 1e-4,
-                  tail: int = 5) -> GammaExtraction:
+                  cfg: IntegratorConfig, *, tol: float = 1e-4) -> GammaExtraction:
     """Integrate from ``start`` and track snapshots at the base return times.
 
     The final snapshot is the distinguished-solution estimate; the list of
     successive snapshot gaps is the convergence evidence.  Raises NotCauchy
-    when the last gaps fail to shrink: that is the signal that the
+    when the last five gaps fail to shrink: that is the signal that the
     extremal-limit hypotheses fail for this scenario.
     """
     if len(returns) == 0:
@@ -124,8 +123,7 @@ def gamma_extract(sys: SystemSpec, start, returns: ReturnSequence,
             for i in range(len(times) - 1)]
     if not gaps:
         raise InsufficientReturns("need at least two return times")
-    k = min(tail, len(gaps))
-    recent = gaps[-k:]
+    recent = gaps[-5:]
     final = recent[-1]
     # Strict decrease is required only above the tolerance floor; gaps at
     # the floor are rounding noise of an already-converged sequence.
@@ -188,13 +186,12 @@ def _probe_directions(dim: int, probes: int, rng: np.random.Generator) -> np.nda
 def uniform_stability_estimate(sys: SystemSpec, anchor, epsilon_list,
                                probes: int, horizon: float, *,
                                cfg: IntegratorConfig | None = None,
-                               seed: int = 0, delta_cap_factor: float = 4.0,
-                               bisect_iters: int = 16) -> list:
+                               seed: int = 0) -> list:
     """Empirical stability modulus delta_hat(eps) around one anchor.
 
-    For each eps, the largest shell radius delta (found by bracketing and
-    bisection) such that every probe started delta away stays eps-close to
-    the anchor trajectory on [0, horizon].  Anchored at t0 = 0; probing is
+    For each eps, the largest shell radius delta <= 4 eps (found by a
+    bracket and 16 geometric bisections) such that every probe started
+    delta away stays eps-close to the anchor trajectory on [0, horizon].  Anchored at t0 = 0; probing is
     on both ordered and unordered perturbation directions.
     """
     if probes < 8:
@@ -216,7 +213,7 @@ def uniform_stability_estimate(sys: SystemSpec, anchor, epsilon_list,
 
     out = []
     for eps in sorted(float(e) for e in epsilon_list):
-        cap = eps * delta_cap_factor
+        cap = eps * 4.0
         lo_ok = 0.0
         hi_bad = None
         # Geometric bracket downward from the cap.
@@ -235,7 +232,7 @@ def uniform_stability_estimate(sys: SystemSpec, anchor, epsilon_list,
         if hi_bad is None:
             out.append((eps, cap))
             continue
-        for _ in range(bisect_iters):
+        for _ in range(16):
             mid = math.sqrt(lo_ok * hi_bad)
             if max_deviation(mid) < eps:
                 lo_ok = mid
@@ -288,8 +285,9 @@ class ContractionResult:
 
 def contraction_check(sys: SystemSpec, pairs: int, horizon: float, *,
                       box=None, cfg: IntegratorConfig | None = None,
-                      seed: int = 0, sample_times: int = 5) -> ContractionResult:
-    """Strict decrease of the gap between same-fiber pairs at sampled times."""
+                      seed: int = 0) -> ContractionResult:
+    """Strict decrease of the gap between same-fiber pairs at five sampled
+    times."""
     if pairs < 8:
         raise ValueError("need at least 8 pairs")
     if box is None:
@@ -298,9 +296,9 @@ def contraction_check(sys: SystemSpec, pairs: int, horizon: float, *,
         box = np.asarray(box, dtype=float)
     if cfg is None:
         cfg = IntegratorConfig(method="rk4_fixed", dt=1e-3, t_end=horizon,
-                               record_dt=horizon / sample_times)
+                               record_dt=horizon / 5)
     else:
-        cfg = replace(cfg, t_end=horizon, record_dt=horizon / sample_times)
+        cfg = replace(cfg, t_end=horizon, record_dt=horizon / 5)
     rng = np.random.default_rng(seed)
     A = rng.uniform(box[:, 0], box[:, 1], size=(pairs, sys.dim)).T
     B = rng.uniform(box[:, 0], box[:, 1], size=(pairs, sys.dim)).T

@@ -22,11 +22,19 @@ import numpy as np
 from .signals import (
     Signal,
     Window,
+    bebutov_profile,
     discrepancy_profile,
     shift_discrepancy,
 )
 
 _INF = float("inf")
+
+# Fixed settings of the cascade: the period detection bar as a fraction of the
+# signal scale (half the window's peak-to-peak range), the absolute part of the
+# period verification tolerance, and the most frequencies the spectral fit seeks.
+_PERIODIC_DETECT_FRAC = 0.25
+_PERIODIC_VERIFY_ABS = 1e-6
+_QUASI_MAX_FREQS = 4
 
 
 # ---------------------------------------------------------------------------
@@ -60,20 +68,13 @@ class ClassifyConfig:
     tau_grid: TauGrid
     bohr_epsilons: tuple = (0.5, 0.2)
     stationary_tol: float = 1e-8
-    periodic_detect_frac: float = 0.25   # of the signal scale
     periodic_verify_rel: float = 5e-3    # of the signal scale
-    periodic_verify_abs: float = 1e-6
-    quasi_max_freqs: int = 4
     quasi_residual_tol: float = 1e-2
     poisson_schedule: tuple = (0.2, 0.1, 0.05)
     poisson_separation: float = 5.0
     refute_frac: float = 0.05
-    extra_window_centers: tuple = ()
     base_declared: str | None = None     # prior knowledge about the base class
     fit_window: Window | None = None     # longer window for the spectral fit
-
-    def with_window(self, w: Window) -> "ClassifyConfig":
-        return replace(self, window=w)
 
 
 def default_classify_config(f: Signal, **overrides) -> ClassifyConfig:
@@ -93,18 +94,6 @@ def default_classify_config(f: Signal, **overrides) -> ClassifyConfig:
 def _snap_step(step: float, dt: float) -> float:
     """Snap a tau step to a grid multiple so shifts are exact slices."""
     return dt * max(1, round(step / dt))
-
-
-def signal_scale(f: Signal, w: Window | None = None) -> float:
-    """Half the peak-to-peak range, floored away from zero."""
-    vals = f.samples if w is None else f.samples[slice(*_slice_pair(f, w))]
-    spread = float((vals.max(axis=0) - vals.min(axis=0)).max())
-    return max(0.5 * spread, 1e-12)
-
-
-def _slice_pair(f: Signal, w: Window):
-    i0, i1 = f.window_slice(w)
-    return i0, i1 + 1
 
 
 # ---------------------------------------------------------------------------
@@ -155,12 +144,6 @@ class ComparabilityProfile:
     tau_grid: TauGrid
     verdict: str                 # comparable-evidence | refuted | inconclusive
     witness: float | None = None # refuting tau, if any
-
-    def delta_hat(self, epsilon: float) -> float:
-        for e, d in self.pairs:
-            if e == epsilon:
-                return d
-        raise KeyError(epsilon)
 
 
 @dataclass(frozen=True)
@@ -301,53 +284,17 @@ def _table_verdict(rows, wdict, notes="") -> Verdict:
                    window=wdict, notes=notes)
 
 
-def bebutov_profile(f: Signal, taus: np.ndarray, w: Window) -> np.ndarray:
-    """Shift-metric distance between f and each of its translates.
-
-    Uses l_max = the window half-width, per the distinction between uniform
-    almost periods (sup metric) and point shifts (this metric).
-    """
-    taus = np.asarray(taus, dtype=float)
-    i0, i1 = f.window_slice(w)
-    base = f.samples[i0 : i1 + 1]
-    m = i1 - i0 + 1
-    ts = f.t0 + f.dt * np.arange(i0, i1 + 1)
-    # The window geometry is tau-independent; sort once.
-    offsets = np.abs(ts - w.center)
-    order = np.argsort(offsets, kind="stable")
-    sorted_off = offsets[order]
-    k_max = int(math.floor(w.half_width / f.dt + 1e-9))
-    ls = f.dt * np.arange(1, k_max + 1)
-    counts = np.searchsorted(sorted_off, ls + 1e-9 * max(1.0, w.half_width),
-                             side="right")
-    counts = np.clip(counts, 1, m) - 1
-    inv_l = 1.0 / ls
-    out = np.empty(taus.size)
-    for a, tau in enumerate(taus):
-        w.shifted(tau).require_inside(f, "shifted window")
-        k = tau / f.dt
-        k_round = round(k)
-        if abs(k - k_round) <= 1e-9 * max(1.0, abs(k)):
-            seg = f.samples[i0 + k_round : i0 + k_round + m]
-        else:
-            seg = f.values(ts + tau)
-        diff = np.abs(seg - base).max(axis=1)
-        cummax = np.maximum.accumulate(diff[order])
-        out[a] = float(np.max(np.minimum(cummax[counts], inv_l)))
-    return out
-
-
 # ---------------------------------------------------------------------------
 # return sequences
 # ---------------------------------------------------------------------------
 
 def poisson_returns(f: Signal, epsilon_schedule, w: Window, *,
-                    separation: float = 5.0, tau_max: float | None = None,
-                    probe_count: int = 64) -> ReturnSequence:
+                    separation: float = 5.0,
+                    tau_max: float | None = None) -> ReturnSequence:
     """Greedy search for returns t_1 < t_2 < ... with D(t_n) < epsilon_n.
 
-    The scan walks the grid with a cheap probe bound (a max over a spread of
-    window points, which never exceeds the full discrepancy), refines
+    The scan walks the grid with a cheap probe bound (a max over 64 evenly
+    spread window points, which never exceeds the full discrepancy), refines
     candidate clusters by golden section, and certifies each accepted return
     against the full windowed discrepancy.  An empty result is legal: it
     reports that no returns were found at the requested scales.
@@ -370,7 +317,7 @@ def poisson_returns(f: Signal, epsilon_schedule, w: Window, *,
         return ReturnSequence((), (), ())
 
     S = f.samples
-    probe_rel = np.unique(np.linspace(0, m - 1, min(probe_count, m)).round().astype(int))
+    probe_rel = np.unique(np.linspace(0, m - 1, min(64, m)).round().astype(int))
     D_probe = np.zeros(j_hi + 1)
     for p in probe_rel:
         col = np.abs(S[i0 + p : i0 + p + j_hi + 1] - S[i0 + p]).max(axis=1)
@@ -548,8 +495,9 @@ def _dominant_component(vals: np.ndarray) -> np.ndarray:
     return vals[:, j].astype(float)
 
 
-def _spectral_peaks(mag: np.ndarray, dt: float, n: int, max_freqs: int,
-                    rel_floor: float = 0.05, min_sep_bins: int = 3) -> list:
+def _spectral_peaks(mag: np.ndarray, dt: float, n: int, max_freqs: int) -> list:
+    """Up to max_freqs local maxima of at least 5 % of the top magnitude, at
+    least 3 bins apart, each refined by log-parabolic interpolation."""
     peak_bins = []
     top = float(mag[2:].max()) if mag.size > 3 else 0.0
     if top <= 0:
@@ -560,11 +508,11 @@ def _spectral_peaks(mag: np.ndarray, dt: float, n: int, max_freqs: int,
             break
         if k < 2 or k > mag.size - 2:
             continue
-        if mag[k] < rel_floor * top:
+        if mag[k] < 0.05 * top:
             break
         if not (mag[k] >= mag[k - 1] and mag[k] >= mag[k + 1]):
             continue
-        if any(abs(k - p) < min_sep_bins for p in peak_bins):
+        if any(abs(k - p) < 3 for p in peak_bins):
             continue
         peak_bins.append(int(k))
     freqs = []
@@ -660,8 +608,9 @@ def comparability_profile(x: Signal, y: Signal, epsilon_list, tau_grid: TauGrid,
 # the classifier cascade
 # ---------------------------------------------------------------------------
 
-# Classes that transfer along plain comparability, and those that need the
-# multi-center (uniform) proxy.
+# Classes that transfer along plain comparability, and those whose transfer
+# needs comparability uniform in time.  On one window the uniform claims
+# follow the same single-window verdict, marked as a proxy in their "via".
 _TRANSFER_PLAIN = ("stationary", "periodic", "levitan", "almost_recurrent", "poisson")
 _TRANSFER_UNIFORM = ("quasi_periodic", "bohr_ap", "pseudo_recurrent")
 
@@ -676,7 +625,10 @@ def classify(f: Signal, base: Signal | None = None,
     wdict = _window_dict(w)
     grid = cfg.tau_grid
     taus = grid.values()
-    scale = signal_scale(f, w)
+    i0, i1 = f.window_slice(w)
+    vals = f.samples[i0 : i1 + 1]
+    spread = float((vals.max(axis=0) - vals.min(axis=0)).max())
+    scale = max(0.5 * spread, 1e-12)
     D = discrepancy_profile(f, taus, w)
     classes: dict[str, Verdict] = {}
     notes = [
@@ -684,9 +636,6 @@ def classify(f: Signal, base: Signal | None = None,
     ]
 
     # stationary ----------------------------------------------------------
-    i0, i1 = f.window_slice(w)
-    vals = f.samples[i0 : i1 + 1]
-    spread = float((vals.max(axis=0) - vals.min(axis=0)).max())
     if spread <= cfg.stationary_tol:
         classes["stationary"] = Verdict("yes", {"value": vals[0].tolist()}, window=wdict)
     else:
@@ -696,8 +645,8 @@ def classify(f: Signal, base: Signal | None = None,
             window=wdict)
 
     # periodic ------------------------------------------------------------
-    verify_tol = cfg.periodic_verify_abs + cfg.periodic_verify_rel * scale
-    period, period_disc = _find_period(f, taus, D, w, cfg, scale)
+    verify_tol = _PERIODIC_VERIFY_ABS + cfg.periodic_verify_rel * scale
+    period, period_disc = _find_period(f, taus, D, w, scale)
     if classes["stationary"].verdict == "yes":
         classes["periodic"] = Verdict("yes", {"period": 0.0, "note": "stationary"},
                                       window=wdict)
@@ -710,7 +659,7 @@ def classify(f: Signal, base: Signal | None = None,
         classes["periodic"] = Verdict("no", witness=wit, window=wdict)
 
     # quasi-periodic -------------------------------------------------------
-    fit = quasi_periodic_fit(f, cfg.quasi_max_freqs, cfg.fit_window or w)
+    fit = quasi_periodic_fit(f, _QUASI_MAX_FREQS, cfg.fit_window or w)
     independent = rationally_independent(fit.freqs) if fit.freqs else True
     if classes["periodic"].verdict == "yes" and classes["stationary"].verdict == "no":
         T = classes["periodic"].params["period"]
@@ -782,9 +731,9 @@ def classify(f: Signal, base: Signal | None = None,
     return RecurrenceReport(classes, comparability, transfer, tuple(notes))
 
 
-def _find_period(f, taus, D, w, cfg, scale):
+def _find_period(f, taus, D, w, scale):
     """First deep local dip of D beyond the zero cluster, golden-refined."""
-    detect = cfg.periodic_detect_frac * scale
+    detect = _PERIODIC_DETECT_FRAC * scale
     step = taus[1] - taus[0] if taus.size > 1 else f.dt
     # Leave the tau=0 cluster: wait until D has risen above the detection bar.
     k = 0
@@ -813,35 +762,20 @@ def _compare_with_base(f, base, cfg, classes, base_report):
     eps_list = sorted(set(cfg.bohr_epsilons), reverse=True)
     profile = comparability_profile(f, base, eps_list, cfg.tau_grid, cfg.window,
                                     cfg.refute_frac)
-    uniform_evidence = profile.verdict == "comparable-evidence"
-    for center in cfg.extra_window_centers:
-        alt = comparability_profile(f, base, eps_list, cfg.tau_grid,
-                                    Window(center, cfg.window.half_width),
-                                    cfg.refute_frac)
-        if alt.verdict != "comparable-evidence":
-            uniform_evidence = False
-    if cfg.extra_window_centers:
-        notes.append("multi-center comparability is a proxy for the uniform notion")
 
     transfer = {"verdict": profile.verdict, "claims": [],
                 "relative_to": "supplied base"}
     if profile.verdict == "comparable-evidence":
         if base_report is None:
-            base_cfg = replace(cfg, extra_window_centers=(), base_declared=None)
-            base_report = classify(base, cfg=base_cfg)
+            base_report = classify(base, cfg=replace(cfg, base_declared=None))
         base_classes = dict(base_report.classes)
-        for name in _TRANSFER_PLAIN:
-            v = base_classes.get(name)
-            if v is not None and v.verdict == "yes":
-                transfer["claims"].append(
-                    {"class": name, "via": "comparability", "base_verdict": "yes"})
-        if uniform_evidence:
-            for name in _TRANSFER_UNIFORM:
+        for names, via in ((_TRANSFER_PLAIN, "comparability"),
+                           (_TRANSFER_UNIFORM, "uniform-comparability-proxy")):
+            for name in names:
                 v = base_classes.get(name)
                 if v is not None and v.verdict == "yes":
                     transfer["claims"].append(
-                        {"class": name, "via": "uniform-comparability-proxy",
-                         "base_verdict": "yes"})
+                        {"class": name, "via": via, "base_verdict": "yes"})
         base_is_bohr = base_classes.get("bohr_ap") is not None and \
             base_classes["bohr_ap"].verdict == "yes"
         if base_is_bohr or cfg.base_declared in ("bohr", "levitan"):

@@ -899,8 +899,11 @@ def load_scenario_config(path) -> ScenarioConfig:
             outputs=raw.get("outputs"),
         )
         kind = cfg.system.kind
-        (build_dde_rhs if kind == "dde_single_delay" else
-         build_reaction if kind == "parabolic_1d" else build_ode_rhs)(cfg.system)
+        rhs = (build_dde_rhs if kind == "dde_single_delay" else
+               build_reaction if kind == "parabolic_1d" else build_ode_rhs)(cfg.system)
+        if (rhs.n_species if kind == "parabolic_1d" else rhs.dim) != cfg.system.dim:
+            raise ConfigInvalid(f"bad scenario config {path}: dim {cfg.system.dim} "
+                                "does not match the system's component count")
     except (KeyError, TypeError, ValueError, AttributeError, IndexError) as exc:
         raise ConfigInvalid(f"bad scenario config {path}: {exc}") from exc
     if cfg.name in CATALOG:
@@ -950,6 +953,8 @@ def _run_generic(em: _Emitter, cfg: ScenarioConfig) -> None:
             start = np.full((sysspec.dim, m), float(ana.get("u0_value", 1.0)))
         else:
             start = np.asarray(ana.get("u0", [0.0] * sysspec.dim), dtype=float)
+            if start.shape != (sysspec.dim,):
+                raise ValueError(f"u0 must have {sysspec.dim} entries")
     except (TypeError, ValueError) as exc:
         raise ConfigInvalid(f"bad start value in the analysis section: {exc}") from exc
     if kind == "dde_single_delay":

@@ -13,7 +13,7 @@ pure function, so they are safe to hand to parallel workers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -163,9 +163,6 @@ class Signal:
 
     # -- derived signals ----------------------------------------------------
 
-    def component(self, j: int) -> "Signal":
-        return replace(self, samples=self.samples[:, j])
-
     def restrict(self, lo: float, hi: float) -> "Signal":
         """Sub-signal on the grid points inside [lo, hi] (snapped inward)."""
         i0 = self._index_at_or_after(lo)
@@ -227,15 +224,25 @@ def shift(f: Signal, tau: float) -> Signal:
     i1 = f._index_at_or_before(hi)
     if i1 < i0:
         raise ShiftOutOfDomain("shifted domain is empty")
+    new_t0 = f.t0 + i0 * f.dt
+    ts = new_t0 + f.dt * np.arange(i1 - i0 + 1)
+    return Signal(new_t0, f.dt, _shifted(f, i0, ts, tau), f.interp)
+
+
+def _shifted(f: Signal, i0: int, ts: np.ndarray, tau: float) -> np.ndarray:
+    """f(ts + tau) on the window whose grid times ``ts`` start at index i0.
+
+    A tau that is a grid multiple is an exact sample slice (no interpolation
+    error); any other tau goes through the interpolant.
+    """
     k = tau / f.dt
     k_round = round(k)
-    new_t0 = f.t0 + i0 * f.dt
     if abs(k - k_round) <= _GRID_RTOL * max(1.0, abs(k)):
-        vals = f.samples[i0 + k_round : i1 + k_round + 1]
-    else:
-        ts = new_t0 + f.dt * np.arange(i1 - i0 + 1)
-        vals = f.values(ts + tau)
-    return Signal(new_t0, f.dt, vals, f.interp)
+        j0 = i0 + k_round
+        if j0 < 0 or j0 + ts.size > len(f):
+            raise WindowOutOfDomain("shifted window leaves sample range")
+        return f.samples[j0 : j0 + ts.size]
+    return f.values(ts + tau)
 
 
 # ---------------------------------------------------------------------------
@@ -272,20 +279,12 @@ def shift_discrepancy(f: Signal, tau: float, w: Window) -> float:
     if tau == 0.0:
         return 0.0
     i0, i1 = f.window_slice(w)
-    base = f.samples[i0 : i1 + 1]
-    k = tau / f.dt
-    k_round = round(k)
-    if abs(k - k_round) <= _GRID_RTOL * max(1.0, abs(k)):
-        j0 = i0 + k_round
-        seg = f.samples[j0 : j0 + (i1 - i0 + 1)]
-    else:
-        ts = f.t0 + f.dt * np.arange(i0, i1 + 1)
-        seg = f.values(ts + tau)
-    return float(np.abs(seg - base).max())
+    ts = f.t0 + f.dt * np.arange(i0, i1 + 1)
+    return float(np.abs(_shifted(f, i0, ts, tau) - f.samples[i0 : i1 + 1]).max())
 
 
 def discrepancy_profile(f: Signal, taus: np.ndarray, w: Window) -> np.ndarray:
-    """Vectorized ``shift_discrepancy`` over a tau grid.
+    """``shift_discrepancy`` over a tau grid, with the window set up once.
 
     Grid-aligned taus use exact sample slices; others fall back to
     interpolation.
@@ -293,27 +292,29 @@ def discrepancy_profile(f: Signal, taus: np.ndarray, w: Window) -> np.ndarray:
     taus = np.asarray(taus, dtype=float)
     i0, i1 = f.window_slice(w)
     base = f.samples[i0 : i1 + 1]
-    m = i1 - i0 + 1
-    n = len(f)
+    ts = f.t0 + f.dt * np.arange(i0, i1 + 1)
     out = np.empty(taus.size)
-    ts_cache = None
     for a, tau in enumerate(taus):
         w.shifted(tau).require_inside(f, "shifted window")
-        if tau == 0.0:
-            out[a] = 0.0
-            continue
-        k = tau / f.dt
-        k_round = round(k)
-        if abs(k - k_round) <= _GRID_RTOL * max(1.0, abs(k)):
-            j0 = i0 + k_round
-            if j0 < 0 or j0 + m > n:
-                raise WindowOutOfDomain("shifted window leaves sample range")
-            seg = f.samples[j0 : j0 + m]
-        else:
-            if ts_cache is None:
-                ts_cache = f.t0 + f.dt * np.arange(i0, i1 + 1)
-            seg = f.values(ts_cache + tau)
-        out[a] = np.abs(seg - base).max()
+        out[a] = 0.0 if tau == 0.0 else np.abs(_shifted(f, i0, ts, tau) - base).max()
+    return out
+
+
+def bebutov_profile(f: Signal, taus: np.ndarray, w: Window) -> np.ndarray:
+    """Shift-metric distance between f and each of its translates.
+
+    Uses l_max = the window half-width, per the distinction between uniform
+    almost periods (sup metric) and point shifts (this metric).
+    """
+    taus = np.asarray(taus, dtype=float)
+    i0, i1 = f.window_slice(w)
+    base = f.samples[i0 : i1 + 1]
+    ts = f.t0 + f.dt * np.arange(i0, i1 + 1)
+    geom = _bebutov_geometry(ts, w.center, f.dt, w.half_width)
+    out = np.empty(taus.size)
+    for a, tau in enumerate(taus):
+        w.shifted(tau).require_inside(f, "shifted window")
+        out[a] = _bebutov(np.abs(_shifted(f, i0, ts, tau) - base).max(axis=1), geom)
     return out
 
 
@@ -333,24 +334,25 @@ def bebutov_distance(f: Signal, g: Signal, l_max: float, center: float) -> float
     i0, i1 = f.window_slice(w)
     ts = f.t0 + f.dt * np.arange(i0, i1 + 1)
     diff = np.abs(f.values(ts) - g.values(ts)).max(axis=1)
-    return _bebutov_from_diffs(diff, ts, center, f.dt, l_max)
+    return _bebutov(diff, _bebutov_geometry(ts, center, f.dt, l_max))
 
 
-def _bebutov_from_diffs(diff: np.ndarray, ts: np.ndarray, center: float,
-                        dt: float, l_max: float) -> float:
-    """Core of the shift metric given pointwise gaps on a window."""
+def _bebutov_geometry(ts: np.ndarray, center: float, dt: float, l_max: float):
+    """The gap-independent part of the shift metric on one window: the
+    stable sort of ``ts`` by distance from the center, the last sorted index
+    with |t - center| <= l for each l in {dt, 2 dt, ..., l_max}, and 1/l."""
     offsets = np.abs(ts - center)
     order = np.argsort(offsets, kind="stable")
-    cummax = np.maximum.accumulate(diff[order])
-    sorted_off = offsets[order]
-    k_max = int(math.floor(l_max / dt + _GRID_RTOL))
-    ls = dt * np.arange(1, k_max + 1)
-    # Number of points with |t - center| <= l, per l.
-    counts = np.searchsorted(sorted_off, ls + _GRID_RTOL * max(1.0, l_max),
-                             side="right")
-    counts = np.clip(counts, 1, len(diff))
-    m_l = cummax[counts - 1]
-    return float(np.max(np.minimum(m_l, 1.0 / ls)))
+    ls = dt * np.arange(1, int(math.floor(l_max / dt + _GRID_RTOL)) + 1)
+    last = np.searchsorted(offsets[order], ls + _GRID_RTOL * max(1.0, l_max),
+                           side="right")
+    return order, np.clip(last, 1, ts.size) - 1, 1.0 / ls
+
+
+def _bebutov(diff: np.ndarray, geom) -> float:
+    """sup_l min(running max of the pointwise gaps ``diff`` within l, 1/l)."""
+    order, last, inv_l = geom
+    return float(np.max(np.minimum(np.maximum.accumulate(diff[order])[last], inv_l)))
 
 
 # ---------------------------------------------------------------------------

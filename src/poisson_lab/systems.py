@@ -454,6 +454,8 @@ def _rk4_affine_steps(coeffs, y: np.ndarray, F: np.ndarray, h: float) -> np.ndar
 
 def _rk4_record(rhs, y: np.ndarray, cfg: IntegratorConfig):
     """RK4 from t=0 on the record grid: (times, states); step k starts at k h."""
+    if cfg.method != "rk4_fixed":
+        raise ConfigInvalid(f"method {cfg.method!r}: this integrator runs rk4_fixed only")
     ts = _record_times(cfg)
     nsub = max(1, math.ceil(cfg.record_dt / cfg.dt - 1e-12))
     h = cfg.record_dt / nsub
@@ -691,6 +693,8 @@ def _dde_core(rhs, hist_vals, cfg):
     times those values added to the forcing as per-state stage inputs; being
     per state, they keep even a scalar DDE off the IIR filter.
     """
+    if cfg.method != "rk4_fixed":
+        raise ConfigInvalid(f"method {cfg.method!r}: the DDE integrator runs rk4_fixed only")
     r = rhs.r
     n_sub = max(1, int(math.ceil(r / cfg.dt - 1e-12)))
     h = r / n_sub
@@ -822,8 +826,12 @@ def _box_samples(box: np.ndarray, rng: np.random.Generator, extra: int = 8):
     return np.vstack([lattice, draws])
 
 
-def quasimonotone_check(sys: SystemSpec, box, t_probe, h: float,
-                        tol_scale: float = 1e-7) -> QuasimonotoneResult:
+# Tolerance of the cooperativity test, relative to the largest sampled |f|
+# (absolute for the parabolic reaction).
+_QM_TOL = 1e-7
+
+
+def quasimonotone_check(sys: SystemSpec, box, t_probe, h: float) -> QuasimonotoneResult:
     """Finite-sample cooperativity test of the right-hand side.
 
     ODE and parabolic kinds check off-diagonal partials >= -tol by central
@@ -838,13 +846,13 @@ def quasimonotone_check(sys: SystemSpec, box, t_probe, h: float,
         raise ConfigInvalid("finite-difference step h must be > 0")
     rng = np.random.default_rng(2025)
     if sys.kind in ("scalar_ode", "cooperative_ode"):
-        return _quasimonotone_ode(sys, box, t_probe, h, tol_scale, rng)
+        return _quasimonotone_ode(sys, box, t_probe, h, rng)
     if sys.kind == "dde_single_delay":
-        return _quasimonotone_dde(sys, box, t_probe, tol_scale, rng)
-    return _quasimonotone_parabolic(sys, box, t_probe, h, tol_scale, rng)
+        return _quasimonotone_dde(sys, box, t_probe, rng)
+    return _quasimonotone_parabolic(sys, box, t_probe, h, rng)
 
 
-def _quasimonotone_ode(sys, box, t_probe, h, tol_scale, rng):
+def _quasimonotone_ode(sys, box, t_probe, h, rng):
     rhs = build_ode_rhs(sys)
     n = sys.dim
     if n == 1:
@@ -854,7 +862,7 @@ def _quasimonotone_ode(sys, box, t_probe, h, tol_scale, rng):
     for t in t_probe:
         for u in pts:
             scale = max(scale, float(np.max(np.abs(rhs(float(t), u)))))
-    tol = tol_scale * scale
+    tol = _QM_TOL * scale
     for t in t_probe:
         t = float(t)
         for u in pts:
@@ -868,7 +876,7 @@ def _quasimonotone_ode(sys, box, t_probe, h, tol_scale, rng):
     return QuasimonotoneResult(True)
 
 
-def _quasimonotone_dde(sys, box, t_probe, tol_scale, rng):
+def _quasimonotone_dde(sys, box, t_probe, rng):
     rhs = build_dde_rhs(sys)
     n = sys.dim
     pts = _box_samples(box, rng)
@@ -877,7 +885,7 @@ def _quasimonotone_dde(sys, box, t_probe, tol_scale, rng):
     for t in t_probe:
         for u in pts:
             scale = max(scale, float(np.max(np.abs(rhs(float(t), u, u)))))
-    tol = tol_scale * scale
+    tol = _QM_TOL * scale
     for t in t_probe:
         t = float(t)
         for u_now in pts:
@@ -896,14 +904,14 @@ def _quasimonotone_dde(sys, box, t_probe, tol_scale, rng):
     return QuasimonotoneResult(True)
 
 
-def _quasimonotone_parabolic(sys, box, t_probe, h, tol_scale, rng):
+def _quasimonotone_parabolic(sys, box, t_probe, h, rng):
     reaction = build_reaction(sys)
     n = reaction.n_species
     if n == 1:
         return QuasimonotoneResult(True)
     pts = _box_samples(box, rng)
     xs = np.linspace(0.0, reaction.L, 5)
-    tol = tol_scale
+    tol = _QM_TOL
     for t in t_probe:
         t = float(t)
         for x in xs:

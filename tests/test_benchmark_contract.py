@@ -62,3 +62,23 @@ def test_tracer_install_round_trips(tracer):
     after = _bindings()
     assert after.keys() == before.keys()
     assert all(after[k] is before[k] for k in before)
+
+
+def test_tracer_sees_both_profiles_of_classify(tracer):
+    """``bebutov_profile`` lives in ``signals``; the ``recurrence`` binding the
+    tracer wraps is the one ``classify`` calls."""
+    import numpy as np
+
+    from poisson_lab.signals import sample_function
+
+    sig = sample_function(np.sin, 0.0, 50.0, 0.05)
+    recurrence = importlib.import_module("poisson_lab.recurrence")
+    t = tracer.Tracer()
+    t.install()
+    try:
+        recurrence.classify(sig)
+    finally:
+        t.uninstall()
+    names = {span[0] for span in t.spans}
+    assert {"recurrence.classify", "recurrence.bebutov_profile",
+            "signals.discrepancy_profile"} <= names

@@ -206,6 +206,26 @@ def test_run_unknown_rhs_exit_2_without_manifest(tmp_path, capsys):
     assert not (out / "manifest.json").exists()
 
 
+@pytest.mark.parametrize("system, analysis", [
+    pytest.param({"kind": "cooperative_ode", "dim": 2, "rhs": "linear+trig",
+                  "params": {"A": [[-1.0, 0.5], [0.5, -1.0]]}},
+                 {"u0": [1.0, 2.0, 3.0]}, id="u0-length"),
+    pytest.param({"kind": "parabolic_1d", "dim": 2, "rhs": "rd-scalar",
+                  "params": {"nu": [0.1], "decay": [1.0], "source_amp": [1.0]}},
+                 {}, id="species-count"),
+])
+def test_run_wrong_shaped_start_exit_2(tmp_path, capsys, system, analysis):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "name": "wrong-shape", "system": system, "analysis": analysis,
+        "integrator": {"method": "rk4_fixed", "dt": 0.05, "t_end": 2.0,
+                       "record_dt": 0.1, "space_points": 16},
+    }))
+    out = tmp_path / "out"
+    assert main(["run", str(cfg), "--out", str(out)]) == 2
+    assert not (out / "manifest.json").exists()
+
+
 # Small valid configs of each kind; every node of each is corrupted in turn.
 _VALID_CONFIGS = [
     {"name": "fuzz-ode",

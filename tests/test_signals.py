@@ -14,6 +14,8 @@ from poisson_lab.signals import (
     Signal,
     Window,
     bebutov_distance,
+    bebutov_profile,
+    discrepancy_profile,
     read_signal_csv,
     sample_function,
     shift,
@@ -225,6 +227,38 @@ def test_discrepancy_bound_property(vals, k):
     w = Window(hw, hw)
     d = shift_discrepancy(f, tau, w)
     assert d <= 2 * np.abs(f.samples).max() + 1e-12
+
+
+def bebutov_direct(f, g, w):
+    """sup over l in {dt, 2 dt, ..., half-width} of min(max_{|t-c|<=l} |g-f|, 1/l)."""
+    i0, i1 = f.window_slice(w)
+    ts = f.t0 + f.dt * np.arange(i0, i1 + 1)
+    gap = np.abs(g.values(ts) - f.values(ts)).max(axis=1)
+    best = 0.0
+    for k in range(1, int(math.floor(w.half_width / f.dt + 1e-9)) + 1):
+        inside = np.abs(ts - w.center) <= k * f.dt + 1e-9 * max(1.0, w.half_width)
+        best = max(best, min(gap[inside].max(), 1.0 / (k * f.dt)))
+    return best
+
+
+# Shifts k dt, grid-aligned (frac 0) or between grid points.
+shift_steps = st.tuples(st.integers(min_value=-8, max_value=8),
+                        st.one_of(st.just(0.0),
+                                  st.floats(min_value=0.01, max_value=0.99)))
+
+
+@given(signal_values, st.lists(shift_steps, min_size=1, max_size=4))
+def test_profiles_match_references(vals, steps):
+    f = Signal(0.0, 0.1, np.asarray(vals), "linear")
+    hw = (f.length - 1.8) / 2
+    if hw < 0.1:
+        return
+    w = Window(f.length / 2, hw)
+    taus = np.array([0.1 * (k + frac) for k, frac in steps])
+    assert np.array_equal(discrepancy_profile(f, taus, w),
+                          [shift_discrepancy(f, tau, w) for tau in taus])
+    direct = [bebutov_direct(f, shift(f, tau), w) for tau in taus]
+    assert np.allclose(bebutov_profile(f, taus, w), direct, rtol=0.0, atol=1e-12)
 
 
 def test_window_monotonicity_of_discrepancy(sine):

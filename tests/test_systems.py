@@ -555,3 +555,28 @@ def test_order_check():
     assert res.time == pytest.approx(0.01, abs=1e-9)
     with pytest.raises(GridMismatch):
         order_check(zeros, sample_function(np.sin, 0.0, 10.0, 0.02), 1e-9)
+
+
+# ---------------------------------------------------------------------------
+# the configured method is the method that runs
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("run", [
+    pytest.param(lambda cfg: integrate_ode_batch(ode([[-1.0]], [[]]), np.ones((1, 2)), cfg),
+                 id="integrate_ode_batch"),
+    pytest.param(lambda cfg: integrate_dde(dde(-1.0, 0.5, [[]]), const_history(1.0), cfg),
+                 id="integrate_dde"),
+    pytest.param(lambda cfg: integrate_dde_batch(dde(-1.0, 0.5, [[]]), np.ones((1, 2)), cfg),
+                 id="integrate_dde_batch"),
+    pytest.param(lambda cfg: integrate_parabolic(rd(), np.ones((1, 16)), cfg),
+                 id="integrate_parabolic"),
+    pytest.param(lambda cfg: integrate_parabolic_batch(rd(), np.ones((1, 16, 2)), cfg),
+                 id="integrate_parabolic_batch"),
+])
+def test_fixed_step_integrators_reject_other_methods(run):
+    # These entry points only have RK4; an adaptive config must not silently
+    # run fixed steps under its name.
+    cfg = IntegratorConfig(method="rk45_adaptive", dt=0.01, t_end=1.0, record_dt=0.1)
+    with pytest.raises(ConfigInvalid, match="rk4_fixed only"):
+        run(cfg)
+    run(replace(cfg, method="rk4_fixed"))
