@@ -1,0 +1,95 @@
+#!/usr/bin/env python3
+"""Compare two artifact trees of scenario runs and print the first difference.
+
+Usage: python scripts/compare_runs.py DIR_A DIR_B
+
+Both trees must hold the same files.  Every file other than a
+``manifest.json`` (the CSVs and ``report.json``) must match byte for byte.
+A manifest must match as JSON, key order included, apart from
+``wall_clock_s`` and the values of the two wall-clock checks
+(``closed_form_runtime``, ``parabolic_oracle_runtime``).  Exit 0 when the
+trees agree, 1 at the first difference.
+"""
+
+import argparse
+import json
+import sys
+from pathlib import Path
+
+_RUNTIME_CHECKS = ("closed_form_runtime", "parabolic_oracle_runtime")
+
+
+def _files(root: Path) -> list[str]:
+    return sorted(str(p.relative_to(root)) for p in root.rglob("*") if p.is_file())
+
+
+def _manifest(path: Path) -> dict:
+    m = json.loads(path.read_text(encoding="utf-8"))
+    m.pop("wall_clock_s", None)
+    for name in _RUNTIME_CHECKS:
+        m.get("summary", {}).get(name, {}).pop("value", None)
+    return m
+
+
+def _json_diff(a, b, where: str):
+    """The first place where two JSON values differ, or None."""
+    if isinstance(a, dict) and isinstance(b, dict):
+        if list(a) != list(b):
+            return f"{where}: keys {list(a)} != {list(b)}"
+        for k in a:
+            d = _json_diff(a[k], b[k], f"{where}.{k}")
+            if d:
+                return d
+        return None
+    if isinstance(a, list) and isinstance(b, list):
+        if len(a) != len(b):
+            return f"{where}: length {len(a)} != {len(b)}"
+        for i, (x, y) in enumerate(zip(a, b)):
+            d = _json_diff(x, y, f"{where}[{i}]")
+            if d:
+                return d
+        return None
+    return None if repr(a) == repr(b) else f"{where}: {a!r} != {b!r}"
+
+
+def _bytes_diff(a: bytes, b: bytes):
+    if a == b:
+        return None
+    la, lb = a.splitlines(), b.splitlines()
+    for n, (x, y) in enumerate(zip(la, lb), start=1):
+        if x != y:
+            return f"line {n}: {x.decode(errors='replace')!r} != {y.decode(errors='replace')!r}"
+    return f"line {min(len(la), len(lb)) + 1}: {len(la)} lines != {len(lb)} lines"
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser()
+    parser.add_argument("dir_a", type=Path)
+    parser.add_argument("dir_b", type=Path)
+    args = parser.parse_args(argv)
+
+    for d in (args.dir_a, args.dir_b):
+        if not d.is_dir():
+            print(f"not a directory: {d}")
+            return 1
+    names = _files(args.dir_a)
+    names_b = _files(args.dir_b)
+    if names != names_b:
+        only = sorted(set(names) ^ set(names_b))[0]
+        print(f"{only}: only in {args.dir_a if only in names else args.dir_b}")
+        return 1
+    for name in names:
+        pa, pb = args.dir_a / name, args.dir_b / name
+        if pa.name == "manifest.json":
+            diff = _json_diff(_manifest(pa), _manifest(pb), "manifest")
+        else:
+            diff = _bytes_diff(pa.read_bytes(), pb.read_bytes())
+        if diff:
+            print(f"{name}: {diff}")
+            return 1
+    print(f"identical: {len(names)} files")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -725,7 +725,7 @@ def classify(f: Signal, base: Signal | None = None,
     transfer = None
     if base is not None:
         comparability, transfer, extra_notes = _compare_with_base(
-            f, base, cfg, classes, base_report)
+            f, base, cfg, base_report)
         notes.extend(extra_notes)
 
     return RecurrenceReport(classes, comparability, transfer, tuple(notes))
@@ -757,7 +757,7 @@ def _find_period(f, taus, D, w, scale):
     return float(tau_ref), float(d_ref)
 
 
-def _compare_with_base(f, base, cfg, classes, base_report):
+def _compare_with_base(f, base, cfg, base_report):
     notes = []
     eps_list = sorted(set(cfg.bohr_epsilons), reverse=True)
     profile = comparability_profile(f, base, eps_list, cfg.tau_grid, cfg.window,

@@ -826,8 +826,7 @@ def _run_s5(em: _Emitter, cfg: ScenarioConfig) -> None:
     # cap inside the integrator choose the step for it.
     _check_battery(em, cfg, replace(cfg.integrator, space_points=ana["battery_points"],
                                     record_dt=0.5, dt=0.5))
-    _check_quasimonotone(em, sysspec,
-                         [[0.0, 2.0]] * max(2, sysspec.dim), [0.0, 1.7])
+    _check_quasimonotone(em, sysspec, ana["state_box"], [0.0, 1.7])
 
     # Two ordered start fields converge toward the same periodic regime.
     m_c = ana["battery_points"]

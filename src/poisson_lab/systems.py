@@ -7,15 +7,17 @@ function of the start state and the forcing phase.  The forcing family is
 represented lazily by the shift parameter ``base_shift`` on closed-form
 forcings, which keeps time translates exact.
 
-Every registered right-hand side is affine, u' = A u + g(t), with inputs g
-that do not depend on the current state.  Fixed-step RK4 on such a system is
-exactly the recurrence y_{k+1} = P(hA) y_k + q_k, with P the degree-4 Taylor
-polynomial of exp(hA) and q_k a fixed combination of g at t_k, t_k + h/2 and
-t_k + h; one engine runs that recurrence for all three kinds, with the inputs
-evaluated in vectorized chunks.  For the ODE, g is the trigonometric forcing.
-The parabolic method of lines is such an ODE on the (species, node) grid,
-with A the mirrored-ghost Laplacian plus decay.  For the DDE method of steps,
-g adds A_delay times the delayed solution, which is known one delay interval
+Every registered system has one affine right-hand side type,
+:class:`LinearTrigRhs`: u'(t) = A u(t) + A_delay u(t - r) + g(t) with a
+trigonometric forcing g.  The ODE has no delay term; the parabolic method of
+lines is such an ODE on the (species, node) grid, with A the mirrored-ghost
+Laplacian plus decay.  Fixed-step RK4 on u' = A u + g(t), with inputs g that
+do not depend on the current state, is exactly the recurrence
+y_{k+1} = P(hA) y_k + q_k, with P the degree-4 Taylor polynomial of exp(hA)
+and q_k a fixed combination of g at t_k, t_k + h/2 and t_k + h; one engine
+runs that recurrence for all three kinds, with the inputs evaluated in
+vectorized chunks.  For the DDE method of steps, the inputs add A_delay
+times the delayed solution, which is known one delay interval
 ahead.  Steps are indexed by integers, t_k = t0 + k h: the dense and batch
 drivers take nsub = ceil(record_dt / dt) steps of h = record_dt / nsub per
 record interval, the snapshot driver the same rule per span between
@@ -24,6 +26,10 @@ snapshots, so the step that runs is the step configured.
 Integration of one trajectory is strictly sequential; distinct trajectories
 (ordered-pair batteries, probe sweeps) are independent and the batch helpers
 run them side by side in one vectorized pass.
+
+Monotonicity of the affine form is decided exactly from the signs of its
+matrices: Kamke's condition (A off the diagonal >= 0) for the ODE and
+parabolic kinds, the quasimonotone condition (also A_delay >= 0) for the DDE.
 """
 
 from __future__ import annotations
@@ -127,6 +133,8 @@ def _fold_terms(components: Sequence[Sequence], dim: int, base_shift: float):
     The base shift is folded into the phases, so the translate of the
     forcing is exact.
     """
+    if len(components) > dim:
+        raise ConfigInvalid("the forcing has more components than the system")
     rows, amps, omegas, phases = [], [], [], []
     for i, terms in enumerate(components):
         for amp, omega, phase in terms:
@@ -142,51 +150,41 @@ def _fold_terms(components: Sequence[Sequence], dim: int, base_shift: float):
 
 
 class LinearTrigRhs:
-    """u' = A u + p(t) with trigonometric forcing p."""
+    """u'(t) = A u(t) + A_delay u(t - r) + offset + proj sin(omegas t + phases).
 
-    def __init__(self, A, components, offset, base_shift):
+    The one right-hand side of every registered system: the ODE has no delay
+    term (``A_delay`` None), the DDE a single delay r > 0, and the parabolic
+    method of lines is an ODE on the flattened (species, node) grid.
+    """
+
+    def __init__(self, A, proj, omegas, phases, offset=None, A_delay=None, r=0.0):
         self.A = np.asarray(A, dtype=float)
-        n = self.A.shape[0]
+        n = self.dim = self.A.shape[0] if self.A.ndim else 0
         if self.A.shape != (n, n):
             raise ConfigInvalid("A must be square")
-        self.dim = n
-        self.offset = np.asarray(offset, dtype=float)
+        self.proj = np.asarray(proj, dtype=float)
+        if self.proj.shape[0] != n:
+            raise ConfigInvalid("matrix size does not match spec.dim")
+        self.omegas = np.asarray(omegas, dtype=float)
+        self.phases = np.asarray(phases, dtype=float)
+        self.offset = np.zeros(n) if offset is None else np.asarray(offset, dtype=float)
         if self.offset.shape != (n,):
             raise ConfigInvalid("offset must have one entry per component")
-        self.proj, self.omegas, self.phases = _fold_terms(components, n, base_shift)
+        self.A_delay = None if A_delay is None else np.asarray(A_delay, dtype=float)
+        if self.A_delay is not None:
+            if self.A_delay.shape != (n, n):
+                raise ConfigInvalid("A_delay must have the shape of A")
+            if not r > 0:
+                raise ConfigInvalid("delay must be positive")
+        self.r = float(r)
 
-    def forcing(self, t: float) -> np.ndarray:
-        if self.omegas.size == 0:
-            return self.offset.copy()
-        return self.offset + self.proj @ np.sin(self.omegas * t + self.phases)
-
-    def __call__(self, t: float, u: np.ndarray) -> np.ndarray:
-        p = self.forcing(t)
+    def __call__(self, t: float, u: np.ndarray, u_past=None) -> np.ndarray:
+        p = self.offset + self.proj @ np.sin(self.omegas * t + self.phases)
         if u.ndim == 2:
-            return self.A @ u + p[:, None]
-        return self.A @ u + p
-
-
-class DelayLinearRhs:
-    """u'(t) = A_self u(t) + A_delay u(t - r) + p(t)."""
-
-    def __init__(self, A_self, A_delay, delay, components, base_shift):
-        self.A_self = np.asarray(A_self, dtype=float)
-        self.A_delay = np.asarray(A_delay, dtype=float)
-        self.dim = self.A_self.shape[0]
-        if self.A_self.shape != self.A_delay.shape or self.A_self.shape != (self.dim, self.dim):
-            raise ConfigInvalid("A_self and A_delay must be square and equal-sized")
-        if not delay > 0:
-            raise ConfigInvalid("delay must be positive")
-        self.r = float(delay)
-        self.offset = np.zeros(self.dim)  # the same forcing form as LinearTrigRhs
-        self.proj, self.omegas, self.phases = _fold_terms(components, self.dim, base_shift)
-
-    def forcing(self, t: float) -> np.ndarray:
-        return self.offset + self.proj @ np.sin(self.omegas * t + self.phases)
-
-    def __call__(self, t, u_now, u_past):
-        return self.A_self @ u_now + self.A_delay @ u_past + self.forcing(t)
+            p = p[:, None]
+        if u_past is None:
+            return self.A @ u + p
+        return self.A @ u + self.A_delay @ u_past + p
 
 
 class ReactionDiffusion:
@@ -215,44 +213,19 @@ class ReactionDiffusion:
             raise ConfigInvalid(f"unknown source profile {profile!r}")
         self.profile_kind = profile
 
-    def profile(self, xs: np.ndarray) -> np.ndarray:
-        if self.profile_kind == "flat":
-            return np.ones_like(xs)
-        return 1.0 + np.cos(np.pi * xs / self.L)
-
-    def source(self, xs: np.ndarray) -> np.ndarray:
-        """Space part of the source, amp * profile(x); shape (n, m)."""
-        return self.source_amp[:, None] * self.profile(xs)[None, :]
-
     def method_of_lines(self, m: int):
         """(rhs, xs): the system on m nodes as u' = A u + p(t), u the flattened
         (species, node) field.  A is nu times the Laplacian with mirrored ghost
         nodes (u[-1] = u[1]), which conserves the trapezoid-weight spatial
-        mean, minus the decay; p(t) = source(xs) sin(omega t + phase)."""
+        mean, minus the decay; p(t) = amp profile(xs) sin(omega t + phase)."""
         dx = self.L / (m - 1)
         xs = dx * np.arange(m)
         lap = np.diag(np.ones(m - 1), 1) + np.diag(np.ones(m - 1), -1) - 2.0 * np.eye(m)
         lap[0, 1] = lap[-1, -2] = 2.0
         A = np.kron(np.diag(self.nu), lap / (dx * dx)) - np.diag(np.repeat(self.decay, m))
-        size = self.n_species * m
-        rhs = LinearTrigRhs(A, [[]] * size, np.zeros(size), 0.0)
-        rhs.proj = self.source(xs).reshape(size, 1)
-        rhs.omegas, rhs.phases = np.array([self.omega]), np.array([self.phase])
-        return rhs, xs
-
-    def species_jacobian_offdiag(self, t, x, w, i, j, h):
-        """Central-difference d f_i / d w_j at one space-state sample."""
-        wp = np.array(w, dtype=float)
-        wm = np.array(w, dtype=float)
-        wp[j] += h
-        wm[j] -= h
-        fp = self._pointwise(t, x, wp)
-        fm = self._pointwise(t, x, wm)
-        return (fp[i] - fm[i]) / (2 * h)
-
-    def _pointwise(self, t, x, w):
-        prof = 1.0 if self.profile_kind == "flat" else 1.0 + math.cos(math.pi * x / self.L)
-        return -self.decay * w + self.source_amp * prof * math.sin(self.omega * t + self.phase)
+        prof = np.ones(m) if self.profile_kind == "flat" else 1.0 + np.cos(np.pi * xs / self.L)
+        proj = np.outer(self.source_amp, prof).reshape(-1, 1)
+        return LinearTrigRhs(A, proj, [self.omega], [self.phase]), xs
 
 
 def build_ode_rhs(spec: SystemSpec) -> LinearTrigRhs:
@@ -261,18 +234,13 @@ def build_ode_rhs(spec: SystemSpec) -> LinearTrigRhs:
     if spec.rhs != "linear+trig":
         raise UnknownRegistryKey(f"no ODE right-hand side {spec.rhs!r}")
     p = spec.params
-    A = p.get("A")
-    if A is None:
+    if p.get("A") is None:
         raise ConfigInvalid("linear+trig requires a coupling matrix 'A'")
-    components = p.get("forcing", [[] for _ in range(spec.dim)])
-    offset = p.get("offset", [0.0] * spec.dim)
-    rhs = LinearTrigRhs(A, components, offset, spec.base_shift)
-    if rhs.dim != spec.dim:
-        raise ConfigInvalid("matrix size does not match spec.dim")
-    return rhs
+    proj, omegas, phases = _fold_terms(p.get("forcing", []), spec.dim, spec.base_shift)
+    return LinearTrigRhs(p["A"], proj, omegas, phases, p.get("offset"))
 
 
-def build_dde_rhs(spec: SystemSpec) -> DelayLinearRhs:
+def build_dde_rhs(spec: SystemSpec) -> LinearTrigRhs:
     if spec.kind != "dde_single_delay":
         raise ConfigInvalid(f"{spec.kind} is not a DDE kind")
     if spec.rhs != "delay-linear":
@@ -280,10 +248,11 @@ def build_dde_rhs(spec: SystemSpec) -> DelayLinearRhs:
     p = spec.params
     if "delay" not in p:
         raise ConfigInvalid("delay-linear requires 'delay' > 0")
-    return DelayLinearRhs(
-        p.get("A_self"), p.get("A_delay"), p["delay"],
-        p.get("forcing", [[] for _ in range(spec.dim)]), spec.base_shift,
-    )
+    if p.get("A_delay") is None:
+        raise ConfigInvalid("delay-linear requires a delayed coupling matrix 'A_delay'")
+    proj, omegas, phases = _fold_terms(p.get("forcing", []), spec.dim, spec.base_shift)
+    return LinearTrigRhs(p.get("A_self"), proj, omegas, phases,
+                         A_delay=p["A_delay"], r=p["delay"])
 
 
 def build_reaction(spec: SystemSpec) -> ReactionDiffusion:
@@ -705,7 +674,7 @@ def _dde_core(rhs, hist_vals, cfg):
     hist = hist_vals(-r + h * np.arange(n_sub + 1))
     U = np.empty((total + 1,) + hist.shape[1:])
     U[: n_sub + 1] = hist
-    coeffs = _rk4_coeffs(rhs.A_self, h)
+    coeffs = _rk4_coeffs(rhs.A, h)
     D = np.empty((2 * n_sub + 1,) + hist.shape[1:])
     for i in range(n_sub, total, n_sub):
         n = min(n_sub, total - i)
@@ -813,117 +782,37 @@ class OrderResult:
         return self.ordered
 
 
-def _box_samples(box: np.ndarray, rng: np.random.Generator, extra: int = 8):
-    """3-level lattice plus a few seeded uniform draws inside the box."""
-    dim = box.shape[0]
-    levels = [np.array([lo, 0.5 * (lo + hi), hi]) for lo, hi in box]
-    if dim <= 3:
-        mesh = np.meshgrid(*levels, indexing="ij")
-        lattice = np.stack([g.ravel() for g in mesh], axis=1)
-    else:
-        lattice = np.stack([np.array([lo, hi]) for lo, hi in box], axis=1).T
-    draws = rng.uniform(box[:, 0], box[:, 1], size=(extra, dim))
-    return np.vstack([lattice, draws])
-
-
-# Tolerance of the cooperativity test, relative to the largest sampled |f|
-# (absolute for the parabolic reaction).
-_QM_TOL = 1e-7
-
-
 def quasimonotone_check(sys: SystemSpec, box, t_probe, h: float) -> QuasimonotoneResult:
-    """Finite-sample cooperativity test of the right-hand side.
+    """Exact cooperativity test of the affine right-hand side.
 
-    ODE and parabolic kinds check off-diagonal partials >= -tol by central
-    differences over a lattice in box x t_probe; the DDE kind checks the
-    componentwise inequality on sampled ordered pairs that agree in the
-    probed component at the current time.
+    The ODE and parabolic kinds need Kamke's condition: every off-diagonal
+    entry of A is >= 0 (the parabolic A is the method of lines on 8 nodes,
+    whose grid couplings nu/dx^2 are positive).  The DDE kind needs the
+    quasimonotone condition: also every entry of A_delay is >= 0 (H. L. Smith,
+    Monotone Dynamical Systems, AMS 1995, ch. 3 and 5).  For an affine system
+    these signs decide the condition on the whole state space, so box and
+    t_probe only place the witness (t_probe[0], lower corner of box, i, j) of
+    the first negative entry in column order; h is validated but unused.
     """
     box = np.asarray(box, dtype=float)
     if box.ndim != 2 or box.shape[1] != 2 or box.shape[0] == 0:
         raise ConfigInvalid("box must be an array of (lo, hi) rows")
     if not h > 0:
         raise ConfigInvalid("finite-difference step h must be > 0")
-    rng = np.random.default_rng(2025)
-    if sys.kind in ("scalar_ode", "cooperative_ode"):
-        return _quasimonotone_ode(sys, box, t_probe, h, rng)
     if sys.kind == "dde_single_delay":
-        return _quasimonotone_dde(sys, box, t_probe, rng)
-    return _quasimonotone_parabolic(sys, box, t_probe, h, rng)
-
-
-def _quasimonotone_ode(sys, box, t_probe, h, rng):
-    rhs = build_ode_rhs(sys)
-    n = sys.dim
-    if n == 1:
-        return QuasimonotoneResult(True)  # i != j is vacuous
-    pts = _box_samples(box, rng)
-    scale = 1.0
-    for t in t_probe:
-        for u in pts:
-            scale = max(scale, float(np.max(np.abs(rhs(float(t), u)))))
-    tol = _QM_TOL * scale
-    for t in t_probe:
-        t = float(t)
-        for u in pts:
-            for j in range(n):
-                up = u.copy(); up[j] += h
-                um = u.copy(); um[j] -= h
-                dcol = (rhs(t, up) - rhs(t, um)) / (2 * h)
-                for i in range(n):
-                    if i != j and dcol[i] < -tol:
-                        return QuasimonotoneResult(False, (t, u.copy(), i, j))
-    return QuasimonotoneResult(True)
-
-
-def _quasimonotone_dde(sys, box, t_probe, rng):
-    rhs = build_dde_rhs(sys)
-    n = sys.dim
-    pts = _box_samples(box, rng)
-    span = box[:, 1] - box[:, 0]
-    scale = 1.0
-    for t in t_probe:
-        for u in pts:
-            scale = max(scale, float(np.max(np.abs(rhs(float(t), u, u)))))
-    tol = _QM_TOL * scale
-    for t in t_probe:
-        t = float(t)
-        for u_now in pts:
-            for _ in range(4):
-                d_now = rng.uniform(0.0, 0.5, size=n) * span
-                d_past = rng.uniform(0.0, 0.5, size=n) * span
-                u_past = u_now  # segment endpoints sampled jointly
-                v_past = u_past + d_past
-                for i in range(n):
-                    v_now = u_now + d_now
-                    v_now[i] = u_now[i]
-                    fi_u = rhs(t, u_now, u_past)[i]
-                    fi_v = rhs(t, v_now, v_past)[i]
-                    if fi_u > fi_v + tol:
-                        return QuasimonotoneResult(False, (t, u_now.copy(), i, i))
-    return QuasimonotoneResult(True)
-
-
-def _quasimonotone_parabolic(sys, box, t_probe, h, rng):
-    reaction = build_reaction(sys)
-    n = reaction.n_species
-    if n == 1:
+        rhs = build_dde_rhs(sys)
+    elif sys.kind == "parabolic_1d":
+        rhs, _ = build_reaction(sys).method_of_lines(8)
+    else:
+        rhs = build_ode_rhs(sys)
+    bad = (rhs.A < 0) & ~np.eye(rhs.dim, dtype=bool)
+    if rhs.A_delay is not None:
+        bad |= rhs.A_delay < 0
+    hits = np.argwhere(bad.T)  # rows (j, i), in column order of A
+    if hits.size == 0:
         return QuasimonotoneResult(True)
-    pts = _box_samples(box, rng)
-    xs = np.linspace(0.0, reaction.L, 5)
-    tol = _QM_TOL
-    for t in t_probe:
-        t = float(t)
-        for x in xs:
-            for w in pts:
-                for i in range(n):
-                    for j in range(n):
-                        if i == j:
-                            continue
-                        d = reaction.species_jacobian_offdiag(t, float(x), w, i, j, h)
-                        if d < -tol:
-                            return QuasimonotoneResult(False, (t, w.copy(), i, j))
-    return QuasimonotoneResult(True)
+    j, i = hits[0]
+    return QuasimonotoneResult(False, (float(t_probe[0]), box[:, 0].copy(), int(i), int(j)))
 
 
 def order_check(u: Signal, v: Signal, tol: float) -> OrderResult:

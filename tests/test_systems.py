@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from poisson_lab.errors import (
     BlowupDetected,
@@ -541,6 +541,197 @@ def test_quasimonotone_pass_and_fail():
 def test_quasimonotone_scalar_vacuous():
     res = quasimonotone_check(ode([[-3.0]], [[]]), [[-1, 1]], [0.0], h=1e-4)
     assert res.passed
+
+
+# The sampled finite-difference probes that the exact sign test replaced,
+# kept as its brute-force reference.  For an affine right-hand side the ODE
+# and parabolic probes read the entries of A at every sample; the DDE probe
+# compares sampled ordered pairs and can miss a negative entry.
+
+_QM_TOL = 1e-7
+
+
+def _box_samples(box, rng, extra=8):
+    """3-level lattice plus a few seeded uniform draws inside the box."""
+    dim = box.shape[0]
+    levels = [np.array([lo, 0.5 * (lo + hi), hi]) for lo, hi in box]
+    if dim <= 3:
+        mesh = np.meshgrid(*levels, indexing="ij")
+        lattice = np.stack([g.ravel() for g in mesh], axis=1)
+    else:
+        lattice = np.stack([np.array([lo, hi]) for lo, hi in box], axis=1).T
+    draws = rng.uniform(box[:, 0], box[:, 1], size=(extra, dim))
+    return np.vstack([lattice, draws])
+
+
+def _qm_ode_reference(sys, box, t_probe, h, rng):
+    rhs = build_ode_rhs(sys)
+    n = sys.dim
+    if n == 1:
+        return True, None
+    pts = _box_samples(box, rng)
+    scale = 1.0
+    for t in t_probe:
+        for u in pts:
+            scale = max(scale, float(np.max(np.abs(rhs(float(t), u)))))
+    tol = _QM_TOL * scale
+    for t in t_probe:
+        t = float(t)
+        for u in pts:
+            for j in range(n):
+                up = u.copy(); up[j] += h
+                um = u.copy(); um[j] -= h
+                dcol = (rhs(t, up) - rhs(t, um)) / (2 * h)
+                for i in range(n):
+                    if i != j and dcol[i] < -tol:
+                        return False, (t, u.copy(), i, j)
+    return True, None
+
+
+def _qm_dde_reference(sys, box, t_probe, rng):
+    rhs = build_dde_rhs(sys)
+    n = sys.dim
+    pts = _box_samples(box, rng)
+    span = box[:, 1] - box[:, 0]
+    scale = 1.0
+    for t in t_probe:
+        for u in pts:
+            scale = max(scale, float(np.max(np.abs(rhs(float(t), u, u)))))
+    tol = _QM_TOL * scale
+    for t in t_probe:
+        t = float(t)
+        for u_now in pts:
+            for _ in range(4):
+                d_now = rng.uniform(0.0, 0.5, size=n) * span
+                d_past = rng.uniform(0.0, 0.5, size=n) * span
+                u_past = u_now  # segment endpoints sampled jointly
+                v_past = u_past + d_past
+                for i in range(n):
+                    v_now = u_now + d_now
+                    v_now[i] = u_now[i]
+                    if rhs(t, u_now, u_past)[i] > rhs(t, v_now, v_past)[i] + tol:
+                        return False, (t, u_now.copy(), i, i)
+    return True, None
+
+
+def _qm_parabolic_reference(sys, box, t_probe, h, rng):
+    rd_ = build_reaction(sys)
+    n = rd_.n_species
+    if n == 1:
+        return True, None
+
+    def pointwise(t, x, w):
+        prof = 1.0 if rd_.profile_kind == "flat" else 1.0 + math.cos(math.pi * x / rd_.L)
+        return -rd_.decay * w + rd_.source_amp * prof * math.sin(rd_.omega * t + rd_.phase)
+
+    pts = _box_samples(box, rng)
+    for t in t_probe:
+        t = float(t)
+        for x in np.linspace(0.0, rd_.L, 5):
+            for w in pts:
+                for i in range(n):
+                    for j in range(n):
+                        if i == j:
+                            continue
+                        wp, wm = w.copy(), w.copy()
+                        wp[j] += h
+                        wm[j] -= h
+                        d = (pointwise(t, x, wp)[i] - pointwise(t, x, wm)[i]) / (2 * h)
+                        if d < -_QM_TOL:
+                            return False, (t, w.copy(), i, j)
+    return True, None
+
+
+def qm_reference(sys, box, t_probe, h):
+    """(passed, witness) of the sampled probe for the system's kind."""
+    box = np.asarray(box, dtype=float)
+    rng = np.random.default_rng(2025)
+    if sys.kind == "dde_single_delay":
+        return _qm_dde_reference(sys, box, t_probe, rng)
+    if sys.kind == "parabolic_1d":
+        return _qm_parabolic_reference(sys, box, t_probe, h, rng)
+    return _qm_ode_reference(sys, box, t_probe, h, rng)
+
+
+@pytest.mark.parametrize("build, params", [
+    pytest.param(build_dde_rhs, {"A_self": [[-1.0]], "delay": 1.0}, id="dde-no-A_delay"),
+    pytest.param(build_dde_rhs, {"A_self": [[-1.0]], "A_delay": None, "delay": 1.0},
+                 id="dde-null-A_delay"),
+    pytest.param(build_dde_rhs, {"A_self": [[-1.0]], "A_delay": [[1.0, 0.0]], "delay": 1.0},
+                 id="dde-wide-A_delay"),
+    pytest.param(build_dde_rhs, {"A_delay": [[1.0]], "delay": 1.0}, id="dde-no-A_self"),
+    pytest.param(build_dde_rhs, {"A_self": [[-1.0]], "A_delay": [[1.0]], "delay": 0.0},
+                 id="dde-zero-delay"),
+    pytest.param(build_ode_rhs, {"A": [[-1.0, 0.0], [0.0, -1.0]]}, id="ode-A-larger-than-dim"),
+    pytest.param(build_ode_rhs, {"A": [[-1.0]], "forcing": [[], []]},
+                 id="ode-forcing-longer-than-dim"),
+])
+def test_affine_builders_reject_malformed_params(build, params):
+    kind, rhs = (("dde_single_delay", "delay-linear") if build is build_dde_rhs
+                 else ("scalar_ode", "linear+trig"))
+    with pytest.raises(ConfigInvalid):
+        build(SystemSpec(kind, 1, rhs, params))
+
+
+def test_quasimonotone_dde_negative_delayed_entry_fails():
+    # A_delay[0, 0] < 0 breaks the quasimonotone condition; the sampled
+    # probe passed this system.
+    sys = SystemSpec("dde_single_delay", 2, "delay-linear",
+                     {"A_self": [[-2.8977, 1.6103], [0.0, -1.7617]],
+                      "A_delay": [[-0.1296, 1.2510], [0.2792, 0.0]], "delay": 1.0})
+    box, t_probe = [[-2.0, 2.0], [-2.0, 2.0]], [0.0, 1.7, 9.3]
+    assert qm_reference(sys, box, t_probe, 1e-4)[0]
+    res = quasimonotone_check(sys, box, t_probe, h=1e-4)
+    assert not res.passed
+    assert res.witness[2:] == (0, 0)
+
+
+def test_quasimonotone_parabolic_species():
+    sys = _species_system(2)
+    box, t_probe = [[0.0, 2.0], [0.0, 2.0]], [0.0, 1.7]
+    assert quasimonotone_check(sys, box, t_probe, h=1e-4).passed
+    assert qm_reference(sys, box, t_probe, 1e-4)[0]
+
+
+# Off-diagonal entries stay out of the sampled probe's tolerance band.
+_SIGNED = st.one_of(st.just(0.0), st.floats(1e-3, 2.0), st.floats(-2.0, -1e-3))
+
+
+@st.composite
+def signed_systems(draw):
+    """ODE or DDE of dim 1-3 with signed couplings, a box and probe times."""
+    dim = draw(st.integers(1, 3))
+    A = [[draw(st.floats(-3.0, 0.0)) if i == j else draw(_SIGNED) for j in range(dim)]
+         for i in range(dim)]
+    triple = st.tuples(st.floats(-1.0, 1.0), st.floats(0.1, 3.0), st.floats(0.0, 2 * math.pi))
+    forcing = [draw(st.lists(triple, max_size=2)) for _ in range(dim)]
+    lo = [draw(st.floats(-3.0, 0.0)) for _ in range(dim)]
+    box = [[a, a + draw(st.floats(0.1, 3.0))] for a in lo]
+    t_probe = draw(st.lists(st.floats(0.0, 10.0), min_size=1, max_size=3))
+    if draw(st.booleans()):
+        A_delay = [[draw(_SIGNED) for _ in range(dim)] for _ in range(dim)]
+        sys = SystemSpec("dde_single_delay", dim, "delay-linear",
+                         {"A_self": A, "A_delay": A_delay, "forcing": forcing,
+                          "delay": draw(st.floats(0.1, 2.0))})
+    else:
+        sys = ode(A, forcing, dim)
+    return sys, box, t_probe
+
+
+@settings(max_examples=200)
+@given(case=signed_systems())
+@example(case=(ode([[-1.0, -0.5], [-0.5, -1.0]], [[], []]), [[-1.0, 1.0]] * 2, [0.0]))
+@example(case=(dde(-2.0, -1.0, [[]]), [[-2.0, 2.0]], [0.0, 1.7]))
+def test_quasimonotone_matches_sampled_reference(case):
+    sys, box, t_probe = case
+    res = quasimonotone_check(sys, box, t_probe, h=1e-4)
+    passed, witness = qm_reference(sys, box, t_probe, 1e-4)
+    if sys.kind == "dde_single_delay":
+        # The sampled pairs can miss a negative entry, never invent one.
+        assert passed or not res.passed
+    else:
+        assert res.passed == passed
+        assert repr(res.witness) == repr(witness)
 
 
 def test_order_check():
