@@ -1,11 +1,11 @@
 #!/usr/bin/env python3
-"""Empirical uniform-stability moduli delta(eps) for the ODE scenarios.
+"""Uniform-stability moduli delta(eps) for the ODE scenarios.
 
 Probes shells of start states around an anchor trajectory and reports the
-largest shell radius whose probes stay eps-close on the horizon.  The
-contraction-rate structure of each system is visible directly in the
-table: the scalar scenario is 1-Lipschitz stable (delta ~ eps), the
-cooperative pair slightly better in the ordered directions.
+supremum of the shell radii whose probes stay eps-close on the horizon,
+eps / M with M the largest probe deviation per unit radius (exact for
+these affine systems).  Both systems contract from the start, so M = 1
+and delta = eps: a probe's largest deviation is its start offset.
 """
 
 import math

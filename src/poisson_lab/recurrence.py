@@ -77,18 +77,17 @@ class ClassifyConfig:
     fit_window: Window | None = None     # longer window for the spectral fit
 
 
-def default_classify_config(f: Signal, **overrides) -> ClassifyConfig:
+def default_classify_config(f: Signal) -> ClassifyConfig:
     """Window the middle of the signal, scan shifts over what fits."""
     length = f.length
     hw = length / 4.0
     center = f.t0 + hw
     tau_max = length - 2.0 * hw
     step = max(f.dt, tau_max / 200_000)
-    cfg = ClassifyConfig(
+    return ClassifyConfig(
         window=Window(center, hw),
         tau_grid=TauGrid(0.0, tau_max, _snap_step(step, f.dt)),
     )
-    return replace(cfg, **overrides) if overrides else cfg
 
 
 def _snap_step(step: float, dt: float) -> float:
@@ -244,9 +243,9 @@ def _max_gap(shifts: np.ndarray, grid: TauGrid) -> float:
     return float(max(gaps))
 
 
-def density_table(f: Signal, epsilon_list, tau_grid: TauGrid, w: Window,
-                  metric: str = "sup") -> list:
-    """Empirical inclusion lengths L(epsilon) for a decreasing epsilon list.
+def density_table(f: Signal, epsilon_list, tau_grid: TauGrid, w: Window) -> list:
+    """Empirical inclusion lengths L(epsilon) of the sup-norm almost periods
+    for a decreasing epsilon list.
 
     A row is (epsilon, L, saturated); saturated flags L still swallowing the
     grid, i.e. the evidence for relative density fails at that scale.
@@ -255,13 +254,7 @@ def density_table(f: Signal, epsilon_list, tau_grid: TauGrid, w: Window,
     if any(e <= 0 for e in eps) or any(b > a + 1e-15 for a, b in zip(eps, eps[1:])):
         raise ValueError("epsilon_list must be positive and non-increasing")
     taus = tau_grid.values()
-    if metric == "sup":
-        D = discrepancy_profile(f, taus, w)
-    elif metric == "bebutov":
-        D = bebutov_profile(f, taus, w)
-    else:
-        raise ValueError(f"unknown metric {metric!r}")
-    return _table_rows(f, eps, tau_grid, w, taus, D)
+    return _table_rows(f, eps, tau_grid, w, taus, discrepancy_profile(f, taus, w))
 
 
 def _table_rows(f, epsilons, grid, w, taus, D) -> list:
@@ -526,13 +519,13 @@ def _spectral_peaks(mag: np.ndarray, dt: float, n: int, max_freqs: int) -> list:
     return freqs
 
 
-def rationally_independent(freqs, depth: int = 20, q_bound: float = 1e4,
-                           term_tol: float = 1e-11) -> bool:
+def rationally_independent(freqs) -> bool:
     """Continued-fraction test of pairwise frequency ratios.
 
-    A ratio counts as rational when its expansion terminates (remainder
-    below term_tol) at a denominator within q_bound; exact irrationality is
-    undecidable from floats, so this is the documented proxy.
+    A ratio counts as rational when its expansion terminates (relative
+    remainder below 1e-11, within 20 terms) at a denominator within 1e4;
+    exact irrationality is undecidable from floats, so this is the
+    documented proxy.
     """
     fs = [float(v) for v in freqs]
     for i in range(len(fs)):
@@ -540,23 +533,23 @@ def rationally_independent(freqs, depth: int = 20, q_bound: float = 1e4,
             hi, lo = max(fs[i], fs[j]), min(fs[i], fs[j])
             if lo <= 0:
                 return False
-            if _ratio_is_rational(hi / lo, depth, q_bound, term_tol):
+            if _ratio_is_rational(hi / lo):
                 return False
     return True
 
 
-def _ratio_is_rational(rho: float, depth: int, q_bound: float, term_tol: float) -> bool:
+def _ratio_is_rational(rho: float) -> bool:
     x = rho
     p_prev, q_prev = 1, 0
     p_cur, q_cur = int(math.floor(x)), 1
     x -= math.floor(x)
-    for _ in range(depth):
-        if q_cur > q_bound:
+    for _ in range(20):
+        if q_cur > 1e4:
             return False
-        if abs(rho - p_cur / q_cur) < term_tol * max(1.0, rho):
+        if abs(rho - p_cur / q_cur) < 1e-11 * max(1.0, rho):
             return True
         if x < 1e-12:
-            return q_cur <= q_bound
+            return q_cur <= 1e4
         x = 1.0 / x
         a = int(math.floor(x))
         x -= a
@@ -616,9 +609,9 @@ _TRANSFER_UNIFORM = ("quasi_periodic", "bohr_ap", "pseudo_recurrent")
 
 
 def classify(f: Signal, base: Signal | None = None,
-             cfg: ClassifyConfig | None = None,
-             base_report: "RecurrenceReport | None" = None) -> RecurrenceReport:
-    """Run the recurrence cascade; attach comparability when a base is given."""
+             cfg: ClassifyConfig | None = None) -> RecurrenceReport:
+    """Run the recurrence cascade; attach comparability when a base is given
+    (with comparability evidence the base is classified too, to transfer its classes)."""
     if cfg is None:
         cfg = default_classify_config(f)
     w = cfg.window
@@ -724,8 +717,7 @@ def classify(f: Signal, base: Signal | None = None,
     comparability = None
     transfer = None
     if base is not None:
-        comparability, transfer, extra_notes = _compare_with_base(
-            f, base, cfg, base_report)
+        comparability, transfer, extra_notes = _compare_with_base(f, base, cfg)
         notes.extend(extra_notes)
 
     return RecurrenceReport(classes, comparability, transfer, tuple(notes))
@@ -757,7 +749,7 @@ def _find_period(f, taus, D, w, scale):
     return float(tau_ref), float(d_ref)
 
 
-def _compare_with_base(f, base, cfg, base_report):
+def _compare_with_base(f, base, cfg):
     notes = []
     eps_list = sorted(set(cfg.bohr_epsilons), reverse=True)
     profile = comparability_profile(f, base, eps_list, cfg.tau_grid, cfg.window,
@@ -766,9 +758,7 @@ def _compare_with_base(f, base, cfg, base_report):
     transfer = {"verdict": profile.verdict, "claims": [],
                 "relative_to": "supplied base"}
     if profile.verdict == "comparable-evidence":
-        if base_report is None:
-            base_report = classify(base, cfg=replace(cfg, base_declared=None))
-        base_classes = dict(base_report.classes)
+        base_classes = classify(base, cfg=replace(cfg, base_declared=None)).classes
         for names, via in ((_TRANSFER_PLAIN, "comparability"),
                            (_TRANSFER_UNIFORM, "uniform-comparability-proxy")):
             for name in names:

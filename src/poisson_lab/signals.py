@@ -190,15 +190,14 @@ class Signal:
         return i0, i1
 
 
-def sample_function(fn, t0: float, t_end: float, dt: float,
-                    interp: str = "cubic") -> Signal:
-    """Sample a callable ``fn(ts) -> (n,) or (n, dim)`` onto a uniform grid."""
+def sample_function(fn, t0: float, t_end: float, dt: float) -> Signal:
+    """Sample a callable ``fn(ts) -> (n,) or (n, dim)`` as a cubic Signal on a uniform grid."""
     n = int(round((t_end - t0) / dt))
     ts = t0 + dt * np.arange(n + 1)
     vals = np.asarray(fn(ts), dtype=float)
     if vals.ndim == 1:
         vals = vals[:, None]
-    return Signal(t0, dt, vals, interp)
+    return Signal(t0, dt, vals)
 
 
 # ---------------------------------------------------------------------------
@@ -370,8 +369,8 @@ def write_signal_csv(sig: Signal, path) -> None:
             fh.write(f"{ts[i]:.17g},{row}\n")
 
 
-def read_signal_csv(path, interp: str = "cubic") -> Signal:
-    """Read the documented CSV form; rejects non-uniform grids."""
+def read_signal_csv(path) -> Signal:
+    """Read the documented CSV form as a cubic Signal; rejects non-uniform grids."""
     with open(path, "r", encoding="utf-8") as fh:
         lines = [ln.strip() for ln in fh if ln.strip()]
     if not lines:
@@ -405,4 +404,4 @@ def read_signal_csv(path, interp: str = "cubic") -> Signal:
             raise ParseError(f"{path}: non-uniform time grid")
     else:
         dt = 1.0
-    return Signal(float(ts[0]), dt, data[:, 1:], interp)
+    return Signal(float(ts[0]), dt, data[:, 1:])

@@ -50,7 +50,7 @@ from .errors import (
     StepUnderflow,
     UnknownRegistryKey,
 )
-from .signals import Signal
+from .signals import Signal, sample_function
 
 KINDS = ("scalar_ode", "cooperative_ode", "dde_single_delay", "parabolic_1d")
 
@@ -261,13 +261,16 @@ def build_reaction(spec: SystemSpec) -> ReactionDiffusion:
     if spec.rhs != "rd-scalar":
         raise UnknownRegistryKey(f"no reaction {spec.rhs!r}")
     p = spec.params
-    return ReactionDiffusion(
+    reaction = ReactionDiffusion(
         p.get("nu", [1.0]), p.get("L", 1.0),
         p.get("decay", [0.0] * spec.dim),
         p.get("source_amp", [0.0] * spec.dim),
         p.get("omega", 1.0), p.get("phase", 0.0), spec.base_shift,
         p.get("profile", "one-plus-cos"),
     )
+    if reaction.n_species != spec.dim:
+        raise ConfigInvalid(f"dim {spec.dim} != the reaction's {reaction.n_species} species")
+    return reaction
 
 
 # ---------------------------------------------------------------------------
@@ -289,15 +292,14 @@ _FORCINGS: dict[str, Callable] = {
 }
 
 
-def forcing_values(key: str, ts, *, shift: float = 0.0,
-                   components: Sequence[Sequence] | None = None,
+def forcing_values(key: str, ts, *, components: Sequence[Sequence] | None = None,
                    offset: Sequence[float] | None = None) -> np.ndarray:
-    """Evaluate a closed-form forcing (or its exact time translate).
+    """Evaluate a closed-form forcing at times ``ts``; shape (len(ts), dim).
 
     ``trig-sum`` takes explicit (amp, omega, phase) triples per component;
     the named entries are fixed function families.
     """
-    ts = np.asarray(ts, dtype=float) + shift
+    ts = np.asarray(ts, dtype=float)
     if key == "trig-sum":
         if components is None:
             raise ConfigInvalid("trig-sum needs forcing components")
@@ -315,13 +317,11 @@ def forcing_values(key: str, ts, *, shift: float = 0.0,
 
 
 def forcing_signal(key: str, t0: float, t_end: float, dt: float, *,
-                   shift: float = 0.0, components=None, offset=None,
-                   interp: str = "cubic") -> Signal:
-    n = int(round((t_end - t0) / dt))
-    ts = t0 + dt * np.arange(n + 1)
-    return Signal(t0, dt, forcing_values(key, ts, shift=shift,
-                                         components=components, offset=offset),
-                  interp)
+                   components=None, offset=None) -> Signal:
+    """The closed-form forcing sampled on [t0, t_end] as a cubic Signal."""
+    return sample_function(
+        lambda ts: forcing_values(key, ts, components=components, offset=offset),
+        t0, t_end, dt)
 
 
 # ---------------------------------------------------------------------------
@@ -333,14 +333,8 @@ def forcing_signal(key: str, t0: float, t_end: float, dt: float, *,
 _CHUNK = 1 << 16
 
 
-def _check_state(y: np.ndarray, bound: float, t: float) -> None:
-    m = np.max(np.abs(y))
-    if not np.isfinite(m) or m > bound:
-        raise BlowupDetected(f"state norm {m:g} exceeds bound {bound:g} at t={t:g}")
-
-
-def _check_records(Y: np.ndarray, ts: np.ndarray, bound: float) -> None:
-    """_check_state at each record time (Y may be empty); the first bad record is reported."""
+def _check_records(Y: np.ndarray, ts, bound: float) -> None:
+    """BlowupDetected at the first record Y[i] (time ts[i]) with max norm > bound or not finite."""
     m = np.abs(Y).max(axis=tuple(range(1, Y.ndim)))
     bad = ~(m <= bound)
     if bad.any():
@@ -459,53 +453,47 @@ _DP_A = (
 _DP_E = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40)
 
 
-class _Dopri5:
-    """Embedded 5(4) pair with FSAL and max-norm step control."""
-
-    def __init__(self, rhs, t0, y0, cfg: IntegratorConfig):
-        self.rhs = rhs
-        self.t = float(t0)
-        self.y = np.array(y0, dtype=float)
-        self.rtol = cfg.rel_tol
-        self.atol = cfg.abs_tol
-        self.h = cfg.dt
-        self.bound = cfg.bound
-        self.k1 = rhs(self.t, self.y)
-
-    def advance_to(self, t_target: float) -> np.ndarray:
+def _dopri5(rhs, y0, cfg: IntegratorConfig, times) -> np.ndarray:
+    """Embedded 5(4) pair with FSAL and max-norm step control from t = 0:
+    the states at the increasing ``times``, one row each.  Every target ends
+    a step exactly; the step size and the FSAL stage carry over to the next."""
+    t, y, h_next = 0.0, np.array(y0, dtype=float), cfg.dt
+    k1 = rhs(t, y)
+    out = np.empty((len(times),) + y.shape)
+    for n, t_target in enumerate(times):
         eps_t = 1e-12 * max(1.0, abs(t_target))
-        while self.t < t_target - eps_t:
-            h = min(self.h, t_target - self.t)
+        while t < t_target - eps_t:
+            h = min(h_next, t_target - t)
             while True:
-                if h < 1e-14 * max(1.0, abs(self.t)):
-                    raise StepUnderflow(f"step {h:g} underflow at t={self.t:g}")
-                ks = [self.k1]
-                yi = self.y
+                if h < 1e-14 * max(1.0, abs(t)):
+                    raise StepUnderflow(f"step {h:g} underflow at t={t:g}")
+                ks = [k1]
+                yi = y
                 for i in range(1, 7):
-                    acc = self.y.copy()
+                    acc = y.copy()
                     for a, k in zip(_DP_A[i], ks):
                         if a != 0.0:
                             acc += (h * a) * k
                     yi = acc
-                    ks.append(self.rhs(self.t + _DP_C[i] * h, yi))
+                    ks.append(rhs(t + _DP_C[i] * h, yi))
                 y5 = yi  # the 7th stage is evaluated at the 5th-order solution
-                err_vec = np.zeros_like(self.y)
+                err_vec = np.zeros_like(y)
                 for e, k in zip(_DP_E, ks):
                     if e != 0.0:
                         err_vec += e * k
                 err_vec *= h
-                scale = self.atol + self.rtol * np.maximum(np.abs(self.y), np.abs(y5))
+                scale = cfg.abs_tol + cfg.rel_tol * np.maximum(np.abs(y), np.abs(y5))
                 err = float(np.max(np.abs(err_vec) / scale))
                 if err <= 1.0:
-                    self.t += h
-                    self.y = y5
-                    self.k1 = ks[6]
-                    _check_state(self.y, self.bound, self.t)
-                    grow = 0.9 * (max(err, 1e-16)) ** -0.2
-                    self.h = h * min(5.0, max(0.2, grow))
+                    t += h
+                    y = y5
+                    k1 = ks[6]
+                    _check_records(y[None], (t,), cfg.bound)
+                    h_next = h * min(5.0, max(0.2, 0.9 * max(err, 1e-16) ** -0.2))
                     break
                 h *= min(1.0, max(0.2, 0.9 * err ** -0.2))
-        return self.y
+        out[n] = y
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -531,12 +519,7 @@ def integrate_ode(sys: SystemSpec, u0, cfg: IntegratorConfig) -> Signal:
     if cfg.method == "rk4_fixed":
         _, out = _rk4_record(rhs, u, cfg)
     else:
-        ts = _record_times(cfg)
-        out = np.empty((ts.size, sys.dim))
-        out[0] = u
-        stepper = _Dopri5(rhs, 0.0, u, cfg)
-        for i in range(1, ts.size):
-            out[i] = stepper.advance_to(ts[i])
+        out = _dopri5(rhs, u, cfg, _record_times(cfg))
     return Signal(0.0, cfg.record_dt, out, "cubic")
 
 
@@ -552,26 +535,23 @@ def integrate_ode_snapshots(sys: SystemSpec, u0, cfg: IntegratorConfig,
     times = np.asarray(snapshot_times, dtype=float)
     if times.size and (np.any(np.diff(times) <= 0) or times[0] < 0):
         raise ConfigInvalid("snapshot times must be positive and increasing")
+    if cfg.method != "rk4_fixed":
+        return _dopri5(rhs, u, cfg, times)
     out = np.empty((times.size, sys.dim))
-    if cfg.method == "rk4_fixed":
-        y = u
-        t_prev = 0.0
-        for i, t in enumerate(times):
-            span = t - t_prev
-            if span > 0:
-                nsub = max(1, math.ceil(span / cfg.dt - 1e-12))
-                h = span / nsub
-                coeffs = _rk4_coeffs(rhs.A, h)
-                for k0 in range(0, nsub, _CHUNK):
-                    F = _trig_inputs(rhs, t_prev, h, k0, min(_CHUNK, nsub - k0))
-                    y = _rk4_affine_steps(coeffs, y, F, h)[-1]
-            _check_state(y, cfg.bound, t)
-            out[i] = y
-            t_prev = t
-    else:
-        stepper = _Dopri5(rhs, 0.0, u, cfg)
-        for i, t in enumerate(times):
-            out[i] = stepper.advance_to(t)
+    y = u
+    t_prev = 0.0
+    for i, t in enumerate(times):
+        span = t - t_prev
+        if span > 0:
+            nsub = max(1, math.ceil(span / cfg.dt - 1e-12))
+            h = span / nsub
+            coeffs = _rk4_coeffs(rhs.A, h)
+            for k0 in range(0, nsub, _CHUNK):
+                F = _trig_inputs(rhs, t_prev, h, k0, min(_CHUNK, nsub - k0))
+                y = _rk4_affine_steps(coeffs, y, F, h)[-1]
+        _check_records(y[None], (t,), cfg.bound)
+        out[i] = y
+        t_prev = t
     return out
 
 

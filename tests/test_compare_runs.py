@@ -1,0 +1,69 @@
+import importlib.util
+import json
+import shutil
+from pathlib import Path
+
+import pytest
+
+_SPEC = importlib.util.spec_from_file_location(
+    "compare_runs", Path(__file__).resolve().parents[1] / "scripts" / "compare_runs.py")
+compare_runs = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(compare_runs)
+
+
+def _manifest(wall=1.25, closed=0.5, oracle=2.0, detail="ok"):
+    return {
+        "scenario": "tiny",
+        "wall_clock_s": wall,
+        "summary": {
+            "closed_form_runtime": {"status": "pass", "value": closed, "detail": "< 5 s"},
+            "parabolic_oracle_runtime": {"status": "pass", "value": oracle,
+                                         "detail": "< 10 s"},
+            "quasimonotone": {"status": "pass", "value": None, "detail": detail},
+        },
+        "files": ["report.json", "trajectory.csv"],
+    }
+
+
+def _tree(root: Path, **manifest) -> Path:
+    run = root / "tiny"
+    run.mkdir(parents=True)
+    (run / "manifest.json").write_text(json.dumps(_manifest(**manifest), indent=2))
+    (run / "report.json").write_text(json.dumps({"value": 0.1}))
+    (run / "trajectory.csv").write_text("t,x1\n0,1.5\n0.1,1.25\n")
+    return root
+
+
+def test_equal_trees(tmp_path, capsys):
+    a, b = _tree(tmp_path / "a"), _tree(tmp_path / "b")
+    assert compare_runs.main([str(a), str(b)]) == 0
+    assert "identical: 3 files" in capsys.readouterr().out
+
+
+def test_runtimes_are_ignored(tmp_path):
+    a = _tree(tmp_path / "a")
+    b = _tree(tmp_path / "b", wall=9.5, closed=0.75, oracle=3.5)
+    assert compare_runs.main([str(a), str(b)]) == 0
+
+
+def test_manifest_detail_differs(tmp_path, capsys):
+    a, b = _tree(tmp_path / "a"), _tree(tmp_path / "b", detail="changed")
+    assert compare_runs.main([str(a), str(b)]) == 1
+    assert "tiny/manifest.json" in capsys.readouterr().out
+
+
+def test_one_csv_byte_differs(tmp_path, capsys):
+    a, b = _tree(tmp_path / "a"), _tree(tmp_path / "b")
+    csv = b / "tiny" / "trajectory.csv"
+    csv.write_bytes(csv.read_bytes().replace(b"1.25", b"1.35"))
+    assert compare_runs.main([str(a), str(b)]) == 1
+    out = capsys.readouterr().out
+    assert "tiny/trajectory.csv" in out and "line 3" in out
+
+
+@pytest.mark.parametrize("extra_in", ["a", "b"])
+def test_file_in_one_tree_only(tmp_path, capsys, extra_in):
+    a, b = _tree(tmp_path / "a"), _tree(tmp_path / "b")
+    shutil.copy(a / "tiny" / "report.json", tmp_path / extra_in / "tiny" / "extra.json")
+    assert compare_runs.main([str(a), str(b)]) == 1
+    assert "tiny/extra.json: only in" in capsys.readouterr().out

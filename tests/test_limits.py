@@ -3,9 +3,11 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from poisson_lab.errors import InsufficientReturns, NotCauchy
 from poisson_lab.limits import (
+    _probe_directions,
     comparison_battery,
     contraction_check,
     convergence_check,
@@ -150,6 +152,59 @@ def test_stability_expansion():
     table = uniform_stability_estimate(sys, [0.0], [0.1], probes=8, horizon=10.0)
     eps, dh = table[0]
     assert dh == pytest.approx(eps * math.exp(-10.0), rel=0.05)
+
+
+@pytest.mark.parametrize("eps_list", [[-0.1, 0.0, 0.1], [0.0], [0.2, -1e-9]])
+def test_stability_rejects_nonpositive_epsilon(eps_list):
+    with pytest.raises(ValueError):
+        uniform_stability_estimate(ode([[-1.0]], [[]]), [0.0], eps_list, probes=8,
+                                   horizon=5.0)
+
+
+@st.composite
+def hurwitz_systems(draw):
+    """A scalar or a non-normal cooperative 2x2 Hurwitz system, an anchor and
+    an eps list."""
+    triple = st.tuples(st.floats(-1.0, 1.0), st.floats(0.1, 3.0), st.floats(0.0, 2 * math.pi))
+    if draw(st.booleans()):
+        A, dim = [[draw(st.floats(-3.0, -0.05))]], 1
+    else:
+        a, d = draw(st.floats(0.1, 3.0)), draw(st.floats(0.1, 3.0))
+        b = draw(st.floats(0.0, 6.0))
+        # b c < a d keeps det > 0; with trace < 0 the matrix is Hurwitz.
+        c = draw(st.floats(0.0, 0.95)) * (min(6.0, a * d / b) if b > 0 else 6.0)
+        A, dim = [[-a, b], [c, -d]], 2
+    forcing = [draw(st.lists(triple, max_size=2)) for _ in range(dim)]
+    anchor = [draw(st.floats(-2.0, 2.0)) for _ in range(dim)]
+    eps_list = draw(st.lists(st.floats(1e-3, 1.0), min_size=1, max_size=3))
+    return ode(A, forcing, dim), anchor, eps_list
+
+
+def _probe_deviation(sys, anchor, radius, probes, horizon, seed):
+    """Brute force: the largest deviation from the anchor trajectory of the
+    probes started ``radius`` away, each integrated on its own."""
+    cfg = IntegratorConfig(method="rk4_fixed", dt=1e-2, t_end=horizon,
+                           record_dt=max(1e-2, horizon / 1000))
+    dirs = _probe_directions(sys.dim, probes, np.random.default_rng(seed))
+    anchor = np.asarray(anchor, dtype=float)
+    ref = integrate_ode(sys, anchor, cfg).samples
+    return max(float(np.abs(integrate_ode(sys, anchor + radius * dirs[:, p], cfg).samples
+                            - ref).max()) for p in range(probes))
+
+
+@settings(max_examples=40)
+@given(case=hurwitz_systems(), horizon=st.floats(1.0, 8.0), seed=st.integers(0, 5))
+@example(case=(ode([[-1.0, 5.0], [0.01, -1.0]], [[], []], dim=2), [0.5, -0.5], [0.1]),
+         horizon=6.0, seed=0)
+def test_stability_modulus_matches_brute_force(case, horizon, seed):
+    sys, anchor, eps_list = case
+    table = uniform_stability_estimate(sys, anchor, eps_list, probes=8, horizon=horizon,
+                                       seed=seed)
+    assert [e for e, _ in table] == sorted(eps_list)
+    for eps, dh in table:
+        assert 0.0 < dh <= eps
+        assert _probe_deviation(sys, anchor, 0.999 * dh, 8, horizon, seed) < eps
+        assert _probe_deviation(sys, anchor, 1.001 * dh, 8, horizon, seed) >= eps
 
 
 # ---------------------------------------------------------------------------

@@ -665,10 +665,13 @@ def qm_reference(sys, box, t_probe, h):
     pytest.param(build_ode_rhs, {"A": [[-1.0, 0.0], [0.0, -1.0]]}, id="ode-A-larger-than-dim"),
     pytest.param(build_ode_rhs, {"A": [[-1.0]], "forcing": [[], []]},
                  id="ode-forcing-longer-than-dim"),
+    pytest.param(build_reaction, {"nu": [0.1, 0.3], "decay": [1.0, 1.0],
+                                  "source_amp": [0.0, 0.0]}, id="reaction-species-count"),
 ])
 def test_affine_builders_reject_malformed_params(build, params):
-    kind, rhs = (("dde_single_delay", "delay-linear") if build is build_dde_rhs
-                 else ("scalar_ode", "linear+trig"))
+    kind, rhs = {build_dde_rhs: ("dde_single_delay", "delay-linear"),
+                 build_ode_rhs: ("scalar_ode", "linear+trig"),
+                 build_reaction: ("parabolic_1d", "rd-scalar")}[build]
     with pytest.raises(ConfigInvalid):
         build(SystemSpec(kind, 1, rhs, params))
 
