@@ -441,8 +441,16 @@ def quasi_periodic_fit(f: Signal, max_freqs: int, w: Window) -> QuasiPeriodicFit
     if not freqs:
         return QuasiPeriodicFit((), (), 1.0)
 
-    def sq_residual(fs) -> float:
-        M = _design_matrix(ts, fs)
+    # The design matrix is built once; a search over one frequency rewrites
+    # only that frequency's two columns, and leaves them at its result.
+    M = _design_matrix(ts, freqs)
+
+    def set_freq(idx: int, nu: float) -> None:
+        M[:, 1 + 2 * idx] = np.cos(nu * ts)
+        M[:, 2 + 2 * idx] = np.sin(nu * ts)
+
+    def obj(nu: float, idx: int) -> float:
+        set_freq(idx, nu)
         coef, *_ = np.linalg.lstsq(M, comp, rcond=None)
         r = comp - M @ coef
         return float(r @ r)
@@ -450,16 +458,12 @@ def quasi_periodic_fit(f: Signal, max_freqs: int, w: Window) -> QuasiPeriodicFit
     bin_w = 2.0 * math.pi / (comp.size * f.dt)
     for _ in range(2):
         for idx in range(len(freqs)):
-            def obj(nu, idx=idx):
-                trial = list(freqs)
-                trial[idx] = nu
-                return sq_residual(trial)
-
             lo = max(freqs[idx] - 0.6 * bin_w, 0.25 * bin_w)
-            nu_best, _ = _golden_min(obj, lo, freqs[idx] + 0.6 * bin_w, 28)
+            nu_best, _ = _golden_min(lambda nu: obj(nu, idx), lo,
+                                     freqs[idx] + 0.6 * bin_w, 28)
             freqs[idx] = nu_best
+            set_freq(idx, nu_best)
 
-    M = _design_matrix(ts, freqs)
     coef, *_ = np.linalg.lstsq(M, comp, rcond=None)
     resid = float(np.abs(comp - M @ coef).max()) / scale
     amps = []
@@ -575,8 +579,16 @@ def comparability_profile(x: Signal, y: Signal, epsilon_list, tau_grid: TauGrid,
     for it.
     """
     taus = tau_grid.values()
-    Dx = discrepancy_profile(x, taus, w)
-    Dy = discrepancy_profile(y, taus, w)
+    return _comparability(discrepancy_profile(x, taus, w),
+                          discrepancy_profile(y, taus, w),
+                          epsilon_list, tau_grid, w, refute_frac)
+
+
+def _comparability(Dx, Dy, epsilon_list, tau_grid: TauGrid, w: Window,
+                   refute_frac: float) -> ComparabilityProfile:
+    """``comparability_profile`` from the two discrepancy profiles on the
+    grid's taus."""
+    taus = tau_grid.values()
     eps = sorted({float(e) for e in epsilon_list}, reverse=True)
     pairs = []
     worst = None
@@ -717,7 +729,7 @@ def classify(f: Signal, base: Signal | None = None,
     comparability = None
     transfer = None
     if base is not None:
-        comparability, transfer, extra_notes = _compare_with_base(f, base, cfg)
+        comparability, transfer, extra_notes = _compare_with_base(base, cfg, D)
         notes.extend(extra_notes)
 
     return RecurrenceReport(classes, comparability, transfer, tuple(notes))
@@ -749,11 +761,14 @@ def _find_period(f, taus, D, w, scale):
     return float(tau_ref), float(d_ref)
 
 
-def _compare_with_base(f, base, cfg):
+def _compare_with_base(base, cfg, D):
+    """Comparability of the trajectory, whose discrepancy profile on the
+    config's grid and window is D, with the base, and the classes it transfers."""
     notes = []
     eps_list = sorted(set(cfg.bohr_epsilons), reverse=True)
-    profile = comparability_profile(f, base, eps_list, cfg.tau_grid, cfg.window,
-                                    cfg.refute_frac)
+    Dy = discrepancy_profile(base, cfg.tau_grid.values(), cfg.window)
+    profile = _comparability(D, Dy, eps_list, cfg.tau_grid, cfg.window,
+                             cfg.refute_frac)
 
     transfer = {"verdict": profile.verdict, "claims": [],
                 "relative_to": "supplied base"}

@@ -234,14 +234,33 @@ def _shifted(f: Signal, i0: int, ts: np.ndarray, tau: float) -> np.ndarray:
     A tau that is a grid multiple is an exact sample slice (no interpolation
     error); any other tau goes through the interpolant.
     """
-    k = tau / f.dt
-    k_round = round(k)
-    if abs(k - k_round) <= _GRID_RTOL * max(1.0, abs(k)):
-        j0 = i0 + k_round
-        if j0 < 0 or j0 + ts.size > len(f):
-            raise WindowOutOfDomain("shifted window leaves sample range")
-        return f.samples[j0 : j0 + ts.size]
+    j0, aligned = _grid_starts(f, i0, ts.size, np.array([tau]))
+    if aligned[0]:
+        return f.samples[j0[0] : j0[0] + ts.size]
     return f.values(ts + tau)
+
+
+def _grid_starts(f: Signal, i0: int, m: int, taus: np.ndarray):
+    """For the m-sample window at index i0 shifted by each tau: the sample
+    index where the shifted window starts, and whether tau is a grid
+    multiple (only then is the start index meaningful)."""
+    k = taus / f.dt
+    k_round = np.round(k)
+    aligned = np.abs(k - k_round) <= _GRID_RTOL * np.maximum(1.0, np.abs(k))
+    j0 = i0 + k_round.astype(np.intp)
+    if aligned.any() and (j0[aligned].min() < 0 or j0[aligned].max() + m > len(f)):
+        raise WindowOutOfDomain("shifted window leaves sample range")
+    return j0, aligned
+
+
+def _require_shifts_inside(f: Signal, w: Window, taus: np.ndarray) -> None:
+    """``w.shifted(tau).require_inside(f, "shifted window")`` for every tau at
+    once, raising for the first tau in array order that fails it."""
+    slack = _GRID_RTOL * max(1.0, abs(f.dt))
+    centers = w.center + taus
+    ok = (centers - w.half_width >= f.t0 - slack) & (centers + w.half_width <= f.t_end + slack)
+    if not ok.all():
+        w.shifted(float(taus[np.argmin(ok)])).require_inside(f, "shifted window")
 
 
 # ---------------------------------------------------------------------------
@@ -290,13 +309,24 @@ def discrepancy_profile(f: Signal, taus: np.ndarray, w: Window) -> np.ndarray:
     """
     taus = np.asarray(taus, dtype=float)
     i0, i1 = f.window_slice(w)
+    _require_shifts_inside(f, w, taus)
     base = f.samples[i0 : i1 + 1]
     ts = f.t0 + f.dt * np.arange(i0, i1 + 1)
-    out = np.empty(taus.size)
-    for a, tau in enumerate(taus):
-        w.shifted(tau).require_inside(f, "shifted window")
-        out[a] = 0.0 if tau == 0.0 else np.abs(_shifted(f, i0, ts, tau) - base).max()
+    j0, aligned = _grid_starts(f, i0, ts.size, taus)
+    buf = np.empty_like(base)
+    out = np.zeros(taus.size)
+    for a, (tau, j, exact) in enumerate(zip(taus.tolist(), j0.tolist(), aligned.tolist())):
+        if tau != 0.0:
+            np.subtract(f.samples[j : j + ts.size] if exact else f.values(ts + tau),
+                        base, out=buf)
+            out[a] = np.abs(buf, out=buf).max()
     return out
+
+
+# Sample values (taus x prefix points x components) gathered at once by
+# ``bebutov_profile``, and the number of metric levels its first prefix covers.
+_BEBUTOV_BLOCK = 1 << 16
+_BEBUTOV_LEVELS0 = 64
 
 
 def bebutov_profile(f: Signal, taus: np.ndarray, w: Window) -> np.ndarray:
@@ -304,16 +334,53 @@ def bebutov_profile(f: Signal, taus: np.ndarray, w: Window) -> np.ndarray:
 
     Uses l_max = the window half-width, per the distinction between uniform
     almost periods (sup metric) and point shifts (this metric).
+
+    Equal, bit for bit, to ``_bebutov`` of each translate's gaps over the whole
+    window, but reads only a prefix of the distance-sorted window points.
+    The running max M(l) of the gaps never decreases and 1/l always
+    decreases, so past the first level l* with M(l*) >= 1/l* every term
+    min(M(l), 1/l) is 1/l < 1/l*.  The sup is therefore the max over the
+    levels l <= l*, which need the gaps at the first ``last[l*] + 1`` points
+    only; with no crossing it is the max over every level.  The prefix starts
+    at 64 levels and grows fourfold for the taus whose crossing lies beyond
+    it, until it holds every level.  Each gap is the same elementwise
+    arithmetic as in the whole-window gaps (the interpolant too is evaluated
+    pointwise), and the max picks the same float out of fewer candidates.
     """
     taus = np.asarray(taus, dtype=float)
     i0, i1 = f.window_slice(w)
+    _require_shifts_inside(f, w, taus)
     base = f.samples[i0 : i1 + 1]
     ts = f.t0 + f.dt * np.arange(i0, i1 + 1)
-    geom = _bebutov_geometry(ts, w.center, f.dt, w.half_width)
+    order, last, inv_l = _bebutov_geometry(ts, w.center, f.dt, w.half_width)
+    if last.size == 0:
+        raise WindowOutOfDomain("window half-width smaller than one grid step")
+    j0, aligned = _grid_starts(f, i0, ts.size, taus)
     out = np.empty(taus.size)
-    for a, tau in enumerate(taus):
-        w.shifted(tau).require_inside(f, "shifted window")
-        out[a] = _bebutov(np.abs(_shifted(f, i0, ts, tau) - base).max(axis=1), geom)
+    todo = np.arange(taus.size)
+    levels = _BEBUTOV_LEVELS0
+    while todo.size:
+        levels = min(levels, last.size)
+        pts = order[: last[levels - 1] + 1]
+        base_p, ts_p = base[pts], ts[pts]
+        block = max(1, _BEBUTOV_BLOCK // (pts.size * f.dim))
+        left = []
+        for s in range(0, todo.size, block):
+            idx = todo[s : s + block]
+            ex = aligned[idx]
+            # Rows of off-grid taus start as the unshifted window, then are
+            # overwritten by the interpolant.
+            shifted = f.samples[np.where(ex, j0[idx], i0)[:, None] + pts]
+            if not ex.all():
+                off = (ts_p + taus[idx[~ex], None]).ravel()
+                shifted[~ex] = f.values(off).reshape(-1, pts.size, f.dim)
+            np.subtract(shifted, base_p, out=shifted)
+            gaps = np.abs(shifted, out=shifted).max(axis=2)
+            run = np.maximum.accumulate(gaps, axis=1)[:, last[:levels]]
+            out[idx] = np.minimum(run, inv_l[:levels]).max(axis=1)
+            left.append(idx[run[:, -1] < inv_l[levels - 1]])
+        todo = np.concatenate(left) if levels < last.size else todo[:0]
+        levels *= 4
     return out
 
 

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from poisson_lab.errors import (
     DimensionMismatch,
@@ -13,6 +13,9 @@ from poisson_lab.errors import (
 from poisson_lab.signals import (
     Signal,
     Window,
+    _bebutov,
+    _bebutov_geometry,
+    _shifted,
     bebutov_distance,
     bebutov_profile,
     discrepancy_profile,
@@ -259,6 +262,85 @@ def test_profiles_match_references(vals, steps):
                           [shift_discrepancy(f, tau, w) for tau in taus])
     direct = [bebutov_direct(f, shift(f, tau), w) for tau in taus]
     assert np.allclose(bebutov_profile(f, taus, w), direct, rtol=0.0, atol=1e-12)
+
+
+def almost_periodic_signal(seed, period, levels, cross):
+    """A random sequence of ``period`` samples, tiled, plus a(t - c)^2.
+
+    Returns the signal, a window of ``levels`` metric levels centered at c,
+    and tau = period * dt.  The shift by tau has gaps a tau |2 (t - c) + tau|,
+    so its running max M(l) = a tau (2 l + tau) first reaches 1/l at level
+    ``cross`` (beyond the window: no crossing); ``cross=None`` sets a = 0,
+    which makes tau an exact period with zero gaps.
+    """
+    dt = 0.1
+    margin = 3 * period + 2
+    n = 2 * (levels + margin) + 1
+    t = dt * np.arange(n)
+    c = dt * (levels + margin)
+    tau = dt * period
+    a = 0.0
+    if cross is not None:
+        ell = dt * cross
+        a = (1.0 + 1e-6) / (ell * tau * (2.0 * ell + tau))
+    tile = np.random.default_rng(seed).uniform(-1.0, 1.0, period)
+    vals = np.resize(tile, n) + a * (t - c) ** 2
+    return Signal(0.0, dt, vals), Window(c, dt * levels), tau
+
+
+def bebutov_per_tau(f, taus, w):
+    """Reference: for each tau, the gaps over the whole window, then
+    ``_bebutov``."""
+    i0, i1 = f.window_slice(w)
+    ts = f.t0 + f.dt * np.arange(i0, i1 + 1)
+    geom = _bebutov_geometry(ts, w.center, f.dt, w.half_width)
+    base = f.samples[i0 : i1 + 1]
+    return [_bebutov(np.abs(_shifted(f, i0, ts, tau) - base).max(axis=1), geom)
+            for tau in taus]
+
+
+@given(st.integers(min_value=0, max_value=2**32 - 1),
+       st.integers(min_value=3, max_value=30),
+       st.integers(min_value=300, max_value=420),
+       st.one_of(st.none(), st.integers(min_value=1, max_value=500)),
+       st.lists(shift_steps, max_size=4))
+# Crossing on the last level of the first and second prefix, just after
+# each, beyond the window, and an exact period.
+@example(11, 7, 300, 64, [])
+@example(12, 9, 301, 65, [(-3, 0.4)])
+@example(13, 5, 333, 256, [])
+@example(14, 17, 400, 257, [(8, 0.0)])
+@example(15, 4, 320, 499, [])
+@example(16, 6, 310, None, [(2, 0.5)])
+def test_bebutov_profile_is_the_per_tau_reference(seed, period, levels, cross, steps):
+    f, w, tau = almost_periodic_signal(seed, period, levels, cross)
+    # Near-period shifts on both sides, tau = 0, off-grid shifts near the
+    # period and plain grid or off-grid shifts, in a shuffled order.
+    taus = [tau, -tau, 0.0, tau + 0.37 * f.dt, -tau - 0.81 * f.dt]
+    taus += [f.dt * (k + frac) for k, frac in steps]
+    taus = np.random.default_rng(seed).permutation(taus)
+    assert np.array_equal(bebutov_profile(f, taus, w), bebutov_per_tau(f, taus, w))
+
+
+@pytest.mark.parametrize("profile", [discrepancy_profile, bebutov_profile])
+@pytest.mark.parametrize("bad_tau", [-12.0, 12.0])
+def test_profiles_reject_a_window_shifted_out_like_the_per_tau_loop(profile, bad_tau):
+    f = sample_function(np.sin, 0.0, 50.0, 0.1)
+    w = Window(25.0, 14.0)
+    taus = np.array([3.0, bad_tau, -5.0, 1.5 * bad_tau, 7.0])
+    with pytest.raises(WindowOutOfDomain) as per_tau:
+        for t in taus:
+            w.shifted(t).require_inside(f, "shifted window")
+    with pytest.raises(WindowOutOfDomain, match="^shifted window") as batched:
+        profile(f, taus, w)
+    assert str(batched.value) == str(per_tau.value)
+
+
+def test_bebutov_profile_rejects_a_window_below_one_level():
+    # Two grid points, but a half-width under dt leaves no metric level.
+    f = sample_function(np.sin, 0.0, 40.0, 0.1)
+    with pytest.raises(WindowOutOfDomain, match="smaller than one grid step"):
+        bebutov_profile(f, np.array([0.0, 1.0]), Window(10.05, 0.06))
 
 
 def test_window_monotonicity_of_discrepancy(sine):
