@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -76,10 +77,15 @@ def _analysis_config(f, path):
         for key in ("bohr_epsilons", "poisson_schedule"):
             if key in raw:
                 kwargs[key] = tuple(raw[key])
+                if not all(type(e) in (int, float) and 0 < e < math.inf
+                           for e in kwargs[key]):
+                    raise ValueError(f"{key} entries must be finite numbers > 0")
         for key in ("stationary_tol", "quasi_residual_tol", "poisson_separation",
                     "refute_frac", "periodic_verify_rel"):
             if key in raw:
                 kwargs[key] = float(raw[key])
+        if not 0 <= kwargs.get("poisson_separation", 0.0) < math.inf:
+            raise ValueError("poisson_separation must be finite and >= 0")
     except (ValueError, TypeError) as exc:
         raise ConfigInvalid(f"bad analysis config {path}: {exc}") from exc
     return replace(default_classify_config(f), **kwargs)

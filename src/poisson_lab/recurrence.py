@@ -35,6 +35,10 @@ _INF = float("inf")
 _PERIODIC_DETECT_FRAC = 0.25
 _PERIODIC_VERIFY_ABS = 1e-6
 _QUASI_MAX_FREQS = 4
+# Sizes, counted in values (shifts x components), of one block of the return
+# search's probe bound and of its largest batch of probe refinements.
+_BLOCK_VALUES = 1 << 15
+_BATCH_VALUES = 1 << 14
 
 
 # ---------------------------------------------------------------------------
@@ -286,21 +290,26 @@ def poisson_returns(f: Signal, epsilon_schedule, w: Window, *,
                     tau_max: float | None = None) -> ReturnSequence:
     """Greedy search for returns t_1 < t_2 < ... with D(t_n) < epsilon_n.
 
-    The scan walks the grid with a cheap probe bound (a max over 64 evenly
-    spread window points, which never exceeds the full discrepancy), refines
-    candidate clusters by golden section, and certifies each accepted return
-    against the full windowed discrepancy.  An empty result is legal: it
-    reports that no returns were found at the requested scales.
+    A probe bound (a max over 64 evenly spread window points, which never
+    exceeds the full discrepancy) is built on the shift grid in cache-sized
+    blocks.  At each epsilon its below-margin runs are the candidate clusters,
+    golden-refined in batches that grow x4 from one; in order, the first whose
+    refinement certifies against the full windowed discrepancy is the return.
+    An empty result is legal: no returns were found at the requested scales.
     """
     sched = [float(e) for e in epsilon_schedule]
+    if not (math.isfinite(separation) and separation >= 0):
+        raise ValueError("separation must be finite and nonnegative")
+    if tau_max is not None and not math.isfinite(tau_max):
+        raise ValueError("tau_max must be finite")
     if not sched:
         return ReturnSequence((), (), ())
-    if any(e <= 0 for e in sched) or any(b > a + 1e-15 for a, b in zip(sched, sched[1:])):
+    if not all(e > 0 for e in sched) or any(b > a + 1e-15 for a, b in zip(sched, sched[1:])):
         raise ValueError("epsilon schedule must be positive and non-increasing")
     w.require_inside(f)
     i0, i1 = f.window_slice(w)
     m = i1 - i0 + 1
-    n = len(f)
+    n, dim = len(f), f.dim
     dt = f.dt
     # Largest aligned shift that keeps the translated window in range.
     j_hi = n - 1 - i1
@@ -311,21 +320,30 @@ def poisson_returns(f: Signal, epsilon_schedule, w: Window, *,
 
     S = f.samples
     probe_rel = np.unique(np.linspace(0, m - 1, min(64, m)).round().astype(int))
-    D_probe = np.zeros(j_hi + 1)
-    for p in probe_rel:
-        col = np.abs(S[i0 + p : i0 + p + j_hi + 1] - S[i0 + p]).max(axis=1)
-        np.maximum(D_probe, col, out=D_probe)
+    # max is exact, so reducing block by block over the probes gives the same
+    # bound as whole-signal passes, with the working set in cache.
+    D_probe = np.empty(j_hi + 1)
+    rows = max(1, _BLOCK_VALUES // dim)
+    acc, buf = np.empty((rows, dim)), np.empty((rows, dim))
+    for b0 in range(0, j_hi + 1, rows):
+        a, d = acc[: j_hi + 1 - b0], buf[: j_hi + 1 - b0]
+        a.fill(0.0)
+        for p in (i0 + b0 + probe_rel).tolist():
+            np.abs(np.subtract(S[p : p + len(d)], S[p - b0], out=d), out=d)
+            np.maximum(a, d, out=a)
+        a.max(axis=1, out=D_probe[b0 : b0 + len(a)])
 
     ts_w = f.t0 + dt * np.arange(i0, i1 + 1)
     base = S[i0 : i1 + 1]
-    probe_ts = ts_w[probe_rel]
-    probe_base = base[probe_rel]
 
-    def d_probe_cont(tau: float) -> float:
-        return float(np.abs(f.values(probe_ts + tau) - probe_base).max())
+    def gap(ts, ref):
+        # tau -> sup |f(ts + tau) - ref|, for an array of tau at once.
+        def fn(taus):
+            v = f.values((taus[:, None] + ts).ravel()).reshape(taus.size, ts.size, dim)
+            return np.abs(v - ref).max(axis=(1, 2))
+        return fn
 
-    def d_full(tau: float) -> float:
-        return float(np.abs(f.values(ts_w + tau) - base).max())
+    d_probe, d_full = gap(ts_w[probe_rel], base[probe_rel]), gap(ts_w, base)
 
     # Local slope bound: discrepancy varies no faster than twice the signal.
     # It is capped at the window spread so fast (or aliased) oscillation does
@@ -338,34 +356,31 @@ def poisson_returns(f: Signal, epsilon_schedule, w: Window, *,
     times, discs, eps_used = [], [], []
     t_prev = 0.0
     tau_cap = j_hi * dt
+    batch_cap = max(1, _BATCH_VALUES // (probe_rel.size * dim))
     for eps in sched:
         found = None
-        j = max(1, int(math.ceil((t_prev + separation) / dt - 1e-9)))
-        margin = eps + lip_dt
-        tries = 0
-        while j <= j_hi and tries < 200_000:
-            j = _next_hit(D_probe, j, margin, below=True)
-            if j < 0:
-                break
-            # The below-margin run is one candidate cluster; refine around
-            # its sampled bottom, then certify on the full window.
-            je = _next_hit(D_probe, j + 1, margin, below=False)
-            if je < 0:
-                je = j_hi + 1
-            jb = j + int(np.argmin(D_probe[j:je]))
-            tau_c = jb * dt
-            lo = max(tau_c - 2 * dt, t_prev + separation)
-            hi = min(tau_c + 2 * dt, tau_cap)
-            if hi > lo + 1e-12:
-                tau_p, dp = _golden_min(d_probe_cont, lo, hi, 24)
-                if dp < eps:
-                    tau_f, df = _golden_min(
-                        d_full, max(lo, tau_p - dt), min(hi, tau_p + dt), 40)
-                    if df < eps and tau_f > t_prev + separation * (1 - 1e-9):
-                        found = (tau_f, df)
-                        break
-            j = je + 1
-            tries += 1
+        # Candidates: the first 200_000 below-margin runs from j0 (clamped, so
+        # a vast separation finds none); a run reaching j_hi ends at j_hi + 1.
+        j0 = max(1, math.ceil(min((t_prev + separation) / dt - 1e-9, j_hi + 1)))
+        below = np.concatenate(([False], D_probe[j0:] < eps + lip_dt, [False]))
+        edges = j0 + np.flatnonzero(below[1:] != below[:-1])[:400_000]
+        k, size = 0, 1
+        while found is None and 2 * k < edges.size:
+            runs = edges[2 * k : 2 * (k + size)].reshape(-1, 2)
+            k, size = k + size, min(4 * size, batch_cap)
+            # Refine around each run's sampled bottom.
+            tau_c = np.array([j + np.argmin(D_probe[j:je]) for j, je in runs]) * dt
+            lo = np.maximum(tau_c - 2 * dt, t_prev + separation)
+            hi = np.minimum(tau_c + 2 * dt, tau_cap)
+            keep = hi > lo + 1e-12
+            lo, hi = lo[keep], hi[keep]
+            tau_p, dp = _golden_min(d_probe, lo, hi, 24)
+            for c in np.flatnonzero(dp < eps).tolist():
+                lo_f, hi_f = max(lo[c], tau_p[c] - dt), min(hi[c], tau_p[c] + dt)
+                tau_f, df = _golden_min(d_full, lo_f, hi_f, 40)
+                if df[0] < eps and tau_f[0] > t_prev + separation * (1 - 1e-9):
+                    found = (float(tau_f[0]), float(df[0]))
+                    break
         if found is None:
             break
         times.append(found[0])
@@ -375,38 +390,31 @@ def poisson_returns(f: Signal, epsilon_schedule, w: Window, *,
     return ReturnSequence(tuple(times), tuple(discs), tuple(eps_used))
 
 
-def _next_hit(arr: np.ndarray, start: int, thresh: float, below: bool) -> int:
-    """First index >= start with arr < thresh (below) or arr >= thresh; -1 if none."""
-    chunk = 1 << 16
-    for i in range(start, arr.size, chunk):
-        seg = arr[i : i + chunk]
-        hits = np.flatnonzero(seg < thresh if below else seg >= thresh)
-        if hits.size:
-            return i + int(hits[0])
-    return -1
-
-
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-def _golden_min(fn, a: float, b: float, iters: int) -> tuple[float, float]:
-    """Golden-section minimum of a scalar function on [a, b]."""
-    if b <= a:
-        x = a
-        return x, fn(x)
+def _golden_min(fn, a, b, iters: int) -> tuple[np.ndarray, np.ndarray]:
+    """Golden-section minima on the brackets [a_k, b_k], all at once.
+
+    ``fn`` maps an array of abscissae, one per bracket, to their values.  Each
+    bracket follows the scalar recurrence, ties included (f1 <= f2 keeps the
+    left point); a bracket with b <= a returns a.  Returns the minimizers and
+    the minima as arrays.
+    """
+    a = np.atleast_1d(np.asarray(a, dtype=float))
+    b = np.maximum(a, b)
     x1 = b - _GOLDEN * (b - a)
     x2 = a + _GOLDEN * (b - a)
     f1, f2 = fn(x1), fn(x2)
     for _ in range(iters):
-        if f1 <= f2:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - _GOLDEN * (b - a)
-            f1 = fn(x1)
-        else:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + _GOLDEN * (b - a)
-            f2 = fn(x2)
-    return (x1, f1) if f1 <= f2 else (x2, f2)
+        left = f1 <= f2
+        a, b = np.where(left, a, x1), np.where(left, x2, b)
+        x = np.where(left, b - _GOLDEN * (b - a), a + _GOLDEN * (b - a))
+        fx = fn(x)
+        x1, x2 = np.where(left, x, x2), np.where(left, x1, x)
+        f1, f2 = np.where(left, fx, f2), np.where(left, f1, fx)
+    left = f1 <= f2
+    return np.where(left, x1, x2), np.where(left, f1, f2)
 
 
 # ---------------------------------------------------------------------------
@@ -459,9 +467,9 @@ def quasi_periodic_fit(f: Signal, max_freqs: int, w: Window) -> QuasiPeriodicFit
     for _ in range(2):
         for idx in range(len(freqs)):
             lo = max(freqs[idx] - 0.6 * bin_w, 0.25 * bin_w)
-            nu_best, _ = _golden_min(lambda nu: obj(nu, idx), lo,
-                                     freqs[idx] + 0.6 * bin_w, 28)
-            freqs[idx] = nu_best
+            nu, _ = _golden_min(lambda xs: np.array([obj(x, idx) for x in xs.tolist()]),
+                                lo, freqs[idx] + 0.6 * bin_w, 28)
+            nu_best = freqs[idx] = float(nu[0])
             set_freq(idx, nu_best)
 
     coef, *_ = np.linalg.lstsq(M, comp, rcond=None)
@@ -752,13 +760,13 @@ def _find_period(f, taus, D, w, scale):
     while k + 1 < n and D[k + 1] <= D[k]:
         k += 1
 
-    def d_local(tau):
-        return shift_discrepancy(f, tau, w)
+    def d_local(taus):
+        return np.array([shift_discrepancy(f, tau, w) for tau in taus.tolist()])
 
     lo = max(taus[0], taus[k] - step)
     hi = min(taus[-1], taus[k] + step)
     tau_ref, d_ref = _golden_min(d_local, lo, hi, 50)
-    return float(tau_ref), float(d_ref)
+    return float(tau_ref[0]), float(d_ref[0])
 
 
 def _compare_with_base(base, cfg, D):

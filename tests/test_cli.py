@@ -184,11 +184,31 @@ def test_run_aborted_stage_still_writes_manifest(tmp_path, capsys):
     {"tau_grid": [0.0, -1.0, 0.1]},
     {"stationary_tol": "tiny"},
     {"bohr_epsilons": 0.5},
+    {"poisson_separation": float("nan")},
+    {"poisson_separation": float("inf")},
+    {"poisson_separation": -5.0},
+    {"poisson_schedule": ["a"]},
+    {"poisson_schedule": [-0.1]},
+    {"poisson_schedule": [0.0]},
+    {"poisson_schedule": [float("nan")]},
+    {"poisson_schedule": [0.2, float("inf")]},
+    {"poisson_schedule": [True]},
+    {"bohr_epsilons": [float("nan")]},
+    {"bohr_epsilons": [0.5, -0.2]},
 ])
 def test_classify_bad_analysis_config_exit_2(sine_csv, tmp_path, capsys, analysis):
     cfg = tmp_path / "analysis.json"
     cfg.write_text(json.dumps(analysis))
     assert main(["classify", str(sine_csv), "--config", str(cfg)]) == 2
+    assert len(capsys.readouterr().err.strip().splitlines()) == 1
+
+
+def test_classify_separation_past_the_signal_finds_no_return(sine_csv, tmp_path, capsys):
+    cfg = tmp_path / "analysis.json"
+    cfg.write_text(json.dumps({"poisson_separation": 1e308}))
+    assert main(["classify", str(sine_csv), "--config", str(cfg)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["classes"]["poisson"]["witness"]["found"] == []
 
 
 def test_run_unknown_rhs_exit_2_without_manifest(tmp_path, capsys):

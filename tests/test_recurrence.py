@@ -1,9 +1,13 @@
 import math
+from unittest.mock import patch
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
+from poisson_lab import recurrence
 from poisson_lab.recurrence import (
+    _golden_min,
     ClassifyConfig,
     ReturnSequence,
     TauGrid,
@@ -123,9 +127,6 @@ def test_bohr_shifts_subset_of_bebutov_shifts(h_sig):
     assert np.all(d_beb <= d_sup + 1e-12)
 
 
-from hypothesis import given, strategies as st  # noqa: E402
-
-
 @given(st.lists(st.floats(min_value=-3.0, max_value=3.0, allow_nan=False),
                 min_size=40, max_size=80),
        st.integers(min_value=1, max_value=8))
@@ -169,6 +170,213 @@ def test_returns_two_frequency_base(h_sig):
 def test_returns_ramp_empty(ramp):
     seq = poisson_returns(ramp, [0.5, 0.1], Window(40.0, 30.0), separation=5.0)
     assert len(seq) == 0
+
+
+# The per-cluster scan that poisson_returns replaced: whole-signal probe
+# passes, one run at a time, one scalar golden section per cluster.
+
+def _next_hit(arr, start, thresh, below):
+    chunk = 1 << 16
+    for i in range(start, arr.size, chunk):
+        seg = arr[i : i + chunk]
+        hits = np.flatnonzero(seg < thresh if below else seg >= thresh)
+        if hits.size:
+            return i + int(hits[0])
+    return -1
+
+
+_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def golden_scalar(fn, a, b, iters):
+    if b <= a:
+        return a, fn(a)
+    x1 = b - _GOLDEN * (b - a)
+    x2 = a + _GOLDEN * (b - a)
+    f1, f2 = fn(x1), fn(x2)
+    for _ in range(iters):
+        if f1 <= f2:
+            b, x2, f2 = x2, x1, f1
+            x1 = b - _GOLDEN * (b - a)
+            f1 = fn(x1)
+        else:
+            a, x1, f1 = x1, x2, f2
+            x2 = a + _GOLDEN * (b - a)
+            f2 = fn(x2)
+    return (x1, f1) if f1 <= f2 else (x2, f2)
+
+
+def returns_per_cluster(f, epsilon_schedule, w, separation=5.0, tau_max=None):
+    sched = [float(e) for e in epsilon_schedule]
+    i0, i1 = f.window_slice(w)
+    m = i1 - i0 + 1
+    n, dt = len(f), f.dt
+    j_hi = n - 1 - i1
+    if tau_max is not None:
+        j_hi = min(j_hi, int(math.floor(tau_max / dt + 1e-9)))
+    if j_hi < 1 or not sched:
+        return ReturnSequence((), (), ())
+    S = f.samples
+    probe_rel = np.unique(np.linspace(0, m - 1, min(64, m)).round().astype(int))
+    D_probe = np.zeros(j_hi + 1)
+    for p in probe_rel:
+        col = np.abs(S[i0 + p : i0 + p + j_hi + 1] - S[i0 + p]).max(axis=1)
+        np.maximum(D_probe, col, out=D_probe)
+    ts_w = f.t0 + dt * np.arange(i0, i1 + 1)
+    base = S[i0 : i1 + 1]
+
+    def d_probe_cont(tau):
+        return float(np.abs(f.values(ts_w[probe_rel] + tau) - base[probe_rel]).max())
+
+    def d_full(tau):
+        return float(np.abs(f.values(ts_w + tau) - base).max())
+
+    deriv = np.abs(np.diff(S[: min(n, 200_001)], axis=0)).max() / dt
+    spread = float((base.max(axis=0) - base.min(axis=0)).max())
+    lip_dt = min(2.0 * float(deriv) * dt, 0.5 * max(spread, 1e-12))
+    times, discs, eps_used = [], [], []
+    t_prev = 0.0
+    tau_cap = j_hi * dt
+    for eps in sched:
+        found = None
+        j = max(1, int(math.ceil((t_prev + separation) / dt - 1e-9)))
+        margin = eps + lip_dt
+        tries = 0
+        while j <= j_hi and tries < 200_000:
+            j = _next_hit(D_probe, j, margin, below=True)
+            if j < 0:
+                break
+            je = _next_hit(D_probe, j + 1, margin, below=False)
+            if je < 0:
+                je = j_hi + 1
+            jb = j + int(np.argmin(D_probe[j:je]))
+            tau_c = jb * dt
+            lo = max(tau_c - 2 * dt, t_prev + separation)
+            hi = min(tau_c + 2 * dt, tau_cap)
+            if hi > lo + 1e-12:
+                tau_p, dp = golden_scalar(d_probe_cont, lo, hi, 24)
+                if dp < eps:
+                    tau_f, df = golden_scalar(
+                        d_full, max(lo, tau_p - dt), min(hi, tau_p + dt), 40)
+                    if df < eps and tau_f > t_prev + separation * (1 - 1e-9):
+                        found = (tau_f, df)
+                        break
+            j = je + 1
+            tries += 1
+        if found is None:
+            break
+        times.append(found[0])
+        discs.append(found[1])
+        eps_used.append(eps)
+        t_prev = found[0]
+    return ReturnSequence(tuple(times), tuple(discs), tuple(eps_used))
+
+
+def quasi_periodic(seed, dim, n, dt=0.1):
+    """Sum of two cosines per component, frequencies 1 and sqrt 2 (component
+    0) or random, with random amplitudes and phases."""
+    rng = np.random.default_rng(seed)
+    t = dt * np.arange(n)
+    cols = []
+    for k in range(dim):
+        nu = (1.0, SQRT2) if k == 0 else tuple(rng.uniform(0.5, 3.0, 2))
+        amp, phase = rng.uniform(0.3, 1.0, 2), rng.uniform(0.0, 2 * math.pi, 2)
+        cols.append(sum(a * np.cos(v * t + p) for a, v, p in zip(amp, nu, phase)))
+    return Signal(0.0, dt, np.stack(cols, axis=1))
+
+
+@given(st.integers(min_value=0, max_value=2**32 - 1),     # seed
+       st.sampled_from([1, 2]),                           # components
+       st.integers(min_value=300, max_value=2500),        # samples
+       st.integers(min_value=1, max_value=80),            # window half-width / dt
+       st.floats(min_value=0.05, max_value=1.0),          # first epsilon
+       st.lists(st.floats(min_value=0.3, max_value=1.0), max_size=4),  # ratios
+       st.floats(min_value=0.0, max_value=20.0),          # separation
+       st.one_of(st.none(), st.floats(min_value=0.0, max_value=300.0)),  # tau_max
+       st.sampled_from([1, 7, 64, 1000, 1 << 15]),        # probe block, values
+       st.sampled_from([1, 64, 300, 2000, 1 << 14]))      # refinement batch, values
+# Below, in order: the first cluster accepted at each level; acceptance at
+# the third and at the last cluster of the second batch; the accepted run
+# reaches j_hi = 312 (tau_max lands on a near-period); clusters crossing
+# blocks of 7 shifts, with j_hi + 1 = 1301 not a multiple of 7; m = 41 < 64
+# on two components, in blocks of 3 shifts.
+@example(1, 1, 2000, 40, 1.0, [1.0, 1.0], 0.0, None, 1 << 15, 1 << 14)
+@example(2, 1, 2500, 60, 0.1, [0.5, 0.5], 5.0, None, 1 << 15, 1 << 14)
+@example(3, 1, 2000, 30, 0.3, [0.5], 5.0, 31.2, 1000, 300)
+@example(4, 1, 2000, 35, 0.3, [0.5, 0.6], 2.0, 130.0, 7, 300)
+@example(5, 2, 1500, 20, 0.8, [0.7], 3.0, None, 7, 1)
+def test_returns_are_the_per_cluster_scan(seed, dim, n, hw_steps, eps0, ratios,
+                                          separation, tau_max, block, batch):
+    f = quasi_periodic(seed, dim, n)
+    w = Window(f.dt * (hw_steps + 3), f.dt * hw_steps)
+    sched = list(eps0 * np.cumprod([1.0] + ratios))
+    want = returns_per_cluster(f, sched, w, separation, tau_max)
+    with patch.object(recurrence, "_BLOCK_VALUES", block), \
+            patch.object(recurrence, "_BATCH_VALUES", batch):
+        got = poisson_returns(f, sched, w, separation=separation, tau_max=tau_max)
+    assert got.times == want.times
+    assert got.discrepancies == want.discrepancies
+    assert got.epsilon_schedule == want.epsilon_schedule
+
+
+def test_returns_reject_bad_arguments(sine):
+    w = Window(40.0, 30.0)
+    for sched in ([float("nan")], [0.1, float("nan")], [0.0], [-0.1], [0.1, 0.2]):
+        with pytest.raises(ValueError, match="schedule"):
+            poisson_returns(sine, sched, w)
+    for sep in (float("nan"), float("inf"), -float("inf"), -5.0):
+        with pytest.raises(ValueError, match="separation"):
+            poisson_returns(sine, [0.1], w, separation=sep)
+    for tau_max in (float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(ValueError, match="tau_max"):
+            poisson_returns(sine, [0.1], w, tau_max=tau_max)
+    # A separation past the signal end is legal and finds no return.
+    assert len(poisson_returns(sine, [0.1], w, separation=1e308)) == 0
+
+
+@given(st.lists(st.tuples(st.floats(-5.0, 5.0), st.floats(-5.0, 5.0),
+                          st.integers(0, 3), st.floats(0.1, 3.0)),
+                min_size=1, max_size=6),
+       st.integers(min_value=0, max_value=40))
+def test_golden_min_batched_is_the_scalar_loop(brackets, iters):
+    # Function kind per bracket: 0 a constant (exact ties at every step),
+    # 1 a parabola, 2 a wiggle, 3 a coarse staircase (ties between steps).
+    kinds = [
+        lambda x, c: 0.25 * c,
+        lambda x, c: (x - c) ** 2,
+        lambda x, c: math.sin(3.0 * x) + c * x * x,
+        lambda x, c: math.floor(c * abs(x)),
+    ]
+    fns = [lambda x, k=k, c=c: kinds[k](x, c) for _, _, k, c in brackets]
+
+    def batched(xs):
+        assert xs.size == len(fns)
+        return np.array([fn(x) for fn, x in zip(fns, xs.tolist())])
+
+    a = np.array([lo for lo, _, _, _ in brackets])
+    b = np.array([hi for _, hi, _, _ in brackets])
+    xs, vals = _golden_min(batched, a, b, iters)
+    want = [golden_scalar(fn, lo, hi, iters) for fn, (lo, hi, _, _) in zip(fns, brackets)]
+    assert xs.tolist() == [x for x, _ in want]
+    assert vals.tolist() == [v for _, v in want]
+
+
+def test_return_search_spline_calls(monkeypatch):
+    # A 200k-sample two-frequency search.  The per-cluster scan this replaced
+    # made 17,938 Signal.values calls on it; the batched one makes 1,168.
+    f = forcing_signal("levitan-base", 0.0, 20000.0, 0.1)
+    calls = [0]
+    values = Signal.values
+
+    def counted(self, ts):
+        calls[0] += 1
+        return values(self, ts)
+
+    monkeypatch.setattr(Signal, "values", counted)
+    seq = poisson_returns(f, [0.5, 0.2, 0.1, 0.05, 0.02, 0.01, 5e-3, 2e-3, 1e-3],
+                          Window(100.0, 100.0), separation=5.0)
+    assert len(seq) == 8
+    assert calls[0] <= 1168
 
 
 def test_return_sequence_validation():
