@@ -401,7 +401,7 @@ def _golden_min(fn, a, b, iters: int) -> tuple[np.ndarray, np.ndarray]:
     left point); a bracket with b <= a returns a.  Returns the minimizers and
     the minima as arrays.
     """
-    a = np.atleast_1d(np.asarray(a, dtype=float))
+    a = np.array(a, dtype=float, ndmin=1)
     b = np.maximum(a, b)
     x1 = b - _GOLDEN * (b - a)
     x2 = a + _GOLDEN * (b - a)
