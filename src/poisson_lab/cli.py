@@ -80,6 +80,9 @@ def _analysis_config(f, path):
                 if not all(type(e) in (int, float) and 0 < e < math.inf
                            for e in kwargs[key]):
                     raise ValueError(f"{key} entries must be finite numbers > 0")
+        sched = kwargs.get("poisson_schedule", ())
+        if any(b > a + 1e-15 for a, b in zip(sched, sched[1:])):
+            raise ValueError("poisson_schedule must be non-increasing")
         for key in ("stationary_tol", "quasi_residual_tol", "poisson_separation",
                     "refute_frac", "periodic_verify_rel"):
             if key in raw:

@@ -333,17 +333,18 @@ def poisson_returns(f: Signal, epsilon_schedule, w: Window, *,
             np.maximum(a, d, out=a)
         a.max(axis=1, out=D_probe[b0 : b0 + len(a)])
 
-    ts_w = f.t0 + dt * np.arange(i0, i1 + 1)
     base = S[i0 : i1 + 1]
 
-    def gap(ts, ref):
-        # tau -> sup |f(ts + tau) - ref|, for an array of tau at once.
-        def fn(taus):
-            v = f.values((taus[:, None] + ts).ravel()).reshape(taus.size, ts.size, dim)
-            return np.abs(v - ref).max(axis=(1, 2))
-        return fn
+    # tau -> sup |f(t + tau) - f(t)| over the probe points or the whole
+    # window, for an array of tau at once.
+    ts_p, base_p = f.t0 + dt * (i0 + probe_rel), base[probe_rel]
 
-    d_probe, d_full = gap(ts_w[probe_rel], base[probe_rel]), gap(ts_w, base)
+    def d_probe(taus):
+        v = f.values((taus[:, None] + ts_p).ravel()).reshape(taus.size, ts_p.size, dim)
+        return np.abs(v - base_p).max(axis=(1, 2))
+
+    def d_full(taus):
+        return np.abs(f.window_values(i0, m, taus) - base).max(axis=(1, 2))
 
     # Local slope bound: discrepancy varies no faster than twice the signal.
     # It is capped at the window spread so fast (or aliased) oscillation does

@@ -131,22 +131,38 @@ class Signal:
     # -- evaluation -------------------------------------------------------
 
     @cached_property
-    def _spline(self) -> CubicSpline:
+    def _spline(self) -> tuple[np.ndarray, np.ndarray]:
+        """Breakpoints x and coefficients c, shape (4, n - 1, dim), of scipy's
+        spline.  scipy sums each value from 0.0 + c[3]; adding 0.0 here once
+        turns a -0.0 into +0.0 the same way, so ``_cubic`` starts at c[3]."""
         if len(self) < 3:
             # Degenerates to linear; CubicSpline needs >= 2 breakpoints and a
             # natural spline through 2 points is the chord anyway.
-            return CubicSpline(self.times(), self.samples, axis=0)
-        return CubicSpline(self.times(), self.samples, axis=0, bc_type="natural")
+            spl = CubicSpline(self.times(), self.samples, axis=0)
+        else:
+            spl = CubicSpline(self.times(), self.samples, axis=0, bc_type="natural")
+        c = spl.c
+        c[3] += 0.0
+        return spl.x, c
 
     def values(self, ts) -> np.ndarray:
-        """Interpolated values at times ``ts``; shape (len(ts), dim)."""
+        """Interpolated values at times ``ts``; shape (len(ts), dim).
+
+        The cubic interpolant equals ``CubicSpline.__call__`` bit for bit: the
+        interval of each time is found from the grid, and the polynomial is
+        summed in scipy's order (see ``_cubic``).
+        """
         ts = np.asarray(ts, dtype=float)
         slack = _GRID_RTOL * max(1.0, self.dt)
-        if ts.size and (ts.min() < self.t0 - slack or ts.max() > self.t_end + slack):
-            raise WindowOutOfDomain(
-                f"evaluation times outside domain [{self.t0:g}, {self.t_end:g}]"
-            )
-        ts = np.clip(ts, self.t0, self.t_end)
+        if ts.size:
+            lo, hi = ts.min(), ts.max()
+            # Written so that a NaN fails it too.
+            if not (lo >= self.t0 - slack and hi <= self.t_end + slack):
+                raise WindowOutOfDomain(
+                    f"evaluation times outside domain [{self.t0:g}, {self.t_end:g}]"
+                )
+            if lo < self.t0 or hi > self.t_end:
+                ts = np.clip(ts, self.t0, self.t_end)
         if len(self) == 1:
             return np.repeat(self.samples, ts.size, axis=0)
         if self.interp == "linear":
@@ -155,7 +171,61 @@ class Signal:
             for j in range(self.dim):
                 out[:, j] = np.interp(ts, grid, self.samples[:, j])
             return out
-        return self._spline(ts)
+        c = self._spline[1]
+        i, s = self._intervals(ts.ravel())
+        # Gather from flat views of the coefficients: k indexes c[p].ravel().
+        k = i[:, None] if self.dim == 1 else (i * self.dim)[:, None] + np.arange(self.dim)
+        coef = [c[p].ravel()[k] for p in (3, 2, 1, 0)]
+        return _cubic(*coef, s[:, None]).reshape(ts.shape + (self.dim,))
+
+    def window_values(self, i0: int, m: int, taus) -> np.ndarray:
+        """f(t_k + tau) for the m grid times t_k from index i0 and each tau;
+        shape (len(taus), m, dim).
+
+        Equal to ``values`` at ``t0 + dt * arange(i0, i0 + m) + tau``.  Those
+        times are increasing, so their intervals are mostly one run j..j+m-1
+        (j the interval of the first time), and the coefficients are read as
+        slices.  A row whose run check fails goes through ``values``.
+        """
+        taus = np.asarray(taus, dtype=float).reshape(-1)
+        if len(self) == 1 or self.interp == "linear":
+            grid = self.t0 + self.dt * np.arange(i0, i0 + m)
+            return self.values((taus[:, None] + grid).ravel()).reshape(taus.size, m, self.dim)
+        x, c = self._spline
+        grid = x[i0 : i0 + m]
+        out = np.empty((taus.size, m, self.dim))
+        for r, tau in enumerate(taus.tolist()):
+            t = grid + tau
+            if t[0] >= self.t0 and t[-1] <= self.t_end:
+                j = int(self._intervals(t[:1])[0][0])
+                if (j + m < len(self) and (x[j : j + m] <= t).all()
+                        and (t < x[j + 1 : j + m + 1]).all()):
+                    _cubic(*(c[p, j : j + m] for p in (3, 2, 1, 0)),
+                           (t - x[j : j + m])[:, None], out=out[r])
+                    continue
+            out[r] = self.values(t)
+        return out
+
+    def _intervals(self, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """scipy's interval i of each time in the domain, x[i] <= t < x[i+1]
+        with the last interval closed at t == x[n-1], and s = t - x[i].
+
+        The grid guess floor((t - t0) / dt) is off by at most a rounding; it
+        is moved by one until the rule holds.
+        """
+        x, top = self._spline[0], len(self) - 2
+        # t >= t0, so the cast truncates to the floor.
+        i = np.minimum(((t - self.t0) / self.dt).astype(np.intp), top)
+        s = t - x[i]
+        # s < 0 exactly when t < x[i].  The loop lets t == x[n-1] through.
+        at = np.flatnonzero((s < 0) | (t >= x[i + 1]))
+        while at.size:
+            ta, ia = t[at], i[at]
+            ia += (ta >= x[ia + 1]) & (ia < top)
+            ia -= ta < x[ia]
+            i[at], s[at] = ia, ta - x[ia]
+            at = at[(ta < x[ia]) | ((ta >= x[ia + 1]) & (ia < top))]
+        return i, s
 
     def at(self, t: float) -> np.ndarray:
         """Value at a single time; shape (dim,)."""
@@ -188,6 +258,18 @@ class Signal:
         if i1 - i0 < 1:
             raise WindowOutOfDomain("window narrower than one grid cell")
         return i0, i1
+
+
+def _cubic(c3, c2, c1, c0, s, out=None) -> np.ndarray:
+    """((c3 + c2 s) + c1 (s s)) + c0 ((s s) s): the local cubic in the order
+    scipy's PPoly sums it, so the rounding is the same."""
+    ss = s * s
+    out = np.multiply(c2, s, out=out)
+    out += c3
+    out += c1 * ss
+    ss *= s
+    out += c0 * ss
+    return out
 
 
 def sample_function(fn, t0: float, t_end: float, dt: float) -> Signal:
@@ -225,19 +307,21 @@ def shift(f: Signal, tau: float) -> Signal:
         raise ShiftOutOfDomain("shifted domain is empty")
     new_t0 = f.t0 + i0 * f.dt
     ts = new_t0 + f.dt * np.arange(i1 - i0 + 1)
-    return Signal(new_t0, f.dt, _shifted(f, i0, ts, tau), f.interp)
+    j0, aligned = _grid_starts(f, i0, ts.size, np.array([tau]))
+    vals = f.samples[j0[0] : j0[0] + ts.size] if aligned[0] else f.values(ts + tau)
+    return Signal(new_t0, f.dt, vals, f.interp)
 
 
-def _shifted(f: Signal, i0: int, ts: np.ndarray, tau: float) -> np.ndarray:
-    """f(ts + tau) on the window whose grid times ``ts`` start at index i0.
+def _shifted(f: Signal, i0: int, m: int, tau: float) -> np.ndarray:
+    """f(t + tau) at the m grid times t from index i0.
 
     A tau that is a grid multiple is an exact sample slice (no interpolation
     error); any other tau goes through the interpolant.
     """
-    j0, aligned = _grid_starts(f, i0, ts.size, np.array([tau]))
+    j0, aligned = _grid_starts(f, i0, m, np.array([tau]))
     if aligned[0]:
-        return f.samples[j0[0] : j0[0] + ts.size]
-    return f.values(ts + tau)
+        return f.samples[j0[0] : j0[0] + m]
+    return f.window_values(i0, m, [tau])[0]
 
 
 def _grid_starts(f: Signal, i0: int, m: int, taus: np.ndarray):
@@ -297,8 +381,7 @@ def shift_discrepancy(f: Signal, tau: float, w: Window) -> float:
     if tau == 0.0:
         return 0.0
     i0, i1 = f.window_slice(w)
-    ts = f.t0 + f.dt * np.arange(i0, i1 + 1)
-    return float(np.abs(_shifted(f, i0, ts, tau) - f.samples[i0 : i1 + 1]).max())
+    return float(np.abs(_shifted(f, i0, i1 - i0 + 1, tau) - f.samples[i0 : i1 + 1]).max())
 
 
 def discrepancy_profile(f: Signal, taus: np.ndarray, w: Window) -> np.ndarray:
@@ -311,14 +394,14 @@ def discrepancy_profile(f: Signal, taus: np.ndarray, w: Window) -> np.ndarray:
     i0, i1 = f.window_slice(w)
     _require_shifts_inside(f, w, taus)
     base = f.samples[i0 : i1 + 1]
-    ts = f.t0 + f.dt * np.arange(i0, i1 + 1)
-    j0, aligned = _grid_starts(f, i0, ts.size, taus)
+    m = base.shape[0]
+    j0, aligned = _grid_starts(f, i0, m, taus)
     buf = np.empty_like(base)
     out = np.zeros(taus.size)
     for a, (tau, j, exact) in enumerate(zip(taus.tolist(), j0.tolist(), aligned.tolist())):
         if tau != 0.0:
-            np.subtract(f.samples[j : j + ts.size] if exact else f.values(ts + tau),
-                        base, out=buf)
+            np.subtract(f.samples[j : j + m] if exact else f.window_values(i0, m, [tau])[0],
+                         base, out=buf)
             out[a] = np.abs(buf, out=buf).max()
     return out
 

@@ -193,6 +193,7 @@ def test_run_aborted_stage_still_writes_manifest(tmp_path, capsys):
     {"poisson_schedule": [float("nan")]},
     {"poisson_schedule": [0.2, float("inf")]},
     {"poisson_schedule": [True]},
+    {"poisson_schedule": [0.1, 0.2]},
     {"bohr_epsilons": [float("nan")]},
     {"bohr_epsilons": [0.5, -0.2]},
 ])

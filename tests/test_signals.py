@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
+from scipy.interpolate import CubicSpline
 
 from poisson_lab.errors import (
     DimensionMismatch,
@@ -59,6 +60,69 @@ def test_one_sample_signal_is_legal_but_windowed_ops_reject():
     assert f.at(0.0)[0] == 2.0
     with pytest.raises(WindowOutOfDomain):
         sup_distance(f, f, Window(0.0, 0.5))
+
+
+def test_values_reject_non_finite_times(sine):
+    for t in (math.nan, math.inf, -math.inf):
+        with pytest.raises(WindowOutOfDomain):
+            sine.values([1.0, t])
+        with pytest.raises(WindowOutOfDomain):
+            sine.window_values(10, 50, [2.0, t])
+
+
+def scipy_spline(f):
+    """The spline ``Signal`` builds, made afresh by scipy."""
+    bc = "natural" if len(f) >= 3 else "not-a-knot"
+    return CubicSpline(f.times(), f.samples, axis=0, bc_type=bc)
+
+
+def bitwise_equal(a, b):
+    """Element-wise equal, and with the same sign of zero."""
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@given(st.integers(min_value=0, max_value=2**32 - 1),
+       st.sampled_from([2, 3, 4, 5, 3000]),
+       st.sampled_from([1, 3]),
+       st.one_of(st.floats(min_value=-1e4, max_value=-1e-3),
+                 st.floats(min_value=1e-3, max_value=1e4), st.just(0.0)),
+       st.sampled_from([0.1, 0.01, 0.05, 1.0 / 3.0, 0.7, 2.5]))
+@example(0, 2, 1, -3.0, 0.1)
+@example(1, 3, 3, 5.0, 0.1)
+@example(2, 4, 1, -7.3, 0.01)
+@example(3, 3000, 1, 1234.5, 0.05)
+def test_interpolant_is_scipy_bit_for_bit(seed, n, dim, t0, dt):
+    """Both evaluation paths equal ``CubicSpline.__call__`` element-wise, at
+    breakpoints, midpoints, the endpoints and one ulp either side of a
+    breakpoint, and in rows shifted by grid, one-ulp-off and off-grid taus."""
+    rng = np.random.default_rng(seed)
+    vals = rng.standard_normal((n, dim))
+    vals[rng.random((n, dim)) < 0.2] = -0.0
+    f = Signal(t0, dt, vals)
+    spl = scipy_spline(f)
+    x = f.times()
+    k = np.unique(np.concatenate([[0, 1, n - 2, n - 1], rng.integers(0, n, 40)]))
+    ts = np.concatenate([x[k], np.nextafter(x[k], np.inf), np.nextafter(x[k], -np.inf),
+                         (x[k[:-1]] + x[k[:-1] + 1]) / 2, rng.uniform(x[0], x[-1], 40)])
+    ts = rng.permutation(np.clip(ts, x[0], x[-1]))
+    assert bitwise_equal(f.values(ts), spl(ts))
+
+    for _ in range(4):
+        m = int(rng.integers(1, min(n, 200) + 1))
+        i0 = int(rng.integers(0, n - m + 1))
+        # Shifts that keep the row inside: grid multiples, one ulp either
+        # side of them, off-grid, and the ones reaching the last interval.
+        lo, hi = -i0, n - m - i0
+        grid = dt * rng.integers(lo, hi + 1, 4)
+        last = x[-1] - x[i0 + m - 1]
+        taus = np.concatenate([grid, np.nextafter(grid, np.inf), np.nextafter(grid, -np.inf),
+                               dt * (lo + (hi - lo) * rng.random(4)),
+                               [last, last - 0.5 * dt, np.nextafter(last, -np.inf)]])
+        rows = x[i0 : i0 + m] + taus[:, None]
+        inside = (rows[:, 0] >= x[0]) & (rows[:, -1] <= x[-1])
+        taus, rows = taus[inside], rows[inside]
+        want = spl(rows.ravel()).reshape(taus.size, m, dim)
+        assert bitwise_equal(f.window_values(i0, m, taus), want)
 
 
 # ---------------------------------------------------------------------------
@@ -295,7 +359,7 @@ def bebutov_per_tau(f, taus, w):
     ts = f.t0 + f.dt * np.arange(i0, i1 + 1)
     geom = _bebutov_geometry(ts, w.center, f.dt, w.half_width)
     base = f.samples[i0 : i1 + 1]
-    return [_bebutov(np.abs(_shifted(f, i0, ts, tau) - base).max(axis=1), geom)
+    return [_bebutov(np.abs(_shifted(f, i0, ts.size, tau) - base).max(axis=1), geom)
             for tau in taus]
 
 
