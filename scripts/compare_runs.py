@@ -6,7 +6,8 @@ Usage: python scripts/compare_runs.py DIR_A DIR_B
 Both trees must hold the same files.  Every file other than a
 ``manifest.json`` (the CSVs and ``report.json``) must match byte for byte.
 A manifest must match as JSON, key order included, apart from
-``wall_clock_s`` and the values of the two wall-clock checks
+``wall_clock_s``, the output directory the run was written to
+(``config.outputs``) and the values of the two wall-clock checks
 (``closed_form_runtime``, ``parabolic_oracle_runtime``).  Exit 0 when the
 trees agree, 1 at the first difference.
 """
@@ -26,6 +27,7 @@ def _files(root: Path) -> list[str]:
 def _manifest(path: Path) -> dict:
     m = json.loads(path.read_text(encoding="utf-8"))
     m.pop("wall_clock_s", None)
+    m.get("config", {}).pop("outputs", None)
     for name in _RUNTIME_CHECKS:
         m.get("summary", {}).get(name, {}).pop("value", None)
     return m

@@ -39,6 +39,8 @@ _QUASI_MAX_FREQS = 4
 # search's probe bound and of its largest batch of probe refinements.
 _BLOCK_VALUES = 1 << 15
 _BATCH_VALUES = 1 << 14
+# Taus in the first batch the ``min_D`` witness finishes exactly.
+_MIN_BATCH0 = 64
 
 
 # ---------------------------------------------------------------------------
@@ -643,7 +645,14 @@ def classify(f: Signal, base: Signal | None = None,
     vals = f.samples[i0 : i1 + 1]
     spread = float((vals.max(axis=0) - vals.min(axis=0)).max())
     scale = max(0.5 * spread, 1e-12)
-    D = discrepancy_profile(f, taus, w)
+    # Every threshold the cascade compares D against (the period detection
+    # bar, the Bohr epsilons of the table and of comparability) is at most
+    # this cap, so a D capped there answers each comparison as the exact D
+    # does; the dip walk of ``_find_period`` starts below the detection bar
+    # and steps only to values no larger.  The one minimum read from D, the
+    # min_D witness, is resolved by ``_profile_min``.
+    cap = max(_PERIODIC_DETECT_FRAC * scale, *cfg.bohr_epsilons)
+    D = discrepancy_profile(f, taus, w, cap=cap)
     classes: dict[str, Verdict] = {}
     notes = [
         "windowed evidence on finite grids; no verdict is a proof",
@@ -669,7 +678,8 @@ def classify(f: Signal, base: Signal | None = None,
             "yes", {"period": period, "discrepancy": period_disc}, window=wdict)
     else:
         wit = {"best_tau": period, "discrepancy": period_disc} if period else \
-              {"min_D": float(D[1:].min()) if D.size > 1 else None}
+              {"min_D": _profile_min(f, taus[1:], w, D[1:], cap) if D.size > 1
+               else None}
         classes["periodic"] = Verdict("no", witness=wit, window=wdict)
 
     # quasi-periodic -------------------------------------------------------
@@ -742,6 +752,28 @@ def classify(f: Signal, base: Signal | None = None,
         notes.extend(extra_notes)
 
     return RecurrenceReport(classes, comparability, transfer, tuple(notes))
+
+
+def _profile_min(f, taus, w, D, cap) -> float:
+    """The exact min of the discrepancy profile over ``taus``, where D is that
+    profile capped at ``cap`` (exact below it, a lower bound at or above it).
+
+    Branch and bound: the taus are finished in ascending order of their
+    bounds, in batches growing fourfold, until the next bound is at least
+    the best exact value; a batch takes only taus whose bound is below it.
+    """
+    lo = D.min()
+    if lo < cap:
+        return float(lo)
+    order = np.argsort(D)
+    bounds = D[order]
+    best = _INF
+    k, size = 0, _MIN_BATCH0
+    while k < order.size and bounds[k] < best:
+        end = min(k + size, int(np.searchsorted(bounds, best)))
+        best = min(best, float(discrepancy_profile(f, taus[order[k:end]], w).min()))
+        k, size = end, 4 * size
+    return best
 
 
 def _find_period(f, taus, D, w, scale):

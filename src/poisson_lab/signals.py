@@ -384,11 +384,18 @@ def shift_discrepancy(f: Signal, tau: float, w: Window) -> float:
     return float(np.abs(_shifted(f, i0, i1 - i0 + 1, tau) - f.samples[i0 : i1 + 1]).max())
 
 
-def discrepancy_profile(f: Signal, taus: np.ndarray, w: Window) -> np.ndarray:
+def discrepancy_profile(f: Signal, taus: np.ndarray, w: Window,
+                        cap: float = math.inf) -> np.ndarray:
     """``shift_discrepancy`` over a tau grid, with the window set up once.
 
     Grid-aligned taus use exact sample slices; others fall back to
     interpolation.
+
+    Where D(tau) < ``cap`` the value is D(tau) bit for bit; elsewhere it is a
+    lower bound in [cap, D(tau)].  With a finite cap every tau first reads the
+    window's first ``_HEAD`` points, and only the taus whose head max is below
+    the cap read the rest.  The max of the two parts is the same float as the
+    max over the whole window, so a value below the cap is exact.
     """
     taus = np.asarray(taus, dtype=float)
     i0, i1 = f.window_slice(w)
@@ -396,14 +403,46 @@ def discrepancy_profile(f: Signal, taus: np.ndarray, w: Window) -> np.ndarray:
     base = f.samples[i0 : i1 + 1]
     m = base.shape[0]
     j0, aligned = _grid_starts(f, i0, m, taus)
-    buf = np.empty_like(base)
     out = np.zeros(taus.size)
-    for a, (tau, j, exact) in enumerate(zip(taus.tolist(), j0.tolist(), aligned.tolist())):
+    todo = np.arange(taus.size)
+    h = 0
+    if cap < math.inf:
+        h = min(_HEAD, m)
+        _head_max(f, i0, h, taus, j0, aligned, out)
+        todo = np.flatnonzero(out < cap) if h < m else todo[:0]
+    rest = base[h:]
+    buf = np.empty_like(rest)
+    for a, tau, j, exact in zip(todo.tolist(), taus[todo].tolist(), j0[todo].tolist(),
+                                aligned[todo].tolist()):
         if tau != 0.0:
-            np.subtract(f.samples[j : j + m] if exact else f.window_values(i0, m, [tau])[0],
-                         base, out=buf)
-            out[a] = np.abs(buf, out=buf).max()
+            np.subtract(f.samples[j + h : j + m] if exact
+                        else f.window_values(i0 + h, m - h, [tau])[0], rest, out=buf)
+            out[a] = max(np.abs(buf, out=buf).max(), out[a])
     return out
+
+
+# Window points every tau reads first in a capped ``discrepancy_profile``, and
+# the most values (taus x points x components) one block of heads gathers.
+_HEAD = 512
+_HEAD_BLOCK = 1 << 16
+
+
+def _head_max(f: Signal, i0: int, h: int, taus, j0, aligned, out) -> None:
+    """out[a] = max over the first h window points of |f(t + taus[a]) - f(t)|,
+    for every tau, in blocks of at most ``_HEAD_BLOCK`` gathered values."""
+    base = f.samples[i0 : i0 + h]
+    # Shape (n - h + 1, dim, h): row j is the h samples from index j.
+    rows = np.lib.stride_tricks.sliding_window_view(f.samples, h, axis=0)
+    block = max(1, _HEAD_BLOCK // (h * f.dim))
+    for idx in (np.flatnonzero(aligned), np.flatnonzero(~aligned)):
+        for s in range(0, idx.size, block):
+            a = idx[s : s + block]
+            if aligned[a[0]]:
+                diff, ref = rows[j0[a]], base.T
+            else:
+                diff, ref = f.window_values(i0, h, taus[a]), base
+            np.subtract(diff, ref, out=diff)
+            out[a] = np.abs(diff, out=diff).max(axis=(1, 2))
 
 
 # Sample values (taus x prefix points x components) gathered at once by

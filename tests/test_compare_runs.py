@@ -11,9 +11,10 @@ compare_runs = importlib.util.module_from_spec(_SPEC)
 _SPEC.loader.exec_module(compare_runs)
 
 
-def _manifest(wall=1.25, closed=0.5, oracle=2.0, detail="ok"):
+def _manifest(wall=1.25, closed=0.5, oracle=2.0, detail="ok", outputs="out-a", seed=0):
     return {
         "scenario": "tiny",
+        "config": {"seed": seed, "outputs": outputs},
         "wall_clock_s": wall,
         "summary": {
             "closed_form_runtime": {"status": "pass", "value": closed, "detail": "< 5 s"},
@@ -44,6 +45,19 @@ def test_runtimes_are_ignored(tmp_path):
     a = _tree(tmp_path / "a")
     b = _tree(tmp_path / "b", wall=9.5, closed=0.75, oracle=3.5)
     assert compare_runs.main([str(a), str(b)]) == 0
+
+
+def test_output_directory_is_ignored(tmp_path):
+    a = _tree(tmp_path / "a")
+    b = _tree(tmp_path / "b", outputs="elsewhere/out-b")
+    assert compare_runs.main([str(a), str(b)]) == 0
+
+
+def test_other_config_field_differs(tmp_path, capsys):
+    a = _tree(tmp_path / "a")
+    b = _tree(tmp_path / "b", outputs="elsewhere/out-b", seed=7)
+    assert compare_runs.main([str(a), str(b)]) == 1
+    assert "manifest.config.seed: 0 != 7" in capsys.readouterr().out
 
 
 def test_manifest_detail_differs(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import json
 import math
 from unittest.mock import patch
 
@@ -550,3 +551,44 @@ def test_sine_never_aperiodic_window_variants(sine):
                              tau_grid=TauGrid(0.0, tau_max, 0.01))
         rep = classify(sine, cfg=cfg)
         assert rep.verdict("periodic").verdict == "yes"
+
+
+def noise_2001(growth):
+    """iid uniform noise whose amplitude grows linearly from 1 to 1 + growth.
+
+    Every D of the default grid is far above the cascade's cap (0.5), so no
+    period is found and min_D is the exact minimum found by branch and bound.
+    With growth 2 the window's head is quieter than its rest, so the bounds
+    lie well below D and branch and bound needs three batches; without growth
+    one batch settles it.
+    """
+    t = np.linspace(0.0, 1.0, 2001)
+    vals = np.random.default_rng(1).uniform(-1.0, 1.0, 2001) * (1.0 + growth * t)
+    return Signal(0.0, 0.1, vals)
+
+
+@pytest.mark.parametrize("case", ["period", "min_D", "min_D_batches", "base"])
+def test_capped_cascade_is_the_exact_cascade(case, monkeypatch):
+    base = None
+    if case == "period":
+        f = sample_function(np.sin, 0.0, 100.0, 0.05)
+    elif case.startswith("min_D"):
+        f = noise_2001(2.0 if case == "min_D_batches" else 0.0)
+        cfg = recurrence.default_classify_config(f)
+        D = discrepancy_profile(f, cfg.tau_grid.values(), cfg.window, cap=0.5)
+        assert D[1:].min() >= 0.5
+    else:
+        base = sample_function(np.sin, 0.0, 100.0, 0.05)
+        f = Signal(base.t0, base.dt, np.sin(2.0 * base.samples))
+    rep = classify(f, base=base).to_dict()
+    exact = recurrence.discrepancy_profile
+    monkeypatch.setattr(recurrence, "discrepancy_profile",
+                        lambda f, taus, w, cap=math.inf: exact(f, taus, w))
+    assert json.dumps(classify(f, base=base).to_dict()) == json.dumps(rep)
+    periodic = rep["classes"]["periodic"]
+    if case == "period":
+        assert periodic["verdict"] == "yes"
+    elif case.startswith("min_D"):
+        assert periodic["witness"]["min_D"] > 0.5
+    else:
+        assert rep["comparability"]["verdict"] == "comparable-evidence"

@@ -328,6 +328,57 @@ def test_profiles_match_references(vals, steps):
     assert np.allclose(bebutov_profile(f, taus, w), direct, rtol=0.0, atol=1e-12)
 
 
+def spiked_noise(seed, dim, m, interp):
+    """Noise of amplitude 0.1 plus a unit spike at the 512th point of an
+    m-point window (the last point a capped profile reads first), and shifts
+    of both signs: zero, grid multiples and off-grid.
+
+    A shift of -k dt meets the spike at window points 511 and 511 + k, so for
+    m = 512 only the 512th point sees it.
+    """
+    rng = np.random.default_rng(seed)
+    dt, margin = 0.1, 40
+    vals = rng.uniform(-0.1, 0.1, (m + 2 * margin, dim))
+    if m >= 512:
+        vals[margin + 511] += 1.0
+    f = Signal(0.0, dt, vals, interp)
+    w = Window(dt * (margin + (m - 1) / 2), dt * (m - 1) / 2)
+    k = rng.integers(1 - margin, margin, 16)
+    frac = rng.choice([0.0, 0.0, 0.3, 0.77], 16)
+    taus = np.concatenate([[0.0, -0.1 * (margin - 1)], 0.1 * (k + frac)])
+    return f, w, rng.permutation(taus)
+
+
+@given(st.integers(min_value=0, max_value=2**32 - 1),
+       st.sampled_from([1, 3]),
+       st.sampled_from([300, 511, 512, 513, 900]),
+       st.sampled_from(["cubic", "linear"]))
+@example(1, 1, 512, "cubic")
+@example(2, 3, 900, "cubic")
+@example(3, 1, 900, "linear")
+def test_capped_profile_is_exact_below_the_cap(seed, dim, m, interp):
+    f, w, taus = spiked_noise(seed, dim, m, interp)
+    i0, i1 = f.window_slice(w)
+    assert i1 - i0 + 1 == m
+    exact = discrepancy_profile(f, taus, w)
+    assert np.array_equal(exact, [shift_discrepancy(f, tau, w) for tau in taus])
+    assert np.array_equal(discrepancy_profile(f, taus, w, cap=math.inf), exact)
+    # The taus whose max over the first 512 window points reaches the cap
+    # keep that max; the others read the whole window.
+    h = min(512, m)
+    head = np.array([np.abs(_shifted(f, i0, h, tau) - f.samples[i0 : i0 + h]).max()
+                     for tau in taus])
+    # Caps: 0 (every value capped), a head max that the rest of the window
+    # exceeds where there is one, the median D, and above every D.
+    tie = head[np.argmax(exact - head)]
+    for cap in (0.0, tie, float(np.median(exact)), 10.0):
+        got = discrepancy_profile(f, taus, w, cap=cap)
+        below = exact < cap
+        assert np.array_equal(got[below], exact[below])
+        assert np.all((cap <= got[~below]) & (got[~below] <= exact[~below]))
+        assert np.array_equal(got, np.where(head < cap, exact, head))
+
+
 def almost_periodic_signal(seed, period, levels, cross):
     """A random sequence of ``period`` samples, tiled, plus a(t - c)^2.
 
