@@ -4,7 +4,8 @@
 Usage: python scripts/run_all_scenarios.py [outdir] [--seed N] [--quick]
 
 --quick shortens the s1 horizon so the run finishes in seconds; the
-gamma-extraction checks are then reported as skipped.
+gamma-extraction checks are then reported as skipped.  The package is
+imported from this checkout's ``src/``, so no install is needed.
 """
 
 import argparse
@@ -12,7 +13,9 @@ import sys
 import time
 from pathlib import Path
 
-from poisson_lab.scenarios import CATALOG, build_scenario, run_scenario
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+from poisson_lab.scenarios import CATALOG, build_scenario, run_scenario  # noqa: E402
 
 
 def main(argv=None) -> int:

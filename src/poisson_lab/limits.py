@@ -42,7 +42,6 @@ class OmegaSample:
     settle_time: float
     times: np.ndarray      # retained return times
     snapshots: np.ndarray  # (k, dim)
-    fiber_tag: str = ""
 
     def diameter(self) -> float:
         return float((self.snapshots.max(axis=0) - self.snapshots.min(axis=0)).max())
@@ -73,7 +72,7 @@ class ConvergenceReport:
 
 
 def omega_fiber_sample(traj: Signal, returns: ReturnSequence,
-                       settle_time: float, fiber_tag: str = "") -> OmegaSample:
+                       settle_time: float) -> OmegaSample:
     """Snapshots traj(t_n) for return times past the settle horizon."""
     times = np.asarray(returns.times, dtype=float)
     keep = times[times > settle_time]
@@ -85,7 +84,7 @@ def omega_fiber_sample(traj: Signal, returns: ReturnSequence,
     if keep[0] < lo or keep[-1] > hi:
         raise InsufficientReturns("return times leave the trajectory domain")
     snaps = traj.values(keep)
-    return OmegaSample(returns, settle_time, keep, snaps, fiber_tag)
+    return OmegaSample(returns, settle_time, keep, snaps)
 
 
 def fiber_extrema(sample: OmegaSample, tol: float) -> ExtremalPair:
@@ -159,7 +158,7 @@ def entire_trajectory_estimate(traj: Signal, returns: ReturnSequence,
     rec_a = traj.values(offs + t_a)
     rec_b = traj.values(offs + t_b)
     agreement = float(np.abs(rec_a - rec_b).max())
-    gamma_signal = Signal(float(offs[0]), traj.dt, rec_b, traj.interp)
+    gamma_signal = Signal(float(offs[0]), traj.dt, rec_b)
     return gamma_signal, agreement
 
 

@@ -29,8 +29,6 @@ from .errors import (
 # Relative slack used when snapping times to the sample grid.
 _GRID_RTOL = 1e-9
 
-_INTERP_KINDS = ("linear", "cubic")
-
 
 @dataclass(frozen=True)
 class Window:
@@ -77,15 +75,13 @@ class Signal:
         Grid step, strictly positive.
     samples : array, shape (n, dim)
         Sample values; a 1-D array is treated as a single component.
-    interp : {"cubic", "linear"}
-        Interpolation rule between samples.  Cubic uses a natural spline and
-        is the default for smooth forcings; linear is for non-smooth data.
+
+    Between samples the signal is the natural cubic spline through them.
     """
 
     t0: float
     dt: float
     samples: np.ndarray
-    interp: str = "cubic"
 
     def __post_init__(self):
         arr = np.asarray(self.samples, dtype=float)
@@ -97,8 +93,6 @@ class Signal:
             raise ValueError("samples must be finite")
         if not (self.dt > 0 and math.isfinite(self.dt)):
             raise ValueError("dt must be positive and finite")
-        if self.interp not in _INTERP_KINDS:
-            raise ValueError(f"interp must be one of {_INTERP_KINDS}")
         arr = np.ascontiguousarray(arr)
         arr.setflags(write=False)
         object.__setattr__(self, "samples", arr)
@@ -165,12 +159,6 @@ class Signal:
                 ts = np.clip(ts, self.t0, self.t_end)
         if len(self) == 1:
             return np.repeat(self.samples, ts.size, axis=0)
-        if self.interp == "linear":
-            grid = self.times()
-            out = np.empty((ts.size, self.dim))
-            for j in range(self.dim):
-                out[:, j] = np.interp(ts, grid, self.samples[:, j])
-            return out
         c = self._spline[1]
         i, s = self._intervals(ts.ravel())
         # Gather from flat views of the coefficients: k indexes c[p].ravel().
@@ -188,7 +176,7 @@ class Signal:
         slices.  A row whose run check fails goes through ``values``.
         """
         taus = np.asarray(taus, dtype=float).reshape(-1)
-        if len(self) == 1 or self.interp == "linear":
+        if len(self) == 1:
             grid = self.t0 + self.dt * np.arange(i0, i0 + m)
             return self.values((taus[:, None] + grid).ravel()).reshape(taus.size, m, self.dim)
         x, c = self._spline
@@ -239,8 +227,7 @@ class Signal:
         i1 = self._index_at_or_before(hi)
         if i1 < i0:
             raise WindowOutOfDomain(f"[{lo:g}, {hi:g}] contains no grid point")
-        return Signal(self.t0 + i0 * self.dt, self.dt,
-                      self.samples[i0 : i1 + 1], self.interp)
+        return Signal(self.t0 + i0 * self.dt, self.dt, self.samples[i0 : i1 + 1])
 
     def _index_at_or_after(self, t: float) -> int:
         idx = math.ceil((t - self.t0) / self.dt - _GRID_RTOL)
@@ -309,7 +296,7 @@ def shift(f: Signal, tau: float) -> Signal:
     ts = new_t0 + f.dt * np.arange(i1 - i0 + 1)
     j0, aligned = _grid_starts(f, i0, ts.size, np.array([tau]))
     vals = f.samples[j0[0] : j0[0] + ts.size] if aligned[0] else f.values(ts + tau)
-    return Signal(new_t0, f.dt, vals, f.interp)
+    return Signal(new_t0, f.dt, vals)
 
 
 def _shifted(f: Signal, i0: int, m: int, tau: float) -> np.ndarray:
@@ -559,9 +546,13 @@ def write_signal_csv(sig: Signal, path) -> None:
 
 
 def read_signal_csv(path) -> Signal:
-    """Read the documented CSV form as a cubic Signal; rejects non-uniform grids."""
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
+    """Read the documented CSV form as a Signal; rejects fewer than two rows,
+    non-finite fields and non-uniform grids."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = [ln.strip() for ln in fh if ln.strip()]
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ParseError(f"cannot read {path}: {exc}") from exc
     if not lines:
         raise ParseError(f"{path}: empty file")
     header = [c.strip() for c in lines[0].split(",")]
@@ -580,17 +571,17 @@ def read_signal_csv(path) -> Signal:
             rows.append([float(p) for p in parts])
         except ValueError as exc:
             raise ParseError(f"{path}:{ln_no}: non-numeric field") from exc
-    if not rows:
-        raise ParseError(f"{path}: no data rows")
+    if len(rows) < 2:
+        raise ParseError(f"{path}: need at least two data rows")
     data = np.asarray(rows)
+    finite = np.isfinite(data).all(axis=1)
+    if not finite.all():
+        raise ParseError(f"{path}:{int(np.argmin(finite)) + 2}: non-finite field")
     ts = data[:, 0]
-    if len(ts) >= 2:
-        steps = np.diff(ts)
-        dt = float((ts[-1] - ts[0]) / (len(ts) - 1))
-        if dt <= 0 or np.any(steps <= 0):
-            raise ParseError(f"{path}: times must be strictly increasing")
-        if np.any(np.abs(steps - dt) > 1e-9 * dt):
-            raise ParseError(f"{path}: non-uniform time grid")
-    else:
-        dt = 1.0
+    steps = np.diff(ts)
+    dt = float((ts[-1] - ts[0]) / (len(ts) - 1))
+    if np.any(steps <= 0) or not dt < math.inf:
+        raise ParseError(f"{path}: times must be strictly increasing over a finite span")
+    if np.any(np.abs(steps - dt) > 1e-9 * dt):
+        raise ParseError(f"{path}: non-uniform time grid")
     return Signal(float(ts[0]), dt, data[:, 1:])

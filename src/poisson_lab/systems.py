@@ -288,12 +288,11 @@ _FORCINGS: dict[str, Callable] = {
     "levitan-base": _levitan_h,
     "levitan-phi": lambda ts: 1.0 / _levitan_h(ts),
     "levitan-psi": lambda ts: np.sin(1.0 / _levitan_h(ts)),
-    "ramp": lambda ts: np.array(ts, dtype=float),
 }
 
 
-def forcing_values(key: str, ts, *, components: Sequence[Sequence] | None = None,
-                   offset: Sequence[float] | None = None) -> np.ndarray:
+def forcing_values(key: str, ts, *,
+                   components: Sequence[Sequence] | None = None) -> np.ndarray:
     """Evaluate a closed-form forcing at times ``ts``; shape (len(ts), dim).
 
     ``trig-sum`` takes explicit (amp, omega, phase) triples per component;
@@ -305,10 +304,7 @@ def forcing_values(key: str, ts, *, components: Sequence[Sequence] | None = None
             raise ConfigInvalid("trig-sum needs forcing components")
         dim = len(components)
         proj, omegas, phases = _fold_terms(components, dim, 0.0)
-        vals = proj @ np.sin(np.outer(omegas, ts) + phases[:, None])
-        if offset is not None:
-            vals = vals + np.asarray(offset, dtype=float)[:, None]
-        return vals.T
+        return (proj @ np.sin(np.outer(omegas, ts) + phases[:, None])).T
     try:
         fn = _FORCINGS[key]
     except KeyError:
@@ -317,11 +313,10 @@ def forcing_values(key: str, ts, *, components: Sequence[Sequence] | None = None
 
 
 def forcing_signal(key: str, t0: float, t_end: float, dt: float, *,
-                   components=None, offset=None) -> Signal:
-    """The closed-form forcing sampled on [t0, t_end] as a cubic Signal."""
-    return sample_function(
-        lambda ts: forcing_values(key, ts, components=components, offset=offset),
-        t0, t_end, dt)
+                   components=None) -> Signal:
+    """The closed-form forcing sampled on [t0, t_end] as a Signal."""
+    return sample_function(lambda ts: forcing_values(key, ts, components=components),
+                           t0, t_end, dt)
 
 
 # ---------------------------------------------------------------------------
@@ -520,7 +515,7 @@ def integrate_ode(sys: SystemSpec, u0, cfg: IntegratorConfig) -> Signal:
         _, out = _rk4_record(rhs, u, cfg)
     else:
         out = _dopri5(rhs, u, cfg, _record_times(cfg))
-    return Signal(0.0, cfg.record_dt, out, "cubic")
+    return Signal(0.0, cfg.record_dt, out)
 
 
 def integrate_ode_snapshots(sys: SystemSpec, u0, cfg: IntegratorConfig,
@@ -618,7 +613,7 @@ def integrate_dde(sys: SystemSpec, history: Signal, cfg: IntegratorConfig) -> Si
     rhs = build_dde_rhs(sys)
     _validate_history(history, rhs.r, sys.dim)
     U, k_rec = _dde_core(rhs, lambda ts: history.values(ts)[:, :, None], cfg)
-    return Signal(-rhs.r, k_rec, U[:, :, 0], "cubic")
+    return Signal(-rhs.r, k_rec, U[:, :, 0])
 
 
 def integrate_dde_batch(sys: SystemSpec, history_states: np.ndarray,
@@ -683,7 +678,7 @@ class Field:
         """Flatten species x space into one Signal (dim = n * m)."""
         T = self.values.shape[0]
         dt = float(self.times[1] - self.times[0]) if T > 1 else 1.0
-        return Signal(float(self.times[0]), dt, self.values.reshape(T, -1), "cubic")
+        return Signal(float(self.times[0]), dt, self.values.reshape(T, -1))
 
     def spatial_mean(self) -> np.ndarray:
         """Trapezoid-weight spatial mean per species; shape (T, n)."""
@@ -762,7 +757,7 @@ class OrderResult:
         return self.ordered
 
 
-def quasimonotone_check(sys: SystemSpec, box, t_probe, h: float) -> QuasimonotoneResult:
+def quasimonotone_check(sys: SystemSpec, box, t_probe) -> QuasimonotoneResult:
     """Exact cooperativity test of the affine right-hand side.
 
     The ODE and parabolic kinds need Kamke's condition: every off-diagonal
@@ -772,13 +767,11 @@ def quasimonotone_check(sys: SystemSpec, box, t_probe, h: float) -> Quasimonoton
     Monotone Dynamical Systems, AMS 1995, ch. 3 and 5).  For an affine system
     these signs decide the condition on the whole state space, so box and
     t_probe only place the witness (t_probe[0], lower corner of box, i, j) of
-    the first negative entry in column order; h is validated but unused.
+    the first negative entry in column order.
     """
     box = np.asarray(box, dtype=float)
     if box.ndim != 2 or box.shape[1] != 2 or box.shape[0] == 0:
         raise ConfigInvalid("box must be an array of (lo, hi) rows")
-    if not h > 0:
-        raise ConfigInvalid("finite-difference step h must be > 0")
     if sys.kind == "dde_single_delay":
         rhs = build_dde_rhs(sys)
     elif sys.kind == "parabolic_1d":
@@ -839,7 +832,7 @@ def dde_cocycle_defect(sys: SystemSpec, history: Signal, cfg: IntegratorConfig,
     fine = replace(cfg, t_end=t + tau, record_dt=cfg.dt)
     sol = integrate_dde(sys, history, fine)
     seg = sol.restrict(tau - r, tau)
-    seg_hist = Signal(-r, seg.dt, seg.samples, seg.interp)
+    seg_hist = Signal(-r, seg.dt, seg.samples)
     sol2 = integrate_dde(sys.shifted(tau), seg_hist, replace(fine, t_end=t))
     end_direct = sol.at(t + tau)
     end_restart = sol2.at(t)

@@ -1,12 +1,14 @@
 import copy
+import io
 import json
 import math
 import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from poisson_lab.cli import main
 from poisson_lab.signals import sample_function, write_signal_csv
@@ -40,6 +42,17 @@ def test_classify_empty_file(tmp_path, capsys):
     bad = tmp_path / "empty.csv"
     bad.write_text("")
     assert main(["classify", str(bad)]) == 2
+
+
+@pytest.mark.parametrize("content", [None, b"\xff\xfe\x00"])
+def test_unreadable_csv_exit_2(tmp_path, capsys, content):
+    # A missing file, then one that is not UTF-8.
+    path = tmp_path / "sig.csv"
+    if content is not None:
+        path.write_bytes(content)
+    for argv in (["classify", str(path)], ["compare", str(path), str(path)]):
+        assert main(argv) == 2
+        assert len(capsys.readouterr().err.splitlines()) == 1
 
 
 def test_classify_non_uniform_grid(tmp_path, capsys):
@@ -303,3 +316,49 @@ def test_run_corrupted_config_never_raises(case):
         cfg = Path(tmp) / "cfg.json"
         cfg.write_text(json.dumps(raw))
         assert main(["run", str(cfg), "--out", str(Path(tmp) / "out")]) in (0, 1, 2)
+
+
+# Rows of a uniform grid; a corrupted CSV keeps 1-4 of them and spoils at most one.
+_CSV_ROWS = [["0", "0.5"], ["0.1", "-0.25"], ["0.2", "1"], ["0.3", "0"]]
+
+
+@st.composite
+def _corrupted_csv(draw):
+    """(CSV text, whether the reader must reject it)."""
+    n = draw(st.integers(min_value=1, max_value=4))
+    rows = copy.deepcopy(_CSV_ROWS[:n])
+    i = draw(st.integers(min_value=0, max_value=n - 1))
+    kind = draw(st.sampled_from(["none", "value", "time", "repeat", "decrease", "missing"]))
+    if kind in ("value", "time"):
+        rows[i][kind == "value"] = draw(st.sampled_from(["nan", "inf", "-inf"]))
+    elif kind == "repeat":
+        rows[i][0] = rows[i - 1][0]  # row 0 takes the last time
+    elif kind == "decrease":
+        rows[i][0] = "-1" if i else "1"
+    elif kind == "missing":
+        del rows[i][draw(st.integers(min_value=0, max_value=1))]
+    return "t,x1\n" + "".join(",".join(r) + "\n" for r in rows), n < 2 or kind != "none"
+
+
+@settings(max_examples=200)
+@given(case=_corrupted_csv())
+@example(case=("t,x1\n0,0\n0.1,nan\n0.2,1\n0.3,2\n", True))
+@example(case=("t,x1\n0,0\n0.1,inf\n0.2,1\n0.3,2\n", True))
+@example(case=("t,x1\n0,0\nnan,1\n0.2,1\n0.3,2\n", True))
+@example(case=("t,x1\n0,0\n0.1,1\n0.2,1\nnan,2\n", True))
+@example(case=("t,x1\n0,0\n0.1,1\n0.2,1\ninf,2\n", True))
+@example(case=("t,x1\n0,1\n", True))
+def test_classify_and_compare_corrupted_csv_never_raise(case):
+    text, rejected = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "sig.csv"
+        path.write_text(text)
+        for argv in (["classify", str(path)], ["compare", str(path), str(path)]):
+            err = io.StringIO()
+            with redirect_stdout(io.StringIO()), redirect_stderr(err):
+                code = main(argv)
+            lines = err.getvalue().splitlines()
+            if rejected:
+                assert code == 2 and len(lines) == 1, (argv[0], code, lines)
+            else:
+                assert code in (0, 1, 2) and len(lines) <= 1, (argv[0], code, lines)

@@ -133,7 +133,7 @@ def test_bohr_shifts_subset_of_bebutov_shifts(h_sig):
                 min_size=40, max_size=80),
        st.integers(min_value=1, max_value=8))
 def test_bebutov_below_sup_property(vals, k):
-    f = Signal(0.0, 0.1, np.asarray(vals), "linear")
+    f = Signal(0.0, 0.1, np.asarray(vals))
     hw = (f.length - 0.1 * k) / 2
     if hw <= 0.3:
         return

@@ -260,7 +260,7 @@ signal_values = st.lists(
 @given(signal_values, signal_values, signal_values)
 def test_triangle_inequalities(a, b, c):
     n = min(len(a), len(b), len(c))
-    mk = lambda vals: Signal(0.0, 0.1, np.asarray(vals[:n]), "linear")
+    mk = lambda vals: Signal(0.0, 0.1, np.asarray(vals[:n]))
     f, g, h = mk(a), mk(b), mk(c)
     w = Window(0.1 * (n - 1) / 2, 0.1 * (n - 1) / 2)
     assert sup_distance(f, h, w) <= (
@@ -275,7 +275,7 @@ def test_triangle_inequalities(a, b, c):
 @given(signal_values, st.integers(min_value=1, max_value=5),
        st.integers(min_value=1, max_value=5))
 def test_shift_flow_on_samples(vals, k1, k2):
-    f = Signal(0.0, 0.1, np.asarray(vals), "linear")
+    f = Signal(0.0, 0.1, np.asarray(vals))
     a, b = 0.1 * k1, 0.1 * k2
     if a + b >= f.length:
         return
@@ -286,7 +286,7 @@ def test_shift_flow_on_samples(vals, k1, k2):
 
 @given(signal_values, st.integers(min_value=1, max_value=8))
 def test_discrepancy_bound_property(vals, k):
-    f = Signal(0.0, 0.1, np.asarray(vals), "linear")
+    f = Signal(0.0, 0.1, np.asarray(vals))
     tau = 0.1 * k
     hw = (f.length - tau) / 2
     if hw <= 0.1:
@@ -316,7 +316,7 @@ shift_steps = st.tuples(st.integers(min_value=-8, max_value=8),
 
 @given(signal_values, st.lists(shift_steps, min_size=1, max_size=4))
 def test_profiles_match_references(vals, steps):
-    f = Signal(0.0, 0.1, np.asarray(vals), "linear")
+    f = Signal(0.0, 0.1, np.asarray(vals))
     hw = (f.length - 1.8) / 2
     if hw < 0.1:
         return
@@ -328,7 +328,7 @@ def test_profiles_match_references(vals, steps):
     assert np.allclose(bebutov_profile(f, taus, w), direct, rtol=0.0, atol=1e-12)
 
 
-def spiked_noise(seed, dim, m, interp):
+def spiked_noise(seed, dim, m):
     """Noise of amplitude 0.1 plus a unit spike at the 512th point of an
     m-point window (the last point a capped profile reads first), and shifts
     of both signs: zero, grid multiples and off-grid.
@@ -341,7 +341,7 @@ def spiked_noise(seed, dim, m, interp):
     vals = rng.uniform(-0.1, 0.1, (m + 2 * margin, dim))
     if m >= 512:
         vals[margin + 511] += 1.0
-    f = Signal(0.0, dt, vals, interp)
+    f = Signal(0.0, dt, vals)
     w = Window(dt * (margin + (m - 1) / 2), dt * (m - 1) / 2)
     k = rng.integers(1 - margin, margin, 16)
     frac = rng.choice([0.0, 0.0, 0.3, 0.77], 16)
@@ -351,13 +351,12 @@ def spiked_noise(seed, dim, m, interp):
 
 @given(st.integers(min_value=0, max_value=2**32 - 1),
        st.sampled_from([1, 3]),
-       st.sampled_from([300, 511, 512, 513, 900]),
-       st.sampled_from(["cubic", "linear"]))
-@example(1, 1, 512, "cubic")
-@example(2, 3, 900, "cubic")
-@example(3, 1, 900, "linear")
-def test_capped_profile_is_exact_below_the_cap(seed, dim, m, interp):
-    f, w, taus = spiked_noise(seed, dim, m, interp)
+       st.sampled_from([300, 511, 512, 513, 900]))
+@example(1, 1, 512)
+@example(2, 3, 900)
+@example(3, 1, 900)
+def test_capped_profile_is_exact_below_the_cap(seed, dim, m):
+    f, w, taus = spiked_noise(seed, dim, m)
     i0, i1 = f.window_slice(w)
     assert i1 - i0 + 1 == m
     exact = discrepancy_profile(f, taus, w)

@@ -529,17 +529,17 @@ def test_parabolic_cocycle_identity():
 
 def test_quasimonotone_pass_and_fail():
     good = ode([[-1.0, 0.5], [0.5, -1.0]], [[], []], 2)
-    res = quasimonotone_check(good, [[-1, 1], [-1, 1]], [0.0, 1.0], h=1e-4)
+    res = quasimonotone_check(good, [[-1, 1], [-1, 1]], [0.0, 1.0])
     assert res.passed
     bad = ode([[-1.0, -0.5], [0.5, -1.0]], [[], []], 2)
-    res = quasimonotone_check(bad, [[-1, 1], [-1, 1]], [0.0, 1.0], h=1e-4)
+    res = quasimonotone_check(bad, [[-1, 1], [-1, 1]], [0.0, 1.0])
     assert not res.passed
     t, u, i, j = res.witness
     assert (i, j) == (0, 1)
 
 
 def test_quasimonotone_scalar_vacuous():
-    res = quasimonotone_check(ode([[-3.0]], [[]]), [[-1, 1]], [0.0], h=1e-4)
+    res = quasimonotone_check(ode([[-3.0]], [[]]), [[-1, 1]], [0.0])
     assert res.passed
 
 
@@ -684,7 +684,7 @@ def test_quasimonotone_dde_negative_delayed_entry_fails():
                       "A_delay": [[-0.1296, 1.2510], [0.2792, 0.0]], "delay": 1.0})
     box, t_probe = [[-2.0, 2.0], [-2.0, 2.0]], [0.0, 1.7, 9.3]
     assert qm_reference(sys, box, t_probe, 1e-4)[0]
-    res = quasimonotone_check(sys, box, t_probe, h=1e-4)
+    res = quasimonotone_check(sys, box, t_probe)
     assert not res.passed
     assert res.witness[2:] == (0, 0)
 
@@ -692,7 +692,7 @@ def test_quasimonotone_dde_negative_delayed_entry_fails():
 def test_quasimonotone_parabolic_species():
     sys = _species_system(2)
     box, t_probe = [[0.0, 2.0], [0.0, 2.0]], [0.0, 1.7]
-    assert quasimonotone_check(sys, box, t_probe, h=1e-4).passed
+    assert quasimonotone_check(sys, box, t_probe).passed
     assert qm_reference(sys, box, t_probe, 1e-4)[0]
 
 
@@ -727,7 +727,7 @@ def signed_systems(draw):
 @example(case=(dde(-2.0, -1.0, [[]]), [[-2.0, 2.0]], [0.0, 1.7]))
 def test_quasimonotone_matches_sampled_reference(case):
     sys, box, t_probe = case
-    res = quasimonotone_check(sys, box, t_probe, h=1e-4)
+    res = quasimonotone_check(sys, box, t_probe)
     passed, witness = qm_reference(sys, box, t_probe, 1e-4)
     if sys.kind == "dde_single_delay":
         # The sampled pairs can miss a negative entry, never invent one.
