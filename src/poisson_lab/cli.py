@@ -15,6 +15,7 @@ from pathlib import Path
 
 from .errors import ConfigInvalid, DomainMismatch, ParseError, PoissonLabError
 from .recurrence import (
+    ClassifyConfig,
     TauGrid,
     classify,
     comparability_profile,
@@ -91,6 +92,8 @@ def _analysis_config(f, path):
             raise ValueError("poisson_separation must be finite and >= 0")
     except (ValueError, TypeError) as exc:
         raise ConfigInvalid(f"bad analysis config {path}: {exc}") from exc
+    if {"window", "tau_grid"} <= kwargs.keys():  # the defaults need 5 samples
+        return ClassifyConfig(**kwargs)
     return replace(default_classify_config(f), **kwargs)
 
 

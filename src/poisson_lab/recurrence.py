@@ -19,6 +19,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .errors import ConfigInvalid
 from .signals import (
     Signal,
     Window,
@@ -87,6 +88,8 @@ def default_classify_config(f: Signal) -> ClassifyConfig:
     """Window the middle of the signal, scan shifts over what fits."""
     length = f.length
     hw = length / 4.0
+    if hw < f.dt:
+        raise ConfigInvalid(f"{len(f)} samples are too short for the default window (needs 5)")
     center = f.t0 + hw
     tau_max = length - 2.0 * hw
     step = max(f.dt, tau_max / 200_000)
@@ -452,25 +455,20 @@ def quasi_periodic_fit(f: Signal, max_freqs: int, w: Window) -> QuasiPeriodicFit
     if not freqs:
         return QuasiPeriodicFit((), (), 1.0)
 
-    # The design matrix is built once; a search over one frequency rewrites
-    # only that frequency's two columns, and leaves them at its result.
+    # The design matrix is built once; each search over one frequency leaves
+    # that frequency's two columns at its result.
     M = _design_matrix(ts, freqs)
 
     def set_freq(idx: int, nu: float) -> None:
         M[:, 1 + 2 * idx] = np.cos(nu * ts)
         M[:, 2 + 2 * idx] = np.sin(nu * ts)
 
-    def obj(nu: float, idx: int) -> float:
-        set_freq(idx, nu)
-        coef, *_ = np.linalg.lstsq(M, comp, rcond=None)
-        r = comp - M @ coef
-        return float(r @ r)
-
     bin_w = 2.0 * math.pi / (comp.size * f.dt)
     for _ in range(2):
         for idx in range(len(freqs)):
             lo = max(freqs[idx] - 0.6 * bin_w, 0.25 * bin_w)
-            nu, _ = _golden_min(lambda xs: np.array([obj(x, idx) for x in xs.tolist()]),
+            obj = _projected_objective(M, idx, comp, ts)
+            nu, _ = _golden_min(lambda xs: np.array([obj(x) for x in xs.tolist()]),
                                 lo, freqs[idx] + 0.6 * bin_w, 28)
             nu_best = freqs[idx] = float(nu[0])
             set_freq(idx, nu_best)
@@ -487,6 +485,24 @@ def quasi_periodic_fit(f: Signal, max_freqs: int, w: Window) -> QuasiPeriodicFit
         tuple(amps[i] for i in order),
         float(min(resid, 1.0)),
     )
+
+
+def _projected_objective(M: np.ndarray, idx: int, y: np.ndarray, ts: np.ndarray):
+    """nu -> ||r||^2 of the least-squares fit of y by M with frequency idx's
+    columns at cos(nu t), sin(nu t), by variable projection (Golub and
+    Pereyra, 1973): the other columns are factored once, and each call solves
+    a 2x2 normal system.  r is formed explicitly, since ||y_perp||^2 -
+    g^T G^-1 g cancels near the optimum."""
+    Q, _ = np.linalg.qr(np.delete(M, [1 + 2 * idx, 2 + 2 * idx], axis=1))
+    yp = y - Q @ (Q.T @ y)
+
+    def obj(nu: float) -> float:
+        C = np.stack([np.cos(nu * ts), np.sin(nu * ts)], axis=1)
+        C -= Q @ (Q.T @ C)
+        r = yp - C @ np.linalg.solve(C.T @ C, C.T @ yp)
+        return float(r @ r)
+
+    return obj
 
 
 def _design_matrix(ts: np.ndarray, freqs) -> np.ndarray:

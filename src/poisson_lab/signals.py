@@ -547,7 +547,8 @@ def write_signal_csv(sig: Signal, path) -> None:
 
 def read_signal_csv(path) -> Signal:
     """Read the documented CSV form as a Signal; rejects fewer than two rows,
-    non-finite fields and non-uniform grids."""
+    non-finite fields, non-uniform grids, and a time span, sum of squared
+    deviations or natural-spline coefficient beyond the largest float."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = [ln.strip() for ln in fh if ln.strip()]
@@ -574,14 +575,26 @@ def read_signal_csv(path) -> Signal:
     if len(rows) < 2:
         raise ParseError(f"{path}: need at least two data rows")
     data = np.asarray(rows)
+    del lines, rows  # the parsed text would add to peak memory while the spline is built
     finite = np.isfinite(data).all(axis=1)
     if not finite.all():
         raise ParseError(f"{path}:{int(np.argmin(finite)) + 2}: non-finite field")
-    ts = data[:, 0]
-    steps = np.diff(ts)
-    dt = float((ts[-1] - ts[0]) / (len(ts) - 1))
-    if np.any(steps <= 0) or not dt < math.inf:
-        raise ParseError(f"{path}: times must be strictly increasing over a finite span")
-    if np.any(np.abs(steps - dt) > 1e-9 * dt):
-        raise ParseError(f"{path}: non-uniform time grid")
-    return Signal(float(ts[0]), dt, data[:, 1:])
+    ts, vals = data[:, 0], data[:, 1:]
+    # Each overflow below is reported as the ParseError after it.
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        steps = np.diff(ts)
+        dt = float((ts[-1] - ts[0]) / (len(ts) - 1))
+        if np.any(steps <= 0) or not dt < math.inf:
+            raise ParseError(f"{path}: times must be strictly increasing over a finite span")
+        if np.any(np.abs(steps - dt) > 1e-9 * dt):
+            raise ParseError(f"{path}: non-uniform time grid")
+        if not np.isfinite(np.square(vals - vals.mean(axis=0)).sum()):
+            raise ParseError(f"{path}: values too large: their squared deviations overflow")
+        sig = Signal(float(ts[0]), dt, vals)
+        try:
+            finite = np.isfinite(sig._spline[1]).all()
+        except ValueError:  # scipy's check of the spline's slopes
+            finite = False
+    if not finite:
+        raise ParseError(f"{path}: the interpolating spline overflows")
+    return sig

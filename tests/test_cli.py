@@ -225,6 +225,21 @@ def test_classify_separation_past_the_signal_finds_no_return(sine_csv, tmp_path,
     assert report["classes"]["poisson"]["witness"]["found"] == []
 
 
+@pytest.mark.parametrize("analysis, code", [
+    ({"window": [0.1, 0.1], "tau_grid": [0.0, 0.1, 0.1]}, 0),
+    ({"window": [0.1, 0.1]}, 2),
+])
+def test_classify_four_rows_needs_window_and_grid(tmp_path, capsys, analysis, code):
+    """The default window needs 5 samples; a config giving both the window
+    and the tau grid does without it."""
+    csv = tmp_path / "four.csv"
+    csv.write_text("t,x1\n0,0.5\n0.1,-0.25\n0.2,1\n0.3,0\n")
+    cfg = tmp_path / "analysis.json"
+    cfg.write_text(json.dumps(analysis))
+    assert main(["classify", str(csv), "--config", str(cfg)]) == code
+    assert len(capsys.readouterr().err.strip().splitlines()) == (1 if code else 0)
+
+
 def test_run_unknown_rhs_exit_2_without_manifest(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({
@@ -318,14 +333,19 @@ def test_run_corrupted_config_never_raises(case):
         assert main(["run", str(cfg), "--out", str(Path(tmp) / "out")]) in (0, 1, 2)
 
 
-# Rows of a uniform grid; a corrupted CSV keeps 1-4 of them and spoils at most one.
-_CSV_ROWS = [["0", "0.5"], ["0.1", "-0.25"], ["0.2", "1"], ["0.3", "0"]]
+# Rows of a uniform grid; a corrupted CSV keeps 1-6 of them and spoils at most one.
+# Even unspoiled, fewer than 5 rows are too short for the default window.
+_CSV_ROWS = [["0", "0.5"], ["0.1", "-0.25"], ["0.2", "1"], ["0.3", "0"], ["0.4", "0.5"],
+             ["0.5", "-1"]]
+# Finite fields whose span, squared deviations or spline overflow a float.
+_HUGE_VALUES = "t,x1\n" + "".join(f"{k},{(-1) ** k * 1e308}\n" for k in range(40))
+_HUGE_STEP = "t,x1\n" + "".join(f"{k}e306,{k % 3}\n" for k in range(40))
 
 
 @st.composite
 def _corrupted_csv(draw):
-    """(CSV text, whether the reader must reject it)."""
-    n = draw(st.integers(min_value=1, max_value=4))
+    """(CSV text, whether classify and compare must both exit 2)."""
+    n = draw(st.integers(min_value=1, max_value=6))
     rows = copy.deepcopy(_CSV_ROWS[:n])
     i = draw(st.integers(min_value=0, max_value=n - 1))
     kind = draw(st.sampled_from(["none", "value", "time", "repeat", "decrease", "missing"]))
@@ -337,7 +357,7 @@ def _corrupted_csv(draw):
         rows[i][0] = "-1" if i else "1"
     elif kind == "missing":
         del rows[i][draw(st.integers(min_value=0, max_value=1))]
-    return "t,x1\n" + "".join(",".join(r) + "\n" for r in rows), n < 2 or kind != "none"
+    return "t,x1\n" + "".join(",".join(r) + "\n" for r in rows), n < 5 or kind != "none"
 
 
 @settings(max_examples=200)
@@ -348,6 +368,12 @@ def _corrupted_csv(draw):
 @example(case=("t,x1\n0,0\n0.1,1\n0.2,1\nnan,2\n", True))
 @example(case=("t,x1\n0,0\n0.1,1\n0.2,1\ninf,2\n", True))
 @example(case=("t,x1\n0,1\n", True))
+@example(case=("t,x1\n0,0.5\n0.1,-0.25\n", True))
+@example(case=("t,x1\n0,0.5\n0.1,-0.25\n0.2,1\n", True))
+@example(case=("t,x1\n0,0.5\n0.1,-0.25\n0.2,1\n0.3,0\n", True))
+@example(case=(_HUGE_VALUES, True))
+@example(case=(_HUGE_STEP, True))
+@example(case=("t,x1\n-1e308,0\n0,1\n1e308,0\n", True))
 def test_classify_and_compare_corrupted_csv_never_raise(case):
     text, rejected = case
     with tempfile.TemporaryDirectory() as tmp:

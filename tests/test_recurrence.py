@@ -4,12 +4,15 @@ from unittest.mock import patch
 
 import numpy as np
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.interpolate import CubicSpline
 
 from poisson_lab import recurrence
+from poisson_lab.errors import ConfigInvalid
 from poisson_lab.recurrence import (
+    _design_matrix,
     _golden_min,
+    _projected_objective,
     ClassifyConfig,
     ReturnSequence,
     TauGrid,
@@ -17,6 +20,7 @@ from poisson_lab.recurrence import (
     bebutov_profile,
     classify,
     comparability_profile,
+    default_classify_config,
     density_table,
     poisson_returns,
     quasi_periodic_fit,
@@ -26,6 +30,7 @@ from poisson_lab.signals import (
     Signal,
     Window,
     discrepancy_profile,
+    read_signal_csv,
     sample_function,
     shift_discrepancy,
 )
@@ -425,6 +430,93 @@ def test_fit_scrambled_noise_fails():
                         0.0, 200.0, 0.01)
     fit = quasi_periodic_fit(f, 4, Window(100.0, 90.0))
     assert fit.residual >= 0.5
+
+
+def lstsq_objective(M, idx, y, ts):
+    """The reference the variable projection replaces: frequency idx's
+    columns set to cos(nu t), sin(nu t) and a full least-squares solve."""
+    M = M.copy()
+
+    def obj(nu):
+        M[:, 1 + 2 * idx] = np.cos(nu * ts)
+        M[:, 2 + 2 * idx] = np.sin(nu * ts)
+        coef, *_ = np.linalg.lstsq(M, y, rcond=None)
+        r = y - M @ coef
+        return float(r @ r)
+
+    return obj
+
+
+@st.composite
+def projection_case(draw):
+    """(y, M, idx, ts, searched frequencies): 1-4 sinusoids plus noise, and a
+    design matrix of 1-4 frequencies at least 3 bins apart, searched over the
+    +-0.6-bin bracket the polish uses, clipped at the 0.25-bin floor."""
+    n = draw(st.integers(min_value=50, max_value=5000))
+    dt = 0.1
+    ts = dt * np.arange(n)
+    bin_w = 2.0 * math.pi / (n * dt)
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    y = draw(st.floats(min_value=0.0, max_value=1.0)) * rng.standard_normal(n)
+    for _ in range(draw(st.integers(min_value=1, max_value=4))):
+        bins = draw(st.floats(min_value=0.5, max_value=24.0))
+        amp = draw(st.floats(min_value=0.1, max_value=2.0))
+        y = y + amp * np.sin(bins * bin_w * ts + draw(st.floats(min_value=0.0, max_value=6.3)))
+    k = draw(st.integers(min_value=1, max_value=4))
+    fitted = np.cumsum([draw(st.floats(min_value=1.5, max_value=4.0))]
+                       + [draw(st.floats(min_value=3.0, max_value=6.0)) for _ in range(k - 1)])
+    idx = draw(st.integers(min_value=0, max_value=k - 1))
+    lo, hi = max(fitted[idx] - 0.6, 0.25), fitted[idx] + 0.6
+    nus = [0.25, lo, hi, draw(st.floats(min_value=lo, max_value=hi))]
+    return y, _design_matrix(ts, fitted * bin_w), idx, ts, np.array(nus) * bin_w
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=projection_case())
+def test_projected_objective_is_the_lstsq_objective(case):
+    y, M, idx, ts, nus = case
+    fast, ref = _projected_objective(M, idx, y, ts), lstsq_objective(M, idx, y, ts)
+    scale = float(np.sum((y - y.mean()) ** 2))
+    for nu in nus.tolist():
+        assert abs(fast(nu) - ref(nu)) <= 1e-9 * scale, nu
+
+
+def _fit_input(case, tmp_path):
+    """A signal and fit window on which the fit is pinned to the reference:
+    the classify-long CLI inputs (seeds 1 and 7) and levitan's h, phi, psi."""
+    if case.startswith("long"):
+        rng = np.random.default_rng(int(case.split("-")[1]))
+        out = []
+        for n in (10_000, 20_000, 40_000):
+            phases = rng.uniform(0.0, 2.0 * math.pi, size=2)
+            t = 0.05 * np.arange(n)
+            path = tmp_path / f"signal-{n}.csv"
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write("t,x1\n")
+                np.savetxt(fh, np.column_stack(
+                    [t, np.sin(t + phases[0]) + np.sin(SQRT2 * t + phases[1])]),
+                    fmt="%.17g", delimiter=",")
+            f = read_signal_csv(path)
+            out.append((f, default_classify_config(f).window))
+        return out
+    if case == "h":
+        return [(forcing_signal("levitan-base", 0.0, 1000.0, 0.025), Window(250.0, 250.0))]
+    f = forcing_signal(f"levitan-{case}", -500.0, 500.0, 0.025)
+    return [(f, Window(-250.0, 250.0))]
+
+
+@pytest.mark.parametrize("case", ["long-1", "long-7", "h", "phi", "psi"])
+def test_fit_is_the_lstsq_fit(case, tmp_path, monkeypatch):
+    inputs = _fit_input(case, tmp_path)
+    fits = [quasi_periodic_fit(f, 4, w) for f, w in inputs]
+    monkeypatch.setattr(recurrence, "_projected_objective", lstsq_objective)
+    assert [quasi_periodic_fit(f, 4, w) for f, w in inputs] == fits
+
+
+def test_default_config_needs_five_samples():
+    with pytest.raises(ConfigInvalid, match="4 samples"):
+        default_classify_config(Signal(0.0, 0.1, np.zeros(4)))
+    assert default_classify_config(Signal(0.0, 0.1, np.zeros(5))).window.half_width == 0.1
 
 
 def test_rational_independence():
