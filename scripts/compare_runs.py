@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Compare two artifact trees of scenario runs and print the first difference.
+"""Compare two artifact trees of scenario runs and print where they differ.
 
 Usage: python scripts/compare_runs.py DIR_A DIR_B
 
@@ -8,12 +8,16 @@ Both trees must hold the same files.  Every file other than a
 A manifest must match as JSON, key order included, apart from
 ``wall_clock_s``, the output directory the run was written to
 (``config.outputs``) and the values of the two wall-clock checks
-(``closed_form_runtime``, ``parabolic_oracle_runtime``).  Exit 0 when the
-trees agree, 1 at the first difference.
+(``closed_form_runtime``, ``parabolic_oracle_runtime``).  For each file
+that differs the first difference is printed; for a ``report.json`` also
+its drift: the largest |a - b| over the numeric leaves found in both
+reports, and the count of other mismatched leaves.  Exit 0 when the trees
+agree, 1 when any file differs.
 """
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -54,6 +58,28 @@ def _json_diff(a, b, where: str):
     return None if repr(a) == repr(b) else f"{where}: {a!r} != {b!r}"
 
 
+def _drift(a, b) -> tuple[float, int]:
+    """(max |a - b| over finite numeric leaves, count of other mismatched leaves).
+
+    A key or list entry present on one side only counts as one mismatch.
+    """
+    if isinstance(a, dict) and isinstance(b, dict):
+        pairs = [(a[k], b[k]) for k in a if k in b]
+        missing = len(a.keys() ^ b.keys())
+    elif isinstance(a, list) and isinstance(b, list):
+        pairs, missing = list(zip(a, b)), abs(len(a) - len(b))
+    elif all(isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
+             for x in (a, b)):
+        return abs(a - b), 0
+    else:
+        return 0.0, int(repr(a) != repr(b))
+    worst = 0.0
+    for x, y in pairs:
+        d, n = _drift(x, y)
+        worst, missing = max(worst, d), missing + n
+    return worst, missing
+
+
 def _bytes_diff(a: bytes, b: bytes):
     if a == b:
         return None
@@ -80,15 +106,23 @@ def main(argv=None) -> int:
         only = sorted(set(names) ^ set(names_b))[0]
         print(f"{only}: only in {args.dir_a if only in names else args.dir_b}")
         return 1
+    differ = 0
     for name in names:
         pa, pb = args.dir_a / name, args.dir_b / name
         if pa.name == "manifest.json":
             diff = _json_diff(_manifest(pa), _manifest(pb), "manifest")
         else:
             diff = _bytes_diff(pa.read_bytes(), pb.read_bytes())
-        if diff:
-            print(f"{name}: {diff}")
-            return 1
+        if not diff:
+            continue
+        differ += 1
+        print(f"{name}: {diff}")
+        if pa.name == "report.json":
+            worst, other = _drift(*(json.loads(p.read_text(encoding="utf-8")) for p in (pa, pb)))
+            print(f"{name}: max |delta| {worst:.3g} over numeric leaves, "
+                  f"{other} non-numeric mismatches")
+    if differ:
+        return 1
     print(f"identical: {len(names)} files")
     return 0
 

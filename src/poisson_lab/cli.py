@@ -139,7 +139,8 @@ def _cmd_compare(args) -> int:
     lo = max(traj.t0, base.t0)
     hi = min(traj.t_end, base.t_end)
     if hi - lo <= 4 * max(traj.dt, base.dt):
-        raise DomainMismatch("signal domains barely overlap")
+        raise DomainMismatch("the common domain of the two signals spans at most "
+                             "four grid steps, too short to compare")
     if args.config:
         cfg = _analysis_config(traj, args.config)
         w, grid = cfg.window, cfg.tau_grid

@@ -14,11 +14,12 @@ lines is such an ODE on the (species, node) grid, with A the mirrored-ghost
 Laplacian plus decay.  Fixed-step RK4 on u' = A u + g(t), with inputs g that
 do not depend on the current state, is exactly the recurrence
 y_{k+1} = P(hA) y_k + q_k, with P the degree-4 Taylor polynomial of exp(hA)
-and q_k a fixed combination of g at t_k, t_k + h/2 and t_k + h; one engine
-runs that recurrence for all three kinds, with the inputs evaluated in
-vectorized chunks.  For the DDE method of steps, the inputs add A_delay
-times the delayed solution, which is known one delay interval
-ahead.  Steps are indexed by integers, t_k = t0 + k h: the dense and batch
+and q_k a fixed combination of g at t_k, t_k + h/2 and t_k + h.  With the
+trigonometric g of the ODE and parabolic kinds it is solved in closed form,
+y_k = P^k (y_0 - y_p,0) + y_p,k (one solve per frequency), at the record
+steps only.  The DDE method of steps, whose inputs add A_delay times the
+delayed solution, and ill-conditioned systems run it step by step.  Steps
+are indexed by integers, t_k = t0 + k h: the dense and batch
 drivers take nsub = ceil(record_dt / dt) steps of h = record_dt / nsub per
 record interval, the snapshot driver the same rule per span between
 snapshots, so the step that runs is the step configured.
@@ -323,8 +324,8 @@ def forcing_signal(key: str, t0: float, t_end: float, dt: float, *,
 # fixed-step RK4 as an affine recurrence
 # ---------------------------------------------------------------------------
 
-# Steps per chunk of stage inputs, divided by the state size (batch
-# included), so memory stays flat however long the run is.
+# Loop steps (or closed-form records) per chunk, divided by the state size
+# (batch included), so memory stays flat however long the run is.
 _CHUNK = 1 << 16
 
 
@@ -376,58 +377,109 @@ def _trig_inputs(rhs, t0: float, h: float, k0: int, n: int) -> np.ndarray:
     return rhs.offset + np.sin(np.outer(s, rhs.omegas) + rhs.phases) @ rhs.proj.T
 
 
+def _rk4_particular(rhs, coeffs, h: float, n: int):
+    """(y_c, V) of the periodic solution y_p,k = y_c + sum_j Im(v_j e^{i theta_jk}),
+    theta_jk = omega_j t_k + phi_j, of the RK4 recurrence for the inputs
+    offset + proj sin(omegas t + phases): (I - P) y_c = (C0 + Ch + (h/6) I)
+    offset and (z_j I - P) v_j = (C0 + w_j Ch + (h/6) z_j I) proj_j, with
+    w_j = e^{i omega_j h/2} and z_j = w_j^2 (A. V. Oppenheim and R. W. Schafer,
+    Discrete-Time Signal Processing, 3rd ed., 2010, ch. 2).  A zero right-hand
+    side is not solved.  None, so that the caller runs the loop, when an input
+    is not finite or a matrix has sigma_min * n < 1 for the n steps to run:
+    near a singular A or a resonance the closed form cancels, the loop not.
+    """
+    P, C0, Ch = coeffs
+    terms = (P, C0, Ch, rhs.offset, rhs.proj, rhs.omegas, rhs.phases)
+    if not all(np.isfinite(x).all() for x in terms):
+        return None
+    eye = np.eye(len(P))
+    w = np.concatenate(([1.0], np.exp(0.5j * h * rhs.omegas)))[:, None, None]
+    z = w * w
+    src = np.column_stack([rhs.offset, rhs.proj]).T[:, :, None]
+    B = ((C0 + w * Ch + (h / 6.0) * z * eye) @ src)[..., 0]
+    live = B.any(axis=1)
+    mats = z[live] * eye - P
+    if (np.linalg.svd(mats, compute_uv=False)[:, -1] * n < 1.0).any():
+        return None
+    X = np.zeros_like(B)
+    X[live] = np.linalg.solve(mats, B[live, :, None])[..., 0]
+    return X[0].real, X[1:]
+
+
+def _particular_at(rhs, part, t0: float, h: float, ks: np.ndarray) -> np.ndarray:
+    """y_p at the steps ks, shape (len(ks), dim); the step times are formed as
+    ``_trig_inputs`` forms them."""
+    y_c, V = part
+    theta = np.outer(t0 + (0.5 * h) * (2 * ks), rhs.omegas) + rhs.phases
+    return y_c + np.sin(theta) @ V.real + np.cos(theta) @ V.imag
+
+
 def _rk4_affine_steps(coeffs, y: np.ndarray, F: np.ndarray, h: float) -> np.ndarray:
     """States after n steps of y <- P y + q_k, given the stage inputs F.
 
     F[2k], F[2k + 1], F[2k + 2] are what the right-hand side adds to A y at
     the start, midpoint and end of step k: q_k = C0 F[2k] + Ch F[2k + 1] +
     (h/6) F[2k + 2].  F has shape (2n + 1, dim) when a whole batch shares it,
-    else (2n + 1,) + y.shape.  A scalar state with shared inputs runs through
-    a first-order IIR filter, which computes exactly that recurrence; other
-    states take one small matrix product per step.  Returns (n,) + y.shape.
+    else (2n + 1,) + y.shape.  One small matrix product per step: the path of
+    the DDE, whose inputs are not trigonometric, and of the systems that
+    ``_rk4_particular`` turns away.  Returns (n,) + y.shape.
     """
     P, C0, Ch = coeffs
     if F.ndim == 2:
         q = F[:-1:2] @ C0.T + F[1::2] @ Ch.T + (h / 6.0) * F[2::2]
+        if y.ndim == 2:
+            q = q[:, :, None]
     else:
         q = C0 @ F[:-1:2] + Ch @ F[1::2] + (h / 6.0) * F[2::2]
-    n = len(q)
-    if P.shape[0] == 1 and F.ndim == 2:
-        # Imported here: scipy.signal adds about half a second to the import.
-        from scipy.signal import lfilter
-
-        a = float(P[0, 0])
-        row = y.reshape(1, -1)
-        x = np.broadcast_to(q, (n, row.shape[1]))
-        states, _ = lfilter([1.0], [1.0, -a], x, axis=0, zi=a * row)
-        return states.reshape((n,) + y.shape)
-    if y.ndim == 2 and q.ndim == 2:
-        q = q[:, :, None]
-    out = np.empty((n,) + y.shape)
-    for k in range(n):
+    out = np.empty((len(q),) + y.shape)
+    for k in range(len(q)):
         y = P @ y + q[k]
         out[k] = y
     return out
 
 
 def _rk4_record(rhs, y: np.ndarray, cfg: IntegratorConfig):
-    """RK4 from t=0 on the record grid: (times, states); step k starts at k h."""
+    """RK4 from t=0 on the record grid: (times, states); step k starts at k h.
+
+    In closed form record r is P^k (y_0 - y_p,0) + y_p,k at k = r nsub: P**k
+    for a scalar state, else one product with M = P^nsub per record.
+    """
     if cfg.method != "rk4_fixed":
         raise ConfigInvalid(f"method {cfg.method!r}: this integrator runs rk4_fixed only")
     ts = _record_times(cfg)
     nsub = max(1, math.ceil(cfg.record_dt / cfg.dt - 1e-12))
     h = cfg.record_dt / nsub
     coeffs = _rk4_coeffs(rhs.A, h)
+    part = _rk4_particular(rhs, coeffs, h, (ts.size - 1) * nsub)
     out = np.empty((ts.size,) + y.shape)
     out[0] = y
-    per_chunk = max(1, _CHUNK // (nsub * y.size))
+    tail = (1,) * (y.ndim - 1)
+    if part is not None:
+        P = coeffs[0]
+        M = np.linalg.matrix_power(P, nsub)
+        e = y - _particular_at(rhs, part, 0.0, h, np.zeros(1, int))[0].reshape(-1, *tail)
+    per_chunk = max(1, _CHUNK // ((nsub if part is None else 1) * y.size))
     for r0 in range(1, ts.size, per_chunk):
         r1 = min(r0 + per_chunk, ts.size)
-        k0, n = (r0 - 1) * nsub, (r1 - r0) * nsub
-        states = _rk4_affine_steps(coeffs, y, _trig_inputs(rhs, 0.0, h, k0, n), h)
-        out[r0:r1] = states[nsub - 1::nsub]
+        if part is None:
+            k0, n = (r0 - 1) * nsub, (r1 - r0) * nsub
+            states = _rk4_affine_steps(coeffs, y, _trig_inputs(rhs, 0.0, h, k0, n), h)
+            out[r0:r1] = states[nsub - 1::nsub]
+            y = states[-1]
+        else:
+            ks = nsub * np.arange(r0, r1)
+            yp = _particular_at(rhs, part, 0.0, h, ks)
+            out[r0:r1] = yp.reshape(yp.shape + tail)
+            # P^k may overflow past the bound, where the chunk check raises;
+            # a zero homogeneous part stays 0 instead of 0 * inf.
+            with np.errstate(over="ignore", invalid="ignore"):
+                if P.shape == (1, 1):
+                    out[r0:r1] += np.where(e == 0.0, 0.0, np.multiply.outer(P[0, 0] ** ks, e))
+                else:
+                    for r in range(r0, r1):
+                        e = M @ e
+                        out[r] += e
         _check_records(out[r0:r1], ts[r0:r1], cfg.bound)
-        y = states[-1]
     return ts, out
 
 
@@ -541,9 +593,15 @@ def integrate_ode_snapshots(sys: SystemSpec, u0, cfg: IntegratorConfig,
             nsub = max(1, math.ceil(span / cfg.dt - 1e-12))
             h = span / nsub
             coeffs = _rk4_coeffs(rhs.A, h)
-            for k0 in range(0, nsub, _CHUNK):
-                F = _trig_inputs(rhs, t_prev, h, k0, min(_CHUNK, nsub - k0))
-                y = _rk4_affine_steps(coeffs, y, F, h)[-1]
+            part = _rk4_particular(rhs, coeffs, h, nsub)
+            if part is None:
+                for k0 in range(0, nsub, _CHUNK):
+                    F = _trig_inputs(rhs, t_prev, h, k0, min(_CHUNK, nsub - k0))
+                    y = _rk4_affine_steps(coeffs, y, F, h)[-1]
+            else:
+                yp = _particular_at(rhs, part, t_prev, h, np.array([0, nsub]))
+                with np.errstate(over="ignore", invalid="ignore"):
+                    y = np.linalg.matrix_power(coeffs[0], nsub) @ (y - yp[0]) + yp[1]
         _check_records(y[None], (t,), cfg.bound)
         out[i] = y
         t_prev = t
@@ -633,9 +691,8 @@ def _dde_core(rhs, hist_vals, cfg):
 
     Step i reads the delayed solution at nodes i - n_sub, i - n_sub + 1/2
     and i - n_sub + 1, all in the delay interval before its own.  So each
-    interval of n_sub steps runs through the affine engine, with A_delay
-    times those values added to the forcing as per-state stage inputs; being
-    per state, they keep even a scalar DDE off the IIR filter.
+    interval of n_sub steps runs through the affine engine's step loop, with
+    A_delay times those values added to the forcing as per-state stage inputs.
     """
     if cfg.method != "rk4_fixed":
         raise ConfigInvalid(f"method {cfg.method!r}: the DDE integrator runs rk4_fixed only")

@@ -107,6 +107,18 @@ def test_compare_domain_mismatch(tmp_path, capsys):
     assert main(["compare", str(a), str(b)]) == 2
 
 
+@pytest.mark.parametrize("rows, code", [(5, 2), (6, 0)])
+def test_compare_short_signal_with_itself(tmp_path, capsys, rows, code):
+    # Five rows span four grid steps, the most that compare rejects.
+    path = tmp_path / "rows.csv"
+    path.write_text("t,x1\n" + "".join(",".join(r) + "\n" for r in _CSV_ROWS[:rows]))
+    assert main(["compare", str(path), str(path)]) == code
+    err = capsys.readouterr().err.splitlines()
+    if code:
+        assert err == ["error: the common domain of the two signals spans at most "
+                       "four grid steps, too short to compare"]
+
+
 def test_compare_ramp_vs_sine(sine_csv, tmp_path, capsys):
     ramp_csv = tmp_path / "ramp.csv"
     write_signal_csv(

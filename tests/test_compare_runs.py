@@ -81,3 +81,28 @@ def test_file_in_one_tree_only(tmp_path, capsys, extra_in):
     shutil.copy(a / "tiny" / "report.json", tmp_path / extra_in / "tiny" / "extra.json")
     assert compare_runs.main([str(a), str(b)]) == 1
     assert "tiny/extra.json: only in" in capsys.readouterr().out
+
+
+def test_report_drift(tmp_path, capsys):
+    a, b = _tree(tmp_path / "a"), _tree(tmp_path / "b")
+    (a / "tiny" / "report.json").write_text(json.dumps(
+        {"value": 0.1, "rows": [1.0, -2.0, 3], "verdict": "yes", "gone": 1}))
+    (b / "tiny" / "report.json").write_text(json.dumps(
+        {"value": 0.1 + 3e-10, "rows": [1.0, -2.25, 3], "verdict": "no", "new": 1}))
+    csv = b / "tiny" / "trajectory.csv"
+    csv.write_bytes(csv.read_bytes().replace(b"1.25", b"1.35"))
+    assert compare_runs.main([str(a), str(b)]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    # Every differing file is named, not only the first; the key set differs
+    # by two keys and the verdict by one string.
+    assert [ln.split(":")[0] for ln in lines] == ["tiny/report.json"] * 2 + ["tiny/trajectory.csv"]
+    assert lines[1] == "tiny/report.json: max |delta| 0.25 over numeric leaves, " \
+                       "3 non-numeric mismatches"
+
+
+def test_report_drift_of_numbers_only(tmp_path, capsys):
+    a, b = _tree(tmp_path / "a"), _tree(tmp_path / "b")
+    (b / "tiny" / "report.json").write_text(json.dumps({"value": 0.1 + 3e-10}))
+    assert compare_runs.main([str(a), str(b)]) == 1
+    assert capsys.readouterr().out.splitlines()[-1] == \
+        "tiny/report.json: max |delta| 3e-10 over numeric leaves, 0 non-numeric mismatches"

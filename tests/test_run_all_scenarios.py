@@ -17,3 +17,39 @@ def test_quick_catalog_runs_from_the_checkout(tmp_path):
     assert proc.returncode == 0, proc.stderr
     summary = [ln.split()[0] for ln in proc.stdout.splitlines() if not ln.startswith(" ")]
     assert summary == list(CATALOG)
+
+
+# Each integrator kind of the catalog on its scenario's system, shortened.
+_INTEGRATOR_KINDS = """
+import sys
+from dataclasses import replace
+import numpy as np
+from poisson_lab.scenarios import build_scenario
+from poisson_lab.signals import Signal
+from poisson_lab.systems import (integrate_dde, integrate_ode, integrate_ode_batch,
+                                 integrate_ode_snapshots, integrate_parabolic)
+
+def short(name, t_end):
+    cfg = build_scenario(name)
+    return cfg.system, replace(cfg.integrator, method="rk4_fixed", t_end=t_end)
+
+s1, cfg = short("s1-opial-scalar", 50.0)
+integrate_ode(s1, [0.0], cfg)
+s3, cfg = short("s3-coop-2d", 10.0)
+integrate_ode_batch(s3, np.zeros((2, 3)), cfg)
+integrate_ode_snapshots(s3, [0.0, 0.0], cfg, [2.5, 10.0])
+s5, cfg = short("s5-rd-scalar", 1.0)
+integrate_parabolic(s5, np.zeros((1, cfg.space_points)), cfg)
+s4, cfg = short("s4-dde-linear", 5.0)
+r = s4.params["delay"]
+integrate_dde(s4, Signal(-r, r / 2, np.zeros((3, 1))), cfg)
+print("scipy.signal" in sys.modules)
+"""
+
+
+def test_integrators_leave_scipy_signal_unimported():
+    env = {**os.environ, "PYTHONPATH": str(_SCRIPT.parents[1] / "src")}
+    proc = subprocess.run([sys.executable, "-c", _INTEGRATOR_KINDS], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False"]

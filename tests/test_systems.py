@@ -173,6 +173,22 @@ def test_blowup_detected(grow):
         grow(cfg)
 
 
+def test_fast_blowup_raises_only_blowup():
+    # e^{10 t} passes the bound at t = 2.1 and overflows a float by t = 71,
+    # within the same chunk of records.
+    cfg = IntegratorConfig(method="rk4_fixed", dt=0.01, t_end=100.0, record_dt=0.1)
+    with pytest.raises(BlowupDetected, match=r"at t=2.1$"):
+        integrate_ode(ode([[10.0]], [[]]), [1.0], cfg)
+
+
+def test_unstable_rest_state_stays_at_rest():
+    # The homogeneous part is 0 * P^k; P^k overflows by t = 1420.
+    cfg = IntegratorConfig(method="rk4_fixed", dt=0.1, t_end=2000.0, record_dt=0.1)
+    sys = ode([[0.5]], [[]])
+    assert not integrate_ode(sys, [0.0], cfg).samples.any()
+    assert not integrate_ode_batch(sys, np.zeros((1, 2)), cfg)[1].any()
+
+
 def test_negative_dt_rejected():
     with pytest.raises(ConfigInvalid):
         IntegratorConfig(dt=-0.1)
@@ -264,6 +280,44 @@ def test_rk4_long_grid_takes_configured_steps():
         ref[k + 1] = y = _rk4_span(rhs, 0.0, y, 0.1, (k,))
     assert sol.samples.shape == ref.shape
     assert _close(sol.samples, ref)
+
+
+# A singular or nearly singular I - P with an offset, a resonance
+# (omega h = 2 pi puts z = e^{i omega h} on P's eigenvalue 1), and a
+# cooperative A with eigenvalues -2 and about -5e-10: the closed form would
+# cancel here, so the drivers must still match the stage loop.
+_ILL_CONDITIONED = [
+    *(pytest.param([[a]], [[]], [0.7], id=f"scalar-{a:g}") for a in (0.0, -1e-9, -1e-6)),
+    pytest.param([[0.0]], [[[1.0, 40 * math.pi, 0.3]]], [0.0], id="resonant"),
+    pytest.param([[-1.0, 1.0], [1.0, -1.0 - 1e-9]], [[[0.5, 1.0, 0.0]], []], [0.7, -0.2],
+                 id="coop-near-zero"),
+]
+
+
+@pytest.mark.parametrize("A, forcing, offset", _ILL_CONDITIONED)
+def test_rk4_ill_conditioned_systems_match_stage_loop(A, forcing, offset):
+    dim = len(A)
+    sys = SystemSpec("scalar_ode" if dim == 1 else "cooperative_ode", dim, "linear+trig",
+                     {"A": A, "forcing": forcing, "offset": offset})
+    cfg = IntegratorConfig(method="rk4_fixed", dt=0.05, t_end=10.0, record_dt=0.1)
+    rhs = build_ode_rhs(sys)
+    u0 = np.linspace(0.5, -0.5, dim)
+    U0 = np.outer(u0, [1.0, -2.0])
+    ref, ref_batch = [u0], [U0]
+    for i in range(100):  # 200 steps of h = 0.05
+        ref.append(_rk4_span(rhs, 0.0, ref[-1], 0.05, range(2 * i, 2 * i + 2)))
+        ref_batch.append(_rk4_span(rhs, 0.0, ref_batch[-1], 0.05, range(2 * i, 2 * i + 2)))
+    assert _close(integrate_ode(sys, u0, cfg).samples, np.array(ref))
+    assert _close(integrate_ode_batch(sys, U0, cfg)[1], np.array(ref_batch))
+
+    times = (2.5, 7.5, 10.0)
+    ref, y, t_prev = [], u0, 0.0
+    for t in times:
+        nsub = round((t - t_prev) / 0.05)
+        y = _rk4_span(rhs, t_prev, y, (t - t_prev) / nsub, range(nsub))
+        ref.append(y)
+        t_prev = t
+    assert _close(integrate_ode_snapshots(sys, u0, cfg, times), np.array(ref))
 
 
 # ---------------------------------------------------------------------------
