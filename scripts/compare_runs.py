@@ -9,10 +9,11 @@ A manifest must match as JSON, key order included, apart from
 ``wall_clock_s``, the output directory the run was written to
 (``config.outputs``) and the values of the two wall-clock checks
 (``closed_form_runtime``, ``parabolic_oracle_runtime``).  For each file
-that differs the first difference is printed; for a ``report.json`` also
-its drift: the largest |a - b| over the numeric leaves found in both
-reports, and the count of other mismatched leaves.  Exit 0 when the trees
-agree, 1 when any file differs.
+that differs the first difference is printed; for a ``report.json`` or a
+``manifest.json`` (as compared, without the ignored fields) also its
+drift: the largest |a - b| over the numeric leaves found in both, and the
+count of other mismatched leaves, so a check whose status flips counts as
+one.  Exit 0 when the trees agree, 1 when any file differs.
 """
 
 import argparse
@@ -35,6 +36,12 @@ def _manifest(path: Path) -> dict:
     for name in _RUNTIME_CHECKS:
         m.get("summary", {}).get(name, {}).pop("value", None)
     return m
+
+
+_DRIFT_LOADERS = {
+    "manifest.json": _manifest,
+    "report.json": lambda path: json.loads(path.read_text(encoding="utf-8")),
+}
 
 
 def _json_diff(a, b, where: str):
@@ -117,8 +124,9 @@ def main(argv=None) -> int:
             continue
         differ += 1
         print(f"{name}: {diff}")
-        if pa.name == "report.json":
-            worst, other = _drift(*(json.loads(p.read_text(encoding="utf-8")) for p in (pa, pb)))
+        load = _DRIFT_LOADERS.get(pa.name)
+        if load:
+            worst, other = _drift(load(pa), load(pb))
             print(f"{name}: max |delta| {worst:.3g} over numeric leaves, "
                   f"{other} non-numeric mismatches")
     if differ:

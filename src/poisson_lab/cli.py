@@ -144,15 +144,15 @@ def _cmd_compare(args) -> int:
     if args.config:
         cfg = _analysis_config(traj, args.config)
         w, grid = cfg.window, cfg.tau_grid
-        eps = cfg.bohr_epsilons
+        eps, kw = cfg.bohr_epsilons, {"refute_frac": cfg.refute_frac}
     else:
         length = hi - lo
         hw = length / 4
         w = Window(lo + hw, hw)
         grid = TauGrid(0.0, length - 2 * hw,
                        max(traj.dt, (length - 2 * hw) / 100_000))
-        eps = (0.5, 0.2, 0.1)
-    profile = comparability_profile(traj, base, eps, grid, w)
+        eps, kw = (0.5, 0.2, 0.1), {}
+    profile = comparability_profile(traj, base, eps, grid, w, **kw)
     payload = {
         "pairs": [[e, ("inf" if d == float("inf") else d)] for e, d in profile.pairs],
         "verdict": profile.verdict,

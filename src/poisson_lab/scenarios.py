@@ -3,7 +3,7 @@
 Each catalog entry drives one equation family with a recurrent forcing and
 checks a convergence or classification claim about it end to end: integrate,
 analyze recurrence, sample the limit set, compare against a closed-form
-particular solution where one exists, and write CSV + JSON artifacts.
+steady state where one exists, and write CSV + JSON artifacts.
 
 Catalog names are fixed:
 
@@ -61,69 +61,6 @@ from .systems import (
 )
 
 _SQRT2 = math.sqrt(2.0)
-
-
-# ---------------------------------------------------------------------------
-# closed-form particular solutions (scenario-side reference formulas)
-# ---------------------------------------------------------------------------
-
-def _trig_response(components, n: int, coeff):
-    """Sum of c sin(omega t + phase) + d cos(omega t + phase) over forcing groups.
-
-    Terms sharing a (frequency, phase) pair form one group with amplitude
-    vector b; ``coeff(omega, b)`` returns its (c, d).  Returns a callable
-    ts -> (len(ts), n).
-    """
-    groups: dict[tuple, np.ndarray] = {}
-    for i, terms in enumerate(components):
-        for amp, omega, phase in terms:
-            groups.setdefault((float(omega), float(phase)), np.zeros(n))[i] += float(amp)
-    coeffs = [(omega, phase, *coeff(omega, b)) for (omega, phase), b in groups.items()]
-
-    def u_p(ts):
-        ts = np.atleast_1d(np.asarray(ts, dtype=float))
-        out = np.zeros((ts.size, n))
-        for omega, phase, c, d in coeffs:
-            arg = omega * ts + phase
-            out += np.outer(np.sin(arg), c) + np.outer(np.cos(arg), d)
-        return out
-
-    return u_p
-
-
-def trig_particular_solution(A, components):
-    """Particular solution of u' = A u + sum of amp sin(omega t + phase).
-
-    Solves (A^2 + omega^2 I) c = -A b and d = -(A c + b)/omega per
-    frequency-phase group.
-    """
-    A = np.asarray(A, dtype=float)
-    eye = np.eye(A.shape[0])
-
-    def coeff(omega, b):
-        c = np.linalg.solve(A @ A + omega * omega * eye, -A @ b)
-        return c, -(A @ c + b) / omega
-
-    return _trig_response(components, A.shape[0], coeff)
-
-
-def dde_particular_solution(A_self, A_delay, r, components):
-    """Periodic particular solution of the linear single-delay system."""
-    A_s = np.asarray(A_self, dtype=float)
-    A_d = np.asarray(A_delay, dtype=float)
-    n = A_s.shape[0]
-    eye = np.eye(n)
-
-    def coeff(omega, b):
-        cw, sw = math.cos(omega * r), math.sin(omega * r)
-        M = np.block([
-            [A_s + cw * A_d, sw * A_d + omega * eye],
-            [omega * eye + sw * A_d, -(A_s + cw * A_d)],
-        ])
-        sol = np.linalg.solve(M, np.concatenate([-b, np.zeros(n)]))
-        return sol[:n], sol[n:]
-
-    return _trig_response(components, n, coeff)
 
 
 # ---------------------------------------------------------------------------
@@ -402,7 +339,7 @@ def build_s1(seed: int = 0, outputs: str | None = None,
 def _run_s1(em: _Emitter, cfg: ScenarioConfig) -> None:
     ana = cfg.analysis
     sysspec = cfg.system
-    u_p = trig_particular_solution(sysspec.params["A"], sysspec.params["forcing"])
+    u_p = build_ode_rhs(sysspec).steady_state()
     u0 = u_p(0.0)[0]
 
     # Closed-form oracle on a short horizon with the adaptive integrator.
@@ -611,7 +548,7 @@ def build_s3(seed: int = 0, outputs: str | None = None,
 def _run_s3(em: _Emitter, cfg: ScenarioConfig) -> None:
     ana = cfg.analysis
     sysspec = cfg.system
-    u_p = trig_particular_solution(sysspec.params["A"], sysspec.params["forcing"])
+    u_p = build_ode_rhs(sysspec).steady_state()
 
     # Closed-form start: the particular solution is an exact trajectory.
     short_cfg = replace(cfg.integrator, t_end=50.0)
@@ -702,7 +639,7 @@ def _run_s4(em: _Emitter, cfg: ScenarioConfig) -> None:
     _check_state_box(em, traj.samples, ana["state_box"])
     em.write_signal("trajectory.csv", traj)
 
-    x_p = dde_particular_solution(p["A_self"], p["A_delay"], r, p["forcing"])
+    x_p = build_dde_rhs(sysspec).steady_state()
     lo, hi = ana["tail_window"]
     tail = traj.restrict(lo, hi)
     sup_err = float(np.abs(tail.samples - x_p(tail.times())).max())
@@ -802,15 +739,10 @@ def _run_s5(em: _Emitter, cfg: ScenarioConfig) -> None:
     # Main forced run and its closed-form tail.
     field = integrate_parabolic(sysspec, (1.0 + 0.5 * np.cos(math.pi * xs / L))[None, :],
                                 cfg.integrator)
-    dx = L / (m - 1)
-    lam_h = 4.0 / (dx * dx) * math.sin(math.pi * dx / (2 * L)) ** 2
-    kappa = 1.0 + nu * lam_h
-    ts = field.times
-    alpha = 0.5 * (np.sin(ts) - np.cos(ts))
-    beta = (kappa * np.sin(ts) - np.cos(ts)) / (1.0 + kappa * kappa)
-    exact = alpha[:, None] + np.outer(beta, np.cos(math.pi * xs / L))
-    tail_mask = ts >= cfg.integrator.t_end - 10.0
-    tail_err = float(np.abs(field.values[tail_mask, 0, :] - exact[tail_mask]).max())
+    u_p = build_reaction(sysspec).method_of_lines(m)[0].steady_state()
+    tail_mask = field.times >= cfg.integrator.t_end - 10.0
+    exact = u_p(field.times[tail_mask])
+    tail_err = float(np.abs(field.values[tail_mask, 0, :] - exact).max())
     em.check("closed_form_tail", tail_err < ana["tail_tol"], tail_err,
              "settled field matches the separable particular solution")
 

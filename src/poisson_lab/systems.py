@@ -187,6 +187,20 @@ class LinearTrigRhs:
             return self.A @ u + p
         return self.A @ u + self.A_delay @ u_past + p
 
+    def steady_state(self):
+        """The forced steady state as a callable ts -> (len(ts), dim):
+        x_0 + sum_j Im(x_j e^{i (omega_j t + phi_j)}), where (s I - A -
+        e^{-s r} A_delay) x = src for s = 0 with src = offset and for
+        s = i omega_j with src = proj_j, the characteristic matrix of
+        J. K. Hale and S. M. Verduyn Lunel, Introduction to Functional
+        Differential Equations, Springer, 1993."""
+        s = np.concatenate(([0.0], 1j * self.omegas))[:, None, None]
+        mats = s * np.eye(self.dim) - self.A
+        if self.A_delay is not None:
+            mats = mats - np.exp(-s * self.r) * self.A_delay
+        part = _solve_sources(mats, np.column_stack([self.offset, self.proj]).T)
+        return lambda ts: _particular_at(self, part, np.atleast_1d(np.asarray(ts, dtype=float)))
+
 
 class ReactionDiffusion:
     """w_t = nu w_xx + f(t, x, w) on [0, L] with Neumann walls.
@@ -377,16 +391,26 @@ def _trig_inputs(rhs, t0: float, h: float, k0: int, n: int) -> np.ndarray:
     return rhs.offset + np.sin(np.outer(s, rhs.omegas) + rhs.phases) @ rhs.proj.T
 
 
+def _solve_sources(mats, B):
+    """(x_0, X) from mats[j] x_j = B[j]: row 0 is the offset's, whose x_0 is
+    real, the rows after it the forcing terms'.  A zero right-hand side is
+    not solved; its x_j is 0."""
+    live = B.any(axis=1)
+    X = np.zeros(B.shape, complex)
+    X[live] = np.linalg.solve(mats[live], B[live, :, None])[..., 0]
+    return X[0].real, X[1:]
+
+
 def _rk4_particular(rhs, coeffs, h: float, n: int):
     """(y_c, V) of the periodic solution y_p,k = y_c + sum_j Im(v_j e^{i theta_jk}),
     theta_jk = omega_j t_k + phi_j, of the RK4 recurrence for the inputs
     offset + proj sin(omegas t + phases): (I - P) y_c = (C0 + Ch + (h/6) I)
     offset and (z_j I - P) v_j = (C0 + w_j Ch + (h/6) z_j I) proj_j, with
     w_j = e^{i omega_j h/2} and z_j = w_j^2 (A. V. Oppenheim and R. W. Schafer,
-    Discrete-Time Signal Processing, 3rd ed., 2010, ch. 2).  A zero right-hand
-    side is not solved.  None, so that the caller runs the loop, when an input
-    is not finite or a matrix has sigma_min * n < 1 for the n steps to run:
-    near a singular A or a resonance the closed form cancels, the loop not.
+    Discrete-Time Signal Processing, 3rd ed., 2010, ch. 2).  None, so that
+    the caller runs the loop, when an input is not finite or a solved matrix
+    has sigma_min * n < 1 for the n steps to run: near a singular A or a
+    resonance the closed form cancels, the loop not.
     """
     P, C0, Ch = coeffs
     terms = (P, C0, Ch, rhs.offset, rhs.proj, rhs.omegas, rhs.phases)
@@ -397,20 +421,16 @@ def _rk4_particular(rhs, coeffs, h: float, n: int):
     z = w * w
     src = np.column_stack([rhs.offset, rhs.proj]).T[:, :, None]
     B = ((C0 + w * Ch + (h / 6.0) * z * eye) @ src)[..., 0]
-    live = B.any(axis=1)
-    mats = z[live] * eye - P
-    if (np.linalg.svd(mats, compute_uv=False)[:, -1] * n < 1.0).any():
+    mats = z * eye - P
+    if (np.linalg.svd(mats[B.any(axis=1)], compute_uv=False)[:, -1] * n < 1.0).any():
         return None
-    X = np.zeros_like(B)
-    X[live] = np.linalg.solve(mats, B[live, :, None])[..., 0]
-    return X[0].real, X[1:]
+    return _solve_sources(mats, B)
 
 
-def _particular_at(rhs, part, t0: float, h: float, ks: np.ndarray) -> np.ndarray:
-    """y_p at the steps ks, shape (len(ks), dim); the step times are formed as
-    ``_trig_inputs`` forms them."""
+def _particular_at(rhs, part, ts: np.ndarray) -> np.ndarray:
+    """y_c + sum_j Im(v_j e^{i (omega_j t + phi_j)}) at the times ts, shape (len(ts), dim)."""
     y_c, V = part
-    theta = np.outer(t0 + (0.5 * h) * (2 * ks), rhs.omegas) + rhs.phases
+    theta = np.outer(ts, rhs.omegas) + rhs.phases
     return y_c + np.sin(theta) @ V.real + np.cos(theta) @ V.imag
 
 
@@ -457,7 +477,7 @@ def _rk4_record(rhs, y: np.ndarray, cfg: IntegratorConfig):
     if part is not None:
         P = coeffs[0]
         M = np.linalg.matrix_power(P, nsub)
-        e = y - _particular_at(rhs, part, 0.0, h, np.zeros(1, int))[0].reshape(-1, *tail)
+        e = y - _particular_at(rhs, part, np.zeros(1))[0].reshape(-1, *tail)
     per_chunk = max(1, _CHUNK // ((nsub if part is None else 1) * y.size))
     for r0 in range(1, ts.size, per_chunk):
         r1 = min(r0 + per_chunk, ts.size)
@@ -468,7 +488,7 @@ def _rk4_record(rhs, y: np.ndarray, cfg: IntegratorConfig):
             y = states[-1]
         else:
             ks = nsub * np.arange(r0, r1)
-            yp = _particular_at(rhs, part, 0.0, h, ks)
+            yp = _particular_at(rhs, part, (0.5 * h) * (2 * ks))
             out[r0:r1] = yp.reshape(yp.shape + tail)
             # P^k may overflow past the bound, where the chunk check raises;
             # a zero homogeneous part stays 0 instead of 0 * inf.
@@ -535,7 +555,8 @@ def _dopri5(rhs, y0, cfg: IntegratorConfig, times) -> np.ndarray:
                     t += h
                     y = y5
                     k1 = ks[6]
-                    _check_records(y[None], (t,), cfg.bound)
+                    if not np.abs(y).max() <= cfg.bound:  # NaN fails it too
+                        _check_records(y[None], (t,), cfg.bound)
                     h_next = h * min(5.0, max(0.2, 0.9 * max(err, 1e-16) ** -0.2))
                     break
                 h *= min(1.0, max(0.2, 0.9 * err ** -0.2))
@@ -599,7 +620,7 @@ def integrate_ode_snapshots(sys: SystemSpec, u0, cfg: IntegratorConfig,
                     F = _trig_inputs(rhs, t_prev, h, k0, min(_CHUNK, nsub - k0))
                     y = _rk4_affine_steps(coeffs, y, F, h)[-1]
             else:
-                yp = _particular_at(rhs, part, t_prev, h, np.array([0, nsub]))
+                yp = _particular_at(rhs, part, t_prev + (0.5 * h) * (2 * np.array([0, nsub])))
                 with np.errstate(over="ignore", invalid="ignore"):
                     y = np.linalg.matrix_power(coeffs[0], nsub) @ (y - yp[0]) + yp[1]
         _check_records(y[None], (t,), cfg.bound)

@@ -119,6 +119,23 @@ def test_compare_short_signal_with_itself(tmp_path, capsys, rows, code):
                        "four grid steps, too short to compare"]
 
 
+@pytest.mark.parametrize("extra, verdict", [
+    ({}, "refuted"),
+    # With a fraction of 0 no profile is far enough below its scale to refute.
+    ({"refute_frac": 0.0}, "comparable-evidence"),
+])
+def test_compare_config_sets_refute_frac(tmp_path, capsys, extra, verdict):
+    a, b = tmp_path / "sine.csv", tmp_path / "sine-sqrt2.csv"
+    write_signal_csv(sample_function(np.sin, 0.0, 400.0, 0.05), a)
+    write_signal_csv(sample_function(lambda t: np.sin(math.sqrt(2.0) * t), 0.0, 400.0, 0.05), b)
+    cfg = tmp_path / "analysis.json"
+    cfg.write_text(json.dumps({"window": [100, 100], "tau_grid": [0, 150, 0.05], **extra}))
+    out = tmp_path / "cmp.json"
+    assert main(["compare", str(a), str(b), "--config", str(cfg),
+                 "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["verdict"] == verdict
+
+
 def test_compare_ramp_vs_sine(sine_csv, tmp_path, capsys):
     ramp_csv = tmp_path / "ramp.csv"
     write_signal_csv(

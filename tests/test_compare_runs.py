@@ -106,3 +106,18 @@ def test_report_drift_of_numbers_only(tmp_path, capsys):
     assert compare_runs.main([str(a), str(b)]) == 1
     assert capsys.readouterr().out.splitlines()[-1] == \
         "tiny/report.json: max |delta| 3e-10 over numeric leaves, 0 non-numeric mismatches"
+
+
+def test_manifest_drift(tmp_path, capsys):
+    # The wall clock and the runtime checks stay out of the drift too.
+    a, b = _tree(tmp_path / "a"), _tree(tmp_path / "b", wall=9.5, closed=0.75)
+    path = b / "tiny" / "manifest.json"
+    manifest = json.loads(path.read_text())
+    manifest["config"]["seed"] = 2e-12
+    manifest["summary"]["quasimonotone"]["status"] = "fail"
+    path.write_text(json.dumps(manifest, indent=2))
+    assert compare_runs.main([str(a), str(b)]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "tiny/manifest.json: manifest.config.seed: 0 != 2e-12",
+        "tiny/manifest.json: max |delta| 2e-12 over numeric leaves, 1 non-numeric mismatches",
+    ]

@@ -17,6 +17,9 @@ from poisson_lab.signals import Signal, sample_function
 from poisson_lab.systems import (
     IntegratorConfig,
     SystemSpec,
+    _particular_at,
+    _rk4_coeffs,
+    _rk4_particular,
     _rk4_span,
     build_dde_rhs,
     build_ode_rhs,
@@ -187,6 +190,20 @@ def test_unstable_rest_state_stays_at_rest():
     sys = ode([[0.5]], [[]])
     assert not integrate_ode(sys, [0.0], cfg).samples.any()
     assert not integrate_ode_batch(sys, np.zeros((1, 2)), cfg)[1].any()
+
+
+@pytest.mark.parametrize("run, message", [
+    pytest.param(lambda sys, cfg: integrate_ode(sys, [1.0], cfg),
+                 "state norm 1092.31 exceeds bound 1000 at t=6.99605", id="dense"),
+    pytest.param(lambda sys, cfg: integrate_ode_snapshots(sys, [1.0], cfg, [5.0, 10.0]),
+                 "state norm 1016.08 exceeds bound 1000 at t=6.9237", id="snapshots"),
+])
+def test_adaptive_blowup_stops_at_first_step_past_bound(run, message):
+    # Dopri5 checks every accepted step, not only the records.
+    cfg = replace(RK45, record_dt=0.1, blowup_bound=1e3)
+    with pytest.raises(BlowupDetected) as exc:
+        run(ode([[1.0]], [[]]), cfg)
+    assert str(exc.value).endswith(message)
 
 
 def test_negative_dt_rejected():
@@ -828,3 +845,112 @@ def test_fixed_step_integrators_reject_other_methods(run):
     with pytest.raises(ConfigInvalid, match="rk4_fixed only"):
         run(cfg)
     run(replace(cfg, method="rk4_fixed"))
+
+
+# ---------------------------------------------------------------------------
+# forced steady state
+# ---------------------------------------------------------------------------
+
+@st.composite
+def monotone_systems(draw, delayed):
+    """Cooperative A and, for the DDE, A_delay >= 0, in dimension 1-3, with
+    each row of A dominant by at least 0.5 over the off-diagonal and delayed
+    entries, and 1-3 forcing terms of amplitude at most 1."""
+    dim = draw(st.integers(1, 3))
+    unit = st.floats(0.0, 1.0)
+    A = [[draw(unit) for _ in range(dim)] for _ in range(dim)]
+    A_delay = [[draw(unit) if delayed else 0.0 for _ in range(dim)] for _ in range(dim)]
+    for i in range(dim):
+        A[i][i] = -(sum(A[i]) - A[i][i] + sum(A_delay[i])) - draw(st.floats(0.5, 3.0))
+    term = st.tuples(st.integers(0, dim - 1), st.floats(-1.0, 1.0), st.floats(0.1, 2.0),
+                     st.floats(0.0, 2 * math.pi))
+    terms = draw(st.lists(term, min_size=1, max_size=3))
+    forcing = [[t[1:] for t in terms if t[0] == i] for i in range(dim)]
+    if not delayed:
+        return ode(A, forcing)
+    return SystemSpec("dde_single_delay", dim, "delay-linear",
+                      {"A_self": A, "A_delay": A_delay, "delay": draw(st.floats(0.05, 2.0)),
+                       "forcing": forcing})
+
+
+@given(sys=monotone_systems(delayed=False))
+def test_steady_state_ode_matches_oracle(sys):
+    ts = np.linspace(-5.0, 20.0, 51)
+    got = build_ode_rhs(sys).steady_state()(ts)
+    assert np.abs(got - particular(sys.params["A"], sys.params["forcing"])(ts)).max() < 1e-12
+
+
+def dde_block_steady_state(A_self, A_delay, r, forcing):
+    """Sum of c sin(theta) + d cos(theta), theta = omega t + phase, over the
+    forcing terms b sin(theta), with (c, d) from the real 2n x 2n block
+    system of the delay equation."""
+    A_s, A_d = np.asarray(A_self), np.asarray(A_delay)
+    n = len(A_s)
+    eye = np.eye(n)
+    parts = []
+    for i, terms in enumerate(forcing):
+        for amp, om, ph in terms:
+            cw, sw = math.cos(om * r), math.sin(om * r)
+            M = np.block([
+                [A_s + cw * A_d, sw * A_d + om * eye],
+                [om * eye + sw * A_d, -(A_s + cw * A_d)],
+            ])
+            sol = np.linalg.solve(M, np.concatenate([-amp * eye[i], np.zeros(n)]))
+            parts.append((om, ph, sol[:n], sol[n:]))
+
+    def fn(ts):
+        out = np.zeros((len(ts), n))
+        for om, ph, c, d in parts:
+            out += np.outer(np.sin(om * ts + ph), c) + np.outer(np.cos(om * ts + ph), d)
+        return out
+
+    return fn
+
+
+@given(sys=monotone_systems(delayed=True))
+def test_steady_state_dde_matches_block_formula_and_equation(sys):
+    rhs = build_dde_rhs(sys)
+    x_p = rhs.steady_state()
+    p = sys.params
+    ts = np.linspace(-5.0, 20.0, 51)
+    ref = dde_block_steady_state(p["A_self"], p["A_delay"], rhs.r, p["forcing"])(ts)
+    assert np.abs(x_p(ts) - ref).max() < 1e-12
+    h = 1e-5
+    for t in (0.3, 2.7, 11.1):
+        du = (x_p(t + h)[0] - x_p(t - h)[0]) / (2 * h)
+        assert np.abs(du - rhs(t, x_p(t)[0], x_p(t - rhs.r)[0])).max() < 1e-8
+
+
+@pytest.mark.parametrize("m", [8, 64, 200])
+def test_steady_state_method_of_lines_matches_separable_formula(m):
+    sys = build_scenario("s5-rd-scalar").system
+    p = sys.params
+    assert (p["decay"], p["source_amp"], p["omega"], p["phase"]) == ([1.0], [1.0], 1.0, 0.0)
+    nu, L = p["nu"][0], p["L"]
+    rhs, xs = build_reaction(sys).method_of_lines(m)
+    # The mean obeys x' = -x + sin t; the cosine profile is an eigenvector of
+    # the discrete Neumann Laplacian and decays at kappa = 1 + nu lam_h.
+    ts = np.linspace(0.0, 20.0, 41)
+    dx = L / (m - 1)
+    kappa = 1.0 + nu * 4.0 / (dx * dx) * math.sin(math.pi * dx / (2 * L)) ** 2
+    alpha = 0.5 * (np.sin(ts) - np.cos(ts))
+    beta = (kappa * np.sin(ts) - np.cos(ts)) / (1.0 + kappa * kappa)
+    exact = alpha[:, None] + np.outer(beta, np.cos(math.pi * xs / L))
+    assert np.abs(rhs.steady_state()(ts) - exact).max() < 1e-12
+
+
+def test_rk4_periodic_solution_approaches_steady_state_at_fourth_order():
+    A = build_scenario("s3-coop-2d").system.params["A"]
+    sys = SystemSpec("cooperative_ode", 2, "linear+trig",
+                     {"A": A, "forcing": [[[1.0, 1.0, 0.0]], [[1.0, SQRT2, 0.0]]],
+                      "offset": [0.3, -0.2]})
+    rhs = build_ode_rhs(sys)
+    ts = np.linspace(0.0, 20.0, 401)
+    exact = rhs.steady_state()(ts)
+    gaps = []
+    for h in (0.1, 0.05, 0.025):
+        part = _rk4_particular(rhs, _rk4_coeffs(rhs.A, h), h, round(20.0 / h))
+        gaps.append(np.abs(_particular_at(rhs, part, ts) - exact).max())
+    # Halving h divides a fourth-order error by about 16.
+    assert 14.0 <= gaps[0] / gaps[1] <= 19.0
+    assert 14.0 <= gaps[1] / gaps[2] <= 19.0
