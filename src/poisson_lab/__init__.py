@@ -23,12 +23,10 @@ from .systems import (  # noqa: F401
     Field,
     IntegratorConfig,
     SystemSpec,
-    cocycle_defect,
     forcing_signal,
     integrate_dde,
     integrate_ode,
     integrate_parabolic,
-    order_check,
     quasimonotone_check,
 )
 from .recurrence import (  # noqa: F401
@@ -38,7 +36,6 @@ from .recurrence import (  # noqa: F401
     ReturnSequence,
     ShiftStatistics,
     TauGrid,
-    almost_periods,
     classify,
     comparability_profile,
     default_classify_config,
@@ -56,7 +53,6 @@ from .limits import (  # noqa: F401
     fiber_extrema,
     gamma_extract,
     omega_fiber_sample,
-    uniform_stability_estimate,
 )
 from .scenarios import (  # noqa: F401
     CATALOG,

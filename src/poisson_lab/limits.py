@@ -163,51 +163,8 @@ def entire_trajectory_estimate(traj: Signal, returns: ReturnSequence,
 
 
 # ---------------------------------------------------------------------------
-# stability and contraction estimates
+# convergence and contraction estimates
 # ---------------------------------------------------------------------------
-
-def _probe_directions(dim: int, probes: int, rng: np.random.Generator) -> np.ndarray:
-    """Unit directions: ordered cone rays first, then seeded general ones."""
-    dirs = [np.ones(dim) / math.sqrt(dim)]
-    for j in range(dim):
-        e = np.zeros(dim)
-        e[j] = 1.0
-        dirs.append(e)
-        dirs.append(-e)
-    while len(dirs) < probes:
-        v = rng.normal(size=dim)
-        n = np.linalg.norm(v, ord=np.inf)
-        if n > 1e-12:
-            dirs.append(v / n)
-    return np.stack(dirs[:probes], axis=1)  # (dim, probes)
-
-
-def uniform_stability_estimate(sys: SystemSpec, anchor, epsilon_list,
-                               probes: int, horizon: float, *,
-                               seed: int = 0) -> list:
-    """Empirical stability modulus delta_hat(eps) around one anchor.
-
-    For each eps > 0 (ascending), the supremum of the radii delta such that
-    every probe started delta away stays eps-close to the anchor trajectory
-    on [0, horizon], probing ordered and unordered directions from t0 = 0.
-    Precondition: fixed-step RK4 (dt 1e-2) on the affine system, where a
-    probe's deviation is linear in its radius.  So one batch run of the
-    anchor and anchor + each direction gives M, the largest deviation per
-    unit radius, and delta_hat = eps / M <= eps (the offset e_1 at t = 0 gives M >= 1).
-    """
-    if probes < 8:
-        raise ValueError("need at least 8 probes")
-    eps_list = sorted(float(e) for e in epsilon_list)
-    if eps_list and not eps_list[0] > 0:
-        raise ValueError("epsilon_list must be positive")
-    cfg = IntegratorConfig(method="rk4_fixed", dt=1e-2, t_end=horizon,
-                           record_dt=max(1e-2, horizon / 1000))
-    dirs = _probe_directions(sys.dim, probes, np.random.default_rng(seed))
-    anchor = np.asarray(anchor, dtype=float)[:, None]
-    _, Y = integrate_ode_batch(sys, np.concatenate([anchor, anchor + dirs], axis=1), cfg)
-    M = float(np.abs(Y[..., 1:] - Y[..., :1]).max())
-    return [(eps, eps / M) for eps in eps_list]
-
 
 def convergence_check(a: Signal, b: Signal, threshold: float,
                       split_count: int) -> ConvergenceReport:

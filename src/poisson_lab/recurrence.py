@@ -225,16 +225,6 @@ def _window_dict(w: Window) -> dict:
 # shift statistics
 # ---------------------------------------------------------------------------
 
-def almost_periods(f: Signal, epsilon: float, tau_grid: TauGrid,
-                   w: Window) -> ShiftStatistics:
-    """All grid shifts tau with windowed discrepancy D(tau) < epsilon."""
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
-    taus = tau_grid.values()
-    D = discrepancy_profile(f, taus, w)
-    return _stats_from_profile(f, epsilon, tau_grid, w, taus, D)
-
-
 def _stats_from_profile(f, epsilon, tau_grid, w, taus, D) -> ShiftStatistics:
     mask = D < epsilon
     shifts = taus[mask]

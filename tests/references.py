@@ -1,0 +1,238 @@
+"""Brute-force references and probes that only the tests use.
+
+The stage loops are the references the integrators' fast paths are checked
+against: ``_rk4_span`` for the closed-form and affine RK4 paths,
+``dopri5_stage_loop`` for Dopri5's step map.  The cocycle probes are oracles
+of the integrators; ``order_check``, ``uniform_stability_estimate`` and
+``almost_periods`` are estimators no scenario runs.
+"""
+
+import math
+from dataclasses import dataclass, replace
+
+import numpy as np
+
+from poisson_lab.errors import (
+    ConfigInvalid,
+    DimensionMismatch,
+    GridMismatch,
+    StepUnderflow,
+)
+from poisson_lab.recurrence import ShiftStatistics, TauGrid, _stats_from_profile
+from poisson_lab.signals import Signal, Window, discrepancy_profile
+from poisson_lab.systems import (
+    _DP_A,
+    _DP_C,
+    _DP_E,
+    IntegratorConfig,
+    SystemSpec,
+    _check_records,
+    build_dde_rhs,
+    integrate_dde,
+    integrate_ode_batch,
+    integrate_ode_snapshots,
+    integrate_parabolic,
+)
+
+
+# ---------------------------------------------------------------------------
+# integrator stage loops
+# ---------------------------------------------------------------------------
+
+def _rk4_span(rhs, t0: float, y: np.ndarray, h: float, steps) -> np.ndarray:
+    """Generic RK4 stage loop over the step indices ``steps``, step k at t0 + k h."""
+    for k in steps:
+        t = t0 + k * h
+        k1 = rhs(t, y)
+        th = t + 0.5 * h
+        k2 = rhs(th, y + (0.5 * h) * k1)
+        k3 = rhs(th, y + (0.5 * h) * k2)
+        k4 = rhs(t + h, y + h * k3)
+        y = y + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
+    return y
+
+
+def dopri5_stage_step(rhs, t: float, y: np.ndarray, h: float, k1: np.ndarray):
+    """One Dormand-Prince trial step by its seven stages: (y5, h err, k7)."""
+    ks = [k1]
+    yi = y
+    for i in range(1, 7):
+        acc = y.copy()
+        for a, k in zip(_DP_A[i], ks):
+            if a != 0.0:
+                acc += (h * a) * k
+        yi = acc
+        ks.append(rhs(t + _DP_C[i] * h, yi))
+    err_vec = np.zeros_like(y)
+    for e, k in zip(_DP_E, ks):
+        if e != 0.0:
+            err_vec += e * k
+    err_vec *= h
+    return yi, err_vec, ks[6]  # the 7th stage is evaluated at the 5th-order solution
+
+
+def dopri5_stage_loop(rhs, y0, cfg: IntegratorConfig, times):
+    """Dopri5 with FSAL and the step control of ``systems._dopri5``, calling
+    the right-hand side at every stage: (the states at ``times``, the number
+    of rejected trial steps)."""
+    t, y, h_next = 0.0, np.array(y0, dtype=float), cfg.dt
+    k1 = rhs(t, y)
+    out = np.empty((len(times),) + y.shape)
+    rejected = 0
+    for n, t_target in enumerate(times):
+        eps_t = 1e-12 * max(1.0, abs(t_target))
+        while t < t_target - eps_t:
+            h = min(h_next, t_target - t)
+            while True:
+                if h < 1e-14 * max(1.0, abs(t)):
+                    raise StepUnderflow(f"step {h:g} underflow at t={t:g}")
+                y5, err_vec, k7 = dopri5_stage_step(rhs, t, y, h, k1)
+                scale = cfg.abs_tol + cfg.rel_tol * np.maximum(np.abs(y), np.abs(y5))
+                err = float(np.max(np.abs(err_vec) / scale))
+                if err <= 1.0:
+                    t += h
+                    y = y5
+                    k1 = k7
+                    if not np.abs(y).max() <= cfg.bound:
+                        _check_records(y[None], (t,), cfg.bound)
+                    h_next = h * min(5.0, max(0.2, 0.9 * max(err, 1e-16) ** -0.2))
+                    break
+                rejected += 1
+                h *= min(1.0, max(0.2, 0.9 * err ** -0.2))
+        out[n] = y
+    return out, rejected
+
+
+# ---------------------------------------------------------------------------
+# cocycle identity probes
+# ---------------------------------------------------------------------------
+
+def cocycle_defect(sys: SystemSpec, u0, cfg: IntegratorConfig,
+                   t: float, tau: float) -> float:
+    """|phi(t+tau, u, g) - phi(t, phi(tau, u, g), g^tau)| in the sup norm.
+
+    Zero (up to integration error) exactly when the solver realizes the
+    skew-product composition law.
+    """
+    if t <= 0 or tau <= 0:
+        raise ConfigInvalid("t and tau must be positive")
+    snaps = integrate_ode_snapshots(sys, u0, cfg, [tau, t + tau])
+    mid, end_direct = snaps[0], snaps[1]
+    end_restart = integrate_ode_snapshots(sys.shifted(tau), mid, cfg, [t])[0]
+    return float(np.max(np.abs(end_direct - end_restart)))
+
+
+def dde_cocycle_defect(sys: SystemSpec, history: Signal, cfg: IntegratorConfig,
+                       t: float, tau: float) -> float:
+    """Cocycle identity for the delay system on segment space."""
+    rhs = build_dde_rhs(sys)
+    r = rhs.r
+    fine = replace(cfg, t_end=t + tau, record_dt=cfg.dt)
+    sol = integrate_dde(sys, history, fine)
+    seg = sol.restrict(tau - r, tau)
+    seg_hist = Signal(-r, seg.dt, seg.samples)
+    sol2 = integrate_dde(sys.shifted(tau), seg_hist, replace(fine, t_end=t))
+    end_direct = sol.at(t + tau)
+    end_restart = sol2.at(t)
+    return float(np.max(np.abs(end_direct - end_restart)))
+
+
+def parabolic_cocycle_defect(sys: SystemSpec, u0, cfg: IntegratorConfig,
+                             t: float, tau: float) -> float:
+    """Cocycle identity for the reaction-diffusion system on the grid state.
+
+    t and tau must be multiples of the record step so the restart field is
+    an exact recorded snapshot.
+    """
+    full = integrate_parabolic(sys, u0, replace(cfg, t_end=t + tau))
+    idx_mid = int(round(tau / cfg.record_dt))
+    idx_end = int(round((t + tau) / cfg.record_dt))
+    mid = full.values[idx_mid]
+    end_direct = full.values[idx_end]
+    restart = integrate_parabolic(sys.shifted(tau), mid, replace(cfg, t_end=t))
+    return float(np.max(np.abs(end_direct - restart.values[-1])))
+
+
+# ---------------------------------------------------------------------------
+# order, stability and almost periods
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class OrderResult:
+    ordered: bool
+    time: float | None = None
+    component: int | None = None
+    max_violation: float = 0.0
+
+    def __bool__(self) -> bool:
+        return self.ordered
+
+
+def order_check(u: Signal, v: Signal, tol: float) -> OrderResult:
+    """Componentwise u(t) <= v(t) + tol at every shared sample."""
+    if u.dim != v.dim:
+        raise DimensionMismatch(f"dims differ: {u.dim} vs {v.dim}")
+    if (len(u) != len(v) or abs(u.t0 - v.t0) > 1e-9 * max(1.0, abs(u.t0))
+            or abs(u.dt - v.dt) > 1e-12 * u.dt):
+        raise GridMismatch("order_check requires identical sampling grids")
+    gap = u.samples - v.samples
+    worst = float(gap.max())
+    if worst <= tol:
+        return OrderResult(True, max_violation=max(worst, 0.0))
+    bad = gap > tol
+    row = int(np.nonzero(bad.any(axis=1))[0][0])
+    comp = int(np.nonzero(bad[row])[0][0])
+    return OrderResult(False, float(u.t0 + row * u.dt), comp, worst)
+
+
+def _probe_directions(dim: int, probes: int, rng: np.random.Generator) -> np.ndarray:
+    """Unit directions: ordered cone rays first, then seeded general ones."""
+    dirs = [np.ones(dim) / math.sqrt(dim)]
+    for j in range(dim):
+        e = np.zeros(dim)
+        e[j] = 1.0
+        dirs.append(e)
+        dirs.append(-e)
+    while len(dirs) < probes:
+        v = rng.normal(size=dim)
+        n = np.linalg.norm(v, ord=np.inf)
+        if n > 1e-12:
+            dirs.append(v / n)
+    return np.stack(dirs[:probes], axis=1)  # (dim, probes)
+
+
+def uniform_stability_estimate(sys: SystemSpec, anchor, epsilon_list,
+                               probes: int, horizon: float, *,
+                               seed: int = 0) -> list:
+    """Empirical stability modulus delta_hat(eps) around one anchor.
+
+    For each eps > 0 (ascending), the supremum of the radii delta such that
+    every probe started delta away stays eps-close to the anchor trajectory
+    on [0, horizon], probing ordered and unordered directions from t0 = 0.
+    Precondition: fixed-step RK4 (dt 1e-2) on the affine system, where a
+    probe's deviation is linear in its radius.  So one batch run of the
+    anchor and anchor + each direction gives M, the largest deviation per
+    unit radius, and delta_hat = eps / M <= eps (the offset e_1 at t = 0 gives M >= 1).
+    """
+    if probes < 8:
+        raise ValueError("need at least 8 probes")
+    eps_list = sorted(float(e) for e in epsilon_list)
+    if eps_list and not eps_list[0] > 0:
+        raise ValueError("epsilon_list must be positive")
+    cfg = IntegratorConfig(method="rk4_fixed", dt=1e-2, t_end=horizon,
+                           record_dt=max(1e-2, horizon / 1000))
+    dirs = _probe_directions(sys.dim, probes, np.random.default_rng(seed))
+    anchor = np.asarray(anchor, dtype=float)[:, None]
+    _, Y = integrate_ode_batch(sys, np.concatenate([anchor, anchor + dirs], axis=1), cfg)
+    M = float(np.abs(Y[..., 1:] - Y[..., :1]).max())
+    return [(eps, eps / M) for eps in eps_list]
+
+
+def almost_periods(f: Signal, epsilon: float, tau_grid: TauGrid,
+                   w: Window) -> ShiftStatistics:
+    """All grid shifts tau with windowed discrepancy D(tau) < epsilon."""
+    if epsilon <= 0:
+        raise ValueError("epsilon must be positive")
+    taus = tau_grid.values()
+    D = discrepancy_profile(f, taus, w)
+    return _stats_from_profile(f, epsilon, tau_grid, w, taus, D)

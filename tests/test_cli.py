@@ -2,6 +2,7 @@ import copy
 import io
 import json
 import math
+import re
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -219,6 +220,40 @@ def test_run_aborted_stage_still_writes_manifest(tmp_path, capsys):
     assert aborted["status"] == "fail"
     assert aborted["detail"].startswith("WindowOutOfDomain: ")
     assert manifest["exit_code"] == 1
+
+
+def _adaptive_config(tmp_path, **tolerances):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "name": "tolerances",
+        "system": {"kind": "scalar_ode", "dim": 1, "rhs": "linear+trig",
+                   "params": {"A": [[-1.0]], "forcing": [[[1.0, 1.0, 0.0]]]}},
+        "integrator": {"method": "rk45_adaptive", "dt": 0.01, "t_end": 10.0,
+                       "record_dt": 0.05, **tolerances},
+        "analysis": {"u0": [1.0]},
+    }))
+    return cfg
+
+
+def test_run_step_underflow_still_writes_manifest(tmp_path, capsys):
+    out = tmp_path / "out"
+    cfg = _adaptive_config(tmp_path, rel_tol=1e-300, abs_tol=1e-300)
+    assert main(["run", str(cfg), "--out", str(out)]) == 1
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert {p.name for p in out.iterdir()} == set(manifest["files"])
+    aborted = manifest["summary"]["aborted"]
+    assert aborted["status"] == "fail"
+    assert re.fullmatch(r"StepUnderflow: step \S+ underflow at t=\S+", aborted["detail"])
+    assert manifest["exit_code"] == 1
+
+
+@pytest.mark.parametrize("tolerance", ["rel_tol", "abs_tol"])
+def test_run_infinite_tolerance_exit_2(tmp_path, capsys, tolerance):
+    out = tmp_path / "out"
+    assert main(["run", str(_adaptive_config(tmp_path, **{tolerance: math.inf})),
+                 "--out", str(out)]) == 2
+    assert len(capsys.readouterr().err.strip().splitlines()) == 1
+    assert not (out / "manifest.json").exists()
 
 
 @pytest.mark.parametrize("analysis", [

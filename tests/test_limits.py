@@ -7,7 +7,6 @@ from hypothesis import example, given, settings, strategies as st
 
 from poisson_lab.errors import InsufficientReturns, NotCauchy
 from poisson_lab.limits import (
-    _probe_directions,
     comparison_battery,
     contraction_check,
     convergence_check,
@@ -15,12 +14,12 @@ from poisson_lab.limits import (
     fiber_extrema,
     gamma_extract,
     omega_fiber_sample,
-    uniform_stability_estimate,
 )
 from poisson_lab.recurrence import ReturnSequence
 from poisson_lab.scenarios import build_scenario
 from poisson_lab.signals import Signal, Window, sample_function
 from poisson_lab.systems import IntegratorConfig, SystemSpec, integrate_ode
+from references import _probe_directions, uniform_stability_estimate
 
 
 def ode(A, forcing, dim=1):

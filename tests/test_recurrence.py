@@ -16,7 +16,6 @@ from poisson_lab.recurrence import (
     ClassifyConfig,
     ReturnSequence,
     TauGrid,
-    almost_periods,
     bebutov_profile,
     classify,
     comparability_profile,
@@ -35,6 +34,7 @@ from poisson_lab.signals import (
     shift_discrepancy,
 )
 from poisson_lab.systems import forcing_signal
+from references import almost_periods
 
 SQRT2 = math.sqrt(2.0)
 

@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -11,21 +12,22 @@ from poisson_lab.errors import (
     GridMismatch,
     GridTooCoarse,
     HistoryDomainMismatch,
+    StepUnderflow,
 )
 from poisson_lab.scenarios import build_scenario
 from poisson_lab.signals import Signal, sample_function
 from poisson_lab.systems import (
     IntegratorConfig,
     SystemSpec,
+    _dopri5_table,
+    _dopri5_trial,
     _particular_at,
+    _record_times,
     _rk4_coeffs,
     _rk4_particular,
-    _rk4_span,
     build_dde_rhs,
     build_ode_rhs,
     build_reaction,
-    cocycle_defect,
-    dde_cocycle_defect,
     integrate_dde,
     integrate_dde_batch,
     integrate_ode,
@@ -33,8 +35,16 @@ from poisson_lab.systems import (
     integrate_ode_snapshots,
     integrate_parabolic,
     integrate_parabolic_batch,
-    order_check,
     quasimonotone_check,
+)
+from references import (
+    _rk4_span,
+    cocycle_defect,
+    dde_cocycle_defect,
+    dopri5_stage_loop,
+    dopri5_stage_step,
+    order_check,
+    parabolic_cocycle_defect,
 )
 
 SQRT2 = math.sqrt(2.0)
@@ -211,14 +221,18 @@ def test_negative_dt_rejected():
         IntegratorConfig(dt=-0.1)
 
 
-@pytest.mark.parametrize("record_dt, dt", [
-    *(pytest.param(v, 0.01, id=str(v)) for v in (math.nan, math.inf, 0.0, -0.05)),
+@pytest.mark.parametrize("fields", [
+    *(pytest.param({"record_dt": v}, id=str(v)) for v in (math.nan, math.inf, 0.0, -0.05)),
     # record_dt / dt overflows to inf for a subnormal step.
-    pytest.param(1.0, 1e-320, id="subnormal-dt"),
+    pytest.param({"record_dt": 1.0, "dt": 1e-320}, id="subnormal-dt"),
+    # An infinite tolerance would switch the adaptive error control off.
+    *(pytest.param({tol: v}, id=f"{tol}-{v}")
+      for tol in ("rel_tol", "abs_tol") for v in (math.inf, math.nan)),
 ])
-def test_bad_record_dt_rejected(record_dt, dt):
+def test_bad_record_dt_rejected(fields):
+    """Bad record steps, and step or tolerance settings, are refused."""
     with pytest.raises(ConfigInvalid):
-        IntegratorConfig(method="rk4_fixed", dt=dt, t_end=2.0, record_dt=record_dt)
+        IntegratorConfig(**{"method": "rk4_fixed", "dt": 0.01, "t_end": 2.0, **fields})
 
 
 # ---------------------------------------------------------------------------
@@ -335,6 +349,102 @@ def test_rk4_ill_conditioned_systems_match_stage_loop(A, forcing, offset):
         ref.append(y)
         t_prev = t
     assert _close(integrate_ode_snapshots(sys, u0, cfg, times), np.array(ref))
+
+
+# ---------------------------------------------------------------------------
+# Dopri5 step map against the stage loop
+# ---------------------------------------------------------------------------
+
+@st.composite
+def cooperative_systems(draw):
+    """Cooperative A in dimension 1-3 (off-diagonal entries in [0, 1], each
+    diagonal entry at least 0.1 from 0 in [-3, 1], so some systems grow), 0-3
+    forcing terms and an offset whose entries are at least 0.1 from 0."""
+    dim = draw(st.integers(1, 3))
+    diag = st.one_of(st.floats(-3.0, -0.1), st.floats(0.1, 1.0))
+    A = [[draw(diag if i == j else st.floats(0.0, 1.0)) for j in range(dim)]
+         for i in range(dim)]
+    term = st.tuples(st.integers(0, dim - 1), st.floats(-2.0, 2.0), st.floats(0.1, 3.0),
+                     st.floats(0.0, 2 * math.pi))
+    terms = draw(st.lists(term, max_size=3))
+    forcing = [[t[1:] for t in terms if t[0] == i] for i in range(dim)]
+    offset = [draw(st.one_of(st.floats(-1.0, -0.1), st.floats(0.1, 1.0))) for _ in range(dim)]
+    return SystemSpec("scalar_ode" if dim == 1 else "cooperative_ode", dim, "linear+trig",
+                      {"A": A, "forcing": forcing, "offset": offset})
+
+
+@given(sys=cooperative_systems(), t=st.floats(0.0, 100.0), h=st.floats(1e-4, 0.5),
+       seed=st.integers(0, 2**16))
+def test_dopri5_step_map_matches_stage_loop(sys, t, h, seed):
+    rhs = build_ode_rhs(sys)
+    y = np.random.default_rng(seed).uniform(-2.0, 2.0, size=sys.dim)
+    y5, err = _dopri5_trial(rhs, _dopri5_table(rhs), t, y, h)
+    ref_y5, ref_err, _ = dopri5_stage_step(rhs, t, y, h, rhs(t, y))
+    tol = 1e-12 * max(1.0, np.abs(y).max())
+    assert np.abs(y5 - ref_y5).max() <= tol
+    assert np.abs(err - ref_err).max() <= tol
+
+
+def _blowup_values(exc):
+    """(state norm, bound, t) of a BlowupDetected message, printed to 6 digits."""
+    m = re.fullmatch(r"state norm (\S+) exceeds bound (\S+) at t=(\S+)", str(exc))
+    return tuple(float(v) for v in m.groups())
+
+
+@st.composite
+def adaptive_runs(draw):
+    """(system, start, config, snapshot times).  The first step, dt =
+    record_dt of 0.5-2 at rel_tol <= 1e-8, is rejected on most systems; the
+    bound 1e3 stops the growing ones."""
+    sys = draw(cooperative_systems())
+    u0 = [draw(st.floats(-2.0, 2.0)) for _ in range(sys.dim)]
+    dt = draw(st.floats(0.5, 2.0))
+    cfg = IntegratorConfig(method="rk45_adaptive", dt=dt, record_dt=dt,
+                           rel_tol=draw(st.floats(1e-10, 1e-8)), abs_tol=1e-12,
+                           t_end=draw(st.floats(2.0, 5.0)), blowup_bound=1e3)
+    times = sorted(draw(st.sets(st.floats(0.1, cfg.t_end), min_size=1, max_size=3)))
+    return sys, u0, cfg, times
+
+
+def _match_stage_loop(run, rhs, u0, cfg, times):
+    """Check run() against the stage loop: the same states, or the same
+    blowup.  Returns the stage loop's count of rejected steps, None on blowup."""
+    try:
+        ref, rejected = dopri5_stage_loop(rhs, u0, cfg, times)
+    except BlowupDetected as exc:
+        with pytest.raises(BlowupDetected) as got:
+            run()
+        assert _blowup_values(got.value) == pytest.approx(_blowup_values(exc), rel=1e-5)
+        return None
+    assert np.abs(run() - ref).max() <= 1e-10 * max(1.0, np.abs(ref).max())
+    return rejected
+
+
+@settings(max_examples=40)
+@given(case=adaptive_runs())
+@example(case=(ode([[1.0]], [[]]), [1.0], replace(RK45, record_dt=0.5, dt=0.5, rel_tol=1e-10,
+                                                  blowup_bound=1e3), [5.0, 10.0]))
+def test_dopri5_runs_match_stage_loop(case):
+    sys, u0, cfg, times = case
+    rhs = build_ode_rhs(sys)
+    rejected = _match_stage_loop(lambda: integrate_ode(sys, u0, cfg).samples,
+                                 rhs, u0, cfg, _record_times(cfg))
+    _match_stage_loop(lambda: integrate_ode_snapshots(sys, u0, cfg, times), rhs, u0, cfg, times)
+    # A solution that is a polynomial of degree <= 4 in t, or a slow one, may
+    # take no rejected step: such a run is checked but not counted.
+    assume(rejected != 0)
+
+
+@pytest.mark.parametrize("A, tol", [
+    pytest.param([[-1.0]], 1e-300, id="tolerance-1e-300"),
+    # A^7 overflows a float: the step map turns NaN and rejects every step.
+    pytest.param([[1e60]], 1e-8, id="huge-A"),
+])
+def test_step_underflow_raises_one_line(A, tol):
+    sys = ode(A, [[[1.0, 1.0, 0.0]]])
+    with pytest.raises(StepUnderflow) as exc:
+        integrate_ode(sys, [1.0], replace(RK45, rel_tol=tol, abs_tol=tol))
+    assert re.fullmatch(r"step \S+ underflow at t=\S+", str(exc.value))
 
 
 # ---------------------------------------------------------------------------
@@ -583,7 +693,6 @@ def test_parabolic_drivers_match_stage_loop(n):
 
 
 def test_parabolic_cocycle_identity():
-    from poisson_lab.systems import parabolic_cocycle_defect
     m = 32
     xs = np.linspace(0.0, L, m)
     u0 = (1.0 + 0.4 * np.cos(math.pi * xs / L))[None, :]
