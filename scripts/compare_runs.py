@@ -13,7 +13,11 @@ that differs the first difference is printed; for a ``report.json`` or a
 ``manifest.json`` (as compared, without the ignored fields) also its
 drift: the largest |a - b| over the numeric leaves found in both, and the
 count of other mismatched leaves, so a check whose status flips counts as
-one.  Exit 0 when the trees agree, 1 when any file differs.
+one.  For a ``manifest.json`` it then lists each check whose status differs,
+as ``name: old -> new`` (``absent`` for a check in one manifest only), or
+prints ``check statuses: unchanged``: a changed ``detail`` string is a
+mismatch too, so the count alone cannot tell.  Exit 0 when the trees agree,
+1 when any file differs.
 """
 
 import argparse
@@ -87,6 +91,17 @@ def _drift(a, b) -> tuple[float, int]:
     return worst, missing
 
 
+def _status_changes(a: dict, b: dict) -> list[str]:
+    """``name: old -> new`` for each check of two manifests whose status differs."""
+    sa, sb = a.get("summary", {}), b.get("summary", {})
+    lines = []
+    for name in list(sa) + [k for k in sb if k not in sa]:
+        old, new = (s.get(name, {}).get("status", "absent") for s in (sa, sb))
+        if old != new:
+            lines.append(f"{name}: {old} -> {new}")
+    return lines
+
+
 def _bytes_diff(a: bytes, b: bytes):
     if a == b:
         return None
@@ -126,9 +141,13 @@ def main(argv=None) -> int:
         print(f"{name}: {diff}")
         load = _DRIFT_LOADERS.get(pa.name)
         if load:
-            worst, other = _drift(load(pa), load(pb))
+            a, b = load(pa), load(pb)
+            worst, other = _drift(a, b)
             print(f"{name}: max |delta| {worst:.3g} over numeric leaves, "
                   f"{other} non-numeric mismatches")
+            if pa.name == "manifest.json":
+                for line in _status_changes(a, b) or ["check statuses: unchanged"]:
+                    print(f"{name}: {line}")
     if differ:
         return 1
     print(f"identical: {len(names)} files")

@@ -18,6 +18,7 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
+from scipy.linalg import qr
 
 from .errors import ConfigInvalid
 from .signals import (
@@ -32,10 +33,12 @@ _INF = float("inf")
 
 # Fixed settings of the cascade: the period detection bar as a fraction of the
 # signal scale (half the window's peak-to-peak range), the absolute part of the
-# period verification tolerance, and the most frequencies the spectral fit seeks.
+# period verification tolerance, the most frequencies the spectral fit seeks and
+# its most Gauss-Newton trial steps.
 _PERIODIC_DETECT_FRAC = 0.25
 _PERIODIC_VERIFY_ABS = 1e-6
 _QUASI_MAX_FREQS = 4
+_FIT_MAX_STEPS = 10
 # Sizes, counted in values (shifts x components), of one block of the return
 # search's probe bound and of its largest batch of probe refinements.
 _BLOCK_VALUES = 1 << 15
@@ -427,10 +430,14 @@ class QuasiPeriodicFit:
 def quasi_periodic_fit(f: Signal, max_freqs: int, w: Window) -> QuasiPeriodicFit:
     """Recover dominant angular frequencies on a window.
 
-    Peaks of the tapered discrete Fourier transform are sharpened by
-    parabolic interpolation and a least-squares coordinate polish (a raw
-    peak estimate dephases over long windows), then amplitudes and phases
-    are refit.  A residual of 1.0 signals failure, never an exception.
+    Peaks of the tapered discrete Fourier transform, sharpened by parabolic
+    interpolation, start a Gauss-Newton refinement of all frequencies at once
+    on the variable-projection functional (Golub and Pereyra, 1973), as a raw
+    peak estimate dephases over long windows.  Each frequency stays within 0.6
+    bins of its peak, above 0.25 bins; a step that raises the residual norm is
+    halved; the loop ends at a negligible step, a stalled decrease or after
+    ``_FIT_MAX_STEPS`` trials.  A residual of 1.0 signals failure, never an
+    exception.
     """
     i0, i1 = f.window_slice(w)
     comp = _dominant_component(f.samples[i0 : i1 + 1])
@@ -439,67 +446,59 @@ def quasi_periodic_fit(f: Signal, max_freqs: int, w: Window) -> QuasiPeriodicFit
     scale = float(np.abs(x).max())
     if scale < 1e-14:
         return QuasiPeriodicFit((), (), 0.0)
-    taper = np.hanning(x.size)
-    mag = np.abs(np.fft.rfft(x * taper))
-    freqs = _spectral_peaks(mag, f.dt, x.size, max_freqs)
-    if not freqs:
+    mag = np.abs(np.fft.rfft(x * np.hanning(x.size)))
+    freqs = np.array(_spectral_peaks(mag, f.dt, x.size, max_freqs))
+    if not freqs.size:
         return QuasiPeriodicFit((), (), 1.0)
-
-    # The design matrix is built once; each search over one frequency leaves
-    # that frequency's two columns at its result.
-    M = _design_matrix(ts, freqs)
-
-    def set_freq(idx: int, nu: float) -> None:
-        M[:, 1 + 2 * idx] = np.cos(nu * ts)
-        M[:, 2 + 2 * idx] = np.sin(nu * ts)
-
     bin_w = 2.0 * math.pi / (comp.size * f.dt)
-    for _ in range(2):
-        for idx in range(len(freqs)):
-            lo = max(freqs[idx] - 0.6 * bin_w, 0.25 * bin_w)
-            obj = _projected_objective(M, idx, comp, ts)
-            nu, _ = _golden_min(lambda xs: np.array([obj(x) for x in xs.tolist()]),
-                                lo, freqs[idx] + 0.6 * bin_w, 28)
-            nu_best = freqs[idx] = float(nu[0])
-            set_freq(idx, nu_best)
-
-    coef, *_ = np.linalg.lstsq(M, comp, rcond=None)
-    resid = float(np.abs(comp - M @ coef).max()) / scale
-    amps = []
-    for idx in range(len(freqs)):
-        c, s = coef[1 + 2 * idx], coef[2 + 2 * idx]
-        amps.append(float(math.hypot(c, s)))
+    lo, hi = np.maximum(freqs - 0.6 * bin_w, 0.25 * bin_w), freqs + 0.6 * bin_w
+    coef, r, step = _gauss_newton(ts, freqs, comp, lo, hi)
+    rr = float(r @ r)
+    for _ in range(_FIT_MAX_STEPS):
+        trial = np.clip(freqs + step, lo, hi)
+        if np.abs(trial - freqs).max() <= 1e-9 * bin_w:
+            break
+        coef_t, r_t, step_t = _gauss_newton(ts, trial, comp, lo, hi)
+        rr_t = float(r_t @ r_t)
+        if rr_t > rr:
+            step = step / 2
+            continue
+        freqs, coef, r, step, rr, rr_prev = trial, coef_t, r_t, step_t, rr_t, rr
+        if rr_prev - rr <= 1e-13 * rr_prev:  # the decrease stalls
+            break
     order = np.argsort(freqs)
-    return QuasiPeriodicFit(
-        tuple(float(freqs[i]) for i in order),
-        tuple(amps[i] for i in order),
-        float(min(resid, 1.0)),
-    )
+    amps = np.hypot(coef[1::2], coef[2::2])[order]
+    return QuasiPeriodicFit(tuple(freqs[order].tolist()), tuple(amps.tolist()),
+                            min(float(np.abs(r).max()) / scale, 1.0))
 
 
-def _projected_objective(M: np.ndarray, idx: int, y: np.ndarray, ts: np.ndarray):
-    """nu -> ||r||^2 of the least-squares fit of y by M with frequency idx's
-    columns at cos(nu t), sin(nu t), by variable projection (Golub and
-    Pereyra, 1973): the other columns are factored once, and each call solves
-    a 2x2 normal system.  r is formed explicitly, since ||y_perp||^2 -
-    g^T G^-1 g cancels near the optimum."""
-    Q, _ = np.linalg.qr(np.delete(M, [1 + 2 * idx, 2 + 2 * idx], axis=1))
-    yp = y - Q @ (Q.T @ y)
-
-    def obj(nu: float) -> float:
-        C = np.stack([np.cos(nu * ts), np.sin(nu * ts)], axis=1)
-        C -= Q @ (Q.T @ C)
-        r = yp - C @ np.linalg.solve(C.T @ C, C.T @ yp)
-        return float(r @ r)
-
-    return obj
+def _gauss_newton(ts: np.ndarray, freqs: np.ndarray, y: np.ndarray, lo, hi):
+    """(c, r, step) from one QR of the design matrix M = QR at freqs: y's
+    least-squares coefficients and residual, and the Gauss-Newton step on
+    Kaufman's Jacobian (1975), d(M c)/d nu projected off range(M).  A
+    frequency at a bracket end that the step points out of stays put."""
+    Q, R = qr(_design_matrix(ts, freqs), mode="economic", overwrite_a=True,
+              check_finite=False)
+    qy = Q.T @ y
+    coef, r = np.linalg.solve(R, qy), y - Q @ qy
+    D = ts[:, None] * (Q @ (coef[2::2] * R[:, 1::2] - coef[1::2] * R[:, 2::2]))
+    D -= Q @ (Q.T @ D)
+    step = np.linalg.lstsq(D, r, rcond=None)[0]
+    pinned = ((freqs <= lo) & (step < 0)) | ((freqs >= hi) & (step > 0))
+    if pinned.any():
+        D[:, pinned] = 0.0
+        step = np.linalg.lstsq(D, r, rcond=None)[0]
+    return coef, r, step
 
 
 def _design_matrix(ts: np.ndarray, freqs) -> np.ndarray:
-    cols = [np.ones_like(ts)]
-    for nu in freqs:
-        cols.extend([np.cos(nu * ts), np.sin(nu * ts)])
-    return np.stack(cols, axis=1)
+    """Columns 1, cos(nu_1 t), sin(nu_1 t), ..., column-major for LAPACK."""
+    arg = (freqs[:, None] * ts).T
+    M = np.empty((ts.size, 1 + 2 * freqs.size), order="F")
+    M[:, 0] = 1.0
+    np.cos(arg, out=M[:, 1::2])
+    np.sin(arg, out=M[:, 2::2])
+    return M
 
 
 def _dominant_component(vals: np.ndarray) -> np.ndarray:

@@ -116,8 +116,8 @@ class IntegratorConfig:
             raise ConfigInvalid("record_dt must be positive and finite")
         if not (isinstance(self.space_points, int) and self.space_points >= 0):
             raise ConfigInvalid("space_points must be an integer >= 0")
-        if self.blowup_bound is not None and not self.blowup_bound > 0:
-            raise ConfigInvalid("blowup_bound must be positive")
+        if self.blowup_bound is not None and not 0 < self.blowup_bound < math.inf:
+            raise ConfigInvalid("blowup_bound must be positive and finite")
         if not (math.isfinite(self.record_dt / self.dt)
                 and math.isfinite(self.t_end / self.dt)):
             raise ConfigInvalid("dt is too small: record_dt/dt or t_end/dt overflows")

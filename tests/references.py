@@ -2,9 +2,11 @@
 
 The stage loops are the references the integrators' fast paths are checked
 against: ``_rk4_span`` for the closed-form and affine RK4 paths,
-``dopri5_stage_loop`` for Dopri5's step map.  The cocycle probes are oracles
-of the integrators; ``order_check``, ``uniform_stability_estimate`` and
-``almost_periods`` are estimators no scenario runs.
+``dopri5_stage_loop`` for Dopri5's step map, and ``coordinate_fit``, a
+golden-section frequency polish, for the Gauss-Newton spectral fit.  The
+cocycle probes are oracles of the integrators; ``order_check``,
+``uniform_stability_estimate`` and ``almost_periods`` are estimators no
+scenario runs.
 """
 
 import math
@@ -18,7 +20,15 @@ from poisson_lab.errors import (
     GridMismatch,
     StepUnderflow,
 )
-from poisson_lab.recurrence import ShiftStatistics, TauGrid, _stats_from_profile
+from poisson_lab.recurrence import (
+    QuasiPeriodicFit,
+    ShiftStatistics,
+    TauGrid,
+    _dominant_component,
+    _golden_min,
+    _spectral_peaks,
+    _stats_from_profile,
+)
 from poisson_lab.signals import Signal, Window, discrepancy_profile
 from poisson_lab.systems import (
     _DP_A,
@@ -236,3 +246,74 @@ def almost_periods(f: Signal, epsilon: float, tau_grid: TauGrid,
     taus = tau_grid.values()
     D = discrepancy_profile(f, taus, w)
     return _stats_from_profile(f, epsilon, tau_grid, w, taus, D)
+
+
+# ---------------------------------------------------------------------------
+# coordinate frequency polish
+# ---------------------------------------------------------------------------
+
+def stacked_design(ts: np.ndarray, freqs) -> np.ndarray:
+    """Columns 1, cos(nu_1 t), sin(nu_1 t), ..., stacked one at a time."""
+    cols = [np.ones_like(ts)]
+    for nu in freqs:
+        cols.extend([np.cos(nu * ts), np.sin(nu * ts)])
+    return np.stack(cols, axis=1)
+
+
+def lstsq_objective(M, idx, y, ts):
+    """nu -> ||r||^2 of the least-squares fit of y by M with frequency idx's
+    columns set to cos(nu t), sin(nu t): a full least-squares solve."""
+    M = M.copy()
+
+    def obj(nu):
+        M[:, 1 + 2 * idx] = np.cos(nu * ts)
+        M[:, 2 + 2 * idx] = np.sin(nu * ts)
+        coef, *_ = np.linalg.lstsq(M, y, rcond=None)
+        r = y - M @ coef
+        return float(r @ r)
+
+    return obj
+
+
+def residual_norm(y: np.ndarray, ts: np.ndarray, freqs) -> float:
+    """||r||_2 of the least-squares fit of y at the frequencies freqs."""
+    M = stacked_design(ts, freqs)
+    coef, *_ = np.linalg.lstsq(M, y, rcond=None)
+    return float(np.linalg.norm(y - M @ coef))
+
+
+def spectral_start(f: Signal, max_freqs: int, w: Window):
+    """(y, ts, peaks, bin width): the component ``quasi_periodic_fit`` fits on
+    the window, its times from 0, and the tapered-FFT peaks it starts from."""
+    i0, i1 = f.window_slice(w)
+    y = _dominant_component(f.samples[i0 : i1 + 1])
+    x = y - y.mean()
+    mag = np.abs(np.fft.rfft(x * np.hanning(x.size)))
+    peaks = _spectral_peaks(mag, f.dt, x.size, max_freqs)
+    return y, f.dt * np.arange(y.size), peaks, 2.0 * math.pi / (y.size * f.dt)
+
+
+def coordinate_fit(f: Signal, max_freqs: int, w: Window) -> QuasiPeriodicFit:
+    """Two coordinate passes from the spectral peaks: per frequency, a 28-step
+    golden section of ``lstsq_objective`` within 0.6 bins of the current
+    value (and above 0.25 bins); then one least-squares refit."""
+    y, ts, freqs, bin_w = spectral_start(f, max_freqs, w)
+    scale = float(np.abs(y - y.mean()).max())
+    if scale < 1e-14 or not freqs:
+        return QuasiPeriodicFit((), (), 0.0 if scale < 1e-14 else 1.0)
+    M = stacked_design(ts, freqs)
+    for _ in range(2):
+        for idx in range(len(freqs)):
+            lo = max(freqs[idx] - 0.6 * bin_w, 0.25 * bin_w)
+            obj = lstsq_objective(M, idx, y, ts)
+            nu, _ = _golden_min(lambda xs: np.array([obj(x) for x in xs.tolist()]),
+                                lo, freqs[idx] + 0.6 * bin_w, 28)
+            freqs[idx] = float(nu[0])
+            M[:, 1 + 2 * idx] = np.cos(freqs[idx] * ts)
+            M[:, 2 + 2 * idx] = np.sin(freqs[idx] * ts)
+    coef, *_ = np.linalg.lstsq(M, y, rcond=None)
+    resid = float(np.abs(y - M @ coef).max()) / scale
+    amps = [float(math.hypot(coef[1 + 2 * i], coef[2 + 2 * i])) for i in range(len(freqs))]
+    order = np.argsort(freqs)
+    return QuasiPeriodicFit(tuple(float(freqs[i]) for i in order),
+                            tuple(amps[i] for i in order), float(min(resid, 1.0)))

@@ -222,14 +222,14 @@ def test_run_aborted_stage_still_writes_manifest(tmp_path, capsys):
     assert manifest["exit_code"] == 1
 
 
-def _adaptive_config(tmp_path, **tolerances):
+def _adaptive_config(tmp_path, **integrator):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({
         "name": "tolerances",
         "system": {"kind": "scalar_ode", "dim": 1, "rhs": "linear+trig",
                    "params": {"A": [[-1.0]], "forcing": [[[1.0, 1.0, 0.0]]]}},
         "integrator": {"method": "rk45_adaptive", "dt": 0.01, "t_end": 10.0,
-                       "record_dt": 0.05, **tolerances},
+                       "record_dt": 0.05, **integrator},
         "analysis": {"u0": [1.0]},
     }))
     return cfg
@@ -247,7 +247,9 @@ def test_run_step_underflow_still_writes_manifest(tmp_path, capsys):
     assert manifest["exit_code"] == 1
 
 
-@pytest.mark.parametrize("tolerance", ["rel_tol", "abs_tol"])
+# An infinite blowup bound would switch the bound check off: an overflowing
+# rk4_fixed run used to end in a traceback without a manifest.
+@pytest.mark.parametrize("tolerance", ["rel_tol", "abs_tol", "blowup_bound"])
 def test_run_infinite_tolerance_exit_2(tmp_path, capsys, tolerance):
     out = tmp_path / "out"
     assert main(["run", str(_adaptive_config(tmp_path, **{tolerance: math.inf})),

@@ -63,7 +63,29 @@ def test_other_config_field_differs(tmp_path, capsys):
 def test_manifest_detail_differs(tmp_path, capsys):
     a, b = _tree(tmp_path / "a"), _tree(tmp_path / "b", detail="changed")
     assert compare_runs.main([str(a), str(b)]) == 1
-    assert "tiny/manifest.json" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "tiny/manifest.json" in out
+    # A changed detail is a non-numeric mismatch, but no status changed.
+    assert out.splitlines()[-1] == "tiny/manifest.json: check statuses: unchanged"
+
+
+def test_manifest_status_changes_are_listed(tmp_path, capsys):
+    a, b = _tree(tmp_path / "a"), _tree(tmp_path / "b", detail="changed")
+    path = b / "tiny" / "manifest.json"
+    manifest = json.loads(path.read_text())
+    summary = manifest["summary"]
+    summary["quasimonotone"]["status"] = "fail"
+    summary["closed_form_runtime"]["status"] = "skip"
+    summary["aborted"] = {"status": "fail", "value": None, "detail": "BlowupDetected"}
+    del summary["parabolic_oracle_runtime"]
+    path.write_text(json.dumps(manifest, indent=2))
+    assert compare_runs.main([str(a), str(b)]) == 1
+    assert capsys.readouterr().out.splitlines()[2:] == [
+        "tiny/manifest.json: closed_form_runtime: pass -> skip",
+        "tiny/manifest.json: parabolic_oracle_runtime: pass -> absent",
+        "tiny/manifest.json: quasimonotone: pass -> fail",
+        "tiny/manifest.json: aborted: absent -> fail",
+    ]
 
 
 def test_one_csv_byte_differs(tmp_path, capsys):
@@ -120,4 +142,5 @@ def test_manifest_drift(tmp_path, capsys):
     assert capsys.readouterr().out.splitlines() == [
         "tiny/manifest.json: manifest.config.seed: 0 != 2e-12",
         "tiny/manifest.json: max |delta| 2e-12 over numeric leaves, 1 non-numeric mismatches",
+        "tiny/manifest.json: quasimonotone: pass -> fail",
     ]

@@ -10,9 +10,7 @@ from scipy.interpolate import CubicSpline
 from poisson_lab import recurrence
 from poisson_lab.errors import ConfigInvalid
 from poisson_lab.recurrence import (
-    _design_matrix,
     _golden_min,
-    _projected_objective,
     ClassifyConfig,
     ReturnSequence,
     TauGrid,
@@ -34,7 +32,13 @@ from poisson_lab.signals import (
     shift_discrepancy,
 )
 from poisson_lab.systems import forcing_signal
-from references import almost_periods
+from references import (
+    almost_periods,
+    coordinate_fit,
+    residual_norm,
+    spectral_start,
+    stacked_design,
+)
 
 SQRT2 = math.sqrt(2.0)
 
@@ -424,66 +428,24 @@ def test_fit_two_modes(h_sig):
     assert fit.residual < 1e-2
 
 
-def test_fit_scrambled_noise_fails():
+def test_fit_scrambled_noise_fails(monkeypatch):
     rng = np.random.default_rng(11)
     f = sample_function(lambda ts: rng.standard_normal(np.asarray(ts).size),
                         0.0, 200.0, 0.01)
+    factorizations = []
+    real = recurrence._gauss_newton
+    monkeypatch.setattr(recurrence, "_gauss_newton",
+                        lambda *args: factorizations.append(1) or real(*args))
     fit = quasi_periodic_fit(f, 4, Window(100.0, 90.0))
     assert fit.residual >= 0.5
-
-
-def lstsq_objective(M, idx, y, ts):
-    """The reference the variable projection replaces: frequency idx's
-    columns set to cos(nu t), sin(nu t) and a full least-squares solve."""
-    M = M.copy()
-
-    def obj(nu):
-        M[:, 1 + 2 * idx] = np.cos(nu * ts)
-        M[:, 2 + 2 * idx] = np.sin(nu * ts)
-        coef, *_ = np.linalg.lstsq(M, y, rcond=None)
-        r = y - M @ coef
-        return float(r @ r)
-
-    return obj
-
-
-@st.composite
-def projection_case(draw):
-    """(y, M, idx, ts, searched frequencies): 1-4 sinusoids plus noise, and a
-    design matrix of 1-4 frequencies at least 3 bins apart, searched over the
-    +-0.6-bin bracket the polish uses, clipped at the 0.25-bin floor."""
-    n = draw(st.integers(min_value=50, max_value=5000))
-    dt = 0.1
-    ts = dt * np.arange(n)
-    bin_w = 2.0 * math.pi / (n * dt)
-    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
-    y = draw(st.floats(min_value=0.0, max_value=1.0)) * rng.standard_normal(n)
-    for _ in range(draw(st.integers(min_value=1, max_value=4))):
-        bins = draw(st.floats(min_value=0.5, max_value=24.0))
-        amp = draw(st.floats(min_value=0.1, max_value=2.0))
-        y = y + amp * np.sin(bins * bin_w * ts + draw(st.floats(min_value=0.0, max_value=6.3)))
-    k = draw(st.integers(min_value=1, max_value=4))
-    fitted = np.cumsum([draw(st.floats(min_value=1.5, max_value=4.0))]
-                       + [draw(st.floats(min_value=3.0, max_value=6.0)) for _ in range(k - 1)])
-    idx = draw(st.integers(min_value=0, max_value=k - 1))
-    lo, hi = max(fitted[idx] - 0.6, 0.25), fitted[idx] + 0.6
-    nus = [0.25, lo, hi, draw(st.floats(min_value=lo, max_value=hi))]
-    return y, _design_matrix(ts, fitted * bin_w), idx, ts, np.array(nus) * bin_w
-
-
-@settings(max_examples=60, deadline=None)
-@given(case=projection_case())
-def test_projected_objective_is_the_lstsq_objective(case):
-    y, M, idx, ts, nus = case
-    fast, ref = _projected_objective(M, idx, y, ts), lstsq_objective(M, idx, y, ts)
-    scale = float(np.sum((y - y.mean()) ** 2))
-    for nu in nus.tolist():
-        assert abs(fast(nu) - ref(nu)) <= 1e-9 * scale, nu
+    # The start's QR and one per trial step, at most _FIT_MAX_STEPS of them.
+    assert len(factorizations) <= 1 + recurrence._FIT_MAX_STEPS
 
 
 def _fit_input(case, tmp_path):
-    """A signal and fit window on which the fit is pinned to the reference:
-    the classify-long CLI inputs (seeds 1 and 7) and levitan's h, phi, psi."""
+    """A signal and fit window on which the fit is checked against the
+    reference: the classify-long CLI inputs (seeds 1 and 7) and levitan's h,
+    phi, psi."""
     if case.startswith("long"):
         rng = np.random.default_rng(int(case.split("-")[1]))
         out = []
@@ -506,11 +468,91 @@ def _fit_input(case, tmp_path):
 
 
 @pytest.mark.parametrize("case", ["long-1", "long-7", "h", "phi", "psi"])
-def test_fit_is_the_lstsq_fit(case, tmp_path, monkeypatch):
-    inputs = _fit_input(case, tmp_path)
-    fits = [quasi_periodic_fit(f, 4, w) for f, w in inputs]
-    monkeypatch.setattr(recurrence, "_projected_objective", lstsq_objective)
-    assert [quasi_periodic_fit(f, 4, w) for f, w in inputs] == fits
+def test_fit_is_the_lstsq_fit(case, tmp_path):
+    """Gauss-Newton reaches at least the least squares of the coordinate
+    polish over ``lstsq_objective``, with frequencies within 1e-5 bins of the
+    reference's; the golden section stops at its bracket width, so the sup
+    residual may only fall."""
+    for f, w in _fit_input(case, tmp_path):
+        y, ts, _, bin_w = spectral_start(f, 4, w)
+        fit, ref = quasi_periodic_fit(f, 4, w), coordinate_fit(f, 4, w)
+        assert len(fit.freqs) == len(ref.freqs)
+        assert residual_norm(y, ts, fit.freqs) <= \
+            residual_norm(y, ts, ref.freqs) * (1 + 1e-12)
+        assert np.abs(np.subtract(fit.freqs, ref.freqs)).max() <= 1e-5 * bin_w
+        assert fit.residual <= ref.residual + 1e-6
+
+
+def _tones(n, seed, noise, bins, amps, phases):
+    """(signal, noise amplitude, frequencies): sinusoids at the given bins of
+    an n-sample window at dt 0.1, plus white noise of the given amplitude."""
+    dt = 0.1
+    ts = dt * np.arange(n)
+    bin_w = 2.0 * math.pi / (n * dt)
+    y = noise * np.random.default_rng(seed).standard_normal(n)
+    for b, amp, phase in zip(bins, amps, phases):
+        y = y + amp * np.sin(b * bin_w * ts + phase)
+    return Signal(0.0, dt, y[:, None]), noise, np.asarray(bins) * bin_w
+
+
+@st.composite
+def fit_case(draw):
+    """1-4 sinusoids at least 3 bins apart plus white noise, on 50-5000 samples."""
+    n = draw(st.integers(min_value=50, max_value=5000))
+    seed = draw(st.integers(min_value=0, max_value=2**32 - 1))
+    noise = draw(st.floats(min_value=0.0, max_value=1.0))
+    k = draw(st.integers(min_value=1, max_value=4))
+    bins = np.cumsum([draw(st.floats(min_value=1.5, max_value=4.0))]
+                     + [draw(st.floats(min_value=3.0, max_value=6.0)) for _ in range(k - 1)])
+    amps = [draw(st.floats(min_value=0.1, max_value=2.0)) for _ in range(k)]
+    phases = [draw(st.floats(min_value=0.0, max_value=6.3)) for _ in range(k)]
+    return _tones(n, seed, noise, bins, amps, phases)
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=fit_case())
+# The start misses the 1.5-bin tone; a full Gauss-Newton step raises ||r|| here.
+@example(case=_tones(88, 71197170, 0.1, [1.501], [1.106], [4.002]))
+def test_fit_stays_in_bracket_and_lowers_residual(case):
+    """Every frequency stays in its start bracket and the residual norm never
+    rises above the start's.  With little noise, and a start that has one
+    peak within a bin of each sinusoid, the fit reaches at least the
+    coordinate polish's least squares.  (A start that misses a sinusoid, or
+    has a peak on the noise, leaves a large residual: the functional can then
+    have several minima in a bracket, and the golden section, which also
+    re-brackets on its second pass, may find a lower one.)"""
+    f, noise, nus = case
+    w = Window(0.5 * f.t_end, 0.5 * f.t_end)
+    y, ts, start, bin_w = spectral_start(f, 4, w)
+    fit = quasi_periodic_fit(f, 4, w)
+    assert len(fit.freqs) == len(start)
+    for nu, nu0 in zip(fit.freqs, sorted(start)):
+        assert max(nu0 - 0.6 * bin_w, 0.25 * bin_w) <= nu <= nu0 + 0.6 * bin_w
+    if not start:
+        return
+    norm = residual_norm(y, ts, fit.freqs)
+    assert norm <= residual_norm(y, ts, start) * (1 + 1e-12)
+    if noise <= 0.1 and len(start) == nus.size and \
+            np.abs(np.sort(start) - nus).max() <= bin_w:
+        assert norm <= residual_norm(y, ts, coordinate_fit(f, 4, w).freqs) * (1 + 1e-12)
+
+
+def test_fit_holds_a_frequency_at_its_bracket_end():
+    """A tone at 3.94 bins and a peak on the noise whose least squares lies
+    beyond its bracket: that frequency stops at the bracket end, and the
+    tone's frequency still converges, the gradient of ||r||^2 vanishing."""
+    f, _, _ = _tones(58, 10134742, 0.1, [3.938], [1.193], [0.83])
+    w = Window(0.5 * f.t_end, 0.5 * f.t_end)
+    y, ts, start, bin_w = spectral_start(f, 4, w)
+    fit = quasi_periodic_fit(f, 4, w)
+    at_end = np.isclose(np.abs(np.subtract(fit.freqs, sorted(start))), 0.6 * bin_w)
+    assert at_end.tolist() == [False, True]
+    M = stacked_design(ts, fit.freqs)
+    c = np.linalg.lstsq(M, y, rcond=None)[0]
+    r = y - M @ c
+    D = ts[:, None] * (c[2::2] * M[:, 1::2] - c[1::2] * M[:, 2::2])
+    grad = np.abs(D.T @ r) / (np.linalg.norm(D, axis=0) * np.linalg.norm(r))
+    assert grad[0] <= 1e-6
 
 
 def test_default_config_needs_five_samples():

@@ -228,6 +228,8 @@ def test_negative_dt_rejected():
     # An infinite tolerance would switch the adaptive error control off.
     *(pytest.param({tol: v}, id=f"{tol}-{v}")
       for tol in ("rel_tol", "abs_tol") for v in (math.inf, math.nan)),
+    # So would an infinite blowup bound switch the bound check off.
+    *(pytest.param({"blowup_bound": v}, id=f"blowup_bound-{v}") for v in (math.inf, math.nan)),
 ])
 def test_bad_record_dt_rejected(fields):
     """Bad record steps, and step or tolerance settings, are refused."""
