@@ -25,8 +25,8 @@ from .signals import Window, read_signal_csv
 from .scenarios import (
     CATALOG,
     build_scenario,
-    default_output_dir,
     load_scenario_config,
+    output_dir,
     run_scenario,
 )
 
@@ -116,7 +116,7 @@ def _cmd_run(args) -> int:
                                                   t_end=args.horizon))
         if args.out:
             cfg = replace(cfg, outputs=args.out)
-    outdir = Path(args.out) if args.out else default_output_dir() / cfg.name
+    outdir = output_dir(cfg)
     manifest = run_scenario(cfg, outdir)
     for name, entry in manifest.summary.items():
         print(f"[{entry['status']:>4}] {name}"

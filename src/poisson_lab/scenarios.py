@@ -49,12 +49,9 @@ from .signals import Signal, Window, sup_distance, write_signal_csv
 from .systems import (
     IntegratorConfig,
     SystemSpec,
-    build_dde_rhs,
-    build_ode_rhs,
-    build_reaction,
+    affine_rhs,
     forcing_signal,
-    integrate_dde,
-    integrate_ode,
+    integrate,
     integrate_ode_snapshots,
     integrate_parabolic,
     quasimonotone_check,
@@ -79,6 +76,10 @@ class ScenarioConfig:
     def __post_init__(self):
         if not (isinstance(self.name, str) and self.name):
             raise ConfigInvalid("scenario needs a name")
+        if type(self.seeds) is not int or self.seeds < 0:
+            raise ConfigInvalid(f"seed must be an integer >= 0, got {self.seeds!r}")
+        if not (self.outputs is None or isinstance(self.outputs, str)):
+            raise ConfigInvalid("outputs must be a directory path")
         object.__setattr__(self, "analysis", dict(self.analysis))
 
 
@@ -167,22 +168,41 @@ _COUNTEREXAMPLE = SystemSpec(
     "cooperative_ode", 2, "linear+trig",
     {"A": [[-1.0, -0.5], [0.5, -1.0]], "forcing": [[], []]},
 )
+# The sign test decides monotonicity everywhere; the probe time only places
+# its witness.
+_T_PROBE = (0.0,)
 
 
-def _check_quasimonotone(em: _Emitter, sys: SystemSpec, box, t_probe):
-    res = quasimonotone_check(sys, box, t_probe)
+def _builder(name: str, system: SystemSpec, integrator: IntegratorConfig,
+             analysis: dict):
+    """A catalog builder: the given horizon, if any, replaces ``t_end``."""
+    def build(seed: int = 0, outputs: str | None = None,
+              horizon: float | None = None) -> ScenarioConfig:
+        icfg = integrator if horizon is None else replace(integrator, t_end=float(horizon))
+        return ScenarioConfig(name, system, icfg, analysis, seed, outputs)
+    return build
+
+
+def _check_monotone(em: _Emitter, cfg: ScenarioConfig,
+                    icfg: IntegratorConfig | None = None) -> None:
+    """The ordered-pair battery (where the analysis has ``battery_count``),
+    the exact sign test and its planted counterexample."""
+    ana = cfg.analysis
+    if "battery_count" in ana:
+        count, horizon = ana["battery_count"], ana["battery_horizon"]
+        ordered, worst, witness = comparison_battery(
+            cfg.system, ana["state_box"], count, horizon, cfg=icfg, seed=cfg.seeds)
+        em.check("monotonicity_battery", ordered, worst,
+                 f"{count} ordered pairs on [0, {horizon:g}]"
+                 + ("" if ordered else f"; violated at {witness}"))
+    res = quasimonotone_check(cfg.system, ana["state_box"], _T_PROBE)
     em.check("quasimonotone", res.passed,
              detail="exact sign test: A off the diagonal and A_delay nonnegative"
              if res.passed else f"witness {res.witness}")
-    bad = quasimonotone_check(_COUNTEREXAMPLE, [[-1, 1], [-1, 1]], t_probe)
+    bad = quasimonotone_check(_COUNTEREXAMPLE, [[-1, 1], [-1, 1]], _T_PROBE)
     ok = (not bad.passed) and bad.witness is not None and bad.witness[2:] == (0, 1)
     em.check("quasimonotone_counterexample", ok,
              detail=f"planted negative off-diagonal witnessed: {bad.witness}")
-
-
-def _hausdorff(A: np.ndarray, B: np.ndarray) -> float:
-    d = np.abs(A[:, None, :] - B[None, :, :]).max(axis=2)
-    return float(max(d.min(axis=1).max(), d.min(axis=0).max()))
 
 
 def _check_state_box(em: _Emitter, samples: np.ndarray, box) -> None:
@@ -193,25 +213,11 @@ def _check_state_box(em: _Emitter, samples: np.ndarray, box) -> None:
              "boundedness proxy for conditional compactness")
 
 
-def omega_invariance_defect(sys: SystemSpec, omega, cfg: IntegratorConfig) -> float:
-    """Restart from the first retained snapshot; reproduce the others.
-
-    Returns the Hausdorff distance between the original retained snapshots
-    and the restarted ones at the same return offsets.
-    """
-    t0 = float(omega.times[0])
-    offsets = np.asarray(omega.times[1:], dtype=float) - t0
-    restarted = integrate_ode_snapshots(sys.shifted(t0), omega.snapshots[0],
-                                        cfg, offsets)
-    return _hausdorff(omega.snapshots[1:], restarted)
-
-
-def _sandwich_violation(gamma, alpha, beta, delta) -> float:
-    """Largest violation of gamma <= alpha <= beta <= delta, componentwise."""
-    v1 = float((gamma - alpha).max())
-    v2 = float((alpha - beta).max())
-    v3 = float((beta - delta).max())
-    return max(v1, v2, v3, 0.0)
+def _check_closed_form(em: _Emitter, name: str, u_p, samples: np.ndarray,
+                       times: np.ndarray, tol: float, detail: str) -> None:
+    """Sup distance between the samples and the steady state u_p at their times."""
+    err = float(np.abs(samples - u_p(times)).max())
+    em.check(name, err < tol, err, detail)
 
 
 def _check_convergence(em: _Emitter, a: Signal, b: Signal) -> None:
@@ -219,17 +225,6 @@ def _check_convergence(em: _Emitter, a: Signal, b: Signal) -> None:
     em.check("convergence_check", conv.passed, conv.splits[-1][1],
              f"trend {conv.trend}")
     em.write_rows("convergence.csv", "T,sup_dist", conv.splits)
-
-
-def _check_battery(em: _Emitter, cfg: ScenarioConfig,
-                   icfg: IntegratorConfig | None = None) -> None:
-    ana = cfg.analysis
-    count, horizon = ana["battery_count"], ana["battery_horizon"]
-    ordered, worst, witness = comparison_battery(
-        cfg.system, ana["state_box"], count, horizon, cfg=icfg, seed=cfg.seeds)
-    em.check("monotonicity_battery", ordered, worst,
-             f"{count} ordered pairs on [0, {horizon:g}]"
-             + ("" if ordered else f"; violated at {witness}"))
 
 
 def _check_period(em: _Emitter, name: str, rep, ana: dict, detail: str) -> None:
@@ -241,15 +236,33 @@ def _check_period(em: _Emitter, name: str, rep, ana: dict, detail: str) -> None:
     em.check(name, ok, value=period, detail=detail)
 
 
-def _extremal_solution(em: _Emitter, cfg: ScenarioConfig, traj: Signal,
-                       returns, snap_cfg: IntegratorConfig):
-    """Omega fiber sample, its extrema, and the extremal restarts.
+def _freqs_match(q, ana: dict) -> bool:
+    """The quasi-periodic verdict holds with the target frequencies."""
+    freqs, targets = sorted(q.params.get("freqs", [])), ana["freq_targets"]
+    return (q.verdict == "yes" and len(freqs) == len(targets)
+            and all(abs(a - b) <= ana["freq_tol"] for a, b in zip(freqs, targets)))
 
-    Returns the omega sample and the extraction started from alpha, or None
-    when the extractions are not Cauchy.
+
+def _returns(em: _Emitter, forcing: Signal, ana: dict, window: Window):
+    """Returns of the forcing, recorded in the report."""
+    returns = poisson_returns(forcing, ana["return_schedule"], window,
+                              separation=ana["return_separation"])
+    em.report["returns"] = {"times": list(returns.times),
+                            "discrepancies": list(returns.discrepancies)}
+    return returns
+
+
+def _extremal_solution(em: _Emitter, cfg: ScenarioConfig, u0, returns,
+                       snap_cfg: IntegratorConfig):
+    """The trajectory from u0 and its state box, the omega fiber sample, its
+    extrema, and the extremal restarts.
+
+    Returns the trajectory, the omega sample and the extraction started from
+    alpha, or None when the extractions are not Cauchy.
     """
     ana = cfg.analysis
-    sysspec = cfg.system
+    traj = integrate(cfg.system, u0, cfg.integrator)
+    _check_state_box(em, traj.samples, ana["state_box"])
     omega = omega_fiber_sample(traj, returns, ana["settle_time"])
     em.write_rows("omega_sample.csv",
                   "t_n," + ",".join(f"x{j+1}" for j in range(traj.dim)),
@@ -258,26 +271,26 @@ def _extremal_solution(em: _Emitter, cfg: ScenarioConfig, traj: Signal,
              "retained snapshot diameter")
     pair = fiber_extrema(omega, tol=1e-6)
     try:
-        g = gamma_extract(sysspec, pair.alpha, returns, snap_cfg,
-                          tol=ana["gamma_tol"])
-        d = gamma_extract(sysspec, pair.beta, returns, snap_cfg,
-                          tol=ana["gamma_tol"])
+        g, d = (gamma_extract(cfg.system, start, returns, snap_cfg, tol=ana["gamma_tol"])
+                for start in (pair.alpha, pair.beta))
     except NotCauchy as exc:
         em.check("gamma_cauchy", False, None, str(exc))
         for name in ("gamma_delta_agree", "sandwich"):
             em.skip(name, "extraction not Cauchy")
-        return omega, None
+        return traj, omega, None
     em.check("gamma_cauchy", True, g.cauchy_tail[-1],
              f"final gap; tail {['%.2e' % x for x in g.cauchy_tail[-5:]]}")
     agree = float(np.abs(g.gamma - d.gamma).max())
     em.check("gamma_delta_agree", agree < 1e-3, agree,
              "extremal-start extractions coincide")
-    viol = _sandwich_violation(g.gamma, pair.alpha, pair.beta, d.gamma)
+    # The largest violation of gamma <= alpha <= beta <= delta, componentwise.
+    viol = max(float((g.gamma - pair.alpha).max()), float((pair.alpha - pair.beta).max()),
+               float((pair.beta - d.gamma).max()), 0.0)
     em.check("sandwich", viol <= ana["sandwich_tol"], viol,
              f"gamma <= alpha <= beta <= delta componentwise within "
              f"{ana['sandwich_tol']:g}; the report holds the residual")
     em.report["sandwich_violation"] = viol
-    return omega, g
+    return traj, omega, g
 
 
 def _classify_entire(em: _Emitter, traj: Signal, returns, half_width: float,
@@ -305,17 +318,13 @@ def _classify_entire(em: _Emitter, traj: Signal, returns, half_width: float,
 # s1-opial-scalar
 # ---------------------------------------------------------------------------
 
-_S1_FORCING = [[[1.0, 1.0, 0.0], [1.0, _SQRT2, 0.0]]]
-
-
-def build_s1(seed: int = 0, outputs: str | None = None,
-             horizon: float | None = None) -> ScenarioConfig:
-    t_end = 215000.0 if horizon is None else float(horizon)
-    system = SystemSpec("scalar_ode", 1, "linear+trig",
-                        {"A": [[-1.0]], "forcing": _S1_FORCING})
-    integrator = IntegratorConfig(method="rk4_fixed", dt=0.1, t_end=t_end,
-                                  record_dt=0.1, blowup_bound=6e6)
-    analysis = {
+build_s1 = _builder(
+    "s1-opial-scalar",
+    SystemSpec("scalar_ode", 1, "linear+trig",
+               {"A": [[-1.0]], "forcing": [[[1.0, 1.0, 0.0], [1.0, _SQRT2, 0.0]]]}),
+    IntegratorConfig(method="rk4_fixed", dt=0.1, t_end=215000.0, record_dt=0.1,
+                     blowup_bound=6e6),
+    {
         "state_box": [[-3.0, 3.0]],
         "oracle_horizon": 100.0,
         "oracle_rel_tol": 1e-8,
@@ -331,15 +340,14 @@ def build_s1(seed: int = 0, outputs: str | None = None,
         "sandwich_tol": 1e-3,
         "freq_targets": [1.0, _SQRT2],
         "freq_tol": 1e-2,
-    }
-    return ScenarioConfig("s1-opial-scalar", system, integrator, analysis,
-                          seed, outputs)
+    },
+)
 
 
 def _run_s1(em: _Emitter, cfg: ScenarioConfig) -> None:
     ana = cfg.analysis
     sysspec = cfg.system
-    u_p = build_ode_rhs(sysspec).steady_state()
+    u_p = affine_rhs(sysspec).steady_state()
     u0 = u_p(0.0)[0]
 
     # Closed-form oracle on a short horizon with the adaptive integrator.
@@ -347,25 +355,22 @@ def _run_s1(em: _Emitter, cfg: ScenarioConfig) -> None:
                                   rel_tol=ana["oracle_rel_tol"], abs_tol=1e-10,
                                   t_end=ana["oracle_horizon"], record_dt=0.05)
     started = time.perf_counter()
-    sol = integrate_ode(sysspec, u0, oracle_cfg)
+    sol = integrate(sysspec, u0, oracle_cfg)
     oracle_runtime = time.perf_counter() - started
-    exact = u_p(sol.times())
-    sup_err = float(np.abs(sol.samples - exact).max())
-    em.check("closed_form_match", sup_err < 1e-5, sup_err,
-             f"sup error vs particular solution on [0, {ana['oracle_horizon']:g}]")
+    _check_closed_form(em, "closed_form_match", u_p, sol.samples, sol.times(), 1e-5,
+                       f"sup error vs particular solution on [0, {ana['oracle_horizon']:g}]")
     em.check("closed_form_runtime", oracle_runtime < 5.0, round(oracle_runtime, 3),
              "seconds for the oracle run")
 
     # Convergence of two starts one apart.
     conv_cfg = replace(oracle_cfg, t_end=50.0)
-    a = integrate_ode(sysspec, u0, conv_cfg)
-    b = integrate_ode(sysspec, u0 + 1.0, conv_cfg)
+    a = integrate(sysspec, u0, conv_cfg)
+    b = integrate(sysspec, u0 + 1.0, conv_cfg)
     gap_10_15 = sup_distance(a, b, Window(12.5, 2.5))
     em.check("convergence_gap", gap_10_15 <= math.exp(-10.0) + 1e-6, gap_10_15,
              "sup distance on [10, 15] for starts 1 apart")
     _check_convergence(em, a, b)
-
-    _check_quasimonotone(em, sysspec, ana["state_box"], [0.0, 1.7, 9.3])
+    _check_monotone(em, cfg)
 
     # Forcing classification (the base point's own recurrence character).
     fdt = ana["forcing_dt"]
@@ -394,18 +399,9 @@ def _run_s1(em: _Emitter, cfg: ScenarioConfig) -> None:
     wc, hw = ana["return_window"]
     p_long = forcing_signal("trig-sum", 0.0, t_end + 2 * hw + 50.0, fdt,
                             components=sysspec.params["forcing"])
-    returns = poisson_returns(p_long, ana["return_schedule"], Window(wc, hw),
-                              separation=ana["return_separation"])
-    em.report["returns"] = {
-        "times": list(returns.times),
-        "discrepancies": list(returns.discrepancies),
-        "schedule": list(returns.epsilon_schedule),
-    }
-    traj = integrate_ode(sysspec, u0, cfg.integrator)
-    _check_state_box(em, traj.samples, ana["state_box"])
-    snap_cfg = IntegratorConfig(method="rk4_fixed", dt=0.1, t_end=t_end,
-                                record_dt=0.1, blowup_bound=6e6)
-    _, g = _extremal_solution(em, cfg, traj, returns, snap_cfg)
+    returns = _returns(em, p_long, ana, Window(wc, hw))
+    em.report["returns"]["schedule"] = list(returns.epsilon_schedule)
+    traj, _, g = _extremal_solution(em, cfg, u0, returns, cfg.integrator)
     if g is not None:
         em.report["gamma"] = {"value": g.gamma.tolist(),
                               "cauchy_tail": list(g.cauchy_tail)}
@@ -413,14 +409,10 @@ def _run_s1(em: _Emitter, cfg: ScenarioConfig) -> None:
         em, traj, returns, ana["entire_half_width"], (0.4, 0.95))
     em.write_signal("gamma_signal.csv", gamma_signal)
     gq = g_report.verdict("quasi_periodic")
-    freqs = gq.params.get("freqs", [])
-    targets = ana["freq_targets"]
-    freq_ok = (gq.verdict == "yes" and len(freqs) == len(targets)
-               and all(abs(a - b) <= ana["freq_tol"]
-                       for a, b in zip(sorted(freqs), targets)))
     em.check("gamma_classification",
-             freq_ok and gq.verdict == fq.verdict,
-             detail=f"freqs {freqs} vs targets {targets}; matches forcing class")
+             _freqs_match(gq, ana) and gq.verdict == fq.verdict,
+             detail=f"freqs {gq.params.get('freqs', [])} vs targets "
+                    f"{ana['freq_targets']}; matches forcing class")
 
     em.write_signal("forcing.csv", p_long.restrict(0.0, 1000.0))
     em.write_signal("trajectory.csv", traj.restrict(0.0, 1000.0))
@@ -469,11 +461,8 @@ def _run_levitan(em: _Emitter, cfg: ScenarioConfig) -> None:
     em.check("h_bohr_unsaturated", hb.verdict == "yes",
              detail=f"table {hb.params.get('table')}")
     hq = h_report.verdict("quasi_periodic")
-    freqs = sorted(hq.params.get("freqs", []))
-    targets = ana["freq_targets"]
-    ok = (hq.verdict == "yes" and len(freqs) == 2
-          and all(abs(a - b) <= ana["freq_tol"] for a, b in zip(freqs, targets)))
-    em.check("h_quasi_periodic", ok, detail=f"freqs {freqs}")
+    em.check("h_quasi_periodic", _freqs_match(hq, ana),
+             detail=f"freqs {sorted(hq.params.get('freqs', []))}")
 
     psi_cfg = ClassifyConfig(
         window=Window(-span / 2, span / 2),          # [-span, 0]
@@ -494,12 +483,8 @@ def _run_levitan(em: _Emitter, cfg: ScenarioConfig) -> None:
     prof = psi_report.comparability
     slack = ana["lipschitz_slack"]
     ok = prof is not None and prof.verdict == "comparable-evidence"
-    vals = {}
-    if ok:
-        for e, dh in prof.pairs:
-            vals[e] = dh
-            if not dh >= e * (1 - slack):
-                ok = False
+    vals = dict(prof.pairs) if ok else {}
+    ok = ok and all(dh >= e * (1 - slack) for e, dh in prof.pairs)
     em.check("psi_comparability", ok,
              detail=f"delta_hat {vals}; every delta-shift of the base is an "
                     "eps-shift of psi")
@@ -516,19 +501,14 @@ def _run_levitan(em: _Emitter, cfg: ScenarioConfig) -> None:
 # s3-coop-2d
 # ---------------------------------------------------------------------------
 
-_S3_A = [[-2.0, 1.0], [1.0, -2.0]]
-_S3_FORCING = [[[1.0, 1.0, 0.0]], [[1.0, 1.0, math.pi / 2]]]
-
-
-def build_s3(seed: int = 0, outputs: str | None = None,
-             horizon: float | None = None) -> ScenarioConfig:
-    t_end = 150.0 if horizon is None else float(horizon)
-    system = SystemSpec("cooperative_ode", 2, "linear+trig",
-                        {"A": _S3_A, "forcing": _S3_FORCING})
-    integrator = IntegratorConfig(method="rk45_adaptive", dt=0.01,
-                                  rel_tol=1e-10, abs_tol=1e-12,
-                                  t_end=t_end, record_dt=0.05, blowup_bound=4e6)
-    analysis = {
+build_s3 = _builder(
+    "s3-coop-2d",
+    SystemSpec("cooperative_ode", 2, "linear+trig",
+               {"A": [[-2.0, 1.0], [1.0, -2.0]],
+                "forcing": [[[1.0, 1.0, 0.0]], [[1.0, 1.0, math.pi / 2]]]}),
+    IntegratorConfig(method="rk45_adaptive", dt=0.01, rel_tol=1e-10, abs_tol=1e-12,
+                     t_end=150.0, record_dt=0.05, blowup_bound=4e6),
+    {
         "state_box": [[-2.0, 2.0], [-2.0, 2.0]],
         "battery_count": 100,
         "battery_horizon": 50.0,
@@ -540,49 +520,44 @@ def build_s3(seed: int = 0, outputs: str | None = None,
         "sandwich_tol": 1e-6,
         "period_target": 2 * math.pi,
         "period_tol": 0.02,
-    }
-    return ScenarioConfig("s3-coop-2d", system, integrator, analysis,
-                          seed, outputs)
+    },
+)
 
 
 def _run_s3(em: _Emitter, cfg: ScenarioConfig) -> None:
     ana = cfg.analysis
     sysspec = cfg.system
-    u_p = build_ode_rhs(sysspec).steady_state()
+    u_p = affine_rhs(sysspec).steady_state()
 
     # Closed-form start: the particular solution is an exact trajectory.
     short_cfg = replace(cfg.integrator, t_end=50.0)
-    sol = integrate_ode(sysspec, u_p(0.0)[0], short_cfg)
-    sup_err = float(np.abs(sol.samples - u_p(sol.times())).max())
-    em.check("closed_form_match", sup_err < 1e-6, sup_err,
-             "trajectory started on the particular solution stays on it")
-
-    _check_battery(em, cfg)
-    _check_quasimonotone(em, sysspec, ana["state_box"], [0.0, 1.7, 9.3])
+    sol = integrate(sysspec, u_p(0.0)[0], short_cfg)
+    _check_closed_form(em, "closed_form_match", u_p, sol.samples, sol.times(), 1e-6,
+                       "trajectory started on the particular solution stays on it")
+    _check_monotone(em, cfg)
 
     # Convergence of two ordered starts.
-    a = integrate_ode(sysspec, np.array([-1.0, -0.5]), short_cfg)
-    b = integrate_ode(sysspec, np.array([1.0, 0.5]), short_cfg)
+    a = integrate(sysspec, np.array([-1.0, -0.5]), short_cfg)
+    b = integrate(sysspec, np.array([1.0, 0.5]), short_cfg)
     _check_convergence(em, a, b)
 
     # Returns from the periodic forcing, omega sampling, extraction.
     t_end = cfg.integrator.t_end
     forcing = forcing_signal("trig-sum", 0.0, t_end, 0.05,
                              components=sysspec.params["forcing"])
-    returns = poisson_returns(forcing, ana["return_schedule"],
-                              Window(25.0, 25.0),
-                              separation=ana["return_separation"])
-    em.report["returns"] = {"times": list(returns.times),
-                            "discrepancies": list(returns.discrepancies)}
-
-    u0 = u_p(0.0)[0] + np.array([0.5, -0.3])
-    traj = integrate_ode(sysspec, u0, cfg.integrator)
-    _check_state_box(em, traj.samples, ana["state_box"])
+    returns = _returns(em, forcing, ana, Window(25.0, 25.0))
     snap_cfg = IntegratorConfig(method="rk4_fixed", dt=5e-3, t_end=t_end,
                                 record_dt=5e-3, blowup_bound=4e6)
-    omega, _ = _extremal_solution(em, cfg, traj, returns, snap_cfg)
+    traj, omega, _ = _extremal_solution(em, cfg, u_p(0.0)[0] + np.array([0.5, -0.3]),
+                                        returns, snap_cfg)
 
-    inv_defect = omega_invariance_defect(sysspec, omega, snap_cfg)
+    # Restart from the first retained snapshot and reproduce the others: the
+    # Hausdorff distance between the original and the restarted snapshots.
+    t0 = float(omega.times[0])
+    restarted = integrate_ode_snapshots(sysspec.shifted(t0), omega.snapshots[0], snap_cfg,
+                                        np.asarray(omega.times[1:], dtype=float) - t0)
+    dist = np.abs(omega.snapshots[1:, None, :] - restarted[None, :, :]).max(axis=2)
+    inv_defect = float(max(dist.min(axis=1).max(), dist.min(axis=0).max()))
     em.check("omega_invariance", inv_defect < 1e-3, inv_defect,
              "restarted snapshots reproduce the sampled fiber set")
 
@@ -606,15 +581,14 @@ def _run_s3(em: _Emitter, cfg: ScenarioConfig) -> None:
 # s4-dde-linear
 # ---------------------------------------------------------------------------
 
-def build_s4(seed: int = 0, outputs: str | None = None,
-             horizon: float | None = None) -> ScenarioConfig:
-    t_end = 60.0 if horizon is None else float(horizon)
-    system = SystemSpec("dde_single_delay", 1, "delay-linear",
-                        {"A_self": [[-2.0]], "A_delay": [[1.0]], "delay": 1.0,
-                         "forcing": [[[1.0, 1.0, 0.0]]]})
-    integrator = IntegratorConfig(method="rk4_fixed", dt=0.01, t_end=t_end,
-                                  record_dt=0.05, blowup_bound=4e6)
-    analysis = {
+build_s4 = _builder(
+    "s4-dde-linear",
+    SystemSpec("dde_single_delay", 1, "delay-linear",
+               {"A_self": [[-2.0]], "A_delay": [[1.0]], "delay": 1.0,
+                "forcing": [[[1.0, 1.0, 0.0]]]}),
+    IntegratorConfig(method="rk4_fixed", dt=0.01, t_end=60.0, record_dt=0.05,
+                     blowup_bound=4e6),
+    {
         "state_box": [[-2.0, 2.0]],
         "history_value": 0.5,
         "battery_count": 100,
@@ -623,9 +597,8 @@ def build_s4(seed: int = 0, outputs: str | None = None,
         "tail_tol": 1e-6,
         "period_target": 2 * math.pi,
         "period_tol": 0.02,
-    }
-    return ScenarioConfig("s4-dde-linear", system, integrator, analysis,
-                          seed, outputs)
+    },
+)
 
 
 def _run_s4(em: _Emitter, cfg: ScenarioConfig) -> None:
@@ -635,27 +608,24 @@ def _run_s4(em: _Emitter, cfg: ScenarioConfig) -> None:
     r = float(p["delay"])
 
     hist = Signal(-r, r / 2, np.full((3, 1), ana["history_value"]))
-    traj = integrate_dde(sysspec, hist, cfg.integrator)
+    traj = integrate(sysspec, hist, cfg.integrator)
     _check_state_box(em, traj.samples, ana["state_box"])
     em.write_signal("trajectory.csv", traj)
 
-    x_p = build_dde_rhs(sysspec).steady_state()
-    lo, hi = ana["tail_window"]
-    tail = traj.restrict(lo, hi)
-    sup_err = float(np.abs(tail.samples - x_p(tail.times())).max())
-    em.check("closed_form_tail", sup_err < ana["tail_tol"], sup_err,
-             "trajectory locks onto the periodic particular solution")
+    tail = traj.restrict(*ana["tail_window"])
+    _check_closed_form(em, "closed_form_tail", affine_rhs(sysspec).steady_state(),
+                       tail.samples, tail.times(), ana["tail_tol"],
+                       "trajectory locks onto the periodic particular solution")
 
-    _check_battery(em, cfg, cfg.integrator)
-    _check_quasimonotone(em, sysspec, ana["state_box"], [0.0, 1.7, 9.3])
+    _check_monotone(em, cfg, cfg.integrator)
     bad_sys = replace(sysspec, params={**p, "A_delay": [[-1.0]]})
-    bad = quasimonotone_check(bad_sys, ana["state_box"], [0.0, 1.7])
+    bad = quasimonotone_check(bad_sys, ana["state_box"], _T_PROBE)
     em.check("quasimonotone_delay_counterexample", not bad.passed,
              detail="negative delayed coefficient must fail")
 
     # Two constant histories converge to the same tail.
     h2 = Signal(-r, r / 2, np.full((3, 1), ana["history_value"] - 1.0))
-    _check_convergence(em, traj, integrate_dde(sysspec, h2, cfg.integrator))
+    _check_convergence(em, traj, integrate(sysspec, h2, cfg.integrator))
 
     sub = traj.restrict(20.0, cfg.integrator.t_end)
     c_cfg = ClassifyConfig(
@@ -675,17 +645,14 @@ def _run_s4(em: _Emitter, cfg: ScenarioConfig) -> None:
 # s5-rd-scalar
 # ---------------------------------------------------------------------------
 
-def build_s5(seed: int = 0, outputs: str | None = None,
-             horizon: float | None = None) -> ScenarioConfig:
-    t_end = 50.0 if horizon is None else float(horizon)
-    L = math.pi
-    system = SystemSpec("parabolic_1d", 1, "rd-scalar",
-                        {"nu": [0.1], "L": L, "decay": [1.0],
-                         "source_amp": [1.0], "omega": 1.0, "phase": 0.0})
-    integrator = IntegratorConfig(method="rk4_fixed", dt=8e-4, t_end=t_end,
-                                  record_dt=0.1, space_points=200,
-                                  blowup_bound=1e7)
-    analysis = {
+build_s5 = _builder(
+    "s5-rd-scalar",
+    SystemSpec("parabolic_1d", 1, "rd-scalar",
+               {"nu": [0.1], "L": math.pi, "decay": [1.0],
+                "source_amp": [1.0], "omega": 1.0, "phase": 0.0}),
+    IntegratorConfig(method="rk4_fixed", dt=8e-4, t_end=50.0, record_dt=0.1,
+                     space_points=200, blowup_bound=1e7),
+    {
         "state_box": [[-2.0, 2.0]],
         "battery_count": 100,
         "battery_horizon": 50.0,
@@ -697,9 +664,8 @@ def build_s5(seed: int = 0, outputs: str | None = None,
         "entire_half_width": 12.0,
         "period_target": 2 * math.pi,
         "period_tol": 0.02,
-    }
-    return ScenarioConfig("s5-rd-scalar", system, integrator, analysis,
-                          seed, outputs)
+    },
+)
 
 
 def _run_s5(em: _Emitter, cfg: ScenarioConfig) -> None:
@@ -737,35 +703,30 @@ def _run_s5(em: _Emitter, cfg: ScenarioConfig) -> None:
     em.write_rows("decay.csv", "t,amplitude", list(zip(zfield.times, amps)))
 
     # Main forced run and its closed-form tail.
-    field = integrate_parabolic(sysspec, (1.0 + 0.5 * np.cos(math.pi * xs / L))[None, :],
-                                cfg.integrator)
-    u_p = build_reaction(sysspec).method_of_lines(m)[0].steady_state()
-    tail_mask = field.times >= cfg.integrator.t_end - 10.0
-    exact = u_p(field.times[tail_mask])
-    tail_err = float(np.abs(field.values[tail_mask, 0, :] - exact).max())
-    em.check("closed_form_tail", tail_err < ana["tail_tol"], tail_err,
-             "settled field matches the separable particular solution")
+    traj = integrate(sysspec, (1.0 + 0.5 * np.cos(math.pi * xs / L))[None, :],
+                     cfg.integrator)
+    times = traj.times()
+    tail = times >= cfg.integrator.t_end - 10.0
+    _check_closed_form(em, "closed_form_tail", affine_rhs(sysspec, m).steady_state(),
+                       traj.samples[tail], times[tail], ana["tail_tol"],
+                       "settled field matches the separable particular solution")
 
-    _check_state_box(em, field.values.reshape(-1, 1), ana["state_box"])
+    _check_state_box(em, traj.samples.reshape(-1, 1), ana["state_box"])
     # The battery grid is coarser than the oracle grid; let the stability
     # cap inside the integrator choose the step for it.
-    _check_battery(em, cfg, replace(cfg.integrator, space_points=ana["battery_points"],
-                                    record_dt=0.5, dt=0.5))
-    _check_quasimonotone(em, sysspec, ana["state_box"], [0.0, 1.7])
+    _check_monotone(em, cfg, replace(cfg.integrator, space_points=ana["battery_points"],
+                                     record_dt=0.5, dt=0.5))
 
     # Two ordered start fields converge toward the same periodic regime.
     m_c = ana["battery_points"]
     xs_c = np.linspace(0.0, L, m_c)
     conv_cfg = replace(cfg.integrator, t_end=30.0, record_dt=0.1, dt=0.1,
                        space_points=m_c)
-    fa = integrate_parabolic(sysspec, np.full((1, m_c), 0.2), conv_cfg)
-    fb = integrate_parabolic(sysspec,
-                             (1.2 + 0.4 * np.cos(math.pi * xs_c / L))[None, :],
-                             conv_cfg)
-    _check_convergence(em, fa.to_signal(), fb.to_signal())
+    fa = integrate(sysspec, np.full((1, m_c), 0.2), conv_cfg)
+    fb = integrate(sysspec, (1.2 + 0.4 * np.cos(math.pi * xs_c / L))[None, :], conv_cfg)
+    _check_convergence(em, fa, fb)
 
     # Entire-trajectory reconstruction at forcing return times.
-    traj = field.to_signal()
     forcing = forcing_signal("trig-sum", 0.0, cfg.integrator.t_end, 0.05,
                              components=[[[1.0, 1.0, 0.0]]])
     returns = poisson_returns(forcing, [0.1, 0.01] + [1e-3] * 5,
@@ -775,8 +736,8 @@ def _run_s5(em: _Emitter, cfg: ScenarioConfig) -> None:
     _check_period(em, "gamma_classification", g_report, ana,
                   "field is asymptotically periodic with the forcing period")
 
-    em.write_rows("field_final.csv", "x,u",
-                  list(zip(field.xs, field.values[-1, 0, :])))
+    # The oracle grid is the run's node grid.
+    em.write_rows("field_final.csv", "x,u", list(zip(xs, traj.samples[-1])))
 
 
 # ---------------------------------------------------------------------------
@@ -799,11 +760,9 @@ CATALOG = {
 
 def build_scenario(name: str, *, seed: int = 0, outputs: str | None = None,
                    horizon: float | None = None) -> ScenarioConfig:
-    try:
-        builder = CATALOG[name][0]
-    except KeyError:
-        raise ConfigInvalid(f"unknown scenario {name!r}") from None
-    return builder(seed=seed, outputs=outputs, horizon=horizon)
+    if name not in CATALOG:
+        raise ConfigInvalid(f"unknown scenario {name!r}")
+    return CATALOG[name][0](seed=seed, outputs=outputs, horizon=horizon)
 
 
 def load_scenario_config(path) -> ScenarioConfig:
@@ -819,12 +778,10 @@ def load_scenario_config(path) -> ScenarioConfig:
             system=SystemSpec(**raw["system"]),
             integrator=IntegratorConfig(**raw.get("integrator", {})),
             analysis=raw.get("analysis", {}),
-            seeds=int(raw.get("seeds", 0)),
+            seeds=raw.get("seeds", 0),
             outputs=raw.get("outputs"),
         )
-        kind = cfg.system.kind
-        (build_dde_rhs if kind == "dde_single_delay" else
-         build_reaction if kind == "parabolic_1d" else build_ode_rhs)(cfg.system)
+        affine_rhs(cfg.system)
     except (KeyError, TypeError, ValueError, AttributeError, IndexError) as exc:
         raise ConfigInvalid(f"bad scenario config {path}: {exc}") from exc
     if cfg.name in CATALOG:
@@ -837,6 +794,11 @@ def default_output_dir() -> Path:
     return Path(os.environ.get("POISSON_LAB_OUT", "poisson-lab-out"))
 
 
+def output_dir(cfg: ScenarioConfig) -> Path:
+    """The config's ``outputs``, else ``default_output_dir() / name``."""
+    return Path(cfg.outputs) if cfg.outputs else default_output_dir() / cfg.name
+
+
 def run_scenario(cfg: ScenarioConfig, outdir=None) -> RunManifest:
     """Run a scenario end to end and write its artifacts.
 
@@ -846,9 +808,7 @@ def run_scenario(cfg: ScenarioConfig, outdir=None) -> RunManifest:
     report and manifest are still written; configuration, parse and domain
     errors propagate without a manifest.
     """
-    if outdir is None:
-        outdir = Path(cfg.outputs) if cfg.outputs else default_output_dir() / cfg.name
-    em = _Emitter(cfg, Path(outdir))
+    em = _Emitter(cfg, output_dir(cfg) if outdir is None else Path(outdir))
     entry = CATALOG.get(cfg.name)
     try:
         (entry[1] if entry is not None else _run_generic)(em, cfg)
@@ -866,7 +826,7 @@ def _run_generic(em: _Emitter, cfg: ScenarioConfig) -> None:
     kind = sysspec.kind
     try:
         if kind == "dde_single_delay":
-            r = build_dde_rhs(sysspec).r
+            r = affine_rhs(sysspec).r
             val = float(ana.get("history_value", 0.0))
             start = Signal(-r, r / 2, np.full((3, sysspec.dim), val))
         elif kind == "parabolic_1d":
@@ -878,12 +838,7 @@ def _run_generic(em: _Emitter, cfg: ScenarioConfig) -> None:
                 raise ValueError(f"u0 must have {sysspec.dim} entries")
     except (TypeError, ValueError) as exc:
         raise ConfigInvalid(f"bad start value in the analysis section: {exc}") from exc
-    if kind == "dde_single_delay":
-        traj = integrate_dde(sysspec, start, cfg.integrator)
-    elif kind == "parabolic_1d":
-        traj = integrate_parabolic(sysspec, start, cfg.integrator).to_signal()
-    else:
-        traj = integrate_ode(sysspec, start, cfg.integrator)
+    traj = integrate(sysspec, start, cfg.integrator)
     em.check("integration", True, float(np.abs(traj.samples).max()),
              "trajectory completed inside the blowup bound")
     rep = classify(traj, cfg=default_classify_config(traj))

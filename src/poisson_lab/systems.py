@@ -180,9 +180,13 @@ class LinearTrigRhs:
         if self.A_delay is not None:
             if self.A_delay.shape != (n, n):
                 raise ConfigInvalid("A_delay must have the shape of A")
-            if not r > 0:
-                raise ConfigInvalid("delay must be positive")
+            if not 0 < r < math.inf:
+                raise ConfigInvalid("delay must be positive and finite")
         self.r = float(r)
+        delayed = () if self.A_delay is None else (self.A_delay,)
+        if not all(np.isfinite(x).all() for x in (self.A, self.proj, self.omegas,
+                                                  self.phases, self.offset) + delayed):
+            raise ConfigInvalid("matrices, offset and forcing terms must be finite")
 
     def __call__(self, t: float, u: np.ndarray, u_past=None) -> np.ndarray:
         p = self.offset + self.proj @ np.sin(self.omegas * t + self.phases)
@@ -232,6 +236,9 @@ class ReactionDiffusion:
         if profile not in ("one-plus-cos", "flat"):
             raise ConfigInvalid(f"unknown source profile {profile!r}")
         self.profile_kind = profile
+        if not np.isfinite(np.concatenate((self.nu, self.decay, self.source_amp,
+                                           [self.L, self.omega, self.phase]))).all():
+            raise ConfigInvalid("reaction parameters must be finite")
 
     def method_of_lines(self, m: int):
         """(rhs, xs): the system on m nodes as u' = A u + p(t), u the flattened
@@ -291,6 +298,15 @@ def build_reaction(spec: SystemSpec) -> ReactionDiffusion:
     if reaction.n_species != spec.dim:
         raise ConfigInvalid(f"dim {spec.dim} != the reaction's {reaction.n_species} species")
     return reaction
+
+
+def affine_rhs(spec: SystemSpec, m: int = 8) -> LinearTrigRhs:
+    """The right-hand side of any kind; the parabolic one on m nodes."""
+    if spec.kind == "dde_single_delay":
+        return build_dde_rhs(spec)
+    if spec.kind == "parabolic_1d":
+        return build_reaction(spec).method_of_lines(m)[0]
+    return build_ode_rhs(spec)
 
 
 # ---------------------------------------------------------------------------
@@ -397,13 +413,12 @@ def _rk4_particular(rhs, coeffs, h: float, n: int):
     offset and (z_j I - P) v_j = (C0 + w_j Ch + (h/6) z_j I) proj_j, with
     w_j = e^{i omega_j h/2} and z_j = w_j^2 (A. V. Oppenheim and R. W. Schafer,
     Discrete-Time Signal Processing, 3rd ed., 2010, ch. 2).  None, so that
-    the caller runs the loop, when an input is not finite or a solved matrix
+    the caller runs the loop, when a coefficient overflows or a solved matrix
     has sigma_min * n < 1 for the n steps to run: near a singular A or a
     resonance the closed form cancels, the loop not.
     """
     P, C0, Ch = coeffs
-    terms = (P, C0, Ch, rhs.offset, rhs.proj, rhs.omegas, rhs.phases)
-    if not all(np.isfinite(x).all() for x in terms):
+    if not all(np.isfinite(x).all() for x in coeffs):
         return None
     eye = np.eye(len(P))
     w = np.concatenate(([1.0], np.exp(0.5j * h * rhs.omegas)))[:, None, None]
@@ -741,6 +756,8 @@ def _dde_core(rhs, hist_vals, cfg):
     if cfg.method != "rk4_fixed":
         raise ConfigInvalid(f"method {cfg.method!r}: the DDE integrator runs rk4_fixed only")
     r = rhs.r
+    if not math.isfinite(r / cfg.dt):
+        raise ConfigInvalid("dt is too small: delay/dt overflows")
     n_sub = max(1, int(math.ceil(r / cfg.dt - 1e-12)))
     h = r / n_sub
     k_rec = max(1, int(round(cfg.record_dt / h)))
@@ -809,6 +826,17 @@ def integrate_parabolic(sys: SystemSpec, u0, cfg: IntegratorConfig) -> Field:
     return Field(ts, xs, vals)
 
 
+def integrate(sys: SystemSpec, start, cfg: IntegratorConfig) -> Signal:
+    """One trajectory of any kind from ``start``: the ODE state, the DDE
+    history Signal or the parabolic start field (the Field flattened by
+    ``Field.to_signal``)."""
+    if sys.kind == "dde_single_delay":
+        return integrate_dde(sys, start, cfg)
+    if sys.kind == "parabolic_1d":
+        return integrate_parabolic(sys, start, cfg).to_signal()
+    return integrate_ode(sys, start, cfg)
+
+
 def integrate_parabolic_batch(sys: SystemSpec, U0, cfg: IntegratorConfig):
     """Batch variant; U0 has shape (n_species, m, batch)."""
     return _parabolic_core(sys, np.asarray(U0, dtype=float), cfg, batch=True)
@@ -862,12 +890,7 @@ def quasimonotone_check(sys: SystemSpec, box, t_probe) -> QuasimonotoneResult:
     box = np.asarray(box, dtype=float)
     if box.ndim != 2 or box.shape[1] != 2 or box.shape[0] == 0:
         raise ConfigInvalid("box must be an array of (lo, hi) rows")
-    if sys.kind == "dde_single_delay":
-        rhs = build_dde_rhs(sys)
-    elif sys.kind == "parabolic_1d":
-        rhs, _ = build_reaction(sys).method_of_lines(8)
-    else:
-        rhs = build_ode_rhs(sys)
+    rhs = affine_rhs(sys)
     bad = (rhs.A < 0) & ~np.eye(rhs.dim, dtype=bool)
     if rhs.A_delay is not None:
         bad |= rhs.A_delay < 0

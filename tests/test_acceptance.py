@@ -225,3 +225,54 @@ def test_return_ladder_is_certified(s1_run):
     assert len(times) == 10
     assert all(b > a for a, b in zip(times, times[1:]))
     assert all(d < e for d, e in zip(discs, sched))
+
+
+# Each catalog scenario's exact check names and manifest files: a check or
+# an artifact that a refactor drops or renames shows up here.
+_PINNED = {
+    "s1_run": (
+        {"closed_form_match", "closed_form_runtime", "convergence_check",
+         "convergence_gap", "forcing_quasi_periodic", "gamma_cauchy",
+         "gamma_classification", "gamma_delta_agree", "omega_singleton",
+         "quasimonotone", "quasimonotone_counterexample", "sandwich", "state_box"},
+        ["convergence.csv", "forcing.csv", "gamma_signal.csv", "manifest.json",
+         "omega_sample.csv", "report.json", "trajectory.csv"],
+    ),
+    "levitan_run": (
+        {"h_bohr_unsaturated", "h_quasi_periodic", "psi_bohr_saturated",
+         "psi_comparability", "psi_levitan_evidence"},
+        ["h.csv", "manifest.json", "phi.csv", "psi.csv", "report.json"],
+    ),
+    "s3_run": (
+        {"closed_form_match", "contraction", "convergence_check", "gamma_cauchy",
+         "gamma_classification", "gamma_delta_agree", "monotonicity_battery",
+         "omega_invariance", "omega_singleton", "quasimonotone",
+         "quasimonotone_counterexample", "sandwich", "state_box"},
+        ["convergence.csv", "forcing.csv", "gamma_signal.csv", "manifest.json",
+         "omega_sample.csv", "report.json", "trajectory.csv"],
+    ),
+    "s4_run": (
+        {"closed_form_tail", "convergence_check", "monotonicity_battery",
+         "quasimonotone", "quasimonotone_counterexample",
+         "quasimonotone_delay_counterexample", "state_box", "tail_classification"},
+        ["convergence.csv", "manifest.json", "report.json", "trajectory.csv"],
+    ),
+    "s5_run": (
+        {"closed_form_tail", "convergence_check", "cosine_mode_decay",
+         "gamma_classification", "mean_conservation", "monotonicity_battery",
+         "parabolic_oracle_runtime", "quasimonotone", "quasimonotone_counterexample",
+         "state_box"},
+        ["conservation.csv", "convergence.csv", "decay.csv", "field_final.csv",
+         "manifest.json", "report.json"],
+    ),
+}
+
+
+@pytest.mark.parametrize("fixture", sorted(_PINNED))
+def test_catalog_checks_and_files_are_pinned(fixture, request):
+    run = request.getfixturevalue(fixture)
+    checks, files = _PINNED[fixture]
+    manifest = run["manifest"].to_dict()
+    assert set(manifest["summary"]) == checks
+    assert manifest["files"] == files
+    assert sorted(p.name for p in run["out"].iterdir()) == files

@@ -222,7 +222,7 @@ def test_run_aborted_stage_still_writes_manifest(tmp_path, capsys):
     assert manifest["exit_code"] == 1
 
 
-def _adaptive_config(tmp_path, **integrator):
+def _adaptive_config(tmp_path, outputs=None, **integrator):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({
         "name": "tolerances",
@@ -231,6 +231,7 @@ def _adaptive_config(tmp_path, **integrator):
         "integrator": {"method": "rk45_adaptive", "dt": 0.01, "t_end": 10.0,
                        "record_dt": 0.05, **integrator},
         "analysis": {"u0": [1.0]},
+        "outputs": outputs,
     }))
     return cfg
 
@@ -256,6 +257,41 @@ def test_run_infinite_tolerance_exit_2(tmp_path, capsys, tolerance):
                  "--out", str(out)]) == 2
     assert len(capsys.readouterr().err.strip().splitlines()) == 1
     assert not (out / "manifest.json").exists()
+
+
+def test_run_config_outputs_receive_every_file(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("POISSON_LAB_OUT", str(tmp_path / "default"))
+    wanted = tmp_path / "wanted"
+    cfg = _adaptive_config(tmp_path, outputs=str(wanted))
+    assert main(["run", str(cfg)]) == 0
+    manifest = json.loads((wanted / "manifest.json").read_text())
+    assert sorted(p.name for p in wanted.iterdir()) == manifest["files"]
+    assert manifest["config"]["outputs"] == str(wanted)
+    assert f"artifacts: {wanted}" in capsys.readouterr().out
+    assert not (tmp_path / "default").exists()
+    # --out still takes precedence over the config's outputs.
+    over = tmp_path / "over"
+    assert main(["run", str(cfg), "--out", str(over)]) == 0
+    manifest = json.loads((over / "manifest.json").read_text())
+    assert sorted(p.name for p in over.iterdir()) == manifest["files"]
+
+
+def test_run_negative_seed_exit_2_without_files(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["run", "s4-dde-linear", "--seed", "-1", "--out", str(out)]) == 2
+    assert len(capsys.readouterr().err.strip().splitlines()) == 1
+    assert not out.exists()
+
+
+# JSON's 1e400 reads as inf.
+@pytest.mark.parametrize("seeds", [-1, 2.7, 2.0, True, math.inf])
+def test_run_config_seeds_not_a_nonnegative_int_exit_2(tmp_path, capsys, seeds):
+    cfg = _adaptive_config(tmp_path)
+    cfg.write_text(json.dumps({**json.loads(cfg.read_text()), "seeds": seeds}))
+    out = tmp_path / "out"
+    assert main(["run", str(cfg), "--out", str(out)]) == 2
+    assert len(capsys.readouterr().err.strip().splitlines()) == 1
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("analysis", [
@@ -366,7 +402,7 @@ _VALID_CONFIGS = [
      "analysis": {"u0_value": 1.0}},
 ]
 _DELETE = "<delete>"
-_CORRUPTIONS = [None, "x", math.nan, -1.0, [[1.0, 2.0, 3.0]], _DELETE]
+_CORRUPTIONS = [None, "x", math.nan, math.inf, -1.0, [[1.0, 2.0, 3.0]], _DELETE]
 
 
 def _node_paths(node, prefix=()):
@@ -383,6 +419,8 @@ _CASES = [(i, path, bad) for i, base in enumerate(_VALID_CONFIGS)
 
 @settings(max_examples=300)
 @given(case=st.sampled_from(_CASES))
+@example(case=(0, ("seeds",), math.inf))
+@example(case=(1, ("system", "params", "delay"), 1e308))  # delay / dt overflows
 def test_run_corrupted_config_never_raises(case):
     i, path, bad = case
     raw = copy.deepcopy(_VALID_CONFIGS[i])

@@ -28,6 +28,7 @@ from poisson_lab.systems import (
     build_dde_rhs,
     build_ode_rhs,
     build_reaction,
+    integrate,
     integrate_dde,
     integrate_dde_batch,
     integrate_ode,
@@ -1065,3 +1066,27 @@ def test_rk4_periodic_solution_approaches_steady_state_at_fourth_order():
     # Halving h divides a fourth-order error by about 16.
     assert 14.0 <= gaps[0] / gaps[1] <= 19.0
     assert 14.0 <= gaps[1] / gaps[2] <= 19.0
+
+
+@pytest.mark.parametrize("kind", ["ode", "dde", "parabolic"])
+def test_integrate_dispatches_to_each_kind_bit_for_bit(kind):
+    cfg = IntegratorConfig(method="rk4_fixed", dt=0.05, t_end=3.0, record_dt=0.1,
+                           blowup_bound=1e6)
+    if kind == "ode":
+        sys = ode([[-1.0, 0.5], [0.5, -1.0]], [[[1.0, 1.0, 0.0]], []])
+        start = np.array([0.5, -0.5])
+        ref = integrate_ode(sys, start, cfg)
+    elif kind == "dde":
+        sys = SystemSpec("dde_single_delay", 1, "delay-linear",
+                         {"A_self": [[-2.0]], "A_delay": [[1.0]], "delay": 1.0,
+                          "forcing": [[[1.0, 1.0, 0.0]]]})
+        start = Signal(-1.0, 0.5, np.full((3, 1), 0.5))
+        ref = integrate_dde(sys, start, cfg)
+    else:
+        sys = SystemSpec("parabolic_1d", 1, "rd-scalar",
+                         {"nu": [0.1], "L": 3.0, "decay": [1.0], "source_amp": [1.0]})
+        start = np.linspace(0.5, 1.5, 16)[None, :]
+        ref = integrate_parabolic(sys, start, cfg).to_signal()
+    got = integrate(sys, start, cfg)
+    assert (got.t0, got.dt) == (ref.t0, ref.dt)
+    assert np.array_equal(got.samples, ref.samples)
