@@ -513,14 +513,18 @@ def fit_case(draw):
 @given(case=fit_case())
 # The start misses the 1.5-bin tone; a full Gauss-Newton step raises ||r|| here.
 @example(case=_tones(88, 71197170, 0.1, [1.501], [1.106], [4.002]))
+# The strong tone pulls the weak one's peak 0.83 bins off, out of its bracket;
+# the coordinate polish, re-bracketed on its second pass, reaches it.
+@example(case=_tones(50, 0, 0.0, [2.3125, 5.71875], [0.109375, 1.25], [1.0, 0.0]))
 def test_fit_stays_in_bracket_and_lowers_residual(case):
     """Every frequency stays in its start bracket and the residual norm never
     rises above the start's.  With little noise, and a start that has one
-    peak within a bin of each sinusoid, the fit reaches at least the
-    coordinate polish's least squares.  (A start that misses a sinusoid, or
-    has a peak on the noise, leaves a large residual: the functional can then
-    have several minima in a bracket, and the golden section, which also
-    re-brackets on its second pass, may find a lower one.)"""
+    peak within 0.6 bins of each sinusoid, so that each sinusoid lies in its
+    bracket, the fit reaches at least the coordinate polish's least squares.
+    (A start that misses a sinusoid, or has a peak on the noise, leaves a
+    large residual: the functional can then have several minima in a bracket.
+    And the golden section re-brackets on its second pass, so it may find a
+    lower minimum outside the start bracket, which the fit does not leave.)"""
     f, noise, nus = case
     w = Window(0.5 * f.t_end, 0.5 * f.t_end)
     y, ts, start, bin_w = spectral_start(f, 4, w)
@@ -533,7 +537,7 @@ def test_fit_stays_in_bracket_and_lowers_residual(case):
     norm = residual_norm(y, ts, fit.freqs)
     assert norm <= residual_norm(y, ts, start) * (1 + 1e-12)
     if noise <= 0.1 and len(start) == nus.size and \
-            np.abs(np.sort(start) - nus).max() <= bin_w:
+            np.abs(np.sort(start) - nus).max() <= 0.6 * bin_w:
         assert norm <= residual_norm(y, ts, coordinate_fit(f, 4, w).freqs) * (1 + 1e-12)
 
 
