@@ -213,10 +213,11 @@ def _check_state_box(em: _Emitter, samples: np.ndarray, box) -> None:
              "boundedness proxy for conditional compactness")
 
 
-def _check_closed_form(em: _Emitter, name: str, u_p, samples: np.ndarray,
-                       times: np.ndarray, tol: float, detail: str) -> None:
-    """Sup distance between the samples and the steady state u_p at their times."""
-    err = float(np.abs(samples - u_p(times)).max())
+def _check_closed_form(em: _Emitter, name: str, u_p, sig: Signal, tol: float,
+                       detail: str, mask=slice(None)) -> None:
+    """Sup distance between sig and the steady state u_p at sig's times
+    (those that mask selects)."""
+    err = float(np.abs(sig.samples[mask] - u_p(sig.times()[mask])).max())
     em.check(name, err < tol, err, detail)
 
 
@@ -271,8 +272,10 @@ def _extremal_solution(em: _Emitter, cfg: ScenarioConfig, u0, returns,
              "retained snapshot diameter")
     pair = fiber_extrema(omega, tol=1e-6)
     try:
-        g, d = (gamma_extract(cfg.system, start, returns, snap_cfg, tol=ana["gamma_tol"])
-                for start in (pair.alpha, pair.beta))
+        g = gamma_extract(cfg.system, pair.alpha, returns, snap_cfg,
+                          tol=ana["gamma_tol"])
+        d = gamma_extract(cfg.system, pair.beta, returns, snap_cfg,
+                          tol=ana["gamma_tol"])
     except NotCauchy as exc:
         em.check("gamma_cauchy", False, None, str(exc))
         for name in ("gamma_delta_agree", "sandwich"):
@@ -357,7 +360,7 @@ def _run_s1(em: _Emitter, cfg: ScenarioConfig) -> None:
     started = time.perf_counter()
     sol = integrate(sysspec, u0, oracle_cfg)
     oracle_runtime = time.perf_counter() - started
-    _check_closed_form(em, "closed_form_match", u_p, sol.samples, sol.times(), 1e-5,
+    _check_closed_form(em, "closed_form_match", u_p, sol, 1e-5,
                        f"sup error vs particular solution on [0, {ana['oracle_horizon']:g}]")
     em.check("closed_form_runtime", oracle_runtime < 5.0, round(oracle_runtime, 3),
              "seconds for the oracle run")
@@ -483,8 +486,12 @@ def _run_levitan(em: _Emitter, cfg: ScenarioConfig) -> None:
     prof = psi_report.comparability
     slack = ana["lipschitz_slack"]
     ok = prof is not None and prof.verdict == "comparable-evidence"
-    vals = dict(prof.pairs) if ok else {}
-    ok = ok and all(dh >= e * (1 - slack) for e, dh in prof.pairs)
+    vals = {}
+    if ok:
+        for e, dh in prof.pairs:
+            vals[e] = dh
+            if not dh >= e * (1 - slack):
+                ok = False
     em.check("psi_comparability", ok,
              detail=f"delta_hat {vals}; every delta-shift of the base is an "
                     "eps-shift of psi")
@@ -532,7 +539,7 @@ def _run_s3(em: _Emitter, cfg: ScenarioConfig) -> None:
     # Closed-form start: the particular solution is an exact trajectory.
     short_cfg = replace(cfg.integrator, t_end=50.0)
     sol = integrate(sysspec, u_p(0.0)[0], short_cfg)
-    _check_closed_form(em, "closed_form_match", u_p, sol.samples, sol.times(), 1e-6,
+    _check_closed_form(em, "closed_form_match", u_p, sol, 1e-6,
                        "trajectory started on the particular solution stays on it")
     _check_monotone(em, cfg)
 
@@ -612,9 +619,9 @@ def _run_s4(em: _Emitter, cfg: ScenarioConfig) -> None:
     _check_state_box(em, traj.samples, ana["state_box"])
     em.write_signal("trajectory.csv", traj)
 
-    tail = traj.restrict(*ana["tail_window"])
+    lo, hi = ana["tail_window"]
     _check_closed_form(em, "closed_form_tail", affine_rhs(sysspec).steady_state(),
-                       tail.samples, tail.times(), ana["tail_tol"],
+                       traj.restrict(lo, hi), ana["tail_tol"],
                        "trajectory locks onto the periodic particular solution")
 
     _check_monotone(em, cfg, cfg.integrator)
@@ -705,11 +712,10 @@ def _run_s5(em: _Emitter, cfg: ScenarioConfig) -> None:
     # Main forced run and its closed-form tail.
     traj = integrate(sysspec, (1.0 + 0.5 * np.cos(math.pi * xs / L))[None, :],
                      cfg.integrator)
-    times = traj.times()
-    tail = times >= cfg.integrator.t_end - 10.0
     _check_closed_form(em, "closed_form_tail", affine_rhs(sysspec, m).steady_state(),
-                       traj.samples[tail], times[tail], ana["tail_tol"],
-                       "settled field matches the separable particular solution")
+                       traj, ana["tail_tol"],
+                       "settled field matches the separable particular solution",
+                       traj.times() >= cfg.integrator.t_end - 10.0)
 
     _check_state_box(em, traj.samples.reshape(-1, 1), ana["state_box"])
     # The battery grid is coarser than the oracle grid; let the stability
@@ -760,9 +766,11 @@ CATALOG = {
 
 def build_scenario(name: str, *, seed: int = 0, outputs: str | None = None,
                    horizon: float | None = None) -> ScenarioConfig:
-    if name not in CATALOG:
-        raise ConfigInvalid(f"unknown scenario {name!r}")
-    return CATALOG[name][0](seed=seed, outputs=outputs, horizon=horizon)
+    try:
+        builder = CATALOG[name][0]
+    except KeyError:
+        raise ConfigInvalid(f"unknown scenario {name!r}") from None
+    return builder(seed=seed, outputs=outputs, horizon=horizon)
 
 
 def load_scenario_config(path) -> ScenarioConfig:
@@ -790,13 +798,12 @@ def load_scenario_config(path) -> ScenarioConfig:
     return cfg
 
 
-def default_output_dir() -> Path:
-    return Path(os.environ.get("POISSON_LAB_OUT", "poisson-lab-out"))
-
-
 def output_dir(cfg: ScenarioConfig) -> Path:
-    """The config's ``outputs``, else ``default_output_dir() / name``."""
-    return Path(cfg.outputs) if cfg.outputs else default_output_dir() / cfg.name
+    """The config's ``outputs``, else ``$POISSON_LAB_OUT/<name>`` (default
+    ``poisson-lab-out/<name>``)."""
+    if cfg.outputs:
+        return Path(cfg.outputs)
+    return Path(os.environ.get("POISSON_LAB_OUT", "poisson-lab-out")) / cfg.name
 
 
 def run_scenario(cfg: ScenarioConfig, outdir=None) -> RunManifest:
