@@ -436,8 +436,10 @@ def quasi_periodic_fit(f: Signal, max_freqs: int, w: Window) -> QuasiPeriodicFit
     peak estimate dephases over long windows.  Each frequency stays within 0.6
     bins of its peak, above 0.25 bins; a step that raises the residual norm is
     halved; the loop ends at a negligible step, a stalled decrease or after
-    ``_FIT_MAX_STEPS`` trials.  A residual of 1.0 signals failure, never an
-    exception.
+    ``_FIT_MAX_STEPS`` trials.  A frequency held at a bracket end (other than
+    the 0.25-bin floor) starts a second pass, bracketed within 0.6 bins of the
+    first pass's result, as a strong tone can pull a weak tone's peak more
+    than 0.6 bins off.  A residual of 1.0 signals failure, never an exception.
     """
     i0, i1 = f.window_slice(w)
     comp = _dominant_component(f.samples[i0 : i1 + 1])
@@ -451,14 +453,27 @@ def quasi_periodic_fit(f: Signal, max_freqs: int, w: Window) -> QuasiPeriodicFit
     if not freqs.size:
         return QuasiPeriodicFit((), (), 1.0)
     bin_w = 2.0 * math.pi / (comp.size * f.dt)
-    lo, hi = np.maximum(freqs - 0.6 * bin_w, 0.25 * bin_w), freqs + 0.6 * bin_w
-    coef, r, step = _gauss_newton(ts, freqs, comp, lo, hi)
+    for _ in range(2):
+        lo, hi = np.maximum(freqs - 0.6 * bin_w, 0.25 * bin_w), freqs + 0.6 * bin_w
+        freqs, coef, r = _refine(ts, freqs, comp, lo, hi, bin_w)
+        held = ((freqs <= lo) | (freqs >= hi)) & (freqs > 0.25 * bin_w)
+        if not held.any():
+            break
+    order = np.argsort(freqs)
+    amps = np.hypot(coef[1::2], coef[2::2])[order]
+    return QuasiPeriodicFit(tuple(freqs[order].tolist()), tuple(amps.tolist()),
+                            min(float(np.abs(r).max()) / scale, 1.0))
+
+
+def _refine(ts: np.ndarray, freqs: np.ndarray, y: np.ndarray, lo, hi, bin_w: float):
+    """(freqs, c, r): Gauss-Newton from freqs within the brackets [lo, hi]."""
+    coef, r, step = _gauss_newton(ts, freqs, y, lo, hi)
     rr = float(r @ r)
     for _ in range(_FIT_MAX_STEPS):
         trial = np.clip(freqs + step, lo, hi)
         if np.abs(trial - freqs).max() <= 1e-9 * bin_w:
             break
-        coef_t, r_t, step_t = _gauss_newton(ts, trial, comp, lo, hi)
+        coef_t, r_t, step_t = _gauss_newton(ts, trial, y, lo, hi)
         rr_t = float(r_t @ r_t)
         if rr_t > rr:
             step = step / 2
@@ -466,10 +481,7 @@ def quasi_periodic_fit(f: Signal, max_freqs: int, w: Window) -> QuasiPeriodicFit
         freqs, coef, r, step, rr, rr_prev = trial, coef_t, r_t, step_t, rr_t, rr
         if rr_prev - rr <= 1e-13 * rr_prev:  # the decrease stalls
             break
-    order = np.argsort(freqs)
-    amps = np.hypot(coef[1::2], coef[2::2])[order]
-    return QuasiPeriodicFit(tuple(freqs[order].tolist()), tuple(amps.tolist()),
-                            min(float(np.abs(r).max()) / scale, 1.0))
+    return freqs, coef, r
 
 
 def _gauss_newton(ts: np.ndarray, freqs: np.ndarray, y: np.ndarray, lo, hi):
