@@ -18,7 +18,6 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.linalg import qr
 
 from .errors import ConfigInvalid
 from .signals import (
@@ -489,8 +488,7 @@ def _gauss_newton(ts: np.ndarray, freqs: np.ndarray, y: np.ndarray, lo, hi):
     least-squares coefficients and residual, and the Gauss-Newton step on
     Kaufman's Jacobian (1975), d(M c)/d nu projected off range(M).  A
     frequency at a bracket end that the step points out of stays put."""
-    Q, R = qr(_design_matrix(ts, freqs), mode="economic", overwrite_a=True,
-              check_finite=False)
+    Q, R = np.linalg.qr(_design_matrix(ts, freqs))
     qy = Q.T @ y
     coef, r = np.linalg.solve(R, qy), y - Q @ qy
     D = ts[:, None] * (Q @ (coef[2::2] * R[:, 1::2] - coef[1::2] * R[:, 2::2]))

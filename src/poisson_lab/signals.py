@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .errors import (
     DimensionMismatch,
@@ -126,25 +125,36 @@ class Signal:
 
     @cached_property
     def _spline(self) -> tuple[np.ndarray, np.ndarray]:
-        """Breakpoints x and coefficients c, shape (4, n - 1, dim), of scipy's
-        spline.  scipy sums each value from 0.0 + c[3]; adding 0.0 here once
-        turns a -0.0 into +0.0 the same way, so ``_cubic`` starts at c[3]."""
-        if len(self) < 3:
-            # Degenerates to linear; CubicSpline needs >= 2 breakpoints and a
-            # natural spline through 2 points is the chord anyway.
-            spl = CubicSpline(self.times(), self.samples, axis=0)
-        else:
-            spl = CubicSpline(self.times(), self.samples, axis=0, bc_type="natural")
-        c = spl.c
-        c[3] += 0.0
-        return spl.x, c
+        """Breakpoints x and coefficients c, shape (4, n - 1, dim), of the
+        natural cubic spline on the uniform grid: at s = t - x[i] it is
+        c[3] + c[2] s + c[1] s^2 + c[0] s^3, summed by ``_cubic``.  The
+        slopes d come from ``_natural_slopes`` (the chord's, dy and dy, for 2
+        samples) and the coefficients from the Hermite form.  c[3] is
+        y + 0.0, which turns a -0.0 into +0.0 as scipy's PPoly does when it
+        sums each value from 0.0 + c[3]."""
+        y, h, n = self.samples, self.dt, len(self)
+        c = np.empty((4, n - 1, self.dim))
+        dy = np.subtract(y[1:], y[:-1], out=c[1])
+        d = np.concatenate((dy, dy)) if n == 2 else _natural_slopes(dy, c[0])
+        d /= h
+        slope = np.divide(dy, h, out=c[1])
+        t = np.add(d[:-1], d[1:], out=c[0])
+        t -= np.multiply(slope, 2.0, out=c[2])
+        t /= h
+        np.subtract(slope, d[:-1], out=c[1])
+        c[1] /= h
+        c[1] -= t
+        c[0] /= h
+        c[2] = d[:-1]
+        np.add(y[:-1], 0.0, out=c[3])
+        return self.times(), c
 
     def values(self, ts) -> np.ndarray:
         """Interpolated values at times ``ts``; shape (len(ts), dim).
 
-        The cubic interpolant equals ``CubicSpline.__call__`` bit for bit: the
-        interval of each time is found from the grid, and the polynomial is
-        summed in scipy's order (see ``_cubic``).
+        The cubic interpolant equals scipy's ``PPoly(c, x)`` of the spline's
+        coefficients bit for bit: the interval of each time is found from the
+        grid, and the polynomial is summed in PPoly's order (see ``_cubic``).
         """
         ts = np.asarray(ts, dtype=float)
         slack = _GRID_RTOL * max(1.0, self.dt)
@@ -195,7 +205,7 @@ class Signal:
         return out
 
     def _intervals(self, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """scipy's interval i of each time in the domain, x[i] <= t < x[i+1]
+        """PPoly's interval i of each time in the domain, x[i] <= t < x[i+1]
         with the last interval closed at t == x[n-1], and s = t - x[i].
 
         The grid guess floor((t - t0) / dt) is off by at most a rounding; it
@@ -257,6 +267,69 @@ def _cubic(c3, c2, c1, c0, s, out=None) -> np.ndarray:
     ss *= s
     out += c0 * ss
     return out
+
+
+# z = 2 - sqrt(3), the factor of both sweeps of ``_natural_slopes``.  Each
+# sweep sums 64 terms by log-doubling; z^64 < 1e-36 bounds the rest.
+_Z = 2.0 - math.sqrt(3.0)
+_SWEEP_TERMS = 64
+
+
+def _natural_slopes(dy: np.ndarray, buf: np.ndarray) -> np.ndarray:
+    """Slopes d per grid step of the natural cubic spline through n >= 3
+    samples whose differences are dy, shape (n - 1, dim): the solution of
+
+        2 d_0 + d_1 = 3 dy_0,
+        d_{i-1} + 4 d_i + d_{i+1} = 3 (dy_{i-1} + dy_i),  0 < i < n - 1,
+        d_{n-2} + 2 d_{n-1} = 3 dy_{n-2}.
+
+    The interior rows are (1/z) (1 + z E^-1) (1 + z E) with E the shift, so
+    they hold for a forward sweep v_i = r_i - z v_{i-1} from any v_0,
+    followed by a backward sweep d_i = z (v_i - d_{i+1}) from any d_{n-1}:
+    the recursive-filter form of spline interpolation (M. Unser,
+    A. Aldroubi and M. Eden, "B-spline signal processing: Part II", IEEE
+    Trans. Signal Process. 41(2), 1993).  The last row gives d_{n-1} from
+    v_{n-2}.  The forward sweep starts from v_0 = 0, and the first row then
+    fixes v_0, whose response ``_v0_response`` is added.  ``buf`` is
+    scratch of n - 1 rows.
+    """
+    n = dy.shape[0] + 1
+    d = np.empty((n,) + dy.shape[1:])
+    np.add(dy[:-1], dy[1:], out=d[1:-1])
+    d[1:-1] *= 3.0
+    d[0] = 0.0
+    _sweep(d[:-1], buf)
+    d[-1] = (3.0 * dy[-1] - _Z * d[-2]) / (2.0 - _Z)
+    d[:-1] *= _Z
+    _sweep(d[::-1], buf)
+    g = _v0_response(n)
+    v0 = (3.0 * dy[0] - 2.0 * d[0] - d[1]) / (2.0 * g[0] + g[1])
+    d[: g.size] += np.multiply.outer(g, v0)
+    return d
+
+
+def _sweep(v: np.ndarray, buf: np.ndarray) -> None:
+    """v_i <- sum over k < 64, k <= i of (-z)^k v_{i-k}, in place: the
+    sweep u_i = v_i - z u_{i-1} from u_0 = v_0, in log2(64) vector passes,
+    each adding (-z)^k times the rows k back.  Rows i < 64 get every term."""
+    a = -_Z
+    k = 1
+    while k < min(len(v), _SWEEP_TERMS):
+        np.multiply(v[:-k], a, out=buf[: len(v) - k])
+        v[k:] += buf[: len(v) - k]
+        a *= a
+        k *= 2
+
+
+def _v0_response(n: int) -> np.ndarray:
+    """The first min(n, 64) slopes ``_natural_slopes`` gets from v_0 = 1
+    and a zero right-hand side: v_i = (-z)^i, and the backward sweep of it
+    from d_{n-1} = -z v_{n-2} / (2 - z) is p (-z)^i + q (-z)^(n-1-i), with
+    p = z / (1 - z^2).  Past 64 rows it is below z^64 < 1e-36."""
+    i = np.arange(min(n, _SWEEP_TERMS))
+    p = _Z / (1.0 - _Z * _Z)
+    q = -_Z * (-_Z) ** (n - 2) / (2.0 - _Z) - p * (-_Z) ** (n - 1)
+    return p * (-_Z) ** i + q * (-_Z) ** (n - 1 - i)
 
 
 def sample_function(fn, t0: float, t_end: float, dt: float) -> Signal:
@@ -548,7 +621,8 @@ def write_signal_csv(sig: Signal, path) -> None:
 def read_signal_csv(path) -> Signal:
     """Read the documented CSV form as a Signal; rejects fewer than two rows,
     non-finite fields, non-uniform grids, and a time span, sum of squared
-    deviations or natural-spline coefficient beyond the largest float."""
+    deviations, natural-spline coefficient or cubed step beyond the largest
+    float."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = [ln.strip() for ln in fh if ln.strip()]
@@ -591,10 +665,9 @@ def read_signal_csv(path) -> Signal:
         if not np.isfinite(np.square(vals - vals.mean(axis=0)).sum()):
             raise ParseError(f"{path}: values too large: their squared deviations overflow")
         sig = Signal(float(ts[0]), dt, vals)
-        try:
-            finite = np.isfinite(sig._spline[1]).all()
-        except ValueError:  # scipy's check of the spline's slopes
-            finite = False
+        x, c = sig._spline
+        # ``_cubic`` forms s^3 in time units, s up to the widest interval.
+        finite = np.isfinite(c).all() and np.isfinite(np.diff(x).max() ** 3)
     if not finite:
         raise ParseError(f"{path}: the interpolating spline overflows")
     return sig

@@ -249,9 +249,10 @@ class ReactionDiffusion:
         xs = dx * np.arange(m)
         lap = np.diag(np.ones(m - 1), 1) + np.diag(np.ones(m - 1), -1) - 2.0 * np.eye(m)
         lap[0, 1] = lap[-1, -2] = 2.0
-        A = np.kron(np.diag(self.nu), lap / (dx * dx)) - np.diag(np.repeat(self.decay, m))
-        prof = np.ones(m) if self.profile_kind == "flat" else 1.0 + np.cos(np.pi * xs / self.L)
-        proj = np.outer(self.source_amp, prof).reshape(-1, 1)
+        with np.errstate(over="ignore", invalid="ignore"):  # LinearTrigRhs rejects it
+            A = np.kron(np.diag(self.nu), lap / (dx * dx)) - np.diag(np.repeat(self.decay, m))
+            prof = np.ones(m) if self.profile_kind == "flat" else 1.0 + np.cos(np.pi * xs / self.L)
+            proj = np.outer(self.source_amp, prof).reshape(-1, 1)
         return LinearTrigRhs(A, proj, [self.omega], [self.phase]), xs
 
 
@@ -473,37 +474,36 @@ def _rk4_record(rhs, y: np.ndarray, cfg: IntegratorConfig):
     ts = _record_times(cfg)
     nsub = max(1, math.ceil(cfg.record_dt / cfg.dt - 1e-12))
     h = cfg.record_dt / nsub
-    coeffs = _rk4_coeffs(rhs.A, h)
-    part = _rk4_particular(rhs, coeffs, h, (ts.size - 1) * nsub)
     out = np.empty((ts.size,) + y.shape)
     out[0] = y
     tail = (1,) * (y.ndim - 1)
-    if part is not None:
-        P = coeffs[0]
-        M = np.linalg.matrix_power(P, nsub)
-        e = y - _particular_at(rhs, part, np.zeros(1))[0].reshape(-1, *tail)
-    per_chunk = max(1, _CHUNK // ((nsub if part is None else 1) * y.size))
-    for r0 in range(1, ts.size, per_chunk):
-        r1 = min(r0 + per_chunk, ts.size)
-        if part is None:
-            k0, n = (r0 - 1) * nsub, (r1 - r0) * nsub
-            states = _rk4_affine_steps(coeffs, y, _trig_inputs(rhs, 0.0, h, k0, n), h)
-            out[r0:r1] = states[nsub - 1::nsub]
-            y = states[-1]
-        else:
-            ks = nsub * np.arange(r0, r1)
-            yp = _particular_at(rhs, part, (0.5 * h) * (2 * ks))
-            out[r0:r1] = yp.reshape(yp.shape + tail)
-            # P^k may overflow past the bound, where the chunk check raises;
-            # a zero homogeneous part stays 0 instead of 0 * inf.
-            with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):  # the chunk check raises
+        coeffs = _rk4_coeffs(rhs.A, h)
+        part = _rk4_particular(rhs, coeffs, h, (ts.size - 1) * nsub)
+        if part is not None:
+            P = coeffs[0]
+            M = np.linalg.matrix_power(P, nsub)
+            e = y - _particular_at(rhs, part, np.zeros(1))[0].reshape(-1, *tail)
+        per_chunk = max(1, _CHUNK // ((nsub if part is None else 1) * y.size))
+        for r0 in range(1, ts.size, per_chunk):
+            r1 = min(r0 + per_chunk, ts.size)
+            if part is None:
+                k0, n = (r0 - 1) * nsub, (r1 - r0) * nsub
+                states = _rk4_affine_steps(coeffs, y, _trig_inputs(rhs, 0.0, h, k0, n), h)
+                out[r0:r1] = states[nsub - 1::nsub]
+                y = states[-1]
+            else:
+                ks = nsub * np.arange(r0, r1)
+                yp = _particular_at(rhs, part, (0.5 * h) * (2 * ks))
+                out[r0:r1] = yp.reshape(yp.shape + tail)
+                # A zero homogeneous part stays 0 instead of 0 * inf.
                 if P.shape == (1, 1):
                     out[r0:r1] += np.where(e == 0.0, 0.0, np.multiply.outer(P[0, 0] ** ks, e))
                 else:
                     for r in range(r0, r1):
                         e = M @ e
                         out[r] += e
-        _check_records(out[r0:r1], ts[r0:r1], cfg.bound)
+            _check_records(out[r0:r1], ts[r0:r1], cfg.bound)
     return ts, out
 
 
@@ -651,15 +651,15 @@ def integrate_ode_snapshots(sys: SystemSpec, u0, cfg: IntegratorConfig,
         if span > 0:
             nsub = max(1, math.ceil(span / cfg.dt - 1e-12))
             h = span / nsub
-            coeffs = _rk4_coeffs(rhs.A, h)
-            part = _rk4_particular(rhs, coeffs, h, nsub)
-            if part is None:
-                for k0 in range(0, nsub, _CHUNK):
-                    F = _trig_inputs(rhs, t_prev, h, k0, min(_CHUNK, nsub - k0))
-                    y = _rk4_affine_steps(coeffs, y, F, h)[-1]
-            else:
-                yp = _particular_at(rhs, part, t_prev + (0.5 * h) * (2 * np.array([0, nsub])))
-                with np.errstate(over="ignore", invalid="ignore"):
+            with np.errstate(over="ignore", invalid="ignore"):  # the record check raises
+                coeffs = _rk4_coeffs(rhs.A, h)
+                part = _rk4_particular(rhs, coeffs, h, nsub)
+                if part is None:
+                    for k0 in range(0, nsub, _CHUNK):
+                        F = _trig_inputs(rhs, t_prev, h, k0, min(_CHUNK, nsub - k0))
+                        y = _rk4_affine_steps(coeffs, y, F, h)[-1]
+                else:
+                    yp = _particular_at(rhs, part, t_prev + (0.5 * h) * (2 * np.array([0, nsub])))
                     y = np.linalg.matrix_power(coeffs[0], nsub) @ (y - yp[0]) + yp[1]
         _check_records(y[None], (t,), cfg.bound)
         out[i] = y
@@ -767,16 +767,17 @@ def _dde_core(rhs, hist_vals, cfg):
     hist = hist_vals(-r + h * np.arange(n_sub + 1))
     U = np.empty((total + 1,) + hist.shape[1:])
     U[: n_sub + 1] = hist
-    coeffs = _rk4_coeffs(rhs.A, h)
     D = np.empty((2 * n_sub + 1,) + hist.shape[1:])
-    for i in range(n_sub, total, n_sub):
-        n = min(n_sub, total - i)
-        D[::2] = U[i - n_sub:i + 1]
-        D[1::2] = _half_values(U[i - n_sub:i + 1])
-        F = _trig_inputs(rhs, -r, h, i, n)[:, :, None] + rhs.A_delay @ D[:2 * n + 1]
-        U[i + 1:i + n + 1] = _rk4_affine_steps(coeffs, U[i], F, h)
-        rec = np.arange(-(-(i + 1) // k_rec) * k_rec, i + n + 1, k_rec)
-        _check_records(U[rec], -r + h * rec, cfg.bound)
+    with np.errstate(over="ignore", invalid="ignore"):  # the record check raises
+        coeffs = _rk4_coeffs(rhs.A, h)
+        for i in range(n_sub, total, n_sub):
+            n = min(n_sub, total - i)
+            D[::2] = U[i - n_sub:i + 1]
+            D[1::2] = _half_values(U[i - n_sub:i + 1])
+            F = _trig_inputs(rhs, -r, h, i, n)[:, :, None] + rhs.A_delay @ D[:2 * n + 1]
+            U[i + 1:i + n + 1] = _rk4_affine_steps(coeffs, U[i], F, h)
+            rec = np.arange(-(-(i + 1) // k_rec) * k_rec, i + n + 1, k_rec)
+            _check_records(U[rec], -r + h * rec, cfg.bound)
     return U[::k_rec].copy(), k_rec * h
 
 
@@ -856,7 +857,8 @@ def _parabolic_core(sys, W0, cfg, batch):
     if m < 8:
         raise GridTooCoarse(f"space_points={m} < 8")
     rhs, xs = reaction.method_of_lines(m)
-    h_stab = 0.35 * xs[1] * xs[1] / float(reaction.nu.max())
+    with np.errstate(over="ignore"):  # a node spacing past 1e154 sets no limit
+        h_stab = 0.35 * xs[1] * xs[1] / float(reaction.nu.max())
     ts, Y = _rk4_record(rhs, W0.reshape((n * m,) + W0.shape[2:]),
                         replace(cfg, dt=min(cfg.dt, h_stab)))
     return ts, Y.reshape((ts.size,) + W0.shape), xs

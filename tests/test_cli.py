@@ -402,7 +402,7 @@ _VALID_CONFIGS = [
      "analysis": {"u0_value": 1.0}},
 ]
 _DELETE = "<delete>"
-_CORRUPTIONS = [None, "x", math.nan, math.inf, -1.0, [[1.0, 2.0, 3.0]], _DELETE]
+_CORRUPTIONS = [None, "x", math.nan, math.inf, 1e308, -1.0, [[1.0, 2.0, 3.0]], _DELETE]
 
 
 def _node_paths(node, prefix=()):
@@ -421,6 +421,14 @@ _CASES = [(i, path, bad) for i, base in enumerate(_VALID_CONFIGS)
 @given(case=st.sampled_from(_CASES))
 @example(case=(0, ("seeds",), math.inf))
 @example(case=(1, ("system", "params", "delay"), 1e308))  # delay / dt overflows
+# Finite parameters whose RK4 step map, forcing angles or method of lines overflow.
+@example(case=(1, ("system", "params", "A_self", 0, 0), 1e308))
+@example(case=(1, ("system", "params", "forcing", 0, 0, 1), 1e308))
+@example(case=(2, ("system", "params", "nu", 0), 1e308))
+@example(case=(2, ("system", "params", "L"), 1e308))
+@example(case=(2, ("system", "params", "decay", 0), 1e308))
+@example(case=(2, ("system", "params", "source_amp", 0), 1e308))
+@example(case=(2, ("system", "params", "omega"), 1e308))
 def test_run_corrupted_config_never_raises(case):
     i, path, bad = case
     raw = copy.deepcopy(_VALID_CONFIGS[i])

@@ -5,9 +5,8 @@ from unittest.mock import patch
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
-from scipy.interpolate import CubicSpline
 
-from poisson_lab import recurrence
+from poisson_lab import recurrence, signals
 from poisson_lab.errors import ConfigInvalid
 from poisson_lab.recurrence import (
     _golden_min,
@@ -384,21 +383,20 @@ def test_return_search_spline_calls(monkeypatch):
         return values(self, ts)
 
     monkeypatch.setattr(Signal, "values", counted)
-    # The interpolant is evaluated from the spline's coefficients: scipy's
-    # own evaluation (a binary search per point) is never called.
-    spline_calls = [0]
-    spline_call = CubicSpline.__call__
+    # The spline is built once, for f, and every value is read from it.
+    builds = [0]
+    natural_slopes = signals._natural_slopes
 
-    def counted_spline(self, *args, **kwargs):
-        spline_calls[0] += 1
-        return spline_call(self, *args, **kwargs)
+    def counted_build(*args):
+        builds[0] += 1
+        return natural_slopes(*args)
 
-    monkeypatch.setattr(CubicSpline, "__call__", counted_spline)
+    monkeypatch.setattr(signals, "_natural_slopes", counted_build)
     seq = poisson_returns(f, [0.5, 0.2, 0.1, 0.05, 0.02, 0.01, 5e-3, 2e-3, 1e-3],
                           Window(100.0, 100.0), separation=5.0)
     assert len(seq) == 8
     assert calls[0] <= 1168
-    assert spline_calls[0] == 0
+    assert builds[0] == 1
 
 
 def test_return_sequence_validation():

@@ -19,13 +19,15 @@ def test_quick_catalog_runs_from_the_checkout(tmp_path):
     assert summary == list(CATALOG)
 
 
-# Each integrator kind of the catalog on its scenario's system, shortened.
+# Each integrator kind of the catalog on its scenario's system, shortened,
+# then a CSV read and classified (the spline build and the QR of the fit).
 _INTEGRATOR_KINDS = """
 import sys
 from dataclasses import replace
 import numpy as np
+from poisson_lab.recurrence import classify
 from poisson_lab.scenarios import build_scenario
-from poisson_lab.signals import Signal
+from poisson_lab.signals import Signal, read_signal_csv, sample_function, write_signal_csv
 from poisson_lab.systems import (integrate_dde, integrate_ode, integrate_ode_batch,
                                  integrate_ode_snapshots, integrate_parabolic)
 
@@ -43,13 +45,19 @@ integrate_parabolic(s5, np.zeros((1, cfg.space_points)), cfg)
 s4, cfg = short("s4-dde-linear", 5.0)
 r = s4.params["delay"]
 integrate_dde(s4, Signal(-r, r / 2, np.zeros((3, 1))), cfg)
-print("scipy.signal" in sys.modules)
+write_signal_csv(sample_function(lambda t: np.sin(t) + np.sin(np.sqrt(2.0) * t),
+                                 0.0, 400.0, 0.05), sys.argv[1])
+report = classify(read_signal_csv(sys.argv[1]))
+assert report.verdict("quasi_periodic").verdict == "yes"
+print("scipy" in sys.modules)
 """
 
 
-def test_integrators_leave_scipy_signal_unimported():
+def test_integrators_leave_scipy_signal_unimported(tmp_path):
+    """No part of the package imports scipy: not the integrators, the CSV
+    reader and its spline, nor classify and its QR fit."""
     env = {**os.environ, "PYTHONPATH": str(_SCRIPT.parents[1] / "src")}
-    proc = subprocess.run([sys.executable, "-c", _INTEGRATOR_KINDS], env=env,
-                          capture_output=True, text=True, timeout=300)
+    proc = subprocess.run([sys.executable, "-c", _INTEGRATOR_KINDS, str(tmp_path / "sig.csv")],
+                          env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["False"]

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
-from scipy.interpolate import CubicSpline
+from scipy.interpolate import CubicSpline, PPoly
 
 from poisson_lab.errors import (
     DimensionMismatch,
@@ -16,6 +16,7 @@ from poisson_lab.signals import (
     Window,
     _bebutov,
     _bebutov_geometry,
+    _natural_slopes,
     _shifted,
     bebutov_distance,
     bebutov_profile,
@@ -71,7 +72,7 @@ def test_values_reject_non_finite_times(sine):
 
 
 def scipy_spline(f):
-    """The spline ``Signal`` builds, made afresh by scipy."""
+    """The natural spline through f's samples, made by scipy."""
     bc = "natural" if len(f) >= 3 else "not-a-knot"
     return CubicSpline(f.times(), f.samples, axis=0, bc_type=bc)
 
@@ -81,26 +82,30 @@ def bitwise_equal(a, b):
     return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
+_EPS = np.finfo(float).eps
+_T0S = st.one_of(st.floats(min_value=-1e4, max_value=-1e-3),
+                 st.floats(min_value=1e-3, max_value=1e4), st.just(0.0))
+_DTS = st.sampled_from([0.1, 0.01, 0.05, 1.0 / 3.0, 0.7, 2.5])
+
+
 @given(st.integers(min_value=0, max_value=2**32 - 1),
        st.sampled_from([2, 3, 4, 5, 3000]),
-       st.sampled_from([1, 3]),
-       st.one_of(st.floats(min_value=-1e4, max_value=-1e-3),
-                 st.floats(min_value=1e-3, max_value=1e4), st.just(0.0)),
-       st.sampled_from([0.1, 0.01, 0.05, 1.0 / 3.0, 0.7, 2.5]))
+       st.sampled_from([1, 3]), _T0S, _DTS)
 @example(0, 2, 1, -3.0, 0.1)
 @example(1, 3, 3, 5.0, 0.1)
 @example(2, 4, 1, -7.3, 0.01)
 @example(3, 3000, 1, 1234.5, 0.05)
 def test_interpolant_is_scipy_bit_for_bit(seed, n, dim, t0, dt):
-    """Both evaluation paths equal ``CubicSpline.__call__`` element-wise, at
-    breakpoints, midpoints, the endpoints and one ulp either side of a
-    breakpoint, and in rows shifted by grid, one-ulp-off and off-grid taus."""
+    """Both evaluation paths equal scipy's ``PPoly(c, x)`` of the spline's own
+    coefficients element-wise, at breakpoints, midpoints, the endpoints and
+    one ulp either side of a breakpoint, and in rows shifted by grid,
+    one-ulp-off and off-grid taus."""
     rng = np.random.default_rng(seed)
     vals = rng.standard_normal((n, dim))
     vals[rng.random((n, dim)) < 0.2] = -0.0
     f = Signal(t0, dt, vals)
-    spl = scipy_spline(f)
-    x = f.times()
+    x, c = f._spline
+    spl = PPoly(c.copy(), x)
     k = np.unique(np.concatenate([[0, 1, n - 2, n - 1], rng.integers(0, n, 40)]))
     ts = np.concatenate([x[k], np.nextafter(x[k], np.inf), np.nextafter(x[k], -np.inf),
                          (x[k[:-1]] + x[k[:-1] + 1]) / 2, rng.uniform(x[0], x[-1], 40)])
@@ -123,6 +128,47 @@ def test_interpolant_is_scipy_bit_for_bit(seed, n, dim, t0, dt):
         taus, rows = taus[inside], rows[inside]
         want = spl(rows.ravel()).reshape(taus.size, m, dim)
         assert bitwise_equal(f.window_values(i0, m, taus), want)
+
+
+@given(st.integers(min_value=0, max_value=2**32 - 1),
+       st.integers(min_value=3, max_value=300), st.sampled_from([1, 3]),
+       st.floats(min_value=1e-6, max_value=1e6))
+@example(0, 3, 1, 1.0)
+@example(1, 64, 3, 1.0)
+@example(2, 65, 1, 1e-6)
+@example(3, 300, 3, 1e6)
+def test_natural_slopes_solve_the_banded_system(seed, n, dim, scale):
+    """The slopes satisfy 2 d_0 + d_1 = 3 dy_0, d_{i-1} + 4 d_i + d_{i+1} =
+    3 (dy_{i-1} + dy_i) and d_{n-2} + 2 d_{n-1} = 3 dy_{n-2} to within
+    8 n eps max|rhs|, also where the sweeps' 64-term window is longer than
+    the grid."""
+    rng = np.random.default_rng(seed)
+    y = scale * rng.standard_normal((n, dim))
+    dy = np.diff(y, axis=0)
+    d = _natural_slopes(dy, np.empty_like(dy))
+    rhs = 3.0 * np.concatenate([dy[:1], dy[:-1] + dy[1:], dy[-1:]])
+    lhs = np.concatenate([2.0 * d[:1] + d[1:2], d[:-2] + 4.0 * d[1:-1] + d[2:],
+                          d[-2:-1] + 2.0 * d[-1:]])
+    assert np.abs(lhs - rhs).max() <= 8 * n * _EPS * np.abs(rhs).max()
+
+
+@given(st.integers(min_value=0, max_value=2**32 - 1),
+       st.sampled_from([2, 3, 4, 5, 50, 3000]), st.sampled_from([1, 3]), _T0S, _DTS)
+@example(0, 2, 1, 0.0, 0.1)
+@example(1, 50, 3, -1e4, 0.01)
+@example(2, 3000, 1, 0.0, 0.01)
+def test_spline_is_scipy_natural_spline(seed, n, dim, t0, dt):
+    """Values within 8 N eps max|y| of scipy's ``CubicSpline``, N = max(n,
+    max|x| / dt).  scipy solves for the rounded breakpoints x = t0 + dt k,
+    whose spacing is off dt by up to eps max|x|, that is by eps max|x| / dt
+    steps; the uniform-grid spline differs from it by that much, and at
+    t0 = 0 the bound is 8 n eps max|y|."""
+    rng = np.random.default_rng(seed)
+    f = Signal(t0, dt, rng.standard_normal((n, dim)))
+    x = f.times()
+    ts = np.concatenate([x, rng.uniform(x[0], x[-1], 400)])
+    bound = 8 * max(n, np.abs(x).max() / dt) * _EPS * np.abs(f.samples).max()
+    assert np.abs(f.values(ts) - scipy_spline(f)(ts)).max() <= bound
 
 
 # ---------------------------------------------------------------------------
@@ -484,6 +530,23 @@ def test_csv_round_trip(tmp_path, sine):
     assert np.array_equal(back.samples, sine.samples)
     assert back.t0 == sine.t0
     assert back.dt == pytest.approx(sine.dt, rel=1e-12)
+
+
+def _stepped_csv(path, step):
+    path.write_text("t,x1\n" + "".join(f"{k * step!r},{k % 3}\n" for k in range(40)))
+    return path
+
+
+def test_csv_reads_a_step_whose_cube_is_finite(tmp_path):
+    f = read_signal_csv(_stepped_csv(tmp_path / "wide.csv", 1e102))
+    x = f.times()
+    assert np.isfinite(f.values(np.concatenate([x, np.nextafter(x[1:], -np.inf)]))).all()
+
+
+def test_csv_rejects_a_step_whose_cube_overflows(tmp_path):
+    # The coefficients are finite, but s^3 overflows near the end of an interval.
+    with pytest.raises(ParseError, match="spline overflows"):
+        read_signal_csv(_stepped_csv(tmp_path / "wider.csv", 1e103))
 
 
 def test_csv_rejects_non_uniform(tmp_path):
