@@ -55,6 +55,7 @@ from .systems import (
     integrate_ode_snapshots,
     integrate_parabolic,
     quasimonotone_check,
+    require_countable,
 )
 
 _SQRT2 = math.sqrt(2.0)
@@ -388,21 +389,21 @@ def _run_s1(em: _Emitter, cfg: ScenarioConfig) -> None:
     fq = forcing_report.verdict("quasi_periodic")
     em.check("forcing_quasi_periodic", fq.verdict == "yes",
              detail=f"freqs {fq.params.get('freqs')}")
+    em.write_signal("forcing.csv", p_short.restrict(0.0, 1000.0))
 
     t_end = cfg.integrator.t_end
     if t_end < ana["gamma_min_horizon"]:
         for name in ("gamma_cauchy", "gamma_delta_agree", "sandwich",
                      "omega_singleton", "gamma_classification"):
             em.skip(name, f"horizon {t_end:g} below {ana['gamma_min_horizon']:g}")
-        em.write_signal("forcing.csv", p_short.restrict(0.0, 1000.0))
         em.write_signal("trajectory.csv", sol)
         return
 
     # Long run: returns from the forcing, omega sampling, extraction.
     wc, hw = ana["return_window"]
-    p_long = forcing_signal("trig-sum", 0.0, t_end + 2 * hw + 50.0, fdt,
-                            components=sysspec.params["forcing"])
-    returns = _returns(em, p_long, ana, Window(wc, hw))
+    returns = _returns(em, forcing_signal("trig-sum", 0.0, t_end + 2 * hw + 50.0, fdt,
+                                          components=sysspec.params["forcing"]),
+                       ana, Window(wc, hw))
     em.report["returns"]["schedule"] = list(returns.epsilon_schedule)
     traj, _, g = _extremal_solution(em, cfg, u0, returns, cfg.integrator)
     if g is not None:
@@ -417,7 +418,6 @@ def _run_s1(em: _Emitter, cfg: ScenarioConfig) -> None:
              detail=f"freqs {gq.params.get('freqs', [])} vs targets "
                     f"{ana['freq_targets']}; matches forcing class")
 
-    em.write_signal("forcing.csv", p_long.restrict(0.0, 1000.0))
     em.write_signal("trajectory.csv", traj.restrict(0.0, 1000.0))
 
 
@@ -806,6 +806,10 @@ def output_dir(cfg: ScenarioConfig) -> Path:
     return Path(os.environ.get("POISSON_LAB_OUT", "poisson-lab-out")) / cfg.name
 
 
+# Nodes of a user parabolic config that sets no ``space_points``.
+_GENERIC_NODES = 64
+
+
 def run_scenario(cfg: ScenarioConfig, outdir=None) -> RunManifest:
     """Run a scenario end to end and write its artifacts.
 
@@ -813,8 +817,11 @@ def run_scenario(cfg: ScenarioConfig, outdir=None) -> RunManifest:
     0 when every scientific check passed, 1 otherwise.  A stage that stops
     with a PoissonLabError is recorded as a failed ``aborted`` check, and the
     report and manifest are still written; configuration, parse and domain
-    errors propagate without a manifest.
+    errors propagate without a manifest.  A config whose integration needs
+    more records or steps than an array can hold is rejected before any
+    output is written.
     """
+    require_countable(cfg.system, cfg.integrator, cfg.integrator.space_points or _GENERIC_NODES)
     em = _Emitter(cfg, output_dir(cfg) if outdir is None else Path(outdir))
     entry = CATALOG.get(cfg.name)
     try:
@@ -837,7 +844,7 @@ def _run_generic(em: _Emitter, cfg: ScenarioConfig) -> None:
             val = float(ana.get("history_value", 0.0))
             start = Signal(-r, r / 2, np.full((3, sysspec.dim), val))
         elif kind == "parabolic_1d":
-            m = cfg.integrator.space_points or 64
+            m = cfg.integrator.space_points or _GENERIC_NODES
             start = np.full((sysspec.dim, m), float(ana.get("u0_value", 1.0)))
         else:
             start = np.asarray(ana.get("u0", [0.0] * sysspec.dim), dtype=float)

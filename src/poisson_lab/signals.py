@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Callable
 
 import numpy as np
 
@@ -74,13 +75,19 @@ class Signal:
         Grid step, strictly positive.
     samples : array, shape (n, dim)
         Sample values; a 1-D array is treated as a single component.
+    exact : callable, optional
+        The function sampled, ``ts -> (len(ts), dim)``; a ``partial`` of a
+        module-level function keeps the Signal picklable.
 
-    Between samples the signal is the natural cubic spline through them.
+    Between samples the signal is ``exact`` where it is set (a catalog
+    ``trig-sum`` forcing), else the natural cubic spline through the samples
+    (CSV inputs, trajectories, levitan's functions, derived Signals).
     """
 
     t0: float
     dt: float
     samples: np.ndarray
+    exact: Callable | None = None
 
     def __post_init__(self):
         arr = np.asarray(self.samples, dtype=float)
@@ -150,9 +157,10 @@ class Signal:
         return self.times(), c
 
     def values(self, ts) -> np.ndarray:
-        """Interpolated values at times ``ts``; shape (len(ts), dim).
+        """Values at times ``ts``; shape (len(ts), dim).
 
-        The cubic interpolant equals scipy's ``PPoly(c, x)`` of the spline's
+        With an ``exact`` function they are its values.  The cubic
+        interpolant equals scipy's ``PPoly(c, x)`` of the spline's
         coefficients bit for bit: the interval of each time is found from the
         grid, and the polynomial is summed in PPoly's order (see ``_cubic``).
         """
@@ -167,6 +175,8 @@ class Signal:
                 )
             if lo < self.t0 or hi > self.t_end:
                 ts = np.clip(ts, self.t0, self.t_end)
+        if self.exact is not None:
+            return self.exact(ts.ravel()).reshape(ts.shape + (self.dim,))
         if len(self) == 1:
             return np.repeat(self.samples, ts.size, axis=0)
         c = self._spline[1]
@@ -183,10 +193,12 @@ class Signal:
         Equal to ``values`` at ``t0 + dt * arange(i0, i0 + m) + tau``.  Those
         times are increasing, so their intervals are mostly one run j..j+m-1
         (j the interval of the first time), and the coefficients are read as
-        slices.  A row whose run check fails goes through ``values``.
+        slices.  A row whose run check fails goes through ``values``, and so
+        does every row of a one-sample Signal or of one with an ``exact``
+        function.
         """
         taus = np.asarray(taus, dtype=float).reshape(-1)
-        if len(self) == 1:
+        if len(self) == 1 or self.exact is not None:
             grid = self.t0 + self.dt * np.arange(i0, i0 + m)
             return self.values((taus[:, None] + grid).ravel()).reshape(taus.size, m, self.dim)
         x, c = self._spline
@@ -332,13 +344,21 @@ def _v0_response(n: int) -> np.ndarray:
     return p * (-_Z) ** i + q * (-_Z) ** (n - 1 - i)
 
 
+# Times ``sample_function`` hands to its function at once.
+_SAMPLE_CHUNK = 1 << 16
+
+
 def sample_function(fn, t0: float, t_end: float, dt: float) -> Signal:
-    """Sample a callable ``fn(ts) -> (n,) or (n, dim)`` as a cubic Signal on a uniform grid."""
-    n = int(round((t_end - t0) / dt))
-    ts = t0 + dt * np.arange(n + 1)
-    vals = np.asarray(fn(ts), dtype=float)
-    if vals.ndim == 1:
-        vals = vals[:, None]
+    """Sample a callable ``fn(ts) -> (n,) or (n, dim)`` as a cubic Signal on a
+    uniform grid, ``_SAMPLE_CHUNK`` times per call into one array, so that
+    fn's temporaries stay chunk-sized."""
+    n = int(round((t_end - t0) / dt)) + 1
+    vals = None
+    for a in range(0, n, _SAMPLE_CHUNK):
+        chunk = np.asarray(fn(t0 + dt * np.arange(a, min(a + _SAMPLE_CHUNK, n))), dtype=float)
+        if vals is None:
+            vals = np.empty((n,) + chunk.shape[1:])
+        vals[a : a + len(chunk)] = chunk
     return Signal(t0, dt, vals)
 
 

@@ -43,6 +43,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -240,6 +241,12 @@ class ReactionDiffusion:
                                            [self.L, self.omega, self.phase]))).all():
             raise ConfigInvalid("reaction parameters must be finite")
 
+    def stable_step(self, m: int) -> float:
+        """The explicit diffusion stability limit 0.35 dx^2 / max nu on m
+        nodes; a node spacing past 1e154 gives inf, no limit."""
+        dx = self.L / (m - 1)
+        return 0.35 * dx * dx / float(self.nu.max())
+
     def method_of_lines(self, m: int):
         """(rhs, xs): the system on m nodes as u' = A u + p(t), u the flattened
         (species, node) field.  A is nu times the Laplacian with mirrored ghost
@@ -351,9 +358,14 @@ def forcing_values(key: str, ts, *,
 
 def forcing_signal(key: str, t0: float, t_end: float, dt: float, *,
                    components=None) -> Signal:
-    """The closed-form forcing sampled on [t0, t_end] as a Signal."""
-    return sample_function(lambda ts: forcing_values(key, ts, components=components),
-                           t0, t_end, dt)
+    """The closed-form forcing sampled on [t0, t_end] as a Signal; a
+    ``trig-sum`` forcing is its closed form between samples too.  The named
+    families stay on the spline: ``classify`` reads levitan's functions at
+    tens of millions of points, where a cubic is cheaper than their three
+    transcendentals."""
+    fn = partial(forcing_values, key, components=components)
+    sig = sample_function(fn, t0, t_end, dt)
+    return replace(sig, exact=fn) if key == "trig-sum" else sig
 
 
 # ---------------------------------------------------------------------------
@@ -744,6 +756,13 @@ def integrate_dde_batch(sys: SystemSpec, history_states: np.ndarray,
     return -rhs.r + k_rec * np.arange(U.shape[0]), U
 
 
+def _delay_substeps(r: float, dt: float) -> int:
+    """Steps per delay interval, so that the step r / n_sub is at most dt."""
+    if not math.isfinite(r / dt):
+        raise ConfigInvalid("dt is too small: delay/dt overflows")
+    return max(1, int(math.ceil(r / dt - 1e-12)))
+
+
 def _dde_core(rhs, hist_vals, cfg):
     """Method of steps on the nodes -r + i h, with a trailing batch axis:
     (the record nodes, the record step).
@@ -756,9 +775,7 @@ def _dde_core(rhs, hist_vals, cfg):
     if cfg.method != "rk4_fixed":
         raise ConfigInvalid(f"method {cfg.method!r}: the DDE integrator runs rk4_fixed only")
     r = rhs.r
-    if not math.isfinite(r / cfg.dt):
-        raise ConfigInvalid("dt is too small: delay/dt overflows")
-    n_sub = max(1, int(math.ceil(r / cfg.dt - 1e-12)))
+    n_sub = _delay_substeps(r, cfg.dt)
     h = r / n_sub
     k_rec = max(1, int(round(cfg.record_dt / h)))
     n_fwd = int(math.ceil(cfg.t_end / h - 1e-9))
@@ -857,11 +874,32 @@ def _parabolic_core(sys, W0, cfg, batch):
     if m < 8:
         raise GridTooCoarse(f"space_points={m} < 8")
     rhs, xs = reaction.method_of_lines(m)
-    with np.errstate(over="ignore"):  # a node spacing past 1e154 sets no limit
-        h_stab = 0.35 * xs[1] * xs[1] / float(reaction.nu.max())
     ts, Y = _rk4_record(rhs, W0.reshape((n * m,) + W0.shape[2:]),
-                        replace(cfg, dt=min(cfg.dt, h_stab)))
+                        replace(cfg, dt=min(cfg.dt, reaction.stable_step(m))))
     return ts, Y.reshape((ts.size,) + W0.shape), xs
+
+
+# The most float64 elements one array can hold: its size in bytes must fit an
+# index.
+_MAX_FLOATS = np.iinfo(np.intp).max // 8
+
+
+def require_countable(sys: SystemSpec, cfg: IntegratorConfig, m: int) -> None:
+    """Raise ConfigInvalid when integrating ``sys`` under ``cfg`` (on m nodes
+    for the parabolic kind) needs more records, steps or delay steps than an
+    array can hold."""
+    h, counts = cfg.dt, {"t_end / record_dt": cfg.t_end / cfg.record_dt}
+    if sys.kind == "dde_single_delay":
+        r = build_dde_rhs(sys).r
+        counts["delay / dt"] = r / h
+        h = r / _delay_substeps(r, h)
+    elif sys.kind == "parabolic_1d" and m >= 8:  # smaller grids raise GridTooCoarse
+        h = min(h, build_reaction(sys).stable_step(m))
+    if cfg.method == "rk4_fixed":
+        counts.update({"t_end / step": cfg.t_end / h, "record_dt / step": cfg.record_dt / h})
+    for name, count in counts.items():
+        if not count <= _MAX_FLOATS:
+            raise ConfigInvalid(f"{name} = {count:.3g} is more than an array can hold")
 
 
 # ---------------------------------------------------------------------------

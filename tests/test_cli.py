@@ -402,7 +402,7 @@ _VALID_CONFIGS = [
      "analysis": {"u0_value": 1.0}},
 ]
 _DELETE = "<delete>"
-_CORRUPTIONS = [None, "x", math.nan, math.inf, 1e308, -1.0, [[1.0, 2.0, 3.0]], _DELETE]
+_CORRUPTIONS = [None, "x", math.nan, math.inf, 1e308, 1e154, -1.0, [[1.0, 2.0, 3.0]], _DELETE]
 
 
 def _node_paths(node, prefix=()):
@@ -429,7 +429,18 @@ _CASES = [(i, path, bad) for i, base in enumerate(_VALID_CONFIGS)
 @example(case=(2, ("system", "params", "decay", 0), 1e308))
 @example(case=(2, ("system", "params", "source_amp", 0), 1e308))
 @example(case=(2, ("system", "params", "omega"), 1e308))
+# Finite values whose step, record, delay-step or substep count no array can hold.
+@example(case=(0, ("integrator", "t_end"), 1e154))
+@example(case=(2, ("integrator", "t_end"), 1e154))
+@example(case=(1, ("system", "params", "delay"), 1e154))
+@example(case=(1, ("integrator", "record_dt"), 1e154))
+@example(case=(2, ("system", "params", "nu", 0), 1e154))
 def test_run_corrupted_config_never_raises(case):
+    with tempfile.TemporaryDirectory() as tmp:
+        assert _run_corrupted(case, Path(tmp)) in (0, 1, 2)
+
+
+def _run_corrupted(case, tmp: Path) -> int:
     i, path, bad = case
     raw = copy.deepcopy(_VALID_CONFIGS[i])
     parent = raw
@@ -439,10 +450,35 @@ def test_run_corrupted_config_never_raises(case):
         del parent[path[-1]]
     else:
         parent[path[-1]] = bad
-    with tempfile.TemporaryDirectory() as tmp:
-        cfg = Path(tmp) / "cfg.json"
-        cfg.write_text(json.dumps(raw))
-        assert main(["run", str(cfg), "--out", str(Path(tmp) / "out")]) in (0, 1, 2)
+    cfg = tmp / "cfg.json"
+    cfg.write_text(json.dumps(raw))
+    return main(["run", str(cfg), "--out", str(tmp / "out")])
+
+
+@pytest.mark.parametrize("case", [
+    (0, ("integrator", "t_end"), 1e154),
+    (2, ("integrator", "t_end"), 1e154),
+    (1, ("system", "params", "delay"), 1e154),
+    (1, ("integrator", "record_dt"), 1e154),
+    (2, ("system", "params", "nu", 0), 1e154),
+])
+def test_run_rejects_counts_no_array_can_hold(case, tmp_path, capsys):
+    assert _run_corrupted(case, tmp_path) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "more than an array can hold" in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("target", ["config", "s1-opial-scalar", "s3-coop-2d", "s4-dde-linear",
+                                    "s5-rd-scalar"])
+def test_run_rejects_a_horizon_no_array_can_hold(target, tmp_path, capsys):
+    if target == "config":
+        target = tmp_path / "cfg.json"
+        target.write_text(json.dumps(_VALID_CONFIGS[0]))
+    out = tmp_path / "out"
+    assert main(["run", str(target), "--out", str(out), "--horizon", "1e154"]) == 2
+    assert "t_end / record_dt" in capsys.readouterr().err
+    assert not out.exists()
 
 
 # Rows of a uniform grid; a corrupted CSV keeps 1-6 of them and spoils at most one.

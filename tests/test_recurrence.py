@@ -30,6 +30,7 @@ from poisson_lab.signals import (
     sample_function,
     shift_discrepancy,
 )
+from poisson_lab.scenarios import build_scenario
 from poisson_lab.systems import forcing_signal
 from references import (
     almost_periods,
@@ -280,6 +281,23 @@ def returns_per_cluster(f, epsilon_schedule, w, separation=5.0, tau_max=None):
         eps_used.append(eps)
         t_prev = found[0]
     return ReturnSequence(tuple(times), tuple(discs), tuple(eps_used))
+
+
+@pytest.mark.parametrize("name, t_end, levels, w", [
+    ("s1-opial-scalar", 6500.0, 6, Window(100.0, 100.0)),
+    ("s3-coop-2d", 150.0, 10, Window(25.0, 25.0)),
+])
+def test_returns_on_the_closed_form_match_the_spline_reference(name, t_end, levels, w):
+    cfg = build_scenario(name)
+    ana = cfg.analysis
+    f = forcing_signal("trig-sum", 0.0, t_end, 0.05, components=cfg.system.params["forcing"])
+    spline = Signal(f.t0, f.dt, f.samples)
+    sched = ana["return_schedule"][:levels]
+    got = poisson_returns(f, sched, w, separation=ana["return_separation"])
+    want = poisson_returns(spline, sched, w, separation=ana["return_separation"])
+    assert len(got) == len(want) == levels
+    assert np.abs(np.subtract(got.times, want.times)).max() <= 1e-7
+    assert np.abs(np.subtract(got.discrepancies, want.discrepancies)).max() <= 1e-7
 
 
 def quasi_periodic(seed, dim, n, dt=0.1):

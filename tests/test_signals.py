@@ -519,6 +519,53 @@ def test_bebutov_nonincreasing_under_pointwise_shrink():
 
 
 # ---------------------------------------------------------------------------
+# exact evaluation
+# ---------------------------------------------------------------------------
+
+def _sin_cos(ts):
+    return np.column_stack([np.sin(ts), np.cos(ts)])
+
+
+@pytest.fixture
+def exact_sine():
+    f = sample_function(_sin_cos, 0.0, 50.0, 0.01)
+    return Signal(f.t0, f.dt, f.samples, exact=_sin_cos)
+
+
+def test_exact_signal_keeps_the_domain_checks(exact_sine):
+    spline = Signal(exact_sine.t0, exact_sine.dt, exact_sine.samples)
+    for f in (exact_sine, spline):
+        for t in (math.nan, math.inf, -math.inf, -0.1, 50.1):
+            with pytest.raises(WindowOutOfDomain):
+                f.values([1.0, t])
+        for tau in (math.nan, math.inf, -1.0, 49.9):
+            with pytest.raises(WindowOutOfDomain):
+                f.window_values(10, 50, [2.0, tau])
+    # Times within the grid slack are clipped to the domain.
+    assert bitwise_equal(exact_sine.values([-1e-12, 50.0 + 1e-12]), _sin_cos(np.array([0.0, 50.0])))
+    assert "_spline" not in exact_sine.__dict__
+
+
+def test_exact_signal_returns_its_function_and_builds_no_spline(exact_sine):
+    rng = np.random.default_rng(5)
+    ts = rng.uniform(0.0, 50.0, (3, 7))
+    assert bitwise_equal(exact_sine.values(ts), _sin_cos(ts.ravel()).reshape(3, 7, 2))
+    taus = np.concatenate([rng.uniform(-0.1, 40.0, 5), [0.0, 0.5]])
+    rows = 0.01 * np.arange(10, 60) + taus[:, None]
+    assert bitwise_equal(exact_sine.window_values(10, 50, taus),
+                         _sin_cos(rows.ravel()).reshape(taus.size, 50, 2))
+    assert "_spline" not in exact_sine.__dict__
+
+
+def test_derived_signals_carry_no_evaluator(exact_sine, tmp_path):
+    assert exact_sine.restrict(1.0, 2.0).exact is None
+    assert shift(exact_sine, 0.005).exact is None
+    assert sample_function(_sin_cos, 0.0, 1.0, 0.1).exact is None
+    write_signal_csv(exact_sine, tmp_path / "f.csv")
+    assert read_signal_csv(tmp_path / "f.csv").exact is None
+
+
+# ---------------------------------------------------------------------------
 # CSV round trip
 # ---------------------------------------------------------------------------
 

@@ -1,6 +1,9 @@
 import math
+import pickle
 import re
+import tracemalloc
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -28,6 +31,8 @@ from poisson_lab.systems import (
     build_dde_rhs,
     build_ode_rhs,
     build_reaction,
+    forcing_signal,
+    forcing_values,
     integrate,
     integrate_dde,
     integrate_dde_batch,
@@ -1090,3 +1095,65 @@ def test_integrate_dispatches_to_each_kind_bit_for_bit(kind):
     got = integrate(sys, start, cfg)
     assert (got.t0, got.dt) == (ref.t0, ref.dt)
     assert np.array_equal(got.samples, ref.samples)
+
+
+# ---------------------------------------------------------------------------
+# closed-form forcings
+# ---------------------------------------------------------------------------
+
+def _components(name):
+    return build_scenario(name).system.params["forcing"]
+
+
+@given(st.integers(min_value=0, max_value=2**32 - 1),
+       st.sampled_from(["s1-opial-scalar", "s3-coop-2d"]))
+@example(0, "s1-opial-scalar")
+@example(1, "s3-coop-2d")
+def test_forcing_signal_is_its_closed_form_bit_for_bit(seed, name):
+    comps = _components(name)
+    f = forcing_signal("trig-sum", -3.0, 200.0, 0.05, components=comps)
+    rng = np.random.default_rng(seed)
+    ts = rng.uniform(f.t0, f.t_end, 500)
+    assert np.array_equal(f.values(ts), forcing_values("trig-sum", ts, components=comps))
+    i0, m = int(rng.integers(0, 1000)), int(rng.integers(1, 2000))
+    grid = f.t0 + f.dt * np.arange(i0, i0 + m)
+    taus = rng.uniform(f.t0 - grid[0], f.t_end - grid[-1], 6)
+    want = forcing_values("trig-sum", (grid + taus[:, None]).ravel(), components=comps)
+    assert np.array_equal(f.window_values(i0, m, taus), want.reshape(taus.size, m, f.dim))
+    assert "_spline" not in f.__dict__
+
+
+def test_forcing_signal_survives_pickle():
+    comps = _components("s3-coop-2d")
+    f = forcing_signal("trig-sum", 0.0, 100.0, 0.05, components=comps)
+    g = pickle.loads(pickle.dumps(f))
+    ts = np.linspace(0.0, 100.0, 777)
+    assert g.exact is not None and np.array_equal(g.samples, f.samples)
+    assert np.array_equal(g.values(ts), f.values(ts))
+
+
+def test_named_forcings_stay_on_the_spline():
+    assert forcing_signal("levitan-psi", -10.0, 10.0, 0.025).exact is None
+
+
+@pytest.mark.parametrize("n", [1, 2, 1 << 16, (1 << 16) + 1, 3 * (1 << 16) + 7])
+@pytest.mark.parametrize("name", ["s1-opial-scalar", "s3-coop-2d"])
+def test_chunked_sampling_equals_one_shot_bit_for_bit(name, n):
+    fn = partial(forcing_values, "trig-sum", components=_components(name))
+    f = sample_function(fn, 0.0, 0.05 * (n - 1), 0.05)
+    assert np.array_equal(f.samples, fn(0.05 * np.arange(n)))
+
+
+def test_forcing_synthesis_holds_no_more_than_its_samples():
+    # Chunked synthesis: the tracemalloc peak is the samples plus chunk-sized
+    # temporaries, not the (terms, n) outer product of one-shot synthesis.
+    n = (1 << 20) + 1
+    tracemalloc.start()
+    try:
+        f = forcing_signal("trig-sum", 0.0, 0.05 * (n - 1), 0.05,
+                           components=_components("s1-opial-scalar"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(f) == n
+    assert peak < 1.5 * f.samples.nbytes
