@@ -292,6 +292,7 @@ def poisson_returns(f: Signal, epsilon_schedule, w: Window, *,
     blocks.  At each epsilon its below-margin runs are the candidate clusters,
     golden-refined in batches that grow x4 from one; in order, the first whose
     refinement certifies against the full windowed discrepancy is the return.
+    On a spline Signal, brackets that ``_full_lower_bound`` proves cannot certify are skipped.
     An empty result is legal: no returns were found at the requested scales.
     """
     sched = [float(e) for e in epsilon_schedule]
@@ -375,6 +376,8 @@ def poisson_returns(f: Signal, epsilon_schedule, w: Window, *,
             tau_p, dp = _golden_min(d_probe, lo, hi, 24)
             for c in np.flatnonzero(dp < eps).tolist():
                 lo_f, hi_f = max(lo[c], tau_p[c] - dt), min(hi[c], tau_p[c] + dt)
+                if f.exact is None and _full_lower_bound(f, i0, base, lo_f, hi_f) >= eps:
+                    continue
                 tau_f, df = _golden_min(d_full, lo_f, hi_f, 40)
                 if df[0] < eps and tau_f[0] > t_prev + separation * (1 - 1e-9):
                     found = (float(tau_f[0]), float(df[0]))
@@ -386,6 +389,24 @@ def poisson_returns(f: Signal, epsilon_schedule, w: Window, *,
         eps_used.append(eps)
         t_prev = found[0]
     return ReturnSequence(tuple(times), tuple(discs), tuple(eps_used))
+
+
+def _full_lower_bound(f: Signal, i0: int, base: np.ndarray, lo_f: float, hi_f: float) -> float:
+    """A lower bound on the full discrepancy wherever a golden section on [lo_f, hi_f]
+    reads it, for a spline Signal f whose window from index i0 holds ``base``: point i
+    reads cells i + floor(tau / dt), and one more each side for rounding, so its distance
+    to the hull of their ranges bounds it (a range enclosure; R. E. Moore, R. B. Kearfott
+    and M. J. Cloud, Introduction to Interval Analysis, SIAM 2009)."""
+    m, ka, kb = len(base), math.floor(lo_f / f.dt) - 1, math.floor(hi_f / f.dt) + 1
+    lo, hi, scale = f._cell_ranges
+    lo, hi = (a.take(np.arange(i0 + ka, i0 + m + kb), axis=0, mode="clip") for a in (lo, hi))
+    low = np.minimum.reduce([lo[j : j + m] for j in range(kb - ka + 1)])
+    high = np.maximum.reduce([hi[j : j + m] for j in range(kb - ka + 1)])
+    gap = float(np.maximum(low - base, base - high).max())
+    # ``_cubic`` rounds by at most 6 u (u = 2^-53) of a cell's term sum, which ``scale``
+    # bounds, as it bounds |f| and the window's values: once in the range ends, once in the
+    # value read.  The differences and the comparison add 3 u (scale + |gap|); 32 u covers 15 u.
+    return gap - 2.0 ** -48 * (scale + abs(gap))
 
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -650,8 +671,11 @@ def classify(f: Signal, base: Signal | None = None,
              cfg: ClassifyConfig | None = None) -> RecurrenceReport:
     """Run the recurrence cascade; attach comparability when a base is given
     (with comparability evidence the base is classified too, to transfer its classes)."""
-    if cfg is None:
-        cfg = default_classify_config(f)
+    return _classify(f, base, default_classify_config(f) if cfg is None else cfg)
+
+
+def _classify(f: Signal, base, cfg: ClassifyConfig, D=None) -> RecurrenceReport:
+    """``classify``; D, if given, is f's exact profile, a capped one at any cap."""
     w = cfg.window
     wdict = _window_dict(w)
     grid = cfg.tau_grid
@@ -667,7 +691,8 @@ def classify(f: Signal, base: Signal | None = None,
     # and steps only to values no larger.  The one minimum read from D, the
     # min_D witness, is resolved by ``_profile_min``.
     cap = max(_PERIODIC_DETECT_FRAC * scale, *cfg.bohr_epsilons)
-    D = discrepancy_profile(f, taus, w, cap=cap)
+    if D is None:
+        D = discrepancy_profile(f, taus, w, cap=cap)
     classes: dict[str, Verdict] = {}
     notes = [
         "windowed evidence on finite grids; no verdict is a proof",
@@ -829,7 +854,7 @@ def _compare_with_base(base, cfg, D):
     transfer = {"verdict": profile.verdict, "claims": [],
                 "relative_to": "supplied base"}
     if profile.verdict == "comparable-evidence":
-        base_classes = classify(base, cfg=replace(cfg, base_declared=None)).classes
+        base_classes = _classify(base, None, replace(cfg, base_declared=None), Dy).classes
         for names, via in ((_TRANSFER_PLAIN, "comparability"),
                            (_TRANSFER_UNIFORM, "uniform-comparability-proxy")):
             for name in names:

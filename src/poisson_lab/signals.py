@@ -156,6 +156,21 @@ class Signal:
         np.add(y[:-1], 0.0, out=c[3])
         return self.times(), c
 
+    @cached_property
+    def _cell_ranges(self) -> tuple[np.ndarray, np.ndarray, float]:
+        """(lo, hi, scale): per cell and component, the extremes of ``_cubic`` at s = 0, the
+        cell width h and the roots of c2 + 2 c1 s + 3 c0 s^2 (clipped into the cell; a negative
+        discriminant reads 0: the inflection, where the cubic is flat to third order); and the
+        largest |c3| + |c2| h + |c1| h^2 + |c0| h^3, which bounds ``_cubic``'s rounding."""
+        x, c = self._spline
+        h = np.diff(x)[:, None]
+        with np.errstate(all="ignore"):
+            q = -(c[1] + np.copysign(np.sqrt(np.maximum(c[1] ** 2 - 3.0 * c[0] * c[2], 0.0)), c[1]))
+            ss = [np.clip(np.nan_to_num(s), 0.0, h) for s in (h, q / (3.0 * c[0]), c[2] / q)]
+        vals = [c[3]] + [_cubic(*c[::-1], s) for s in ss]
+        scale = _cubic(*np.abs(c[::-1]), h).max()
+        return np.minimum.reduce(vals), np.maximum.reduce(vals), float(scale)
+
     def values(self, ts) -> np.ndarray:
         """Values at times ``ts``; shape (len(ts), dim).
 

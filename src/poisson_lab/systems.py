@@ -882,12 +882,16 @@ def _parabolic_core(sys, W0, cfg, batch):
 # The most float64 elements one array can hold: its size in bytes must fit an
 # index.
 _MAX_FLOATS = np.iinfo(np.intp).max // 8
+# The most rounding, in radians, of a forcing phase omega t, about |omega t| 2^-53
+# (N. J. Higham, Accuracy and Stability of Numerical Algorithms, SIAM 2002, ch. 2).
+_PHASE_BAR = 1e-6
 
 
 def require_countable(sys: SystemSpec, cfg: IntegratorConfig, m: int) -> None:
     """Raise ConfigInvalid when integrating ``sys`` under ``cfg`` (on m nodes
     for the parabolic kind) needs more records, steps or delay steps than an
-    array can hold."""
+    array can hold, or reads a forcing phase omega t rounded by more than
+    ``_PHASE_BAR`` by t_end (translated by the base shift)."""
     h, counts = cfg.dt, {"t_end / record_dt": cfg.t_end / cfg.record_dt}
     if sys.kind == "dde_single_delay":
         r = build_dde_rhs(sys).r
@@ -900,6 +904,12 @@ def require_countable(sys: SystemSpec, cfg: IntegratorConfig, m: int) -> None:
     for name, count in counts.items():
         if not count <= _MAX_FLOATS:
             raise ConfigInvalid(f"{name} = {count:.3g} is more than an array can hold")
+    for omega in ([build_reaction(sys).omega] if sys.kind == "parabolic_1d" else
+                  _fold_terms(sys.params.get("forcing", []), sys.dim, 0.0)[1].tolist()):
+        T = cfg.t_end + abs(sys.base_shift)  # checked numeric at load if a term exists
+        if omega and not abs(omega) * T * 2.0 ** -53 <= _PHASE_BAR:
+            raise ConfigInvalid(f"forcing frequency {omega:.3g} at t = {T:.3g}: float64 rounds "
+                                f"its phase by more than {_PHASE_BAR:g} rad")
 
 
 # ---------------------------------------------------------------------------

@@ -421,20 +421,23 @@ _CASES = [(i, path, bad) for i, base in enumerate(_VALID_CONFIGS)
 @given(case=st.sampled_from(_CASES))
 @example(case=(0, ("seeds",), math.inf))
 @example(case=(1, ("system", "params", "delay"), 1e308))  # delay / dt overflows
-# Finite parameters whose RK4 step map, forcing angles or method of lines overflow.
+# Finite parameters whose RK4 step map or method of lines overflow.
 @example(case=(1, ("system", "params", "A_self", 0, 0), 1e308))
-@example(case=(1, ("system", "params", "forcing", 0, 0, 1), 1e308))
 @example(case=(2, ("system", "params", "nu", 0), 1e308))
 @example(case=(2, ("system", "params", "L"), 1e308))
 @example(case=(2, ("system", "params", "decay", 0), 1e308))
 @example(case=(2, ("system", "params", "source_amp", 0), 1e308))
-@example(case=(2, ("system", "params", "omega"), 1e308))
 # Finite values whose step, record, delay-step or substep count no array can hold.
 @example(case=(0, ("integrator", "t_end"), 1e154))
 @example(case=(2, ("integrator", "t_end"), 1e154))
 @example(case=(1, ("system", "params", "delay"), 1e154))
 @example(case=(1, ("integrator", "record_dt"), 1e154))
 @example(case=(2, ("system", "params", "nu", 0), 1e154))
+# Forcing frequencies whose phase float64 cannot resolve.
+@example(case=(0, ("system", "params", "forcing", 0, 0, 1), 1e154))
+@example(case=(0, ("system", "params", "forcing", 0, 0, 1), 1e308))
+@example(case=(1, ("system", "params", "forcing", 0, 0, 1), 1e308))
+@example(case=(2, ("system", "params", "omega"), 1e308))
 def test_run_corrupted_config_never_raises(case):
     with tempfile.TemporaryDirectory() as tmp:
         assert _run_corrupted(case, Path(tmp)) in (0, 1, 2)
@@ -466,6 +469,19 @@ def test_run_rejects_counts_no_array_can_hold(case, tmp_path, capsys):
     assert _run_corrupted(case, tmp_path) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "more than an array can hold" in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("case", [
+    (0, ("system", "params", "forcing", 0, 0, 1), 1e154),
+    (0, ("system", "params", "forcing", 0, 0, 1), 1e308),
+    (1, ("system", "params", "forcing", 0, 0, 1), 1e308),
+    (2, ("system", "params", "omega"), 1e308),
+])
+def test_run_rejects_forcing_phases_float64_cannot_resolve(case, tmp_path, capsys):
+    assert _run_corrupted(case, tmp_path) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "rounds its phase" in err
     assert not (tmp_path / "out").exists()
 
 

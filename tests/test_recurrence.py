@@ -313,38 +313,127 @@ def quasi_periodic(seed, dim, n, dt=0.1):
     return Signal(0.0, dt, np.stack(cols, axis=1))
 
 
+def spiky(seed, dim, n, dt=0.1):
+    """``quasi_periodic`` plus one-sample spikes at about 1 sample in 200,
+    growing with time as levitan's phi does.  A spike between the probe
+    points is a shift the probe passes and the whole window refutes."""
+    rng = np.random.default_rng(seed + 1)
+    grow = 1.0 + np.arange(n)[:, None] / n
+    spikes = (rng.random((n, dim)) < 0.005) * rng.uniform(1.0, 3.0, (n, dim)) * grow
+    return Signal(0.0, dt, quasi_periodic(seed, dim, n, dt).samples + spikes)
+
+
+def test_returns_are_the_per_cluster_scan():
+    pruned = []
+
+    @given(st.sampled_from([quasi_periodic, spiky]),          # family
+           st.integers(min_value=0, max_value=2**32 - 1),     # seed
+           st.sampled_from([1, 2]),                           # components
+           st.integers(min_value=300, max_value=2500),        # samples
+           st.integers(min_value=1, max_value=80),            # window half-width / dt
+           st.floats(min_value=0.05, max_value=1.0),          # first epsilon
+           st.lists(st.floats(min_value=0.3, max_value=1.0), max_size=4),  # ratios
+           st.floats(min_value=0.0, max_value=20.0),          # separation
+           st.one_of(st.none(), st.floats(min_value=0.0, max_value=300.0)),  # tau_max
+           st.sampled_from([1, 7, 64, 1000, 1 << 15]),        # probe block, values
+           st.sampled_from([1, 64, 300, 2000, 1 << 14]))      # refinement batch, values
+    # Below, in order: the first cluster accepted at each level; acceptance at
+    # the third and at the last cluster of the second batch; the accepted run
+    # reaches j_hi = 312 (tau_max lands on a near-period); clusters crossing
+    # blocks of 7 shifts, with j_hi + 1 = 1301 not a multiple of 7; m = 41 < 64
+    # on two components, in blocks of 3 shifts; spiky signals whose cell
+    # ranges prune brackets.
+    @example(quasi_periodic, 1, 1, 2000, 40, 1.0, [1.0, 1.0], 0.0, None, 1 << 15, 1 << 14)
+    @example(quasi_periodic, 2, 1, 2500, 60, 0.1, [0.5, 0.5], 5.0, None, 1 << 15, 1 << 14)
+    @example(quasi_periodic, 3, 1, 2000, 30, 0.3, [0.5], 5.0, 31.2, 1000, 300)
+    @example(quasi_periodic, 4, 1, 2000, 35, 0.3, [0.5, 0.6], 2.0, 130.0, 7, 300)
+    @example(quasi_periodic, 5, 2, 1500, 20, 0.8, [0.7], 3.0, None, 7, 1)
+    @example(spiky, 20, 1, 2000, 60, 1.0, [], 5.0, None, 1 << 15, 1 << 14)
+    @example(spiky, 42, 2, 1500, 80, 1.0, [0.5, 0.5], 5.0, None, 7, 300)
+    def check(family, seed, dim, n, hw_steps, eps0, ratios, separation, tau_max, block, batch):
+        f = family(seed, dim, n)
+        w = Window(f.dt * (hw_steps + 3), f.dt * hw_steps)
+        sched = list(eps0 * np.cumprod([1.0] + ratios))
+        want = returns_per_cluster(f, sched, w, separation, tau_max)
+        with patch.object(recurrence, "_BLOCK_VALUES", block), \
+                patch.object(recurrence, "_BATCH_VALUES", batch), \
+                patch.object(recurrence, "_full_lower_bound",
+                             wraps=recurrence._full_lower_bound) as bound, \
+                patch.object(recurrence, "_golden_min", wraps=_golden_min) as golden:
+            got = poisson_returns(f, sched, w, separation=separation, tau_max=tau_max)
+        assert got.times == want.times
+        assert got.discrepancies == want.discrepancies
+        assert got.epsilon_schedule == want.epsilon_schedule
+        # Each full refinement is bounded first and then skipped or run.
+        pruned.append(bound.call_count - sum(c.args[3] == 40 for c in golden.call_args_list))
+
+    check()
+    assert sum(pruned) > 0
+
+
 @given(st.integers(min_value=0, max_value=2**32 - 1),     # seed
-       st.sampled_from([1, 2]),                           # components
-       st.integers(min_value=300, max_value=2500),        # samples
-       st.integers(min_value=1, max_value=80),            # window half-width / dt
-       st.floats(min_value=0.05, max_value=1.0),          # first epsilon
-       st.lists(st.floats(min_value=0.3, max_value=1.0), max_size=4),  # ratios
-       st.floats(min_value=0.0, max_value=20.0),          # separation
-       st.one_of(st.none(), st.floats(min_value=0.0, max_value=300.0)),  # tau_max
-       st.sampled_from([1, 7, 64, 1000, 1 << 15]),        # probe block, values
-       st.sampled_from([1, 64, 300, 2000, 1 << 14]))      # refinement batch, values
-# Below, in order: the first cluster accepted at each level; acceptance at
-# the third and at the last cluster of the second batch; the accepted run
-# reaches j_hi = 312 (tau_max lands on a near-period); clusters crossing
-# blocks of 7 shifts, with j_hi + 1 = 1301 not a multiple of 7; m = 41 < 64
-# on two components, in blocks of 3 shifts.
-@example(1, 1, 2000, 40, 1.0, [1.0, 1.0], 0.0, None, 1 << 15, 1 << 14)
-@example(2, 1, 2500, 60, 0.1, [0.5, 0.5], 5.0, None, 1 << 15, 1 << 14)
-@example(3, 1, 2000, 30, 0.3, [0.5], 5.0, 31.2, 1000, 300)
-@example(4, 1, 2000, 35, 0.3, [0.5, 0.6], 2.0, 130.0, 7, 300)
-@example(5, 2, 1500, 20, 0.8, [0.7], 3.0, None, 7, 1)
-def test_returns_are_the_per_cluster_scan(seed, dim, n, hw_steps, eps0, ratios,
-                                          separation, tau_max, block, batch):
-    f = quasi_periodic(seed, dim, n)
-    w = Window(f.dt * (hw_steps + 3), f.dt * hw_steps)
-    sched = list(eps0 * np.cumprod([1.0] + ratios))
-    want = returns_per_cluster(f, sched, w, separation, tau_max)
-    with patch.object(recurrence, "_BLOCK_VALUES", block), \
-            patch.object(recurrence, "_BATCH_VALUES", batch):
-        got = poisson_returns(f, sched, w, separation=separation, tau_max=tau_max)
-    assert got.times == want.times
-    assert got.discrepancies == want.discrepancies
-    assert got.epsilon_schedule == want.epsilon_schedule
+       st.sampled_from([1, 2, 12]),                       # components; 12 is a wide field
+       st.booleans(),                                     # spiky, else random samples
+       st.sampled_from([1.0, 1e-6, 1e6]),                 # value scale
+       st.integers(min_value=2, max_value=80),            # window points
+       st.integers(min_value=0, max_value=30),            # window start index
+       st.integers(min_value=0, max_value=30),            # bracket start, whole cells
+       st.floats(min_value=0.0, max_value=1.0),           # bracket start, part of a cell
+       st.floats(min_value=0.0, max_value=2.0))           # bracket width, cells
+# Brackets from a cell edge, ending on one, and just short of one.
+@example(0, 1, True, 1.0, 40, 5, 3, 0.0, 2.0)
+@example(1, 2, False, 1.0, 40, 0, 0, 0.5, 1.5)
+@example(2, 12, True, 1e6, 80, 30, 30, 1.0 - 1e-12, 1e-9)
+def test_cell_range_bound_is_below_the_dense_minimum(seed, dim, spikes, scale, m, i0,
+                                                      cell, frac, width):
+    rng = np.random.default_rng(seed)
+    n = i0 + m + cell + 4
+    y = rng.normal(size=(n, dim))
+    if spikes:
+        y *= 0.1
+        y[rng.random((n, dim)) < 0.1] += rng.uniform(-50.0, 50.0)
+    f = Signal(-1.0, 0.1, scale * y)
+    lo_f = f.dt * (cell + frac)
+    hi_f = lo_f + f.dt * width
+    base = f.samples[i0 : i0 + m]
+    taus = np.linspace(lo_f, hi_f, 201)
+    dense = np.abs(f.window_values(i0, m, taus) - base).max(axis=(1, 2))
+    assert recurrence._full_lower_bound(f, i0, base, lo_f, hi_f) <= dense.min()
+
+
+def test_cell_range_bound_takes_the_cell_a_rounded_read_falls_in():
+    # floor(tau / dt) = 8, but t_3 + tau rounds below t_11, into cell 10: only
+    # the extra cell on each side holds the value read there.
+    y = np.arange(40.0)
+    y[3] = -100.0
+    f = Signal(1e5, 0.3, y)
+    tau, base, x = 0.3 * 8, f.samples[3:5], f.times()
+    assert math.floor(tau / f.dt) == 8 and x[3] + tau < x[11]
+    dense = np.abs(f.window_values(3, 2, [tau]) - base).max()
+    assert recurrence._full_lower_bound(f, 3, base, tau, tau) <= dense
+
+
+def test_cell_range_bound_keeps_its_rounding_margin():
+    # A flat stretch at 10 read from a window point at 0: the distance to the
+    # hull of cells 20-22 (point 1 on [2.0, 2.05], one extra cell on each side)
+    # exceeds the least discrepancy read there by a rounding, which the margin
+    # takes off.
+    y = 10.0 + 1e-9 * np.random.default_rng(256).normal(size=40)
+    y[:3] = 0.0
+    f = Signal(0.0, 0.1, y)
+    base = f.samples[1:2]
+    dense = np.abs(f.window_values(1, 1, np.linspace(2.0, 2.05, 201)) - base).min()
+    assert f._cell_ranges[0][20:23].min() > dense
+    assert recurrence._full_lower_bound(f, 1, base, 2.0, 2.05) <= dense
+
+
+def test_returns_on_an_exact_signal_build_no_cell_ranges():
+    components = build_scenario("s3-coop-2d").system.params["forcing"]
+    f = forcing_signal("trig-sum", 0.0, 300.0, 0.05, components=components)
+    with patch.object(recurrence, "_golden_min", wraps=_golden_min) as golden:
+        seq = poisson_returns(f, [0.5, 0.2, 0.1, 0.05], Window(25.0, 25.0), separation=5.0)
+    assert len(seq) == 4 and any(c.args[3] == 40 for c in golden.call_args_list)
+    assert "_cell_ranges" not in vars(f) and "_spline" not in vars(f)
 
 
 def test_returns_reject_bad_arguments(sine):
