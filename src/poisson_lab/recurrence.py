@@ -455,11 +455,11 @@ def quasi_periodic_fit(f: Signal, max_freqs: int, w: Window) -> QuasiPeriodicFit
     on the variable-projection functional (Golub and Pereyra, 1973), as a raw
     peak estimate dephases over long windows.  Each frequency stays within 0.6
     bins of its peak, above 0.25 bins; a step that raises the residual norm is
-    halved; the loop ends at a negligible step, a stalled decrease or after
-    ``_FIT_MAX_STEPS`` trials.  A frequency held at a bracket end (other than
-    the 0.25-bin floor) starts a second pass, bracketed within 0.6 bins of the
-    first pass's result, as a strong tone can pull a weak tone's peak more
-    than 0.6 bins off.  A residual of 1.0 signals failure, never an exception.
+    halved; the loop ends once a negligible step is tried, at a stalled
+    decrease or after ``_FIT_MAX_STEPS`` trials.  A frequency held at a
+    bracket end (other than the 0.25-bin floor) starts a second pass,
+    bracketed within 0.6 bins of the first pass's result, as a strong tone can
+    pull a weak tone's peak more than 0.6 bins off.  A residual of 1.0 signals failure, never an exception.
     """
     i0, i1 = f.window_slice(w)
     comp = _dominant_component(f.samples[i0 : i1 + 1])
@@ -491,15 +491,18 @@ def _refine(ts: np.ndarray, freqs: np.ndarray, y: np.ndarray, lo, hi, bin_w: flo
     rr = float(r @ r)
     for _ in range(_FIT_MAX_STEPS):
         trial = np.clip(freqs + step, lo, hi)
-        if np.abs(trial - freqs).max() <= 1e-9 * bin_w:
-            break
+        # A negligible step is still tried, as on a noiseless tone the last
+        # quadratic step can fall below 1e-9 bins and still cut ||r|| tenfold.
+        last = np.abs(trial - freqs).max() <= 1e-9 * bin_w
         coef_t, r_t, step_t = _gauss_newton(ts, trial, y, lo, hi)
         rr_t = float(r_t @ r_t)
         if rr_t > rr:
+            if last:
+                break
             step = step / 2
             continue
         freqs, coef, r, step, rr, rr_prev = trial, coef_t, r_t, step_t, rr_t, rr
-        if rr_prev - rr <= 1e-13 * rr_prev:  # the decrease stalls
+        if last or rr_prev - rr <= 1e-13 * rr_prev:  # the decrease stalls
             break
     return freqs, coef, r
 

@@ -621,6 +621,9 @@ def fit_case(draw):
 # The strong tone pulls the weak tone's peak 0.83 bins off, out of its start
 # bracket; the second pass, re-bracketed at the first's end, reaches it.
 @example(case=_tones(50, 0, 0.0, [2.3125, 5.71875], [0.109375, 1.25], [1.0, 0.0]))
+# A noiseless tone: the last Gauss-Newton step, 8e-10 bins, cuts ||r|| from
+# 1e-8 to 5e-15, below the coordinate polish's 8.4e-9.
+@example(case=_tones(115, 0, 0.0, [1.9], [1.0], [0.96]))
 def test_fit_stays_in_bracket_and_lowers_residual(case):
     """Every frequency stays within 1.2 bins of its start peak (two brackets of
     0.6 bins) and the residual norm never rises above the start's.  With
