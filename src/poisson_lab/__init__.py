@@ -39,7 +39,6 @@ from .recurrence import (  # noqa: F401
     classify,
     comparability_profile,
     default_classify_config,
-    density_table,
     poisson_returns,
     quasi_periodic_fit,
 )

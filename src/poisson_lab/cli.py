@@ -152,15 +152,7 @@ def _cmd_compare(args) -> int:
         grid = TauGrid(0.0, length - 2 * hw,
                        max(traj.dt, (length - 2 * hw) / 100_000))
         eps, kw = (0.5, 0.2, 0.1), {}
-    profile = comparability_profile(traj, base, eps, grid, w, **kw)
-    payload = {
-        "pairs": [[e, ("inf" if d == float("inf") else d)] for e, d in profile.pairs],
-        "verdict": profile.verdict,
-        "witness": profile.witness,
-        "window": {"center": w.center, "half_width": w.half_width},
-        "tau_grid": [grid.tau_min, grid.tau_max, grid.tau_step],
-    }
-    _emit(payload, args.out)
+    _emit(comparability_profile(traj, base, eps, grid, w, **kw).to_dict(), args.out)
     return 0
 
 
@@ -188,7 +180,7 @@ def main(argv=None) -> int:
     except (ConfigInvalid, ParseError, DomainMismatch) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except PoissonLabError as exc:
+    except (PoissonLabError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 2

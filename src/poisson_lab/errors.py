@@ -14,10 +14,6 @@ class DimensionMismatch(PoissonLabError):
     """Two signals or states with incompatible component counts."""
 
 
-class GridMismatch(PoissonLabError):
-    """Two signals that must share a sampling grid but do not."""
-
-
 class WindowOutOfDomain(PoissonLabError):
     """A window (or its shift) does not fit inside a signal's domain."""
 

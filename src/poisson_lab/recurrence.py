@@ -25,7 +25,6 @@ from .signals import (
     Window,
     bebutov_profile,
     discrepancy_profile,
-    shift_discrepancy,
 )
 
 _INF = float("inf")
@@ -155,6 +154,15 @@ class ComparabilityProfile:
     verdict: str                 # comparable-evidence | refuted | inconclusive
     witness: float | None = None # refuting tau, if any
 
+    def to_dict(self) -> dict:
+        return {
+            "pairs": [[e, _jsonable(d)] for e, d in self.pairs],
+            "verdict": self.verdict,
+            "witness": self.witness,
+            "window": _window_dict(self.window),
+            "tau_grid": [self.tau_grid.tau_min, self.tau_grid.tau_max, self.tau_grid.tau_step],
+        }
+
 
 @dataclass(frozen=True)
 class Verdict:
@@ -185,22 +193,13 @@ class RecurrenceReport:
         return self.classes[name]
 
     def to_dict(self) -> dict:
-        out = {
+        return {
             "classes": {k: v.to_dict() for k, v in self.classes.items()},
-            "comparability": None,
+            "comparability": None if self.comparability is None
+            else self.comparability.to_dict(),
             "transfer": _jsonable(self.transfer),
             "notes": list(self.notes),
         }
-        if self.comparability is not None:
-            c = self.comparability
-            out["comparability"] = {
-                "pairs": [[e, _jsonable(d)] for e, d in c.pairs],
-                "verdict": c.verdict,
-                "witness": c.witness,
-                "window": _window_dict(c.window),
-                "tau_grid": [c.tau_grid.tau_min, c.tau_grid.tau_max, c.tau_grid.tau_step],
-            }
-        return out
 
 
 def _jsonable(obj):
@@ -244,22 +243,9 @@ def _max_gap(shifts: np.ndarray, grid: TauGrid) -> float:
     return float(max(gaps))
 
 
-def density_table(f: Signal, epsilon_list, tau_grid: TauGrid, w: Window) -> list:
-    """Empirical inclusion lengths L(epsilon) of the sup-norm almost periods
-    for a decreasing epsilon list.
-
-    A row is (epsilon, L, saturated); saturated flags L still swallowing the
-    grid, i.e. the evidence for relative density fails at that scale.
-    """
-    eps = [float(e) for e in epsilon_list]
-    if any(e <= 0 for e in eps) or any(b > a + 1e-15 for a, b in zip(eps, eps[1:])):
-        raise ValueError("epsilon_list must be positive and non-increasing")
-    taus = tau_grid.values()
-    return _table_rows(f, eps, tau_grid, w, taus, discrepancy_profile(f, taus, w))
-
-
 def _table_rows(f, epsilons, grid, w, taus, D) -> list:
-    """Rows (epsilon, L, saturated) of an inclusion-length table."""
+    """Rows (epsilon, L, saturated) of an inclusion-length table; saturated
+    flags L still swallowing the grid, where relative density fails."""
     rows = []
     for e in epsilons:
         st = _stats_from_profile(f, float(e), grid, w, taus, D)
@@ -836,12 +822,9 @@ def _find_period(f, taus, D, w, scale):
     while k + 1 < n and D[k + 1] <= D[k]:
         k += 1
 
-    def d_local(taus):
-        return np.array([shift_discrepancy(f, tau, w) for tau in taus.tolist()])
-
     lo = max(taus[0], taus[k] - step)
     hi = min(taus[-1], taus[k] + step)
-    tau_ref, d_ref = _golden_min(d_local, lo, hi, 50)
+    tau_ref, d_ref = _golden_min(lambda x: discrepancy_profile(f, x, w), lo, hi, 50)
     return float(tau_ref[0]), float(d_ref[0])
 
 

@@ -45,7 +45,7 @@ from .recurrence import (
     default_classify_config,
     poisson_returns,
 )
-from .signals import Signal, Window, sup_distance, write_signal_csv
+from .signals import Signal, Window, sup_distance, write_csv, write_signal_csv
 from .systems import (
     IntegratorConfig,
     SystemSpec,
@@ -133,18 +133,18 @@ class _Emitter:
         write_signal_csv(sig, self.outdir / name)
         self.files.append(name)
 
-    def write_rows(self, name: str, header: str, rows):
+    def write_rows(self, name: str, header: str, *columns):
+        write_csv(self.outdir / name, header, *columns)
+        self.files.append(name)
+
+    def _dump(self, name: str, obj: dict):
         with open(self.outdir / name, "w", encoding="utf-8") as fh:
-            fh.write(header + "\n")
-            for row in rows:
-                fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
+            json.dump(obj, fh, indent=1, sort_keys=True)
+            fh.write("\n")
         self.files.append(name)
 
     def finish(self) -> RunManifest:
-        with open(self.outdir / "report.json", "w", encoding="utf-8") as fh:
-            json.dump(self.report, fh, indent=1, sort_keys=True)
-            fh.write("\n")
-        self.files.append("report.json")
+        self._dump("report.json", self.report)
         manifest = RunManifest(
             name=self.cfg.name,
             version=__version__,
@@ -153,9 +153,7 @@ class _Emitter:
             files=self.files + ["manifest.json"],
             summary=self.summary,
         )
-        with open(self.outdir / "manifest.json", "w", encoding="utf-8") as fh:
-            json.dump(manifest.to_dict(), fh, indent=1, sort_keys=True)
-            fh.write("\n")
+        self._dump("manifest.json", manifest.to_dict())
         return manifest
 
 
@@ -268,7 +266,7 @@ def _extremal_solution(em: _Emitter, cfg: ScenarioConfig, u0, returns,
     omega = omega_fiber_sample(traj, returns, ana["settle_time"])
     em.write_rows("omega_sample.csv",
                   "t_n," + ",".join(f"x{j+1}" for j in range(traj.dim)),
-                  [(t, *row) for t, row in zip(omega.times, omega.snapshots)])
+                  omega.times, omega.snapshots)
     em.check("omega_singleton", omega.diameter() < 1e-3, omega.diameter(),
              "retained snapshot diameter")
     pair = fiber_extrema(omega, tol=1e-6)
@@ -705,9 +703,8 @@ def _run_s5(em: _Emitter, cfg: ScenarioConfig) -> None:
              f"relative error of the first-mode decay factor at t={t_star:g}")
     em.check("parabolic_oracle_runtime", z_runtime < 10.0, round(z_runtime, 3),
              "seconds for the zero-reaction run")
-    em.write_rows("conservation.csv", "t,mean",
-                  list(zip(zfield.times, means)))
-    em.write_rows("decay.csv", "t,amplitude", list(zip(zfield.times, amps)))
+    em.write_rows("conservation.csv", "t,mean", zfield.times, means)
+    em.write_rows("decay.csv", "t,amplitude", zfield.times, amps)
 
     # Main forced run and its closed-form tail.
     traj = integrate(sysspec, (1.0 + 0.5 * np.cos(math.pi * xs / L))[None, :],
@@ -743,7 +740,7 @@ def _run_s5(em: _Emitter, cfg: ScenarioConfig) -> None:
                   "field is asymptotically periodic with the forcing period")
 
     # The oracle grid is the run's node grid.
-    em.write_rows("field_final.csv", "x,u", list(zip(xs, traj.samples[-1])))
+    em.write_rows("field_final.csv", "x,u", xs, traj.samples[-1])
 
 
 # ---------------------------------------------------------------------------
@@ -815,11 +812,11 @@ def run_scenario(cfg: ScenarioConfig, outdir=None) -> RunManifest:
 
     The exit status of the returned manifest reflects the pass/fail summary:
     0 when every scientific check passed, 1 otherwise.  A stage that stops
-    with a PoissonLabError is recorded as a failed ``aborted`` check, and the
-    report and manifest are still written; configuration, parse and domain
-    errors propagate without a manifest.  A config whose integration needs
-    more records or steps than an array can hold is rejected before any
-    output is written.
+    with a PoissonLabError or a MemoryError is recorded as a failed
+    ``aborted`` check, and the report and manifest are still written;
+    configuration, parse and domain errors propagate without a manifest.
+    A config whose integration needs more records or steps than an array
+    can hold is rejected before any output is written.
     """
     require_countable(cfg.system, cfg.integrator, cfg.integrator.space_points or _GENERIC_NODES)
     em = _Emitter(cfg, output_dir(cfg) if outdir is None else Path(outdir))
@@ -828,7 +825,7 @@ def run_scenario(cfg: ScenarioConfig, outdir=None) -> RunManifest:
         (entry[1] if entry is not None else _run_generic)(em, cfg)
     except (ConfigInvalid, ParseError, DomainMismatch):
         raise
-    except PoissonLabError as exc:
+    except (PoissonLabError, MemoryError) as exc:
         em.check("aborted", False, detail=f"{type(exc).__name__}: {exc}")
     return em.finish()
 

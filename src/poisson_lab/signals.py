@@ -642,15 +642,21 @@ def _bebutov(diff: np.ndarray, geom) -> float:
 # file format
 # ---------------------------------------------------------------------------
 
-def write_signal_csv(sig: Signal, path) -> None:
-    """Write the documented CSV form: header ``t,x1,...,xn``."""
-    header = "t," + ",".join(f"x{j + 1}" for j in range(sig.dim))
-    ts = sig.times()
+def write_csv(path, header: str, *columns) -> None:
+    """Write ``header``, then the columns side by side (each n values or n
+    rows), every field as ``%.17g``, ``_SAMPLE_CHUNK`` rows at a time."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(header + "\n")
-        for i in range(len(sig)):
-            row = ",".join(f"{v:.17g}" for v in sig.samples[i])
-            fh.write(f"{ts[i]:.17g},{row}\n")
+        for a in range(0, len(columns[0]), _SAMPLE_CHUNK):
+            block = np.column_stack([c[a : a + _SAMPLE_CHUNK] for c in columns])
+            fmt = ",".join(["%.17g"] * block.shape[1]) + "\n"
+            fh.writelines(fmt % tuple(row) for row in block.tolist())
+
+
+def write_signal_csv(sig: Signal, path) -> None:
+    """Write the documented CSV form: header ``t,x1,...,xn``."""
+    write_csv(path, "t," + ",".join(f"x{j + 1}" for j in range(sig.dim)),
+              sig.times(), sig.samples)
 
 
 def read_signal_csv(path) -> Signal:

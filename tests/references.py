@@ -17,7 +17,6 @@ import numpy as np
 from poisson_lab.errors import (
     ConfigInvalid,
     DimensionMismatch,
-    GridMismatch,
     StepUnderflow,
 )
 from poisson_lab.recurrence import (
@@ -184,7 +183,7 @@ def order_check(u: Signal, v: Signal, tol: float) -> OrderResult:
         raise DimensionMismatch(f"dims differ: {u.dim} vs {v.dim}")
     if (len(u) != len(v) or abs(u.t0 - v.t0) > 1e-9 * max(1.0, abs(u.t0))
             or abs(u.dt - v.dt) > 1e-12 * u.dt):
-        raise GridMismatch("order_check requires identical sampling grids")
+        raise ValueError("order_check requires identical sampling grids")
     gap = u.samples - v.samples
     worst = float(gap.max())
     if worst <= tol:

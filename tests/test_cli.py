@@ -12,7 +12,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from poisson_lab.cli import main
-from poisson_lab.signals import sample_function, write_signal_csv
+from poisson_lab.recurrence import ClassifyConfig, TauGrid, classify
+from poisson_lab.signals import Window, read_signal_csv, sample_function, write_signal_csv
 
 
 @pytest.fixture()
@@ -135,6 +136,23 @@ def test_compare_config_sets_refute_frac(tmp_path, capsys, extra, verdict):
     assert main(["compare", str(a), str(b), "--config", str(cfg),
                  "--out", str(out)]) == 0
     assert json.loads(out.read_text())["verdict"] == verdict
+
+
+@pytest.mark.parametrize("base", [np.sin, lambda t: np.sin(math.sqrt(2.0) * t)])
+def test_compare_prints_classify_comparability(base, tmp_path, capsys):
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    write_signal_csv(sample_function(lambda t: np.sin(t) + 0.01 * np.cos(3 * t),
+                                     0.0, 120.0, 0.05), a)
+    write_signal_csv(sample_function(base, 0.0, 120.0, 0.05), b)
+    cfg = tmp_path / "analysis.json"
+    cfg.write_text(json.dumps({"window": [30, 25], "tau_grid": [0, 60, 0.05],
+                               "bohr_epsilons": [2.5, 0.5, 0.02, 0.2], "refute_frac": 0.1}))
+    assert main(["compare", str(a), str(b), "--config", str(cfg)]) == 0
+    printed = json.loads(capsys.readouterr().out)
+    ccfg = ClassifyConfig(Window(30, 25), TauGrid(0, 60, 0.05),
+                          bohr_epsilons=(2.5, 0.5, 0.02, 0.2), refute_frac=0.1)
+    report = classify(read_signal_csv(a), base=read_signal_csv(b), cfg=ccfg).to_dict()
+    assert printed == json.loads(json.dumps(report["comparability"]))
 
 
 def test_compare_ramp_vs_sine(sine_csv, tmp_path, capsys):
@@ -443,16 +461,19 @@ def test_run_corrupted_config_never_raises(case):
         assert _run_corrupted(case, Path(tmp)) in (0, 1, 2)
 
 
-def _run_corrupted(case, tmp: Path) -> int:
+def _run_corrupted(case, tmp: Path, *more) -> int:
+    """Run config i of case = (i, path, value) with the value at the path, and
+    each further (path, value) of ``more`` set too."""
     i, path, bad = case
     raw = copy.deepcopy(_VALID_CONFIGS[i])
-    parent = raw
-    for key in path[:-1]:
-        parent = parent[key]
-    if bad == _DELETE:
-        del parent[path[-1]]
-    else:
-        parent[path[-1]] = bad
+    for path, bad in ((path, bad), *more):
+        parent = raw
+        for key in path[:-1]:
+            parent = parent[key]
+        if bad == _DELETE:
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = bad
     cfg = tmp / "cfg.json"
     cfg.write_text(json.dumps(raw))
     return main(["run", str(cfg), "--out", str(tmp / "out")])
@@ -470,6 +491,32 @@ def test_run_rejects_counts_no_array_can_hold(case, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "more than an array can hold" in err
     assert not (tmp_path / "out").exists()
+
+
+# Counts an array can hold but no memory can: each needs exabytes, so numpy
+# refuses the allocation at once.
+@pytest.mark.parametrize("case, more", [
+    ((1, ("system", "params", "delay"), 1e16), ()),
+    ((1, ("integrator", "record_dt"), 1e16), ()),
+    ((0, ("integrator", "t_end"), 1e16), ((("system", "params", "forcing"), [[], []]),)),
+])
+def test_run_memory_error_is_an_aborted_stage(case, more, tmp_path, capsys):
+    assert _run_corrupted(case, tmp_path, *more) == 1
+    assert "Traceback" not in capsys.readouterr().err
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert {p.name for p in (tmp_path / "out").iterdir()} == set(manifest["files"])
+    aborted = manifest["summary"]["aborted"]
+    assert aborted["status"] == "fail"
+    assert aborted["detail"].startswith(("MemoryError", "_ArrayMemoryError"))
+
+
+def test_classify_memory_error_is_one_error_line(sine_csv, tmp_path, capsys):
+    # 1e17 shifts: numpy refuses the 711 PiB grid at once.
+    cfg = tmp_path / "analysis.json"
+    cfg.write_text(json.dumps({"window": [50, 40], "tau_grid": [0, 1e16, 0.1]}))
+    assert main(["classify", str(sine_csv), "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: Unable to allocate")
 
 
 @pytest.mark.parametrize("case", [

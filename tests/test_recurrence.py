@@ -17,7 +17,6 @@ from poisson_lab.recurrence import (
     classify,
     comparability_profile,
     default_classify_config,
-    density_table,
     poisson_returns,
     quasi_periodic_fit,
     rationally_independent,
@@ -95,8 +94,16 @@ def test_ramp_shifts_only_near_zero(ramp):
     assert stats.saturated
 
 
+def _density_table(f, epsilons, grid, w):
+    """The inclusion-length rows (epsilon, L, saturated) of classify's
+    ``bohr_ap`` verdict."""
+    cfg = ClassifyConfig(w, grid, bohr_epsilons=tuple(epsilons))
+    return classify(f, cfg=cfg).verdict("bohr_ap").params["table"]
+
+
 def test_density_table_periodic(sine):
-    rows = density_table(sine, [0.5, 0.2], GRID, W_SINE)
+    rows = _density_table(sine, [0.5, 0.2], GRID, W_SINE)
+    assert [r[0] for r in rows] == [0.5, 0.2]
     for eps, L, saturated in rows:
         assert L <= 2 * math.pi + GRID.tau_step
         assert not saturated
@@ -106,20 +113,15 @@ def test_density_table_h_unsaturated(h_sig):
     # The two-frequency base has relatively dense almost periods; the
     # inclusion length stays well inside the grid.
     grid = TauGrid(0.0, 500.0, 0.1)
-    rows = density_table(h_sig, [0.5, 0.2], grid, Window(250.0, 250.0))
+    rows = _density_table(h_sig, [0.5, 0.2], grid, Window(250.0, 250.0))
     for eps, L, saturated in rows:
         assert not saturated
         assert L < 150.0
 
 
 def test_density_table_ramp_saturated(ramp):
-    rows = density_table(ramp, [0.1], GRID, W_SINE)
+    rows = _density_table(ramp, [0.1], GRID, W_SINE)
     assert rows[0][2] is True
-
-
-def test_density_table_validates_epsilons(sine):
-    with pytest.raises(ValueError):
-        density_table(sine, [0.1, 0.5], GRID, W_SINE)
 
 
 def test_shift_set_monotonicity(sine):

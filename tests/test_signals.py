@@ -26,6 +26,7 @@ from poisson_lab.signals import (
     shift,
     shift_discrepancy,
     sup_distance,
+    write_csv,
     write_signal_csv,
 )
 
@@ -577,6 +578,31 @@ def test_csv_round_trip(tmp_path, sine):
     assert np.array_equal(back.samples, sine.samples)
     assert back.t0 == sine.t0
     assert back.dt == pytest.approx(sine.dt, rel=1e-12)
+
+
+def test_csv_writes_each_float_as_17_significant_digits(tmp_path):
+    sig = Signal(0.0, 0.1, [[-0.0, 5e-324], [1e308, 0.1], [1 / 3, 2.0]])
+    write_signal_csv(sig, tmp_path / "sig.csv")
+    assert (tmp_path / "sig.csv").read_text() == (
+        "t,x1,x2\n"
+        "0,-0,4.9406564584124654e-324\n"
+        "0.10000000000000001,1e+308,0.10000000000000001\n"
+        "0.20000000000000001,0.33333333333333331,2\n")
+    # A list of rows, and columns side by side, as the scenario files pass them.
+    write_csv(tmp_path / "rows.csv", "T,sup_dist", ((1 / 3, -0.0), (2.0, 5e-324)))
+    write_csv(tmp_path / "cols.csv", "x,u", np.array([0.1, 1e308]), [2.0, 1 / 3])
+    assert (tmp_path / "rows.csv").read_text() == (
+        "T,sup_dist\n0.33333333333333331,-0\n2,4.9406564584124654e-324\n")
+    assert (tmp_path / "cols.csv").read_text() == (
+        "x,u\n0.10000000000000001,2\n1e+308,0.33333333333333331\n")
+    # Across a block seam the text is still one line per sample.
+    long = sample_function(lambda t: np.column_stack([np.sin(t), np.cos(t)]),
+                           0.0, 0.001 * 70_000, 0.001)
+    write_signal_csv(long, tmp_path / "long.csv")
+    ts = long.times()
+    assert (tmp_path / "long.csv").read_text() == "t,x1,x2\n" + "".join(
+        f"{ts[i]:.17g}," + ",".join(f"{v:.17g}" for v in long.samples[i]) + "\n"
+        for i in range(len(long)))
 
 
 def _stepped_csv(path, step):
