@@ -16,6 +16,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 
@@ -23,6 +25,7 @@ from .errors import ConfigInvalid
 from .signals import (
     Signal,
     Window,
+    _require_shifts_inside,
     bebutov_profile,
     discrepancy_profile,
 )
@@ -59,8 +62,13 @@ class TauGrid:
         if not (self.tau_step > 0 and self.tau_max > self.tau_min):
             raise ValueError("need tau_step > 0 and tau_max > tau_min")
 
-    def values(self) -> np.ndarray:
+    def values(self, w: Window | None = None, *signals: Signal) -> np.ndarray:
+        """The taus; given a window, it and its shifts by the first and last tau
+        (so all between) must fit each of ``signals`` before the grid is built."""
         n = int(math.floor((self.tau_max - self.tau_min) / self.tau_step + 1e-9))
+        for f in signals:
+            w.require_inside(f)
+            _require_shifts_inside(f, w, self.tau_min + self.tau_step * np.array([0, n]))
         return self.tau_min + self.tau_step * np.arange(n + 1)
 
     @property
@@ -227,30 +235,20 @@ def _window_dict(w: Window) -> dict:
 # ---------------------------------------------------------------------------
 
 def _stats_from_profile(f, epsilon, tau_grid, w, taus, D) -> ShiftStatistics:
-    mask = D < epsilon
-    shifts = taus[mask]
-    max_gap = _max_gap(shifts, tau_grid)
-    return ShiftStatistics(epsilon, w, tau_grid, shifts, max_gap)
+    shifts = taus[D < epsilon]
+    return ShiftStatistics(epsilon, w, tau_grid, shifts, _max_gap(shifts, tau_grid))
 
 
 def _max_gap(shifts: np.ndarray, grid: TauGrid) -> float:
     """Largest shift-free stretch inside the grid range (edges included)."""
-    if shifts.size == 0:
-        return grid.span
-    gaps = [shifts[0] - grid.tau_min, grid.tau_max - shifts[-1]]
-    if shifts.size > 1:
-        gaps.append(float(np.max(np.diff(shifts))))
-    return float(max(gaps))
+    return float(np.diff(np.concatenate(([grid.tau_min], shifts, [grid.tau_max]))).max())
 
 
 def _table_rows(f, epsilons, grid, w, taus, D) -> list:
     """Rows (epsilon, L, saturated) of an inclusion-length table; saturated
     flags L still swallowing the grid, where relative density fails."""
-    rows = []
-    for e in epsilons:
-        st = _stats_from_profile(f, float(e), grid, w, taus, D)
-        rows.append((float(e), st.max_gap, st.saturated))
-    return rows
+    stats = (_stats_from_profile(f, float(e), grid, w, taus, D) for e in epsilons)
+    return [(st.epsilon, st.max_gap, st.saturated) for st in stats]
 
 
 def _table_verdict(rows, wdict, notes="") -> Verdict:
@@ -522,8 +520,6 @@ def _design_matrix(ts: np.ndarray, freqs) -> np.ndarray:
 
 
 def _dominant_component(vals: np.ndarray) -> np.ndarray:
-    if vals.shape[1] == 1:
-        return vals[:, 0].astype(float)
     j = int(np.argmax(vals.var(axis=0)))
     return vals[:, j].astype(float)
 
@@ -560,42 +556,17 @@ def _spectral_peaks(mag: np.ndarray, dt: float, n: int, max_freqs: int) -> list:
 
 
 def rationally_independent(freqs) -> bool:
-    """Continued-fraction test of pairwise frequency ratios.
-
-    A ratio counts as rational when its expansion terminates (relative
-    remainder below 1e-11, within 20 terms) at a denominator within 1e4;
-    exact irrationality is undecidable from floats, so this is the
-    documented proxy.
-    """
-    fs = [float(v) for v in freqs]
-    for i in range(len(fs)):
-        for j in range(i + 1, len(fs)):
-            hi, lo = max(fs[i], fs[j]), min(fs[i], fs[j])
-            if lo <= 0:
-                return False
-            if _ratio_is_rational(hi / lo):
-                return False
-    return True
-
-
-def _ratio_is_rational(rho: float) -> bool:
-    x = rho
-    p_prev, q_prev = 1, 0
-    p_cur, q_cur = int(math.floor(x)), 1
-    x -= math.floor(x)
-    for _ in range(20):
-        if q_cur > 1e4:
+    """Pairwise test: a ratio of two frequencies is rational when its best
+    approximation with denominator <= 1e4 (``Fraction.limit_denominator``) is
+    within a relative 1e-11, and a frequency <= 0 makes a pair dependent; exact
+    irrationality is undecidable from floats, so this is the documented proxy."""
+    for lo, hi in combinations(sorted(float(v) for v in freqs), 2):
+        if lo <= 0:
             return False
-        if abs(rho - p_cur / q_cur) < 1e-11 * max(1.0, rho):
-            return True
-        if x < 1e-12:
-            return q_cur <= 1e4
-        x = 1.0 / x
-        a = int(math.floor(x))
-        x -= a
-        p_cur, p_prev = a * p_cur + p_prev, p_cur
-        q_cur, q_prev = a * q_cur + q_prev, q_cur
-    return False
+        rho = hi / lo
+        if abs(rho - Fraction(rho).limit_denominator(10_000)) < 1e-11 * max(1.0, rho):
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -614,17 +585,16 @@ def comparability_profile(x: Signal, y: Signal, epsilon_list, tau_grid: TauGrid,
     exact zero cannot occur on a sampled grid, so the fraction stands in
     for it.
     """
-    taus = tau_grid.values()
-    return _comparability(discrepancy_profile(x, taus, w),
+    taus = tau_grid.values(w, x, y)
+    return _comparability(taus, discrepancy_profile(x, taus, w),
                           discrepancy_profile(y, taus, w),
                           epsilon_list, tau_grid, w, refute_frac)
 
 
-def _comparability(Dx, Dy, epsilon_list, tau_grid: TauGrid, w: Window,
+def _comparability(taus, Dx, Dy, epsilon_list, tau_grid: TauGrid, w: Window,
                    refute_frac: float) -> ComparabilityProfile:
     """``comparability_profile`` from the two discrepancy profiles on the
     grid's taus."""
-    taus = tau_grid.values()
     eps = sorted({float(e) for e in epsilon_list}, reverse=True)
     pairs = []
     worst = None
@@ -668,7 +638,7 @@ def _classify(f: Signal, base, cfg: ClassifyConfig, D=None) -> RecurrenceReport:
     w = cfg.window
     wdict = _window_dict(w)
     grid = cfg.tau_grid
-    taus = grid.values()
+    taus = grid.values(w, f)
     i0, i1 = f.window_slice(w)
     vals = f.samples[i0 : i1 + 1]
     spread = float((vals.max(axis=0) - vals.min(axis=0)).max())
@@ -777,7 +747,7 @@ def _classify(f: Signal, base, cfg: ClassifyConfig, D=None) -> RecurrenceReport:
     comparability = None
     transfer = None
     if base is not None:
-        comparability, transfer, extra_notes = _compare_with_base(base, cfg, D)
+        comparability, transfer, extra_notes = _compare_with_base(base, cfg, taus, D)
         notes.extend(extra_notes)
 
     return RecurrenceReport(classes, comparability, transfer, tuple(notes))
@@ -828,13 +798,12 @@ def _find_period(f, taus, D, w, scale):
     return float(tau_ref[0]), float(d_ref[0])
 
 
-def _compare_with_base(base, cfg, D):
+def _compare_with_base(base, cfg, taus, D):
     """Comparability of the trajectory, whose discrepancy profile on the
-    config's grid and window is D, with the base, and the classes it transfers."""
+    config's grid ``taus`` and window is D, with the base, and the classes it transfers."""
     notes = []
-    eps_list = sorted(set(cfg.bohr_epsilons), reverse=True)
-    Dy = discrepancy_profile(base, cfg.tau_grid.values(), cfg.window)
-    profile = _comparability(D, Dy, eps_list, cfg.tau_grid, cfg.window,
+    Dy = discrepancy_profile(base, taus, cfg.window)
+    profile = _comparability(taus, D, Dy, cfg.bohr_epsilons, cfg.tau_grid, cfg.window,
                              cfg.refute_frac)
 
     transfer = {"verdict": profile.verdict, "claims": [],

@@ -308,7 +308,6 @@ def _classify_entire(em: _Emitter, traj: Signal, returns, half_width: float,
     g_cfg = ClassifyConfig(
         window=Window(-half_width / 2, half_width * window_frac),
         tau_grid=TauGrid(0.0, half_width * tau_frac, gamma_signal.dt),
-        bohr_epsilons=(0.5, 0.2),
         fit_window=Window(0.0, half_width * 0.96),
     )
     rep = classify(gamma_signal, cfg=g_cfg)
@@ -380,7 +379,7 @@ def _run_s1(em: _Emitter, cfg: ScenarioConfig) -> None:
                              components=sysspec.params["forcing"])
     f_cfg = ClassifyConfig(
         window=Window(250.0, 250.0), tau_grid=TauGrid(0.0, 1400.0, 10 * fdt),
-        bohr_epsilons=(0.5, 0.2), fit_window=Window(950.0, 950.0),
+        fit_window=Window(950.0, 950.0),
     )
     forcing_report = classify(p_short, cfg=f_cfg)
     em.report["forcing"] = forcing_report.to_dict()
@@ -636,7 +635,6 @@ def _run_s4(em: _Emitter, cfg: ScenarioConfig) -> None:
     c_cfg = ClassifyConfig(
         window=Window(30.0, 8.0),
         tau_grid=TauGrid(0.0, 20.0, sub.dt),
-        bohr_epsilons=(0.5, 0.2),
         fit_window=Window(0.5 * (20.0 + cfg.integrator.t_end),
                           0.48 * (cfg.integrator.t_end - 20.0)),
     )

@@ -13,6 +13,7 @@ pure function, so they are safe to hand to parallel workers.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable
@@ -644,13 +645,9 @@ def _bebutov(diff: np.ndarray, geom) -> float:
 
 def write_csv(path, header: str, *columns) -> None:
     """Write ``header``, then the columns side by side (each n values or n
-    rows), every field as ``%.17g``, ``_SAMPLE_CHUNK`` rows at a time."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(header + "\n")
-        for a in range(0, len(columns[0]), _SAMPLE_CHUNK):
-            block = np.column_stack([c[a : a + _SAMPLE_CHUNK] for c in columns])
-            fmt = ",".join(["%.17g"] * block.shape[1]) + "\n"
-            fh.writelines(fmt % tuple(row) for row in block.tolist())
+    rows), every field as ``%.17g``."""
+    np.savetxt(path, np.column_stack(columns), fmt="%.17g", delimiter=",", header=header,
+               comments="")
 
 
 def write_signal_csv(sig: Signal, path) -> None:
@@ -665,32 +662,27 @@ def read_signal_csv(path) -> Signal:
     deviations, natural-spline coefficient or cubed step beyond the largest
     float."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = [ln.strip() for ln in fh if ln.strip()]
+        with open(path, "r", encoding="utf-8") as fh, warnings.catch_warnings():
+            # numpy warns on no data rows, which the row count below reports.
+            warnings.simplefilter("ignore")
+            lines = (ln for ln in fh if ln.strip())
+            header = [c.strip() for c in next(lines, "").split(",")]
+            if header == [""]:
+                raise ParseError(f"{path}: empty file")
+            if len(header) < 2 or header[0] != "t":
+                raise ParseError(f"{path}: header must be 't,x1,...,xn'")
+            for j, name in enumerate(header[1:]):
+                if name != f"x{j + 1}":
+                    raise ParseError(f"{path}: column {j + 2} must be named 'x{j + 1}'")
+            data = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
     except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
-    if not lines:
-        raise ParseError(f"{path}: empty file")
-    header = [c.strip() for c in lines[0].split(",")]
-    if len(header) < 2 or header[0] != "t":
-        raise ParseError(f"{path}: header must be 't,x1,...,xn'")
-    for j, name in enumerate(header[1:]):
-        if name != f"x{j + 1}":
-            raise ParseError(f"{path}: column {j + 2} must be named 'x{j + 1}'")
-    dim = len(header) - 1
-    rows = []
-    for ln_no, ln in enumerate(lines[1:], start=2):
-        parts = ln.split(",")
-        if len(parts) != dim + 1:
-            raise ParseError(f"{path}:{ln_no}: expected {dim + 1} fields")
-        try:
-            rows.append([float(p) for p in parts])
-        except ValueError as exc:
-            raise ParseError(f"{path}:{ln_no}: non-numeric field") from exc
-    if len(rows) < 2:
+    except ValueError as exc:
+        raise ParseError(f"{path}: {exc}") from exc
+    if data.shape[0] < 2:
         raise ParseError(f"{path}: need at least two data rows")
-    data = np.asarray(rows)
-    del lines, rows  # the parsed text would add to peak memory while the spline is built
+    if data.shape[1] != len(header):
+        raise ParseError(f"{path}: expected {len(header)} fields")
     finite = np.isfinite(data).all(axis=1)
     if not finite.all():
         raise ParseError(f"{path}:{int(np.argmin(finite)) + 2}: non-finite field")

@@ -149,10 +149,8 @@ def _fold_terms(components: Sequence[Sequence], dim: int, base_shift: float):
             amps.append(float(amp))
             omegas.append(float(omega))
             phases.append(float(phase) + float(omega) * base_shift)
-    k = len(amps)
-    proj = np.zeros((dim, k))
-    for col, (i, amp) in enumerate(zip(rows, amps)):
-        proj[i, col] = amp
+    proj = np.zeros((dim, len(amps)))
+    proj[rows, np.arange(len(amps))] = amps
     return proj, np.asarray(omegas), np.asarray(phases)
 
 
@@ -489,32 +487,36 @@ def _rk4_record(rhs, y: np.ndarray, cfg: IntegratorConfig):
     out = np.empty((ts.size,) + y.shape)
     out[0] = y
     tail = (1,) * (y.ndim - 1)
+    per_chunk = max(1, _CHUNK // y.size)
     with np.errstate(over="ignore", invalid="ignore"):  # the chunk check raises
         coeffs = _rk4_coeffs(rhs.A, h)
-        part = _rk4_particular(rhs, coeffs, h, (ts.size - 1) * nsub)
-        if part is not None:
-            P = coeffs[0]
-            M = np.linalg.matrix_power(P, nsub)
-            e = y - _particular_at(rhs, part, np.zeros(1))[0].reshape(-1, *tail)
-        per_chunk = max(1, _CHUNK // ((nsub if part is None else 1) * y.size))
+        steps = (ts.size - 1) * nsub
+        part = _rk4_particular(rhs, coeffs, h, steps)
+        if part is None:
+            for k0 in range(0, steps, per_chunk):
+                states = _rk4_affine_steps(
+                    coeffs, y, _trig_inputs(rhs, 0.0, h, k0, min(per_chunk, steps - k0)), h)
+                y = states[-1]
+                # The records r with k0 < r nsub <= k0 + len(states).
+                r = np.arange(k0 // nsub + 1, (k0 + len(states)) // nsub + 1)
+                out[r] = states[r * nsub - k0 - 1]
+                _check_records(out[r], ts[r], cfg.bound)
+            return ts, out
+        P = coeffs[0]
+        M = np.linalg.matrix_power(P, nsub)
+        e = y - _particular_at(rhs, part, np.zeros(1))[0].reshape(-1, *tail)
         for r0 in range(1, ts.size, per_chunk):
             r1 = min(r0 + per_chunk, ts.size)
-            if part is None:
-                k0, n = (r0 - 1) * nsub, (r1 - r0) * nsub
-                states = _rk4_affine_steps(coeffs, y, _trig_inputs(rhs, 0.0, h, k0, n), h)
-                out[r0:r1] = states[nsub - 1::nsub]
-                y = states[-1]
+            ks = nsub * np.arange(r0, r1)
+            yp = _particular_at(rhs, part, (0.5 * h) * (2 * ks))
+            out[r0:r1] = yp.reshape(yp.shape + tail)
+            # A zero homogeneous part stays 0 instead of 0 * inf.
+            if P.shape == (1, 1):
+                out[r0:r1] += np.where(e == 0.0, 0.0, np.multiply.outer(P[0, 0] ** ks, e))
             else:
-                ks = nsub * np.arange(r0, r1)
-                yp = _particular_at(rhs, part, (0.5 * h) * (2 * ks))
-                out[r0:r1] = yp.reshape(yp.shape + tail)
-                # A zero homogeneous part stays 0 instead of 0 * inf.
-                if P.shape == (1, 1):
-                    out[r0:r1] += np.where(e == 0.0, 0.0, np.multiply.outer(P[0, 0] ** ks, e))
-                else:
-                    for r in range(r0, r1):
-                        e = M @ e
-                        out[r] += e
+                for r in range(r0, r1):
+                    e = M @ e
+                    out[r] += e
             _check_records(out[r0:r1], ts[r0:r1], cfg.bound)
     return ts, out
 
@@ -920,9 +922,6 @@ def require_countable(sys: SystemSpec, cfg: IntegratorConfig, m: int) -> None:
 class QuasimonotoneResult:
     passed: bool
     witness: tuple | None = None  # (t, state, i, j)
-
-    def __bool__(self) -> bool:
-        return self.passed
 
 
 def quasimonotone_check(sys: SystemSpec, box, t_probe) -> QuasimonotoneResult:

@@ -511,12 +511,28 @@ def test_run_memory_error_is_an_aborted_stage(case, more, tmp_path, capsys):
 
 
 def test_classify_memory_error_is_one_error_line(sine_csv, tmp_path, capsys):
-    # 1e17 shifts: numpy refuses the 711 PiB grid at once.
+    # 1e17 shifts that all fit the signal: numpy refuses the 711 PiB grid at once.
     cfg = tmp_path / "analysis.json"
-    cfg.write_text(json.dumps({"window": [50, 40], "tau_grid": [0, 1e16, 0.1]}))
+    cfg.write_text(json.dumps({"window": [50, 40], "tau_grid": [0, 100, 1e-15]}))
     assert main(["classify", str(sine_csv), "--config", str(cfg)]) == 1
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith("error: Unable to allocate")
+
+
+@pytest.mark.parametrize("grid, end", [([0, 1e16, 0.1], "1e+16"), ([0, 150, 0.1], "150"),
+                                       ([-1e16, 0, 0.1], "-1e+16")])
+@pytest.mark.parametrize("command", ["classify", "compare"])
+def test_grid_leaving_the_signal_is_rejected_before_it_is_built(sine_csv, tmp_path, capsys,
+                                                                grid, end, command):
+    # The grid's ends are checked first, so 1e17 shifts allocate nothing: the
+    # error names the shifted window of the end that leaves the 200-unit signal.
+    cfg = tmp_path / "analysis.json"
+    cfg.write_text(json.dumps({"window": [50, 40], "tau_grid": grid}))
+    files = [str(sine_csv)] * (1 if command == "classify" else 2)
+    assert main([command, *files, "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith(f"error: shifted window [{float(end) + 10:g}, {float(end) + 90:g}]")
 
 
 @pytest.mark.parametrize("case", [
@@ -585,6 +601,11 @@ def _corrupted_csv(draw):
 @example(case=(_HUGE_VALUES, True))
 @example(case=(_HUGE_STEP, True))
 @example(case=("t,x1\n-1e308,0\n0,1\n1e308,0\n", True))
+@example(case=("t,x1\n0,0.5\n0.1,-0.25,7\n0.2,1\n0.3,0\n0.4,0.5\n", True))  # ragged row
+@example(case=("t,x1\n0,0.5,\n0.1,-0.25,\n0.2,1,\n0.3,0,\n0.4,0.5,\n", True))  # trailing comma
+@example(case=("t,x1\n# note\n0,0.5\n0.1,-0.25\n0.2,1\n0.3,0\n0.4,0.5\n", True))
+@example(case=("t,x1\n", True))  # header only
+@example(case=("t,x1\n\n   \n\t\n", True))  # every data line blank
 def test_classify_and_compare_corrupted_csv_never_raise(case):
     text, rejected = case
     with tempfile.TemporaryDirectory() as tmp:

@@ -7,6 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from poisson_lab.errors import InsufficientReturns, NotCauchy
 from poisson_lab.limits import (
+    ContractionResult,
     comparison_battery,
     contraction_check,
     convergence_check,
@@ -18,7 +19,7 @@ from poisson_lab.limits import (
 from poisson_lab.recurrence import ReturnSequence
 from poisson_lab.scenarios import build_scenario
 from poisson_lab.signals import Signal, Window, sample_function
-from poisson_lab.systems import IntegratorConfig, SystemSpec, integrate_ode
+from poisson_lab.systems import IntegratorConfig, SystemSpec, integrate_ode, integrate_ode_batch
 from references import _probe_directions, uniform_stability_estimate
 
 
@@ -270,11 +271,30 @@ def test_entire_trajectory_insufficient():
 # ---------------------------------------------------------------------------
 
 def test_contraction_verdicts():
-    assert contraction_check(ode([[-1.0]], [[]]), pairs=8, horizon=5.0)
+    assert contraction_check(ode([[-1.0]], [[]]), pairs=8, horizon=5.0).contracting
     res = contraction_check(ode([[0.0]], [[]]), pairs=8, horizon=5.0)
     assert not res.contracting
     hurwitz = ode([[-2.0, 1.0], [1.0, -2.0]], [[], []], dim=2)
-    assert contraction_check(hurwitz, pairs=8, horizon=5.0)
+    assert contraction_check(hurwitz, pairs=8, horizon=5.0).contracting
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_contraction_witness_is_the_first_failing_pair_then_time(seed):
+    # The first component contracts, the second not, and its gaps are small:
+    # a pair fails once its first-component gap has shrunk below them.
+    sys = ode([[-1.0, 0.0], [0.0, 0.0]], [[], []], dim=2)
+    box = np.array([[-1.0, 1.0], [-1e-3, 1e-3]])
+    res = contraction_check(sys, pairs=16, horizon=5.0, box=box, seed=seed)
+    # The pair-by-pair loop over the same draws and records.
+    cfg = IntegratorConfig(method="rk4_fixed", dt=1e-3, t_end=5.0, record_dt=1.0)
+    rng = np.random.default_rng(seed)
+    A, B = (rng.uniform(box[:, 0], box[:, 1], size=(16, 2)).T for _ in range(2))
+    ts, Ya = integrate_ode_batch(sys, A, cfg)
+    gaps = np.abs(Ya - integrate_ode_batch(sys, B, cfg)[1]).max(axis=1)
+    witness = next(((p, float(ts[i]), float(gaps[i - 1, p]), float(gaps[i, p]))
+                    for p in range(16) if not gaps[0, p] < 1e-12
+                    for i in range(1, len(ts)) if not gaps[i, p] < gaps[i - 1, p]), None)
+    assert res == ContractionResult(witness is None, witness)
 
 
 # ---------------------------------------------------------------------------

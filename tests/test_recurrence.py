@@ -685,6 +685,23 @@ def test_rational_independence():
     assert rationally_independent([1.0 + 1e-5 * math.pi, SQRT2])
 
 
+@pytest.mark.parametrize("freqs, independent", [
+    ([0.7, 0.7 * 9_999 / 10_000], False),       # denominator 10^4
+    ([0.3, 0.3 * 355 / 113], False),
+    ([2.0, 2.0 * 499.5], False),
+    ([1.0, 1.0 + 1 / 10_007], True),            # the best p/q, q <= 10^4, misses by ~7e-8
+    ([1.0, 1.0 + 1 / 10_007, SQRT2], True),
+    ([0.0, 1.0], False),
+    ([SQRT2, -1.0], False),
+    ([1.0, SQRT2, 0.0], False),
+    ([SQRT2], True),
+    ([-1.0], True),
+    ([], True),
+])
+def test_rational_independence_edges(freqs, independent):
+    assert rationally_independent(freqs) is independent
+
+
 # ---------------------------------------------------------------------------
 # comparability
 # ---------------------------------------------------------------------------

@@ -605,6 +605,42 @@ def test_csv_writes_each_float_as_17_significant_digits(tmp_path):
         for i in range(len(long)))
 
 
+# Finite floats whose squared deviations cannot overflow (the reader rejects
+# those), and the edges of the float range: zeros of both signs, subnormals,
+# the smallest normal.
+_CSV_FLOATS = st.floats(min_value=-1e150, max_value=1e150) | st.sampled_from(
+    [0.0, -0.0, 5e-324, -5e-324, 1e-320, 2.2250738585072014e-308])
+
+
+@given(rows=st.lists(st.lists(_CSV_FLOATS, min_size=2, max_size=2), min_size=2, max_size=8),
+       t0=st.floats(-1e6, 1e6))
+# Two equal samples near the top of the range: their sum, and so their mean, is still finite.
+@example(rows=[[8.9e307, -8.9e307], [8.9e307, -8.9e307]], t0=0.0)
+@example(rows=[[-0.0, 5e-324], [0.0, -5e-324], [2.2250738585072014e-308, 1e-320]], t0=-0.0)
+def test_csv_round_trip_is_bit_identical(tmp_path_factory, rows, t0):
+    path = tmp_path_factory.mktemp("round") / "sig.csv"
+    vals = np.array(rows)
+    ts = t0 + 0.5 * np.arange(len(vals))
+    write_csv(path, "t,x1,x2", ts, vals)
+    back = read_signal_csv(path)
+    assert bitwise_equal(np.array(back.t0), ts[:1].reshape(()))
+    assert bitwise_equal(back.samples, vals)
+
+
+@pytest.mark.parametrize("text", [
+    "t,x1\n0,1\n\n   \n0.5,2\n\t\n1,0\n  ",             # blank and whitespace-only lines
+    "\n\nt,x1\n0,1\n0.5,2\n1,0",                         # blank lines first, no final newline
+    "t,x1\r\n0,1\r\n0.5,2\r\n\r\n1,0\r\n",               # CRLF
+    " t , x1 \n 0 , 1\n0.5 ,2 \n  1,  0  \n",               # spaces around fields
+])
+def test_csv_reader_skips_blank_lines_and_spaces(tmp_path, text):
+    path = tmp_path / "sig.csv"
+    path.write_bytes(text.encode())
+    f = read_signal_csv(path)
+    assert (f.t0, f.dt) == (0.0, 0.5)
+    assert f.samples.tolist() == [[1.0], [2.0], [0.0]]
+
+
 def _stepped_csv(path, step):
     path.write_text("t,x1\n" + "".join(f"{k * step!r},{k % 3}\n" for k in range(40)))
     return path

@@ -25,8 +25,10 @@ from poisson_lab.systems import (
     _dopri5_trial,
     _particular_at,
     _record_times,
+    _rk4_affine_steps,
     _rk4_coeffs,
     _rk4_particular,
+    _trig_inputs,
     build_dde_rhs,
     build_ode_rhs,
     build_reaction,
@@ -1141,6 +1143,31 @@ def test_chunked_sampling_equals_one_shot_bit_for_bit(name, n):
     fn = partial(forcing_values, "trig-sum", components=_components(name))
     f = sample_function(fn, 0.0, 0.05 * (n - 1), 0.05)
     assert np.array_equal(f.samples, fn(0.05 * np.arange(n)))
+
+
+def test_rk4_step_loop_memory_stays_flat_over_a_long_record_interval():
+    # A = 0 makes I - P singular, so the closed form turns the offset away and
+    # the step loop runs 16,384 steps of a 64-state system per record.  Chunked
+    # by steps, it holds a few 2^16-value arrays however long the interval is;
+    # one record interval per chunk would hold several (16,384, 64) arrays.
+    dim, h = 64, 2.0 ** -10
+    sys = SystemSpec("cooperative_ode", dim, "linear+trig",
+                     {"A": np.zeros((dim, dim)).tolist(),
+                      "offset": np.linspace(-1, 1, dim).tolist(),
+                      "forcing": [[[0.5, 1.0, 0.3]]] + [[]] * (dim - 1)})
+    cfg = IntegratorConfig(method="rk4_fixed", dt=h, t_end=32.0, record_dt=16.0)
+    tracemalloc.start()
+    try:
+        sol = integrate_ode(sys, np.zeros(dim), cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6
+    # The records are those of one unchunked run of the step loop, bit for bit.
+    rhs = build_ode_rhs(sys)
+    states = _rk4_affine_steps(_rk4_coeffs(rhs.A, h), np.zeros(dim),
+                               _trig_inputs(rhs, 0.0, h, 0, 2 * 16_384), h)
+    assert sol.samples[1:].tobytes() == states[16_383::16_384].tobytes()
 
 
 def test_forcing_synthesis_holds_no_more_than_its_samples():
