@@ -9,11 +9,12 @@ A manifest must match as JSON, key order included, apart from
 ``wall_clock_s``, the output directory the run was written to
 (``config.outputs``) and the values of the two wall-clock checks
 (``closed_form_runtime``, ``parabolic_oracle_runtime``).  For each file
-that differs the first difference is printed; for a ``report.json`` or a
-``manifest.json`` (as compared, without the ignored fields) also its
-drift: the largest |a - b| over the numeric leaves found in both, and the
-count of other mismatched leaves, so a check whose status flips counts as
-one.  For a ``manifest.json`` it then lists each check whose status differs,
+that differs the first difference is printed, and then its drift: the
+largest |a - b| over the numeric leaves found in both, and the count of
+other mismatched leaves, so a check whose status flips counts as one.  The
+leaves of a ``report.json`` or a ``manifest.json`` (as compared, without the
+ignored fields) are its JSON values; those of a CSV are its
+comma-separated fields, numeric where they parse as a float.  For a ``manifest.json`` it then lists each check whose status differs,
 as ``name: old -> new`` (``absent`` for a check in one manifest only), or
 prints ``check statuses: unchanged``: a changed ``detail`` string is a
 mismatch too, so the count alone cannot tell.  Exit 0 when the trees agree,
@@ -40,6 +41,18 @@ def _manifest(path: Path) -> dict:
     for name in _RUNTIME_CHECKS:
         m.get("summary", {}).get(name, {}).pop("value", None)
     return m
+
+
+def _field(text: str):
+    try:
+        return float(text)
+    except ValueError:
+        return text
+
+
+def _csv(path: Path) -> list:
+    return [[_field(x) for x in line.split(",")]
+            for line in path.read_text(encoding="utf-8").splitlines()]
 
 
 _DRIFT_LOADERS = {
@@ -139,7 +152,7 @@ def main(argv=None) -> int:
             continue
         differ += 1
         print(f"{name}: {diff}")
-        load = _DRIFT_LOADERS.get(pa.name)
+        load = _DRIFT_LOADERS.get(pa.name, _csv if pa.suffix == ".csv" else None)
         if load:
             a, b = load(pa), load(pb)
             worst, other = _drift(a, b)

@@ -25,6 +25,7 @@ from .errors import ConfigInvalid
 from .signals import (
     Signal,
     Window,
+    _mean,
     _require_shifts_inside,
     bebutov_profile,
     discrepancy_profile,
@@ -319,14 +320,10 @@ def poisson_returns(f: Signal, epsilon_schedule, w: Window, *,
 
     # tau -> sup |f(t + tau) - f(t)| over the probe points or the whole
     # window, for an array of tau at once.
-    ts_p, base_p = f.t0 + dt * (i0 + probe_rel), base[probe_rel]
-
-    def d_probe(taus):
-        v = f.values((taus[:, None] + ts_p).ravel()).reshape(taus.size, ts_p.size, dim)
-        return np.abs(v - base_p).max(axis=(1, 2))
-
-    def d_full(taus):
-        return np.abs(f.window_values(i0, m, taus) - base).max(axis=(1, 2))
+    def gap(at, ref):
+        return lambda taus: np.abs(at(taus) - ref).max(axis=(1, 2))
+    d_probe = gap(f.shift_reader(i0 + probe_rel), base[probe_rel])
+    d_full = gap(f.shift_reader(np.arange(i0, i1 + 1)), base)
 
     # Local slope bound: discrepancy varies no faster than twice the signal.
     # It is capped at the window spread so fast (or aliased) oscillation does
@@ -448,7 +445,7 @@ def quasi_periodic_fit(f: Signal, max_freqs: int, w: Window) -> QuasiPeriodicFit
     i0, i1 = f.window_slice(w)
     comp = _dominant_component(f.samples[i0 : i1 + 1])
     ts = f.dt * np.arange(comp.size)
-    x = comp - comp.mean()
+    x = comp - _mean(comp)
     scale = float(np.abs(x).max())
     if scale < 1e-14:
         return QuasiPeriodicFit((), (), 0.0)
@@ -520,7 +517,7 @@ def _design_matrix(ts: np.ndarray, freqs) -> np.ndarray:
 
 
 def _dominant_component(vals: np.ndarray) -> np.ndarray:
-    j = int(np.argmax(vals.var(axis=0)))
+    j = int(np.argmax(np.square(vals - _mean(vals)).mean(axis=0)))
     return vals[:, j].astype(float)
 
 

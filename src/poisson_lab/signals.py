@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Callable
 
 import numpy as np
@@ -181,14 +181,9 @@ class Signal:
         grid, and the polynomial is summed in PPoly's order (see ``_cubic``).
         """
         ts = np.asarray(ts, dtype=float)
-        slack = _GRID_RTOL * max(1.0, self.dt)
         if ts.size:
             lo, hi = ts.min(), ts.max()
-            # Written so that a NaN fails it too.
-            if not (lo >= self.t0 - slack and hi <= self.t_end + slack):
-                raise WindowOutOfDomain(
-                    f"evaluation times outside domain [{self.t0:g}, {self.t_end:g}]"
-                )
+            self._require_times(lo, hi)
             if lo < self.t0 or hi > self.t_end:
                 ts = np.clip(ts, self.t0, self.t_end)
         if self.exact is not None:
@@ -201,6 +196,25 @@ class Signal:
         k = i[:, None] if self.dim == 1 else (i * self.dim)[:, None] + np.arange(self.dim)
         coef = [c[p].ravel()[k] for p in (3, 2, 1, 0)]
         return _cubic(*coef, s[:, None]).reshape(ts.shape + (self.dim,))
+
+    def _require_times(self, lo, hi) -> None:
+        slack = _GRID_RTOL * max(1.0, self.dt)
+        # Every time in [lo, hi] (arrays of them too) in the domain; a NaN fails it.
+        if not (np.all(lo >= self.t0 - slack) and np.all(hi <= self.t_end + slack)):
+            raise WindowOutOfDomain(f"evaluation times outside domain [{self.t0:g}, {self.t_end:g}]")
+
+    def shift_reader(self, idx) -> Callable:
+        """taus -> f(t_i + tau), shape (len(taus), len(idx), dim), at the grid times t_i of the
+        increasing indices ``idx``, with ``values``' domain check.  An ``exact`` function with
+        a ``shifted`` method (``systems.TrigSum``) turns its angles at the t_i, unclipped; the
+        spline reads ``window_values`` on a run of indices, else ``values``."""
+        if idx[-1] - idx[0] == idx.size - 1 and self.exact is None:
+            return partial(self.window_values, int(idx[0]), idx.size)
+        ts = self.t0 + self.dt * idx
+        if hasattr(self.exact, "shifted"):
+            at = self.exact.shifted(ts)
+            return lambda taus: self._require_times(ts[0] + taus, ts[-1] + taus) or at(taus)
+        return lambda taus: self.values(taus[:, None] + ts)
 
     def window_values(self, i0: int, m: int, taus) -> np.ndarray:
         """f(t_k + tau) for the m grid times t_k from index i0 and each tau;
@@ -367,11 +381,14 @@ _SAMPLE_CHUNK = 1 << 16
 def sample_function(fn, t0: float, t_end: float, dt: float) -> Signal:
     """Sample a callable ``fn(ts) -> (n,) or (n, dim)`` as a cubic Signal on a
     uniform grid, ``_SAMPLE_CHUNK`` times per call into one array, so that
-    fn's temporaries stay chunk-sized."""
+    fn's temporaries stay chunk-sized; through ``fn.on_grid(t0, dt, k0, n)``
+    where fn has it (``systems.TrigSum``)."""
     n = int(round((t_end - t0) / dt)) + 1
     vals = None
     for a in range(0, n, _SAMPLE_CHUNK):
-        chunk = np.asarray(fn(t0 + dt * np.arange(a, min(a + _SAMPLE_CHUNK, n))), dtype=float)
+        b = min(a + _SAMPLE_CHUNK, n)
+        chunk = (fn.on_grid(t0, dt, a, b - a) if hasattr(fn, "on_grid")
+                 else np.asarray(fn(t0 + dt * np.arange(a, b)), dtype=float))
         if vals is None:
             vals = np.empty((n,) + chunk.shape[1:])
         vals[a : a + len(chunk)] = chunk
@@ -643,6 +660,17 @@ def _bebutov(diff: np.ndarray, geom) -> float:
 # file format
 # ---------------------------------------------------------------------------
 
+def _mean(vals: np.ndarray) -> np.ndarray:
+    """``vals.mean(axis=0)``; where its sum overflows, the midrange m plus the sum
+    of (vals - m) / n, which cannot: a constant column of 1e308 has mean 1e308."""
+    with np.errstate(over="ignore"):
+        m = vals.mean(axis=0)
+    if np.isfinite(m).all():
+        return m
+    mid = vals.max(axis=0) / 2 + vals.min(axis=0) / 2
+    return mid + ((vals - mid) / len(vals)).sum(axis=0)
+
+
 def write_csv(path, header: str, *columns) -> None:
     """Write ``header``, then the columns side by side (each n values or n
     rows), every field as ``%.17g``."""
@@ -675,17 +703,19 @@ def read_signal_csv(path) -> Signal:
                 if name != f"x{j + 1}":
                     raise ParseError(f"{path}: column {j + 2} must be named 'x{j + 1}'")
             data = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
+            if data.shape[0] < 2:
+                raise ParseError(f"{path}: need at least two data rows")
+            if data.shape[1] != len(header):
+                raise ParseError(f"{path}: expected {len(header)} fields")
+            bad = np.flatnonzero(~np.isfinite(data).all(axis=1))
+            if bad.size:  # named by its line in the file, where blank lines count too
+                fh.seek(0)
+                line = [i for i, ln in enumerate(fh, 1) if ln.strip()][bad[0] + 1]
+                raise ParseError(f"{path}:{line}: non-finite field")
     except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
     except ValueError as exc:
         raise ParseError(f"{path}: {exc}") from exc
-    if data.shape[0] < 2:
-        raise ParseError(f"{path}: need at least two data rows")
-    if data.shape[1] != len(header):
-        raise ParseError(f"{path}: expected {len(header)} fields")
-    finite = np.isfinite(data).all(axis=1)
-    if not finite.all():
-        raise ParseError(f"{path}:{int(np.argmin(finite)) + 2}: non-finite field")
     ts, vals = data[:, 0], data[:, 1:]
     # Each overflow below is reported as the ParseError after it.
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
@@ -695,7 +725,7 @@ def read_signal_csv(path) -> Signal:
             raise ParseError(f"{path}: times must be strictly increasing over a finite span")
         if np.any(np.abs(steps - dt) > 1e-9 * dt):
             raise ParseError(f"{path}: non-uniform time grid")
-        if not np.isfinite(np.square(vals - vals.mean(axis=0)).sum()):
+        if not np.isfinite(np.square(vals - _mean(vals)).sum()):
             raise ParseError(f"{path}: values too large: their squared deviations overflow")
         sig = Signal(float(ts[0]), dt, vals)
         x, c = sig._spline

@@ -154,6 +154,65 @@ def _fold_terms(components: Sequence[Sequence], dim: int, base_shift: float):
     return proj, np.asarray(omegas), np.asarray(phases)
 
 
+# Grid steps per angle-addition block of ``TrigSum.on_grid``.
+_BLOCK = 256
+
+
+class TrigSum:
+    """offset + Im(V e^{i theta}), theta = omegas t + phases, as ts -> (len(ts),
+    dim): a forcing (V = proj, real) or the periodic solution it drives.
+
+    Called, it is the direct formula, the reference.  ``shifted`` and
+    ``on_grid`` turn the angles at fixed times t by angle addition, f(t + tau)
+    = offset + [cos(omegas tau), sin(omegas tau)] @ M(t): a few multiplies per
+    value, where numpy's sin at a long run's arguments costs about 30 (their
+    reduction is slow: J.-M. Muller, Elementary Functions, 3rd ed., 2016,
+    ch. 11).  They are within 16 u (1 + max |omega t|) sum |V| of it, u = 2^-53.
+    """
+
+    def __init__(self, V, omegas, phases, offset=0.0):
+        self.V, self.omegas, self.phases, self.offset = V, omegas, phases, offset
+
+    def angles(self, ts) -> np.ndarray:
+        return np.outer(ts, self.omegas) + self.phases
+
+    def __call__(self, ts) -> np.ndarray:
+        theta = self.angles(ts)
+        out = np.sin(theta) @ self.V.real.T + self.offset
+        return out + np.cos(theta) @ self.V.imag.T if np.iscomplexobj(self.V) else out
+
+    def _turns(self, ts) -> np.ndarray:
+        """M(t) at the times ts, shape (2k, len(ts), dim)."""
+        W = np.exp(1j * self.angles(ts)).T[..., None] * self.V.T[:, None]
+        return np.concatenate((W.imag, W.real))
+
+    def _rotations(self, taus) -> np.ndarray:
+        a = np.outer(taus, self.omegas)
+        return np.concatenate((np.cos(a), np.sin(a)), axis=1)
+
+    def shifted(self, ts) -> Callable:
+        """taus -> the values at ts + tau, shape (len(taus), len(ts), dim), each
+        batch one product with the M(ts) formed here."""
+        M = self._turns(ts)
+        shape = M.shape[1:]
+        M = M.reshape(len(M), shape[0] * shape[1])
+        return lambda taus: (self._rotations(taus) @ M).reshape((len(taus),) + shape) + self.offset
+
+    def on_grid(self, t0: float, dt: float, k0: int, n: int) -> np.ndarray:
+        """The values at t0 + k dt, k = k0 .. k0 + n - 1, turned from the times at
+        the multiples of ``_BLOCK``.  Summed term by term, unlike a BLAS product,
+        each value is the same whatever the array's shape, so a chunked grid
+        reads a whole one's."""
+        b0 = k0 // _BLOCK
+        M = self._turns(t0 + dt * (_BLOCK * np.arange(b0, (k0 + n - 1) // _BLOCK + 1)))
+        R = self._rotations(dt * np.arange(min(_BLOCK, k0 + n - b0 * _BLOCK)))
+        out = np.zeros((M.shape[1], len(R), len(self.V)))
+        for r, m in zip(R.T, M):
+            out += m[:, None] * r[:, None]
+        out = out.reshape(-1, len(self.V)) + self.offset
+        return out[k0 - b0 * _BLOCK:][:n]
+
+
 class LinearTrigRhs:
     """u'(t) = A u(t) + A_delay u(t - r) + offset + proj sin(omegas t + phases).
 
@@ -186,9 +245,10 @@ class LinearTrigRhs:
         if not all(np.isfinite(x).all() for x in (self.A, self.proj, self.omegas,
                                                   self.phases, self.offset) + delayed):
             raise ConfigInvalid("matrices, offset and forcing terms must be finite")
+        self.forcing = TrigSum(self.proj, self.omegas, self.phases, self.offset)
 
     def __call__(self, t: float, u: np.ndarray, u_past=None) -> np.ndarray:
-        p = self.offset + self.proj @ np.sin(self.omegas * t + self.phases)
+        p = self.forcing([t])[0]
         if u.ndim == 2:
             p = p[:, None]
         if u_past is None:
@@ -206,8 +266,7 @@ class LinearTrigRhs:
         mats = s * np.eye(self.dim) - self.A
         if self.A_delay is not None:
             mats = mats - np.exp(-s * self.r) * self.A_delay
-        part = _solve_sources(mats, np.column_stack([self.offset, self.proj]).T)
-        return lambda ts: _particular_at(self, part, np.atleast_1d(np.asarray(ts, dtype=float)))
+        return _solve_sources(self, mats, np.column_stack([self.offset, self.proj]).T)
 
 
 class ReactionDiffusion:
@@ -342,11 +401,7 @@ def forcing_values(key: str, ts, *,
     """
     ts = np.asarray(ts, dtype=float)
     if key == "trig-sum":
-        if components is None:
-            raise ConfigInvalid("trig-sum needs forcing components")
-        dim = len(components)
-        proj, omegas, phases = _fold_terms(components, dim, 0.0)
-        return (proj @ np.sin(np.outer(omegas, ts) + phases[:, None])).T
+        return _trig_sum(components)(ts)
     try:
         fn = _FORCINGS[key]
     except KeyError:
@@ -354,14 +409,20 @@ def forcing_values(key: str, ts, *,
     return fn(ts)[:, None]
 
 
+def _trig_sum(components) -> TrigSum:
+    if components is None:
+        raise ConfigInvalid("trig-sum needs forcing components")
+    return TrigSum(*_fold_terms(components, len(components), 0.0))
+
+
 def forcing_signal(key: str, t0: float, t_end: float, dt: float, *,
                    components=None) -> Signal:
     """The closed-form forcing sampled on [t0, t_end] as a Signal; a
-    ``trig-sum`` forcing is its closed form between samples too.  The named
-    families stay on the spline: ``classify`` reads levitan's functions at
-    tens of millions of points, where a cubic is cheaper than their three
-    transcendentals."""
-    fn = partial(forcing_values, key, components=components)
+    ``trig-sum`` forcing is sampled by, and read between samples through, its
+    ``TrigSum``.  The named families stay on the spline: ``classify`` reads
+    levitan's functions at tens of millions of points, where a cubic is
+    cheaper than their three transcendentals."""
+    fn = _trig_sum(components) if key == "trig-sum" else partial(forcing_values, key)
     sig = sample_function(fn, t0, t_end, dt)
     return replace(sig, exact=fn) if key == "trig-sum" else sig
 
@@ -403,22 +464,21 @@ def _rk4_coeffs(A: np.ndarray, h: float):
 
 def _trig_inputs(rhs, t0: float, h: float, k0: int, n: int) -> np.ndarray:
     """offset + proj sin(omegas t + phases) at t = t0 + (j/2) h, j = 2 k0 .. 2 (k0 + n)."""
-    s = t0 + (0.5 * h) * np.arange(2 * k0, 2 * (k0 + n) + 1)
-    return rhs.offset + np.sin(np.outer(s, rhs.omegas) + rhs.phases) @ rhs.proj.T
+    return rhs.forcing.on_grid(t0, 0.5 * h, 2 * k0, 2 * n + 1)
 
 
-def _solve_sources(mats, B):
-    """(x_0, X) from mats[j] x_j = B[j]: row 0 is the offset's, whose x_0 is
-    real, the rows after it the forcing terms'.  A zero right-hand side is
-    not solved; its x_j is 0."""
+def _solve_sources(rhs, mats, B) -> TrigSum:
+    """x_0 + sum_j Im(x_j e^{i (omega_j t + phi_j)}) from mats[j] x_j = B[j]:
+    row 0 is the offset's, whose x_0 is real, the rows after it the forcing
+    terms'.  A zero right-hand side is not solved; its x_j is 0."""
     live = B.any(axis=1)
     X = np.zeros(B.shape, complex)
     X[live] = np.linalg.solve(mats[live], B[live, :, None])[..., 0]
-    return X[0].real, X[1:]
+    return TrigSum(X[1:].T, rhs.omegas, rhs.phases, X[0].real)
 
 
 def _rk4_particular(rhs, coeffs, h: float, n: int):
-    """(y_c, V) of the periodic solution y_p,k = y_c + sum_j Im(v_j e^{i theta_jk}),
+    """The periodic solution y_p,k = y_c + sum_j Im(v_j e^{i theta_jk}) as a TrigSum,
     theta_jk = omega_j t_k + phi_j, of the RK4 recurrence for the inputs
     offset + proj sin(omegas t + phases): (I - P) y_c = (C0 + Ch + (h/6) I)
     offset and (z_j I - P) v_j = (C0 + w_j Ch + (h/6) z_j I) proj_j, with
@@ -439,14 +499,7 @@ def _rk4_particular(rhs, coeffs, h: float, n: int):
     mats = z * eye - P
     if (np.linalg.svd(mats[B.any(axis=1)], compute_uv=False)[:, -1] * n < 1.0).any():
         return None
-    return _solve_sources(mats, B)
-
-
-def _particular_at(rhs, part, ts: np.ndarray) -> np.ndarray:
-    """y_c + sum_j Im(v_j e^{i (omega_j t + phi_j)}) at the times ts, shape (len(ts), dim)."""
-    y_c, V = part
-    theta = np.outer(ts, rhs.omegas) + rhs.phases
-    return y_c + np.sin(theta) @ V.real + np.cos(theta) @ V.imag
+    return _solve_sources(rhs, mats, B)
 
 
 def _rk4_affine_steps(coeffs, y: np.ndarray, F: np.ndarray, h: float) -> np.ndarray:
@@ -504,11 +557,11 @@ def _rk4_record(rhs, y: np.ndarray, cfg: IntegratorConfig):
             return ts, out
         P = coeffs[0]
         M = np.linalg.matrix_power(P, nsub)
-        e = y - _particular_at(rhs, part, np.zeros(1))[0].reshape(-1, *tail)
+        e = y - part([0.0])[0].reshape(-1, *tail)
         for r0 in range(1, ts.size, per_chunk):
             r1 = min(r0 + per_chunk, ts.size)
             ks = nsub * np.arange(r0, r1)
-            yp = _particular_at(rhs, part, (0.5 * h) * (2 * ks))
+            yp = part.on_grid(0.0, nsub * h, r0, r1 - r0)
             out[r0:r1] = yp.reshape(yp.shape + tail)
             # A zero homogeneous part stays 0 instead of 0 * inf.
             if P.shape == (1, 1):
@@ -536,7 +589,7 @@ _DP_A = (
     (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
 )
 _DP_E = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40)
-_DP_CS = np.array(_DP_C)[:, None]
+_DP_CS = np.array(_DP_C)
 _POWERS = np.arange(8.0)
 
 
@@ -577,7 +630,7 @@ def _dopri5_trial(rhs, T: np.ndarray, t: float, y: np.ndarray, h: float):
     """(y5, h err) of the trial step of size h from y at t: one matrix-vector
     product with sum_q h^q T[q].  The stage angles are formed as
     ``LinearTrigRhs.__call__`` forms them at t + c_i h."""
-    s = np.sin((t + _DP_CS * h) * rhs.omegas + rhs.phases)
+    s = np.sin(rhs.forcing.angles(t + _DP_CS * h))
     out = (h ** _POWERS @ T.reshape(8, -1)).reshape(T.shape[1:]) @ np.concatenate(
         (y, s.ravel(), (1.0,)))
     return y + out[:y.size], out[y.size:]
@@ -673,7 +726,7 @@ def integrate_ode_snapshots(sys: SystemSpec, u0, cfg: IntegratorConfig,
                         F = _trig_inputs(rhs, t_prev, h, k0, min(_CHUNK, nsub - k0))
                         y = _rk4_affine_steps(coeffs, y, F, h)[-1]
                 else:
-                    yp = _particular_at(rhs, part, t_prev + (0.5 * h) * (2 * np.array([0, nsub])))
+                    yp = part(t_prev + np.array([0, nsub * h]))
                     y = np.linalg.matrix_power(coeffs[0], nsub) @ (y - yp[0]) + yp[1]
         _check_records(y[None], (t,), cfg.bound)
         out[i] = y

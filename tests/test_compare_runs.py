@@ -117,9 +117,23 @@ def test_report_drift(tmp_path, capsys):
     lines = capsys.readouterr().out.splitlines()
     # Every differing file is named, not only the first; the key set differs
     # by two keys and the verdict by one string.
-    assert [ln.split(":")[0] for ln in lines] == ["tiny/report.json"] * 2 + ["tiny/trajectory.csv"]
+    assert [ln.split(":")[0] for ln in lines] == ["tiny/report.json"] * 2 + ["tiny/trajectory.csv"] * 2
     assert lines[1] == "tiny/report.json: max |delta| 0.25 over numeric leaves, " \
                        "3 non-numeric mismatches"
+    assert lines[3] == "tiny/trajectory.csv: max |delta| 0.1 over numeric leaves, " \
+                       "0 non-numeric mismatches"
+
+
+def test_csv_drift(tmp_path, capsys):
+    a, b = _tree(tmp_path / "a"), _tree(tmp_path / "b")
+    csv = b / "tiny" / "trajectory.csv"
+    csv.write_text("t,x2\n0,1.5\n0.1,1.2500000003\n0.2,7\n")
+    assert compare_runs.main([str(a), str(b)]) == 1
+    # The header field and the extra row are the non-numeric mismatches.
+    assert capsys.readouterr().out.splitlines() == [
+        "tiny/trajectory.csv: line 1: 't,x1' != 't,x2'",
+        "tiny/trajectory.csv: max |delta| 3e-10 over numeric leaves, 2 non-numeric mismatches",
+    ]
 
 
 def test_report_drift_of_numbers_only(tmp_path, capsys):

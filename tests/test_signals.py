@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 from scipy.interpolate import CubicSpline, PPoly
 
+from poisson_lab.cli import main
 from poisson_lab.errors import (
     DimensionMismatch,
     ParseError,
@@ -29,6 +30,7 @@ from poisson_lab.signals import (
     write_csv,
     write_signal_csv,
 )
+from poisson_lab.systems import forcing_signal
 
 
 @pytest.fixture(scope="module")
@@ -535,13 +537,22 @@ def exact_sine():
 
 def test_exact_signal_keeps_the_domain_checks(exact_sine):
     spline = Signal(exact_sine.t0, exact_sine.dt, exact_sine.samples)
-    for f in (exact_sine, spline):
+    # sin t and cos t as a trig sum, whose shift_reader turns angles instead.
+    trig = forcing_signal("trig-sum", 0.0, 50.0, 0.01,
+                          components=[[[1.0, 1.0, 0.0]], [[1.0, 1.0, math.pi / 2]]])
+    for f in (exact_sine, spline, trig):
         for t in (math.nan, math.inf, -math.inf, -0.1, 50.1):
             with pytest.raises(WindowOutOfDomain):
                 f.values([1.0, t])
-        for tau in (math.nan, math.inf, -1.0, 49.9):
+        for tau in (math.nan, math.inf, -1.0, 49.9, -0.1 - 1e-8, 49.41 + 1e-8):
             with pytest.raises(WindowOutOfDomain):
                 f.window_values(10, 50, [2.0, tau])
+            for idx in (np.arange(10, 60), np.array([10, 30, 59])):
+                with pytest.raises(WindowOutOfDomain):
+                    f.shift_reader(idx)(np.array([2.0, tau]))
+        # Shifts within the grid slack of the ends are read.
+        edge = f.shift_reader(np.arange(10, 60))(np.array([-0.1 - 1e-12, 49.41 + 1e-12]))
+        assert np.abs(edge[[0, 1], [0, -1]] - _sin_cos(np.array([0.0, 50.0]))).max() < 1e-9
     # Times within the grid slack are clipped to the domain.
     assert bitwise_equal(exact_sine.values([-1e-12, 50.0 + 1e-12]), _sin_cos(np.array([0.0, 50.0])))
     assert "_spline" not in exact_sine.__dict__
@@ -614,8 +625,8 @@ _CSV_FLOATS = st.floats(min_value=-1e150, max_value=1e150) | st.sampled_from(
 
 @given(rows=st.lists(st.lists(_CSV_FLOATS, min_size=2, max_size=2), min_size=2, max_size=8),
        t0=st.floats(-1e6, 1e6))
-# Two equal samples near the top of the range: their sum, and so their mean, is still finite.
-@example(rows=[[8.9e307, -8.9e307], [8.9e307, -8.9e307]], t0=0.0)
+# Constant columns at the top of the range: their sum overflows, their deviations are 0.
+@example(rows=[[1e308, -1e308], [1e308, -1e308]], t0=0.0)
 @example(rows=[[-0.0, 5e-324], [0.0, -5e-324], [2.2250738585072014e-308, 1e-320]], t0=-0.0)
 def test_csv_round_trip_is_bit_identical(tmp_path_factory, rows, t0):
     path = tmp_path_factory.mktemp("round") / "sig.csv"
@@ -656,6 +667,33 @@ def test_csv_rejects_a_step_whose_cube_overflows(tmp_path):
     # The coefficients are finite, but s^3 overflows near the end of an interval.
     with pytest.raises(ParseError, match="spline overflows"):
         read_signal_csv(_stepped_csv(tmp_path / "wider.csv", 1e103))
+
+
+def test_csv_reads_a_constant_column_at_the_top_of_the_range(tmp_path, capsys):
+    path = tmp_path / "top.csv"
+    path.write_text("t,x1\n0,1e308\n1,1e308\n2,1e308\n")
+    assert read_signal_csv(path).samples.tolist() == [[1e308]] * 3
+    # Three samples are too short for the default window: one line, exit 2.
+    assert main(["classify", str(path)]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: 3 samples are too short for the default window (needs 5)"]
+    path.write_text("t,x1\n" + "".join(f"{k},1e308\n" for k in range(40)))
+    assert main(["classify", str(path)]) == 0
+    assert capsys.readouterr().err == ""
+    # Deviations from the mean that do overflow are still rejected.
+    path.write_text("t,x1\n0,1e308\n1,-1e308\n")
+    with pytest.raises(ParseError, match="squared deviations overflow"):
+        read_signal_csv(path)
+
+
+def test_csv_non_finite_field_names_the_file_line(tmp_path):
+    path = tmp_path / "nan.csv"
+    path.write_text("t,x1\n\n\n0,1\n0.1,nan\n")
+    with pytest.raises(ParseError, match=r"nan\.csv:5: non-finite field"):
+        read_signal_csv(path)
+    path.write_text("\nt,x1\n0,inf\n0.1,1\n")
+    with pytest.raises(ParseError, match=r"nan\.csv:3: non-finite field"):
+        read_signal_csv(path)
 
 
 def test_csv_rejects_non_uniform(tmp_path):

@@ -19,11 +19,13 @@ from poisson_lab.errors import (
 from poisson_lab.scenarios import build_scenario
 from poisson_lab.signals import Signal, sample_function
 from poisson_lab.systems import (
+    _BLOCK,
     IntegratorConfig,
     SystemSpec,
+    TrigSum,
     _dopri5_table,
     _dopri5_trial,
-    _particular_at,
+    _fold_terms,
     _record_times,
     _rk4_affine_steps,
     _rk4_coeffs,
@@ -1068,7 +1070,7 @@ def test_rk4_periodic_solution_approaches_steady_state_at_fourth_order():
     gaps = []
     for h in (0.1, 0.05, 0.025):
         part = _rk4_particular(rhs, _rk4_coeffs(rhs.A, h), h, round(20.0 / h))
-        gaps.append(np.abs(_particular_at(rhs, part, ts) - exact).max())
+        gaps.append(np.abs(part(ts) - exact).max())
     # Halving h divides a fourth-order error by about 16.
     assert 14.0 <= gaps[0] / gaps[1] <= 19.0
     assert 14.0 <= gaps[1] / gaps[2] <= 19.0
@@ -1131,6 +1133,91 @@ def test_forcing_signal_survives_pickle():
     ts = np.linspace(0.0, 100.0, 777)
     assert g.exact is not None and np.array_equal(g.samples, f.samples)
     assert np.array_equal(g.values(ts), f.values(ts))
+
+
+# The fixed bound on an angle-addition value: 16 u (1 + max |omega t|) sum |amp|,
+# u = 2^-53, with t every time read, also plus the base shift s, and s itself:
+# folded into the phases, omega s is an angle of the same size.
+def _turn_bound(omegas, amps, times, shift=0.0) -> float:
+    times = np.concatenate([np.ravel(times), np.ravel(times) + shift, [shift]])
+    wt = np.abs(omegas).max(initial=0.0) * np.abs(times).max()
+    return 16 * 2.0 ** -53 * (1.0 + wt) * np.abs(amps).sum()
+
+
+def _draw_trig_sum(rng, dim, base_shift, complex_amps=False):
+    """A TrigSum of 0-3 terms per component (possibly none at all), and its
+    (amp, omega, phase) components."""
+    comps = [[(rng.uniform(-2, 2), rng.uniform(-3, 3), rng.uniform(-math.pi, math.pi))
+              for _ in range(rng.integers(0, 4))] for _ in range(dim)]
+    proj, omegas, phases = _fold_terms(comps, dim, base_shift)
+    if complex_amps:
+        proj = proj * np.exp(1j * rng.uniform(-math.pi, math.pi, proj.shape))
+    return TrigSum(proj, omegas, phases), comps
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(1, 3),
+       st.sampled_from([1, 2, _BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 7, 2000]),
+       st.integers(0, 3 * _BLOCK), st.sampled_from([0.0, -1e5, 7.3e4]), st.booleans())
+@example(0, 1, 1, 0, 0.0, False)
+@example(1, 2, 2000, 0, -1e5, True)
+@settings(max_examples=60)
+def test_trig_sum_on_grid_is_the_direct_formula_within_its_bound(seed, dim, n, k0, shift,
+                                                                 complex_amps):
+    rng = np.random.default_rng(seed)
+    ev, _ = _draw_trig_sum(rng, dim, shift, complex_amps)
+    t0, dt = rng.uniform(-2e5, 2e5), rng.uniform(1e-3, 1.0)
+    ts = t0 + dt * np.arange(k0, k0 + n)
+    got = ev.on_grid(t0, dt, k0, n)
+    assert got.shape == (n, dim)
+    assert np.abs(got - ev(ts)).max() <= _turn_bound(ev.omegas, ev.V, ts, shift)
+    # The blocks sit at multiples of _BLOCK, so any split reads the same values.
+    cut = int(rng.integers(0, n + 1))
+    parts = [ev.on_grid(t0, dt, k0, cut), ev.on_grid(t0, dt, k0 + cut, n - cut)]
+    assert np.concatenate(parts).tobytes() == got.tobytes()
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(1, 3), st.integers(1, 700),
+       st.sampled_from([1, 5]), st.sampled_from([0.0, -3e4]), st.booleans())
+@example(0, 1, 1, 1, 0.0, False)
+@example(2, 3, 700, 5, -3e4, True)
+@settings(max_examples=60)
+def test_trig_sum_shifted_is_the_direct_formula_within_its_bound(seed, dim, m, n_tau, shift,
+                                                                 complex_amps):
+    rng = np.random.default_rng(seed)
+    ev, _ = _draw_trig_sum(rng, dim, shift, complex_amps)
+    ts = np.sort(rng.uniform(-1e5, 2e5, m))
+    taus = rng.uniform(-1e5, 1e5, n_tau)
+    got = ev.shifted(ts)(taus)
+    want = ev((taus[:, None] + ts).ravel()).reshape(n_tau, m, dim)
+    times = np.concatenate([ts, taus, (taus[:, None] + ts).ravel()])
+    assert np.abs(got - want).max() <= _turn_bound(ev.omegas, ev.V, times, shift)
+
+
+@given(st.integers(0, 2**32 - 1), st.sampled_from([1, 300, 2 * _BLOCK]))
+@example(0, 300)
+@settings(max_examples=20)
+def test_rhs_inputs_and_forcing_signal_are_the_direct_forcing_within_its_bound(seed, n):
+    rng = np.random.default_rng(seed)
+    dim, shift = 2, rng.uniform(-1e4, 1e4)
+    _, comps = _draw_trig_sum(rng, dim, 0.0)
+    rhs = build_ode_rhs(SystemSpec("cooperative_ode", dim, "linear+trig",
+                                   {"A": [[-1.0, 0.0], [0.0, -1.0]], "forcing": comps},
+                                   base_shift=shift))
+    amps = [a for terms in comps for a, _, _ in terms]
+    t0, h, k0 = rng.uniform(-1e3, 0.0), rng.uniform(1e-3, 0.1), int(rng.integers(0, 5000))
+    ts = t0 + (0.5 * h) * np.arange(2 * k0, 2 * (k0 + n) + 1)
+    want = np.array([rhs(t, np.zeros(dim)) for t in ts])
+    got = _trig_inputs(rhs, t0, h, k0, n)
+    assert np.abs(got - want).max() <= _turn_bound(rhs.omegas, amps, ts, shift)
+    # A forcing Signal: its samples, and its shifted windows through shift_reader.
+    f = forcing_signal("trig-sum", -50.0, 150.0, 0.05, components=comps)
+    assert np.abs(f.samples - forcing_values("trig-sum", f.times(), components=comps)).max() \
+        <= _turn_bound(rhs.omegas, amps, f.times())
+    idx = np.arange(100, 100 + n)
+    taus = rng.uniform(-f.times()[100] + f.t0, f.t_end - f.times()[99 + n], 3)
+    want = forcing_values("trig-sum", (taus[:, None] + f.times()[idx]).ravel(), components=comps)
+    assert np.abs(f.shift_reader(idx)(taus) - want.reshape(3, n, dim)).max() \
+        <= _turn_bound(rhs.omegas, amps, f.times())
 
 
 def test_named_forcings_stay_on_the_spline():
