@@ -18,12 +18,14 @@ comma-separated fields, numeric where they parse as a float.  For a ``manifest.j
 as ``name: old -> new`` (``absent`` for a check in one manifest only), or
 prints ``check statuses: unchanged``: a changed ``detail`` string is a
 mismatch too, so the count alone cannot tell.  Exit 0 when the trees agree,
-1 when any file differs.
+1 when any file differs; a reader that closes the output early (``| head``)
+ends the script quietly with that status.
 """
 
 import argparse
 import json
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -168,4 +170,12 @@ def main(argv=None) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    # Output is printed only on the way to exit 1, or last, after the status is known.
+    code = 1
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # Send what is left in the buffer to /dev/null, so the flush at exit cannot fail.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    sys.exit(code)

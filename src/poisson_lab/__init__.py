@@ -34,7 +34,6 @@ from .recurrence import (  # noqa: F401
     ComparabilityProfile,
     RecurrenceReport,
     ReturnSequence,
-    ShiftStatistics,
     TauGrid,
     classify,
     comparability_profile,
@@ -44,12 +43,10 @@ from .recurrence import (  # noqa: F401
 )
 from .limits import (  # noqa: F401
     ConvergenceReport,
-    ExtremalPair,
     OmegaSample,
     contraction_check,
     convergence_check,
     entire_trajectory_estimate,
-    fiber_extrema,
     gamma_extract,
     omega_fiber_sample,
 )

@@ -17,6 +17,7 @@ from .errors import ConfigInvalid, DomainMismatch, ParseError, PoissonLabError
 from .recurrence import (
     ClassifyConfig,
     TauGrid,
+    _snap_step,
     classify,
     comparability_profile,
     default_classify_config,
@@ -149,8 +150,8 @@ def _cmd_compare(args) -> int:
         length = hi - lo
         hw = length / 4
         w = Window(lo + hw, hw)
-        grid = TauGrid(0.0, length - 2 * hw,
-                       max(traj.dt, (length - 2 * hw) / 100_000))
+        step = max(traj.dt, (length - 2 * hw) / 100_000)
+        grid = TauGrid(0.0, length - 2 * hw, _snap_step(step, traj.dt))
         eps, kw = (0.5, 0.2, 0.1), {}
     _emit(comparability_profile(traj, base, eps, grid, w, **kw).to_dict(), args.out)
     return 0

@@ -60,7 +60,3 @@ class InsufficientReturns(PoissonLabError):
 
 class NotCauchy(PoissonLabError):
     """Snapshot gaps of an extraction run fail the Cauchy criterion."""
-
-    def __init__(self, message, gaps=None):
-        super().__init__(message)
-        self.gaps = list(gaps) if gaps is not None else []

@@ -31,28 +31,18 @@ from .systems import (
 
 
 # ---------------------------------------------------------------------------
-# omega-fiber sampling and extrema
+# omega-fiber sampling
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class OmegaSample:
     """Trajectory snapshots at base return times past a settle horizon."""
 
-    returns: ReturnSequence
-    settle_time: float
     times: np.ndarray      # retained return times
     snapshots: np.ndarray  # (k, dim)
 
     def diameter(self) -> float:
         return float((self.snapshots.max(axis=0) - self.snapshots.min(axis=0)).max())
-
-
-@dataclass(frozen=True)
-class ExtremalPair:
-    alpha: np.ndarray
-    beta: np.ndarray
-    alpha_in_sample: bool
-    beta_in_sample: bool
 
 
 @dataclass(frozen=True)
@@ -81,21 +71,7 @@ def omega_fiber_sample(traj: Signal, returns: ReturnSequence,
     if keep[0] < lo or keep[-1] > hi:
         raise InsufficientReturns("return times leave the trajectory domain")
     snaps = traj.values(keep)
-    return OmegaSample(returns, settle_time, keep, snaps)
-
-
-def fiber_extrema(sample: OmegaSample, tol: float) -> ExtremalPair:
-    """Componentwise extrema of the snapshots with attainment flags.
-
-    The extrema need not be attained by any single snapshot; the flags
-    record whether they are, within tol in the sup norm.
-    """
-    snaps = sample.snapshots
-    alpha = snaps.min(axis=0)
-    beta = snaps.max(axis=0)
-    a_in = bool(np.abs(snaps - alpha).max(axis=1).min() <= tol)
-    b_in = bool(np.abs(snaps - beta).max(axis=1).min() <= tol)
-    return ExtremalPair(alpha, beta, a_in, b_in)
+    return OmegaSample(keep, snaps)
 
 
 # ---------------------------------------------------------------------------
@@ -127,9 +103,7 @@ def gamma_extract(sys: SystemSpec, start, returns: ReturnSequence,
     )
     if not (final < tol and shrinking):
         raise NotCauchy(
-            f"snapshot gaps not Cauchy: tail={['%.3g' % g for g in recent]}",
-            gaps,
-        )
+            f"snapshot gaps not Cauchy: tail={['%.3g' % g for g in recent]}")
     return GammaExtraction(snaps[-1], tuple(gaps))
 
 
@@ -192,15 +166,12 @@ class ContractionResult:
 
 
 def contraction_check(sys: SystemSpec, pairs: int, horizon: float, *,
-                      box=None, seed: int = 0) -> ContractionResult:
+                      box, seed: int = 0) -> ContractionResult:
     """Strict decrease of the gap between same-fiber pairs at five sampled
     times (fixed-step RK4, dt 1e-3)."""
     if pairs < 8:
         raise ValueError("need at least 8 pairs")
-    if box is None:
-        box = np.array([[-1.0, 1.0]] * sys.dim)
-    else:
-        box = np.asarray(box, dtype=float)
+    box = np.asarray(box, dtype=float)
     cfg = IntegratorConfig(method="rk4_fixed", dt=1e-3, t_end=horizon,
                            record_dt=horizon / 5)
     rng = np.random.default_rng(seed)

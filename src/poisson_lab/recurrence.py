@@ -119,21 +119,6 @@ def _snap_step(step: float, dt: float) -> float:
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class ShiftStatistics:
-    """Detected epsilon-shifts on a tau grid, with gap statistics."""
-
-    epsilon: float
-    window: Window
-    tau_grid: TauGrid
-    shifts: np.ndarray
-    max_gap: float
-
-    @property
-    def saturated(self) -> bool:
-        return self.max_gap > 0.5 * self.tau_grid.span
-
-
-@dataclass(frozen=True)
 class ReturnSequence:
     """Times t_n with discrepancy below a decreasing threshold schedule."""
 
@@ -232,24 +217,19 @@ def _window_dict(w: Window) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# shift statistics
+# inclusion-length tables
 # ---------------------------------------------------------------------------
-
-def _stats_from_profile(f, epsilon, tau_grid, w, taus, D) -> ShiftStatistics:
-    shifts = taus[D < epsilon]
-    return ShiftStatistics(epsilon, w, tau_grid, shifts, _max_gap(shifts, tau_grid))
-
 
 def _max_gap(shifts: np.ndarray, grid: TauGrid) -> float:
     """Largest shift-free stretch inside the grid range (edges included)."""
     return float(np.diff(np.concatenate(([grid.tau_min], shifts, [grid.tau_max]))).max())
 
 
-def _table_rows(f, epsilons, grid, w, taus, D) -> list:
+def _table_rows(epsilons, grid, taus, D) -> list:
     """Rows (epsilon, L, saturated) of an inclusion-length table; saturated
     flags L still swallowing the grid, where relative density fails."""
-    stats = (_stats_from_profile(f, float(e), grid, w, taus, D) for e in epsilons)
-    return [(st.epsilon, st.max_gap, st.saturated) for st in stats]
+    gaps = [(e, _max_gap(taus[D < e], grid)) for e in map(float, epsilons)]
+    return [(e, L, L > 0.5 * grid.span) for e, L in gaps]
 
 
 def _table_verdict(rows, wdict, notes="") -> Verdict:
@@ -268,8 +248,7 @@ def _table_verdict(rows, wdict, notes="") -> Verdict:
 # ---------------------------------------------------------------------------
 
 def poisson_returns(f: Signal, epsilon_schedule, w: Window, *,
-                    separation: float = 5.0,
-                    tau_max: float | None = None) -> ReturnSequence:
+                    separation: float = 5.0) -> ReturnSequence:
     """Greedy search for returns t_1 < t_2 < ... with D(t_n) < epsilon_n.
 
     A probe bound (a max over 64 evenly spread window points, which never
@@ -283,8 +262,6 @@ def poisson_returns(f: Signal, epsilon_schedule, w: Window, *,
     sched = [float(e) for e in epsilon_schedule]
     if not (math.isfinite(separation) and separation >= 0):
         raise ValueError("separation must be finite and nonnegative")
-    if tau_max is not None and not math.isfinite(tau_max):
-        raise ValueError("tau_max must be finite")
     if not sched:
         return ReturnSequence((), (), ())
     if not all(e > 0 for e in sched) or any(b > a + 1e-15 for a, b in zip(sched, sched[1:])):
@@ -296,8 +273,6 @@ def poisson_returns(f: Signal, epsilon_schedule, w: Window, *,
     dt = f.dt
     # Largest aligned shift that keeps the translated window in range.
     j_hi = n - 1 - i1
-    if tau_max is not None:
-        j_hi = min(j_hi, int(math.floor(tau_max / dt + 1e-9)))
     if j_hi < 1:
         return ReturnSequence((), (), ())
 
@@ -703,13 +678,13 @@ def _classify(f: Signal, base, cfg: ClassifyConfig, D=None) -> RecurrenceReport:
 
     # Bohr-style table ------------------------------------------------------
     classes["bohr_ap"] = _table_verdict(
-        _table_rows(f, cfg.bohr_epsilons, grid, w, taus, D), wdict,
+        _table_rows(cfg.bohr_epsilons, grid, taus, D), wdict,
         notes="inclusion length saturates the grid at this scale")
 
     # almost recurrence (shift metric) --------------------------------------
     Db = bebutov_profile(f, taus, w)
     classes["almost_recurrent"] = _table_verdict(
-        _table_rows(f, cfg.bohr_epsilons, grid, w, taus, Db), wdict)
+        _table_rows(cfg.bohr_epsilons, grid, taus, Db), wdict)
 
     # Poisson returns --------------------------------------------------------
     sched = tuple(s * scale for s in cfg.poisson_schedule)

@@ -34,7 +34,6 @@ from .limits import (
     contraction_check,
     convergence_check,
     entire_trajectory_estimate,
-    fiber_extrema,
     gamma_extract,
     omega_fiber_sample,
 )
@@ -167,9 +166,6 @@ _COUNTEREXAMPLE = SystemSpec(
     "cooperative_ode", 2, "linear+trig",
     {"A": [[-1.0, -0.5], [0.5, -1.0]], "forcing": [[], []]},
 )
-# The sign test decides monotonicity everywhere; the probe time only places
-# its witness.
-_T_PROBE = (0.0,)
 
 
 def _builder(name: str, system: SystemSpec, integrator: IntegratorConfig,
@@ -194,12 +190,12 @@ def _check_monotone(em: _Emitter, cfg: ScenarioConfig,
         em.check("monotonicity_battery", ordered, worst,
                  f"{count} ordered pairs on [0, {horizon:g}]"
                  + ("" if ordered else f"; violated at {witness}"))
-    res = quasimonotone_check(cfg.system, ana["state_box"], _T_PROBE)
+    res = quasimonotone_check(cfg.system)
     em.check("quasimonotone", res.passed,
              detail="exact sign test: A off the diagonal and A_delay nonnegative"
              if res.passed else f"witness {res.witness}")
-    bad = quasimonotone_check(_COUNTEREXAMPLE, [[-1, 1], [-1, 1]], _T_PROBE)
-    ok = (not bad.passed) and bad.witness is not None and bad.witness[2:] == (0, 1)
+    bad = quasimonotone_check(_COUNTEREXAMPLE)
+    ok = (not bad.passed) and bad.witness == (0, 1)
     em.check("quasimonotone_counterexample", ok,
              detail=f"planted negative off-diagonal witnessed: {bad.witness}")
 
@@ -269,11 +265,11 @@ def _extremal_solution(em: _Emitter, cfg: ScenarioConfig, u0, returns,
                   omega.times, omega.snapshots)
     em.check("omega_singleton", omega.diameter() < 1e-3, omega.diameter(),
              "retained snapshot diameter")
-    pair = fiber_extrema(omega, tol=1e-6)
+    alpha, beta = omega.snapshots.min(axis=0), omega.snapshots.max(axis=0)
     try:
-        g = gamma_extract(cfg.system, pair.alpha, returns, snap_cfg,
+        g = gamma_extract(cfg.system, alpha, returns, snap_cfg,
                           tol=ana["gamma_tol"])
-        d = gamma_extract(cfg.system, pair.beta, returns, snap_cfg,
+        d = gamma_extract(cfg.system, beta, returns, snap_cfg,
                           tol=ana["gamma_tol"])
     except NotCauchy as exc:
         em.check("gamma_cauchy", False, None, str(exc))
@@ -286,8 +282,8 @@ def _extremal_solution(em: _Emitter, cfg: ScenarioConfig, u0, returns,
     em.check("gamma_delta_agree", agree < 1e-3, agree,
              "extremal-start extractions coincide")
     # The largest violation of gamma <= alpha <= beta <= delta, componentwise.
-    viol = max(float((g.gamma - pair.alpha).max()), float((pair.alpha - pair.beta).max()),
-               float((pair.beta - d.gamma).max()), 0.0)
+    viol = max(float((g.gamma - alpha).max()), float((alpha - beta).max()),
+               float((beta - d.gamma).max()), 0.0)
     em.check("sandwich", viol <= ana["sandwich_tol"], viol,
              f"gamma <= alpha <= beta <= delta componentwise within "
              f"{ana['sandwich_tol']:g}; the report holds the residual")
@@ -623,7 +619,7 @@ def _run_s4(em: _Emitter, cfg: ScenarioConfig) -> None:
 
     _check_monotone(em, cfg, cfg.integrator)
     bad_sys = replace(sysspec, params={**p, "A_delay": [[-1.0]]})
-    bad = quasimonotone_check(bad_sys, ana["state_box"], _T_PROBE)
+    bad = quasimonotone_check(bad_sys)
     em.check("quasimonotone_delay_counterexample", not bad.passed,
              detail="negative delayed coefficient must fail")
 

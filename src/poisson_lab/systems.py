@@ -974,10 +974,10 @@ def require_countable(sys: SystemSpec, cfg: IntegratorConfig, m: int) -> None:
 @dataclass(frozen=True)
 class QuasimonotoneResult:
     passed: bool
-    witness: tuple | None = None  # (t, state, i, j)
+    witness: tuple | None = None  # (i, j)
 
 
-def quasimonotone_check(sys: SystemSpec, box, t_probe) -> QuasimonotoneResult:
+def quasimonotone_check(sys: SystemSpec) -> QuasimonotoneResult:
     """Exact cooperativity test of the affine right-hand side.
 
     The ODE and parabolic kinds need Kamke's condition: every off-diagonal
@@ -985,13 +985,9 @@ def quasimonotone_check(sys: SystemSpec, box, t_probe) -> QuasimonotoneResult:
     whose grid couplings nu/dx^2 are positive).  The DDE kind needs the
     quasimonotone condition: also every entry of A_delay is >= 0 (H. L. Smith,
     Monotone Dynamical Systems, AMS 1995, ch. 3 and 5).  For an affine system
-    these signs decide the condition on the whole state space, so box and
-    t_probe only place the witness (t_probe[0], lower corner of box, i, j) of
-    the first negative entry in column order.
+    these signs decide the condition on the whole state space; the witness
+    (i, j) is the first negative entry in column order.
     """
-    box = np.asarray(box, dtype=float)
-    if box.ndim != 2 or box.shape[1] != 2 or box.shape[0] == 0:
-        raise ConfigInvalid("box must be an array of (lo, hi) rows")
     rhs = affine_rhs(sys)
     bad = (rhs.A < 0) & ~np.eye(rhs.dim, dtype=bool)
     if rhs.A_delay is not None:
@@ -1000,4 +996,4 @@ def quasimonotone_check(sys: SystemSpec, box, t_probe) -> QuasimonotoneResult:
     if hits.size == 0:
         return QuasimonotoneResult(True)
     j, i = hits[0]
-    return QuasimonotoneResult(False, (float(t_probe[0]), box[:, 0].copy(), int(i), int(j)))
+    return QuasimonotoneResult(False, (int(i), int(j)))

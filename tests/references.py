@@ -21,12 +21,11 @@ from poisson_lab.errors import (
 )
 from poisson_lab.recurrence import (
     QuasiPeriodicFit,
-    ShiftStatistics,
     TauGrid,
     _dominant_component,
     _golden_min,
+    _max_gap,
     _spectral_peaks,
-    _stats_from_profile,
 )
 from poisson_lab.signals import Signal, Window, discrepancy_profile
 from poisson_lab.systems import (
@@ -238,13 +237,14 @@ def uniform_stability_estimate(sys: SystemSpec, anchor, epsilon_list,
 
 
 def almost_periods(f: Signal, epsilon: float, tau_grid: TauGrid,
-                   w: Window) -> ShiftStatistics:
-    """All grid shifts tau with windowed discrepancy D(tau) < epsilon."""
+                   w: Window) -> tuple:
+    """(shifts, max_gap): all grid shifts tau with windowed discrepancy
+    D(tau) < epsilon, and the largest shift-free stretch of the grid."""
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
     taus = tau_grid.values()
-    D = discrepancy_profile(f, taus, w)
-    return _stats_from_profile(f, epsilon, tau_grid, w, taus, D)
+    shifts = taus[discrepancy_profile(f, taus, w) < epsilon]
+    return shifts, _max_gap(shifts, tau_grid)
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,8 @@ import re
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
+from types import SimpleNamespace
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -107,6 +109,23 @@ def test_compare_domain_mismatch(tmp_path, capsys):
     write_signal_csv(sample_function(np.sin, 0.0, 10.0, 0.01), a)
     write_signal_csv(sample_function(np.sin, 100.0, 110.0, 0.01), b)
     assert main(["compare", str(a), str(b)]) == 2
+
+
+def test_compare_default_tau_step_stays_on_the_grid(tmp_path, capsys):
+    # 250,001 samples at dt 0.05: span / 100,000 = 0.0625 is 1.25 dt, which
+    # would read most shifts off the interpolant.
+    path = tmp_path / "long.csv"
+    write_signal_csv(sample_function(np.sin, 0.0, 12500.0, 0.05), path)
+    seen = []
+
+    def profile(traj, base, eps, grid, w, **kw):
+        seen.append((traj.dt, grid.tau_step))
+        return SimpleNamespace(to_dict=dict)
+
+    with patch("poisson_lab.cli.comparability_profile", profile):
+        assert main(["compare", str(path), str(path)]) == 0
+    (dt, step), = seen
+    assert step >= dt and step == dt * round(step / dt)
 
 
 @pytest.mark.parametrize("rows, code", [(5, 2), (6, 0)])

@@ -1,12 +1,14 @@
 import importlib.util
 import json
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-_SPEC = importlib.util.spec_from_file_location(
-    "compare_runs", Path(__file__).resolve().parents[1] / "scripts" / "compare_runs.py")
+_SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "compare_runs.py"
+_SPEC = importlib.util.spec_from_file_location("compare_runs", _SCRIPT)
 compare_runs = importlib.util.module_from_spec(_SPEC)
 _SPEC.loader.exec_module(compare_runs)
 
@@ -158,3 +160,19 @@ def test_manifest_drift(tmp_path, capsys):
         "tiny/manifest.json: max |delta| 2e-12 over numeric leaves, 1 non-numeric mismatches",
         "tiny/manifest.json: quasimonotone: pass -> fail",
     ]
+
+
+def test_reader_closing_early_ends_quietly(tmp_path):
+    # The second differing file's first difference is a 600 kB line, more
+    # than a pipe holds, so the script writes on after its reader has gone.
+    a, b = _tree(tmp_path / "a"), _tree(tmp_path / "b")
+    (b / "tiny" / "report.json").write_text(json.dumps({"value": 0.2}))
+    for root, digit in ((a, "1"), (b, "2")):
+        (root / "tiny" / "trajectory.csv").write_text("t,x1\n0," + digit * 300_000 + "\n")
+    proc = subprocess.Popen([sys.executable, str(_SCRIPT), str(a), str(b)],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert proc.stdout.readline().startswith(b"tiny/report.json: ")
+    proc.stdout.close()
+    assert proc.wait(timeout=60) == 1
+    assert proc.stderr.read() == b""
+    proc.stderr.close()

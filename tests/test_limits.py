@@ -12,7 +12,6 @@ from poisson_lab.limits import (
     contraction_check,
     convergence_check,
     entire_trajectory_estimate,
-    fiber_extrema,
     gamma_extract,
     omega_fiber_sample,
 )
@@ -61,39 +60,6 @@ def test_omega_sample_insufficient():
     f = Signal(0.0, 0.1, np.zeros((201, 1)))
     with pytest.raises(InsufficientReturns):
         omega_fiber_sample(f, periodic_returns(3), settle_time=19.0)
-
-
-# ---------------------------------------------------------------------------
-# extrema
-# ---------------------------------------------------------------------------
-
-def _sample_from(snapshots):
-    arr = np.asarray(snapshots, dtype=float)
-    if arr.ndim == 1:
-        arr = arr[:, None]
-    times = np.arange(1.0, len(arr) + 1.0)
-    seq = ReturnSequence(tuple(times), (0.0,) * len(arr), (1.0,) * len(arr))
-    from poisson_lab.limits import OmegaSample
-    return OmegaSample(seq, 0.0, times, arr)
-
-
-def test_extrema_single_snapshot():
-    pair = fiber_extrema(_sample_from([[0.4, -0.2]]), tol=1e-9)
-    assert np.array_equal(pair.alpha, pair.beta)
-    assert pair.alpha_in_sample and pair.beta_in_sample
-
-
-def test_extrema_componentwise_outside_sample():
-    pair = fiber_extrema(_sample_from([[0.0, 1.0], [1.0, 0.0]]), tol=1e-9)
-    assert np.array_equal(pair.alpha, [0.0, 0.0])
-    assert np.array_equal(pair.beta, [1.0, 1.0])
-    assert not pair.alpha_in_sample and not pair.beta_in_sample
-
-
-def test_extrema_scalar_always_attained():
-    pair = fiber_extrema(_sample_from([0.2, 0.5, 0.9]), tol=1e-9)
-    assert pair.alpha[0] == 0.2 and pair.beta[0] == 0.9
-    assert pair.alpha_in_sample and pair.beta_in_sample
 
 
 # ---------------------------------------------------------------------------
@@ -271,11 +237,12 @@ def test_entire_trajectory_insufficient():
 # ---------------------------------------------------------------------------
 
 def test_contraction_verdicts():
-    assert contraction_check(ode([[-1.0]], [[]]), pairs=8, horizon=5.0).contracting
-    res = contraction_check(ode([[0.0]], [[]]), pairs=8, horizon=5.0)
+    box = [[-1.0, 1.0]]
+    assert contraction_check(ode([[-1.0]], [[]]), pairs=8, horizon=5.0, box=box).contracting
+    res = contraction_check(ode([[0.0]], [[]]), pairs=8, horizon=5.0, box=box)
     assert not res.contracting
     hurwitz = ode([[-2.0, 1.0], [1.0, -2.0]], [[], []], dim=2)
-    assert contraction_check(hurwitz, pairs=8, horizon=5.0).contracting
+    assert contraction_check(hurwitz, pairs=8, horizon=5.0, box=box * 2).contracting
 
 
 @pytest.mark.parametrize("seed", range(8))

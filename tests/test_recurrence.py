@@ -67,31 +67,31 @@ GRID = TauGrid(0.0, 120.0, 0.01)
 
 def test_sine_shift_clusters(sine):
     eps = 0.1
-    stats = almost_periods(sine, eps, GRID, W_SINE)
+    shifts, max_gap = almost_periods(sine, eps, GRID, W_SINE)
     # Shifts sit within the analytic cluster radius of exact periods.
     radius = 2 * math.asin(eps / 2)
-    frac = np.mod(stats.shifts + math.pi, 2 * math.pi) - math.pi
+    frac = np.mod(shifts + math.pi, 2 * math.pi) - math.pi
     assert np.abs(frac).max() <= radius + 0.02
     # Independent oracle for the largest gap: the shift-free stretch
     # between consecutive period clusters.
     oracle = 2 * math.pi - 2 * radius
-    assert stats.max_gap == pytest.approx(oracle, abs=0.05)
-    assert 0.0 in stats.shifts
-    assert not stats.saturated
+    assert max_gap == pytest.approx(oracle, abs=0.05)
+    assert 0.0 in shifts
+    assert not max_gap > 0.5 * GRID.span
 
 
 def test_everything_is_shift_at_huge_epsilon(sine):
     grid = TauGrid(0.0, 50.0, 0.5)
-    stats = almost_periods(sine, 2.5, grid, W_SINE)
-    assert stats.shifts.size == grid.values().size
-    assert stats.max_gap == pytest.approx(0.5, abs=1e-9)
+    shifts, max_gap = almost_periods(sine, 2.5, grid, W_SINE)
+    assert shifts.size == grid.values().size
+    assert max_gap == pytest.approx(0.5, abs=1e-9)
 
 
 def test_ramp_shifts_only_near_zero(ramp):
-    stats = almost_periods(ramp, 0.1, GRID, W_SINE)
-    assert stats.shifts.max() < 0.1
-    assert stats.max_gap > 100.0
-    assert stats.saturated
+    shifts, max_gap = almost_periods(ramp, 0.1, GRID, W_SINE)
+    assert shifts.max() < 0.1
+    assert max_gap > 100.0
+    assert max_gap > 0.5 * GRID.span
 
 
 def _density_table(f, epsilons, grid, w):
@@ -125,8 +125,8 @@ def test_density_table_ramp_saturated(ramp):
 
 
 def test_shift_set_monotonicity(sine):
-    small = almost_periods(sine, 0.05, GRID, W_SINE).shifts
-    large = almost_periods(sine, 0.2, GRID, W_SINE).shifts
+    small = almost_periods(sine, 0.05, GRID, W_SINE)[0]
+    large = almost_periods(sine, 0.2, GRID, W_SINE)[0]
     assert set(small.tolist()) <= set(large.tolist())
 
 
@@ -173,8 +173,7 @@ def test_returns_periodic(sine):
 def test_returns_two_frequency_base(h_sig):
     # Simultaneous near-periods of 1 and sqrt2 exist inside [0, 2000].
     w = Window(100.0, 100.0)
-    seq = poisson_returns(h_sig, [0.5, 0.2, 0.1], w, separation=5.0,
-                          tau_max=2000.0)
+    seq = poisson_returns(h_sig.restrict(0.0, 2200.0), [0.5, 0.2, 0.1], w, separation=5.0)
     assert len(seq) == 3
     for t, eps in zip(seq.times, seq.epsilon_schedule):
         assert shift_discrepancy(h_sig, t, w) < eps
@@ -219,14 +218,12 @@ def golden_scalar(fn, a, b, iters):
     return (x1, f1) if f1 <= f2 else (x2, f2)
 
 
-def returns_per_cluster(f, epsilon_schedule, w, separation=5.0, tau_max=None):
+def returns_per_cluster(f, epsilon_schedule, w, separation=5.0):
     sched = [float(e) for e in epsilon_schedule]
     i0, i1 = f.window_slice(w)
     m = i1 - i0 + 1
     n, dt = len(f), f.dt
     j_hi = n - 1 - i1
-    if tau_max is not None:
-        j_hi = min(j_hi, int(math.floor(tau_max / dt + 1e-9)))
     if j_hi < 1 or not sched:
         return ReturnSequence((), (), ())
     S = f.samples
@@ -336,33 +333,32 @@ def test_returns_are_the_per_cluster_scan():
            st.floats(min_value=0.05, max_value=1.0),          # first epsilon
            st.lists(st.floats(min_value=0.3, max_value=1.0), max_size=4),  # ratios
            st.floats(min_value=0.0, max_value=20.0),          # separation
-           st.one_of(st.none(), st.floats(min_value=0.0, max_value=300.0)),  # tau_max
            st.sampled_from([1, 7, 64, 1000, 1 << 15]),        # probe block, values
            st.sampled_from([1, 64, 300, 2000, 1 << 14]))      # refinement batch, values
     # Below, in order: the first cluster accepted at each level; acceptance at
     # the third and at the last cluster of the second batch; the accepted run
-    # reaches j_hi = 312 (tau_max lands on a near-period); clusters crossing
-    # blocks of 7 shifts, with j_hi + 1 = 1301 not a multiple of 7; m = 41 < 64
-    # on two components, in blocks of 3 shifts; spiky signals whose cell
-    # ranges prune brackets.
-    @example(quasi_periodic, 1, 1, 2000, 40, 1.0, [1.0, 1.0], 0.0, None, 1 << 15, 1 << 14)
-    @example(quasi_periodic, 2, 1, 2500, 60, 0.1, [0.5, 0.5], 5.0, None, 1 << 15, 1 << 14)
-    @example(quasi_periodic, 3, 1, 2000, 30, 0.3, [0.5], 5.0, 31.2, 1000, 300)
-    @example(quasi_periodic, 4, 1, 2000, 35, 0.3, [0.5, 0.6], 2.0, 130.0, 7, 300)
-    @example(quasi_periodic, 5, 2, 1500, 20, 0.8, [0.7], 3.0, None, 7, 1)
-    @example(spiky, 20, 1, 2000, 60, 1.0, [], 5.0, None, 1 << 15, 1 << 14)
-    @example(spiky, 42, 2, 1500, 80, 1.0, [0.5, 0.5], 5.0, None, 7, 300)
-    def check(family, seed, dim, n, hw_steps, eps0, ratios, separation, tau_max, block, batch):
+    # reaches j_hi = n - 1 - i1 = 312 (the signal ends on a near-period);
+    # clusters crossing blocks of 7 shifts, with j_hi + 1 = 1301 not a multiple
+    # of 7; m = 41 < 64 on two components, in blocks of 3 shifts; spiky signals
+    # whose cell ranges prune brackets.
+    @example(quasi_periodic, 1, 1, 2000, 40, 1.0, [1.0, 1.0], 0.0, 1 << 15, 1 << 14)
+    @example(quasi_periodic, 2, 1, 2500, 60, 0.1, [0.5, 0.5], 5.0, 1 << 15, 1 << 14)
+    @example(quasi_periodic, 3, 1, 376, 30, 0.3, [0.5], 5.0, 1000, 300)
+    @example(quasi_periodic, 4, 1, 1374, 35, 0.3, [0.5, 0.6], 2.0, 7, 300)
+    @example(quasi_periodic, 5, 2, 1500, 20, 0.8, [0.7], 3.0, 7, 1)
+    @example(spiky, 20, 1, 2000, 60, 1.0, [], 5.0, 1 << 15, 1 << 14)
+    @example(spiky, 42, 2, 1500, 80, 1.0, [0.5, 0.5], 5.0, 7, 300)
+    def check(family, seed, dim, n, hw_steps, eps0, ratios, separation, block, batch):
         f = family(seed, dim, n)
         w = Window(f.dt * (hw_steps + 3), f.dt * hw_steps)
         sched = list(eps0 * np.cumprod([1.0] + ratios))
-        want = returns_per_cluster(f, sched, w, separation, tau_max)
+        want = returns_per_cluster(f, sched, w, separation)
         with patch.object(recurrence, "_BLOCK_VALUES", block), \
                 patch.object(recurrence, "_BATCH_VALUES", batch), \
                 patch.object(recurrence, "_full_lower_bound",
                              wraps=recurrence._full_lower_bound) as bound, \
                 patch.object(recurrence, "_golden_min", wraps=_golden_min) as golden:
-            got = poisson_returns(f, sched, w, separation=separation, tau_max=tau_max)
+            got = poisson_returns(f, sched, w, separation=separation)
         assert got.times == want.times
         assert got.discrepancies == want.discrepancies
         assert got.epsilon_schedule == want.epsilon_schedule
@@ -446,9 +442,6 @@ def test_returns_reject_bad_arguments(sine):
     for sep in (float("nan"), float("inf"), -float("inf"), -5.0):
         with pytest.raises(ValueError, match="separation"):
             poisson_returns(sine, [0.1], w, separation=sep)
-    for tau_max in (float("nan"), float("inf"), -float("inf")):
-        with pytest.raises(ValueError, match="tau_max"):
-            poisson_returns(sine, [0.1], w, tau_max=tau_max)
     # A separation past the signal end is legal and finds no return.
     assert len(poisson_returns(sine, [0.1], w, separation=1e308)) == 0
 
