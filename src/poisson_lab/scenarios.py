@@ -83,33 +83,9 @@ class ScenarioConfig:
         object.__setattr__(self, "analysis", dict(self.analysis))
 
 
-@dataclass
 class RunManifest:
-    name: str
-    version: str
-    config: dict
-    wall_clock_s: float
-    files: list
-    summary: dict
-
-    @property
-    def exit_code(self) -> int:
-        return 0 if all(v["status"] != "fail" for v in self.summary.values()) else 1
-
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "version": self.version,
-            "config": self.config,
-            "wall_clock_s": self.wall_clock_s,
-            "files": sorted(self.files),
-            "summary": self.summary,
-            "exit_code": self.exit_code,
-        }
-
-
-class _Emitter:
-    """Collects checks and files for a run and writes the manifest last."""
+    """One run's record: its checks, report and files.  ``finish`` writes
+    ``report.json``, then ``manifest.json``."""
 
     def __init__(self, cfg: ScenarioConfig, outdir: Path):
         self.cfg = cfg
@@ -118,7 +94,23 @@ class _Emitter:
         self.summary: dict = {}  # check name -> {"status", "value", "detail"}
         self.files: list[str] = []
         self.report: dict = {}
+        self.wall_clock_s: float | None = None  # set by finish
         self._t0 = time.perf_counter()
+
+    @property
+    def exit_code(self) -> int:
+        return 0 if all(v["status"] != "fail" for v in self.summary.values()) else 1
+
+    def to_dict(self) -> dict:
+        return {
+            "name": self.cfg.name,
+            "version": __version__,
+            "config": asdict(self.cfg),
+            "wall_clock_s": self.wall_clock_s,
+            "files": sorted(self.files),
+            "summary": self.summary,
+            "exit_code": self.exit_code,
+        }
 
     def check(self, name, passed, value=None, detail=""):
         self.summary[name] = {"status": "pass" if passed else "fail",
@@ -140,20 +132,13 @@ class _Emitter:
         with open(self.outdir / name, "w", encoding="utf-8") as fh:
             json.dump(obj, fh, indent=1, sort_keys=True)
             fh.write("\n")
-        self.files.append(name)
 
     def finish(self) -> RunManifest:
+        self.files += ["report.json", "manifest.json"]
         self._dump("report.json", self.report)
-        manifest = RunManifest(
-            name=self.cfg.name,
-            version=__version__,
-            config=asdict(self.cfg),
-            wall_clock_s=round(time.perf_counter() - self._t0, 3),
-            files=self.files + ["manifest.json"],
-            summary=self.summary,
-        )
-        self._dump("manifest.json", manifest.to_dict())
-        return manifest
+        self.wall_clock_s = round(time.perf_counter() - self._t0, 3)
+        self._dump("manifest.json", self.to_dict())
+        return self
 
 
 # ---------------------------------------------------------------------------
@@ -178,7 +163,7 @@ def _builder(name: str, system: SystemSpec, integrator: IntegratorConfig,
     return build
 
 
-def _check_monotone(em: _Emitter, cfg: ScenarioConfig,
+def _check_monotone(em: RunManifest, cfg: ScenarioConfig,
                     icfg: IntegratorConfig | None = None) -> None:
     """The ordered-pair battery (where the analysis has ``battery_count``),
     the exact sign test and its planted counterexample."""
@@ -200,7 +185,7 @@ def _check_monotone(em: _Emitter, cfg: ScenarioConfig,
              detail=f"planted negative off-diagonal witnessed: {bad.witness}")
 
 
-def _check_state_box(em: _Emitter, samples: np.ndarray, box) -> None:
+def _check_state_box(em: RunManifest, samples: np.ndarray, box) -> None:
     box = np.asarray(box, dtype=float)
     lo_ok = bool(np.all(samples.min(axis=0) >= box[:, 0] - 1e-9))
     hi_ok = bool(np.all(samples.max(axis=0) <= box[:, 1] + 1e-9))
@@ -208,7 +193,7 @@ def _check_state_box(em: _Emitter, samples: np.ndarray, box) -> None:
              "boundedness proxy for conditional compactness")
 
 
-def _check_closed_form(em: _Emitter, name: str, u_p, sig: Signal, tol: float,
+def _check_closed_form(em: RunManifest, name: str, u_p, sig: Signal, tol: float,
                        detail: str, mask=slice(None)) -> None:
     """Sup distance between sig and the steady state u_p at sig's times
     (those that mask selects)."""
@@ -216,14 +201,14 @@ def _check_closed_form(em: _Emitter, name: str, u_p, sig: Signal, tol: float,
     em.check(name, err < tol, err, detail)
 
 
-def _check_convergence(em: _Emitter, a: Signal, b: Signal) -> None:
+def _check_convergence(em: RunManifest, a: Signal, b: Signal) -> None:
     conv = convergence_check(a, b, threshold=1e-3, split_count=5)
     em.check("convergence_check", conv.passed, conv.splits[-1][1],
              f"trend {conv.trend}")
     em.write_rows("convergence.csv", "T,sup_dist", conv.splits)
 
 
-def _check_period(em: _Emitter, name: str, rep, ana: dict, detail: str) -> None:
+def _check_period(em: RunManifest, name: str, rep, ana: dict, detail: str) -> None:
     """The periodic verdict holds with the forcing's period."""
     gp = rep.verdict("periodic")
     period = gp.params.get("period")
@@ -239,7 +224,7 @@ def _freqs_match(q, ana: dict) -> bool:
             and all(abs(a - b) <= ana["freq_tol"] for a, b in zip(freqs, targets)))
 
 
-def _returns(em: _Emitter, forcing: Signal, ana: dict, window: Window):
+def _returns(em: RunManifest, forcing: Signal, ana: dict, window: Window):
     """Returns of the forcing, recorded in the report."""
     returns = poisson_returns(forcing, ana["return_schedule"], window,
                               separation=ana["return_separation"])
@@ -248,7 +233,7 @@ def _returns(em: _Emitter, forcing: Signal, ana: dict, window: Window):
     return returns
 
 
-def _extremal_solution(em: _Emitter, cfg: ScenarioConfig, u0, returns,
+def _extremal_solution(em: RunManifest, cfg: ScenarioConfig, u0, returns,
                        snap_cfg: IntegratorConfig):
     """The trajectory from u0 and its state box, the omega fiber sample, its
     extrema, and the extremal restarts.
@@ -291,7 +276,7 @@ def _extremal_solution(em: _Emitter, cfg: ScenarioConfig, u0, returns,
     return traj, omega, g
 
 
-def _classify_entire(em: _Emitter, traj: Signal, returns, half_width: float,
+def _classify_entire(em: RunManifest, traj: Signal, returns, half_width: float,
                      fracs: tuple):
     """Reconstruct the entire trajectory at the last returns and classify it.
 
@@ -341,7 +326,7 @@ build_s1 = _builder(
 )
 
 
-def _run_s1(em: _Emitter, cfg: ScenarioConfig) -> None:
+def _run_s1(em: RunManifest, cfg: ScenarioConfig) -> None:
     ana = cfg.analysis
     sysspec = cfg.system
     u_p = affine_rhs(sysspec).steady_state()
@@ -436,7 +421,7 @@ def build_levitan(seed: int = 0, outputs: str | None = None,
     return ScenarioConfig("levitan", system, integrator, analysis, seed, outputs)
 
 
-def _run_levitan(em: _Emitter, cfg: ScenarioConfig) -> None:
+def _run_levitan(em: RunManifest, cfg: ScenarioConfig) -> None:
     ana = cfg.analysis
     dt = ana["dt"]
     span = ana["span"]
@@ -524,7 +509,7 @@ build_s3 = _builder(
 )
 
 
-def _run_s3(em: _Emitter, cfg: ScenarioConfig) -> None:
+def _run_s3(em: RunManifest, cfg: ScenarioConfig) -> None:
     ana = cfg.analysis
     sysspec = cfg.system
     u_p = affine_rhs(sysspec).steady_state()
@@ -601,7 +586,7 @@ build_s4 = _builder(
 )
 
 
-def _run_s4(em: _Emitter, cfg: ScenarioConfig) -> None:
+def _run_s4(em: RunManifest, cfg: ScenarioConfig) -> None:
     ana = cfg.analysis
     sysspec = cfg.system
     p = sysspec.params
@@ -667,7 +652,7 @@ build_s5 = _builder(
 )
 
 
-def _run_s5(em: _Emitter, cfg: ScenarioConfig) -> None:
+def _run_s5(em: RunManifest, cfg: ScenarioConfig) -> None:
     ana = cfg.analysis
     sysspec = cfg.system
     p = sysspec.params
@@ -813,7 +798,7 @@ def run_scenario(cfg: ScenarioConfig, outdir=None) -> RunManifest:
     can hold is rejected before any output is written.
     """
     require_countable(cfg.system, cfg.integrator, cfg.integrator.space_points or _GENERIC_NODES)
-    em = _Emitter(cfg, output_dir(cfg) if outdir is None else Path(outdir))
+    em = RunManifest(cfg, output_dir(cfg) if outdir is None else Path(outdir))
     entry = CATALOG.get(cfg.name)
     try:
         (entry[1] if entry is not None else _run_generic)(em, cfg)
@@ -824,7 +809,7 @@ def run_scenario(cfg: ScenarioConfig, outdir=None) -> RunManifest:
     return em.finish()
 
 
-def _run_generic(em: _Emitter, cfg: ScenarioConfig) -> None:
+def _run_generic(em: RunManifest, cfg: ScenarioConfig) -> None:
     """Minimal pipeline for user-supplied configs: integrate and classify."""
     sysspec = cfg.system
     ana = cfg.analysis

@@ -21,8 +21,10 @@ steps only.  The DDE method of steps, whose inputs add A_delay times the
 delayed solution, and ill-conditioned systems run it step by step.  Steps
 are indexed by integers, t_k = t0 + k h: the dense and batch
 drivers take nsub = ceil(record_dt / dt) steps of h = record_dt / nsub per
-record interval, the snapshot driver the same rule per span between
-snapshots, so the step that runs is the step configured.
+record interval, so the step that runs is the step configured.  The snapshot
+driver restarts that driver once per span between snapshots, as one record
+interval on the system translated to the span's start: the cocycle identity
+phi(t + s, x, g) = phi(t, phi(s, x, g), theta_s g).
 
 Adaptive Dormand-Prince 5(4) on the ODE runs each trial step as one step
 map: for the affine system the seven stages are linear in the state and in
@@ -84,8 +86,8 @@ class SystemSpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ConfigInvalid(f"unknown system kind {self.kind!r}")
-        if not isinstance(self.dim, int) or self.dim < 1:
-            raise ConfigInvalid("dim must be an integer >= 1")
+        if type(self.dim) is not int or self.dim < 1:
+            raise ConfigInvalid(f"dim must be an integer >= 1, got {self.dim!r}")
         object.__setattr__(self, "params", dict(self.params))
 
     def shifted(self, tau: float) -> "SystemSpec":
@@ -115,8 +117,8 @@ class IntegratorConfig:
             raise ConfigInvalid("t_end must be positive")
         if not (self.record_dt > 0 and math.isfinite(self.record_dt)):
             raise ConfigInvalid("record_dt must be positive and finite")
-        if not (isinstance(self.space_points, int) and self.space_points >= 0):
-            raise ConfigInvalid("space_points must be an integer >= 0")
+        if type(self.space_points) is not int or self.space_points < 0:
+            raise ConfigInvalid(f"space_points must be an integer >= 0, got {self.space_points!r}")
         if self.blowup_bound is not None and not 0 < self.blowup_bound < math.inf:
             raise ConfigInvalid("blowup_bound must be positive and finite")
         if not (math.isfinite(self.record_dt / self.dt)
@@ -526,8 +528,9 @@ def _rk4_affine_steps(coeffs, y: np.ndarray, F: np.ndarray, h: float) -> np.ndar
     return out
 
 
-def _rk4_record(rhs, y: np.ndarray, cfg: IntegratorConfig):
+def _rk4_record(rhs, y: np.ndarray, cfg: IntegratorConfig, t0: float = 0.0):
     """RK4 from t=0 on the record grid: (times, states); step k starts at k h.
+    Blowup messages name the record times plus t0, the run's start.
 
     In closed form record r is P^k (y_0 - y_p,0) + y_p,k at k = r nsub: P**k
     for a scalar state, else one product with M = P^nsub per record.
@@ -553,7 +556,7 @@ def _rk4_record(rhs, y: np.ndarray, cfg: IntegratorConfig):
                 # The records r with k0 < r nsub <= k0 + len(states).
                 r = np.arange(k0 // nsub + 1, (k0 + len(states)) // nsub + 1)
                 out[r] = states[r * nsub - k0 - 1]
-                _check_records(out[r], ts[r], cfg.bound)
+                _check_records(out[r], t0 + ts[r], cfg.bound)
             return ts, out
         P = coeffs[0]
         M = np.linalg.matrix_power(P, nsub)
@@ -570,7 +573,7 @@ def _rk4_record(rhs, y: np.ndarray, cfg: IntegratorConfig):
                 for r in range(r0, r1):
                     e = M @ e
                     out[r] += e
-            _check_records(out[r0:r1], ts[r0:r1], cfg.bound)
+            _check_records(out[r0:r1], t0 + ts[r0:r1], cfg.bound)
     return ts, out
 
 
@@ -700,35 +703,24 @@ def integrate_ode_snapshots(sys: SystemSpec, u0, cfg: IntegratorConfig,
                             snapshot_times) -> np.ndarray:
     """States at the given times only (no dense recording).
 
-    With RK4 each span between snapshots takes nsub = ceil(span / dt) equal
-    steps, step k at t_prev + k * span / nsub.
+    With RK4 each span between snapshots is one record interval of the
+    dense driver on ``sys.shifted(t_prev)``, restarted from the state at
+    t_prev: nsub = ceil(span / dt) equal steps.
     """
     rhs = build_ode_rhs(sys)
-    u = _coerce_state(u0, sys.dim)
+    y = _coerce_state(u0, sys.dim)
     times = np.asarray(snapshot_times, dtype=float)
     if times.size and (np.any(np.diff(times) <= 0) or times[0] < 0):
         raise ConfigInvalid("snapshot times must be positive and increasing")
     if cfg.method != "rk4_fixed":
-        return _dopri5(rhs, u, cfg, times)
+        return _dopri5(rhs, y, cfg, times)
     out = np.empty((times.size, sys.dim))
-    y = u
     t_prev = 0.0
     for i, t in enumerate(times):
         span = t - t_prev
         if span > 0:
-            nsub = max(1, math.ceil(span / cfg.dt - 1e-12))
-            h = span / nsub
-            with np.errstate(over="ignore", invalid="ignore"):  # the record check raises
-                coeffs = _rk4_coeffs(rhs.A, h)
-                part = _rk4_particular(rhs, coeffs, h, nsub)
-                if part is None:
-                    for k0 in range(0, nsub, _CHUNK):
-                        F = _trig_inputs(rhs, t_prev, h, k0, min(_CHUNK, nsub - k0))
-                        y = _rk4_affine_steps(coeffs, y, F, h)[-1]
-                else:
-                    yp = part(t_prev + np.array([0, nsub * h]))
-                    y = np.linalg.matrix_power(coeffs[0], nsub) @ (y - yp[0]) + yp[1]
-        _check_records(y[None], (t,), cfg.bound)
+            span_cfg = replace(cfg, dt=min(cfg.dt, span), record_dt=span, t_end=span)
+            y = _rk4_record(build_ode_rhs(sys.shifted(t_prev)), y, span_cfg, t_prev)[1][-1]
         out[i] = y
         t_prev = t
     return out

@@ -331,6 +331,18 @@ def test_run_config_seeds_not_a_nonnegative_int_exit_2(tmp_path, capsys, seeds):
     assert not out.exists()
 
 
+# JSON's true is a Python bool, which isinstance(x, int) lets through.
+@pytest.mark.parametrize("case, field", [
+    ((1, ("system", "dim"), True), "dim"),
+    ((2, ("integrator", "space_points"), True), "space_points"),
+])
+def test_run_boolean_count_exit_2_naming_the_field(case, field, tmp_path, capsys):
+    assert _run_corrupted(case, tmp_path) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and f"{field} must be an integer" in err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("analysis", [
     {"window": [100.0, -5.0]},
     {"tau_grid": [0.0, -1.0, 0.1]},

@@ -225,6 +225,15 @@ def test_adaptive_blowup_stops_at_first_step_past_bound(run, message):
     assert str(exc.value).endswith(message)
 
 
+def test_rk4_snapshot_blowup_names_its_absolute_time():
+    # e^6 = 403 is inside the bound, e^8 = 2981 past it: the message names
+    # the snapshot time 8, not the 2 that the span from 6 lasts.
+    cfg = IntegratorConfig(method="rk4_fixed", dt=0.01, blowup_bound=1e3)
+    with pytest.raises(BlowupDetected) as exc:
+        integrate_ode_snapshots(ode([[1.0]], [[]]), [1.0], cfg, [2.0, 4.0, 6.0, 8.0, 10.0])
+    assert str(exc.value) == "state norm 2980.96 exceeds bound 1000 at t=8"
+
+
 def test_negative_dt_rejected():
     with pytest.raises(ConfigInvalid):
         IntegratorConfig(dt=-0.1)
