@@ -252,10 +252,11 @@ def poisson_returns(f: Signal, epsilon_schedule, w: Window, *,
     """Greedy search for returns t_1 < t_2 < ... with D(t_n) < epsilon_n.
 
     A probe bound (a max over 64 evenly spread window points, which never
-    exceeds the full discrepancy) is built on the shift grid in cache-sized
-    blocks.  At each epsilon its below-margin runs are the candidate clusters,
-    golden-refined in batches that grow x4 from one; in order, the first whose
-    refinement certifies against the full windowed discrepancy is the return.
+    exceeds the full discrepancy) is gathered only at the grid shifts a 4-probe
+    pass leaves below the loosest margin.  At each epsilon its runs of consecutive
+    below-margin shifts are the candidate clusters, golden-refined in batches
+    that grow x4 from one; in order, the first whose refinement certifies
+    against the full windowed discrepancy is the return.
     On a spline Signal, brackets that ``_full_lower_bound`` proves cannot certify are skipped.
     An empty result is legal: no returns were found at the requested scales.
     """
@@ -278,19 +279,6 @@ def poisson_returns(f: Signal, epsilon_schedule, w: Window, *,
 
     S = f.samples
     probe_rel = np.unique(np.linspace(0, m - 1, min(64, m)).round().astype(int))
-    # max is exact, so reducing block by block over the probes gives the same
-    # bound as whole-signal passes, with the working set in cache.
-    D_probe = np.empty(j_hi + 1)
-    rows = max(1, _BLOCK_VALUES // dim)
-    acc, buf = np.empty((rows, dim)), np.empty((rows, dim))
-    for b0 in range(0, j_hi + 1, rows):
-        a, d = acc[: j_hi + 1 - b0], buf[: j_hi + 1 - b0]
-        a.fill(0.0)
-        for p in (i0 + b0 + probe_rel).tolist():
-            np.abs(np.subtract(S[p : p + len(d)], S[p - b0], out=d), out=d)
-            np.maximum(a, d, out=a)
-        a.max(axis=1, out=D_probe[b0 : b0 + len(a)])
-
     base = S[i0 : i1 + 1]
 
     # tau -> sup |f(t + tau) - f(t)| over the probe points or the whole
@@ -307,6 +295,8 @@ def poisson_returns(f: Signal, epsilon_schedule, w: Window, *,
     deriv = np.abs(np.diff(S[: min(n, 200_001)], axis=0)).max() / dt
     spread = float((base.max(axis=0) - base.min(axis=0)).max())
     lip_dt = min(2.0 * float(deriv) * dt, 0.5 * max(spread, 1e-12))
+    # Every margin eps + lip_dt is at most this bar, so no run holds a shift above it.
+    idx, vals = _probe_candidates(S, i0, probe_rel, j_hi, max(sched) + lip_dt)
 
     times, discs, eps_used = [], [], []
     t_prev = 0.0
@@ -314,17 +304,18 @@ def poisson_returns(f: Signal, epsilon_schedule, w: Window, *,
     batch_cap = max(1, _BATCH_VALUES // (probe_rel.size * dim))
     for eps in sched:
         found = None
-        # Candidates: the first 200_000 below-margin runs from j0 (clamped, so
-        # a vast separation finds none); a run reaching j_hi ends at j_hi + 1.
+        # Candidates: the first 200_000 runs of consecutive below-margin shifts from
+        # j0 (clamped, so a vast separation finds none), split at positions ``cuts``.
         j0 = max(1, math.ceil(min((t_prev + separation) / dt - 1e-9, j_hi + 1)))
-        below = np.concatenate(([False], D_probe[j0:] < eps + lip_dt, [False]))
-        edges = j0 + np.flatnonzero(below[1:] != below[:-1])[:400_000]
+        sel = (idx >= j0) & (vals < eps + lip_dt)
+        jb, db = idx[sel], vals[sel]
+        cuts = np.flatnonzero(np.diff(jb, prepend=-2, append=-2) != 1)[:200_001]
         k, size = 0, 1
-        while found is None and 2 * k < edges.size:
-            runs = edges[2 * k : 2 * (k + size)].reshape(-1, 2)
+        while found is None and k + 1 < cuts.size:
+            runs = cuts[k : k + size + 1].tolist()
             k, size = k + size, min(4 * size, batch_cap)
             # Refine around each run's sampled bottom.
-            tau_c = np.array([j + np.argmin(D_probe[j:je]) for j, je in runs]) * dt
+            tau_c = np.array([jb[a] + np.argmin(db[a:b]) for a, b in zip(runs, runs[1:])]) * dt
             lo = np.maximum(tau_c - 2 * dt, t_prev + separation)
             hi = np.minimum(tau_c + 2 * dt, tau_cap)
             keep = hi > lo + 1e-12
@@ -345,6 +336,32 @@ def poisson_returns(f: Signal, epsilon_schedule, w: Window, *,
         eps_used.append(eps)
         t_prev = found[0]
     return ReturnSequence(tuple(times), tuple(discs), tuple(eps_used))
+
+
+def _probe_candidates(S: np.ndarray, i0: int, probe_rel, j_hi: int, bar: float):
+    """(j, bound) of the shifts j in [0, j_hi], increasing, whose probe bound
+    max_p |S[i0 + p + j] - S[i0 + p]| is below ``bar`` > 0, so j = 0 is always one.  A
+    max over 4 of the probes never exceeds it, so that coarse bound, read at every shift,
+    picks where the whole one is gathered (the lower-bounding cascade of C. Faloutsos,
+    M. Ranganathan and Y. Manolopoulos, SIGMOD 1994).  max is exact, so cache-sized
+    blocks change no value.  No gather leaves S, so ``take`` may clip (no bounds check)."""
+    rows = max(1, _BLOCK_VALUES // S.shape[1])
+
+    def bound(probes, k, read):  # max over the probes p of |read(p, out) - S[p]|, k shifts
+        a, d = np.zeros((k, S.shape[1])), np.empty((k, S.shape[1]))
+        for p in probes:
+            np.maximum(a, np.abs(np.subtract(read(p, d), S[p], out=d), out=d), out=a)
+        return a.max(axis=1)
+
+    coarse = (i0 + probe_rel[:: -(-probe_rel.size // 4)]).tolist()
+    idx = np.concatenate([b0 + np.flatnonzero(bound(
+        coarse, min(rows, j_hi + 1 - b0), lambda p, d: S[p + b0 : p + b0 + len(d)]) < bar)
+        for b0 in range(0, j_hi + 1, rows)])
+    vals = np.concatenate([bound(
+        (i0 + probe_rel).tolist(), min(rows, idx.size - c0),
+        lambda p, d: S[p:].take(idx[c0 : c0 + len(d)], axis=0, out=d, mode="clip"))
+        for c0 in range(0, idx.size, rows)])
+    return idx[vals < bar], vals[vals < bar]
 
 
 def _full_lower_bound(f: Signal, i0: int, base: np.ndarray, lo_f: float, hi_f: float) -> float:

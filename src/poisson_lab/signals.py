@@ -673,9 +673,13 @@ def _mean(vals: np.ndarray) -> np.ndarray:
 
 def write_csv(path, header: str, *columns) -> None:
     """Write ``header``, then the columns side by side (each n values or n
-    rows), every field as ``%.17g``."""
-    np.savetxt(path, np.column_stack(columns), fmt="%.17g", delimiter=",", header=header,
-               comments="")
+    rows), every field as ``%.17g``, in one format call per ``_SAMPLE_CHUNK`` rows."""
+    table = np.column_stack(columns)
+    row = ",".join(["%.17g"] * table.shape[1]) + "\n"
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(header + "\n")
+        for b in np.split(table, range(_SAMPLE_CHUNK, len(table), _SAMPLE_CHUNK)):
+            fh.write((row * len(b)) % tuple(b.ravel().tolist()))
 
 
 def write_signal_csv(sig: Signal, path) -> None:

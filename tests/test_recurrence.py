@@ -218,6 +218,17 @@ def golden_scalar(fn, a, b, iters):
     return (x1, f1) if f1 <= f2 else (x2, f2)
 
 
+def dense_probe_bound(S, i0, m, j_hi):
+    """The probe bound at every aligned shift 0..j_hi of the m-point window from
+    index i0, one whole-signal pass per probe, and the probes."""
+    probe_rel = np.unique(np.linspace(0, m - 1, min(64, m)).round().astype(int))
+    D_probe = np.zeros(j_hi + 1)
+    for p in probe_rel:
+        col = np.abs(S[i0 + p : i0 + p + j_hi + 1] - S[i0 + p]).max(axis=1)
+        np.maximum(D_probe, col, out=D_probe)
+    return D_probe, probe_rel
+
+
 def returns_per_cluster(f, epsilon_schedule, w, separation=5.0):
     sched = [float(e) for e in epsilon_schedule]
     i0, i1 = f.window_slice(w)
@@ -227,11 +238,7 @@ def returns_per_cluster(f, epsilon_schedule, w, separation=5.0):
     if j_hi < 1 or not sched:
         return ReturnSequence((), (), ())
     S = f.samples
-    probe_rel = np.unique(np.linspace(0, m - 1, min(64, m)).round().astype(int))
-    D_probe = np.zeros(j_hi + 1)
-    for p in probe_rel:
-        col = np.abs(S[i0 + p : i0 + p + j_hi + 1] - S[i0 + p]).max(axis=1)
-        np.maximum(D_probe, col, out=D_probe)
+    D_probe, probe_rel = dense_probe_bound(S, i0, m, j_hi)
     ts_w = f.t0 + dt * np.arange(i0, i1 + 1)
     base = S[i0 : i1 + 1]
 
@@ -340,7 +347,12 @@ def test_returns_are_the_per_cluster_scan():
     # reaches j_hi = n - 1 - i1 = 312 (the signal ends on a near-period);
     # clusters crossing blocks of 7 shifts, with j_hi + 1 = 1301 not a multiple
     # of 7; m = 41 < 64 on two components, in blocks of 3 shifts; spiky signals
-    # whose cell ranges prune brackets.
+    # whose cell ranges prune brackets; a schedule rising by 6e-16, which the
+    # validator allows, so the candidate bar must come from its largest epsilon;
+    # a first epsilon above the window spread, where every shift is a candidate;
+    # m = 3 <= 4, where the coarse candidate bound reads every probe; two
+    # components in blocks of 3 shifts, with candidates straddling the block
+    # edges and the accepted run 132-136 reaching j_hi = 136.
     @example(quasi_periodic, 1, 1, 2000, 40, 1.0, [1.0, 1.0], 0.0, 1 << 15, 1 << 14)
     @example(quasi_periodic, 2, 1, 2500, 60, 0.1, [0.5, 0.5], 5.0, 1 << 15, 1 << 14)
     @example(quasi_periodic, 3, 1, 376, 30, 0.3, [0.5], 5.0, 1000, 300)
@@ -348,6 +360,10 @@ def test_returns_are_the_per_cluster_scan():
     @example(quasi_periodic, 5, 2, 1500, 20, 0.8, [0.7], 3.0, 7, 1)
     @example(spiky, 20, 1, 2000, 60, 1.0, [], 5.0, 1 << 15, 1 << 14)
     @example(spiky, 42, 2, 1500, 80, 1.0, [0.5, 0.5], 5.0, 7, 300)
+    @example(quasi_periodic, 8, 1, 1500, 40, 0.3, [1 + 2e-15], 5.0, 1 << 15, 1 << 14)
+    @example(quasi_periodic, 6, 2, 800, 30, 10.0, [0.1, 0.3], 5.0, 64, 2000)
+    @example(spiky, 7, 1, 600, 1, 0.5, [0.5], 2.0, 7, 64)
+    @example(quasi_periodic, 9, 2, 300, 80, 1.0, [0.5], 13.0, 7, 300)
     def check(family, seed, dim, n, hw_steps, eps0, ratios, separation, block, batch):
         f = family(seed, dim, n)
         w = Window(f.dt * (hw_steps + 3), f.dt * hw_steps)
@@ -367,6 +383,59 @@ def test_returns_are_the_per_cluster_scan():
 
     check()
     assert sum(pruned) > 0
+
+
+def slope_bound(S, i0, m, dt):
+    """``poisson_returns``' lip_dt for the m-point window from index i0: twice the
+    signal's largest step, capped at half the window spread; and whether the cap binds."""
+    base = S[i0 : i0 + m]
+    spread = float((base.max(axis=0) - base.min(axis=0)).max())
+    slope = 2.0 * float(np.abs(np.diff(S[:200_001], axis=0)).max() / dt) * dt
+    return min(slope, 0.5 * max(spread, 1e-12)), 0.5 * max(spread, 1e-12) < slope
+
+
+def test_candidate_bar_is_the_largest_epsilons_margin():
+    # The validator lets a schedule rise by up to 1e-15 per entry; a bar from its
+    # first epsilon would drop shifts that a later, larger one's runs hold.
+    f = quasi_periodic(8, 1, 1500)
+    sched = [0.3, 0.3 + 6e-16]
+    with patch.object(recurrence, "_probe_candidates",
+                      wraps=recurrence._probe_candidates) as cands:
+        poisson_returns(f, sched, Window(f.dt * 43, f.dt * 40))
+    S, i0, probe_rel, _, bar = cands.call_args.args
+    assert bar == sched[1] + slope_bound(S, i0, probe_rel[-1] + 1, f.dt)[0]
+
+
+def test_probe_candidates_are_the_dense_bound_below_the_bar():
+    capped = []
+
+    @given(st.sampled_from([quasi_periodic, spiky]),          # family
+           st.integers(min_value=0, max_value=2**32 - 1),     # seed
+           st.sampled_from([1, 2, 12]),                       # components
+           st.integers(min_value=1, max_value=150),           # window points m
+           st.integers(min_value=0, max_value=40),            # window start i0
+           st.integers(min_value=1, max_value=1500),          # largest shift j_hi
+           st.floats(min_value=0.01, max_value=5.0),          # largest epsilon
+           st.sampled_from([1, 7, 64, 1000, 1 << 15]))        # block, values
+    # Every shift below the bar (an epsilon above the spread); m <= 4, where the
+    # coarse bound reads every probe; j_hi = 1; blocks of 3 shifts on two components.
+    @example(quasi_periodic, 0, 2, 100, 10, 800, 5.0, 64)
+    @example(spiky, 1, 1, 4, 0, 500, 0.3, 7)
+    @example(quasi_periodic, 2, 1, 60, 3, 1, 0.5, 1 << 15)
+    @example(spiky, 3, 2, 130, 20, 1201, 0.2, 7)
+    def check(family, seed, dim, m, i0, j_hi, eps, block):
+        f = family(seed, dim, i0 + m + j_hi)
+        S = f.samples
+        want, probe_rel = dense_probe_bound(S, i0, m, j_hi)
+        lip_dt, cap = slope_bound(S, i0, m, f.dt)   # the bar is as in ``poisson_returns``
+        capped.append(cap)
+        with patch.object(recurrence, "_BLOCK_VALUES", block):
+            idx, vals = recurrence._probe_candidates(S, i0, probe_rel, j_hi, eps + lip_dt)
+        assert np.array_equal(idx, np.flatnonzero(want < eps + lip_dt))
+        assert np.array_equal(vals, want[idx])
+
+    check()
+    assert any(capped) and not all(capped)
 
 
 @given(st.integers(min_value=0, max_value=2**32 - 1),     # seed

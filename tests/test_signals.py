@@ -1,10 +1,12 @@
 import math
+from unittest.mock import patch
 
 import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 from scipy.interpolate import CubicSpline, PPoly
 
+from poisson_lab import signals
 from poisson_lab.cli import main
 from poisson_lab.errors import (
     DimensionMismatch,
@@ -614,6 +616,22 @@ def test_csv_writes_each_float_as_17_significant_digits(tmp_path):
     assert (tmp_path / "long.csv").read_text() == "t,x1,x2\n" + "".join(
         f"{ts[i]:.17g}," + ",".join(f"{v:.17g}" for v in long.samples[i]) + "\n"
         for i in range(len(long)))
+
+
+@pytest.mark.parametrize("chunk", [1, 3, 1000])
+def test_csv_bytes_are_those_of_numpy_savetxt(tmp_path, chunk):
+    # Signed zeros, the least subnormal, the top of the range, negative values
+    # and every decade between, over three blocks of rows.
+    rng = np.random.default_rng(27)
+    n = 2 * chunk + 1
+    vals = rng.normal(size=(n, 2)) * 10.0 ** rng.integers(-300, 301, size=(n, 2))
+    vals[:3] = [[-0.0, 5e-324], [1e308, -1e308], [0.0, -1 / 3]]
+    ts = -3.0 + 0.1 * np.arange(n)
+    with patch.object(signals, "_SAMPLE_CHUNK", chunk):
+        write_csv(tmp_path / "got.csv", "t,x1,x2", ts, vals)
+    np.savetxt(tmp_path / "want.csv", np.column_stack([ts, vals]), fmt="%.17g",
+               delimiter=",", header="t,x1,x2", comments="")
+    assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
 
 
 # Finite floats whose squared deviations cannot overflow (the reader rejects
