@@ -278,6 +278,8 @@ def poisson_returns(f: Signal, epsilon_schedule, w: Window, *,
         return ReturnSequence((), (), ())
 
     S = f.samples
+    if f.exact is None:  # certification reads the whole spline: build it before the probe reads
+        f._spline
     probe_rel = np.unique(np.linspace(0, m - 1, min(64, m)).round().astype(int))
     base = S[i0 : i1 + 1]
 

@@ -134,28 +134,8 @@ class Signal:
     @cached_property
     def _spline(self) -> tuple[np.ndarray, np.ndarray]:
         """Breakpoints x and coefficients c, shape (4, n - 1, dim), of the
-        natural cubic spline on the uniform grid: at s = t - x[i] it is
-        c[3] + c[2] s + c[1] s^2 + c[0] s^3, summed by ``_cubic``.  The
-        slopes d come from ``_natural_slopes`` (the chord's, dy and dy, for 2
-        samples) and the coefficients from the Hermite form.  c[3] is
-        y + 0.0, which turns a -0.0 into +0.0 as scipy's PPoly does when it
-        sums each value from 0.0 + c[3]."""
-        y, h, n = self.samples, self.dt, len(self)
-        c = np.empty((4, n - 1, self.dim))
-        dy = np.subtract(y[1:], y[:-1], out=c[1])
-        d = np.concatenate((dy, dy)) if n == 2 else _natural_slopes(dy, c[0])
-        d /= h
-        slope = np.divide(dy, h, out=c[1])
-        t = np.add(d[:-1], d[1:], out=c[0])
-        t -= np.multiply(slope, 2.0, out=c[2])
-        t /= h
-        np.subtract(slope, d[:-1], out=c[1])
-        c[1] /= h
-        c[1] -= t
-        c[0] /= h
-        c[2] = d[:-1]
-        np.add(y[:-1], 0.0, out=c[3])
-        return self.times(), c
+        natural cubic spline on the uniform grid (see ``_coefficients``)."""
+        return self.times(), _coefficients(self.samples, self.dt)
 
     @cached_property
     def _cell_ranges(self) -> tuple[np.ndarray, np.ndarray, float]:
@@ -179,6 +159,8 @@ class Signal:
         interpolant equals scipy's ``PPoly(c, x)`` of the spline's
         coefficients bit for bit: the interval of each time is found from the
         grid, and the polynomial is summed in PPoly's order (see ``_cubic``).
+        The coefficients are read from ``_cells``, which solves only local
+        windows until the whole spline is built, with the same bits.
         """
         ts = np.asarray(ts, dtype=float)
         if ts.size:
@@ -190,12 +172,36 @@ class Signal:
             return self.exact(ts.ravel()).reshape(ts.shape + (self.dim,))
         if len(self) == 1:
             return np.repeat(self.samples, ts.size, axis=0)
-        c = self._spline[1]
         i, s = self._intervals(ts.ravel())
+        c, i = self._cells(i)
         # Gather from flat views of the coefficients: k indexes c[p].ravel().
         k = i[:, None] if self.dim == 1 else (i * self.dim)[:, None] + np.arange(self.dim)
         coef = [c[p].ravel()[k] for p in (3, 2, 1, 0)]
         return _cubic(*coef, s[:, None]).reshape(ts.shape + (self.dim,))
+
+    def _cells(self, i: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Spline coefficients, shape (4, rows, dim), and the row holding each cell i.
+
+        Until the whole spline is built, a read solves it only on windows of
+        3 M + 1 samples, M = ``_SWEEP_TERMS``: one per block of M cells read,
+        with the blocks either side, all in one batch.  Both sweeps of
+        ``_natural_slopes`` stop at M terms and every other step reads a
+        sample's neighbours only, so a cell at least M cells from each window
+        edge that is not an end of the grid gets the whole spline's
+        arithmetic, the same bits; a window at an end of the grid keeps its
+        natural end row.  Local solves on a Signal total at most len(self)
+        rows, one whole build's; a read past that builds the whole spline.
+        """
+        n, m = len(self), 3 * _SWEEP_TERMS + 1
+        if "_spline" not in self.__dict__ and n > m:
+            starts, w = np.unique(np.clip((i // _SWEEP_TERMS - 1) * _SWEEP_TERMS, 0, n - m),
+                                  return_inverse=True)
+            spent = self.__dict__.get("_local_rows", 0) + starts.size * m
+            if spent <= n:
+                self.__dict__["_local_rows"] = spent
+                c = _coefficients(self.samples[np.arange(m)[:, None] + starts], self.dt)
+                return c.reshape(4, -1, self.dim), (i - starts[w]) * starts.size + w
+        return self._spline[1], i
 
     def _require_times(self, lo, hi) -> None:
         slack = _GRID_RTOL * max(1.0, self.dt)
@@ -213,7 +219,9 @@ class Signal:
         ts = self.t0 + self.dt * idx
         if hasattr(self.exact, "shifted"):
             at = self.exact.shifted(ts)
-            return lambda taus: self._require_times(ts[0] + taus, ts[-1] + taus) or at(taus)
+            # Addition is monotone, so the extreme taus bound every time; a NaN fails it.
+            return lambda taus: self._require_times(ts[0] + taus.min(initial=math.inf),
+                                                    ts[-1] + taus.max(initial=-math.inf)) or at(taus)
         return lambda taus: self.values(taus[:, None] + ts)
 
     def window_values(self, i0: int, m: int, taus) -> np.ndarray:
@@ -248,23 +256,24 @@ class Signal:
 
     def _intervals(self, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """PPoly's interval i of each time in the domain, x[i] <= t < x[i+1]
-        with the last interval closed at t == x[n-1], and s = t - x[i].
+        with the last interval closed at t == x[n-1], and s = t - x[i], where
+        x[i] = t0 + dt * i as in ``times``.
 
         The grid guess floor((t - t0) / dt) is off by at most a rounding; it
         is moved by one until the rule holds.
         """
-        x, top = self._spline[0], len(self) - 2
+        t0, dt, top = self.t0, self.dt, len(self) - 2
         # t >= t0, so the cast truncates to the floor.
-        i = np.minimum(((t - self.t0) / self.dt).astype(np.intp), top)
-        s = t - x[i]
+        i = np.minimum(((t - t0) / dt).astype(np.intp), top)
+        s = t - (t0 + dt * i)
         # s < 0 exactly when t < x[i].  The loop lets t == x[n-1] through.
-        at = np.flatnonzero((s < 0) | (t >= x[i + 1]))
+        at = np.flatnonzero((s < 0) | (t >= t0 + dt * (i + 1)))
         while at.size:
             ta, ia = t[at], i[at]
-            ia += (ta >= x[ia + 1]) & (ia < top)
-            ia -= ta < x[ia]
-            i[at], s[at] = ia, ta - x[ia]
-            at = at[(ta < x[ia]) | ((ta >= x[ia + 1]) & (ia < top))]
+            ia += (ta >= t0 + dt * (ia + 1)) & (ia < top)
+            ia -= ta < t0 + dt * ia
+            i[at], s[at] = ia, ta - (t0 + dt * ia)
+            at = at[(ta < t0 + dt * ia) | ((ta >= t0 + dt * (ia + 1)) & (ia < top))]
         return i, s
 
     def at(self, t: float) -> np.ndarray:
@@ -315,6 +324,34 @@ def _cubic(c3, c2, c1, c0, s, out=None) -> np.ndarray:
 # sweep sums 64 terms by log-doubling; z^64 < 1e-36 bounds the rest.
 _Z = 2.0 - math.sqrt(3.0)
 _SWEEP_TERMS = 64
+
+
+def _coefficients(y: np.ndarray, h: float) -> np.ndarray:
+    """Coefficients c, shape (4, n - 1) + y.shape[1:], of the natural cubic
+    spline through the samples y on a grid of step h, along axis 0: at
+    s = t - x[i] it is c[3] + c[2] s + c[1] s^2 + c[0] s^3, summed by
+    ``_cubic``.  The slopes d come from ``_natural_slopes`` (the chord's, dy
+    and dy, for 2 samples) and the coefficients from the Hermite form.  c[3]
+    is y + 0.0, which turns a -0.0 into +0.0 as scipy's PPoly does when it
+    sums each value from 0.0 + c[3].  Every step is elementwise along the
+    other axes, so a batch of windows stacked on axis 1 is solved as each
+    alone."""
+    n = len(y)
+    c = np.empty((4, n - 1) + y.shape[1:])
+    dy = np.subtract(y[1:], y[:-1], out=c[1])
+    d = np.concatenate((dy, dy)) if n == 2 else _natural_slopes(dy, c[0])
+    d /= h
+    slope = np.divide(dy, h, out=c[1])
+    t = np.add(d[:-1], d[1:], out=c[0])
+    t -= np.multiply(slope, 2.0, out=c[2])
+    t /= h
+    np.subtract(slope, d[:-1], out=c[1])
+    c[1] /= h
+    c[1] -= t
+    c[0] /= h
+    c[2] = d[:-1]
+    np.add(y[:-1], 0.0, out=c[3])
+    return c
 
 
 def _natural_slopes(dy: np.ndarray, buf: np.ndarray) -> np.ndarray:

@@ -232,6 +232,35 @@ def test_entire_trajectory_insufficient():
         entire_trajectory_estimate(f, periodic_returns(2, start=4), half_width=14.0)
 
 
+def test_sparse_readers_of_a_long_trajectory_solve_local_windows():
+    # s1's readers on a 300,001-sample trajectory read the values of the whole
+    # spline without building it; scattered reads build it once local windows
+    # have solved len(traj) rows.
+    traj = sample_function(lambda t: np.sin(t) + 0.5 * np.sin(math.sqrt(2.0) * t),
+                           0.0, 3000.0, 0.01)
+    whole = Signal(traj.t0, traj.dt, traj.samples)
+    whole._spline
+    returns = periodic_returns(12, start=460)
+    omega, omega_whole = (omega_fiber_sample(f, returns, 100.0) for f in (traj, whole))
+    assert np.array_equal(omega.times, omega_whole.times)
+    assert np.array_equal(omega.snapshots, omega_whole.snapshots)
+    (gamma, agreement), (gamma_whole, agreement_whole) = (
+        entire_trajectory_estimate(f, returns, 12.0) for f in (traj, whole))
+    assert agreement == agreement_whole
+    assert np.array_equal(gamma.samples, gamma_whole.samples)
+    assert "_spline" not in traj.__dict__
+
+    rng = np.random.default_rng(3)
+    spent = []
+    while "_spline" not in traj.__dict__:
+        ts = rng.uniform(traj.t0, traj.t_end, 64)
+        assert np.array_equal(traj.values(ts), whole.values(ts))
+        spent.append(traj.__dict__["_local_rows"])
+    # A read solves at most 64 windows of 3 * 64 + 1 rows.
+    assert len(spent) > 10 and spent[-1] == spent[-2]
+    assert len(traj) - 64 * 193 < spent[-1] <= len(traj)
+
+
 # ---------------------------------------------------------------------------
 # contraction
 # ---------------------------------------------------------------------------

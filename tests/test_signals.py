@@ -176,6 +176,51 @@ def test_spline_is_scipy_natural_spline(seed, n, dim, t0, dt):
     assert np.abs(f.values(ts) - scipy_spline(f)(ts)).max() <= bound
 
 
+_M = signals._SWEEP_TERMS
+# The fewest samples a Signal needs before a read solves local windows.
+_LOCAL_N = 3 * _M + 2
+
+
+@given(st.integers(min_value=0, max_value=2**32 - 1),
+       st.one_of(st.integers(min_value=2, max_value=_LOCAL_N + 10),
+                 st.integers(min_value=_LOCAL_N, max_value=3000)),
+       st.integers(min_value=1, max_value=3), st.booleans())
+@example(0, 2, 1, False)
+@example(1, _LOCAL_N - 1, 2, True)
+@example(2, _LOCAL_N, 1, True)
+@example(3, 5 * _M + 3, 3, True)
+@example(4, 3000, 1, True)
+def test_local_reads_are_the_whole_spline_bit_for_bit(seed, n, dim, spiked):
+    """A fresh spline Signal reads the same values as once its whole spline is
+    built: at t0 and t_end, within 64 cells of either end, at repeated times,
+    in the slack clipped to the domain and for no times, before and after its
+    local solves reach len(f) rows.  Spiked, it holds lone samples of 1e200
+    at multiples of 64, the edges of the blocks whose windows are solved, and
+    reads the cell 64 after and the cell 65 before each: the ends of its reach
+    in the whole spline, where it weighs about z^64 < 1e-36."""
+    rng = np.random.default_rng(seed)
+    y = rng.standard_normal((n, dim))
+    spikes = np.array([], dtype=int)
+    if spiked:
+        spikes = np.unique(np.minimum(_M * rng.integers(0, n // _M + 1, 3), n - 1))
+        y[spikes] = 1e200 * rng.choice([-1.0, 1.0], (spikes.size, dim))
+    f = Signal(float(rng.uniform(-10.0, 10.0)), float(rng.choice([0.01, 0.1, 0.7])), y)
+    whole = Signal(f.t0, f.dt, f.samples)
+    whole._spline
+    slack = 0.5 * signals._GRID_RTOL * max(1.0, f.dt)
+    assert f.values([]).shape == (0, dim)
+    cells = [rng.integers(0, min(_M, n - 1), 3), rng.integers(max(0, n - 2 - _M), n - 1, 3),
+             spikes + _M, spikes - _M - 1, rng.integers(0, n - 1, 3).repeat(2)]
+    cells = [k[(k >= 0) & (k <= n - 2)] for k in cells]
+    reads = [f.t0 + f.dt * (k + rng.random(k.size)) for k in cells if k.size]
+    reads += [f.t0 + f.dt * cells[-1], [f.t0, f.t_end, f.t0 - slack, f.t_end + slack]]
+    for ts in reads + reads:
+        assert np.array_equal(f.values(ts), whole.values(ts))
+    if n >= _LOCAL_N:
+        assert 0 < f.__dict__.get("_local_rows", 0) <= n
+    assert "_local_rows" not in whole.__dict__
+
+
 # ---------------------------------------------------------------------------
 # shift
 # ---------------------------------------------------------------------------
@@ -550,11 +595,13 @@ def test_exact_signal_keeps_the_domain_checks(exact_sine):
             with pytest.raises(WindowOutOfDomain):
                 f.window_values(10, 50, [2.0, tau])
             for idx in (np.arange(10, 60), np.array([10, 30, 59])):
-                with pytest.raises(WindowOutOfDomain):
-                    f.shift_reader(idx)(np.array([2.0, tau]))
+                for taus in ([2.0, tau], [tau, 2.0, 3.0], [tau]):
+                    with pytest.raises(WindowOutOfDomain):
+                        f.shift_reader(idx)(np.array(taus))
         # Shifts within the grid slack of the ends are read.
         edge = f.shift_reader(np.arange(10, 60))(np.array([-0.1 - 1e-12, 49.41 + 1e-12]))
         assert np.abs(edge[[0, 1], [0, -1]] - _sin_cos(np.array([0.0, 50.0]))).max() < 1e-9
+        assert f.shift_reader(np.array([10, 30, 59]))(np.array([])).shape == (0, 3, 2)
     # Times within the grid slack are clipped to the domain.
     assert bitwise_equal(exact_sine.values([-1e-12, 50.0 + 1e-12]), _sin_cos(np.array([0.0, 50.0])))
     assert "_spline" not in exact_sine.__dict__
