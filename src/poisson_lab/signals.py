@@ -205,8 +205,8 @@ class Signal:
 
     def _require_times(self, lo, hi) -> None:
         slack = _GRID_RTOL * max(1.0, self.dt)
-        # Every time in [lo, hi] (arrays of them too) in the domain; a NaN fails it.
-        if not (np.all(lo >= self.t0 - slack) and np.all(hi <= self.t_end + slack)):
+        # Every time in [lo, hi] in the domain; a NaN fails it.
+        if not (float(lo) >= self.t0 - slack and float(hi) <= self.t_end + slack):
             raise WindowOutOfDomain(f"evaluation times outside domain [{self.t0:g}, {self.t_end:g}]")
 
     def shift_reader(self, idx) -> Callable:

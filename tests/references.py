@@ -2,7 +2,8 @@
 
 The stage loops are the references the integrators' fast paths are checked
 against: ``_rk4_span`` for the closed-form and affine RK4 paths,
-``dopri5_stage_loop`` for Dopri5's step map, and ``coordinate_fit``, a
+``dopri5_stage_loop`` for Dopri5's step map, ``dopri5_array_loop`` for the
+bits of Dopri5's scalar step control, and ``coordinate_fit``, a
 golden-section frequency polish, for the Gauss-Newton spectral fit.  The
 cocycle probes are oracles of the integrators; ``order_check``,
 ``uniform_stability_estimate`` and ``almost_periods`` are estimators no
@@ -32,9 +33,11 @@ from poisson_lab.systems import (
     _DP_A,
     _DP_C,
     _DP_E,
+    _POWERS,
     IntegratorConfig,
     SystemSpec,
     _check_records,
+    _dopri5_table,
     build_dde_rhs,
     integrate_dde,
     integrate_ode_batch,
@@ -109,6 +112,38 @@ def dopri5_stage_loop(rhs, y0, cfg: IntegratorConfig, times):
                 h *= min(1.0, max(0.2, 0.9 * err ** -0.2))
         out[n] = y
     return out, rejected
+
+
+def dopri5_array_loop(rhs, y0, cfg: IntegratorConfig, times):
+    """``systems._dopri5`` with its step control on numpy arrays: the same
+    step map product, and a numpy max, which keeps a NaN."""
+    t, y, h_next = 0.0, np.array(y0, dtype=float), cfg.dt
+    out = np.empty((len(times),) + y.shape)
+    with np.errstate(over="ignore", invalid="ignore"):
+        T = _dopri5_table(rhs)[0]
+        for n, t_target in enumerate(times):
+            eps_t = 1e-12 * max(1.0, abs(t_target))
+            while t < t_target - eps_t:
+                h = min(h_next, t_target - t)
+                while True:
+                    if h < 1e-14 * max(1.0, abs(t)):
+                        raise StepUnderflow(f"step {h:g} underflow at t={t:g}")
+                    s = np.sin(rhs.forcing.angles(t + np.array(_DP_C) * h))
+                    step = (h ** _POWERS @ T).reshape(2 * y.size, -1) @ np.concatenate(
+                        (y, s.ravel(), (1.0,)))
+                    y5, err_vec = y + step[:y.size], step[y.size:]
+                    scale = cfg.abs_tol + cfg.rel_tol * np.maximum(np.abs(y), np.abs(y5))
+                    err = float((np.abs(err_vec) / scale).max())
+                    if err <= 1.0:
+                        t += h
+                        y = y5
+                        if not np.abs(y).max() <= cfg.bound:  # NaN fails it too
+                            _check_records(y[None], (t,), cfg.bound)
+                        h_next = h * min(5.0, max(0.2, 0.9 * max(err, 1e-16) ** -0.2))
+                        break
+                    h *= min(1.0, max(0.2, 0.9 * err ** -0.2))
+            out[n] = y
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -23,6 +23,7 @@ from poisson_lab.systems import (
     IntegratorConfig,
     SystemSpec,
     TrigSum,
+    _dopri5,
     _dopri5_table,
     _dopri5_trial,
     _fold_terms,
@@ -50,6 +51,7 @@ from references import (
     _rk4_span,
     cocycle_defect,
     dde_cocycle_defect,
+    dopri5_array_loop,
     dopri5_stage_loop,
     dopri5_stage_step,
     order_check,
@@ -225,6 +227,16 @@ def test_adaptive_blowup_stops_at_first_step_past_bound(run, message):
     assert str(exc.value).endswith(message)
 
 
+@pytest.mark.parametrize("method", ["rk4_fixed", "rk45_adaptive"])
+@pytest.mark.parametrize("times", [[1.0, math.nan], [1.0, math.inf], [math.nan],
+                                   [-1.0, 1.0], [1.0, 1.0]])
+def test_snapshot_times_must_be_finite_and_increasing(method, times):
+    cfg = replace(RK45, method=method)
+    with pytest.raises(ConfigInvalid) as exc:
+        integrate_ode_snapshots(ode([[-1.0]], [[]]), [1.0], cfg, times)
+    assert str(exc.value) == "snapshot times must be finite, positive and increasing"
+
+
 def test_rk4_snapshot_blowup_names_its_absolute_time():
     # e^6 = 403 is inside the bound, e^8 = 2981 past it: the message names
     # the snapshot time 8, not the 2 that the span from 6 lasts.
@@ -398,7 +410,9 @@ def cooperative_systems(draw):
 def test_dopri5_step_map_matches_stage_loop(sys, t, h, seed):
     rhs = build_ode_rhs(sys)
     y = np.random.default_rng(seed).uniform(-2.0, 2.0, size=sys.dim)
-    y5, err = _dopri5_trial(rhs, _dopri5_table(rhs), t, y, h)
+    v = np.concatenate((y, np.empty(7 * rhs.omegas.size), (1.0,)))
+    step = np.array(_dopri5_trial(*_dopri5_table(rhs), t, h, v))
+    y5, err = y + step[:sys.dim], step[sys.dim:]
     ref_y5, ref_err, _ = dopri5_stage_step(rhs, t, y, h, rhs(t, y))
     tol = 1e-12 * max(1.0, np.abs(y).max())
     assert np.abs(y5 - ref_y5).max() <= tol
@@ -453,6 +467,40 @@ def test_dopri5_runs_match_stage_loop(case):
     # A solution that is a polynomial of degree <= 4 in t, or a slow one, may
     # take no rejected step: such a run is checked but not counted.
     assume(rejected != 0)
+
+
+def _outcome(run):
+    """run()'s states, or the type and message of what it raised."""
+    try:
+        return run()
+    except (BlowupDetected, StepUnderflow) as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=40)
+@given(case=adaptive_runs())
+# The second component's A^7 overflows a float; its NaN ratio comes second.
+@example(case=(ode([[-1.0, 0.0], [0.0, 1e60]], [[[1.0, 1.0, 0.0]], []]), [1.0, 1.0],
+               RK45, [1.0]))
+@example(case=(ode([[-1.0]], [[[1.0, 1.0, 0.0]]]), [1.0],
+               replace(RK45, rel_tol=1e-300, abs_tol=1e-300), [1.0]))
+@example(case=(ode([[1.0]], [[]]), [1.0], replace(RK45, record_dt=0.1, blowup_bound=1e3),
+               [5.0, 10.0]))
+@example(case=(ode([[-1.0, 0.5], [0.5, -2.0]], [[[1.0, 1.0, 0.0]], []]), [0.5, math.inf],
+               RK45, [1.0]))
+def test_dopri5_is_the_array_loop_bit_for_bit(case):
+    """The scalar step control gives the array loop's states bit for bit, or
+    its exception and message: dense and snapshot runs."""
+    sys, u0, cfg, times = case
+    rhs = build_ode_rhs(sys)
+    u = np.array(u0, dtype=float)
+    for ts in (_record_times(cfg), np.array(times)):
+        got = _outcome(lambda: _dopri5(rhs, u, cfg, ts))
+        ref = _outcome(lambda: dopri5_array_loop(rhs, u, cfg, ts))
+        if isinstance(ref, tuple):
+            assert isinstance(got, tuple) and got == ref
+        else:
+            assert np.array_equal(got, ref)
 
 
 @pytest.mark.parametrize("A, tol", [
