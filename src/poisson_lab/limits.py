@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DimensionMismatch, InsufficientReturns, NotCauchy
+from .errors import InsufficientReturns, NotCauchy
 from .recurrence import ReturnSequence
 from .signals import Signal, Window, sup_distance
 from .systems import (
@@ -139,8 +139,6 @@ def entire_trajectory_estimate(traj: Signal, returns: ReturnSequence,
 def convergence_check(a: Signal, b: Signal, threshold: float,
                       split_count: int) -> ConvergenceReport:
     """Sup-distances on trailing windows of the common domain plus a trend."""
-    if a.dim != b.dim:
-        raise DimensionMismatch(f"dims differ: {a.dim} vs {b.dim}")
     lo = max(a.t0, b.t0)
     hi = min(a.t_end, b.t_end)
     if split_count < 2 or hi - lo <= 0:

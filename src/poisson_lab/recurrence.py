@@ -267,7 +267,6 @@ def poisson_returns(f: Signal, epsilon_schedule, w: Window, *,
         return ReturnSequence((), (), ())
     if not all(e > 0 for e in sched) or any(b > a + 1e-15 for a, b in zip(sched, sched[1:])):
         raise ValueError("epsilon schedule must be positive and non-increasing")
-    w.require_inside(f)
     i0, i1 = f.window_slice(w)
     m = i1 - i0 + 1
     n, dim = len(f), f.dim

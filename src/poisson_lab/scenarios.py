@@ -710,7 +710,7 @@ def _run_s5(em: RunManifest, cfg: ScenarioConfig) -> None:
 
     # Entire-trajectory reconstruction at forcing return times.
     forcing = forcing_signal("trig-sum", 0.0, cfg.integrator.t_end, 0.05,
-                             components=[[[1.0, 1.0, 0.0]]])
+                             components=[[[1.0, p["omega"], p["phase"]]]])
     returns = poisson_returns(forcing, [0.1, 0.01] + [1e-3] * 5,
                               Window(7.0, 7.0), separation=5.0)
     _, g_report = _classify_entire(em, traj, returns, ana["entire_half_width"],

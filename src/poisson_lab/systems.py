@@ -45,7 +45,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from functools import partial
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -394,23 +393,6 @@ _FORCINGS: dict[str, Callable] = {
 }
 
 
-def forcing_values(key: str, ts, *,
-                   components: Sequence[Sequence] | None = None) -> np.ndarray:
-    """Evaluate a closed-form forcing at times ``ts``; shape (len(ts), dim).
-
-    ``trig-sum`` takes explicit (amp, omega, phase) triples per component;
-    the named entries are fixed function families.
-    """
-    ts = np.asarray(ts, dtype=float)
-    if key == "trig-sum":
-        return _trig_sum(components)(ts)
-    try:
-        fn = _FORCINGS[key]
-    except KeyError:
-        raise UnknownRegistryKey(f"no forcing {key!r}") from None
-    return fn(ts)[:, None]
-
-
 def _trig_sum(components) -> TrigSum:
     if components is None:
         raise ConfigInvalid("trig-sum needs forcing components")
@@ -424,9 +406,12 @@ def forcing_signal(key: str, t0: float, t_end: float, dt: float, *,
     ``TrigSum``.  The named families stay on the spline: ``classify`` reads
     levitan's functions at tens of millions of points, where a cubic is
     cheaper than their three transcendentals."""
-    fn = _trig_sum(components) if key == "trig-sum" else partial(forcing_values, key)
-    sig = sample_function(fn, t0, t_end, dt)
-    return replace(sig, exact=fn) if key == "trig-sum" else sig
+    if key == "trig-sum":
+        fn = _trig_sum(components)
+        return replace(sample_function(fn, t0, t_end, dt), exact=fn)
+    if key not in _FORCINGS:
+        raise UnknownRegistryKey(f"no forcing {key!r}")
+    return sample_function(_FORCINGS[key], t0, t_end, dt)
 
 
 # ---------------------------------------------------------------------------
@@ -462,11 +447,6 @@ def _rk4_coeffs(A: np.ndarray, h: float):
     C0 = (h / 6.0) * (eye + Z + Z2 / 2.0 + Z3 / 4.0)
     Ch = (h / 6.0) * (4.0 * eye + 2.0 * Z + Z2 / 2.0)
     return P, C0, Ch
-
-
-def _trig_inputs(rhs, t0: float, h: float, k0: int, n: int) -> np.ndarray:
-    """offset + proj sin(omegas t + phases) at t = t0 + (j/2) h, j = 2 k0 .. 2 (k0 + n)."""
-    return rhs.forcing.on_grid(t0, 0.5 * h, 2 * k0, 2 * n + 1)
 
 
 def _solve_sources(rhs, mats, B) -> TrigSum:
@@ -550,8 +530,8 @@ def _rk4_record(rhs, y: np.ndarray, cfg: IntegratorConfig, t0: float = 0.0):
         part = _rk4_particular(rhs, coeffs, h, steps)
         if part is None:
             for k0 in range(0, steps, per_chunk):
-                states = _rk4_affine_steps(
-                    coeffs, y, _trig_inputs(rhs, 0.0, h, k0, min(per_chunk, steps - k0)), h)
+                states = _rk4_affine_steps(coeffs, y, rhs.forcing.on_grid(
+                    0.0, 0.5 * h, 2 * k0, 2 * min(per_chunk, steps - k0) + 1), h)
                 y = states[-1]
                 # The records r with k0 < r nsub <= k0 + len(states).
                 r = np.arange(k0 // nsub + 1, (k0 + len(states)) // nsub + 1)
@@ -698,17 +678,22 @@ def _record_times(cfg: IntegratorConfig) -> np.ndarray:
     return cfg.record_dt * np.arange(n + 1)
 
 
-def _coerce_state(u0, dim) -> np.ndarray:
-    u = np.atleast_1d(np.asarray(u0, dtype=float))
-    if u.shape != (dim,):
-        raise DimensionMismatch(f"initial state must have shape ({dim},)")
+def _start(u0, shape: tuple, name: str) -> np.ndarray:
+    """``u0`` as a float array of ``shape``, whose str entries are free (batch)
+    axes: DimensionMismatch naming the shape, or ConfigInvalid unless finite."""
+    u = np.asarray(u0, dtype=float)
+    if u.ndim != len(shape) or any(got != want for got, want in zip(u.shape, shape)
+                                   if not isinstance(want, str)):
+        raise DimensionMismatch(f"{name} must have shape ({', '.join(map(str, shape))})")
+    if not np.isfinite(u).all():
+        raise ConfigInvalid(f"{name} must be finite")
     return u
 
 
 def integrate_ode(sys: SystemSpec, u0, cfg: IntegratorConfig) -> Signal:
     """Solve the ODE from u0 at t=0 and sample the result on the record grid."""
     rhs = build_ode_rhs(sys)
-    u = _coerce_state(u0, sys.dim)
+    u = _start(np.atleast_1d(u0), (sys.dim,), "initial state")
     if cfg.method == "rk4_fixed":
         _, out = _rk4_record(rhs, u, cfg)
     else:
@@ -725,7 +710,7 @@ def integrate_ode_snapshots(sys: SystemSpec, u0, cfg: IntegratorConfig,
     t_prev: nsub = ceil(span / dt) equal steps.
     """
     rhs = build_ode_rhs(sys)
-    y = _coerce_state(u0, sys.dim)
+    y = _start(np.atleast_1d(u0), (sys.dim,), "initial state")
     times = np.asarray(snapshot_times, dtype=float)
     if not (np.all((times >= 0) & (times < math.inf)) and np.all(np.diff(times) > 0)):
         raise ConfigInvalid("snapshot times must be finite, positive and increasing")
@@ -750,10 +735,7 @@ def integrate_ode_batch(sys: SystemSpec, U0, cfg: IntegratorConfig):
     ordered-pair batteries, which are embarrassingly parallel.
     """
     rhs = build_ode_rhs(sys)
-    U = np.asarray(U0, dtype=float)
-    if U.ndim != 2 or U.shape[0] != sys.dim:
-        raise DimensionMismatch(f"batch starts must have shape ({sys.dim}, batch)")
-    return _rk4_record(rhs, U, cfg)
+    return _rk4_record(rhs, _start(U0, (sys.dim, "batch"), "batch starts"), cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -812,9 +794,7 @@ def integrate_dde(sys: SystemSpec, history: Signal, cfg: IntegratorConfig) -> Si
 def integrate_dde_batch(sys: SystemSpec, history_states: np.ndarray,
                         cfg: IntegratorConfig):
     """Constant-history batch variant; history_states has shape (dim, batch)."""
-    H = np.asarray(history_states, dtype=float)
-    if H.ndim != 2 or H.shape[0] != sys.dim:
-        raise DimensionMismatch(f"history batch must have shape ({sys.dim}, batch)")
+    H = _start(history_states, (sys.dim, "batch"), "history batch")
     rhs = build_dde_rhs(sys)
     U, k_rec = _dde_core(rhs, lambda ts: np.broadcast_to(H, (len(ts),) + H.shape), cfg)
     return -rhs.r + k_rec * np.arange(U.shape[0]), U
@@ -855,7 +835,8 @@ def _dde_core(rhs, hist_vals, cfg):
             n = min(n_sub, total - i)
             D[::2] = U[i - n_sub:i + 1]
             D[1::2] = _half_values(U[i - n_sub:i + 1])
-            F = _trig_inputs(rhs, -r, h, i, n)[:, :, None] + rhs.A_delay @ D[:2 * n + 1]
+            F = (rhs.forcing.on_grid(-r, 0.5 * h, 2 * i, 2 * n + 1)[:, :, None]
+                 + rhs.A_delay @ D[:2 * n + 1])
             U[i + 1:i + n + 1] = _rk4_affine_steps(coeffs, U[i], F, h)
             rec = np.arange(-(-(i + 1) // k_rec) * k_rec, i + n + 1, k_rec)
             _check_records(U[rec], -r + h * rec, cfg.bound)
@@ -927,11 +908,9 @@ def integrate_parabolic_batch(sys: SystemSpec, U0, cfg: IntegratorConfig):
 def _parabolic_core(sys, W0, cfg, batch):
     reaction = build_reaction(sys)
     n = reaction.n_species
-    want = 3 if batch else 2
-    if W0.ndim == want - 1 and n == 1:
+    if W0.ndim == 1 + batch and n == 1:
         W0 = W0[None]
-    if W0.ndim != want or W0.shape[0] != n:
-        raise DimensionMismatch(f"initial field must have shape (n={n}, m{', b' if batch else ''})")
+    W0 = _start(W0, (n, "m", "b")[:2 + batch], "initial field")
     m = W0.shape[1]
     if cfg.space_points and cfg.space_points != m:
         raise ConfigInvalid("space_points does not match the initial field")

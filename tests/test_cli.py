@@ -426,6 +426,19 @@ def test_run_wrong_shaped_start_exit_2(tmp_path, capsys, system, analysis):
     assert not (out / "manifest.json").exists()
 
 
+# json writes math.inf as Infinity, which the config reader takes as a float.
+@pytest.mark.parametrize("case, method", [
+    ((0, ("analysis", "u0", 1), math.inf), "rk45_adaptive"),
+    ((0, ("analysis", "u0", 1), math.inf), "rk4_fixed"),
+    ((2, ("analysis", "u0_value"), math.inf), "rk4_fixed"),
+])
+def test_run_non_finite_start_exit_2_without_manifest(case, method, tmp_path, capsys):
+    assert _run_corrupted(case, tmp_path, (("integrator", "method"), method)) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.rstrip().endswith("must be finite")
+    assert not (tmp_path / "out" / "manifest.json").exists()
+
+
 # Small valid configs of each kind; every node of each is corrupted in turn.
 _VALID_CONFIGS = [
     {"name": "fuzz-ode",

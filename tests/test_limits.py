@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from poisson_lab.errors import InsufficientReturns, NotCauchy
+from poisson_lab.errors import DimensionMismatch, InsufficientReturns, NotCauchy
 from poisson_lab.limits import (
     ContractionResult,
     comparison_battery,
@@ -204,6 +204,13 @@ def test_convergence_expanding_pair_fails():
     rep = convergence_check(a, b, threshold=1e-3, split_count=4)
     assert rep.trend == "increasing"
     assert not rep.passed
+
+
+def test_convergence_of_different_dims_is_a_dimension_mismatch():
+    a = sample_function(np.sin, 0.0, 50.0, 0.01)
+    b = sample_function(lambda ts: np.column_stack([np.sin(ts), np.cos(ts)]), 0.0, 50.0, 0.01)
+    with pytest.raises(DimensionMismatch, match="^dims differ: 1 vs 2$"):
+        convergence_check(a, b, threshold=1e-3, split_count=4)
 
 
 # ---------------------------------------------------------------------------

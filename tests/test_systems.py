@@ -3,7 +3,6 @@ import pickle
 import re
 import tracemalloc
 from dataclasses import replace
-from functools import partial
 
 import numpy as np
 import pytest
@@ -12,9 +11,11 @@ from hypothesis import assume, example, given, settings, strategies as st
 from poisson_lab.errors import (
     BlowupDetected,
     ConfigInvalid,
+    DimensionMismatch,
     GridTooCoarse,
     HistoryDomainMismatch,
     StepUnderflow,
+    UnknownRegistryKey,
 )
 from poisson_lab.scenarios import build_scenario
 from poisson_lab.signals import Signal, sample_function
@@ -31,12 +32,11 @@ from poisson_lab.systems import (
     _rk4_affine_steps,
     _rk4_coeffs,
     _rk4_particular,
-    _trig_inputs,
+    _trig_sum,
     build_dde_rhs,
     build_ode_rhs,
     build_reaction,
     forcing_signal,
-    forcing_values,
     integrate,
     integrate_dde,
     integrate_dde_batch,
@@ -265,6 +265,56 @@ def test_bad_record_dt_rejected(fields):
     """Bad record steps, and step or tolerance settings, are refused."""
     with pytest.raises(ConfigInvalid):
         IntegratorConfig(**{"method": "rk4_fixed", "dt": 0.01, "t_end": 2.0, **fields})
+
+
+_START_CFG = IntegratorConfig(method="rk4_fixed", dt=0.1, t_end=1.0, record_dt=0.5,
+                              space_points=8)
+_COOP = ode([[-1.0, 0.5], [0.5, -1.0]], [[[1.0, 1.0, 0.0]], []])
+_FIELD = np.ones((1, 8))
+
+
+# Each integrator entry with a start whose entry ``bad`` is put at one place.
+_STARTS = {
+    "ode-rk4": lambda bad: integrate_ode(_COOP, [0.5, bad], _START_CFG),
+    "ode-rk45": lambda bad: integrate_ode(_COOP, [0.5, bad], RK45),
+    "snapshots": lambda bad: integrate_ode_snapshots(_COOP, [bad, 0.5], RK45, [1.0]),
+    "ode-batch": lambda bad: integrate_ode_batch(_COOP, [[0.5, 1.0], [0.0, bad]], _START_CFG),
+    "dde-batch": lambda bad: integrate_dde_batch(dde(-1.0, 0.5, [[]]), [[0.5, bad]],
+                                                 _START_CFG),
+    "parabolic": lambda bad: integrate_parabolic(rd(), np.where(
+        np.arange(8) == 3, bad, _FIELD), _START_CFG),
+    "parabolic-batch": lambda bad: integrate_parabolic_batch(rd(), np.where(
+        np.arange(2) == 1, bad, _FIELD[..., None]), _START_CFG),
+}
+
+
+@pytest.mark.parametrize("entry", _STARTS)
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_non_finite_start_is_one_config_line(entry, bad):
+    # Without the check, RK4 would end in BlowupDetected at the first record
+    # and Dopri5 in StepUnderflow at t = 0, neither naming the start.
+    with pytest.raises(ConfigInvalid) as exc:
+        _STARTS[entry](bad)
+    assert re.fullmatch(r"(initial state|batch starts|history batch|initial field) "
+                        r"must be finite", str(exc.value))
+    _STARTS[entry](0.25)  # the same start with a finite entry runs
+
+
+@pytest.mark.parametrize("run, shape", [
+    (lambda: integrate_ode(_COOP, [0.5], RK45), "initial state must have shape (2)"),
+    (lambda: integrate_ode_batch(_COOP, [0.5, 1.0], _START_CFG),
+     "batch starts must have shape (2, batch)"),
+    (lambda: integrate_dde_batch(dde(-1.0, 0.5, [[]]), np.ones((2, 3)), _START_CFG),
+     "history batch must have shape (1, batch)"),
+    (lambda: integrate_parabolic(rd(), np.ones((2, 8)), _START_CFG),
+     "initial field must have shape (1, m)"),
+    (lambda: integrate_parabolic_batch(rd(), np.ones(8), _START_CFG),
+     "initial field must have shape (1, m, b)"),
+], ids=["ode", "ode-batch", "dde-batch", "parabolic", "parabolic-batch"])
+def test_wrong_shaped_start_names_the_shape(run, shape):
+    with pytest.raises(DimensionMismatch) as exc:
+        run()
+    assert str(exc.value) == shape
 
 
 # ---------------------------------------------------------------------------
@@ -1173,11 +1223,11 @@ def test_forcing_signal_is_its_closed_form_bit_for_bit(seed, name):
     f = forcing_signal("trig-sum", -3.0, 200.0, 0.05, components=comps)
     rng = np.random.default_rng(seed)
     ts = rng.uniform(f.t0, f.t_end, 500)
-    assert np.array_equal(f.values(ts), forcing_values("trig-sum", ts, components=comps))
+    assert np.array_equal(f.values(ts), _trig_sum(comps)(ts))
     i0, m = int(rng.integers(0, 1000)), int(rng.integers(1, 2000))
     grid = f.t0 + f.dt * np.arange(i0, i0 + m)
     taus = rng.uniform(f.t0 - grid[0], f.t_end - grid[-1], 6)
-    want = forcing_values("trig-sum", (grid + taus[:, None]).ravel(), components=comps)
+    want = _trig_sum(comps)((grid + taus[:, None]).ravel())
     assert np.array_equal(f.window_values(i0, m, taus), want.reshape(taus.size, m, f.dim))
     assert "_spline" not in f.__dict__
 
@@ -1263,15 +1313,15 @@ def test_rhs_inputs_and_forcing_signal_are_the_direct_forcing_within_its_bound(s
     t0, h, k0 = rng.uniform(-1e3, 0.0), rng.uniform(1e-3, 0.1), int(rng.integers(0, 5000))
     ts = t0 + (0.5 * h) * np.arange(2 * k0, 2 * (k0 + n) + 1)
     want = np.array([rhs(t, np.zeros(dim)) for t in ts])
-    got = _trig_inputs(rhs, t0, h, k0, n)
+    got = rhs.forcing.on_grid(t0, 0.5 * h, 2 * k0, 2 * n + 1)
     assert np.abs(got - want).max() <= _turn_bound(rhs.omegas, amps, ts, shift)
     # A forcing Signal: its samples, and its shifted windows through shift_reader.
     f = forcing_signal("trig-sum", -50.0, 150.0, 0.05, components=comps)
-    assert np.abs(f.samples - forcing_values("trig-sum", f.times(), components=comps)).max() \
+    assert np.abs(f.samples - _trig_sum(comps)(f.times())).max() \
         <= _turn_bound(rhs.omegas, amps, f.times())
     idx = np.arange(100, 100 + n)
     taus = rng.uniform(-f.times()[100] + f.t0, f.t_end - f.times()[99 + n], 3)
-    want = forcing_values("trig-sum", (taus[:, None] + f.times()[idx]).ravel(), components=comps)
+    want = _trig_sum(comps)((taus[:, None] + f.times()[idx]).ravel())
     assert np.abs(f.shift_reader(idx)(taus) - want.reshape(3, n, dim)).max() \
         <= _turn_bound(rhs.omegas, amps, f.times())
 
@@ -1280,10 +1330,24 @@ def test_named_forcings_stay_on_the_spline():
     assert forcing_signal("levitan-psi", -10.0, 10.0, 0.025).exact is None
 
 
+def test_named_forcing_samples_its_function():
+    f = forcing_signal("levitan-phi", -10.0, 10.0, 0.025)
+    ts = f.times()
+    assert f.dim == 1
+    assert np.array_equal(f.samples[:, 0], 1.0 / (2.0 + np.cos(ts) + np.cos(math.sqrt(2.0) * ts)))
+
+
+def test_forcing_signal_rejects_unknown_keys_and_missing_components():
+    with pytest.raises(UnknownRegistryKey, match="^no forcing 'nope'$"):
+        forcing_signal("nope", 0.0, 1.0, 0.1)
+    with pytest.raises(ConfigInvalid, match="^trig-sum needs forcing components$"):
+        forcing_signal("trig-sum", 0.0, 1.0, 0.1)
+
+
 @pytest.mark.parametrize("n", [1, 2, 1 << 16, (1 << 16) + 1, 3 * (1 << 16) + 7])
 @pytest.mark.parametrize("name", ["s1-opial-scalar", "s3-coop-2d"])
 def test_chunked_sampling_equals_one_shot_bit_for_bit(name, n):
-    fn = partial(forcing_values, "trig-sum", components=_components(name))
+    fn = _trig_sum(_components(name)).__call__  # the direct formula: no on_grid
     f = sample_function(fn, 0.0, 0.05 * (n - 1), 0.05)
     assert np.array_equal(f.samples, fn(0.05 * np.arange(n)))
 
@@ -1309,7 +1373,7 @@ def test_rk4_step_loop_memory_stays_flat_over_a_long_record_interval():
     # The records are those of one unchunked run of the step loop, bit for bit.
     rhs = build_ode_rhs(sys)
     states = _rk4_affine_steps(_rk4_coeffs(rhs.A, h), np.zeros(dim),
-                               _trig_inputs(rhs, 0.0, h, 0, 2 * 16_384), h)
+                               rhs.forcing.on_grid(0.0, 0.5 * h, 0, 4 * 16_384 + 1), h)
     assert sol.samples[1:].tobytes() == states[16_383::16_384].tobytes()
 
 
