@@ -236,8 +236,8 @@ def comparison_battery(sys: SystemSpec, box, count: int, horizon: float, *,
             else integrate_ode_batch
     ts, Ylo = integrate(sys, lo, cfg)[:2]
     Yup = integrate(sys, up, cfg)[1]
-    tol = 1e-9 + 1e-6 * float(np.abs(np.stack([Ylo, Yup])).max())
-    gap = Ylo - Yup  # ordered means <= 0 (+tol)
+    tol = 1e-9 + 1e-6 * float(max(-min(Ylo.min(), Yup.min()), max(Ylo.max(), Yup.max())))  # max |Y|
+    gap = np.subtract(Ylo, Yup, out=Ylo)  # ordered means <= 0 (+tol); Ylo is not read again
     worst = float(gap.max())
     if worst <= tol:
         return True, worst, None

@@ -23,6 +23,7 @@ import numpy as np
 
 from .errors import ConfigInvalid
 from .signals import (
+    LazySignal,
     Signal,
     Window,
     _mean,
@@ -276,7 +277,7 @@ def poisson_returns(f: Signal, epsilon_schedule, w: Window, *,
     if j_hi < 1:
         return ReturnSequence((), (), ())
 
-    S = f.samples
+    S = f if isinstance(f, LazySignal) else f.samples  # a LazySignal forms each slice alone
     if f.exact is None:  # certification reads the whole spline: build it before the probe reads
         f._spline
     probe_rel = np.unique(np.linspace(0, m - 1, min(64, m)).round().astype(int))
@@ -339,30 +340,30 @@ def poisson_returns(f: Signal, epsilon_schedule, w: Window, *,
     return ReturnSequence(tuple(times), tuple(discs), tuple(eps_used))
 
 
-def _probe_candidates(S: np.ndarray, i0: int, probe_rel, j_hi: int, bar: float):
+def _probe_candidates(S, i0: int, probe_rel, j_hi: int, bar: float):
     """(j, bound) of the shifts j in [0, j_hi], increasing, whose probe bound
     max_p |S[i0 + p + j] - S[i0 + p]| is below ``bar`` > 0, so j = 0 is always one.  A
     max over 4 of the probes never exceeds it, so that coarse bound, read at every shift,
     picks where the whole one is gathered (the lower-bounding cascade of C. Faloutsos,
-    M. Ranganathan and Y. Manolopoulos, SIGMOD 1994).  max is exact, so cache-sized
-    blocks change no value.  No gather leaves S, so ``take`` may clip (no bounds check)."""
-    rows = max(1, _BLOCK_VALUES // S.shape[1])
+    M. Ranganathan and Y. Manolopoulos, SIGMOD 1994).  Both run per cache-sized block of
+    shifts on the one slice of S the block reaches (max is exact, so blocks change no
+    value); no gather leaves that slice, so ``take`` may clip (no bounds check)."""
+    base = S[i0 : i0 + probe_rel[-1] + 1]
+    dim, rows = base.shape[1], max(1, _BLOCK_VALUES // base.shape[1])
 
-    def bound(probes, k, read):  # max over the probes p of |read(p, out) - S[p]|, k shifts
-        a, d = np.zeros((k, S.shape[1])), np.empty((k, S.shape[1]))
+    def bound(probes, k, read):  # max over the probes p of |read(p, out) - base[p]|, k shifts
+        a, d = np.zeros((k, dim)), np.empty((k, dim))
         for p in probes:
-            np.maximum(a, np.abs(np.subtract(read(p, d), S[p], out=d), out=d), out=a)
+            np.maximum(a, np.abs(np.subtract(read(p, d), base[p], out=d), out=d), out=a)
         return a.max(axis=1)
 
-    coarse = (i0 + probe_rel[:: -(-probe_rel.size // 4)]).tolist()
-    idx = np.concatenate([b0 + np.flatnonzero(bound(
-        coarse, min(rows, j_hi + 1 - b0), lambda p, d: S[p + b0 : p + b0 + len(d)]) < bar)
-        for b0 in range(0, j_hi + 1, rows)])
-    vals = np.concatenate([bound(
-        (i0 + probe_rel).tolist(), min(rows, idx.size - c0),
-        lambda p, d: S[p:].take(idx[c0 : c0 + len(d)], axis=0, out=d, mode="clip"))
-        for c0 in range(0, idx.size, rows)])
-    return idx[vals < bar], vals[vals < bar]
+    coarse, out = probe_rel[:: -(-probe_rel.size // 4)].tolist(), []
+    for b0 in range(0, j_hi + 1, rows):
+        B = S[i0 + b0 : i0 + min(b0 + rows, j_hi + 1) + len(base) - 1]
+        c = np.flatnonzero(bound(coarse, len(B) + 1 - len(base), lambda p, d: B[p : p + len(d)]) < bar)
+        v = bound(probe_rel.tolist(), c.size, lambda p, d: B[p:].take(c, axis=0, out=d, mode="clip"))
+        out.append((b0 + c[v < bar], v[v < bar]))
+    return tuple(np.concatenate(x) for x in zip(*out))
 
 
 def _full_lower_bound(f: Signal, i0: int, base: np.ndarray, lo_f: float, hi_f: float) -> float:

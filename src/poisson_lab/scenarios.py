@@ -90,7 +90,6 @@ class RunManifest:
     def __init__(self, cfg: ScenarioConfig, outdir: Path):
         self.cfg = cfg
         self.outdir = Path(outdir)
-        self.outdir.mkdir(parents=True, exist_ok=True)
         self.summary: dict = {}  # check name -> {"status", "value", "detail"}
         self.files: list[str] = []
         self.report: dict = {}
@@ -120,16 +119,20 @@ class RunManifest:
     def skip(self, name, detail=""):
         self.summary[name] = {"status": "skip", "value": None, "detail": detail}
 
+    def _path(self, name: str) -> Path:  # made at the first write: a run stopped before leaves none
+        self.outdir.mkdir(parents=True, exist_ok=True)
+        return self.outdir / name
+
     def write_signal(self, name: str, sig: Signal):
-        write_signal_csv(sig, self.outdir / name)
+        write_signal_csv(sig, self._path(name))
         self.files.append(name)
 
     def write_rows(self, name: str, header: str, *columns):
-        write_csv(self.outdir / name, header, *columns)
+        write_csv(self._path(name), header, *columns)
         self.files.append(name)
 
     def _dump(self, name: str, obj: dict):
-        with open(self.outdir / name, "w", encoding="utf-8") as fh:
+        with open(self._path(name), "w", encoding="utf-8") as fh:
             json.dump(obj, fh, indent=1, sort_keys=True)
             fh.write("\n")
 
@@ -187,10 +190,9 @@ def _check_monotone(em: RunManifest, cfg: ScenarioConfig,
 
 def _check_state_box(em: RunManifest, samples: np.ndarray, box) -> None:
     box = np.asarray(box, dtype=float)
-    lo_ok = bool(np.all(samples.min(axis=0) >= box[:, 0] - 1e-9))
-    hi_ok = bool(np.all(samples.max(axis=0) <= box[:, 1] + 1e-9))
-    em.check("state_box", lo_ok and hi_ok, float(np.abs(samples).max()),
-             "boundedness proxy for conditional compactness")
+    lo, hi = samples.min(axis=0), samples.max(axis=0)  # max |x| = max(-lo, hi); + 0.0 drops -0.0
+    em.check("state_box", bool(np.all(lo >= box[:, 0] - 1e-9) and np.all(hi <= box[:, 1] + 1e-9)),
+             max(-lo.min(), hi.max()) + 0.0, "boundedness proxy for conditional compactness")
 
 
 def _check_closed_form(em: RunManifest, name: str, u_p, sig: Signal, tol: float,
@@ -829,7 +831,7 @@ def _run_generic(em: RunManifest, cfg: ScenarioConfig) -> None:
     except (TypeError, ValueError) as exc:
         raise ConfigInvalid(f"bad start value in the analysis section: {exc}") from exc
     traj = integrate(sysspec, start, cfg.integrator)
-    em.check("integration", True, float(np.abs(traj.samples).max()),
+    em.check("integration", True, max(-traj.samples.min(), traj.samples.max()) + 0.0,  # as state_box
              "trajectory completed inside the blowup bound")
     rep = classify(traj, cfg=default_classify_config(traj))
     em.report["classification"] = rep.to_dict()

@@ -192,12 +192,13 @@ class Signal:
         natural end row.  Local solves on a Signal total at most len(self)
         rows, one whole build's; a read past that builds the whole spline.
         """
-        n, m = len(self), 3 * _SWEEP_TERMS + 1
+        n, m, M = len(self), 3 * _SWEEP_TERMS + 1, _SWEEP_TERMS
         if "_spline" not in self.__dict__ and n > m:
-            starts, w = np.unique(np.clip((i // _SWEEP_TERMS - 1) * _SWEEP_TERMS, 0, n - m),
-                                  return_inverse=True)
-            spent = self.__dict__.get("_local_rows", 0) + starts.size * m
+            key = -(-np.clip((i // M - 1) * M, 0, n - m) // M)  # one per window start, unsorted
+            hit = np.bincount(key) > 0
+            spent = self.__dict__.get("_local_rows", 0) + int(hit.sum()) * m
             if spent <= n:
+                starts, w = np.minimum(np.flatnonzero(hit) * M, n - m), np.cumsum(hit)[key] - 1
                 self.__dict__["_local_rows"] = spent
                 c = _coefficients(self.samples[np.arange(m)[:, None] + starts], self.dt)
                 return c.reshape(4, -1, self.dim), (i - starts[w]) * starts.size + w
@@ -430,6 +431,28 @@ def sample_function(fn, t0: float, t_end: float, dt: float) -> Signal:
             vals = np.empty((n,) + chunk.shape[1:])
         vals[a : a + len(chunk)] = chunk
     return Signal(t0, dt, vals)
+
+
+class LazySignal(Signal):
+    """``sample_function(exact, t0, t_end, dt)`` with ``exact`` set, for a ``systems.TrigSum``,
+    whose ``on_grid`` gives each value the same bits however the grid is cut: a row slice
+    ``f[a:b]`` is formed alone, and ``samples`` are formed (checked, then kept) when first read."""
+
+    def __init__(self, exact, t0: float, t_end: float, dt: float):
+        n = int(round((t_end - t0) / dt)) + 1
+        if not (dt > 0 and math.isfinite(dt) and n >= 1):
+            raise ValueError("need a positive finite dt and t_end >= t0")
+        self.__dict__.update(t0=t0, dt=dt, exact=exact, _grid=(t0, t_end, dt), _n=n)
+
+    def __len__(self) -> int:
+        return self._n
+
+    dim = property(lambda self: len(self.exact.V))
+    samples = cached_property(lambda self: sample_function(self.exact, *self._grid).samples)
+
+    def __getitem__(self, rows: slice) -> np.ndarray:
+        a, b, _ = rows.indices(self._n)
+        return self.exact.on_grid(self.t0, self.dt, a, b - a)
 
 
 # ---------------------------------------------------------------------------

@@ -58,7 +58,7 @@ from .errors import (
     StepUnderflow,
     UnknownRegistryKey,
 )
-from .signals import Signal, sample_function
+from .signals import LazySignal, Signal, sample_function
 
 KINDS = ("scalar_ode", "cooperative_ode", "dde_single_delay", "parabolic_1d")
 
@@ -402,13 +402,12 @@ def _trig_sum(components) -> TrigSum:
 def forcing_signal(key: str, t0: float, t_end: float, dt: float, *,
                    components=None) -> Signal:
     """The closed-form forcing sampled on [t0, t_end] as a Signal; a
-    ``trig-sum`` forcing is sampled by, and read between samples through, its
-    ``TrigSum``.  The named families stay on the spline: ``classify`` reads
+    ``trig-sum`` forcing is the ``LazySignal`` of its ``TrigSum``, sampled by it
+    when read.  The named families stay on the spline: ``classify`` reads
     levitan's functions at tens of millions of points, where a cubic is
     cheaper than their three transcendentals."""
     if key == "trig-sum":
-        fn = _trig_sum(components)
-        return replace(sample_function(fn, t0, t_end, dt), exact=fn)
+        return LazySignal(_trig_sum(components), t0, t_end, dt)
     if key not in _FORCINGS:
         raise UnknownRegistryKey(f"no forcing {key!r}")
     return sample_function(_FORCINGS[key], t0, t_end, dt)
@@ -508,25 +507,25 @@ def _rk4_affine_steps(coeffs, y: np.ndarray, F: np.ndarray, h: float) -> np.ndar
     return out
 
 
-def _rk4_record(rhs, y: np.ndarray, cfg: IntegratorConfig, t0: float = 0.0):
-    """RK4 from t=0 on the record grid: (times, states); step k starts at k h.
-    Blowup messages name the record times plus t0, the run's start.
+def _rk4_record(rhs, y: np.ndarray, cfg: IntegratorConfig, t0: float = 0.0) -> np.ndarray:
+    """RK4 from t=0 on the record grid: the states; step k starts at k h.  Blowup
+    messages name the record times (formed per chunk, as ``_record_times`` does) plus t0.
 
     In closed form record r is P^k (y_0 - y_p,0) + y_p,k at k = r nsub: P**k
     for a scalar state, else one product with M = P^nsub per record.
     """
     if cfg.method != "rk4_fixed":
         raise ConfigInvalid(f"method {cfg.method!r}: this integrator runs rk4_fixed only")
-    ts = _record_times(cfg)
+    records = _record_count(cfg)
     nsub = max(1, math.ceil(cfg.record_dt / cfg.dt - 1e-12))
     h = cfg.record_dt / nsub
-    out = np.empty((ts.size,) + y.shape)
+    out = np.empty((records,) + y.shape)
     out[0] = y
     tail = (1,) * (y.ndim - 1)
     per_chunk = max(1, _CHUNK // y.size)
     with np.errstate(over="ignore", invalid="ignore"):  # the chunk check raises
         coeffs = _rk4_coeffs(rhs.A, h)
-        steps = (ts.size - 1) * nsub
+        steps = (records - 1) * nsub
         part = _rk4_particular(rhs, coeffs, h, steps)
         if part is None:
             for k0 in range(0, steps, per_chunk):
@@ -536,13 +535,13 @@ def _rk4_record(rhs, y: np.ndarray, cfg: IntegratorConfig, t0: float = 0.0):
                 # The records r with k0 < r nsub <= k0 + len(states).
                 r = np.arange(k0 // nsub + 1, (k0 + len(states)) // nsub + 1)
                 out[r] = states[r * nsub - k0 - 1]
-                _check_records(out[r], t0 + ts[r], cfg.bound)
-            return ts, out
+                _check_records(out[r], t0 + cfg.record_dt * r, cfg.bound)
+            return out
         P = coeffs[0]
         M = np.linalg.matrix_power(P, nsub)
         e = y - part([0.0])[0].reshape(-1, *tail)
-        for r0 in range(1, ts.size, per_chunk):
-            r1 = min(r0 + per_chunk, ts.size)
+        for r0 in range(1, records, per_chunk):
+            r1 = min(r0 + per_chunk, records)
             ks = nsub * np.arange(r0, r1)
             yp = part.on_grid(0.0, nsub * h, r0, r1 - r0)
             out[r0:r1] = yp.reshape(yp.shape + tail)
@@ -553,8 +552,8 @@ def _rk4_record(rhs, y: np.ndarray, cfg: IntegratorConfig, t0: float = 0.0):
                 for r in range(r0, r1):
                     e = M @ e
                     out[r] += e
-            _check_records(out[r0:r1], t0 + ts[r0:r1], cfg.bound)
-    return ts, out
+            _check_records(out[r0:r1], t0 + cfg.record_dt * np.arange(r0, r1), cfg.bound)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -673,9 +672,12 @@ def _dopri5(rhs, y0, cfg: IntegratorConfig, times) -> np.ndarray:
 # ODE drivers
 # ---------------------------------------------------------------------------
 
+def _record_count(cfg: IntegratorConfig) -> int:
+    return int(math.floor(cfg.t_end / cfg.record_dt + 1e-9)) + 1
+
+
 def _record_times(cfg: IntegratorConfig) -> np.ndarray:
-    n = int(math.floor(cfg.t_end / cfg.record_dt + 1e-9))
-    return cfg.record_dt * np.arange(n + 1)
+    return cfg.record_dt * np.arange(_record_count(cfg))
 
 
 def _start(u0, shape: tuple, name: str) -> np.ndarray:
@@ -694,11 +696,8 @@ def integrate_ode(sys: SystemSpec, u0, cfg: IntegratorConfig) -> Signal:
     """Solve the ODE from u0 at t=0 and sample the result on the record grid."""
     rhs = build_ode_rhs(sys)
     u = _start(np.atleast_1d(u0), (sys.dim,), "initial state")
-    if cfg.method == "rk4_fixed":
-        _, out = _rk4_record(rhs, u, cfg)
-    else:
-        out = _dopri5(rhs, u, cfg, _record_times(cfg))
-    return Signal(0.0, cfg.record_dt, out)
+    return Signal(0.0, cfg.record_dt, _rk4_record(rhs, u, cfg) if cfg.method == "rk4_fixed"
+                  else _dopri5(rhs, u, cfg, _record_times(cfg)))
 
 
 def integrate_ode_snapshots(sys: SystemSpec, u0, cfg: IntegratorConfig,
@@ -722,7 +721,7 @@ def integrate_ode_snapshots(sys: SystemSpec, u0, cfg: IntegratorConfig,
         span = t - t_prev
         if span > 0:
             span_cfg = replace(cfg, dt=min(cfg.dt, span), record_dt=span, t_end=span)
-            y = _rk4_record(build_ode_rhs(sys.shifted(t_prev)), y, span_cfg, t_prev)[1][-1]
+            y = _rk4_record(build_ode_rhs(sys.shifted(t_prev)), y, span_cfg, t_prev)[-1]
         out[i] = y
         t_prev = t
     return out
@@ -735,7 +734,7 @@ def integrate_ode_batch(sys: SystemSpec, U0, cfg: IntegratorConfig):
     ordered-pair batteries, which are embarrassingly parallel.
     """
     rhs = build_ode_rhs(sys)
-    return _rk4_record(rhs, _start(U0, (sys.dim, "batch"), "batch starts"), cfg)
+    return _record_times(cfg), _rk4_record(rhs, _start(U0, (sys.dim, "batch"), "batch starts"), cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -917,9 +916,9 @@ def _parabolic_core(sys, W0, cfg, batch):
     if m < 8:
         raise GridTooCoarse(f"space_points={m} < 8")
     rhs, xs = reaction.method_of_lines(m)
-    ts, Y = _rk4_record(rhs, W0.reshape((n * m,) + W0.shape[2:]),
-                        replace(cfg, dt=min(cfg.dt, reaction.stable_step(m))))
-    return ts, Y.reshape((ts.size,) + W0.shape), xs
+    Y = _rk4_record(rhs, W0.reshape((n * m,) + W0.shape[2:]),
+                    replace(cfg, dt=min(cfg.dt, reaction.stable_step(m))))
+    return _record_times(cfg), Y.reshape((len(Y),) + W0.shape), xs
 
 
 # The most float64 elements one array can hold: its size in bytes must fit an

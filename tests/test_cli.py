@@ -439,6 +439,21 @@ def test_run_non_finite_start_exit_2_without_manifest(case, method, tmp_path, ca
     assert not (tmp_path / "out" / "manifest.json").exists()
 
 
+def test_run_non_finite_u0_leaves_no_output_directory(tmp_path, capsys):
+    # The start is checked after the run's record exists; the output directory
+    # is made at its first write, so none is left behind.
+    raw = {"name": "bad-start", "analysis": {"u0": [0.5, math.nan]},
+           "system": {"kind": "cooperative_ode", "dim": 2, "rhs": "linear+trig",
+                      "params": {"A": [[-1.0, 0.5], [0.5, -1.0]]}},
+           "integrator": {"method": "rk4_fixed", "dt": 0.05, "t_end": 2.0, "record_dt": 0.1}}
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(raw))
+    out = tmp_path / "nested" / "out"
+    assert main(["run", str(cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.rstrip().endswith("must be finite")
+    assert not (tmp_path / "nested").exists()
+
+
 # Small valid configs of each kind; every node of each is corrupted in turn.
 _VALID_CONFIGS = [
     {"name": "fuzz-ode",

@@ -1,10 +1,13 @@
 import math
+import tracemalloc
 from dataclasses import replace
+from unittest.mock import patch
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
+from poisson_lab import limits
 from poisson_lab.errors import DimensionMismatch, InsufficientReturns, NotCauchy
 from poisson_lab.limits import (
     ContractionResult,
@@ -340,3 +343,47 @@ def test_battery_unordered_dde_witness():
     assert not ordered and worst > 0.1
     t, comp, pair = witness
     assert 0.0 < t <= 20.0 + 0.05 and comp == 0 and 0 <= pair < 20
+
+
+def test_battery_holds_two_battery_arrays_and_chunk_temporaries():
+    # The scale is taken from the extremes and the gap formed in place, so on s5's
+    # battery the traced peak is the two batteries plus chunk-sized integration
+    # arrays; stacking them and taking |.| held four more.
+    cfg = build_scenario("s5-rd-scalar")
+    ana = cfg.analysis
+    icfg = replace(cfg.integrator, space_points=ana["battery_points"], record_dt=0.5, dt=0.5)
+    records = round(ana["battery_horizon"] / icfg.record_dt) + 1
+    one = 8 * records * ana["battery_points"] * ana["battery_count"]
+    tracemalloc.start()
+    try:
+        ordered, _, _ = comparison_battery(cfg.system, ana["state_box"], ana["battery_count"],
+                                           ana["battery_horizon"], cfg=icfg, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ordered
+    assert peak < 2.5 * one
+
+
+@given(st.lists(st.sampled_from([0.0, -0.0]) | st.floats(-1e3, 1e3), min_size=1, max_size=30),
+       st.booleans())
+@example([0.0, -0.0, 2.5, -0.0], False)
+@example([-7.0, 0.0, 1e-3], True)
+def test_battery_tolerance_is_the_largest_magnitude_bit_for_bit(values, above):
+    # Stubbed batteries agree except at their last entry, where the gap is the
+    # tolerance 1e-9 + 1e-6 max |Y| formed with np.abs over both batteries (ordered),
+    # or the next float above it (violated there).
+    scale = float(np.abs(values).max())
+    assume(scale >= 1e-8)  # the gap entry, about 1e-6 scale, then sets no new max
+    tol = 1e-9 + 1e-6 * scale
+    gap = np.nextafter(tol, math.inf) if above else tol
+    Ylo = np.array(values + [0.0]).reshape(-1, 1, 1)
+    Yup = Ylo.copy()
+    Yup[-1] = -gap
+    assert 1e-9 + 1e-6 * float(np.abs(np.stack([Ylo, Yup])).max()) == tol
+    ts = 0.5 * np.arange(len(Ylo))
+    batteries = iter([Ylo, Yup])
+    with patch.object(limits, "integrate_ode_batch", lambda *_: (ts, next(batteries))):
+        ordered, worst, witness = comparison_battery(ode([[-1.0]], [[]]), [[0.0, 1.0]], 1, 1.0)
+    assert worst == gap
+    assert (ordered, witness) == ((False, (ts[-1], 0, 0)) if above else (True, None))

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 from unittest.mock import patch
 
 import numpy as np
@@ -492,6 +493,59 @@ def test_cell_range_bound_keeps_its_rounding_margin():
     dense = np.abs(f.window_values(1, 1, np.linspace(2.0, 2.05, 201)) - base).min()
     assert f._cell_ranges[0][20:23].min() > dense
     assert recurrence._full_lower_bound(f, 1, base, 2.0, 2.05) <= dense
+
+
+def test_streamed_candidates_are_the_sampled_ones_bit_for_bit():
+    # A trig-sum forcing is read one slice per block of shifts and never sampled
+    # whole; the candidates are the dense bound of its samples, with blocks
+    # shorter than the window too.
+    @given(st.integers(min_value=0, max_value=2**32 - 1),     # seed
+           st.sampled_from([1, 2, 3]),                        # components
+           st.integers(min_value=1, max_value=120),           # window points m
+           st.integers(min_value=0, max_value=30),            # window start i0
+           st.integers(min_value=1, max_value=900),           # largest shift j_hi
+           st.floats(min_value=0.05, max_value=3.0),          # bar
+           st.sampled_from([1, 7, 64, 1 << 15]))              # block, values
+    @example(0, 1, 100, 10, 800, 0.5, 7)
+    @example(1, 3, 4, 0, 300, 2.0, 1)
+    def check(seed, dim, m, i0, j_hi, bar, block):
+        rng = np.random.default_rng(seed)
+        comps = [[[float(rng.uniform(0.2, 1.5)), float(rng.uniform(0.1, 3.0)),
+                   float(rng.uniform(0.0, 6.3))] for _ in range(2)] for _ in range(dim)]
+        n = i0 + m + j_hi
+        f = forcing_signal("trig-sum", 0.0, 0.1 * (n - 1), 0.1, components=comps)
+        probe_rel = np.unique(np.linspace(0, m - 1, min(64, m)).round().astype(int))
+        with patch.object(recurrence, "_BLOCK_VALUES", block):
+            idx, vals = recurrence._probe_candidates(f, i0, probe_rel, j_hi, bar)
+        assert "samples" not in vars(f)
+        want = dense_probe_bound(f.samples, i0, m, j_hi)[0]
+        assert np.array_equal(idx, np.flatnonzero(want < bar))
+        assert want[idx].tobytes() == vals.tobytes()
+
+    check()
+
+
+def test_returns_on_a_long_forcing_hold_no_forcing_samples():
+    # s1's return search on its 4.3 M-sample forcing: every read is one block of
+    # the trig sum's grid, so the traced peak is well below the samples' bytes,
+    # and the returns are those of the sampled forcing bit for bit.
+    cfg = build_scenario("s1-opial-scalar")
+    ana = cfg.analysis
+    wc, hw = ana["return_window"]
+    f = forcing_signal("trig-sum", 0.0, cfg.integrator.t_end + 2 * hw + 50.0,
+                       ana["forcing_dt"], components=cfg.system.params["forcing"])
+    args = ana["return_schedule"], Window(wc, hw)
+    tracemalloc.start()
+    try:
+        got = poisson_returns(f, *args, separation=ana["return_separation"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert "samples" not in vars(f)
+    assert peak < 0.25 * 8 * len(f) * f.dim
+    sampled = Signal(f.t0, f.dt, f.samples, exact=f.exact)
+    assert got == poisson_returns(sampled, *args, separation=ana["return_separation"])
+    assert len(got) == len(ana["return_schedule"])
 
 
 def test_returns_on_an_exact_signal_build_no_cell_ranges():

@@ -3,11 +3,13 @@ import pickle
 import re
 import tracemalloc
 from dataclasses import replace
+from unittest.mock import patch
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
+from poisson_lab import systems
 from poisson_lab.errors import (
     BlowupDetected,
     ConfigInvalid,
@@ -32,6 +34,7 @@ from poisson_lab.systems import (
     _rk4_affine_steps,
     _rk4_coeffs,
     _rk4_particular,
+    _rk4_record,
     _trig_sum,
     build_dde_rhs,
     build_ode_rhs,
@@ -1379,14 +1382,49 @@ def test_rk4_step_loop_memory_stays_flat_over_a_long_record_interval():
 
 def test_forcing_synthesis_holds_no_more_than_its_samples():
     # Chunked synthesis: the tracemalloc peak is the samples plus chunk-sized
-    # temporaries, not the (terms, n) outer product of one-shot synthesis.
+    # temporaries, not the (terms, n) outer product of one-shot synthesis.  The
+    # samples are formed at their first read.
     n = (1 << 20) + 1
     tracemalloc.start()
     try:
         f = forcing_signal("trig-sum", 0.0, 0.05 * (n - 1), 0.05,
                            components=_components("s1-opial-scalar"))
+        assert "samples" not in vars(f)
+        f.samples
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert len(f) == n
     assert peak < 1.5 * f.samples.nbytes
+
+
+def test_chunked_record_times_are_record_times_bit_for_bit():
+    # Each chunk forms its own record times for the blowup check, record_dt * r as
+    # _record_times forms them, on the closed form and on the step loop (A = 0 makes
+    # I - P singular, so the closed form turns the offset away; so do short runs).
+    paths = set()
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.floats(0.01, 2.0), st.integers(1, 300), st.integers(1, 5), st.booleans(),
+           st.sampled_from([1, 3, 64, 1 << 16]), st.sampled_from([0.0, 17.25]))
+    @example(0.1, 2001, 1, False, 1 << 16, 0.0)
+    @example(0.05, 7, 3, True, 2, 5.0)
+    def check(record_dt, records, nsub, singular, chunk, t0):
+        sys = SystemSpec("scalar_ode", 1, "linear+trig",
+                         {"A": [[0.0 if singular else -1.0]], "offset": [0.5],
+                          "forcing": [[[1.0, 1.0, 0.3]]]})
+        cfg = IntegratorConfig(method="rk4_fixed", dt=record_dt / nsub,
+                               t_end=record_dt * records, record_dt=record_dt)
+        seen = []
+        with patch.object(systems, "_CHUNK", chunk), \
+                patch.object(systems, "_check_records",
+                             lambda Y, ts, bound: seen.append((len(Y), np.asarray(ts)))), \
+                patch.object(systems, "_rk4_affine_steps", wraps=_rk4_affine_steps) as steps:
+            out = _rk4_record(build_ode_rhs(sys), np.zeros(1), cfg, t0)
+        paths.add(steps.called)
+        want = _record_times(cfg)
+        assert len(out) == want.size == 1 + sum(k for k, _ in seen)
+        assert np.concatenate([ts for _, ts in seen]).tobytes() == (t0 + want[1:]).tobytes()
+
+    check()
+    assert paths == {False, True}
