@@ -20,7 +20,6 @@ from .signals import (  # noqa: F401
     write_signal_csv,
 )
 from .systems import (  # noqa: F401
-    Field,
     IntegratorConfig,
     SystemSpec,
     forcing_signal,

@@ -234,7 +234,7 @@ def comparison_battery(sys: SystemSpec, box, count: int, horizon: float, *,
         lo, up = ordered_pairs(box, count, rng)
         integrate = integrate_dde_batch if sys.kind == "dde_single_delay" \
             else integrate_ode_batch
-    ts, Ylo = integrate(sys, lo, cfg)[:2]
+    ts, Ylo = integrate(sys, lo, cfg)
     Yup = integrate(sys, up, cfg)[1]
     tol = 1e-9 + 1e-6 * float(max(-min(Ylo.min(), Yup.min()), max(Ylo.max(), Yup.max())))  # max |Y|
     gap = np.subtract(Ylo, Yup, out=Ylo)  # ordered means <= 0 (+tol); Ylo is not read again

@@ -15,7 +15,7 @@ delta-shift of the base is an epsilon-shift of the trajectory.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, is_dataclass, replace
 from fractions import Fraction
 from itertools import combinations
 
@@ -23,6 +23,7 @@ import numpy as np
 
 from .errors import ConfigInvalid
 from .signals import (
+    _MAX_FLOATS,
     LazySignal,
     Signal,
     Window,
@@ -63,11 +64,15 @@ class TauGrid:
     def __post_init__(self):
         if not (self.tau_step > 0 and self.tau_max > self.tau_min):
             raise ValueError("need tau_step > 0 and tau_max > tau_min")
+        if not (math.isfinite(self.tau_min) and math.isfinite(self.tau_step)
+                and self.span / self.tau_step < _MAX_FLOATS):
+            raise ValueError("tau grid needs finite ends and step and at most "
+                             f"{_MAX_FLOATS:.3g} shifts")
 
     def values(self, w: Window | None = None, *signals: Signal) -> np.ndarray:
         """The taus; given a window, it and its shifts by the first and last tau
         (so all between) must fit each of ``signals`` before the grid is built."""
-        n = int(math.floor((self.tau_max - self.tau_min) / self.tau_step + 1e-9))
+        n = int(math.floor(self.span / self.tau_step + 1e-9))
         for f in signals:
             w.require_inside(f)
             _require_shifts_inside(f, w, self.tau_min + self.tau_step * np.array([0, n]))
@@ -150,13 +155,7 @@ class ComparabilityProfile:
     witness: float | None = None # refuting tau, if any
 
     def to_dict(self) -> dict:
-        return {
-            "pairs": [[e, _jsonable(d)] for e, d in self.pairs],
-            "verdict": self.verdict,
-            "witness": self.witness,
-            "window": _window_dict(self.window),
-            "tau_grid": [self.tau_grid.tau_min, self.tau_grid.tau_max, self.tau_grid.tau_step],
-        }
+        return _jsonable(self)
 
 
 @dataclass(frozen=True)
@@ -164,17 +163,11 @@ class Verdict:
     verdict: str                 # yes | no | inconclusive
     params: dict = field(default_factory=dict)
     witness: dict | None = None
-    window: dict | None = None
+    window: Window | None = None
     notes: str = ""
 
     def to_dict(self) -> dict:
-        return {
-            "verdict": self.verdict,
-            "params": _jsonable(self.params),
-            "witness": _jsonable(self.witness),
-            "window": self.window,
-            "notes": self.notes,
-        }
+        return _jsonable(self)
 
 
 @dataclass(frozen=True)
@@ -188,20 +181,20 @@ class RecurrenceReport:
         return self.classes[name]
 
     def to_dict(self) -> dict:
-        return {
-            "classes": {k: v.to_dict() for k, v in self.classes.items()},
-            "comparability": None if self.comparability is None
-            else self.comparability.to_dict(),
-            "transfer": _jsonable(self.transfer),
-            "notes": list(self.notes),
-        }
+        return _jsonable(self)
 
 
 def _jsonable(obj):
+    """The JSON form of every result: a dataclass as the dict of its fields, a
+    TauGrid as [tau_min, tau_max, tau_step], an infinite float as "inf"."""
     if obj is None or isinstance(obj, (str, int, bool)):
         return obj
     if isinstance(obj, float):
         return "inf" if math.isinf(obj) else obj
+    if isinstance(obj, TauGrid):
+        return [obj.tau_min, obj.tau_max, obj.tau_step]
+    if is_dataclass(obj):
+        return {f.name: _jsonable(getattr(obj, f.name)) for f in fields(obj)}
     if isinstance(obj, dict):
         return {k: _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -211,10 +204,6 @@ def _jsonable(obj):
     if isinstance(obj, (np.floating, np.integer)):
         return _jsonable(float(obj))
     return str(obj)
-
-
-def _window_dict(w: Window) -> dict:
-    return {"center": w.center, "half_width": w.half_width}
 
 
 # ---------------------------------------------------------------------------
@@ -233,15 +222,15 @@ def _table_rows(epsilons, grid, taus, D) -> list:
     return [(e, L, L > 0.5 * grid.span) for e, L in gaps]
 
 
-def _table_verdict(rows, wdict, notes="") -> Verdict:
+def _table_verdict(rows, w, notes="") -> Verdict:
     """yes when no row saturates; otherwise no, witnessed by the first one."""
     table = {"table": [[e, L, s] for e, L, s in rows]}
     saturated = [r for r in rows if r[2]]
     if not saturated:
-        return Verdict("yes", table, window=wdict)
+        return Verdict("yes", table, window=w)
     e, L, _ = saturated[0]
     return Verdict("no", table, witness={"epsilon": e, "max_gap": L},
-                   window=wdict, notes=notes)
+                   window=w, notes=notes)
 
 
 # ---------------------------------------------------------------------------
@@ -627,7 +616,6 @@ def classify(f: Signal, base: Signal | None = None,
 def _classify(f: Signal, base, cfg: ClassifyConfig, D=None) -> RecurrenceReport:
     """``classify``; D, if given, is f's exact profile, a capped one at any cap."""
     w = cfg.window
-    wdict = _window_dict(w)
     grid = cfg.tau_grid
     taus = grid.values(w, f)
     i0, i1 = f.window_slice(w)
@@ -650,27 +638,27 @@ def _classify(f: Signal, base, cfg: ClassifyConfig, D=None) -> RecurrenceReport:
 
     # stationary ----------------------------------------------------------
     if spread <= cfg.stationary_tol:
-        classes["stationary"] = Verdict("yes", {"value": vals[0].tolist()}, window=wdict)
+        classes["stationary"] = Verdict("yes", {"value": vals[0].tolist()}, window=w)
     else:
         k = int(np.argmax(np.abs(vals - vals[0]).max(axis=1)))
         classes["stationary"] = Verdict(
             "no", witness={"t": float(f.t0 + (i0 + k) * f.dt), "spread": spread},
-            window=wdict)
+            window=w)
 
     # periodic ------------------------------------------------------------
     verify_tol = _PERIODIC_VERIFY_ABS + cfg.periodic_verify_rel * scale
     period, period_disc = _find_period(f, taus, D, w, scale)
     if classes["stationary"].verdict == "yes":
         classes["periodic"] = Verdict("yes", {"period": 0.0, "note": "stationary"},
-                                      window=wdict)
+                                      window=w)
     elif period is not None and period_disc <= verify_tol:
         classes["periodic"] = Verdict(
-            "yes", {"period": period, "discrepancy": period_disc}, window=wdict)
+            "yes", {"period": period, "discrepancy": period_disc}, window=w)
     else:
         wit = {"best_tau": period, "discrepancy": period_disc} if period else \
               {"min_D": _profile_min(f, taus[1:], w, D[1:], cap) if D.size > 1
                else None}
-        classes["periodic"] = Verdict("no", witness=wit, window=wdict)
+        classes["periodic"] = Verdict("no", witness=wit, window=w)
 
     # quasi-periodic -------------------------------------------------------
     fit = quasi_periodic_fit(f, _QUASI_MAX_FREQS, cfg.fit_window or w)
@@ -681,29 +669,29 @@ def _classify(f: Signal, base, cfg: ClassifyConfig, D=None) -> RecurrenceReport:
             "yes",
             {"freqs": [2 * math.pi / T], "independent_count": 1,
              "residual": fit.residual},
-            window=wdict, notes="fundamental from the verified period")
+            window=w, notes="fundamental from the verified period")
     elif fit.freqs and fit.residual < cfg.quasi_residual_tol and independent:
         classes["quasi_periodic"] = Verdict(
             "yes", {"freqs": list(fit.freqs), "amplitudes": list(fit.amplitudes),
                     "independent_count": len(fit.freqs), "residual": fit.residual},
-            window=wdict)
+            window=w)
     elif fit.freqs and fit.residual < cfg.quasi_residual_tol:
         classes["quasi_periodic"] = Verdict(
             "inconclusive", {"freqs": list(fit.freqs), "residual": fit.residual},
-            window=wdict, notes="frequencies look rationally dependent")
+            window=w, notes="frequencies look rationally dependent")
     else:
         classes["quasi_periodic"] = Verdict(
-            "no", witness={"residual": fit.residual}, window=wdict)
+            "no", witness={"residual": fit.residual}, window=w)
 
     # Bohr-style table ------------------------------------------------------
     classes["bohr_ap"] = _table_verdict(
-        _table_rows(cfg.bohr_epsilons, grid, taus, D), wdict,
+        _table_rows(cfg.bohr_epsilons, grid, taus, D), w,
         notes="inclusion length saturates the grid at this scale")
 
     # almost recurrence (shift metric) --------------------------------------
     Db = bebutov_profile(f, taus, w)
     classes["almost_recurrent"] = _table_verdict(
-        _table_rows(cfg.bohr_epsilons, grid, taus, Db), wdict)
+        _table_rows(cfg.bohr_epsilons, grid, taus, Db), w)
 
     # Poisson returns --------------------------------------------------------
     sched = tuple(s * scale for s in cfg.poisson_schedule)
@@ -712,28 +700,28 @@ def _classify(f: Signal, base, cfg: ClassifyConfig, D=None) -> RecurrenceReport:
         classes["poisson"] = Verdict(
             "yes", {"times": list(returns.times),
                     "discrepancies": list(returns.discrepancies),
-                    "schedule": list(sched)}, window=wdict)
+                    "schedule": list(sched)}, window=w)
     elif 2 * len(returns) >= len(sched):
         classes["poisson"] = Verdict(
             "inconclusive", {"times": list(returns.times),
-                             "schedule": list(sched)}, window=wdict,
+                             "schedule": list(sched)}, window=w,
             notes="schedule only partially satisfied on this horizon")
     else:
         classes["poisson"] = Verdict(
             "no", witness={"schedule": list(sched),
-                           "found": list(returns.times)}, window=wdict,
+                           "found": list(returns.times)}, window=w,
             notes="the return search stalls at the probed scales")
 
     # pseudo recurrence: derived flag only -----------------------------------
     if classes["poisson"].verdict == "yes" and classes["almost_recurrent"].verdict == "yes":
         classes["pseudo_recurrent"] = Verdict(
-            "yes", {"derived": True}, window=wdict,
+            "yes", {"derived": True}, window=w,
             notes="derived from poisson yes + finite inclusion lengths")
     elif classes["poisson"].verdict == "no":
-        classes["pseudo_recurrent"] = Verdict("no", {"derived": True}, window=wdict)
+        classes["pseudo_recurrent"] = Verdict("no", {"derived": True}, window=w)
     else:
         classes["pseudo_recurrent"] = Verdict("inconclusive", {"derived": True},
-                                              window=wdict)
+                                              window=w)
 
     comparability = None
     transfer = None

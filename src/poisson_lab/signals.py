@@ -29,6 +29,9 @@ from .errors import (
 
 # Relative slack used when snapping times to the sample grid.
 _GRID_RTOL = 1e-9
+# The most float64 elements one array can hold: its size in bytes must fit an
+# index.
+_MAX_FLOATS = np.iinfo(np.intp).max // 8
 
 
 @dataclass(frozen=True)

@@ -58,7 +58,7 @@ from .errors import (
     StepUnderflow,
     UnknownRegistryKey,
 )
-from .signals import LazySignal, Signal, sample_function
+from .signals import _MAX_FLOATS, LazySignal, Signal, sample_function
 
 KINDS = ("scalar_ode", "cooperative_ode", "dde_single_delay", "parabolic_1d")
 
@@ -846,62 +846,31 @@ def _dde_core(rhs, hist_vals, cfg):
 # parabolic method of lines
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Field:
-    """Space-time field: one grid function per recorded time."""
-
-    times: np.ndarray   # (T,)
-    xs: np.ndarray      # (m,)
-    values: np.ndarray  # (T, n_species, m)
-
-    def to_signal(self) -> Signal:
-        """Flatten species x space into one Signal (dim = n * m)."""
-        T = self.values.shape[0]
-        dt = float(self.times[1] - self.times[0]) if T > 1 else 1.0
-        return Signal(float(self.times[0]), dt, self.values.reshape(T, -1))
-
-    def spatial_mean(self) -> np.ndarray:
-        """Trapezoid-weight spatial mean per species; shape (T, n)."""
-        w = _trapezoid_weights(self.xs.size)
-        return (self.values * w).sum(axis=2) / w.sum()
-
-    def mode_amplitude(self, profile: np.ndarray) -> np.ndarray:
-        """Weighted projection onto a spatial profile; shape (T, n)."""
-        w = _trapezoid_weights(self.xs.size)
-        denom = float((w * profile * profile).sum())
-        return (self.values * (w * profile)).sum(axis=2) / denom
-
-
-def _trapezoid_weights(m: int) -> np.ndarray:
-    w = np.ones(m)
-    w[0] = w[-1] = 0.5
-    return w
-
-
-def integrate_parabolic(sys: SystemSpec, u0, cfg: IntegratorConfig) -> Field:
+def integrate_parabolic(sys: SystemSpec, u0, cfg: IntegratorConfig) -> Signal:
     """Method of lines on [0, L]: central Laplacian, ghost-node Neumann walls.
 
     The step is capped at the explicit diffusion stability limit and snapped
-    to divide record_dt.
+    to divide record_dt.  The Signal holds the (species, node) field flattened:
+    column s m + j is species s at the node x_j = j L / (m - 1).
     """
-    ts, vals, xs = _parabolic_core(sys, np.asarray(u0, dtype=float), cfg, batch=False)
-    return Field(ts, xs, vals)
+    Y = _parabolic_core(sys, np.asarray(u0, dtype=float), cfg, batch=False)
+    return Signal(0.0, cfg.record_dt, Y.reshape(len(Y), -1))
 
 
 def integrate(sys: SystemSpec, start, cfg: IntegratorConfig) -> Signal:
     """One trajectory of any kind from ``start``: the ODE state, the DDE
-    history Signal or the parabolic start field (the Field flattened by
-    ``Field.to_signal``)."""
+    history Signal or the parabolic start field."""
     if sys.kind == "dde_single_delay":
         return integrate_dde(sys, start, cfg)
     if sys.kind == "parabolic_1d":
-        return integrate_parabolic(sys, start, cfg).to_signal()
+        return integrate_parabolic(sys, start, cfg)
     return integrate_ode(sys, start, cfg)
 
 
 def integrate_parabolic_batch(sys: SystemSpec, U0, cfg: IntegratorConfig):
-    """Batch variant; U0 has shape (n_species, m, batch)."""
-    return _parabolic_core(sys, np.asarray(U0, dtype=float), cfg, batch=True)
+    """Batch variant; U0 has shape (n_species, m, batch).  Returns (times, Y)
+    with Y of shape (n_rec, n_species, m, batch)."""
+    return _record_times(cfg), _parabolic_core(sys, np.asarray(U0, dtype=float), cfg, batch=True)
 
 
 def _parabolic_core(sys, W0, cfg, batch):
@@ -915,15 +884,12 @@ def _parabolic_core(sys, W0, cfg, batch):
         raise ConfigInvalid("space_points does not match the initial field")
     if m < 8:
         raise GridTooCoarse(f"space_points={m} < 8")
-    rhs, xs = reaction.method_of_lines(m)
+    rhs, _ = reaction.method_of_lines(m)
     Y = _rk4_record(rhs, W0.reshape((n * m,) + W0.shape[2:]),
                     replace(cfg, dt=min(cfg.dt, reaction.stable_step(m))))
-    return _record_times(cfg), Y.reshape((len(Y),) + W0.shape), xs
+    return Y.reshape((len(Y),) + W0.shape)
 
 
-# The most float64 elements one array can hold: its size in bytes must fit an
-# index.
-_MAX_FLOATS = np.iinfo(np.intp).max // 8
 # The most rounding, in radians, of a forcing phase omega t, about |omega t| 2^-53
 # (N. J. Higham, Accuracy and Stability of Numerical Algorithms, SIAM 2002, ch. 2).
 _PHASE_BAR = 1e-6

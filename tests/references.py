@@ -190,10 +190,10 @@ def parabolic_cocycle_defect(sys: SystemSpec, u0, cfg: IntegratorConfig,
     full = integrate_parabolic(sys, u0, replace(cfg, t_end=t + tau))
     idx_mid = int(round(tau / cfg.record_dt))
     idx_end = int(round((t + tau) / cfg.record_dt))
-    mid = full.values[idx_mid]
-    end_direct = full.values[idx_end]
+    mid = full.samples[idx_mid].reshape(np.shape(u0))
+    end_direct = full.samples[idx_end]
     restart = integrate_parabolic(sys.shifted(tau), mid, replace(cfg, t_end=t))
-    return float(np.max(np.abs(end_direct - restart.values[-1])))
+    return float(np.max(np.abs(end_direct - restart.samples[-1])))
 
 
 # ---------------------------------------------------------------------------

@@ -174,6 +174,38 @@ def test_compare_prints_classify_comparability(base, tmp_path, capsys):
     assert printed == json.loads(json.dumps(report["comparability"]))
 
 
+def _assert_comparability_form(comp):
+    """The ``comparability`` block of docs/report-schema.md."""
+    assert set(comp) == {"pairs", "verdict", "witness", "window", "tau_grid"}
+    assert set(comp["window"]) == {"center", "half_width"}
+    assert len(comp["tau_grid"]) == 3
+    assert all(type(v) in (int, float) for v in comp["tau_grid"])
+    assert all(len(p) == 2 and (p[1] == "inf" or type(p[1]) is float) for p in comp["pairs"])
+
+
+def test_report_json_has_the_documented_form(levitan_run):
+    psi = levitan_run["report"]["psi"]
+    assert set(psi) == {"classes", "comparability", "transfer", "notes"}
+    for verdict in psi["classes"].values():
+        assert set(verdict) == {"verdict", "params", "witness", "window", "notes"}
+        assert set(verdict["window"]) == {"center", "half_width"}
+        assert type(verdict["notes"]) is str
+    _assert_comparability_form(psi["comparability"])
+    assert set(psi["transfer"]) == {"verdict", "claims", "levitan_evidence",
+                                    "levitan_origin", "relative_to"}
+    assert type(psi["notes"]) is list and all(type(n) is str for n in psi["notes"])
+
+
+def test_compare_json_has_the_documented_form(sine_csv, tmp_path, capsys):
+    # A trajectory within 0.02 of zero fails no eps-shift: each delta_hat is +inf.
+    flat = tmp_path / "flat.csv"
+    write_signal_csv(sample_function(lambda t: 0.01 * np.sin(t), 0.0, 200.0, 0.01), flat)
+    assert main(["compare", str(flat), str(sine_csv)]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    _assert_comparability_form(payload)
+    assert [d for _, d in payload["pairs"]] == ["inf"] * 3
+
+
 def test_compare_ramp_vs_sine(sine_csv, tmp_path, capsys):
     ramp_csv = tmp_path / "ramp.csv"
     write_signal_csv(
@@ -343,6 +375,12 @@ def test_run_boolean_count_exit_2_naming_the_field(case, field, tmp_path, capsys
     assert not (tmp_path / "out").exists()
 
 
+# Tau grids with an infinite end or step, or more shifts than an array can
+# hold (np.iinfo(np.intp).max // 8, about 1.15e18).
+_UNBUILDABLE_GRIDS = [[0, math.inf, 1], [-math.inf, 10, 1], [-1e308, 1e308, 1],
+                      [0, 1e308, 1e-308], [0, 10, math.inf], [0, 10, 1e-300]]
+
+
 @pytest.mark.parametrize("analysis", [
     {"window": [100.0, -5.0]},
     {"tau_grid": [0.0, -1.0, 0.1]},
@@ -360,12 +398,22 @@ def test_run_boolean_count_exit_2_naming_the_field(case, field, tmp_path, capsys
     {"poisson_schedule": [0.1, 0.2]},
     {"bohr_epsilons": [float("nan")]},
     {"bohr_epsilons": [0.5, -0.2]},
+    *({"tau_grid": grid} for grid in _UNBUILDABLE_GRIDS),
 ])
 def test_classify_bad_analysis_config_exit_2(sine_csv, tmp_path, capsys, analysis):
     cfg = tmp_path / "analysis.json"
     cfg.write_text(json.dumps(analysis))
     assert main(["classify", str(sine_csv), "--config", str(cfg)]) == 2
     assert len(capsys.readouterr().err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("grid", _UNBUILDABLE_GRIDS)
+def test_compare_unbuildable_tau_grid_exit_2(sine_csv, tmp_path, capsys, grid):
+    cfg = tmp_path / "analysis.json"
+    cfg.write_text(json.dumps({"window": [50, 40], "tau_grid": grid}))
+    assert main(["compare", str(sine_csv), str(sine_csv), "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: bad analysis config")
 
 
 def test_classify_separation_past_the_signal_finds_no_return(sine_csv, tmp_path, capsys):

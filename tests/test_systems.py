@@ -732,7 +732,15 @@ def test_constant_is_neumann_equilibrium():
     cfg = IntegratorConfig(method="rk4_fixed", dt=0.5, t_end=2.0,
                            record_dt=0.5, space_points=m)
     field = integrate_parabolic(rd(), np.full((1, m), 1.5), cfg)
-    assert np.abs(field.values - 1.5).max() < 1e-12
+    assert np.abs(field.samples - 1.5).max() < 1e-12
+
+
+def _trapezoid_projection(field, profile):
+    """Trapezoid-weight projection of each record of a one-species field onto
+    ``profile``; a profile of ones gives the spatial mean."""
+    w = np.ones(field.dim)
+    w[0] = w[-1] = 0.5
+    return (field.samples * (w * profile)).sum(axis=-1) / (w * profile * profile).sum()
 
 
 def test_cosine_mode_decay_rate():
@@ -742,7 +750,7 @@ def test_cosine_mode_decay_rate():
                            record_dt=t_star / 10, space_points=m)
     xs = np.linspace(0.0, L, m)
     field = integrate_parabolic(rd(nu=nu), np.cos(math.pi * xs / L)[None, :], cfg)
-    amps = field.mode_amplitude(np.cos(math.pi * xs / L))[:, 0]
+    amps = _trapezoid_projection(field, np.cos(math.pi * xs / L))
     target = math.exp(-nu * (math.pi / L) ** 2 * t_star)
     assert abs(amps[-1] / amps[0] - target) / target < 1e-2
 
@@ -754,7 +762,7 @@ def test_spatial_mean_conserved():
     rng = np.random.default_rng(0)
     u0 = 1.0 + 0.3 * rng.standard_normal(m)
     field = integrate_parabolic(rd(nu=0.2), u0[None, :], cfg)
-    means = field.spatial_mean()[:, 0]
+    means = _trapezoid_projection(field, np.ones(m))
     assert np.abs(means - means[0]).max() / abs(means[0]) < 1e-8
 
 
@@ -803,13 +811,13 @@ def test_parabolic_drivers_match_stage_loop(n):
     B0 = rng.uniform(0.0, 1.0, size=(n, m, 3))
 
     field = integrate_parabolic(sys, W0, cfg)
-    _, batch, _ = integrate_parabolic_batch(sys, B0, cfg)
+    _, batch = integrate_parabolic_batch(sys, B0, cfg)
     ref, ref_batch = [W0.ravel()], [B0.reshape(n * m, 3)]
-    for i in range(1, len(field.times)):
+    for i in range(1, len(field)):
         steps = range((i - 1) * nsub, i * nsub)
         ref.append(_rk4_span(rhs, 0.0, ref[-1], h, steps))
         ref_batch.append(_rk4_span(rhs, 0.0, ref_batch[-1], h, steps))
-    assert _close(field.values, np.array(ref).reshape(field.values.shape))
+    assert _close(field.samples, np.array(ref).reshape(field.samples.shape))
     assert _close(batch, np.array(ref_batch).reshape(batch.shape))
 
 
@@ -1203,7 +1211,7 @@ def test_integrate_dispatches_to_each_kind_bit_for_bit(kind):
         sys = SystemSpec("parabolic_1d", 1, "rd-scalar",
                          {"nu": [0.1], "L": 3.0, "decay": [1.0], "source_amp": [1.0]})
         start = np.linspace(0.5, 1.5, 16)[None, :]
-        ref = integrate_parabolic(sys, start, cfg).to_signal()
+        ref = integrate_parabolic(sys, start, cfg)
     got = integrate(sys, start, cfg)
     assert (got.t0, got.dt) == (ref.t0, ref.dt)
     assert np.array_equal(got.samples, ref.samples)
