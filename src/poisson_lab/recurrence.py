@@ -269,7 +269,8 @@ def poisson_returns(f: Signal, epsilon_schedule, w: Window, *,
     S = f if isinstance(f, LazySignal) else f.samples  # a LazySignal forms each slice alone
     if f.exact is None:  # certification reads the whole spline: build it before the probe reads
         f._spline
-    probe_rel = np.unique(np.linspace(0, m - 1, min(64, m)).round().astype(int))
+    # Distinct without np.unique: the points are at least 1 apart before rounding.
+    probe_rel = np.linspace(0, m - 1, min(64, m)).round().astype(int)
     base = S[i0 : i1 + 1]
 
     # tau -> sup |f(t + tau) - f(t)| over the probe points or the whole

@@ -512,7 +512,8 @@ def _rk4_record(rhs, y: np.ndarray, cfg: IntegratorConfig, t0: float = 0.0) -> n
     messages name the record times (formed per chunk, as ``_record_times`` does) plus t0.
 
     In closed form record r is P^k (y_0 - y_p,0) + y_p,k at k = r nsub: P**k
-    for a scalar state, else one product with M = P^nsub per record.
+    for a scalar state, formed only until the powers underflow (each later one
+    is the signed zero ``**`` gives), else one product with M = P^nsub per record.
     """
     if cfg.method != "rk4_fixed":
         raise ConfigInvalid(f"method {cfg.method!r}: this integrator runs rk4_fixed only")
@@ -540,14 +541,18 @@ def _rk4_record(rhs, y: np.ndarray, cfg: IntegratorConfig, t0: float = 0.0) -> n
         P = coeffs[0]
         M = np.linalg.matrix_power(P, nsub)
         e = y - part([0.0])[0].reshape(-1, *tail)
+        pw = [1.0]
         for r0 in range(1, records, per_chunk):
             r1 = min(r0 + per_chunk, records)
             ks = nsub * np.arange(r0, r1)
             yp = part.on_grid(0.0, nsub * h, r0, r1 - r0)
             out[r0:r1] = yp.reshape(yp.shape + tail)
             # A zero homogeneous part stays 0 instead of 0 * inf.
-            if P.shape == (1, 1):
-                out[r0:r1] += np.where(e == 0.0, 0.0, np.multiply.outer(P[0, 0] ** ks, e))
+            if P.shape == (1, 1):  # past a zero power, later ones are the signed zeros ** gives
+                pw = (P[0, 0] ** ks if pw[-1] != 0.0
+                      else np.where(ks & 1, np.copysign(0.0, P[0, 0]), 0.0))
+                out[r0:r1] += np.where(e == 0.0, 0.0, np.multiply.outer(pw, e))
+                pw = [pw[-1]]  # a chunk of powers held into the next one lifts peak memory
             else:
                 for r in range(r0, r1):
                     e = M @ e

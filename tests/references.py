@@ -4,8 +4,10 @@ The stage loops are the references the integrators' fast paths are checked
 against: ``_rk4_span`` for the closed-form and affine RK4 paths,
 ``dopri5_stage_loop`` for Dopri5's step map, ``dopri5_array_loop`` for the
 bits of Dopri5's scalar step control, and ``coordinate_fit``, a
-golden-section frequency polish, for the Gauss-Newton spectral fit.  The
-cocycle probes are oracles of the integrators; ``order_check``,
+golden-section frequency polish, for the Gauss-Newton spectral fit.
+``rk4_record_powers`` is the scalar closed form that raises P to every
+record's power, ``sup_distance_unique`` the sup distance over ``np.unique``'s
+times.  The cocycle probes are oracles of the integrators; ``order_check``,
 ``uniform_stability_estimate`` and ``almost_periods`` are estimators no
 scenario runs.
 """
@@ -20,6 +22,7 @@ from poisson_lab.errors import (
     DimensionMismatch,
     StepUnderflow,
 )
+from poisson_lab import systems
 from poisson_lab.recurrence import (
     QuasiPeriodicFit,
     TauGrid,
@@ -38,6 +41,8 @@ from poisson_lab.systems import (
     SystemSpec,
     _check_records,
     _dopri5_table,
+    _record_count,
+    _rk4_particular,
     build_dde_rhs,
     integrate_dde,
     integrate_ode_batch,
@@ -61,6 +66,35 @@ def _rk4_span(rhs, t0: float, y: np.ndarray, h: float, steps) -> np.ndarray:
         k4 = rhs(t + h, y + h * k3)
         y = y + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
     return y
+
+
+def rk4_record_powers(rhs, y: np.ndarray, cfg: IntegratorConfig) -> np.ndarray:
+    """The records of a scalar closed-form RK4 run, P**k at every record step k,
+    chunk by chunk as ``_rk4_record`` forms them (reading ``systems._CHUNK``
+    and ``systems._rk4_coeffs`` at call time, so patches of either apply)."""
+    records = _record_count(cfg)
+    nsub = max(1, math.ceil(cfg.record_dt / cfg.dt - 1e-12))
+    h = cfg.record_dt / nsub
+    out = np.empty((records, 1))
+    out[0] = y
+    with np.errstate(over="ignore", invalid="ignore"):
+        coeffs = systems._rk4_coeffs(rhs.A, h)
+        part = _rk4_particular(rhs, coeffs, h, (records - 1) * nsub)
+        e = y - part([0.0])[0]
+        for r0 in range(1, records, systems._CHUNK):
+            r1 = min(r0 + systems._CHUNK, records)
+            out[r0:r1] = part.on_grid(0.0, nsub * h, r0, r1 - r0)
+            pw = coeffs[0][0, 0] ** (nsub * np.arange(r0, r1))
+            out[r0:r1] += np.where(e == 0.0, 0.0, np.multiply.outer(pw, e))
+    return out
+
+
+def sup_distance_unique(f: Signal, g: Signal, w: Window) -> float:
+    """``sup_distance`` over np.unique of the window's grid times and its clipped ends."""
+    i0, i1 = f.window_slice(w)
+    ts = np.unique(np.concatenate([[max(w.lo, f.t0, g.t0)], f.t0 + f.dt * np.arange(i0, i1 + 1),
+                                   [min(w.hi, f.t_end, g.t_end)]]))
+    return float(np.abs(f.values(ts) - g.values(ts)).max())
 
 
 def dopri5_stage_step(rhs, t: float, y: np.ndarray, h: float, k1: np.ndarray):

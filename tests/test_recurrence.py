@@ -407,6 +407,18 @@ def test_candidate_bar_is_the_largest_epsilons_margin():
     assert bar == sched[1] + slope_bound(S, i0, probe_rel[-1] + 1, f.dt)[0]
 
 
+@pytest.mark.parametrize("m", [2, 3, 63, 64, 65, 127, 128, 1000, 4097])
+def test_probe_points_are_np_unique_of_the_rounded_grid(m):
+    f = quasi_periodic(8, 1, m + 60)
+    w = Window(f.dt * (3 + 0.5 * (m - 1)), f.dt * 0.5 * (m - 1))
+    with patch.object(recurrence, "_probe_candidates",
+                      wraps=recurrence._probe_candidates) as cands:
+        poisson_returns(f, [0.3], w)
+    probe_rel = cands.call_args.args[2]
+    assert probe_rel.tobytes() == np.unique(
+        np.linspace(0, m - 1, min(64, m)).round().astype(int)).tobytes()
+
+
 def test_probe_candidates_are_the_dense_bound_below_the_bar():
     capped = []
 

@@ -61,3 +61,36 @@ def test_integrators_leave_scipy_signal_unimported(tmp_path):
                           env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["False"]
+
+
+# A classify CLI run, then the quick catalog as the script runs it.
+_CLASSIFY_AND_CATALOG = """
+import runpy
+import sys
+import numpy as np
+from poisson_lab.cli import main
+from poisson_lab.signals import sample_function, write_signal_csv
+
+csv, out = sys.argv[1], sys.argv[2]
+write_signal_csv(sample_function(lambda t: np.sin(t) + np.sin(np.sqrt(2.0) * t),
+                                 0.0, 400.0, 0.05), csv)
+assert main(["classify", csv, "--out", out + ".json"]) == 0
+classify_loaded = "numpy.ma" in sys.modules
+sys.argv = [%r, out, "--quick"]
+try:
+    runpy.run_path(sys.argv[0], run_name="__main__")
+except SystemExit as stop:
+    assert not stop.code
+print(classify_loaded, "numpy.ma" in sys.modules)
+""" % str(_SCRIPT)
+
+
+def test_classify_and_quick_catalog_leave_numpy_ma_unloaded(tmp_path):
+    """numpy.ma (loaded by np.unique's first call on numpy 2.4) costs each
+    process its import; neither a classify run nor the catalog loads it."""
+    env = {**os.environ, "PYTHONPATH": str(_SCRIPT.parents[1] / "src")}
+    proc = subprocess.run([sys.executable, "-c", _CLASSIFY_AND_CATALOG, str(tmp_path / "sig.csv"),
+                           str(tmp_path / "out")], env=env, capture_output=True, text=True,
+                          timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split()[-2:] == ["False", "False"]

@@ -3,7 +3,7 @@ from unittest.mock import patch
 
 import numpy as np
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import assume, example, given, strategies as st
 from scipy.interpolate import CubicSpline, PPoly
 
 from poisson_lab import signals
@@ -33,6 +33,7 @@ from poisson_lab.signals import (
     write_signal_csv,
 )
 from poisson_lab.systems import forcing_signal
+from references import sup_distance_unique
 
 
 @pytest.fixture(scope="module")
@@ -342,6 +343,24 @@ def test_sup_distance_exponential_left_endpoint():
     g = const_signal(0.0, t0=0.0, t_end=6.0)
     d = sup_distance(f, g, Window(3.0, 2.0))  # [1, 5], max at t = 1
     assert d == pytest.approx(math.exp(-1.0), abs=1e-6)
+
+
+@given(st.integers(0, 2**16), st.integers(0, 60), st.integers(2, 20),
+       st.sampled_from([0.0, 0.5, 1e-13, -1e-13, 0.37]), st.sampled_from([0.0, 0.25, 1e-13]),
+       st.sampled_from([(0.0, 0.1), (-0.35, 0.05), (0.0, 0.03)]))
+@example(0, 0, 40, 0.0, 0.0, (0.0, 0.1))
+@example(0, 60, 20, 0.0, 1e-13, (-0.35, 0.05))
+def test_sup_distance_is_the_unique_times_max_bit_for_bit(seed, lo, width, lo_off, hi_off, grid):
+    # Window ends on f's grid, off it, and a rounding step past it (at f's ends too).
+    rng = np.random.default_rng(seed)
+    f = Signal(0.0, 0.1, rng.normal(size=(81, 2)))
+    g = Signal(grid[0], grid[1], rng.normal(size=(int(8.5 / grid[1]) + 1, 2)))
+    a = max(0.1 * (lo + lo_off), 0.0)
+    b = min(0.1 * (lo + width + hi_off), 8.0)
+    assume(a < b)
+    w = Window(0.5 * (a + b), 0.5 * (b - a))
+    assert sup_distance(f, g, w) == sup_distance_unique(f, g, w)
+    assert sup_distance(g, f, w) == sup_distance_unique(g, f, w)
 
 
 # ---------------------------------------------------------------------------

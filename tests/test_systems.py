@@ -59,6 +59,7 @@ from references import (
     dopri5_stage_step,
     order_check,
     parabolic_cocycle_defect,
+    rk4_record_powers,
 )
 
 SQRT2 = math.sqrt(2.0)
@@ -1436,3 +1437,69 @@ def test_chunked_record_times_are_record_times_bit_for_bit():
 
     check()
     assert paths == {False, True}
+
+
+# Past the first zero power, _rk4_record forms the signed zeros that ** gives
+# instead of raising P.  A real scalar A gives P = 1 + z + z^2/2 + z^3/6 + z^4/24
+# with z = h A, which is positive on the whole real line, so the signs
+# (P < 0, P = -0.0) are forced by negating the P that _rk4_coeffs returns.
+_S1_FORCING = [[[1.0, 1.0, 0.0], [1.0, SQRT2, 0.0]]]
+
+
+def _scaled_coeffs(scale):
+    coeffs = systems._rk4_coeffs
+    return lambda A, h: (lambda P, C0, Ch: (scale * P, C0, Ch))(*coeffs(A, h))
+
+
+def _closed_form_records(A, offset, cfg, start, scale=1.0):
+    """_rk4_record's records and those of rk4_record_powers for x' = a x + offset
+    + sin t + sin(sqrt 2 t), from y_p,0 + ``start`` (or from 0 when ``start`` is
+    None); None when the closed form does not apply."""
+    rhs = build_ode_rhs(SystemSpec("scalar_ode", 1, "linear+trig",
+                                   {"A": A, "forcing": _S1_FORCING, "offset": [offset]}))
+    nsub = max(1, math.ceil(cfg.record_dt / cfg.dt - 1e-12))
+    h = cfg.record_dt / nsub
+    with patch.object(systems, "_rk4_coeffs", _scaled_coeffs(scale)):
+        part = _rk4_particular(rhs, systems._rk4_coeffs(rhs.A, h), h,
+                               (len(_record_times(cfg)) - 1) * nsub)
+        if part is None:
+            return None
+        y0 = np.zeros(1) if start is None else part([0.0])[0] + start
+        with patch.object(systems, "_rk4_affine_steps", side_effect=AssertionError("loop ran")):
+            return _rk4_record(rhs, y0, cfg), rk4_record_powers(rhs, y0, cfg)
+
+
+@pytest.mark.parametrize("A, dt, t_end, offset, start, scale", [
+    pytest.param([[-1.0]], 0.1, 20_000.0, 0.0, None, 1.0, id="s1-P-underflows-in-chunk-1"),
+    pytest.param([[-0.0075]], 1.0, 200_000.0, 0.3, None, 1.0, id="P-underflows-in-chunk-2"),
+    pytest.param([[-1.0]], 0.1, 20_000.0, 0.0, 0.0, 1.0, id="e-is-0"),
+    pytest.param([[-1.0]], 0.1, 20_000.0, 0.0, -1.5, 1.0, id="e-below-0"),
+    pytest.param([[-1.0]], 0.1, 20_000.0, 0.0, 2.0, -1.0, id="P-below-0"),
+    pytest.param([[-1.0]], 0.1, 20_000.0, 0.0, -2.0, -0.0, id="P-is-minus-0"),
+    pytest.param([[0.0]], 0.1, 20_000.0, 0.0, None, 1.0, id="P-is-1"),
+    pytest.param([[1e-6]], 0.1, 20_000.0, 0.0, 0.5, 1.0, id="P-above-1"),
+])
+def test_closed_form_records_past_the_zero_powers_bit_for_bit(A, dt, t_end, offset, start, scale):
+    # Runs of more than three 65,536-record chunks against P**k at every record.
+    cfg = IntegratorConfig(method="rk4_fixed", dt=dt, t_end=t_end, record_dt=dt,
+                           blowup_bound=1e12)
+    got, ref = _closed_form_records(A, offset, cfg, start, scale)
+    assert len(got) > 3 * systems._CHUNK
+    assert got.tobytes() == ref.tobytes()
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.floats(-27.0, 0.01), st.sampled_from([1.0, -1.0, 0.0, -0.0]), st.integers(1, 3),
+       st.integers(2, 3000), st.sampled_from([1, 2, 7, 64]),
+       st.one_of(st.none(), st.floats(-3.0, 3.0)), st.floats(-1.0, 1.0))
+@example(-0.0075, 1.0, 1, 2000, 64, None, 0.3)
+@example(-27.0, -1.0, 1, 2000, 7, -0.0, 0.0)
+def test_closed_form_zero_powers_match_every_power(a, scale, nsub, records, chunk, start, offset):
+    # Short runs in small chunks: any A, P's sign and a zero, a chunk that
+    # ends on an odd or an even step.
+    cfg = IntegratorConfig(method="rk4_fixed", dt=0.1 / nsub, t_end=0.1 * records, record_dt=0.1,
+                           blowup_bound=1e300)
+    with patch.object(systems, "_CHUNK", chunk):
+        runs = _closed_form_records([[a]], offset, cfg, start, scale)
+    assume(runs is not None)
+    assert runs[0].tobytes() == runs[1].tobytes()
