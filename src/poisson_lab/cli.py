@@ -28,6 +28,7 @@ from .scenarios import (
     build_scenario,
     load_scenario_config,
     output_dir,
+    read_json_config,
     run_scenario,
 )
 
@@ -42,34 +43,38 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="run a built-in scenario or a config file")
     p_run.add_argument("target", help="catalog name or path to a JSON config")
     p_run.add_argument("--out", default=None, help="output directory")
-    p_run.add_argument("--seed", type=int, default=0)
+    p_run.add_argument("--seed", type=int, default=None,
+                       help="override the config's seeds (catalog default 0)")
     p_run.add_argument("--horizon", type=float, default=None,
                        help="override the integration horizon")
+    p_run.set_defaults(func=_cmd_run)
 
     p_cls = sub.add_parser("classify", help="classify a signal CSV")
     p_cls.add_argument("csv")
     p_cls.add_argument("--config", default=None,
                        help="JSON with window/grid/threshold overrides")
     p_cls.add_argument("--out", default=None, help="write the report here")
+    p_cls.set_defaults(func=_cmd_classify)
 
     p_cmp = sub.add_parser("compare", help="comparability of trajectory vs base")
     p_cmp.add_argument("traj_csv")
     p_cmp.add_argument("base_csv")
     p_cmp.add_argument("--config", default=None)
     p_cmp.add_argument("--out", default=None)
+    p_cmp.set_defaults(func=_cmd_compare)
 
-    sub.add_parser("list", help="list the built-in scenario catalog")
+    sub.add_parser("list", help="list the built-in scenario catalog").set_defaults(func=_cmd_list)
     return parser
 
 
-def _analysis_config(f, path):
+def _analysis_config(defaults, path) -> ClassifyConfig:
+    """``defaults()`` with the keys of the JSON file at ``path``, if any, on top.
+    Where ``defaults()`` raises ConfigInvalid (a signal too short for the
+    default window), a file that gives both ``window`` and ``tau_grid`` stands
+    on the ClassifyConfig defaults instead."""
     if path is None:
-        return default_classify_config(f)
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigInvalid(f"cannot read analysis config: {exc}") from exc
+        return defaults()
+    raw = read_json_config(path, "analysis")
     kwargs = {}
     try:
         if "window" in raw:
@@ -93,9 +98,13 @@ def _analysis_config(f, path):
             raise ValueError("poisson_separation must be finite and >= 0")
     except (ValueError, TypeError) as exc:
         raise ConfigInvalid(f"bad analysis config {path}: {exc}") from exc
-    if {"window", "tau_grid"} <= kwargs.keys():  # the defaults need 5 samples
-        return ClassifyConfig(**kwargs)
-    return replace(default_classify_config(f), **kwargs)
+    try:
+        base = defaults()
+    except ConfigInvalid:
+        if not {"window", "tau_grid"} <= kwargs.keys():
+            raise
+        base = ClassifyConfig(kwargs["window"], kwargs["tau_grid"])
+    return replace(base, **kwargs)
 
 
 def _emit(payload: dict, out: str | None) -> None:
@@ -108,15 +117,14 @@ def _emit(payload: dict, out: str | None) -> None:
 
 def _cmd_run(args) -> int:
     if args.target in CATALOG:
-        cfg = build_scenario(args.target, seed=args.seed, outputs=args.out,
-                             horizon=args.horizon)
+        cfg = build_scenario(args.target, horizon=args.horizon)
     else:
         cfg = load_scenario_config(args.target)
         if args.horizon is not None:
             cfg = replace(cfg, integrator=replace(cfg.integrator,
                                                   t_end=args.horizon))
-        if args.out:
-            cfg = replace(cfg, outputs=args.out)
+    cfg = replace(cfg, seeds=cfg.seeds if args.seed is None else args.seed,
+                  outputs=args.out or cfg.outputs)
     outdir = output_dir(cfg)
     manifest = run_scenario(cfg, outdir)
     for name, entry in manifest.summary.items():
@@ -128,7 +136,7 @@ def _cmd_run(args) -> int:
 
 def _cmd_classify(args) -> int:
     sig = read_signal_csv(args.csv)
-    cfg = _analysis_config(sig, args.config)
+    cfg = _analysis_config(lambda: default_classify_config(sig), args.config)
     report = classify(sig, cfg=cfg)
     _emit(report.to_dict(), args.out)
     return 0  # classification is analysis output, not a test
@@ -142,22 +150,16 @@ def _cmd_compare(args) -> int:
     if hi - lo <= 4 * max(traj.dt, base.dt):
         raise DomainMismatch("the common domain of the two signals spans at most "
                              "four grid steps, too short to compare")
-    if args.config:
-        cfg = _analysis_config(traj, args.config)
-        w, grid = cfg.window, cfg.tau_grid
-        eps, kw = cfg.bohr_epsilons, {"refute_frac": cfg.refute_frac}
-    else:
-        length = hi - lo
-        hw = length / 4
-        w = Window(lo + hw, hw)
-        step = max(traj.dt, (length - 2 * hw) / 100_000)
-        grid = TauGrid(0.0, length - 2 * hw, _snap_step(step, traj.dt))
-        eps, kw = (0.5, 0.2, 0.1), {}
-    _emit(comparability_profile(traj, base, eps, grid, w, **kw).to_dict(), args.out)
+    hw = (hi - lo) / 4  # the defaults: the middle half of the common domain, <= 100,000 shifts
+    step = _snap_step(max(traj.dt, 2 * hw / 100_000), traj.dt)
+    cfg = _analysis_config(lambda: ClassifyConfig(Window(lo + hw, hw), TauGrid(0.0, 2 * hw, step),
+                                                  bohr_epsilons=(0.5, 0.2, 0.1)), args.config)
+    _emit(comparability_profile(traj, base, cfg.bohr_epsilons, cfg.tau_grid, cfg.window,
+                                refute_frac=cfg.refute_frac).to_dict(), args.out)
     return 0
 
 
-def _cmd_list() -> int:
+def _cmd_list(args) -> int:
     for name, (_, _, blurb) in CATALOG.items():
         print(f"{name:18s} {blurb}")
     return 0
@@ -170,21 +172,13 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        if args.command == "run":
-            return _cmd_run(args)
-        if args.command == "classify":
-            return _cmd_classify(args)
-        if args.command == "compare":
-            return _cmd_compare(args)
-        if args.command == "list":
-            return _cmd_list()
+        return args.func(args)
     except (ConfigInvalid, ParseError, DomainMismatch) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (PoissonLabError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    return 2
 
 
 if __name__ == "__main__":

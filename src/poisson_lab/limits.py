@@ -29,6 +29,7 @@ from .systems import (
     integrate_parabolic_batch,
 )
 
+_NODES = 64  # nodes of a parabolic start field whose config sets no ``space_points``
 
 # ---------------------------------------------------------------------------
 # omega-fiber sampling
@@ -216,7 +217,7 @@ def comparison_battery(sys: SystemSpec, box, count: int, horizon: float, *,
     """Integrate ordered pairs side by side and report the worst violation.
 
     ODE starts and constant DDE histories are drawn inside ``box``; parabolic
-    start fields have ``cfg.space_points`` nodes (64 when unset) and ignore
+    start fields have ``cfg.space_points`` nodes (``_NODES`` when unset) and ignore
     ``box``.  A violation counts above 1e-9 + 1e-6 times the largest state.
     Returns (ordered: bool, worst_violation, witness or None), the witness
     being (t, ...index of the violating entry, pair index last).
@@ -228,7 +229,7 @@ def comparison_battery(sys: SystemSpec, box, count: int, horizon: float, *,
         cfg = replace(cfg, t_end=horizon)
     rng = np.random.default_rng(seed)
     if sys.kind == "parabolic_1d":
-        lo, up = _ordered_fields(sys, count, cfg.space_points or 64, rng)
+        lo, up = _ordered_fields(sys, count, cfg.space_points or _NODES, rng)
         integrate = integrate_parabolic_batch
     else:
         lo, up = ordered_pairs(box, count, rng)

@@ -24,7 +24,6 @@ import numpy as np
 from .errors import ConfigInvalid
 from .signals import (
     _MAX_FLOATS,
-    LazySignal,
     Signal,
     Window,
     _mean,
@@ -266,12 +265,11 @@ def poisson_returns(f: Signal, epsilon_schedule, w: Window, *,
     if j_hi < 1:
         return ReturnSequence((), (), ())
 
-    S = f if isinstance(f, LazySignal) else f.samples  # a LazySignal forms each slice alone
     if f.exact is None:  # certification reads the whole spline: build it before the probe reads
         f._spline
     # Distinct without np.unique: the points are at least 1 apart before rounding.
     probe_rel = np.linspace(0, m - 1, min(64, m)).round().astype(int)
-    base = S[i0 : i1 + 1]
+    base = f[i0 : i1 + 1]  # a LazySignal forms each row slice alone
 
     # tau -> sup |f(t + tau) - f(t)| over the probe points or the whole
     # window, for an array of tau at once.
@@ -284,11 +282,11 @@ def poisson_returns(f: Signal, epsilon_schedule, w: Window, *,
     # It is capped at the window spread so fast (or aliased) oscillation does
     # not turn the prescreen vacuous; sub-grid clusters are a documented
     # limitation of any grid scan.
-    deriv = np.abs(np.diff(S[: min(n, 200_001)], axis=0)).max() / dt
+    deriv = np.abs(np.diff(f[: min(n, 200_001)], axis=0)).max() / dt
     spread = float((base.max(axis=0) - base.min(axis=0)).max())
     lip_dt = min(2.0 * float(deriv) * dt, 0.5 * max(spread, 1e-12))
     # Every margin eps + lip_dt is at most this bar, so no run holds a shift above it.
-    idx, vals = _probe_candidates(S, i0, probe_rel, j_hi, max(sched) + lip_dt)
+    idx, vals = _probe_candidates(f, i0, probe_rel, j_hi, max(sched) + lip_dt)
 
     times, discs, eps_used = [], [], []
     t_prev = 0.0

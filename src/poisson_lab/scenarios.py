@@ -30,6 +30,7 @@ import numpy as np
 from . import __version__
 from .errors import ConfigInvalid, DomainMismatch, NotCauchy, ParseError, PoissonLabError
 from .limits import (
+    _NODES,
     comparison_battery,
     contraction_check,
     convergence_check,
@@ -751,13 +752,18 @@ def build_scenario(name: str, *, seed: int = 0, outputs: str | None = None,
     return builder(seed=seed, outputs=outputs, horizon=horizon)
 
 
-def load_scenario_config(path) -> ScenarioConfig:
-    """Build a ScenarioConfig from the documented JSON file format."""
+def read_json_config(path, what: str):
+    """The JSON document at ``path``; unreadable, a ConfigInvalid naming ``what`` and the file."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
+            return json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigInvalid(f"cannot read scenario config {path}: {exc}") from exc
+        raise ConfigInvalid(f"cannot read {what} config {path}: {exc}") from exc
+
+
+def load_scenario_config(path) -> ScenarioConfig:
+    """Build a ScenarioConfig from the documented JSON file format."""
+    raw = read_json_config(path, "scenario")
     try:
         cfg = ScenarioConfig(
             name=raw.get("name", Path(path).stem),
@@ -784,10 +790,6 @@ def output_dir(cfg: ScenarioConfig) -> Path:
     return Path(os.environ.get("POISSON_LAB_OUT", "poisson-lab-out")) / cfg.name
 
 
-# Nodes of a user parabolic config that sets no ``space_points``.
-_GENERIC_NODES = 64
-
-
 def run_scenario(cfg: ScenarioConfig, outdir=None) -> RunManifest:
     """Run a scenario end to end and write its artifacts.
 
@@ -800,7 +802,7 @@ def run_scenario(cfg: ScenarioConfig, outdir=None) -> RunManifest:
     can hold is rejected before any output is written.
     """
     if cfg.system is not None:
-        require_countable(cfg.system, cfg.integrator, cfg.integrator.space_points or _GENERIC_NODES)
+        require_countable(cfg.system, cfg.integrator, cfg.integrator.space_points or _NODES)
     em = RunManifest(cfg, output_dir(cfg) if outdir is None else Path(outdir))
     entry = CATALOG.get(cfg.name)
     try:
@@ -823,7 +825,7 @@ def _run_generic(em: RunManifest, cfg: ScenarioConfig) -> None:
             val = float(ana.get("history_value", 0.0))
             start = Signal(-r, r / 2, np.full((3, sysspec.dim), val))
         elif kind == "parabolic_1d":
-            m = cfg.integrator.space_points or _GENERIC_NODES
+            m = cfg.integrator.space_points or _NODES
             start = np.full((sysspec.dim, m), float(ana.get("u0_value", 1.0)))
         else:
             start = np.asarray(ana.get("u0", [0.0] * sysspec.dim), dtype=float)

@@ -32,6 +32,8 @@ _GRID_RTOL = 1e-9
 # The most float64 elements one array can hold: its size in bytes must fit an
 # index.
 _MAX_FLOATS = np.iinfo(np.intp).max // 8
+# The most values one block of a chunked loop holds, so memory stays flat however long the run.
+_CHUNK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -115,6 +117,9 @@ class Signal:
 
     def __len__(self) -> int:
         return self.samples.shape[0]
+
+    def __getitem__(self, rows) -> np.ndarray:
+        return self.samples[rows]
 
     @property
     def t_end(self) -> float:
@@ -438,8 +443,9 @@ def sample_function(fn, t0: float, t_end: float, dt: float) -> Signal:
 
 class LazySignal(Signal):
     """``sample_function(exact, t0, t_end, dt)`` with ``exact`` set, for a ``systems.TrigSum``,
-    whose ``on_grid`` gives each value the same bits however the grid is cut: a row slice
-    ``f[a:b]`` is formed alone, and ``samples`` are formed (checked, then kept) when first read."""
+    whose ``on_grid`` gives each value the same bits however the grid is cut: a unit-step row
+    slice ``f[a:b]`` is formed alone, and ``samples`` (which any other key reads) are formed
+    (checked, then kept) when first read."""
 
     def __init__(self, exact, t0: float, t_end: float, dt: float):
         n = int(round((t_end - t0) / dt)) + 1
@@ -453,9 +459,11 @@ class LazySignal(Signal):
     dim = property(lambda self: len(self.exact.V))
     samples = cached_property(lambda self: sample_function(self.exact, *self._grid).samples)
 
-    def __getitem__(self, rows: slice) -> np.ndarray:
+    def __getitem__(self, rows) -> np.ndarray:
+        if not (isinstance(rows, slice) and rows.step in (None, 1)):
+            return self.samples[rows]
         a, b, _ = rows.indices(self._n)
-        return self.exact.on_grid(self.t0, self.dt, a, b - a)
+        return self.exact.on_grid(self.t0, self.dt, a, max(b - a, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -596,19 +604,17 @@ def discrepancy_profile(f: Signal, taus: np.ndarray, w: Window,
     return out
 
 
-# Window points every tau reads first in a capped ``discrepancy_profile``, and
-# the most values (taus x points x components) one block of heads gathers.
+# Window points every tau reads first in a capped ``discrepancy_profile``.
 _HEAD = 512
-_HEAD_BLOCK = 1 << 16
 
 
 def _head_max(f: Signal, i0: int, h: int, taus, j0, aligned, out) -> None:
     """out[a] = max over the first h window points of |f(t + taus[a]) - f(t)|,
-    for every tau, in blocks of at most ``_HEAD_BLOCK`` gathered values."""
+    for every tau, in blocks of at most ``_CHUNK`` gathered values."""
     base = f.samples[i0 : i0 + h]
     # Shape (n - h + 1, dim, h): row j is the h samples from index j.
     rows = np.lib.stride_tricks.sliding_window_view(f.samples, h, axis=0)
-    block = max(1, _HEAD_BLOCK // (h * f.dim))
+    block = max(1, _CHUNK // (h * f.dim))
     for idx in (np.flatnonzero(aligned), np.flatnonzero(~aligned)):
         for s in range(0, idx.size, block):
             a = idx[s : s + block]
@@ -620,9 +626,8 @@ def _head_max(f: Signal, i0: int, h: int, taus, j0, aligned, out) -> None:
             out[a] = np.abs(diff, out=diff).max(axis=(1, 2))
 
 
-# Sample values (taus x prefix points x components) gathered at once by
-# ``bebutov_profile``, and the number of metric levels its first prefix covers.
-_BEBUTOV_BLOCK = 1 << 16
+# The number of metric levels the first prefix of ``bebutov_profile`` covers;
+# it gathers at most ``_CHUNK`` values (taus x prefix points x components) at once.
 _BEBUTOV_LEVELS0 = 64
 
 
@@ -660,7 +665,7 @@ def bebutov_profile(f: Signal, taus: np.ndarray, w: Window) -> np.ndarray:
         levels = min(levels, last.size)
         pts = order[: last[levels - 1] + 1]
         base_p, ts_p = base[pts], ts[pts]
-        block = max(1, _BEBUTOV_BLOCK // (pts.size * f.dim))
+        block = max(1, _CHUNK // (pts.size * f.dim))
         left = []
         for s in range(0, todo.size, block):
             idx = todo[s : s + block]

@@ -58,7 +58,7 @@ from .errors import (
     StepUnderflow,
     UnknownRegistryKey,
 )
-from .signals import _MAX_FLOATS, LazySignal, Signal, sample_function
+from .signals import _CHUNK, _MAX_FLOATS, LazySignal, Signal, sample_function
 
 KINDS = ("scalar_ode", "cooperative_ode", "dde_single_delay", "parabolic_1d")
 
@@ -417,11 +417,6 @@ def forcing_signal(key: str, t0: float, t_end: float, dt: float, *,
 # fixed-step RK4 as an affine recurrence
 # ---------------------------------------------------------------------------
 
-# Loop steps (or closed-form records) per chunk, divided by the state size
-# (batch included), so memory stays flat however long the run is.
-_CHUNK = 1 << 16
-
-
 def _check_records(Y: np.ndarray, ts, bound: float) -> None:
     """BlowupDetected at the first record Y[i] (time ts[i]) with max norm > bound or not finite."""
     m = np.abs(Y).max(axis=tuple(range(1, Y.ndim)))
@@ -523,7 +518,7 @@ def _rk4_record(rhs, y: np.ndarray, cfg: IntegratorConfig, t0: float = 0.0) -> n
     out = np.empty((records,) + y.shape)
     out[0] = y
     tail = (1,) * (y.ndim - 1)
-    per_chunk = max(1, _CHUNK // y.size)
+    per_chunk = max(1, _CHUNK // y.size)  # loop steps or records, times the state size
     with np.errstate(over="ignore", invalid="ignore"):  # the chunk check raises
         coeffs = _rk4_coeffs(rhs.A, h)
         steps = (records - 1) * nsub

@@ -174,6 +174,33 @@ def test_compare_prints_classify_comparability(base, tmp_path, capsys):
     assert printed == json.loads(json.dumps(report["comparability"]))
 
 
+@pytest.mark.parametrize("analysis", [{}, {"bohr_epsilons": [0.5, 0.2, 0.1]}, {"refute_frac": 0.05}])
+def test_compare_config_overrides_the_compare_defaults(tmp_path, capsys, analysis):
+    # The defaults under a config are compare's own (the common domain, not the
+    # trajectory's), so a config that restates them prints the same bytes.
+    long, short = tmp_path / "long.csv", tmp_path / "short.csv"
+    write_signal_csv(sample_function(np.sin, 0.0, 400.0, 0.05), long)   # 8,001 samples
+    write_signal_csv(sample_function(np.sin, 0.0, 100.0, 0.05), short)  # 2,001 samples
+    cfg = tmp_path / "analysis.json"
+    cfg.write_text(json.dumps(analysis))
+    assert main(["compare", str(long), str(short)]) == 0
+    bare = capsys.readouterr().out
+    assert main(["compare", str(long), str(short), "--config", str(cfg)]) == 0
+    assert capsys.readouterr().out == bare
+
+
+@pytest.mark.parametrize("text", [None, "{not json"])
+@pytest.mark.parametrize("command", ["classify", "compare"])
+def test_unreadable_analysis_config_names_its_file(sine_csv, tmp_path, capsys, command, text):
+    cfg = tmp_path / "analysis.json"
+    if text is not None:
+        cfg.write_text(text)
+    files = [str(sine_csv)] * (1 if command == "classify" else 2)
+    assert main([command, *files, "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith(f"error: cannot read analysis config {cfg}: ")
+
+
 def _assert_comparability_form(comp):
     """The ``comparability`` block of docs/report-schema.md."""
     assert set(comp) == {"pairs", "verdict", "witness", "window", "tau_grid"}
@@ -349,6 +376,25 @@ def test_run_negative_seed_exit_2_without_files(tmp_path, capsys):
     out = tmp_path / "out"
     assert main(["run", "s4-dde-linear", "--seed", "-1", "--out", str(out)]) == 2
     assert len(capsys.readouterr().err.strip().splitlines()) == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, seeds", [([], 3), (["--seed", "7"], 7), (["--seed", "0"], 0)])
+def test_run_config_seed_flag_sets_seeds(tmp_path, capsys, argv, seeds):
+    # --seed overrides a file's seeds as it does a catalog scenario's; unset, the file's stand.
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**_VALID_CONFIGS[0], "seeds": 3}))
+    out = tmp_path / "out"
+    assert main(["run", str(cfg), "--out", str(out), *argv]) != 2
+    assert json.loads((out / "manifest.json").read_text())["config"]["seeds"] == seeds
+
+
+def test_run_config_negative_seed_flag_exit_2_without_files(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(_VALID_CONFIGS[0]))
+    out = tmp_path / "out"
+    assert main(["run", str(cfg), "--seed", "-1", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: seed must be an integer >= 0, got -1\n"
     assert not out.exists()
 
 

@@ -32,6 +32,7 @@ from poisson_lab.signals import (
     write_csv,
     write_signal_csv,
 )
+from poisson_lab.scenarios import build_scenario
 from poisson_lab.systems import forcing_signal
 from references import sup_distance_unique
 
@@ -682,6 +683,33 @@ def test_csv_writes_each_float_as_17_significant_digits(tmp_path):
     assert (tmp_path / "long.csv").read_text() == "t,x1,x2\n" + "".join(
         f"{ts[i]:.17g}," + ",".join(f"{v:.17g}" for v in long.samples[i]) + "\n"
         for i in range(len(long)))
+
+
+_ENDS = st.none() | st.integers(-30, 30)
+# Row keys of a 21-row Signal: ints and int arrays in range, slices of every step sign
+# with ends in and out of range.
+_ROW_KEYS = (st.integers(-21, 20)
+             | st.builds(slice, _ENDS, _ENDS, st.none() | st.integers(-4, 4).filter(bool))
+             | st.lists(st.integers(-21, 20), max_size=6).map(lambda k: np.array(k, dtype=int)))
+
+
+@given(key=_ROW_KEYS)
+@example(key=slice(None, None, 2))
+@example(key=3)
+@example(key=slice(25, 3))
+def test_row_reads_are_the_samples_bit_for_bit(key):
+    """f[key] is f.samples[key], bit for bit, for a Signal and a LazySignal; a
+    unit-step slice of a fresh LazySignal leaves its samples unformed."""
+    comps = build_scenario("s1-opial-scalar").system.params["forcing"]
+    lazy = forcing_signal("trig-sum", -0.5, 0.5, 0.05, components=comps)
+    full = sample_function(lazy.exact, -0.5, 0.5, 0.05).samples
+    assert len(lazy) == len(full) == 21
+    want = full[key]
+    for f in (Signal(-0.5, 0.05, full), lazy):
+        got = f[key]
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    unit = isinstance(key, slice) and key.step in (None, 1)
+    assert ("samples" in vars(lazy)) is not unit
 
 
 @pytest.mark.parametrize("chunk", [1, 3, 1000])
