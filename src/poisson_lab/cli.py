@@ -84,9 +84,9 @@ def _analysis_config(defaults, path) -> ClassifyConfig:
         for key in ("bohr_epsilons", "poisson_schedule"):
             if key in raw:
                 kwargs[key] = tuple(raw[key])
-                if not all(type(e) in (int, float) and 0 < e < math.inf
-                           for e in kwargs[key]):
-                    raise ValueError(f"{key} entries must be finite numbers > 0")
+                if not (kwargs[key] and all(type(e) in (int, float) and 0 < e < math.inf
+                                            for e in kwargs[key])):
+                    raise ValueError(f"{key} must be a nonempty list of finite numbers > 0")
         sched = kwargs.get("poisson_schedule", ())
         if any(b > a + 1e-15 for a, b in zip(sched, sched[1:])):
             raise ValueError("poisson_schedule must be non-increasing")

@@ -242,11 +242,18 @@ def poisson_returns(f: Signal, epsilon_schedule, w: Window, *,
 
     A probe bound (a max over 64 evenly spread window points, which never
     exceeds the full discrepancy) is gathered only at the grid shifts a 4-probe
-    pass leaves below the loosest margin.  At each epsilon its runs of consecutive
-    below-margin shifts are the candidate clusters, golden-refined in batches
-    that grow x4 from one; in order, the first whose refinement certifies
+    pass leaves below a bar.  The shifts are scanned in blocks, on demand and
+    each once, at the bar max(epsilon_k, ...) + lip_dt of the level k that first
+    reads the block, so every later margin epsilon + lip_dt is below it.  At each
+    epsilon its runs of consecutive below-margin shifts are the candidate clusters,
+    golden-refined in batches that grow x4 from one, each formed once the shift
+    after its last run is scanned; in order, the first whose refinement certifies
     against the full windowed discrepancy is the return.
-    On a spline Signal, brackets that ``_full_lower_bound`` proves cannot certify are skipped.
+    On a trig sum (``systems.TrigSum``), a bracket whose every nearest grid shift
+    bounds the probe discrepancy at eps + L dt / 2 or more (L the sum's slope bound,
+    plus its rounding) cannot certify and is not refined (B. O. Shubert, SIAM J.
+    Numer. Anal. 9, 1972); on a spline Signal, brackets that ``_full_lower_bound``
+    proves cannot certify skip their full refinement.
     An empty result is legal: no returns were found at the requested scales.
     """
     sched = [float(e) for e in epsilon_schedule]
@@ -285,33 +292,81 @@ def poisson_returns(f: Signal, epsilon_schedule, w: Window, *,
     deriv = np.abs(np.diff(f[: min(n, 200_001)], axis=0)).max() / dt
     spread = float((base.max(axis=0) - base.min(axis=0)).max())
     lip_dt = min(2.0 * float(deriv) * dt, 0.5 * max(spread, 1e-12))
-    # Every margin eps + lip_dt is at most this bar, so no run holds a shift above it.
-    idx, vals = _probe_candidates(f, i0, probe_rel, j_hi, max(sched) + lip_dt)
+    slope, rho = _trig_slack(f)
+
+    # The scanned blocks of ``rows`` shifts: the bar each was scanned at (-inf
+    # before), and their candidates (J, V), increasing.
+    rows = max(1, _BLOCK_VALUES // dim)
+    bars = np.full(j_hi // rows + 1, -_INF)
+    J, V = np.empty(0, dtype=int), np.empty(0)
+    nxt = 0
+
+    def floor_at(js):  # a lower bound on the probe bound at scanned shifts js, else -inf
+        at = np.minimum(np.searchsorted(J, js), J.size - 1)
+        return np.where(J[at] == js, V[at], bars[js // rows])
+
+    def cuts_of(jb):  # where the runs of consecutive shifts in jb start, then len(jb)
+        return np.flatnonzero(np.diff(jb, prepend=-2, append=-2) != 1)
 
     times, discs, eps_used = [], [], []
     t_prev = 0.0
     tau_cap = j_hi * dt
     batch_cap = max(1, _BATCH_VALUES // (probe_rel.size * dim))
-    for eps in sched:
+    for level, eps in enumerate(sched):
         found = None
         # Candidates: the first 200_000 runs of consecutive below-margin shifts from
         # j0 (clamped, so a vast separation finds none), split at positions ``cuts``.
         j0 = max(1, math.ceil(min((t_prev + separation) / dt - 1e-9, j_hi + 1)))
-        sel = (idx >= j0) & (vals < eps + lip_dt)
-        jb, db = idx[sel], vals[sel]
-        cuts = np.flatnonzero(np.diff(jb, prepend=-2, append=-2) != 1)[:200_001]
+        margin, bar = eps + lip_dt, max(sched[level:]) + lip_dt
+        # A golden point is within dt / 2 of a grid shift whose probe bound is at or
+        # above ``cut``, so its own is at least eps: it cannot certify.
+        cut = (eps + 0.5 * slope * dt + rho) * (1 + 2.0 ** -48)
+        # j0 never decreases, so the blocks from j0's to nxt are the scanned ones.
+        nxt = max(nxt, j0 // rows)
+        sel = (J >= j0) & (V < margin)
+        jb, db = J[sel], V[sel]
+        cuts = cuts_of(jb)
         k, size = 0, 1
-        while found is None and k + 1 < cuts.size:
-            runs = cuts[k : k + size + 1].tolist()
+        while found is None:
+            # Scan until the batch's runs are complete: the shift after each is scanned.
+            while True:
+                done = nxt * rows > j_hi
+                open_run = not done and jb.size > 0 and jb[-1] == nxt * rows - 1
+                ready = min(cuts.size - 1 - open_run, 200_000)
+                if done or ready >= min(k + size, 200_000):
+                    break
+                j, v = _probe_candidates(f, i0, probe_rel, base, nxt * rows,
+                                         min(nxt * rows + rows, j_hi + 1), bar)
+                bars[nxt], nxt = bar, nxt + 1
+                J, V = np.concatenate((J, j)), np.concatenate((V, v))
+                sel = (j >= j0) & (v < margin)
+                jb, db = np.concatenate((jb, j[sel])), np.concatenate((db, v[sel]))
+                cuts = cuts_of(jb)
+            if k >= ready:
+                break
+            runs = cuts[k : min(k + size, ready) + 1]
             k, size = k + size, min(4 * size, batch_cap)
-            # Refine around each run's sampled bottom.
-            tau_c = np.array([jb[a] + np.argmin(db[a:b]) for a, b in zip(runs, runs[1:])]) * dt
+            # Refine around each run's sampled bottom, its first least bound.
+            a, lens = runs[0], np.diff(runs)
+            seg = db[a : runs[-1]]
+            low = np.flatnonzero(seg == np.repeat(np.minimum.reduceat(seg, runs[:-1] - a), lens))
+            tau_c = jb[a + low[np.searchsorted(low, runs[:-1] - a)]] * dt
             lo = np.maximum(tau_c - 2 * dt, t_prev + separation)
             hi = np.minimum(tau_c + 2 * dt, tau_cap)
             keep = hi > lo + 1e-12
             lo, hi = lo[keep], hi[keep]
-            tau_p, dp = _golden_min(d_probe, lo, hi, 24)
-            for c in np.flatnonzero(dp < eps).tolist():
+            # Each golden point is within dt / 2 of a shift from lo's nearest to hi's.
+            ja, jz = (np.clip(np.rint(x / dt), 0, j_hi).astype(int) for x in (lo, hi))
+            js = np.minimum(ja[:, None] + np.arange(int((jz - ja).max(initial=0)) + 1), jz[:, None])
+            live = floor_at(js).min(axis=1) < cut
+            if not live.any():
+                continue
+            # A lone row of a larger batch is refined twice: a one-row product rounds
+            # differently from the rows of a larger one (BLAS), which the bits follow.
+            twice = 1 + (live.sum() == 1 < lo.size)
+            lo, hi = lo[live], hi[live]
+            tau_p, dp = _golden_min(d_probe, lo.repeat(twice), hi.repeat(twice), 24)
+            for c in np.flatnonzero(dp[: lo.size] < eps).tolist():
                 lo_f, hi_f = max(lo[c], tau_p[c] - dt), min(hi[c], tau_p[c] + dt)
                 if f.exact is None and _full_lower_bound(f, i0, base, lo_f, hi_f) >= eps:
                     continue
@@ -328,30 +383,47 @@ def poisson_returns(f: Signal, epsilon_schedule, w: Window, *,
     return ReturnSequence(tuple(times), tuple(discs), tuple(eps_used))
 
 
-def _probe_candidates(S, i0: int, probe_rel, j_hi: int, bar: float):
-    """(j, bound) of the shifts j in [0, j_hi], increasing, whose probe bound
-    max_p |S[i0 + p + j] - S[i0 + p]| is below ``bar`` > 0, so j = 0 is always one.  A
-    max over 4 of the probes never exceeds it, so that coarse bound, read at every shift,
-    picks where the whole one is gathered (the lower-bounding cascade of C. Faloutsos,
-    M. Ranganathan and Y. Manolopoulos, SIGMOD 1994).  Both run per cache-sized block of
-    shifts on the one slice of S the block reaches (max is exact, so blocks change no
-    value); no gather leaves that slice, so ``take`` may clip (no bounds check)."""
-    base = S[i0 : i0 + probe_rel[-1] + 1]
-    dim, rows = base.shape[1], max(1, _BLOCK_VALUES // base.shape[1])
+def _trig_slack(f: Signal) -> tuple[float, float]:
+    """(L, rho) for a Signal whose ``exact`` is a trig sum offset + Im(V e^{i theta}),
+    read through its ``shifted`` method (``systems.TrigSum``, by duck typing): the
+    slope bound L = max_c sum_j |V_cj| |omega_j| of each component, and rho, the most
+    that the probe bounds read at a golden point and at its nearest grid shift can
+    misstate the exact ones beyond L times their distance.  TrigSum's docstring puts
+    each read within R = 16 u (1 + max |omega t|) sum |V| of the direct formula, and
+    that formula is within R of the sum (phases counted in the angle, the offset in
+    the scale); the nearest shift of a rounded tau / dt is off by at most L |tau| u < R.
+    So rho = 5 R.  (inf, 0) for any other Signal: nothing is pruned."""
+    if not hasattr(f.exact, "shifted"):
+        return _INF, 0.0
+    ex = f.exact
+    V, om = np.abs(ex.V), np.abs(ex.omegas)
+    reach = 1.0 + float((om * max(abs(f.t0), abs(f.t_end)) + np.abs(ex.phases)).max())
+    scale = float(V.sum() + np.abs(ex.offset).max())
+    return float((V @ om).max()), 5 * 16 * 2.0 ** -53 * reach * scale
 
-    def bound(probes, k, read):  # max over the probes p of |read(p, out) - base[p]|, k shifts
-        a, d = np.zeros((k, dim)), np.empty((k, dim))
-        for p in probes:
-            np.maximum(a, np.abs(np.subtract(read(p, d), base[p], out=d), out=d), out=a)
-        return a.max(axis=1)
 
-    coarse, out = probe_rel[:: -(-probe_rel.size // 4)].tolist(), []
-    for b0 in range(0, j_hi + 1, rows):
-        B = S[i0 + b0 : i0 + min(b0 + rows, j_hi + 1) + len(base) - 1]
-        c = np.flatnonzero(bound(coarse, len(B) + 1 - len(base), lambda p, d: B[p : p + len(d)]) < bar)
-        v = bound(probe_rel.tolist(), c.size, lambda p, d: B[p:].take(c, axis=0, out=d, mode="clip"))
-        out.append((b0 + c[v < bar], v[v < bar]))
-    return tuple(np.concatenate(x) for x in zip(*out))
+def _probe_candidates(S, i0: int, probe_rel, base: np.ndarray, j0: int, j1: int, bar: float):
+    """(j, bound) of the shifts j in [j0, j1), increasing, whose probe bound
+    max_p |S[i0 + p + j] - base[p]| is below ``bar`` > 0, where base = S[i0 : i0 +
+    probe_rel[-1] + 1] (so j = 0, where in range, is always one).  A max over 4 of the probes never
+    exceeds it, so that coarse bound picks where the whole one is gathered (the
+    lower-bounding cascade of C. Faloutsos, M. Ranganathan and Y. Manolopoulos, SIGMOD
+    1994); it is read one probe at a time, each on the shifts the probes before left
+    below the bar.  Both read the one slice of S the shifts reach (max is exact, so
+    the order of the reads changes no value); no gather leaves that slice, so
+    ``take`` may clip (no bounds check)."""
+    k, dim = j1 - j0, base.shape[1]
+    B = S[i0 + j0 : i0 + j1 + len(base) - 1]
+    p, *coarse = probe_rel[:: -(-probe_rel.size // 4)].tolist()
+    c = np.flatnonzero(np.abs(B[p : p + k] - base[p]).max(axis=1) < bar)
+    for p in coarse:
+        c = c[np.abs(B[p:].take(c, axis=0, mode="clip") - base[p]).max(axis=1) < bar]
+    a, d = np.zeros((c.size, dim)), np.empty((c.size, dim))
+    for p in probe_rel.tolist():
+        B[p:].take(c, axis=0, out=d, mode="clip")
+        np.maximum(a, np.abs(np.subtract(d, base[p], out=d), out=d), out=a)
+    v = a.max(axis=1)
+    return j0 + c[v < bar], v[v < bar]
 
 
 def _full_lower_bound(f: Signal, i0: int, base: np.ndarray, lo_f: float, hi_f: float) -> float:

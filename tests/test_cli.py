@@ -445,12 +445,25 @@ _UNBUILDABLE_GRIDS = [[0, math.inf, 1], [-math.inf, 10, 1], [-1e308, 1e308, 1],
     {"bohr_epsilons": [float("nan")]},
     {"bohr_epsilons": [0.5, -0.2]},
     *({"tau_grid": grid} for grid in _UNBUILDABLE_GRIDS),
+    {"bohr_epsilons": []},
+    {"poisson_schedule": []},
 ])
 def test_classify_bad_analysis_config_exit_2(sine_csv, tmp_path, capsys, analysis):
     cfg = tmp_path / "analysis.json"
     cfg.write_text(json.dumps(analysis))
     assert main(["classify", str(sine_csv), "--config", str(cfg)]) == 2
     assert len(capsys.readouterr().err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("key", ["bohr_epsilons", "poisson_schedule"])
+def test_compare_empty_epsilon_list_exit_2(sine_csv, tmp_path, capsys, key):
+    # An empty list once printed an empty profile (compare) or ended in a
+    # traceback or in "yes" verdicts from no returns (classify).
+    cfg = tmp_path / "analysis.json"
+    cfg.write_text(json.dumps({key: []}))
+    assert main(["compare", str(sine_csv), str(sine_csv), "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith(f"error: bad analysis config {cfg}: {key}")
 
 
 @pytest.mark.parametrize("grid", _UNBUILDABLE_GRIDS)

@@ -1,6 +1,7 @@
 import json
 import math
 import tracemalloc
+from collections import Counter
 from unittest.mock import patch
 
 import numpy as np
@@ -330,10 +331,16 @@ def spiky(seed, dim, n, dt=0.1):
     return Signal(0.0, dt, quasi_periodic(seed, dim, n, dt).samples + spikes)
 
 
+def quantized(seed, dim, n, dt=0.1):
+    """``quasi_periodic`` rounded to multiples of 1/4: probe bounds tie within a
+    run, where the first least one is the run's bottom."""
+    return Signal(0.0, dt, np.round(4.0 * quasi_periodic(seed, dim, n, dt).samples) / 4.0)
+
+
 def test_returns_are_the_per_cluster_scan():
     pruned = []
 
-    @given(st.sampled_from([quasi_periodic, spiky]),          # family
+    @given(st.sampled_from([quasi_periodic, spiky, quantized]),  # family
            st.integers(min_value=0, max_value=2**32 - 1),     # seed
            st.sampled_from([1, 2]),                           # components
            st.integers(min_value=300, max_value=2500),        # samples
@@ -353,7 +360,8 @@ def test_returns_are_the_per_cluster_scan():
     # a first epsilon above the window spread, where every shift is a candidate;
     # m = 3 <= 4, where the coarse candidate bound reads every probe; two
     # components in blocks of 3 shifts, with candidates straddling the block
-    # edges and the accepted run 132-136 reaching j_hi = 136.
+    # edges and the accepted run 132-136 reaching j_hi = 136; a quantized signal
+    # whose probe bounds tie within runs.
     @example(quasi_periodic, 1, 1, 2000, 40, 1.0, [1.0, 1.0], 0.0, 1 << 15, 1 << 14)
     @example(quasi_periodic, 2, 1, 2500, 60, 0.1, [0.5, 0.5], 5.0, 1 << 15, 1 << 14)
     @example(quasi_periodic, 3, 1, 376, 30, 0.3, [0.5], 5.0, 1000, 300)
@@ -365,6 +373,7 @@ def test_returns_are_the_per_cluster_scan():
     @example(quasi_periodic, 6, 2, 800, 30, 10.0, [0.1, 0.3], 5.0, 64, 2000)
     @example(spiky, 7, 1, 600, 1, 0.5, [0.5], 2.0, 7, 64)
     @example(quasi_periodic, 9, 2, 300, 80, 1.0, [0.5], 13.0, 7, 300)
+    @example(quantized, 10, 1, 2000, 40, 0.6, [0.5, 0.5], 5.0, 1 << 15, 1 << 14)
     def check(family, seed, dim, n, hw_steps, eps0, ratios, separation, block, batch):
         f = family(seed, dim, n)
         w = Window(f.dt * (hw_steps + 3), f.dt * hw_steps)
@@ -395,16 +404,35 @@ def slope_bound(S, i0, m, dt):
     return min(slope, 0.5 * max(spread, 1e-12)), 0.5 * max(spread, 1e-12) < slope
 
 
+def scan(S, i0, probe_rel, j_hi, bar, start=0):
+    """``poisson_returns``' scan at one bar: the candidates of its blocks of shifts
+    from the block-aligned ``start`` to j_hi."""
+    base = S[i0 : i0 + probe_rel[-1] + 1]
+    rows = max(1, recurrence._BLOCK_VALUES // base.shape[1])
+    parts = [recurrence._probe_candidates(S, i0, probe_rel, base, b, min(b + rows, j_hi + 1), bar)
+             for b in range(start, j_hi + 1, rows)]
+    return tuple(np.concatenate(x) for x in zip(*parts))
+
+
 def test_candidate_bar_is_the_largest_epsilons_margin():
-    # The validator lets a schedule rise by up to 1e-15 per entry; a bar from its
-    # first epsilon would drop shifts that a later, larger one's runs hold.
+    # Each block of shifts is scanned at the bar of the level that first reads it:
+    # the margin of the largest epsilon left.  The validator lets a schedule rise
+    # by up to 1e-15 per entry; a bar from the level's own epsilon would drop
+    # shifts that a later, larger one's runs hold.
     f = quasi_periodic(8, 1, 1500)
-    sched = [0.3, 0.3 + 6e-16]
-    with patch.object(recurrence, "_probe_candidates",
-                      wraps=recurrence._probe_candidates) as cands:
-        poisson_returns(f, sched, Window(f.dt * 43, f.dt * 40))
-    S, i0, probe_rel, _, bar = cands.call_args.args
-    assert bar == sched[1] + slope_bound(S, i0, probe_rel[-1] + 1, f.dt)[0]
+    sched = [0.5, 0.3, 0.3 + 6e-16]
+    with patch.object(recurrence, "_BLOCK_VALUES", 64), \
+            patch.object(recurrence, "_probe_candidates",
+                         wraps=recurrence._probe_candidates) as cands:
+        seq = poisson_returns(f, sched, Window(f.dt * 43, f.dt * 40))
+    assert len(seq) == 3
+    lip_dt = slope_bound(f.samples, 3, 81, f.dt)[0]
+    bars = [c.args[-1] for c in cands.call_args_list]
+    assert bars[0] == sched[0] + lip_dt and bars[-1] == sched[2] + lip_dt
+    assert bars == sorted(bars, reverse=True) and set(bars) == {bars[0], bars[-1]}
+    # Each block once, in order.
+    starts = [c.args[4] for c in cands.call_args_list]
+    assert starts == sorted(set(starts)) and all(j % 64 == 0 for j in starts)
 
 
 @pytest.mark.parametrize("m", [2, 3, 63, 64, 65, 127, 128, 1000, 4097])
@@ -443,7 +471,7 @@ def test_probe_candidates_are_the_dense_bound_below_the_bar():
         lip_dt, cap = slope_bound(S, i0, m, f.dt)   # the bar is as in ``poisson_returns``
         capped.append(cap)
         with patch.object(recurrence, "_BLOCK_VALUES", block):
-            idx, vals = recurrence._probe_candidates(S, i0, probe_rel, j_hi, eps + lip_dt)
+            idx, vals = scan(S, i0, probe_rel, j_hi, eps + lip_dt)
         assert np.array_equal(idx, np.flatnonzero(want < eps + lip_dt))
         assert np.array_equal(vals, want[idx])
 
@@ -510,28 +538,34 @@ def test_cell_range_bound_keeps_its_rounding_margin():
 def test_streamed_candidates_are_the_sampled_ones_bit_for_bit():
     # A trig-sum forcing is read one slice per block of shifts and never sampled
     # whole; the candidates are the dense bound of its samples, with blocks
-    # shorter than the window too.
+    # shorter than the window too, and from any block-aligned start shift, where
+    # a later level's scan begins.
     @given(st.integers(min_value=0, max_value=2**32 - 1),     # seed
            st.sampled_from([1, 2, 3]),                        # components
            st.integers(min_value=1, max_value=120),           # window points m
            st.integers(min_value=0, max_value=30),            # window start i0
            st.integers(min_value=1, max_value=900),           # largest shift j_hi
            st.floats(min_value=0.05, max_value=3.0),          # bar
-           st.sampled_from([1, 7, 64, 1 << 15]))              # block, values
-    @example(0, 1, 100, 10, 800, 0.5, 7)
-    @example(1, 3, 4, 0, 300, 2.0, 1)
-    def check(seed, dim, m, i0, j_hi, bar, block):
+           st.sampled_from([1, 7, 64, 1 << 15]),              # block, values
+           st.integers(min_value=0, max_value=400))           # start block
+    @example(0, 1, 100, 10, 800, 0.5, 7, 0)
+    @example(1, 3, 4, 0, 300, 2.0, 1, 0)
+    @example(2, 1, 64, 5, 700, 0.8, 64, 9)          # starts at 576 of 0..700
+    @example(3, 2, 30, 0, 500, 1.0, 7, 400)         # the last block, shift 497 alone
+    def check(seed, dim, m, i0, j_hi, bar, block, start):
         rng = np.random.default_rng(seed)
         comps = [[[float(rng.uniform(0.2, 1.5)), float(rng.uniform(0.1, 3.0)),
                    float(rng.uniform(0.0, 6.3))] for _ in range(2)] for _ in range(dim)]
         n = i0 + m + j_hi
         f = forcing_signal("trig-sum", 0.0, 0.1 * (n - 1), 0.1, components=comps)
         probe_rel = np.unique(np.linspace(0, m - 1, min(64, m)).round().astype(int))
+        rows = max(1, block // dim)
+        j0 = rows * min(start, j_hi // rows)
         with patch.object(recurrence, "_BLOCK_VALUES", block):
-            idx, vals = recurrence._probe_candidates(f, i0, probe_rel, j_hi, bar)
+            idx, vals = scan(f, i0, probe_rel, j_hi, bar, j0)
         assert "samples" not in vars(f)
         want = dense_probe_bound(f.samples, i0, m, j_hi)[0]
-        assert np.array_equal(idx, np.flatnonzero(want < bar))
+        assert np.array_equal(idx, j0 + np.flatnonzero(want[j0:] < bar))
         assert want[idx].tobytes() == vals.tobytes()
 
     check()
@@ -567,6 +601,128 @@ def test_returns_on_an_exact_signal_build_no_cell_ranges():
         seq = poisson_returns(f, [0.5, 0.2, 0.1, 0.05], Window(25.0, 25.0), separation=5.0)
     assert len(seq) == 4 and any(c.args[3] == 40 for c in golden.call_args_list)
     assert "_cell_ranges" not in vars(f) and "_spline" not in vars(f)
+
+
+def probe_refinements(f, sched, w, separation, batch, prune=True):
+    """``poisson_returns`` with ``_BATCH_VALUES`` = batch (and the trig-sum slope
+    bound +inf, so nothing pruned, unless ``prune``): the returns, the rows
+    (level, lo, hi, minimum) of its probe refinements, and how many batches it
+    refined as a lone row twice."""
+    calls = []
+
+    def logged(fn, a, b, iters):
+        out = _golden_min(fn, a, b, iters)
+        calls.append((iters, np.array(a, ndmin=1), np.array(b, ndmin=1)) + out)
+        return out
+
+    slack = recurrence._trig_slack if prune else lambda f: (math.inf, 0.0)
+    with patch.object(recurrence, "_golden_min", logged), \
+            patch.object(recurrence, "_BATCH_VALUES", batch), \
+            patch.object(recurrence, "_trig_slack", slack):
+        seq = poisson_returns(f, sched, w, separation=separation)
+    rows, level, twins = [], 0, 0
+    for iters, a, b, x, v in calls:
+        if iters == 40:  # a full refinement; the one that finds its return ends a level
+            level += level < len(seq) and (x[0], v[0]) == (seq.times[level],
+                                                           seq.discrepancies[level])
+            continue
+        if a.size == 2 and a[0] == a[1] and b[0] == b[1]:
+            twins, a, b, v = twins + 1, a[:1], b[:1], v[:1]
+        rows += [(level, lo, hi, d) for lo, hi, d in zip(a.tolist(), b.tolist(), v.tolist())]
+    return seq, rows, twins
+
+
+def trig_sum_searches(check):
+    """Return searches on trig sums: 1-3 random components of 1-3 terms, s1's
+    forcing and s3's, with refinement batches small enough that pruning leaves
+    one cluster of several, and probe blocks short enough that a bracket reaches
+    a block no level has scanned."""
+    @given(st.integers(min_value=0, max_value=2**32 - 1),     # seed
+           st.sampled_from([1, 2, 3]),                        # components
+           st.integers(min_value=1, max_value=3),             # terms
+           st.integers(min_value=20, max_value=80),           # window half-width / dt
+           st.floats(min_value=0.1, max_value=1.0),           # first epsilon
+           st.floats(min_value=0.0, max_value=10.0),          # separation
+           st.sampled_from([64, 300, 2000, 1 << 14]),         # refinement batch, values
+           st.sampled_from([7, 64, 1 << 15]))                 # probe block, values
+    @example("s1-opial-scalar", 0, 0, 0, 0.0, 5.0, 300, 1 << 15)
+    @example("s3-coop-2d", 0, 0, 0, 0.0, 5.0, 2000, 1 << 15)
+    @settings(max_examples=30, deadline=None)
+    def run(seed, dim, terms, hw_steps, eps0, separation, batch, block):
+        if isinstance(seed, str):  # a catalog forcing at its own schedule
+            cfg = build_scenario(seed)
+            ana = cfg.analysis
+            f = forcing_signal("trig-sum", 0.0, 1500.0, 0.05, components=cfg.system.params["forcing"])
+            sched, w = ana["return_schedule"][:5], Window(60.0, 50.0)
+        else:
+            rng = np.random.default_rng(seed)
+            comps = [[[float(rng.uniform(0.2, 1.5)), float(rng.choice([1.0, SQRT2, rng.uniform(0.3, 3.0)])),
+                       float(rng.uniform(0.0, 6.3))] for _ in range(terms)] for _ in range(dim)]
+            f = forcing_signal("trig-sum", 0.0, 600.0, 0.1, components=comps)
+            sched = list(eps0 * np.cumprod([1.0, 0.6, 0.6, 0.6]))
+            w = Window(f.dt * (hw_steps + 2), f.dt * hw_steps)
+        with patch.object(recurrence, "_BLOCK_VALUES", block):
+            check(f, sched, w, separation, batch)
+
+    run()
+
+
+def test_pruned_returns_are_the_unpruned_ones_bit_for_bit():
+    # Pruning drops probe refinements and changes nothing else: the returns and
+    # every refined row are those of the search with the slope bound at +inf.
+    twins = []
+
+    def check(f, sched, w, separation, batch):
+        got, rows, n_twins = probe_refinements(f, sched, w, separation, batch)
+        want, all_rows, _ = probe_refinements(f, sched, w, separation, batch, prune=False)
+        assert (got.times, got.discrepancies, got.epsilon_schedule) == \
+            (want.times, want.discrepancies, want.epsilon_schedule)
+        assert not Counter(rows) - Counter(all_rows)
+        twins.append(n_twins)
+
+    trig_sum_searches(check)
+    assert sum(twins) > 0
+
+
+def test_pruned_brackets_cannot_certify():
+    # On every bracket the bound drops, the probe refinement that was skipped
+    # would have ended at epsilon or above, so it could not have certified.
+    pruned = []
+
+    def check(f, sched, w, separation, batch):
+        _, rows, _ = probe_refinements(f, sched, w, separation, batch)
+        _, all_rows, _ = probe_refinements(f, sched, w, separation, batch, prune=False)
+        dropped = Counter(all_rows) - Counter(rows)
+        assert all(d >= sched[level] for level, _, _, d in dropped)
+        pruned.append(sum(dropped.values()))
+
+    trig_sum_searches(check)
+    assert sum(pruned) > 0
+
+
+def test_s1_return_search_work_counts():
+    # Counts show the pruning and the per-level bar where a shared host's wall time
+    # is noisy: s1's whole search refined 4,386 probe clusters and kept 129,853
+    # candidates (every shift below the loosest margin) before either.
+    cfg = build_scenario("s1-opial-scalar")
+    ana = cfg.analysis
+    wc, hw = ana["return_window"]
+    f = forcing_signal("trig-sum", 0.0, cfg.integrator.t_end + 2 * hw + 50.0,
+                       ana["forcing_dt"], components=cfg.system.params["forcing"])
+    kept, scan_block = [], recurrence._probe_candidates
+
+    def candidates(*args):
+        out = scan_block(*args)
+        kept.append(out[0].size)
+        return out
+
+    with patch.object(recurrence, "_golden_min", wraps=_golden_min) as golden, \
+            patch.object(recurrence, "_probe_candidates", side_effect=candidates):
+        seq = poisson_returns(f, ana["return_schedule"], Window(wc, hw),
+                              separation=ana["return_separation"])
+    assert len(seq) == len(ana["return_schedule"])
+    assert sum(np.size(c.args[1]) for c in golden.call_args_list if c.args[3] == 24) <= 1000
+    assert sum(kept) <= 20_000
 
 
 def test_returns_reject_bad_arguments(sine):
