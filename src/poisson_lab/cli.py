@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -94,8 +95,10 @@ def _analysis_config(defaults, path) -> ClassifyConfig:
                     "refute_frac", "periodic_verify_rel"):
             if key in raw:
                 kwargs[key] = float(raw[key])
-        if not 0 <= kwargs.get("poisson_separation", 0.0) < math.inf:
-            raise ValueError("poisson_separation must be finite and >= 0")
+                if not 0 <= kwargs[key] < math.inf:
+                    raise ValueError(f"{key} must be finite and >= 0")
+        if kwargs.get("refute_frac", 0.0) > 1:
+            raise ValueError("refute_frac must be at most 1")
     except (ValueError, TypeError) as exc:
         raise ConfigInvalid(f"bad analysis config {path}: {exc}") from exc
     try:
@@ -172,7 +175,16 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed reader raises here, not in the flush at exit
+        return code
+    except BrokenPipeError:
+        # Python's SIGPIPE recipe: stdout goes to devnull, so the flush at exit
+        # writes nowhere and prints no "Exception ignored" line.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("error: standard output was closed before the output was written",
+              file=sys.stderr)
+        return 1
     except (ConfigInvalid, ParseError, DomainMismatch) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

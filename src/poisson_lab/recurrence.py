@@ -46,7 +46,7 @@ _FIT_MAX_STEPS = 10
 # search's probe bound and of its largest batch of probe refinements.
 _BLOCK_VALUES = 1 << 15
 _BATCH_VALUES = 1 << 14
-# Taus in the first batch the ``min_D`` witness finishes exactly.
+# Taus in the first batch ``_profile_argmin`` finishes exactly.
 _MIN_BATCH0 = 64
 
 
@@ -637,15 +637,18 @@ def comparability_profile(x: Signal, y: Signal, epsilon_list, tau_grid: TauGrid,
     for it.
     """
     taus = tau_grid.values(w, x, y)
-    return _comparability(taus, discrepancy_profile(x, taus, w),
-                          discrepancy_profile(y, taus, w),
+    # Dx >= eps reads the same on a profile capped at the largest eps.
+    cap = max(map(float, epsilon_list), default=_INF)
+    return _comparability(taus, discrepancy_profile(x, taus, w, cap=cap), y,
+                          discrepancy_profile(y, taus, w, cap=cap), cap,
                           epsilon_list, tau_grid, w, refute_frac)
 
 
-def _comparability(taus, Dx, Dy, epsilon_list, tau_grid: TauGrid, w: Window,
-                   refute_frac: float) -> ComparabilityProfile:
-    """``comparability_profile`` from the two discrepancy profiles on the
-    grid's taus."""
+def _comparability(taus, Dx, y: Signal, Dy, cap: float, epsilon_list, tau_grid: TauGrid,
+                   w: Window, refute_frac: float) -> ComparabilityProfile:
+    """``comparability_profile`` on the grid's taus from the trajectory's discrepancy
+    profile Dx, capped at the largest epsilon or above, and the base y's, Dy, capped
+    at ``cap``."""
     eps = sorted({float(e) for e in epsilon_list}, reverse=True)
     pairs = []
     worst = None
@@ -654,8 +657,7 @@ def _comparability(taus, Dx, Dy, epsilon_list, tau_grid: TauGrid, w: Window,
         if not bad.any():
             pairs.append((e, _INF))
             continue
-        k = int(np.argmin(np.where(bad, Dy, np.inf)))
-        dh = float(Dy[k])
+        k, dh = _profile_argmin(y, taus, w, Dy, cap, bad)
         pairs.append((e, dh))
         if worst is None or dh / e < worst[1] / worst[2]:
             worst = (float(taus[k]), dh, e)
@@ -689,17 +691,7 @@ def _classify(f: Signal, base, cfg: ClassifyConfig, D=None) -> RecurrenceReport:
     w = cfg.window
     grid = cfg.tau_grid
     taus = grid.values(w, f)
-    i0, i1 = f.window_slice(w)
-    vals = f.samples[i0 : i1 + 1]
-    spread = float((vals.max(axis=0) - vals.min(axis=0)).max())
-    scale = max(0.5 * spread, 1e-12)
-    # Every threshold the cascade compares D against (the period detection
-    # bar, the Bohr epsilons of the table and of comparability) is at most
-    # this cap, so a D capped there answers each comparison as the exact D
-    # does; the dip walk of ``_find_period`` starts below the detection bar
-    # and steps only to values no larger.  The one minimum read from D, the
-    # min_D witness, is resolved by ``_profile_min``.
-    cap = max(_PERIODIC_DETECT_FRAC * scale, *cfg.bohr_epsilons)
+    i0, vals, spread, scale, cap = _window_scale(f, cfg)
     if D is None:
         D = discrepancy_profile(f, taus, w, cap=cap)
     classes: dict[str, Verdict] = {}
@@ -727,8 +719,8 @@ def _classify(f: Signal, base, cfg: ClassifyConfig, D=None) -> RecurrenceReport:
             "yes", {"period": period, "discrepancy": period_disc}, window=w)
     else:
         wit = {"best_tau": period, "discrepancy": period_disc} if period else \
-              {"min_D": _profile_min(f, taus[1:], w, D[1:], cap) if D.size > 1
-               else None}
+              {"min_D": _profile_argmin(f, taus, w, D, cap, np.arange(D.size) > 0)[1]
+               if D.size > 1 else None}
         classes["periodic"] = Verdict("no", witness=wit, window=w)
 
     # quasi-periodic -------------------------------------------------------
@@ -803,26 +795,48 @@ def _classify(f: Signal, base, cfg: ClassifyConfig, D=None) -> RecurrenceReport:
     return RecurrenceReport(classes, comparability, transfer, tuple(notes))
 
 
-def _profile_min(f, taus, w, D, cap) -> float:
-    """The exact min of the discrepancy profile over ``taus``, where D is that
+def _window_scale(f: Signal, cfg: ClassifyConfig):
+    """(i0, vals, spread, scale, cap) of f on the config's window: its first index
+    and samples, their largest component range, the signal scale (half of it) and
+    the cap of the cascade's profile.  Every threshold the cascade compares D
+    against (the period detection bar, the Bohr epsilons of the table and of
+    comparability) is at most the cap, so a D capped there answers each as the
+    exact D does; the dip walk of ``_find_period`` starts below the detection bar
+    and steps only to values no larger.  ``_profile_argmin`` resolves the minima
+    read from D (the min_D witness, the base's delta_hat)."""
+    i0, i1 = f.window_slice(cfg.window)
+    vals = f.samples[i0 : i1 + 1]
+    spread = float((vals.max(axis=0) - vals.min(axis=0)).max())
+    scale = max(0.5 * spread, 1e-12)
+    return i0, vals, spread, scale, max(_PERIODIC_DETECT_FRAC * scale, *cfg.bohr_epsilons)
+
+
+def _profile_argmin(f, taus, w, D, cap, mask) -> tuple[int, float]:
+    """(k, value): the least exact discrepancy over the taus where ``mask`` holds
+    and its first index (0 and inf where it holds nowhere), where D is the
     profile capped at ``cap`` (exact below it, a lower bound at or above it).
 
-    Branch and bound: the taus are finished in ascending order of their
-    bounds, in batches growing fourfold, until the next bound is at least
-    the best exact value; a batch takes only taus whose bound is below it.
+    Branch and bound: the masked taus are finished in ascending order of their
+    bounds, in batches growing fourfold, until the next bound is above the best
+    exact value; a batch takes only taus whose bound is at most it, so a tie
+    keeps the first index.
     """
-    lo = D.min()
-    if lo < cap:
-        return float(lo)
-    order = np.argsort(D)
-    bounds = D[order]
-    best = _INF
-    k, size = 0, _MIN_BATCH0
-    while k < order.size and bounds[k] < best:
-        end = min(k + size, int(np.searchsorted(bounds, best)))
-        best = min(best, float(discrepancy_profile(f, taus[order[k:end]], w).min()))
-        k, size = end, 4 * size
-    return best
+    bounds = np.where(mask, D, _INF)
+    k = int(np.argmin(bounds))
+    if bounds[k] < cap or not mask[k]:
+        return k, float(bounds[k])
+    order = np.argsort(bounds)[: np.count_nonzero(mask)]
+    bounds = bounds[order]
+    best = (_INF, k)
+    i, size = 0, _MIN_BATCH0
+    while i < order.size and bounds[i] <= best[0]:
+        end = min(i + size, int(np.searchsorted(bounds, best[0], side="right")))
+        idx = order[i:end]
+        exact = discrepancy_profile(f, taus[idx], w)
+        lo = exact.min()
+        best = min(best, (float(lo), int(idx[exact == lo].min())))
+        i, size = end, 4 * size
+    return best[1], best[0]
 
 
 def _find_period(f, taus, D, w, scale):
@@ -852,9 +866,10 @@ def _compare_with_base(base, cfg, taus, D):
     """Comparability of the trajectory, whose discrepancy profile on the
     config's grid ``taus`` and window is D, with the base, and the classes it transfers."""
     notes = []
-    Dy = discrepancy_profile(base, taus, cfg.window)
-    profile = _comparability(taus, D, Dy, cfg.bohr_epsilons, cfg.tau_grid, cfg.window,
-                             cfg.refute_frac)
+    cap = _window_scale(base, cfg)[-1]
+    Dy = discrepancy_profile(base, taus, cfg.window, cap=cap)
+    profile = _comparability(taus, D, base, Dy, cap, cfg.bohr_epsilons, cfg.tau_grid,
+                             cfg.window, cfg.refute_frac)
 
     transfer = {"verdict": profile.verdict, "claims": [],
                 "relative_to": "supplied base"}

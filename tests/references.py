@@ -7,9 +7,11 @@ bits of Dopri5's scalar step control, and ``coordinate_fit``, a
 golden-section frequency polish, for the Gauss-Newton spectral fit.
 ``rk4_record_powers`` is the scalar closed form that raises P to every
 record's power, ``sup_distance_unique`` the sup distance over ``np.unique``'s
-times.  The cocycle probes are oracles of the integrators; ``order_check``,
-``uniform_stability_estimate`` and ``almost_periods`` are estimators no
-scenario runs.
+times, ``comparability_uncapped`` the comparability profile from both whole
+discrepancy profiles; ``spiked_noise`` is a test signal whose spike a capped
+profile's head may miss.  The cocycle probes are oracles of the integrators;
+``order_check``, ``uniform_stability_estimate`` and ``almost_periods`` are
+estimators no scenario runs.
 """
 
 import math
@@ -26,6 +28,7 @@ from poisson_lab import systems
 from poisson_lab.recurrence import (
     QuasiPeriodicFit,
     TauGrid,
+    _comparability,
     _dominant_component,
     _golden_min,
     _max_gap,
@@ -303,6 +306,37 @@ def uniform_stability_estimate(sys: SystemSpec, anchor, epsilon_list,
     _, Y = integrate_ode_batch(sys, np.concatenate([anchor, anchor + dirs], axis=1), cfg)
     M = float(np.abs(Y[..., 1:] - Y[..., :1]).max())
     return [(eps, eps / M) for eps in eps_list]
+
+
+def comparability_uncapped(x: Signal, y: Signal, epsilon_list, tau_grid: TauGrid, w: Window,
+                           refute_frac: float = 0.05):
+    """``recurrence.comparability_profile`` from the whole discrepancy profiles of
+    both signals: with an infinite cap every delta_hat is a plain argmin."""
+    taus = tau_grid.values(w, x, y)
+    return _comparability(taus, discrepancy_profile(x, taus, w), y,
+                          discrepancy_profile(y, taus, w), math.inf, epsilon_list,
+                          tau_grid, w, refute_frac)
+
+
+def spiked_noise(seed, dim, m, spike=511):
+    """Noise of amplitude 0.1 plus a unit spike at point ``spike`` of an m-point
+    window (by default the 512th, the last point a capped profile's head reads),
+    and shifts of both signs: zero, grid multiples and off-grid.
+
+    A shift of -k dt meets the default spike at window points 511 and 511 + k, so
+    for m = 512 only the 512th point sees it.
+    """
+    rng = np.random.default_rng(seed)
+    dt, margin = 0.1, 40
+    vals = rng.uniform(-0.1, 0.1, (m + 2 * margin, dim))
+    if m > spike:
+        vals[margin + spike] += 1.0
+    f = Signal(0.0, dt, vals)
+    w = Window(dt * (margin + (m - 1) / 2), dt * (m - 1) / 2)
+    k = rng.integers(1 - margin, margin, 16)
+    frac = rng.choice([0.0, 0.0, 0.3, 0.77], 16)
+    taus = np.concatenate([[0.0, -0.1 * (margin - 1)], 0.1 * (k + frac)])
+    return f, w, rng.permutation(taus)
 
 
 def almost_periods(f: Signal, epsilon: float, tau_grid: TauGrid,

@@ -2,7 +2,10 @@ import copy
 import io
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -473,6 +476,45 @@ def test_compare_unbuildable_tau_grid_exit_2(sine_csv, tmp_path, capsys, grid):
     assert main(["compare", str(sine_csv), str(sine_csv), "--config", str(cfg)]) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith("error: bad analysis config")
+
+
+@pytest.mark.parametrize("value", [-1.0, float("nan"), float("inf")])
+@pytest.mark.parametrize("key", ["refute_frac", "stationary_tol", "quasi_residual_tol",
+                                 "periodic_verify_rel"])
+def test_compare_bad_float_tolerance_exit_2(sine_csv, tmp_path, capsys, key, value):
+    # With {"refute_frac": -1} no comparison could ever be refuted.
+    cfg = tmp_path / "analysis.json"
+    cfg.write_text(json.dumps({key: value}))
+    assert main(["compare", str(sine_csv), str(sine_csv), "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith(f"error: bad analysis config {cfg}: {key}")
+
+
+def test_refute_frac_above_one_exit_2(sine_csv, tmp_path, capsys):
+    cfg = tmp_path / "analysis.json"
+    cfg.write_text(json.dumps({"refute_frac": 1.5}))
+    assert main(["compare", str(sine_csv), str(sine_csv), "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err == f"error: bad analysis config {cfg}: refute_frac must be at most 1\n"
+
+
+def test_closed_stdout_is_one_error_line(tmp_path):
+    """stdout on a pipe whose reader closed first: one error line and exit 1, no
+    traceback and no "Exception ignored" line from the flush at exit; --out is
+    still written."""
+    csv, out = tmp_path / "sine.csv", tmp_path / "report.json"
+    write_signal_csv(sample_function(np.sin, 0.0, 50.0, 0.05), csv)
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    r, w = os.pipe()
+    os.close(r)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "poisson_lab.cli", "classify", str(csv),
+                               "--out", str(out)], stdout=w, stderr=subprocess.PIPE,
+                              env=env, text=True, timeout=300)
+    finally:
+        os.close(w)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
+    assert json.loads(out.read_text())["classes"]["periodic"]["verdict"] == "yes"
 
 
 def test_classify_separation_past_the_signal_finds_no_return(sine_csv, tmp_path, capsys):

@@ -35,9 +35,11 @@ from poisson_lab.scenarios import build_scenario
 from poisson_lab.systems import forcing_signal
 from references import (
     almost_periods,
+    comparability_uncapped,
     coordinate_fit,
     residual_norm,
     spectral_start,
+    spiked_noise,
     stacked_design,
 )
 
@@ -1028,6 +1030,50 @@ def test_comparability_refuted_ramp_vs_sine(sine, ramp):
     assert prof.verdict == "refuted"
     assert prof.witness is not None
     assert abs((prof.witness + math.pi) % (2 * math.pi) - math.pi) < 0.1
+
+
+@pytest.mark.parametrize("x, y", [("sine", "sine"), ("ramp", "sine"), ("sine", "ramp")])
+def test_capped_comparability_is_the_uncapped_one(x, y, sine, ramp):
+    """Pairs, verdict and witness equal those from both whole profiles; ramp
+    against sine is refuted, so its witness tau is checked too."""
+    x, y = ({"sine": sine, "ramp": ramp}[name] for name in (x, y))
+    got = comparability_profile(x, y, [0.5, 0.2, 0.1], CMP_GRID, CMP_W)
+    assert got == comparability_uncapped(x, y, [0.5, 0.2, 0.1], CMP_GRID, CMP_W)
+    assert (got.verdict == "refuted") == (x is ramp and y is sine)
+
+
+@pytest.mark.parametrize("scale, step", [(0.3, 0.1), (1.0, 0.1), (1.0, 0.07)])
+def test_capped_comparability_on_spiked_noise_is_the_uncapped_one(scale, step):
+    """Every shift that moves the trajectory's spike fails it at each epsilon;
+    the base's least discrepancy over those shifts is below the cap (0.5) at
+    scale 0.3, so it is read off the capped profile, and above it at scale 1,
+    so branch and bound finishes it."""
+    x, w, _ = spiked_noise(1, 1, 900)
+    y = spiked_noise(2, 1, 900)[0]
+    y = Signal(y.t0, y.dt, scale * y.samples)
+    grid = TauGrid(-3.9, 3.9, step)
+    got = comparability_profile(x, y, [0.5, 0.2, 0.1], grid, w)
+    assert got == comparability_uncapped(x, y, [0.5, 0.2, 0.1], grid, w)
+
+
+@given(st.integers(min_value=0, max_value=2**32 - 1), st.sampled_from([1, 3]),
+       st.sampled_from([300, 513, 900]), st.sampled_from([1, 2, 64]))
+def test_profile_argmin_is_the_first_least_exact_value(seed, dim, m, batch0):
+    """Branch and bound over a capped profile returns np.argmin of the masked
+    exact profile and its value, with every tau twice (ties), at every cap and
+    batch size, for an empty, a random and a full mask and one without tau 0."""
+    f, w, taus = spiked_noise(seed, dim, m)
+    taus = np.concatenate([taus, taus[::-1]])
+    exact = discrepancy_profile(f, taus, w)
+    masks = [np.zeros(taus.size, bool), np.random.default_rng(seed).random(taus.size) < 0.5,
+             np.ones(taus.size, bool), taus != 0.0]
+    with patch.object(recurrence, "_MIN_BATCH0", batch0):
+        for cap in (0.0, float(np.median(exact)), math.inf):
+            D = discrepancy_profile(f, taus, w, cap=cap)
+            for mask in masks:
+                ref = np.where(mask, exact, np.inf)
+                k = int(np.argmin(ref))
+                assert recurrence._profile_argmin(f, taus, w, D, cap, mask) == (k, ref[k])
 
 
 def test_delta_hat_monotone(sine, ramp):

@@ -34,7 +34,7 @@ from poisson_lab.signals import (
 )
 from poisson_lab.scenarios import build_scenario
 from poisson_lab.systems import forcing_signal
-from references import sup_distance_unique
+from references import spiked_noise, sup_distance_unique
 
 
 @pytest.fixture(scope="module")
@@ -444,27 +444,6 @@ def test_profiles_match_references(vals, steps):
     assert np.allclose(bebutov_profile(f, taus, w), direct, rtol=0.0, atol=1e-12)
 
 
-def spiked_noise(seed, dim, m):
-    """Noise of amplitude 0.1 plus a unit spike at the 512th point of an
-    m-point window (the last point a capped profile reads first), and shifts
-    of both signs: zero, grid multiples and off-grid.
-
-    A shift of -k dt meets the spike at window points 511 and 511 + k, so for
-    m = 512 only the 512th point sees it.
-    """
-    rng = np.random.default_rng(seed)
-    dt, margin = 0.1, 40
-    vals = rng.uniform(-0.1, 0.1, (m + 2 * margin, dim))
-    if m >= 512:
-        vals[margin + 511] += 1.0
-    f = Signal(0.0, dt, vals)
-    w = Window(dt * (margin + (m - 1) / 2), dt * (m - 1) / 2)
-    k = rng.integers(1 - margin, margin, 16)
-    frac = rng.choice([0.0, 0.0, 0.3, 0.77], 16)
-    taus = np.concatenate([[0.0, -0.1 * (margin - 1)], 0.1 * (k + frac)])
-    return f, w, rng.permutation(taus)
-
-
 @given(st.integers(min_value=0, max_value=2**32 - 1),
        st.sampled_from([1, 3]),
        st.sampled_from([300, 511, 512, 513, 900]))
@@ -478,20 +457,39 @@ def test_capped_profile_is_exact_below_the_cap(seed, dim, m):
     exact = discrepancy_profile(f, taus, w)
     assert np.array_equal(exact, [shift_discrepancy(f, tau, w) for tau in taus])
     assert np.array_equal(discrepancy_profile(f, taus, w, cap=math.inf), exact)
-    # The taus whose max over the first 512 window points reaches the cap
-    # keep that max; the others read the whole window.
-    h = min(512, m)
-    head = np.array([np.abs(_shifted(f, i0, h, tau) - f.samples[i0 : i0 + h]).max()
-                     for tau in taus])
-    # Caps: 0 (every value capped), a head max that the rest of the window
+    # The taus whose probe bound, the max over the first 512 window points and
+    # the rows of the window's largest and least sample, reaches the cap keep
+    # that bound; the others read the whole window.
+    h, win = min(512, m), f.samples[i0 : i1 + 1]
+    rows = [int(win.argmax()) // dim, int(win.argmin()) // dim]
+    gaps = [np.abs(_shifted(f, i0, m, tau) - win) for tau in taus]
+    probe = np.array([max(g[:h].max(), g[rows].max()) for g in gaps])
+    # Caps: 0 (every value capped), a probe bound that the rest of the window
     # exceeds where there is one, the median D, and above every D.
-    tie = head[np.argmax(exact - head)]
+    tie = probe[np.argmax(exact - probe)]
     for cap in (0.0, tie, float(np.median(exact)), 10.0):
         got = discrepancy_profile(f, taus, w, cap=cap)
         below = exact < cap
         assert np.array_equal(got[below], exact[below])
         assert np.all((cap <= got[~below]) & (got[~below] <= exact[~below]))
-        assert np.array_equal(got, np.where(head < cap, exact, head))
+        assert np.array_equal(got, np.where(probe < cap, exact, probe))
+
+
+def test_capped_profile_reads_a_spike_outside_the_head():
+    # The spike sits at window point 700, which no shift brings into the head, so
+    # the head max stays below the cap; the spike's own row bounds the grid shifts.
+    f, w, taus = spiked_noise(1, 1, 900, spike=700)
+    i0, i1 = f.window_slice(w)
+    win = f.samples[i0 : i1 + 1]
+    assert win.argmax() == 700
+    gaps = np.array([np.abs(_shifted(f, i0, 900, tau) - win)[:, 0] for tau in taus])
+    head, rows = gaps[:, :512].max(axis=1), gaps[:, [700, win.argmin()]].max(axis=1)
+    cap, on_grid = 0.5, (taus != 0) & np.isclose(taus / f.dt, np.round(taus / f.dt))
+    assert head.max() < cap and (rows[on_grid] >= cap).all()
+    probe, exact = np.maximum(head, rows), discrepancy_profile(f, taus, w)
+    got = discrepancy_profile(f, taus, w, cap=cap)
+    assert np.array_equal(got, np.where(probe < cap, exact, probe))
+    assert (got < exact).any()  # a bound, not the whole window, where the spike's row is not the max
 
 
 def almost_periodic_signal(seed, period, levels, cross):
