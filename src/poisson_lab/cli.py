@@ -68,6 +68,12 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# The keys of an analysis config besides ``window`` and ``tau_grid``.
+_LIST_KEYS = ("bohr_epsilons", "poisson_schedule")
+_FLOAT_KEYS = ("stationary_tol", "quasi_residual_tol", "poisson_separation", "refute_frac",
+               "periodic_verify_rel")
+
+
 def _analysis_config(defaults, path) -> ClassifyConfig:
     """``defaults()`` with the keys of the JSON file at ``path``, if any, on top.
     Where ``defaults()`` raises ConfigInvalid (a signal too short for the
@@ -78,11 +84,17 @@ def _analysis_config(defaults, path) -> ClassifyConfig:
     raw = read_json_config(path, "analysis")
     kwargs = {}
     try:
+        if not isinstance(raw, dict):
+            raise ValueError("not a JSON object")
+        unknown = raw.keys() - {"window", "tau_grid", *_LIST_KEYS, *_FLOAT_KEYS}
+        if unknown:
+            raise ValueError(f"unknown keys {', '.join(sorted(unknown))} (accepted: window, "
+                             f"tau_grid, {', '.join(_LIST_KEYS + _FLOAT_KEYS)})")
         if "window" in raw:
             kwargs["window"] = Window(*raw["window"])
         if "tau_grid" in raw:
             kwargs["tau_grid"] = TauGrid(*raw["tau_grid"])
-        for key in ("bohr_epsilons", "poisson_schedule"):
+        for key in _LIST_KEYS:
             if key in raw:
                 kwargs[key] = tuple(raw[key])
                 if not (kwargs[key] and all(type(e) in (int, float) and 0 < e < math.inf
@@ -91,8 +103,7 @@ def _analysis_config(defaults, path) -> ClassifyConfig:
         sched = kwargs.get("poisson_schedule", ())
         if any(b > a + 1e-15 for a, b in zip(sched, sched[1:])):
             raise ValueError("poisson_schedule must be non-increasing")
-        for key in ("stationary_tol", "quasi_residual_tol", "poisson_separation",
-                    "refute_frac", "periodic_verify_rel"):
+        for key in _FLOAT_KEYS:
             if key in raw:
                 kwargs[key] = float(raw[key])
                 if not 0 <= kwargs[key] < math.inf:

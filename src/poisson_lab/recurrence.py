@@ -651,13 +651,16 @@ def _comparability(taus, Dx, y: Signal, Dy, cap: float, epsilon_list, tau_grid: 
     at ``cap``."""
     eps = sorted({float(e) for e in epsilon_list}, reverse=True)
     pairs = []
-    worst = None
+    worst = prev = None
     for e in eps:
         bad = Dx >= e
         if not bad.any():
             pairs.append((e, _INF))
             continue
-        k, dh = _profile_argmin(y, taus, w, Dy, cap, bad)
+        # A smaller epsilon fails the same taus or more: an equal mask has its argmin.
+        if prev is None or not np.array_equal(bad, prev[0]):
+            prev = (bad, *_profile_argmin(y, taus, w, Dy, cap, bad))
+        _, k, dh = prev
         pairs.append((e, dh))
         if worst is None or dh / e < worst[1] / worst[2]:
             worst = (float(taus[k]), dh, e)

@@ -648,6 +648,9 @@ def _tau_blocks(aligned, values_per_tau: int):
 # The number of metric levels the first prefix of ``bebutov_profile`` covers;
 # it gathers at most ``_CHUNK`` values (taus x prefix points x components) at once.
 _BEBUTOV_LEVELS0 = 64
+# ``bebutov_profile`` reads the grid shifts point-major while this many per
+# component are live: that read makes numpy calls per point and component.
+_POINT_MAJOR_MIN = 512
 
 
 def bebutov_profile(f: Signal, taus: np.ndarray, w: Window) -> np.ndarray:
@@ -667,6 +670,14 @@ def bebutov_profile(f: Signal, taus: np.ndarray, w: Window) -> np.ndarray:
     it, until it holds every level.  Each gap is the same elementwise
     arithmetic as in the whole-window gaps (the interpolant too is evaluated
     pointwise), and the max picks the same float out of fewer candidates.
+
+    While at least ``_POINT_MAJOR_MIN`` grid shifts per component are live,
+    the prefixes are read point-major: each window point in distance order,
+    across every live shift, raises one running max per shift; each level end
+    folds min(M(l), 1/l) into the shift's result, and each prefix end
+    finishes the shifts that have crossed.  The survivors and the off-grid
+    taus then take the shift-major prefix loop from the next prefix on.  Max
+    and min pick floats, so the order of the reads changes no bit.
     """
     taus = np.asarray(taus, dtype=float)
     i0, i1 = f.window_slice(w)
@@ -678,8 +689,25 @@ def bebutov_profile(f: Signal, taus: np.ndarray, w: Window) -> np.ndarray:
         raise WindowOutOfDomain("window half-width smaller than one grid step")
     j0, aligned = _grid_starts(f, i0, ts.size, taus)
     out = np.empty(taus.size)
-    todo = np.arange(taus.size)
-    levels = _BEBUTOV_LEVELS0
+    live = np.flatnonzero(aligned)
+    acc, res = np.zeros(live.size), np.zeros(live.size)
+    levels, lo, q, cols = _BEBUTOV_LEVELS0, 0, 0, f.samples.T
+    while live.size >= _POINT_MAJOR_MIN * f.dim and lo < last.size:
+        hi = min(levels, last.size)
+        starts = j0[live]
+        for l in range(lo, hi):
+            for p in order[q : last[l] + 1]:
+                for col, b in zip(cols, base[p]):
+                    gap = col[p:][starts]
+                    np.subtract(gap, b, out=gap)
+                    np.maximum(acc, np.abs(gap, out=gap), out=acc)
+            q = last[l] + 1
+            np.maximum(res, np.minimum(acc, inv_l[l]), out=res)
+        done = (acc >= inv_l[hi - 1]) | (hi == last.size)
+        out[live[done]] = res[done]
+        live, acc, res = live[~done], acc[~done], res[~done]
+        lo, levels = hi, 4 * levels
+    todo = np.concatenate([live, np.flatnonzero(~aligned)])
     while todo.size:
         levels = min(levels, last.size)
         pts = order[: last[levels - 1] + 1]

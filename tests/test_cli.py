@@ -490,6 +490,25 @@ def test_compare_bad_float_tolerance_exit_2(sine_csv, tmp_path, capsys, key, val
     assert err.count("\n") == 1 and err.startswith(f"error: bad analysis config {cfg}: {key}")
 
 
+@pytest.mark.parametrize("command", ["classify", "compare"])
+@pytest.mark.parametrize("analysis, named", [
+    ({"bohr_epsilon": [0.01], "poisson_schedul": [0.001]}, "bohr_epsilon, poisson_schedul"),
+    ({"window": [50, 40], "fit_window": [50, 40]}, "fit_window"),
+    (["window"], None),
+])
+def test_unknown_analysis_keys_exit_2(sine_csv, tmp_path, capsys, command, analysis, named):
+    # A misspelt key once left its default in place without a word.
+    cfg = tmp_path / "analysis.json"
+    cfg.write_text(json.dumps(analysis))
+    files = [str(sine_csv)] * (2 if command == "compare" else 1)
+    assert main([command, *files, "--config", str(cfg)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1
+    assert err.startswith(f"error: bad analysis config {cfg}: "
+                          + (f"unknown keys {named} (accepted: window, tau_grid, bohr_epsilons,"
+                             if named else "not a JSON object"))
+
+
 def test_refute_frac_above_one_exit_2(sine_csv, tmp_path, capsys):
     cfg = tmp_path / "analysis.json"
     cfg.write_text(json.dumps({"refute_frac": 1.5}))

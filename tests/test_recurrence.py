@@ -1056,6 +1056,30 @@ def test_capped_comparability_on_spiked_noise_is_the_uncapped_one(scale, step):
     assert got == comparability_uncapped(x, y, [0.5, 0.2, 0.1], grid, w)
 
 
+@pytest.mark.parametrize("case", ["spiked", "ramp"])
+def test_comparability_finishes_each_failing_mask_once(case, sine, ramp):
+    """The base's least discrepancy is searched once per distinct set of taus
+    that fail x, and the pairs are those of the whole profiles.  Every
+    epsilon fails the same taus of the spiked x (those that move its spike)."""
+    if case == "spiked":
+        x, w, _ = spiked_noise(1, 1, 900)
+        y, grid = spiked_noise(2, 1, 900)[0], TauGrid(-3.9, 3.9, 0.1)
+    else:
+        x, y, grid, w = sine, ramp, CMP_GRID, CMP_W
+    eps = [0.5, 0.2, 0.1]
+    masks = set()
+    for e in eps:
+        bad = discrepancy_profile(x, grid.values(w, x, y), w) >= e
+        if bad.any():
+            masks.add(bad.tobytes())
+    calls, argmin = [], recurrence._profile_argmin
+    with patch.object(recurrence, "_profile_argmin",
+                      lambda *a: calls.append(a[-1].tobytes()) or argmin(*a)):
+        got = comparability_profile(x, y, eps, grid, w)
+    assert sorted(calls) == sorted(masks) and len(masks) == (1 if case == "spiked" else 3)
+    assert got == comparability_uncapped(x, y, eps, grid, w)
+
+
 @given(st.integers(min_value=0, max_value=2**32 - 1), st.sampled_from([1, 3]),
        st.sampled_from([300, 513, 900]), st.sampled_from([1, 2, 64]))
 def test_profile_argmin_is_the_first_least_exact_value(seed, dim, m, batch0):

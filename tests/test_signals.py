@@ -550,6 +550,66 @@ def test_bebutov_profile_is_the_per_tau_reference(seed, period, levels, cross, s
     assert np.array_equal(bebutov_profile(f, taus, w), bebutov_per_tau(f, taus, w))
 
 
+@given(st.integers(min_value=0, max_value=2**32 - 1),
+       st.integers(min_value=3, max_value=30),
+       st.integers(min_value=300, max_value=420),
+       st.one_of(st.none(), st.integers(min_value=1, max_value=500)),
+       st.sampled_from([1, 2]),
+       st.lists(shift_steps, max_size=4))
+# Crossing on the last level of the first and second prefix, just after
+# each, and none at all, in one and two dimensions.
+@example(21, 7, 300, 64, 1, [])
+@example(22, 9, 301, 65, 2, [(-3, 0.4)])
+@example(23, 5, 333, 256, 2, [(0, 0.0)])
+@example(24, 17, 400, 257, 1, [(8, 0.0), (-8, 0.0)])
+@example(25, 6, 310, None, 2, [(2, 0.5)])
+@example(26, 4, 320, None, 1, [])
+def test_bebutov_point_major_is_the_per_tau_reference(seed, period, levels, cross, dim,
+                                                      steps):
+    """The point-major read with its bar at one live shift per component: in
+    one dimension every grid shift is read to its crossing or the last level."""
+    f, w, tau = almost_periodic_signal(seed, period, levels, cross)
+    if dim == 2:
+        # A second component with the same period and its own drift: the
+        # gap is the max over both.
+        g = almost_periodic_signal(seed + 1, period, levels, 2 * levels)[0]
+        f = Signal(f.t0, f.dt, np.column_stack([f.samples[:, 0], g.samples[:, 0]]))
+    # tau = 0, near-period shifts on both sides and twice, a duplicate, and
+    # off-grid shifts mixed in, in a shuffled order.
+    taus = [tau, -tau, 0.0, tau, 2 * tau, -2 * tau, tau + 0.37 * f.dt]
+    taus += [f.dt * (k + frac) for k, frac in steps]
+    taus = np.random.default_rng(seed).permutation(taus)
+    with patch.object(signals, "_POINT_MAJOR_MIN", 1):
+        assert np.array_equal(bebutov_profile(f, taus, w), bebutov_per_tau(f, taus, w))
+
+
+def test_bebutov_point_major_hands_over_past_600_grid_shifts():
+    # 721 grid shifts: all but the 7 multiples of the period cross within the
+    # first prefix, so the survivors and the off-grid shifts finish shift-major.
+    f, w, tau = almost_periodic_signal(5, 120, 300, 257)
+    taus = np.concatenate([f.dt * np.arange(-360, 361), [tau + 0.5 * f.dt, -0.3 * f.dt]])
+    assert np.array_equal(bebutov_profile(f, taus, w), bebutov_per_tau(f, taus, w))
+
+
+@pytest.mark.parametrize("bump, handover", [(0.0625, 256), (0.0624, 300)])
+def test_bebutov_point_major_finishes_a_shift_at_its_crossing(bump, handover):
+    """A grid shift whose running max reaches 1/l exactly on a prefix's last
+    level is finished in that prefix; the survivors and the off-grid shifts
+    are then read from the next prefix on, or from the whole window."""
+    dt, levels, k = 0.25, 300, 3
+    vals = np.zeros(2 * levels + 41)
+    c = levels + 20
+    vals[c + 64 + k] = bump  # the gap of the shift by k steps at distance 64 dt
+    f, w = Signal(0.0, dt, vals), Window(c * dt, levels * dt)
+    taus = np.array([0.0, k * dt, 0.4 * dt, -1.5 * dt])
+    reads, values = [], Signal.values
+    with patch.object(signals, "_POINT_MAJOR_MIN", 2), \
+            patch.object(Signal, "values", lambda s, t: reads.append(np.size(t)) or values(s, t)):
+        got = bebutov_profile(f, taus, w)
+    assert got[1] == bump and np.array_equal(got, bebutov_per_tau(f, taus, w))
+    assert reads[0] == 2 * (2 * handover + 1)
+
+
 @pytest.mark.parametrize("profile", [discrepancy_profile, bebutov_profile])
 @pytest.mark.parametrize("bad_tau", [-12.0, 12.0])
 def test_profiles_reject_a_window_shifted_out_like_the_per_tau_loop(profile, bad_tau):
