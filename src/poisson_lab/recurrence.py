@@ -26,6 +26,7 @@ from .signals import (
     _MAX_FLOATS,
     Signal,
     Window,
+    _grid_starts,
     _mean,
     _require_shifts_inside,
     bebutov_profile,
@@ -283,7 +284,7 @@ def poisson_returns(f: Signal, epsilon_schedule, w: Window, *,
     def gap(at, ref):
         return lambda taus: np.abs(at(taus) - ref).max(axis=(1, 2))
     d_probe = gap(f.shift_reader(i0 + probe_rel), base[probe_rel])
-    d_full = gap(f.shift_reader(np.arange(i0, i1 + 1)), base)
+    d_full = _deciding_reader(f, i0, base, gap(f.shift_reader(np.arange(i0, i1 + 1)), base))
 
     # Local slope bound: discrepancy varies no faster than twice the signal.
     # It is capped at the window spread so fast (or aliased) oscillation does
@@ -365,7 +366,8 @@ def poisson_returns(f: Signal, epsilon_schedule, w: Window, *,
             # differently from the rows of a larger one (BLAS), which the bits follow.
             twice = 1 + (live.sum() == 1 < lo.size)
             lo, hi = lo[live], hi[live]
-            tau_p, dp = _golden_min(d_probe, lo.repeat(twice), hi.repeat(twice), 24)
+            tau_p, dp = _golden_min(lambda x, bar: d_probe(x), lo.repeat(twice),
+                                    hi.repeat(twice), 24)
             for c in np.flatnonzero(dp[: lo.size] < eps).tolist():
                 lo_f, hi_f = max(lo[c], tau_p[c] - dt), min(hi[c], tau_p[c] + dt)
                 if f.exact is None and _full_lower_bound(f, i0, base, lo_f, hi_f) >= eps:
@@ -450,25 +452,57 @@ _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 def _golden_min(fn, a, b, iters: int) -> tuple[np.ndarray, np.ndarray]:
     """Golden-section minima on the brackets [a_k, b_k], all at once.
 
-    ``fn`` maps an array of abscissae, one per bracket, to their values.  Each
-    bracket follows the scalar recurrence, ties included (f1 <= f2 keeps the
-    left point); a bracket with b <= a returns a.  Returns the minimizers and
-    the minima as arrays.
+    ``fn(x, bar)`` maps an array of abscissae, one per bracket, to their
+    values; ``bar`` is the value each point will be compared with (inf for the
+    first point, f1 for the second, then the bracket's best), and where a value
+    is above its bar fn may return any value above it (J. Kiefer, Proc. AMS 4,
+    1953: a point only needs to be known to lose).  Each bracket follows the
+    scalar recurrence, ties included (f1 <= f2 keeps the left point); a loser
+    becomes a bracket end, whose value is dropped, so every comparison and the
+    minima are those of the exact values.  A bracket with b <= a returns a.
+    Returns the minimizers and the minima as arrays.
     """
     a = np.array(a, dtype=float, ndmin=1)
     b = np.maximum(a, b)
     x1 = b - _GOLDEN * (b - a)
     x2 = a + _GOLDEN * (b - a)
-    f1, f2 = fn(x1), fn(x2)
+    f1 = fn(x1, np.full(a.shape, _INF))
+    f2 = fn(x2, f1)
     for _ in range(iters):
         left = f1 <= f2
         a, b = np.where(left, a, x1), np.where(left, x2, b)
         x = np.where(left, b - _GOLDEN * (b - a), a + _GOLDEN * (b - a))
-        fx = fn(x)
+        fx = fn(x, np.minimum(f1, f2))
         x1, x2 = np.where(left, x, x2), np.where(left, x1, x)
         f1, f2 = np.where(left, fx, f2), np.where(left, f1, fx)
     left = f1 <= f2
     return np.where(left, x1, x2), np.where(left, f1, f2)
+
+
+def _deciding_reader(f: Signal, i0: int, base: np.ndarray, full):
+    """``fn(taus, bar)`` for ``_golden_min`` of the windowed discrepancy of f against
+    the window ``base`` from index i0, which ``full`` reads.  On a spline Signal a
+    read first takes the window points whose gap decided the reader's earlier full
+    reads (their argmax), through ``values`` at the times ``window_values`` forms,
+    so each is the same float; a tau whose max there is above its bar returns it
+    (a lower bound), and only the others read the whole window.  An exact Signal
+    reads the whole window: a gather of a few points is a BLAS product of another
+    shape, so its bits could move."""
+    if f.exact is not None:
+        return lambda taus, bar: full(taus)
+    x, pts = f._spline[0][i0 : i0 + len(base)], []
+
+    def read(taus, bar):
+        out = np.full(taus.size, -_INF)
+        if pts:
+            out = np.abs(f.values(taus[:, None] + x[pts]) - base[pts]).max(axis=(1, 2))
+        todo = np.flatnonzero(out <= bar)
+        if todo.size:
+            gaps = np.abs(f.window_values(i0, len(base), taus[todo]) - base).max(axis=2)
+            out[todo] = gaps.max(axis=1)
+            pts.extend({*gaps.argmax(axis=1).tolist()}.difference(pts))
+        return out
+    return read
 
 
 # ---------------------------------------------------------------------------
@@ -645,22 +679,21 @@ def comparability_profile(x: Signal, y: Signal, epsilon_list, tau_grid: TauGrid,
 
 
 def _comparability(taus, Dx, y: Signal, Dy, cap: float, epsilon_list, tau_grid: TauGrid,
-                   w: Window, refute_frac: float) -> ComparabilityProfile:
+                   w: Window, refute_frac: float, searched=None) -> ComparabilityProfile:
     """``comparability_profile`` on the grid's taus from the trajectory's discrepancy
     profile Dx, capped at the largest epsilon or above, and the base y's, Dy, capped
-    at ``cap``."""
+    at ``cap``; ``searched`` gathers the minima of Dy found (see ``_argmin_once``)."""
     eps = sorted({float(e) for e in epsilon_list}, reverse=True)
+    searched = {} if searched is None else searched
     pairs = []
-    worst = prev = None
+    worst = None
     for e in eps:
         bad = Dx >= e
         if not bad.any():
             pairs.append((e, _INF))
             continue
         # A smaller epsilon fails the same taus or more: an equal mask has its argmin.
-        if prev is None or not np.array_equal(bad, prev[0]):
-            prev = (bad, *_profile_argmin(y, taus, w, Dy, cap, bad))
-        _, k, dh = prev
+        k, dh = _argmin_once(searched, y, taus, w, Dy, cap, bad)
         pairs.append((e, dh))
         if worst is None or dh / e < worst[1] / worst[2]:
             worst = (float(taus[k]), dh, e)
@@ -689,8 +722,9 @@ def classify(f: Signal, base: Signal | None = None,
     return _classify(f, base, default_classify_config(f) if cfg is None else cfg)
 
 
-def _classify(f: Signal, base, cfg: ClassifyConfig, D=None) -> RecurrenceReport:
-    """``classify``; D, if given, is f's exact profile, a capped one at any cap."""
+def _classify(f: Signal, base, cfg: ClassifyConfig, D=None, searched=None) -> RecurrenceReport:
+    """``classify``; D, if given, is f's exact profile, a capped one at any cap, and
+    ``searched`` the minima of it already found (see ``_argmin_once``)."""
     w = cfg.window
     grid = cfg.tau_grid
     taus = grid.values(w, f)
@@ -722,7 +756,7 @@ def _classify(f: Signal, base, cfg: ClassifyConfig, D=None) -> RecurrenceReport:
             "yes", {"period": period, "discrepancy": period_disc}, window=w)
     else:
         wit = {"best_tau": period, "discrepancy": period_disc} if period else \
-              {"min_D": _profile_argmin(f, taus, w, D, cap, np.arange(D.size) > 0)[1]
+              {"min_D": _argmin_once(searched or {}, f, taus, w, D, cap, np.arange(D.size) > 0)[1]
                if D.size > 1 else None}
         classes["periodic"] = Verdict("no", witness=wit, window=w)
 
@@ -822,7 +856,8 @@ def _profile_argmin(f, taus, w, D, cap, mask) -> tuple[int, float]:
     Branch and bound: the masked taus are finished in ascending order of their
     bounds, in batches growing fourfold, until the next bound is above the best
     exact value; a batch takes only taus whose bound is at most it, so a tie
-    keeps the first index.
+    keeps the first index.  A batch after the first is read capped just above
+    the best value, which is exact wherever a tau can still win or tie.
     """
     bounds = np.where(mask, D, _INF)
     k = int(np.argmin(bounds))
@@ -835,11 +870,21 @@ def _profile_argmin(f, taus, w, D, cap, mask) -> tuple[int, float]:
     while i < order.size and bounds[i] <= best[0]:
         end = min(i + size, int(np.searchsorted(bounds, best[0], side="right")))
         idx = order[i:end]
-        exact = discrepancy_profile(f, taus[idx], w)
-        lo = exact.min()
-        best = min(best, (float(lo), int(idx[exact == lo].min())))
+        got = discrepancy_profile(f, taus[idx], w, cap=np.nextafter(best[0], _INF))
+        lo = got.min()
+        best = min(best, (float(lo), int(idx[got == lo].min())))
         i, size = end, 4 * size
     return best[1], best[0]
+
+
+def _argmin_once(searched: dict, *args) -> tuple[int, float]:
+    """``_profile_argmin(*args)``, kept in ``searched``, a dict from the bytes of
+    each mask already searched on the same profile to its result, so that a
+    mask is searched once however many verdicts read its minimum."""
+    key = args[-1].tobytes()
+    if key not in searched:
+        searched[key] = _profile_argmin(*args)
+    return searched[key]
 
 
 def _find_period(f, taus, D, w, scale):
@@ -861,7 +906,12 @@ def _find_period(f, taus, D, w, scale):
 
     lo = max(taus[0], taus[k] - step)
     hi = min(taus[-1], taus[k] + step)
-    tau_ref, d_ref = _golden_min(lambda x: discrepancy_profile(f, x, w), lo, hi, 50)
+    # A grid-aligned tau is read as sample slices, as ``discrepancy_profile`` reads it.
+    i0, i1 = f.window_slice(w)
+    read = _deciding_reader(f, i0, f.samples[i0 : i1 + 1], lambda x: discrepancy_profile(f, x, w))
+    tau_ref, d_ref = _golden_min(
+        lambda x, bar: discrepancy_profile(f, x, w)
+        if _grid_starts(f, i0, i1 - i0 + 1, x)[1].any() else read(x, bar), lo, hi, 50)
     return float(tau_ref[0]), float(d_ref[0])
 
 
@@ -871,13 +921,17 @@ def _compare_with_base(base, cfg, taus, D):
     notes = []
     cap = _window_scale(base, cfg)[-1]
     Dy = discrepancy_profile(base, taus, cfg.window, cap=cap)
+    # The base classify's min_D witness reads Dy's minimum over a mask that
+    # comparability may have searched already (on levitan, every tau but 0).
+    searched = {}
     profile = _comparability(taus, D, base, Dy, cap, cfg.bohr_epsilons, cfg.tau_grid,
-                             cfg.window, cfg.refute_frac)
+                             cfg.window, cfg.refute_frac, searched)
 
     transfer = {"verdict": profile.verdict, "claims": [],
                 "relative_to": "supplied base"}
     if profile.verdict == "comparable-evidence":
-        base_classes = _classify(base, None, replace(cfg, base_declared=None), Dy).classes
+        base_classes = _classify(base, None, replace(cfg, base_declared=None), Dy,
+                                 searched).classes
         for names, via in ((_TRANSFER_PLAIN, "comparability"),
                            (_TRANSFER_UNIFORM, "uniform-comparability-proxy")):
             for name in names:

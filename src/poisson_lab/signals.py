@@ -576,12 +576,12 @@ def discrepancy_profile(f: Signal, taus: np.ndarray, w: Window,
 
     Where D(tau) < ``cap`` the value is D(tau) bit for bit; elsewhere it is a
     lower bound in [cap, D(tau)].  With a finite cap every tau first reads the
-    window's first ``_HEAD`` points and its two extreme rows, those of the
-    window's largest and least sample (a spike the head misses is read where it
-    sits), and only the taus whose max there is below the cap read the rest.
-    Each point is read as the whole-window read reads it, so the max of the
-    parts is the same float as the max over the whole window, and a value
-    below the cap is exact.
+    window's two extreme rows, those of its largest and least sample (a spike
+    is read where it sits); only the taus whose max there is below the cap
+    read the window's first ``_HEAD`` points, and only those still below it
+    the rest.  Each point is read as the whole-window read reads it, so the
+    max of the parts is the same float as the max over the whole window, and
+    a value below the cap is exact.
     """
     taus = np.asarray(taus, dtype=float)
     i0, i1 = f.window_slice(w)
@@ -595,7 +595,7 @@ def discrepancy_profile(f: Signal, taus: np.ndarray, w: Window,
     if cap < math.inf:
         h = min(_HEAD, m)
         _head_max(f, i0, h, np.array([base.argmax(), base.argmin()]) // f.dim,
-                  taus, j0, aligned, out)
+                  taus, j0, aligned, out, cap)
         todo = np.flatnonzero(out < cap) if h < m else todo[:0]
     rest = base[h:]
     buf = np.empty_like(rest)
@@ -612,35 +612,34 @@ def discrepancy_profile(f: Signal, taus: np.ndarray, w: Window,
 _HEAD = 512
 
 
-def _head_max(f: Signal, i0: int, h: int, probes, taus, j0, aligned, out) -> None:
-    """out[a] = max over the first h window points and the window rows ``probes``
-    of |f(t + taus[a]) - f(t)|, for every tau; each point is read as the
-    whole-window read reads it, a sample at a grid-aligned tau, else the
-    interpolant."""
+def _head_max(f: Signal, i0: int, h: int, probes, taus, j0, aligned, out, cap) -> None:
+    """out[a] = max over the window rows ``probes`` of |f(t + taus[a]) - f(t)|, for
+    every tau, then the max of that and of the first h window points for the taus
+    whose rows stay below ``cap``; each point is read as the whole-window read reads
+    it, a sample at a grid-aligned tau, else the interpolant."""
+    # The probe rows lead the gathered axes (probes, taus, dim): numpy's max over
+    # a short last axis costs far more than over a leading one.
+    ref, ts = f.samples[i0 + probes, None], f.t0 + f.dt * (i0 + probes[:, None])
+    for a in _tau_blocks(aligned, True, probes.size * f.dim):
+        at = f.samples[j0[a] + probes[:, None]] if aligned[a[0]] else f.values(taus[a] + ts)
+        out[a] = np.abs(at - ref).max(axis=(0, 2))
     base = f.samples[i0 : i0 + h]
     # Shape (n - h + 1, dim, h): row j is the h samples from index j.
     rows = np.lib.stride_tricks.sliding_window_view(f.samples, h, axis=0)
-    for a in _tau_blocks(aligned, h * f.dim):
+    for a in _tau_blocks(aligned, out < cap, h * f.dim):
         if aligned[a[0]]:
             diff, ref = rows[j0[a]], base.T
         else:
             diff, ref = f.window_values(i0, h, taus[a]), base
         np.subtract(diff, ref, out=diff)
-        out[a] = np.abs(diff, out=diff).max(axis=(1, 2))
-    # The probe rows lead the gathered axes (probes, taus, dim): numpy's max over
-    # a short last axis costs far more than over a leading one.  They come after
-    # the head, whose interpolant reads build the whole spline that these read.
-    ref, ts = f.samples[i0 + probes, None], f.t0 + f.dt * (i0 + probes[:, None])
-    for a in _tau_blocks(aligned, probes.size * f.dim):
-        at = f.samples[j0[a] + probes[:, None]] if aligned[a[0]] else f.values(taus[a] + ts)
-        out[a] = np.maximum(out[a], np.abs(at - ref).max(axis=(0, 2)))
+        out[a] = np.maximum(out[a], np.abs(diff, out=diff).max(axis=(1, 2)))
 
 
-def _tau_blocks(aligned, values_per_tau: int):
-    """Blocks of the indices of the grid-aligned taus, then of the others, each
-    gathering at most ``_CHUNK`` values."""
+def _tau_blocks(aligned, sel, values_per_tau: int):
+    """Blocks of the indices of the grid-aligned taus where ``sel`` holds, then of
+    the others, each gathering at most ``_CHUNK`` values."""
     block = max(1, _CHUNK // values_per_tau)
-    for idx in (np.flatnonzero(aligned), np.flatnonzero(~aligned)):
+    for idx in (np.flatnonzero(aligned & sel), np.flatnonzero(~aligned & sel)):
         for s in range(0, idx.size, block):
             yield idx[s : s + block]
 

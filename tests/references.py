@@ -408,7 +408,7 @@ def coordinate_fit(f: Signal, max_freqs: int, w: Window) -> QuasiPeriodicFit:
         for idx in range(len(freqs)):
             lo = max(freqs[idx] - 0.6 * bin_w, 0.25 * bin_w)
             obj = lstsq_objective(M, idx, y, ts)
-            nu, _ = _golden_min(lambda xs: np.array([obj(x) for x in xs.tolist()]),
+            nu, _ = _golden_min(lambda xs, bar: np.array([obj(x) for x in xs.tolist()]),
                                 lo, freqs[idx] + 0.6 * bin_w, 28)
             freqs[idx] = float(nu[0])
             M[:, 1 + 2 * idx] = np.cos(freqs[idx] * ts)

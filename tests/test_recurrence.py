@@ -754,7 +754,7 @@ def test_golden_min_batched_is_the_scalar_loop(brackets, iters):
     ]
     fns = [lambda x, k=k, c=c: kinds[k](x, c) for _, _, k, c in brackets]
 
-    def batched(xs):
+    def batched(xs, bar):
         assert xs.size == len(fns)
         return np.array([fn(x) for fn, x in zip(fns, xs.tolist())])
 
@@ -764,6 +764,80 @@ def test_golden_min_batched_is_the_scalar_loop(brackets, iters):
     want = [golden_scalar(fn, lo, hi, iters) for fn, (lo, hi, _, _) in zip(fns, brackets)]
     assert xs.tolist() == [x for x, _ in want]
     assert vals.tolist() == [v for _, v in want]
+
+
+@given(st.lists(st.tuples(st.floats(-5.0, 5.0), st.floats(-5.0, 5.0),
+                          st.integers(0, 3), st.floats(0.1, 3.0)),
+                min_size=1, max_size=6),
+       st.integers(min_value=0, max_value=40), st.integers(0, 2**32 - 1))
+def test_golden_min_takes_any_value_above_the_bar(brackets, iters, seed):
+    """Where a point's exact value is above its bar, fn may return any value
+    above the bar (the bar itself excluded): the minimizers and minima are
+    those of the exact fn, ties of the constant and the staircase included."""
+    kinds = [
+        lambda x, c: 0.25 * c,
+        lambda x, c: (x - c) ** 2,
+        lambda x, c: math.sin(3.0 * x) + c * x * x,
+        lambda x, c: math.floor(c * abs(x)),
+    ]
+    fns = [lambda x, k=k, c=c: kinds[k](x, c) for _, _, k, c in brackets]
+    rng = np.random.default_rng(seed)
+
+    def exact(xs, bar):
+        assert bar.shape == xs.shape == (len(fns),)
+        return np.array([fn(x) for fn, x in zip(fns, xs.tolist())], dtype=float)
+
+    def loose(xs, bar):
+        vals = exact(xs, bar)
+        for i in np.flatnonzero(vals > bar).tolist():
+            b, v = float(bar[i]), float(vals[i])
+            pick = [b, b + (v - b) * rng.random(), v + rng.exponential()][rng.integers(3)]
+            vals[i] = max(pick, math.nextafter(b, math.inf))
+        return vals
+
+    a = np.array([lo for lo, _, _, _ in brackets])
+    b = np.array([hi for _, hi, _, _ in brackets])
+    want, got = _golden_min(exact, a, b, iters), _golden_min(loose, a, b, iters)
+    assert [v.tolist() for v in got] == [v.tolist() for v in want]
+
+
+@given(st.integers(min_value=0, max_value=2**32 - 1), st.sampled_from([1, 3]),
+       st.sampled_from([300, 900]),
+       st.lists(st.tuples(st.integers(0, 17), st.integers(0, 4)), min_size=1, max_size=8))
+@example(1, 1, 900, [(0, 0), (1, 3), (2, 3)])
+def test_deciding_reader_is_the_full_read_at_or_below_the_bar(seed, dim, m, reads):
+    """Each read of the golden sections' deciding-point reader is the whole
+    window's ``window_values`` read bit for bit where that is at most the bar,
+    and above the bar elsewhere.  The bars include the gap at the point that
+    decided the previous read, which the reader reads first."""
+    f, w, taus = spiked_noise(seed, dim, m)
+    i0, i1 = f.window_slice(w)
+    base = f.samples[i0 : i1 + 1]
+    read, prev = recurrence._deciding_reader(f, i0, base, None), None
+    for k, kind in reads:
+        tau = taus[k : k + 1]
+        gaps = np.abs(f.window_values(i0, m, tau)[0] - base).max(axis=1)
+        full = gaps.max()
+        at_prev = full if prev is None else np.abs(
+            f.values(tau + f.times()[i0 + prev]) - base[prev]).max()
+        bar = [math.inf, 0.0, full, at_prev, np.nextafter(full, -math.inf)][kind]
+        got = read(tau, np.array([bar]))
+        assert got.shape == (1,)
+        assert got[0] == full if full <= bar else got[0] > bar
+        prev = int(gaps.argmax())
+
+
+def test_classify_of_a_trig_sum_builds_no_spline():
+    """s1's forcing classify reads its trig sum only exactly: neither the golden
+    sections' deciding-point reads nor any other read builds a spline on it."""
+    cfg = build_scenario("s1-opial-scalar")
+    fdt = cfg.analysis["forcing_dt"]
+    f = forcing_signal("trig-sum", 0.0, 2000.0, fdt, components=cfg.system.params["forcing"])
+    rep = classify(f, cfg=ClassifyConfig(
+        window=Window(250.0, 250.0), tau_grid=TauGrid(0.0, 1400.0, 10 * fdt),
+        fit_window=Window(950.0, 950.0)))
+    assert rep.verdict("quasi_periodic").verdict == "yes"
+    assert "_spline" not in vars(f)
 
 
 def test_return_search_spline_calls(monkeypatch):
@@ -1098,6 +1172,32 @@ def test_profile_argmin_is_the_first_least_exact_value(seed, dim, m, batch0):
                 ref = np.where(mask, exact, np.inf)
                 k = int(np.argmin(ref))
                 assert recurrence._profile_argmin(f, taus, w, D, cap, mask) == (k, ref[k])
+
+
+def test_base_classify_reuses_the_comparability_search():
+    """On levitan every tau but 0 fails psi at both epsilons, which is also the
+    mask of the base phi's min_D witness: phi's minimum is searched once, where
+    each of the three would search it on its own, and the report is the same."""
+    span, dt = 500.0, 0.025
+    phi = forcing_signal("levitan-phi", -span, span, dt)
+    psi = forcing_signal("levitan-psi", -span, span, dt)
+    cfg = ClassifyConfig(window=Window(-span / 2, span / 2), tau_grid=TauGrid(0.0, span, 4 * dt),
+                         bohr_epsilons=(0.2, 0.1), base_declared="levitan",
+                         fit_window=Window(-span / 2, span / 2))
+    argmin = recurrence._profile_argmin
+
+    def run(once):
+        calls = []
+        with patch.object(recurrence, "_profile_argmin",
+                          lambda *a: calls.append(a[0] is phi) or argmin(*a)), \
+                patch.object(recurrence, "_argmin_once", once):
+            return classify(psi, base=phi, cfg=cfg), sum(calls)
+
+    got, on_phi = run(recurrence._argmin_once)
+    want, alone = run(lambda searched, *a: recurrence._profile_argmin(*a))
+    assert (on_phi, alone) == (1, 3)
+    assert got.comparability.verdict == "comparable-evidence"
+    assert json.dumps(got.to_dict()) == json.dumps(want.to_dict())
 
 
 def test_delta_hat_monotone(sine, ramp):

@@ -457,12 +457,14 @@ def test_capped_profile_is_exact_below_the_cap(seed, dim, m):
     exact = discrepancy_profile(f, taus, w)
     assert np.array_equal(exact, [shift_discrepancy(f, tau, w) for tau in taus])
     assert np.array_equal(discrepancy_profile(f, taus, w, cap=math.inf), exact)
-    # The taus whose probe bound, the max over the first 512 window points and
-    # the rows of the window's largest and least sample, reaches the cap keep
-    # that bound; the others read the whole window.
+    # The taus whose max over the rows of the window's largest and least sample
+    # reaches the cap keep it; of the others, those whose probe bound, the max
+    # over those rows and the first 512 window points, reaches the cap keep
+    # that bound; the rest read the whole window.
     h, win = min(512, m), f.samples[i0 : i1 + 1]
     rows = [int(win.argmax()) // dim, int(win.argmin()) // dim]
     gaps = [np.abs(_shifted(f, i0, m, tau) - win) for tau in taus]
+    at_rows = np.array([g[rows].max() for g in gaps])
     probe = np.array([max(g[:h].max(), g[rows].max()) for g in gaps])
     # Caps: 0 (every value capped), a probe bound that the rest of the window
     # exceeds where there is one, the median D, and above every D.
@@ -472,7 +474,8 @@ def test_capped_profile_is_exact_below_the_cap(seed, dim, m):
         below = exact < cap
         assert np.array_equal(got[below], exact[below])
         assert np.all((cap <= got[~below]) & (got[~below] <= exact[~below]))
-        assert np.array_equal(got, np.where(probe < cap, exact, probe))
+        assert np.array_equal(got, np.where(at_rows >= cap, at_rows,
+                                            np.where(probe < cap, exact, probe)))
 
 
 def test_capped_profile_reads_a_spike_outside_the_head():
