@@ -124,8 +124,11 @@ def _analysis_config(defaults, path) -> ClassifyConfig:
 def _emit(payload: dict, out: str | None) -> None:
     text = json.dumps(payload, indent=1, sort_keys=True)
     if out:
-        Path(out).parent.mkdir(parents=True, exist_ok=True)
-        Path(out).write_text(text + "\n", encoding="utf-8")
+        try:
+            Path(out).parent.mkdir(parents=True, exist_ok=True)
+            Path(out).write_text(text + "\n", encoding="utf-8")
+        except OSError as exc:
+            raise ConfigInvalid(f"cannot write the report to {out}: {exc}") from exc
     print(text)
 
 

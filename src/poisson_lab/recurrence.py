@@ -20,6 +20,7 @@ from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
+from numpy.linalg import lapack_lite
 
 from .errors import ConfigInvalid
 from .signals import (
@@ -433,12 +434,22 @@ def _full_lower_bound(f: Signal, i0: int, base: np.ndarray, lo_f: float, hi_f: f
     reads it, for a spline Signal f whose window from index i0 holds ``base``: point i
     reads cells i + floor(tau / dt), and one more each side for rounding, so its distance
     to the hull of their ranges bounds it (a range enclosure; R. E. Moore, R. B. Kearfott
-    and M. J. Cloud, Introduction to Interval Analysis, SIAM 2009)."""
+    and M. J. Cloud, Introduction to Interval Analysis, SIAM 2009).
+
+    The cells are sliced where they lie inside the signal (a clipped take only
+    where they run off an end), and the hulls are folded over the offsets in
+    place, in the order of a reduce over them: min and max are exact, so the
+    bound keeps its bits."""
     m, ka, kb = len(base), math.floor(lo_f / f.dt) - 1, math.floor(hi_f / f.dt) + 1
     lo, hi, scale = f._cell_ranges
-    lo, hi = (a.take(np.arange(i0 + ka, i0 + m + kb), axis=0, mode="clip") for a in (lo, hi))
-    low = np.minimum.reduce([lo[j : j + m] for j in range(kb - ka + 1)])
-    high = np.maximum.reduce([hi[j : j + m] for j in range(kb - ka + 1)])
+    a, b = i0 + ka, i0 + m + kb
+    if a < 0 or b > len(lo):
+        lo, hi = (c.take(np.arange(a, b), axis=0, mode="clip") for c in (lo, hi))
+        a = 0
+    low, high = lo[a : a + m].copy(), hi[a : a + m].copy()
+    for j in range(a + 1, a + kb - ka + 1):
+        np.minimum(low, lo[j : j + m], out=low)
+        np.maximum(high, hi[j : j + m], out=high)
     gap = float(np.maximum(low - base, base - high).max())
     # ``_cubic`` rounds by at most 6 u (u = 2^-53) of a cell's term sum, which ``scale``
     # bounds, as it bounds |f| and the window's values: once in the range ends, once in the
@@ -580,8 +591,12 @@ def _gauss_newton(ts: np.ndarray, freqs: np.ndarray, y: np.ndarray, lo, hi):
     """(c, r, step) from one QR of the design matrix M = QR at freqs: y's
     least-squares coefficients and residual, and the Gauss-Newton step on
     Kaufman's Jacobian (1975), d(M c)/d nu projected off range(M).  A
-    frequency at a bracket end that the step points out of stays put."""
-    Q, R = np.linalg.qr(_design_matrix(ts, freqs))
+    frequency at a bracket end that the step points out of stays put.
+
+    ``_qr`` factors M in its own buffer and returns Q C-contiguous, as
+    ``np.linalg.qr`` does: the BLAS products with Q round by its layout, so
+    every value keeps the bits of numpy's QR."""
+    Q, R = _qr(_design_matrix(ts, freqs))
     qy = Q.T @ y
     coef, r = np.linalg.solve(R, qy), y - Q @ qy
     D = ts[:, None] * (Q @ (coef[2::2] * R[:, 1::2] - coef[1::2] * R[:, 2::2]))
@@ -592,6 +607,31 @@ def _gauss_newton(ts: np.ndarray, freqs: np.ndarray, y: np.ndarray, lo, hi):
         D[:, pinned] = 0.0
         step = np.linalg.lstsq(D, r, rcond=None)[0]
     return coef, r, step
+
+
+def _qr(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(Q, R) of the column-major n x k matrix M, n >= k, overwriting M: the
+    LAPACK dgeqrf and dorgqr (E. Anderson et al., LAPACK Users' Guide, 3rd ed.,
+    SIAM 1999) that ``np.linalg.qr`` runs, with the same workspace, on M.T, the
+    C-contiguous view lapack_lite takes.  R is read before dorgqr overwrites it."""
+    n, k = M.shape
+    A, tau = M.T, np.empty(k)
+    _lapack(lapack_lite.dgeqrf, n, k, A, n, tau)
+    R = np.triu(M[:k])
+    _lapack(lapack_lite.dorgqr, n, k, k, A, n, tau)
+    return np.ascontiguousarray(M), R
+
+
+def _lapack(routine, *args) -> None:
+    """``routine(*args, work, lwork, info)`` with the workspace its query asks
+    for, at least the column count args[1], as numpy's linalg sizes it."""
+    query = np.empty(1)
+    info = routine(*args, query, -1, 0)["info"]
+    if not info:
+        lwork = max(args[1], int(query[0]))
+        info = routine(*args, np.empty(lwork), lwork, 0)["info"]
+    if info:
+        raise np.linalg.LinAlgError(f"{routine.__name__} returns {info}")
 
 
 def _design_matrix(ts: np.ndarray, freqs) -> np.ndarray:

@@ -408,6 +408,8 @@ def _run_s1(em: RunManifest, cfg: ScenarioConfig) -> None:
 
 def build_levitan(seed: int = 0, outputs: str | None = None,
                   horizon: float | None = None) -> ScenarioConfig:
+    if horizon is not None and not float(horizon) > 0:
+        raise ConfigInvalid(f"horizon must be positive, got {horizon:g}")
     span = 500.0 if horizon is None else min(float(horizon), 500.0)
     analysis = {
         "dt": 0.025,
@@ -799,11 +801,13 @@ def run_scenario(cfg: ScenarioConfig, outdir=None) -> RunManifest:
     ``aborted`` check, and the report and manifest are still written;
     configuration, parse and domain errors propagate without a manifest.
     A config whose integration needs more records or steps than an array
-    can hold is rejected before any output is written.
+    can hold, or an output directory that cannot be made, is rejected before
+    any output is written.
     """
     if cfg.system is not None:
         require_countable(cfg.system, cfg.integrator, cfg.integrator.space_points or _NODES)
     em = RunManifest(cfg, output_dir(cfg) if outdir is None else Path(outdir))
+    _require_writable(em.outdir)
     entry = CATALOG.get(cfg.name)
     try:
         (entry[1] if entry is not None else _run_generic)(em, cfg)
@@ -812,6 +816,16 @@ def run_scenario(cfg: ScenarioConfig, outdir=None) -> RunManifest:
     except (PoissonLabError, MemoryError) as exc:
         em.check("aborted", False, detail=f"{type(exc).__name__}: {exc}")
     return em.finish()
+
+
+def _require_writable(outdir: Path) -> None:
+    """Raise ConfigInvalid unless ``outdir``, or else its nearest existing
+    ancestor, is a directory this process can write in."""
+    p = outdir
+    while not p.exists() and p.parent != p:
+        p = p.parent
+    if not (p.is_dir() and os.access(p, os.W_OK | os.X_OK)):
+        raise ConfigInvalid(f"cannot write artifacts to {outdir}: {p} is not a writable directory")
 
 
 def _run_generic(em: RunManifest, cfg: ScenarioConfig) -> None:

@@ -495,10 +495,25 @@ def _rk4_affine_steps(coeffs, y: np.ndarray, F: np.ndarray, h: float) -> np.ndar
             q = q[:, :, None]
     else:
         q = C0 @ F[:-1:2] + Ch @ F[1::2] + (h / 6.0) * F[2::2]
+    return _affine_steps(P, y, q)
+
+
+def _affine_steps(P: np.ndarray, y: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """The states of y <- P y + q[k], k = 0 .. len(q) - 1, bit for bit those
+    of ``y = P @ y + q[k]``.  A state of one entry steps on Python floats as
+    (p v + 0.0) + q_k: matmul sums its products from 0.0, which turns a -0.0
+    product into +0.0.  A wider state steps into its output row with
+    ``np.matmul(..., out=)``, the same product, and then adds q[k]."""
+    if y.size == 1:
+        p, v, vs = float(P[0, 0]), float(y.flat[0]), []
+        for qk in q.ravel().tolist():
+            v = (p * v + 0.0) + qk
+            vs.append(v)
+        return np.array(vs).reshape((len(q),) + y.shape)
     out = np.empty((len(q),) + y.shape)
     for k in range(len(q)):
-        y = P @ y + q[k]
-        out[k] = y
+        y = np.matmul(P, y, out=out[k])
+        y += q[k]
     return out
 
 
@@ -756,14 +771,20 @@ def _half_values(V: np.ndarray) -> np.ndarray:
     V holds the interval's n + 1 nodes.  The stencils stay inside it: its
     ends are breakpoints (multiples of the delay), where the solution loses
     smoothness.  Fewer than 3 steps per delay take the linear midpoint.
+
+    The interior rows (stencil s = j - 1) read four shifted slices of V, the
+    first and last rows their four end nodes; each sum keeps the order of the
+    stencil's terms, so every value keeps its bits.
     """
     n = len(V) - 1
     if n < 3:
         return 0.5 * (V[:-1] + V[1:])
-    j = np.arange(n)
-    s = np.clip(j - 1, 0, n - 3)
-    w = _HALF_W[j - s].reshape((n, 4) + (1,) * (V.ndim - 1))
-    return w[:, 0] * V[s] + w[:, 1] * V[s + 1] + w[:, 2] * V[s + 2] + w[:, 3] * V[s + 3]
+    out = np.empty((n,) + V.shape[1:])
+    w = _HALF_W[1]
+    out[1:-1] = w[0] * V[:-3] + w[1] * V[1:-2] + w[2] * V[2:-1] + w[3] * V[3:]
+    for row, w, E in ((0, _HALF_W[0], V[:4]), (-1, _HALF_W[2], V[-4:])):
+        out[row] = w[0] * E[0] + w[1] * E[1] + w[2] * E[2] + w[3] * E[3]
+    return out
 
 
 def _validate_history(history: Signal, r: float, dim: int) -> None:

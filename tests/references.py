@@ -9,7 +9,9 @@ golden-section frequency polish, for the Gauss-Newton spectral fit.
 record's power, ``sup_distance_unique`` the sup distance over ``np.unique``'s
 times, ``comparability_uncapped`` the comparability profile from both whole
 discrepancy profiles; ``spiked_noise`` is a test signal whose spike a capped
-profile's head may miss.  The cocycle probes are oracles of the integrators;
+profile's head may miss.  ``affine_steps_matmul``, ``half_values_gather`` and
+``full_lower_bound_stacked`` are the earlier forms of three kernels, which
+keep their bits.  The cocycle probes are oracles of the integrators;
 ``order_check``, ``uniform_stability_estimate`` and ``almost_periods`` are
 estimators no scenario runs.
 """
@@ -419,3 +421,40 @@ def coordinate_fit(f: Signal, max_freqs: int, w: Window) -> QuasiPeriodicFit:
     order = np.argsort(freqs)
     return QuasiPeriodicFit(tuple(float(freqs[i]) for i in order),
                             tuple(amps[i] for i in order), float(min(resid, 1.0)))
+
+
+# ---------------------------------------------------------------------------
+# the earlier forms of kernels that keep their bits
+# ---------------------------------------------------------------------------
+
+def affine_steps_matmul(P: np.ndarray, y: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """The states of y <- P @ y + q[k], one matrix product per step."""
+    out = np.empty((len(q),) + y.shape)
+    for k in range(len(q)):
+        y = P @ y + q[k]
+        out[k] = y
+    return out
+
+
+def half_values_gather(V: np.ndarray) -> np.ndarray:
+    """``systems._half_values`` with one gather of the stencil over every row."""
+    n = len(V) - 1
+    if n < 3:
+        return 0.5 * (V[:-1] + V[1:])
+    j = np.arange(n)
+    s = np.clip(j - 1, 0, n - 3)
+    w = systems._HALF_W[j - s].reshape((n, 4) + (1,) * (V.ndim - 1))
+    return w[:, 0] * V[s] + w[:, 1] * V[s + 1] + w[:, 2] * V[s + 2] + w[:, 3] * V[s + 3]
+
+
+def full_lower_bound_stacked(f: Signal, i0: int, base: np.ndarray, lo_f: float,
+                             hi_f: float) -> float:
+    """``recurrence._full_lower_bound`` from a clipped take of every cell and a
+    reduce over the stacked offsets."""
+    m, ka, kb = len(base), math.floor(lo_f / f.dt) - 1, math.floor(hi_f / f.dt) + 1
+    lo, hi, scale = f._cell_ranges
+    lo, hi = (a.take(np.arange(i0 + ka, i0 + m + kb), axis=0, mode="clip") for a in (lo, hi))
+    low = np.minimum.reduce([lo[j : j + m] for j in range(kb - ka + 1)])
+    high = np.maximum.reduce([hi[j : j + m] for j in range(kb - ka + 1)])
+    gap = float(np.maximum(low - base, base - high).max())
+    return gap - 2.0 ** -48 * (scale + abs(gap))

@@ -10,12 +10,13 @@ import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 from types import SimpleNamespace
-from unittest.mock import patch
+from unittest.mock import Mock, patch
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from poisson_lab import scenarios
 from poisson_lab.cli import main
 from poisson_lab.recurrence import ClassifyConfig, TauGrid, classify
 from poisson_lab.signals import Window, read_signal_csv, sample_function, write_signal_csv
@@ -785,6 +786,34 @@ def test_run_rejects_a_horizon_no_array_can_hold(target, tmp_path, capsys):
     assert main(["run", str(target), "--out", str(out), "--horizon", "1e154"]) == 2
     assert "t_end / record_dt" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("horizon", ["0", "-5", "nan"])
+def test_run_levitan_rejects_a_horizon_not_above_0(horizon, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["run", "levitan", "--horizon", horizon, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: horizon must be positive")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, out", [("classify", "dir"), ("classify", "file/x.json"),
+                                          ("run", "file"), ("run", "file/sub")])
+def test_an_out_that_cannot_be_written_exits_2(command, out, sine_csv, tmp_path, capsys):
+    # A directory given as the report file, a regular file given as a parent or an
+    # output directory: one error line that names the path; a run stops before its
+    # first stage.
+    (tmp_path / "dir").mkdir()
+    (tmp_path / "file").write_text("kept\n")
+    out = tmp_path / out
+    build, _, blurb = scenarios.CATALOG["levitan"]
+    stage = (build, Mock(side_effect=AssertionError("a stage ran")), blurb)
+    argv = ["classify", str(sine_csv)] if command == "classify" else ["run", "levitan"]
+    with patch.dict(scenarios.CATALOG, {"levitan": stage}):
+        assert main(argv + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: cannot write") and str(out) in err
+    assert (tmp_path / "file").read_text() == "kept\n" and not any((tmp_path / "dir").iterdir())
 
 
 # Rows of a uniform grid; a corrupted CSV keeps 1-6 of them and spoils at most one.

@@ -37,6 +37,7 @@ from references import (
     almost_periods,
     comparability_uncapped,
     coordinate_fit,
+    full_lower_bound_stacked,
     residual_norm,
     spectral_start,
     spiked_noise,
@@ -535,6 +536,53 @@ def test_cell_range_bound_keeps_its_rounding_margin():
     dense = np.abs(f.window_values(1, 1, np.linspace(2.0, 2.05, 201)) - base).min()
     assert f._cell_ranges[0][20:23].min() > dense
     assert recurrence._full_lower_bound(f, 1, base, 2.0, 2.05) <= dense
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 60), i0=st.integers(0, 60),
+       m=st.integers(1, 30), cell=st.integers(-40, 100), frac=st.floats(0.0, 1.0),
+       width=st.floats(0.0, 12.0), dim=st.integers(1, 3), zeros=st.booleans())
+@example(seed=0, n=20, i0=0, m=1, cell=10, frac=0.5, width=3.0, dim=1, zeros=False)  # inside
+@example(seed=1, n=1, i0=2, m=5, cell=-8, frac=0.5, width=3.0, dim=2, zeros=False)  # off the start
+@example(seed=2, n=1, i0=30, m=20, cell=50, frac=0.5, width=3.0, dim=1, zeros=True)  # off the end
+@example(seed=3, n=1, i0=0, m=30, cell=-5, frac=0.0, width=10.0, dim=3, zeros=True)  # off both
+def test_full_lower_bound_is_the_stacked_reduce(seed, n, i0, m, cell, frac, width, dim, zeros):
+    # The slices and the in-place fold against a clipped take of every cell and
+    # a reduce over the stacked offsets, bit for bit, also where the cells a
+    # bracket reads run off either end of the signal.
+    rng = np.random.default_rng(seed)
+    y = rng.normal(size=(n + i0 + m + 4, dim))
+    if zeros:
+        hit = rng.random(y.shape) < 0.5
+        y[hit] = rng.choice([0.0, -0.0], size=int(hit.sum()))
+    f = Signal(-1.0, 0.1, y)
+    base = f.samples[i0 : i0 + m]
+    lo_f = f.dt * (cell + frac)
+    hi_f = lo_f + f.dt * width
+    got = recurrence._full_lower_bound(f, i0, base, lo_f, hi_f)
+    ref = full_lower_bound_stacked(f, i0, base, lo_f, hi_f)
+    assert np.float64(got).tobytes() == np.float64(ref).tobytes()
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), rows=st.integers(100, 40_000), cols=st.integers(3, 9),
+       design=st.booleans())
+@example(seed=0, rows=20_001, cols=9, design=True)
+@example(seed=1, rows=100, cols=3, design=False)
+def test_qr_is_numpys_bit_for_bit(seed, rows, cols, design):
+    # _qr factors in place what np.linalg.qr factors in a copy: the same Q, C-contiguous
+    # like numpy's, and the same R, on design matrices (odd column counts) and on
+    # random column-major matrices.
+    rng = np.random.default_rng(seed)
+    if design:
+        dt = rng.uniform(0.01, 0.5)
+        M = recurrence._design_matrix(dt * np.arange(rows), rng.uniform(0.1, 3.0, (cols - 1) // 2))
+    else:
+        M = np.asfortranarray(rng.normal(size=(rows, cols)))
+    Q_ref, R_ref = np.linalg.qr(M)
+    Q, R = recurrence._qr(M.copy(order="F"))
+    assert Q.flags.c_contiguous and Q_ref.flags.c_contiguous
+    assert Q.tobytes() == Q_ref.tobytes() and R.tobytes() == R_ref.tobytes()
 
 
 def test_streamed_candidates_are_the_sampled_ones_bit_for_bit():

@@ -31,6 +31,8 @@ from poisson_lab.systems import (
     _dopri5_trial,
     _fold_terms,
     _record_times,
+    _affine_steps,
+    _half_values,
     _rk4_affine_steps,
     _rk4_coeffs,
     _rk4_particular,
@@ -52,11 +54,13 @@ from poisson_lab.systems import (
 )
 from references import (
     _rk4_span,
+    affine_steps_matmul,
     cocycle_defect,
     dde_cocycle_defect,
     dopri5_array_loop,
     dopri5_stage_loop,
     dopri5_stage_step,
+    half_values_gather,
     order_check,
     parabolic_cocycle_defect,
     rk4_record_powers,
@@ -1387,6 +1391,53 @@ def test_rk4_step_loop_memory_stays_flat_over_a_long_record_interval():
     states = _rk4_affine_steps(_rk4_coeffs(rhs.A, h), np.zeros(dim),
                                rhs.forcing.on_grid(0.0, 0.5 * h, 0, 4 * 16_384 + 1), h)
     assert sol.samples[1:].tobytes() == states[16_383::16_384].tobytes()
+
+
+_SPECIAL_FLOATS = [0.0, -0.0, math.inf, -math.inf, math.nan, -math.nan]
+_STEP_ENTRY = st.one_of(st.sampled_from(_SPECIAL_FLOATS), st.floats(-1e3, 1e3))
+
+
+def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    """Every value has the same bits, signed zeros included, and a NaN is a NaN:
+    where two NaNs of opposite sign meet, numpy's add returns either one's
+    sign, by the element's place in its vector loop."""
+    nan = np.isnan(a)
+    return (a.shape == b.shape and np.array_equal(nan, np.isnan(b))
+            and a[~nan].tobytes() == b[~nan].tobytes())
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), shape=st.sampled_from([(1,), (1, 1), (2,), (3, 1), (2, 3), (4, 2)]),
+       n=st.integers(0, 6))
+@example(data=None, shape=(1,), n=1)
+@example(data=None, shape=(1, 1), n=1)
+def test_affine_steps_are_the_matmul_loop(data, shape, n):
+    # The one-entry float path and the out= path against y = P @ y + q[k], with
+    # signed zeros, infinities and NaNs in y and q.  Without data: P = -0.5,
+    # y = 0 and q = -0.0, where p * y + q is -0.0 and matmul's sum is +0.0.
+    dim, size = shape[0], math.prod(shape)
+    if data is None:
+        P, y, q = np.array([[-0.5]]), np.zeros(shape), np.full((n,) + shape, -0.0)
+    else:
+        def draw(count):
+            return np.array(data.draw(st.lists(_STEP_ENTRY, min_size=count, max_size=count)))
+        P = draw(dim * dim).reshape(dim, dim)
+        y, q = draw(size).reshape(shape), draw(n * size).reshape((n,) + shape)
+    with np.errstate(invalid="ignore", over="ignore"):
+        assert _same_bits(_affine_steps(P, y, q), affine_steps_matmul(P, y, q))
+
+
+@settings(max_examples=150, deadline=None)
+@given(n=st.sampled_from([1, 2, 3, 4, 5, 6, 100]), tail=st.sampled_from([(), (1,), (1, 1), (2, 3)]),
+       seed=st.integers(0, 2**32 - 1), specials=st.booleans())
+def test_half_values_are_the_stencil_gather(n, tail, seed, specials):
+    rng = np.random.default_rng(seed)
+    V = rng.normal(size=(n + 1,) + tail)
+    if specials:
+        hit = rng.random(V.shape) < 0.2
+        V[hit] = rng.choice(_SPECIAL_FLOATS, size=int(hit.sum()))
+    with np.errstate(invalid="ignore"):
+        assert _same_bits(_half_values(V), half_values_gather(V))
 
 
 def test_forcing_synthesis_holds_no_more_than_its_samples():
