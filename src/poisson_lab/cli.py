@@ -26,6 +26,7 @@ from .recurrence import (
 from .signals import Window, read_signal_csv
 from .scenarios import (
     CATALOG,
+    _require_writable,
     build_scenario,
     load_scenario_config,
     output_dir,
@@ -121,6 +122,19 @@ def _analysis_config(defaults, path) -> ClassifyConfig:
     return replace(base, **kwargs)
 
 
+def _require_report_path(out: str | None) -> None:
+    """Raise ConfigInvalid, before any CSV is read, unless a report can be
+    written at ``out``: ``run``'s check of an output directory on its
+    parent, and not a directory itself.  ``_emit`` still reports a failed
+    write."""
+    if not out:
+        return
+    what = f"the report to {out}"
+    if Path(out).is_dir():
+        raise ConfigInvalid(f"cannot write {what}: it is a directory")
+    _require_writable(Path(out).parent, what)
+
+
 def _emit(payload: dict, out: str | None) -> None:
     text = json.dumps(payload, indent=1, sort_keys=True)
     if out:
@@ -152,6 +166,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_classify(args) -> int:
+    _require_report_path(args.out)
     sig = read_signal_csv(args.csv)
     cfg = _analysis_config(lambda: default_classify_config(sig), args.config)
     report = classify(sig, cfg=cfg)
@@ -160,6 +175,7 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_compare(args) -> int:
+    _require_report_path(args.out)
     traj = read_signal_csv(args.traj_csv)
     base = read_signal_csv(args.base_csv)
     lo = max(traj.t0, base.t0)

@@ -235,8 +235,15 @@ def comparison_battery(sys: SystemSpec, box, count: int, horizon: float, *,
         lo, up = ordered_pairs(box, count, rng)
         integrate = integrate_dde_batch if sys.kind == "dde_single_delay" \
             else integrate_ode_batch
-    ts, Ylo = integrate(sys, lo, cfg)
-    Yup = integrate(sys, up, cfg)[1]
+    if lo.shape[:-1] == (1,):
+        # A one-entry state's step is an exact product per column, so each
+        # keeps its bits in a batch of any width, and the two run as one.  A
+        # wider state's BLAS products round a column by the batch width.
+        ts, Y = integrate(sys, np.concatenate((lo, up), axis=-1), cfg)
+        Ylo, Yup = Y[..., :count], Y[..., count:]
+    else:
+        ts, Ylo = integrate(sys, lo, cfg)
+        Yup = integrate(sys, up, cfg)[1]
     tol = 1e-9 + 1e-6 * float(max(-min(Ylo.min(), Yup.min()), max(Ylo.max(), Yup.max())))  # max |Y|
     gap = np.subtract(Ylo, Yup, out=Ylo)  # ordered means <= 0 (+tol); Ylo is not read again
     worst = float(gap.max())

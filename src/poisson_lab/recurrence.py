@@ -471,10 +471,13 @@ def _golden_min(fn, a, b, iters: int) -> tuple[np.ndarray, np.ndarray]:
     scalar recurrence, ties included (f1 <= f2 keeps the left point); a loser
     becomes a bracket end, whose value is dropped, so every comparison and the
     minima are those of the exact values.  A bracket with b <= a returns a.
-    Returns the minimizers and the minima as arrays.
+    Returns the minimizers and the minima as arrays.  One bracket runs the
+    recurrence on Python floats (``_golden_one``).
     """
     a = np.array(a, dtype=float, ndmin=1)
     b = np.maximum(a, b)
+    if a.size == 1:
+        return _golden_one(fn, a[0].item(), b[0].item(), iters)
     x1 = b - _GOLDEN * (b - a)
     x2 = a + _GOLDEN * (b - a)
     f1 = fn(x1, np.full(a.shape, _INF))
@@ -488,6 +491,32 @@ def _golden_min(fn, a, b, iters: int) -> tuple[np.ndarray, np.ndarray]:
         f1, f2 = np.where(left, fx, f2), np.where(left, f1, fx)
     left = f1 <= f2
     return np.where(left, x1, x2), np.where(left, f1, f2)
+
+
+def _golden_one(fn, a: float, b: float, iters: int) -> tuple[np.ndarray, np.ndarray]:
+    """``_golden_min`` of one bracket, a <= b, its bookkeeping on Python floats,
+    whose IEEE - * + give the bits numpy's give; fn still reads one-entry
+    arrays.  A comparison with a NaN is false, as ``np.where``'s condition
+    takes it, and the bar is ``np.minimum``'s: the first operand where it is
+    NaN or below the second, else the second (NaN included)."""
+    def at(x, bar):
+        return fn(np.array([x]), np.array([bar]))[0].item()
+
+    x1, x2 = b - _GOLDEN * (b - a), a + _GOLDEN * (b - a)
+    f1 = at(x1, _INF)
+    f2 = at(x2, f1)
+    for _ in range(iters):
+        bar = f1 if f1 != f1 or f1 < f2 else f2
+        if f1 <= f2:
+            b = x2
+            x = b - _GOLDEN * (b - a)
+            x1, x2, f1, f2 = x, x1, at(x, bar), f1
+        else:
+            a = x1
+            x = a + _GOLDEN * (b - a)
+            x1, x2, f1, f2 = x2, x, f2, at(x, bar)
+    x, fx = (x1, f1) if f1 <= f2 else (x2, f2)
+    return np.array([x]), np.array([fx])
 
 
 def _deciding_reader(f: Signal, i0: int, base: np.ndarray, full):
@@ -566,32 +595,37 @@ def quasi_periodic_fit(f: Signal, max_freqs: int, w: Window) -> QuasiPeriodicFit
 
 
 def _refine(ts: np.ndarray, freqs: np.ndarray, y: np.ndarray, lo, hi, bin_w: float):
-    """(freqs, c, r): Gauss-Newton from freqs within the brackets [lo, hi]."""
-    coef, r, step = _gauss_newton(ts, freqs, y, lo, hi)
-    rr = float(r @ r)
-    for _ in range(_FIT_MAX_STEPS):
+    """(freqs, c, r): Gauss-Newton from freqs within the brackets [lo, hi].
+    A step is formed only from a fit the loop goes on from: the start and
+    each accepted trial before the last."""
+    coef, r, form_step = _gauss_newton(ts, freqs, y, lo, hi)
+    step, rr = form_step(), float(r @ r)
+    for k in range(_FIT_MAX_STEPS):
         trial = np.clip(freqs + step, lo, hi)
         # A negligible step is still tried, as on a noiseless tone the last
         # quadratic step can fall below 1e-9 bins and still cut ||r|| tenfold.
         last = np.abs(trial - freqs).max() <= 1e-9 * bin_w
-        coef_t, r_t, step_t = _gauss_newton(ts, trial, y, lo, hi)
+        coef_t, r_t, form_step = _gauss_newton(ts, trial, y, lo, hi)
         rr_t = float(r_t @ r_t)
         if rr_t > rr:
             if last:
                 break
             step = step / 2
             continue
-        freqs, coef, r, step, rr, rr_prev = trial, coef_t, r_t, step_t, rr_t, rr
+        freqs, coef, r, rr, rr_prev = trial, coef_t, r_t, rr_t, rr
         if last or rr_prev - rr <= 1e-13 * rr_prev:  # the decrease stalls
             break
+        if k < _FIT_MAX_STEPS - 1:  # else no trial is left to take it
+            step = form_step()
     return freqs, coef, r
 
 
 def _gauss_newton(ts: np.ndarray, freqs: np.ndarray, y: np.ndarray, lo, hi):
-    """(c, r, step) from one QR of the design matrix M = QR at freqs: y's
-    least-squares coefficients and residual, and the Gauss-Newton step on
-    Kaufman's Jacobian (1975), d(M c)/d nu projected off range(M).  A
-    frequency at a bracket end that the step points out of stays put.
+    """(c, r, form_step) from one QR of the design matrix M = QR at freqs: y's
+    least-squares coefficients and residual, and a function that forms the
+    Gauss-Newton step on Kaufman's Jacobian (1975), d(M c)/d nu projected off
+    range(M).  A frequency at a bracket end that the step points out of
+    stays put.
 
     ``_qr`` factors M in its own buffer and returns Q C-contiguous, as
     ``np.linalg.qr`` does: the BLAS products with Q round by its layout, so
@@ -599,14 +633,17 @@ def _gauss_newton(ts: np.ndarray, freqs: np.ndarray, y: np.ndarray, lo, hi):
     Q, R = _qr(_design_matrix(ts, freqs))
     qy = Q.T @ y
     coef, r = np.linalg.solve(R, qy), y - Q @ qy
-    D = ts[:, None] * (Q @ (coef[2::2] * R[:, 1::2] - coef[1::2] * R[:, 2::2]))
-    D -= Q @ (Q.T @ D)
-    step = np.linalg.lstsq(D, r, rcond=None)[0]
-    pinned = ((freqs <= lo) & (step < 0)) | ((freqs >= hi) & (step > 0))
-    if pinned.any():
-        D[:, pinned] = 0.0
+
+    def form_step():
+        D = ts[:, None] * (Q @ (coef[2::2] * R[:, 1::2] - coef[1::2] * R[:, 2::2]))
+        D -= Q @ (Q.T @ D)
         step = np.linalg.lstsq(D, r, rcond=None)[0]
-    return coef, r, step
+        pinned = ((freqs <= lo) & (step < 0)) | ((freqs >= hi) & (step > 0))
+        if pinned.any():
+            D[:, pinned] = 0.0
+            step = np.linalg.lstsq(D, r, rcond=None)[0]
+        return step
+    return coef, r, form_step
 
 
 def _qr(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -462,7 +462,8 @@ def _run_levitan(em: RunManifest, cfg: ScenarioConfig) -> None:
     L01, sat01 = rows[0.1]
     em.check("psi_bohr_saturated", bool(sat01), L01,
              "inclusion length at eps=0.1 saturates the grid "
-             "(evidence against uniform almost periods)")
+             "(evidence against uniform almost periods)" if sat01 else
+             f"inclusion length at eps=0.1 is {L01:g}, inside the grid: it does not saturate")
 
     prof = psi_report.comparability
     slack = ana["lipschitz_slack"]
@@ -818,14 +819,16 @@ def run_scenario(cfg: ScenarioConfig, outdir=None) -> RunManifest:
     return em.finish()
 
 
-def _require_writable(outdir: Path) -> None:
+def _require_writable(outdir: Path, what: str | None = None) -> None:
     """Raise ConfigInvalid unless ``outdir``, or else its nearest existing
-    ancestor, is a directory this process can write in."""
+    ancestor, is a directory this process can write in.  The message says
+    that ``what`` (by default the artifacts to outdir) cannot be written."""
     p = outdir
     while not p.exists() and p.parent != p:
         p = p.parent
     if not (p.is_dir() and os.access(p, os.W_OK | os.X_OK)):
-        raise ConfigInvalid(f"cannot write artifacts to {outdir}: {p} is not a writable directory")
+        raise ConfigInvalid(f"cannot write {what or f'artifacts to {outdir}'}: "
+                            f"{p} is not a writable directory")
 
 
 def _run_generic(em: RunManifest, cfg: ScenarioConfig) -> None:

@@ -625,16 +625,29 @@ def _dopri5_table(rhs) -> tuple:
     return T.reshape(8, -1), stages
 
 
-def _dopri5_trial(T: np.ndarray, stages, t: float, h: float, v: np.ndarray) -> list:
-    """y5 - y then h err, as one list, of the trial step of size h from y at
-    t: one matrix-vector product with sum_q h^q T[q].  ``v`` is [y; s; 1]
-    with y in place; the stage sines s are written into it.  Their angles
-    are formed as ``LinearTrigRhs.__call__`` forms them at t + c_i h, on
-    flat tiled arrays: numpy's fixed cost per call is lower without
-    broadcasting."""
-    c, w, p = stages
-    np.sin((t + c * h) * w + p, out=v[-1 - c.size:-1])
-    return ((h ** _POWERS @ T).reshape(-1, v.size) @ v).tolist()
+def _dopri5_trials(rhs, v: np.ndarray):
+    """The trial steps of ``_dopri5_table(rhs)`` as (t, h) -> y5 - y then h err,
+    one list, of the step of size h from y at t: one matrix-vector product
+    with sum_q h^q T[q].  ``v`` is [y; s; 1] with y in place; the stage sines
+    s are written into it.  Their angles are formed as
+    ``LinearTrigRhs.__call__`` forms them at t + c_i h, on flat tiled arrays:
+    numpy's fixed cost per call is lower without broadcasting.  Every array a
+    trial forms, the angles, h^q, the step map and the product, is a buffer
+    of the run written with ``out``: the same ufuncs and BLAS shapes, so the
+    same bits, without an allocation per call."""
+    T, (c, w, p) = _dopri5_table(rhs)
+    mul, add = np.multiply, np.add
+    angles, sines, hq = np.empty(c.size), v[-1 - c.size:-1], np.empty(_POWERS.size)
+    S = np.empty(T.shape[1])
+    step_map, out = S.reshape(-1, v.size), np.empty(T.shape[1] // v.size)
+
+    def trial(t: float, h: float) -> list:
+        add(mul(c, h, angles), t, angles)
+        add(mul(angles, w, angles), p, angles)
+        np.sin(angles, sines)
+        np.matmul(np.power(h, _POWERS, hq), T, S)
+        return np.matmul(step_map, v, out).tolist()
+    return trial
 
 
 def _dopri5(rhs, y0, cfg: IntegratorConfig, times) -> np.ndarray:
@@ -644,9 +657,9 @@ def _dopri5(rhs, y0, cfg: IntegratorConfig, times) -> np.ndarray:
     step map (``_dopri5_table``), so the right-hand side is never called.
 
     A trial makes the fewest numpy calls: the stage sines, h^q @ T and the
-    product with [y; s; 1] stay numpy calls, as they set the rounding, and
-    the per-component control runs on Python floats, whose IEEE + - * / and
-    abs give numpy's bits.  Python's max drops a NaN where numpy's keeps
+    product with [y; s; 1] stay numpy calls into buffers (``_dopri5_trials``),
+    as they set the rounding, and the per-component control runs on Python
+    floats, whose IEEE + - * / and abs give numpy's bits.  Python's max drops a NaN where numpy's keeps
     it, so a NaN ratio is kept by hand: it rejects the trial."""
     d = rhs.dim
     v = np.concatenate((np.asarray(y0, dtype=float), np.empty(7 * rhs.omegas.size), (1.0,)))
@@ -657,7 +670,7 @@ def _dopri5(rhs, y0, cfg: IntegratorConfig, times) -> np.ndarray:
     # A huge A overflows T; the NaN that follows rejects every trial step
     # until StepUnderflow, as the stage loop's overflowing stages do.
     with np.errstate(over="ignore", invalid="ignore"):
-        T, stages = _dopri5_table(rhs)
+        trial = _dopri5_trials(rhs, v)
         for n, t_target in enumerate(times.tolist()):
             eps_t = 1e-12 * max(1.0, abs(t_target))
             while t < t_target - eps_t:
@@ -665,7 +678,7 @@ def _dopri5(rhs, y0, cfg: IntegratorConfig, times) -> np.ndarray:
                 while True:
                     if h < 1e-14 * max(1.0, abs(t)):
                         raise StepUnderflow(f"step {h:g} underflow at t={t:g}")
-                    step = _dopri5_trial(T, stages, t, h, v)
+                    step = trial(t, h)
                     y5 = [a + b for a, b in zip(y, step)]
                     ratios = [abs(e) / (atol + rtol * (a if a > abs(b) else abs(b)))
                               for a, b, e in zip(ay, y5, step[d:])]

@@ -797,19 +797,35 @@ def test_run_levitan_rejects_a_horizon_not_above_0(horizon, tmp_path, capsys):
     assert not out.exists()
 
 
+def test_a_short_levitan_run_details_the_row_it_observed(tmp_path, capsys):
+    # At horizon 1 the eps = 0.1 row of psi's Bohr table does not saturate the grid,
+    # so the saturation check fails and its detail names that row's inclusion length.
+    out = tmp_path / "out"
+    assert main(["run", "levitan", "--horizon", "1", "--out", str(out)]) == 1
+    entry = json.loads((out / "manifest.json").read_text())["summary"]["psi_bohr_saturated"]
+    row = json.loads((out / "report.json").read_text())["psi"]["classes"]["bohr_ap"]
+    length, saturated = {e: (L, sat) for e, L, sat in row["params"]["table"]}[0.1]
+    assert not saturated and entry["status"] == "fail" and entry["value"] == length
+    assert entry["detail"] == (f"inclusion length at eps=0.1 is {length:g}, inside the grid: "
+                               "it does not saturate")
+
+
 @pytest.mark.parametrize("command, out", [("classify", "dir"), ("classify", "file/x.json"),
+                                          ("compare", "dir"), ("compare", "file/x.json"),
                                           ("run", "file"), ("run", "file/sub")])
 def test_an_out_that_cannot_be_written_exits_2(command, out, sine_csv, tmp_path, capsys):
     # A directory given as the report file, a regular file given as a parent or an
     # output directory: one error line that names the path; a run stops before its
-    # first stage.
+    # first stage, and classify and compare before they read a CSV.
     (tmp_path / "dir").mkdir()
     (tmp_path / "file").write_text("kept\n")
     out = tmp_path / out
     build, _, blurb = scenarios.CATALOG["levitan"]
     stage = (build, Mock(side_effect=AssertionError("a stage ran")), blurb)
-    argv = ["classify", str(sine_csv)] if command == "classify" else ["run", "levitan"]
-    with patch.dict(scenarios.CATALOG, {"levitan": stage}):
+    argv = {"classify": ["classify", str(sine_csv)], "run": ["run", "levitan"],
+            "compare": ["compare", str(sine_csv), str(sine_csv)]}[command]
+    with patch.dict(scenarios.CATALOG, {"levitan": stage}), \
+            patch("poisson_lab.cli.read_signal_csv", Mock(side_effect=AssertionError("read"))):
         assert main(argv + ["--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith("error: cannot write") and str(out) in err

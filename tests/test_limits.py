@@ -21,7 +21,13 @@ from poisson_lab.limits import (
 from poisson_lab.recurrence import ReturnSequence
 from poisson_lab.scenarios import build_scenario
 from poisson_lab.signals import Signal, Window, sample_function
-from poisson_lab.systems import IntegratorConfig, SystemSpec, integrate_ode, integrate_ode_batch
+from poisson_lab.systems import (
+    IntegratorConfig,
+    SystemSpec,
+    integrate_dde_batch,
+    integrate_ode,
+    integrate_ode_batch,
+)
 from references import _probe_directions, uniform_stability_estimate
 
 
@@ -345,6 +351,45 @@ def test_battery_unordered_dde_witness():
     assert 0.0 < t <= 20.0 + 0.05 and comp == 0 and 0 <= pair < 20
 
 
+_DDE = SystemSpec("dde_single_delay", 1, "delay-linear",
+                  {"A_self": [[-2.0]], "A_delay": [[1.0]], "delay": 1.0,
+                   "forcing": [[[1.0, 1.0, 0.0]]]})
+
+
+# A scalar ODE the RK4 closed form runs, one it turns away (an offset on a zero A
+# grows without bound, so the step loop runs), and a scalar DDE.
+@pytest.mark.parametrize("sys, integrate", [
+    (ode([[-1.0]], [[[1.0, 2.0, 0.3]]]), integrate_ode_batch),
+    (SystemSpec("scalar_ode", 1, "linear+trig",
+                {"A": [[0.0]], "forcing": [[[1.0, 2.0, 0.3]]], "offset": [0.5]}),
+     integrate_ode_batch),
+    (_DDE, integrate_dde_batch),
+])
+@pytest.mark.parametrize("count", [1, 2, 3, 100, 101])
+def test_a_one_entry_battery_is_one_pass_with_the_bits_of_two(sys, integrate, count):
+    cfg = IntegratorConfig(method="rk4_fixed", dt=0.01, t_end=3.0, record_dt=0.05)
+    lo, up = limits.ordered_pairs([[-2.0, 2.0]], count, np.random.default_rng(count))
+    _, Y = integrate(sys, np.concatenate((lo, up), axis=-1), cfg)
+    assert Y[..., :count].tobytes() == integrate(sys, lo, cfg)[1].tobytes()
+    assert Y[..., count:].tobytes() == integrate(sys, up, cfg)[1].tobytes()
+    with patch.object(limits, integrate.__name__, wraps=integrate) as spy:
+        assert comparison_battery(sys, [[-2.0, 2.0]], count, 3.0, cfg=cfg)[0]
+    assert spy.call_count == 1
+
+
+@pytest.mark.parametrize("name, integrate", [("s3-coop-2d", "integrate_ode_batch"),
+                                             ("s5-rd-scalar", "integrate_parabolic_batch")])
+def test_a_wider_battery_runs_two_passes(name, integrate):
+    # A two-entry state's and a field's BLAS products round a column by the
+    # batch width, so their lower and upper starts are two integrator calls.
+    cfg = build_scenario(name)
+    icfg = replace(cfg.integrator, space_points=16, record_dt=0.5, dt=0.5) \
+        if name == "s5-rd-scalar" else None
+    with patch.object(limits, integrate, wraps=getattr(limits, integrate)) as spy:
+        assert comparison_battery(cfg.system, cfg.analysis["state_box"], 3, 2.0, cfg=icfg)[0]
+    assert spy.call_count == 2
+
+
 def test_battery_holds_two_battery_arrays_and_chunk_temporaries():
     # The scale is taken from the extremes and the gap formed in place, so on s5's
     # battery the traced peak is the two batteries plus chunk-sized integration
@@ -382,7 +427,8 @@ def test_battery_tolerance_is_the_largest_magnitude_bit_for_bit(values, above):
     Yup[-1] = -gap
     assert 1e-9 + 1e-6 * float(np.abs(np.stack([Ylo, Yup])).max()) == tol
     ts = 0.5 * np.arange(len(Ylo))
-    batteries = iter([Ylo, Yup])
+    # A one-entry battery is one integrator call, both batteries on the last axis.
+    batteries = iter([np.concatenate((Ylo, Yup), axis=-1)])
     with patch.object(limits, "integrate_ode_batch", lambda *_: (ts, next(batteries))):
         ordered, worst, witness = comparison_battery(ode([[-1.0]], [[]]), [[0.0, 1.0]], 1, 1.0)
     assert worst == gap

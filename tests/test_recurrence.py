@@ -787,19 +787,22 @@ def test_returns_reject_bad_arguments(sine):
     assert len(poisson_returns(sine, [0.1], w, separation=1e308)) == 0
 
 
+# Function kinds of the golden-section tests: 0 a constant (exact ties at every
+# step), 1 a parabola, 2 a wiggle, 3 a coarse staircase (ties between steps).
+_GOLDEN_KINDS = [
+    lambda x, c: 0.25 * c,
+    lambda x, c: (x - c) ** 2,
+    lambda x, c: math.sin(3.0 * x) + c * x * x,
+    lambda x, c: math.floor(c * abs(x)),
+]
+
+
 @given(st.lists(st.tuples(st.floats(-5.0, 5.0), st.floats(-5.0, 5.0),
                           st.integers(0, 3), st.floats(0.1, 3.0)),
                 min_size=1, max_size=6),
        st.integers(min_value=0, max_value=40))
 def test_golden_min_batched_is_the_scalar_loop(brackets, iters):
-    # Function kind per bracket: 0 a constant (exact ties at every step),
-    # 1 a parabola, 2 a wiggle, 3 a coarse staircase (ties between steps).
-    kinds = [
-        lambda x, c: 0.25 * c,
-        lambda x, c: (x - c) ** 2,
-        lambda x, c: math.sin(3.0 * x) + c * x * x,
-        lambda x, c: math.floor(c * abs(x)),
-    ]
+    kinds = _GOLDEN_KINDS
     fns = [lambda x, k=k, c=c: kinds[k](x, c) for _, _, k, c in brackets]
 
     def batched(xs, bar):
@@ -818,16 +821,18 @@ def test_golden_min_batched_is_the_scalar_loop(brackets, iters):
                           st.integers(0, 3), st.floats(0.1, 3.0)),
                 min_size=1, max_size=6),
        st.integers(min_value=0, max_value=40), st.integers(0, 2**32 - 1))
+# One bracket runs ``_golden_min``'s float path: a parabola, a constant's ties, a
+# staircase on a bracket given as b < a, and a wiggle.
+@example([(1.0, 2.5, 1, 1.5)], 12, 0)
+@example([(-1.0, 3.0, 0, 1.0)], 5, 1)
+@example([(2.0, -1.0, 3, 2.0)], 7, 2)
+@example([(-3.0, 4.0, 3, 0.5)], 40, 3)
+@example([(-4.0, 4.0, 2, 0.5)], 40, 4)
 def test_golden_min_takes_any_value_above_the_bar(brackets, iters, seed):
     """Where a point's exact value is above its bar, fn may return any value
     above the bar (the bar itself excluded): the minimizers and minima are
     those of the exact fn, ties of the constant and the staircase included."""
-    kinds = [
-        lambda x, c: 0.25 * c,
-        lambda x, c: (x - c) ** 2,
-        lambda x, c: math.sin(3.0 * x) + c * x * x,
-        lambda x, c: math.floor(c * abs(x)),
-    ]
+    kinds = _GOLDEN_KINDS
     fns = [lambda x, k=k, c=c: kinds[k](x, c) for _, _, k, c in brackets]
     rng = np.random.default_rng(seed)
 
@@ -847,6 +852,37 @@ def test_golden_min_takes_any_value_above_the_bar(brackets, iters, seed):
     b = np.array([hi for _, hi, _, _ in brackets])
     want, got = _golden_min(exact, a, b, iters), _golden_min(loose, a, b, iters)
     assert [v.tolist() for v in got] == [v.tolist() for v in want]
+
+
+def _nan_and_infs(x, c):
+    """A fifth golden kind: NaN, +inf, -inf or a slope, by where x falls."""
+    return (math.nan, math.inf, -math.inf, c * x)[math.floor(2.0 * abs(x)) % 4]
+
+
+@given(st.floats(-5.0, 5.0), st.floats(-5.0, 5.0), st.integers(0, 4), st.floats(0.1, 3.0),
+       st.integers(min_value=0, max_value=40))
+@example(1.0, -2.0, 1, 1.0, 6)  # b < a
+@example(0.5, 0.5, 4, 1.0, 3)   # b = a
+@example(-4.0, 4.0, 4, 1.0, 40)
+def test_golden_min_one_bracket_is_the_array_recurrence(a, b, kind, c, iters):
+    """One bracket, run on floats, reads the points and bars that the array
+    recurrence reads for it in a batch (that bracket twice) and returns its
+    bits, NaN and infinite values included."""
+    fn = (_GOLDEN_KINDS + [_nan_and_infs])[kind]
+    reads = []
+
+    def read(xs, bar):
+        assert bar.shape == xs.shape
+        reads.append((xs[0], bar[0]))
+        return np.array([fn(x, c) for x in xs.tolist()], dtype=float)
+
+    one = _golden_min(read, a, b, iters)
+    one_reads, reads[:] = reads[:], []
+    both = _golden_min(read, [a, a], [b, b], iters)
+    bits = lambda *vals: np.array(vals, dtype=float).view(np.int64).tolist()  # noqa: E731
+    assert bits(*[v[0] for v in one]) == bits(*[v[0] for v in both])
+    assert [v.size for v in one] == [1, 1]
+    assert bits(*[v for r in one_reads for v in r]) == bits(*[v for r in reads for v in r])
 
 
 @given(st.integers(min_value=0, max_value=2**32 - 1), st.sampled_from([1, 3]),

@@ -27,8 +27,7 @@ from poisson_lab.systems import (
     SystemSpec,
     TrigSum,
     _dopri5,
-    _dopri5_table,
-    _dopri5_trial,
+    _dopri5_trials,
     _fold_terms,
     _record_times,
     _affine_steps,
@@ -469,7 +468,7 @@ def test_dopri5_step_map_matches_stage_loop(sys, t, h, seed):
     rhs = build_ode_rhs(sys)
     y = np.random.default_rng(seed).uniform(-2.0, 2.0, size=sys.dim)
     v = np.concatenate((y, np.empty(7 * rhs.omegas.size), (1.0,)))
-    step = np.array(_dopri5_trial(*_dopri5_table(rhs), t, h, v))
+    step = np.array(_dopri5_trials(rhs, v)(t, h))
     y5, err = y + step[:sys.dim], step[sys.dim:]
     ref_y5, ref_err, _ = dopri5_stage_step(rhs, t, y, h, rhs(t, y))
     tol = 1e-12 * max(1.0, np.abs(y).max())
