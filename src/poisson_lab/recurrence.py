@@ -167,9 +167,6 @@ class Verdict:
     window: Window | None = None
     notes: str = ""
 
-    def to_dict(self) -> dict:
-        return _jsonable(self)
-
 
 @dataclass(frozen=True)
 class RecurrenceReport:
@@ -280,12 +277,13 @@ def poisson_returns(f: Signal, epsilon_schedule, w: Window, *,
     probe_rel = np.linspace(0, m - 1, min(64, m)).round().astype(int)
     base = f[i0 : i1 + 1]  # a LazySignal forms each row slice alone
 
-    # tau -> sup |f(t + tau) - f(t)| over the probe points or the whole
-    # window, for an array of tau at once.
+    # (taus, bar) -> sup |f(t + tau) - f(t)| over the probe points or the whole
+    # window, for an array of tau at once; the bar ``_golden_min`` passes is unused.
     def gap(at, ref):
-        return lambda taus: np.abs(at(taus) - ref).max(axis=(1, 2))
+        return lambda taus, bar=None: np.abs(at(taus) - ref).max(axis=(1, 2))
     d_probe = gap(f.shift_reader(i0 + probe_rel), base[probe_rel])
-    d_full = _deciding_reader(f, i0, base, gap(f.shift_reader(np.arange(i0, i1 + 1)), base))
+    d_full = (_deciding_reader(f, i0, base) if f.exact is None
+              else gap(f.shift_reader(np.arange(i0, i1 + 1)), base))
 
     # Local slope bound: discrepancy varies no faster than twice the signal.
     # It is capped at the window spread so fast (or aliased) oscillation does
@@ -367,8 +365,7 @@ def poisson_returns(f: Signal, epsilon_schedule, w: Window, *,
             # differently from the rows of a larger one (BLAS), which the bits follow.
             twice = 1 + (live.sum() == 1 < lo.size)
             lo, hi = lo[live], hi[live]
-            tau_p, dp = _golden_min(lambda x, bar: d_probe(x), lo.repeat(twice),
-                                    hi.repeat(twice), 24)
+            tau_p, dp = _golden_min(d_probe, lo.repeat(twice), hi.repeat(twice), 24)
             for c in np.flatnonzero(dp[: lo.size] < eps).tolist():
                 lo_f, hi_f = max(lo[c], tau_p[c] - dt), min(hi[c], tau_p[c] + dt)
                 if f.exact is None and _full_lower_bound(f, i0, base, lo_f, hi_f) >= eps:
@@ -519,17 +516,15 @@ def _golden_one(fn, a: float, b: float, iters: int) -> tuple[np.ndarray, np.ndar
     return np.array([x]), np.array([fx])
 
 
-def _deciding_reader(f: Signal, i0: int, base: np.ndarray, full):
-    """``fn(taus, bar)`` for ``_golden_min`` of the windowed discrepancy of f against
-    the window ``base`` from index i0, which ``full`` reads.  On a spline Signal a
-    read first takes the window points whose gap decided the reader's earlier full
-    reads (their argmax), through ``values`` at the times ``window_values`` forms,
-    so each is the same float; a tau whose max there is above its bar returns it
-    (a lower bound), and only the others read the whole window.  An exact Signal
-    reads the whole window: a gather of a few points is a BLAS product of another
-    shape, so its bits could move."""
-    if f.exact is not None:
-        return lambda taus, bar: full(taus)
+def _deciding_reader(f: Signal, i0: int, base: np.ndarray):
+    """``fn(taus, bar)`` for ``_golden_min`` of the windowed discrepancy of a spline
+    Signal f against the window ``base`` from index i0.  A read first takes the
+    window points whose gap decided the reader's earlier full reads (their argmax),
+    through ``values`` at the times ``window_values`` forms, so each is the same
+    float; a tau whose max there is above its bar returns it (a lower bound), and
+    only the others read the whole window.  Callers read an exact Signal's whole
+    window instead: a gather of a few points is a BLAS product of another shape,
+    so its bits could move."""
     x, pts = f._spline[0][i0 : i0 + len(base)], []
 
     def read(taus, bar):
@@ -756,12 +751,11 @@ def comparability_profile(x: Signal, y: Signal, epsilon_list, tau_grid: TauGrid,
 
 
 def _comparability(taus, Dx, y: Signal, Dy, cap: float, epsilon_list, tau_grid: TauGrid,
-                   w: Window, refute_frac: float, searched=None) -> ComparabilityProfile:
+                   w: Window, refute_frac: float) -> ComparabilityProfile:
     """``comparability_profile`` on the grid's taus from the trajectory's discrepancy
     profile Dx, capped at the largest epsilon or above, and the base y's, Dy, capped
-    at ``cap``; ``searched`` gathers the minima of Dy found (see ``_argmin_once``)."""
+    at ``cap``."""
     eps = sorted({float(e) for e in epsilon_list}, reverse=True)
-    searched = {} if searched is None else searched
     pairs = []
     worst = None
     for e in eps:
@@ -769,8 +763,7 @@ def _comparability(taus, Dx, y: Signal, Dy, cap: float, epsilon_list, tau_grid: 
         if not bad.any():
             pairs.append((e, _INF))
             continue
-        # A smaller epsilon fails the same taus or more: an equal mask has its argmin.
-        k, dh = _argmin_once(searched, y, taus, w, Dy, cap, bad)
+        k, dh = _profile_argmin(y, taus, w, Dy, cap, bad)
         pairs.append((e, dh))
         if worst is None or dh / e < worst[1] / worst[2]:
             worst = (float(taus[k]), dh, e)
@@ -799,9 +792,8 @@ def classify(f: Signal, base: Signal | None = None,
     return _classify(f, base, default_classify_config(f) if cfg is None else cfg)
 
 
-def _classify(f: Signal, base, cfg: ClassifyConfig, D=None, searched=None) -> RecurrenceReport:
-    """``classify``; D, if given, is f's exact profile, a capped one at any cap, and
-    ``searched`` the minima of it already found (see ``_argmin_once``)."""
+def _classify(f: Signal, base, cfg: ClassifyConfig, D=None) -> RecurrenceReport:
+    """``classify``; D, if given, is f's exact profile, or a capped one at any cap."""
     w = cfg.window
     grid = cfg.tau_grid
     taus = grid.values(w, f)
@@ -833,7 +825,7 @@ def _classify(f: Signal, base, cfg: ClassifyConfig, D=None, searched=None) -> Re
             "yes", {"period": period, "discrepancy": period_disc}, window=w)
     else:
         wit = {"best_tau": period, "discrepancy": period_disc} if period else \
-              {"min_D": _argmin_once(searched or {}, f, taus, w, D, cap, np.arange(D.size) > 0)[1]
+              {"min_D": _profile_argmin(f, taus, w, D, cap, np.arange(D.size) > 0)[1]
                if D.size > 1 else None}
         classes["periodic"] = Verdict("no", witness=wit, window=w)
 
@@ -954,16 +946,6 @@ def _profile_argmin(f, taus, w, D, cap, mask) -> tuple[int, float]:
     return best[1], best[0]
 
 
-def _argmin_once(searched: dict, *args) -> tuple[int, float]:
-    """``_profile_argmin(*args)``, kept in ``searched``, a dict from the bytes of
-    each mask already searched on the same profile to its result, so that a
-    mask is searched once however many verdicts read its minimum."""
-    key = args[-1].tobytes()
-    if key not in searched:
-        searched[key] = _profile_argmin(*args)
-    return searched[key]
-
-
 def _find_period(f, taus, D, w, scale):
     """First deep local dip of D beyond the zero cluster, golden-refined."""
     detect = _PERIODIC_DETECT_FRAC * scale
@@ -983,12 +965,13 @@ def _find_period(f, taus, D, w, scale):
 
     lo = max(taus[0], taus[k] - step)
     hi = min(taus[-1], taus[k] + step)
-    # A grid-aligned tau is read as sample slices, as ``discrepancy_profile`` reads it.
+    # Grid-aligned taus, and all of an exact Signal's, read as ``discrepancy_profile`` does.
     i0, i1 = f.window_slice(w)
-    read = _deciding_reader(f, i0, f.samples[i0 : i1 + 1], lambda x: discrepancy_profile(f, x, w))
+    read = _deciding_reader(f, i0, f.samples[i0 : i1 + 1]) if f.exact is None else None
     tau_ref, d_ref = _golden_min(
         lambda x, bar: discrepancy_profile(f, x, w)
-        if _grid_starts(f, i0, i1 - i0 + 1, x)[1].any() else read(x, bar), lo, hi, 50)
+        if read is None or _grid_starts(f, i0, i1 - i0 + 1, x)[1].any() else read(x, bar),
+        lo, hi, 50)
     return float(tau_ref[0]), float(d_ref[0])
 
 
@@ -998,17 +981,13 @@ def _compare_with_base(base, cfg, taus, D):
     notes = []
     cap = _window_scale(base, cfg)[-1]
     Dy = discrepancy_profile(base, taus, cfg.window, cap=cap)
-    # The base classify's min_D witness reads Dy's minimum over a mask that
-    # comparability may have searched already (on levitan, every tau but 0).
-    searched = {}
     profile = _comparability(taus, D, base, Dy, cap, cfg.bohr_epsilons, cfg.tau_grid,
-                             cfg.window, cfg.refute_frac, searched)
+                             cfg.window, cfg.refute_frac)
 
     transfer = {"verdict": profile.verdict, "claims": [],
                 "relative_to": "supplied base"}
     if profile.verdict == "comparable-evidence":
-        base_classes = _classify(base, None, replace(cfg, base_declared=None), Dy,
-                                 searched).classes
+        base_classes = _classify(base, None, replace(cfg, base_declared=None), Dy).classes
         for names, via in ((_TRANSFER_PLAIN, "comparability"),
                            (_TRANSFER_UNIFORM, "uniform-comparability-proxy")):
             for name in names:

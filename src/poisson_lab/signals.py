@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -32,7 +32,7 @@ _GRID_RTOL = 1e-9
 # The most float64 elements one array can hold: its size in bytes must fit an
 # index.
 _MAX_FLOATS = np.iinfo(np.intp).max // 8
-# The most values one block of a chunked loop holds, so memory stays flat however long the run.
+# The most values, times or rows one block of a chunked loop holds: memory stays flat.
 _CHUNK = 1 << 16
 
 
@@ -221,10 +221,8 @@ class Signal:
     def shift_reader(self, idx) -> Callable:
         """taus -> f(t_i + tau), shape (len(taus), len(idx), dim), at the grid times t_i of the
         increasing indices ``idx``, with ``values``' domain check.  An ``exact`` function with
-        a ``shifted`` method (``systems.TrigSum``) turns its angles at the t_i, unclipped; the
-        spline reads ``window_values`` on a run of indices, else ``values``."""
-        if idx[-1] - idx[0] == idx.size - 1 and self.exact is None:
-            return partial(self.window_values, int(idx[0]), idx.size)
+        a ``shifted`` method (``systems.TrigSum``) turns its angles at the t_i, unclipped; any
+        other Signal reads ``values``."""
         ts = self.t0 + self.dt * idx
         if hasattr(self.exact, "shifted"):
             at = self.exact.shifted(ts)
@@ -420,19 +418,15 @@ def _v0_response(n: int) -> np.ndarray:
     return p * (-_Z) ** i + q * (-_Z) ** (n - 1 - i)
 
 
-# Times ``sample_function`` hands to its function at once.
-_SAMPLE_CHUNK = 1 << 16
-
-
 def sample_function(fn, t0: float, t_end: float, dt: float) -> Signal:
     """Sample a callable ``fn(ts) -> (n,) or (n, dim)`` as a cubic Signal on a
-    uniform grid, ``_SAMPLE_CHUNK`` times per call into one array, so that
+    uniform grid, ``_CHUNK`` times per call into one array, so that
     fn's temporaries stay chunk-sized; through ``fn.on_grid(t0, dt, k0, n)``
     where fn has it (``systems.TrigSum``)."""
     n = int(round((t_end - t0) / dt)) + 1
     vals = None
-    for a in range(0, n, _SAMPLE_CHUNK):
-        b = min(a + _SAMPLE_CHUNK, n)
+    for a in range(0, n, _CHUNK):
+        b = min(a + _CHUNK, n)
         chunk = (fn.on_grid(t0, dt, a, b - a) if hasattr(fn, "on_grid")
                  else np.asarray(fn(t0 + dt * np.arange(a, b)), dtype=float))
         if vals is None:
@@ -785,12 +779,12 @@ def _mean(vals: np.ndarray) -> np.ndarray:
 
 def write_csv(path, header: str, *columns) -> None:
     """Write ``header``, then the columns side by side (each n values or n
-    rows), every field as ``%.17g``, in one format call per ``_SAMPLE_CHUNK`` rows."""
+    rows), every field as ``%.17g``, in one format call per ``_CHUNK`` rows."""
     table = np.column_stack(columns)
     row = ",".join(["%.17g"] * table.shape[1]) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(header + "\n")
-        for b in np.split(table, range(_SAMPLE_CHUNK, len(table), _SAMPLE_CHUNK)):
+        for b in np.split(table, range(_CHUNK, len(table), _CHUNK)):
             fh.write((row * len(b)) % tuple(b.ravel().tolist()))
 
 

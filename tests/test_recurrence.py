@@ -720,7 +720,9 @@ def trig_sum_searches(check):
 def test_pruned_returns_are_the_unpruned_ones_bit_for_bit():
     # Pruning drops probe refinements and changes nothing else: the returns and
     # every refined row are those of the search with the slope bound at +inf.
-    twins = []
+    # On every bracket the bound drops, the probe refinement that was skipped
+    # would have ended at epsilon or above, so it could not have certified.
+    twins, pruned = [], []
 
     def check(f, sched, w, separation, batch):
         got, rows, n_twins = probe_refinements(f, sched, w, separation, batch)
@@ -728,25 +730,13 @@ def test_pruned_returns_are_the_unpruned_ones_bit_for_bit():
         assert (got.times, got.discrepancies, got.epsilon_schedule) == \
             (want.times, want.discrepancies, want.epsilon_schedule)
         assert not Counter(rows) - Counter(all_rows)
-        twins.append(n_twins)
-
-    trig_sum_searches(check)
-    assert sum(twins) > 0
-
-
-def test_pruned_brackets_cannot_certify():
-    # On every bracket the bound drops, the probe refinement that was skipped
-    # would have ended at epsilon or above, so it could not have certified.
-    pruned = []
-
-    def check(f, sched, w, separation, batch):
-        _, rows, _ = probe_refinements(f, sched, w, separation, batch)
-        _, all_rows, _ = probe_refinements(f, sched, w, separation, batch, prune=False)
         dropped = Counter(all_rows) - Counter(rows)
         assert all(d >= sched[level] for level, _, _, d in dropped)
+        twins.append(n_twins)
         pruned.append(sum(dropped.values()))
 
     trig_sum_searches(check)
+    assert sum(twins) > 0
     assert sum(pruned) > 0
 
 
@@ -897,7 +887,7 @@ def test_deciding_reader_is_the_full_read_at_or_below_the_bar(seed, dim, m, read
     f, w, taus = spiked_noise(seed, dim, m)
     i0, i1 = f.window_slice(w)
     base = f.samples[i0 : i1 + 1]
-    read, prev = recurrence._deciding_reader(f, i0, base, None), None
+    read, prev = recurrence._deciding_reader(f, i0, base), None
     for k, kind in reads:
         tau = taus[k : k + 1]
         gaps = np.abs(f.window_values(i0, m, tau)[0] - base).max(axis=1)
@@ -1216,25 +1206,27 @@ def test_capped_comparability_on_spiked_noise_is_the_uncapped_one(scale, step):
 
 @pytest.mark.parametrize("case", ["spiked", "ramp"])
 def test_comparability_finishes_each_failing_mask_once(case, sine, ramp):
-    """The base's least discrepancy is searched once per distinct set of taus
-    that fail x, and the pairs are those of the whole profiles.  Every
-    epsilon fails the same taus of the spiked x (those that move its spike)."""
+    """The base's least discrepancy is searched once for each epsilon that
+    fails some tau of x, on the taus it fails, and the pairs are those of the
+    whole profiles.  Every epsilon fails the same taus of the spiked x (those
+    that move its spike)."""
     if case == "spiked":
         x, w, _ = spiked_noise(1, 1, 900)
         y, grid = spiked_noise(2, 1, 900)[0], TauGrid(-3.9, 3.9, 0.1)
     else:
         x, y, grid, w = sine, ramp, CMP_GRID, CMP_W
     eps = [0.5, 0.2, 0.1]
-    masks = set()
+    masks = []
     for e in eps:
         bad = discrepancy_profile(x, grid.values(w, x, y), w) >= e
         if bad.any():
-            masks.add(bad.tobytes())
+            masks.append(bad.tobytes())
     calls, argmin = [], recurrence._profile_argmin
     with patch.object(recurrence, "_profile_argmin",
                       lambda *a: calls.append(a[-1].tobytes()) or argmin(*a)):
         got = comparability_profile(x, y, eps, grid, w)
-    assert sorted(calls) == sorted(masks) and len(masks) == (1 if case == "spiked" else 3)
+    assert calls == masks and len(masks) == 3
+    assert len(set(masks)) == (1 if case == "spiked" else 3)
     assert got == comparability_uncapped(x, y, eps, grid, w)
 
 
@@ -1256,32 +1248,6 @@ def test_profile_argmin_is_the_first_least_exact_value(seed, dim, m, batch0):
                 ref = np.where(mask, exact, np.inf)
                 k = int(np.argmin(ref))
                 assert recurrence._profile_argmin(f, taus, w, D, cap, mask) == (k, ref[k])
-
-
-def test_base_classify_reuses_the_comparability_search():
-    """On levitan every tau but 0 fails psi at both epsilons, which is also the
-    mask of the base phi's min_D witness: phi's minimum is searched once, where
-    each of the three would search it on its own, and the report is the same."""
-    span, dt = 500.0, 0.025
-    phi = forcing_signal("levitan-phi", -span, span, dt)
-    psi = forcing_signal("levitan-psi", -span, span, dt)
-    cfg = ClassifyConfig(window=Window(-span / 2, span / 2), tau_grid=TauGrid(0.0, span, 4 * dt),
-                         bohr_epsilons=(0.2, 0.1), base_declared="levitan",
-                         fit_window=Window(-span / 2, span / 2))
-    argmin = recurrence._profile_argmin
-
-    def run(once):
-        calls = []
-        with patch.object(recurrence, "_profile_argmin",
-                          lambda *a: calls.append(a[0] is phi) or argmin(*a)), \
-                patch.object(recurrence, "_argmin_once", once):
-            return classify(psi, base=phi, cfg=cfg), sum(calls)
-
-    got, on_phi = run(recurrence._argmin_once)
-    want, alone = run(lambda searched, *a: recurrence._profile_argmin(*a))
-    assert (on_phi, alone) == (1, 3)
-    assert got.comparability.verdict == "comparable-evidence"
-    assert json.dumps(got.to_dict()) == json.dumps(want.to_dict())
 
 
 def test_delta_hat_monotone(sine, ramp):

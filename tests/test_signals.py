@@ -782,7 +782,7 @@ def test_csv_bytes_are_those_of_numpy_savetxt(tmp_path, chunk):
     vals = rng.normal(size=(n, 2)) * 10.0 ** rng.integers(-300, 301, size=(n, 2))
     vals[:3] = [[-0.0, 5e-324], [1e308, -1e308], [0.0, -1 / 3]]
     ts = -3.0 + 0.1 * np.arange(n)
-    with patch.object(signals, "_SAMPLE_CHUNK", chunk):
+    with patch.object(signals, "_CHUNK", chunk):
         write_csv(tmp_path / "got.csv", "t,x1,x2", ts, vals)
     np.savetxt(tmp_path / "want.csv", np.column_stack([ts, vals]), fmt="%.17g",
                delimiter=",", header="t,x1,x2", comments="")
