@@ -717,26 +717,40 @@ def trig_sum_searches(check):
     run()
 
 
-def test_pruned_returns_are_the_unpruned_ones_bit_for_bit():
-    # Pruning drops probe refinements and changes nothing else: the returns and
-    # every refined row are those of the search with the slope bound at +inf.
-    # On every bracket the bound drops, the probe refinement that was skipped
-    # would have ended at epsilon or above, so it could not have certified.
-    twins, pruned = [], []
+@pytest.fixture(scope="module")
+def pruned_and_unpruned():
+    """One ``trig_sum_searches`` run shared by the two pruning tests: for each
+    example, its schedule, the pruned and the unpruned ``probe_refinements``
+    (returns and rows) and the pruned search's count of doubled rows."""
+    runs = []
 
-    def check(f, sched, w, separation, batch):
+    def record(f, sched, w, separation, batch):
         got, rows, n_twins = probe_refinements(f, sched, w, separation, batch)
         want, all_rows, _ = probe_refinements(f, sched, w, separation, batch, prune=False)
+        runs.append((sched, got, rows, want, all_rows, n_twins))
+
+    trig_sum_searches(record)
+    return runs
+
+
+def test_pruned_returns_are_the_unpruned_ones_bit_for_bit(pruned_and_unpruned):
+    # Pruning drops probe refinements and changes nothing else: the returns and
+    # every refined row are those of the search with the slope bound at +inf.
+    for _, got, rows, want, all_rows, _ in pruned_and_unpruned:
         assert (got.times, got.discrepancies, got.epsilon_schedule) == \
             (want.times, want.discrepancies, want.epsilon_schedule)
         assert not Counter(rows) - Counter(all_rows)
+    assert sum(run[-1] for run in pruned_and_unpruned) > 0
+
+
+def test_pruned_brackets_cannot_certify(pruned_and_unpruned):
+    # On every bracket the bound drops, the probe refinement that was skipped
+    # would have ended at epsilon or above, so it could not have certified.
+    pruned = []
+    for sched, _, rows, _, all_rows, _ in pruned_and_unpruned:
         dropped = Counter(all_rows) - Counter(rows)
         assert all(d >= sched[level] for level, _, _, d in dropped)
-        twins.append(n_twins)
         pruned.append(sum(dropped.values()))
-
-    trig_sum_searches(check)
-    assert sum(twins) > 0
     assert sum(pruned) > 0
 
 
