@@ -24,6 +24,7 @@ from .recurrence import (
     default_classify_config,
 )
 from .signals import Window, read_signal_csv
+from .systems import require_known_keys
 from .scenarios import (
     CATALOG,
     _require_writable,
@@ -87,10 +88,7 @@ def _analysis_config(defaults, path) -> ClassifyConfig:
     try:
         if not isinstance(raw, dict):
             raise ValueError("not a JSON object")
-        unknown = raw.keys() - {"window", "tau_grid", *_LIST_KEYS, *_FLOAT_KEYS}
-        if unknown:
-            raise ValueError(f"unknown keys {', '.join(sorted(unknown))} (accepted: window, "
-                             f"tau_grid, {', '.join(_LIST_KEYS + _FLOAT_KEYS)})")
+        require_known_keys(raw, ("window", "tau_grid", *_LIST_KEYS, *_FLOAT_KEYS), "keys")
         if "window" in raw:
             kwargs["window"] = Window(*raw["window"])
         if "tau_grid" in raw:
@@ -111,7 +109,7 @@ def _analysis_config(defaults, path) -> ClassifyConfig:
                     raise ValueError(f"{key} must be finite and >= 0")
         if kwargs.get("refute_frac", 0.0) > 1:
             raise ValueError("refute_frac must be at most 1")
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, ConfigInvalid) as exc:
         raise ConfigInvalid(f"bad analysis config {path}: {exc}") from exc
     try:
         base = defaults()

@@ -384,16 +384,16 @@ def poisson_returns(f: Signal, epsilon_schedule, w: Window, *,
 
 
 def _trig_slack(f: Signal) -> tuple[float, float]:
-    """(L, rho) for a Signal whose ``exact`` is a trig sum offset + Im(V e^{i theta}),
-    read through its ``shifted`` method (``systems.TrigSum``, by duck typing): the
-    slope bound L = max_c sum_j |V_cj| |omega_j| of each component, and rho, the most
+    """(L, rho) for a Signal whose ``exact`` is a ``systems.TrigSum``, offset +
+    Im(V e^{i theta}), read through its ``shifted`` method: the slope bound
+    L = max_c sum_j |V_cj| |omega_j| of each component, and rho, the most
     that the probe bounds read at a golden point and at its nearest grid shift can
     misstate the exact ones beyond L times their distance.  TrigSum's docstring puts
     each read within R = 16 u (1 + max |omega t|) sum |V| of the direct formula, and
     that formula is within R of the sum (phases counted in the angle, the offset in
     the scale); the nearest shift of a rounded tau / dt is off by at most L |tau| u < R.
-    So rho = 5 R.  (inf, 0) for any other Signal: nothing is pruned."""
-    if not hasattr(f.exact, "shifted"):
+    So rho = 5 R.  (inf, 0) for a spline Signal: nothing is pruned."""
+    if f.exact is None:
         return _INF, 0.0
     ex = f.exact
     V, om = np.abs(ex.V), np.abs(ex.omegas)

@@ -56,6 +56,7 @@ from .systems import (
     integrate_parabolic,
     quasimonotone_check,
     require_countable,
+    require_known_keys,
 )
 
 _SQRT2 = math.sqrt(2.0)
@@ -764,10 +765,17 @@ def read_json_config(path, what: str):
         raise ConfigInvalid(f"cannot read {what} config {path}: {exc}") from exc
 
 
+# The keys of a scenario config file, and the one analysis key of each kind: its start.
+_CONFIG_KEYS = ("name", "system", "integrator", "analysis", "seeds", "outputs")
+_START_KEY = {"dde_single_delay": "history_value", "parabolic_1d": "u0_value"}
+
+
 def load_scenario_config(path) -> ScenarioConfig:
-    """Build a ScenarioConfig from the documented JSON file format."""
+    """Build a ScenarioConfig from the documented JSON file format; an unknown key at any
+    level is a ConfigInvalid."""
     raw = read_json_config(path, "scenario")
     try:
+        require_known_keys(raw, _CONFIG_KEYS, "scenario config keys")
         cfg = ScenarioConfig(
             name=raw.get("name", Path(path).stem),
             system=SystemSpec(**raw["system"]),
@@ -776,6 +784,7 @@ def load_scenario_config(path) -> ScenarioConfig:
             seeds=raw.get("seeds", 0),
             outputs=raw.get("outputs"),
         )
+        require_known_keys(cfg.analysis, (_START_KEY.get(cfg.system.kind, "u0"),), "analysis keys")
         affine_rhs(cfg.system)
     except (KeyError, TypeError, ValueError, AttributeError, IndexError) as exc:
         raise ConfigInvalid(f"bad scenario config {path}: {exc}") from exc

@@ -81,19 +81,17 @@ class Signal:
         Grid step, strictly positive.
     samples : array, shape (n, dim)
         Sample values; a 1-D array is treated as a single component.
-    exact : callable, optional
-        The function sampled, ``ts -> (len(ts), dim)``; a ``partial`` of a
-        module-level function keeps the Signal picklable.
 
-    Between samples the signal is ``exact`` where it is set (a catalog
-    ``trig-sum`` forcing), else the natural cubic spline through the samples
-    (CSV inputs, trajectories, levitan's functions, derived Signals).
+    Between samples the signal is the natural cubic spline through the
+    samples (CSV inputs, trajectories, levitan's functions, derived Signals).
+    A ``LazySignal`` (a catalog ``trig-sum`` forcing) sets ``exact`` to the
+    ``systems.TrigSum`` it samples and is read by that closed form instead.
     """
 
     t0: float
     dt: float
     samples: np.ndarray
-    exact: Callable | None = None
+    exact = None  # a class attribute, not a field: only LazySignal sets it
 
     def __post_init__(self):
         arr = np.asarray(self.samples, dtype=float)
@@ -220,11 +218,10 @@ class Signal:
 
     def shift_reader(self, idx) -> Callable:
         """taus -> f(t_i + tau), shape (len(taus), len(idx), dim), at the grid times t_i of the
-        increasing indices ``idx``, with ``values``' domain check.  An ``exact`` function with
-        a ``shifted`` method (``systems.TrigSum``) turns its angles at the t_i, unclipped; any
-        other Signal reads ``values``."""
+        increasing indices ``idx``, with ``values``' domain check.  An ``exact`` TrigSum turns
+        its angles at the t_i, unclipped; a spline Signal reads ``values``."""
         ts = self.t0 + self.dt * idx
-        if hasattr(self.exact, "shifted"):
+        if self.exact is not None:
             at = self.exact.shifted(ts)
             # Addition is monotone, so the extreme taus bound every time; a NaN fails it.
             return lambda taus: self._require_times(ts[0] + taus.min(initial=math.inf),

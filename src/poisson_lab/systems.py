@@ -321,12 +321,21 @@ class ReactionDiffusion:
         return LinearTrigRhs(A, proj, [self.omega], [self.phase]), xs
 
 
+def require_known_keys(given: Mapping, accepted, what: str) -> None:
+    """ConfigInvalid naming the keys of ``given`` outside ``accepted``, and the accepted ones."""
+    unknown = given.keys() - set(accepted)
+    if unknown:
+        raise ConfigInvalid(f"unknown {what} {', '.join(sorted(map(str, unknown)))} "
+                            f"(accepted: {', '.join(accepted)})")
+
+
 def build_ode_rhs(spec: SystemSpec) -> LinearTrigRhs:
     if spec.kind not in ("scalar_ode", "cooperative_ode"):
         raise ConfigInvalid(f"{spec.kind} is not an ODE kind")
     if spec.rhs != "linear+trig":
         raise UnknownRegistryKey(f"no ODE right-hand side {spec.rhs!r}")
     p = spec.params
+    require_known_keys(p, ("A", "forcing", "offset"), f"{spec.rhs} params")
     if p.get("A") is None:
         raise ConfigInvalid("linear+trig requires a coupling matrix 'A'")
     proj, omegas, phases = _fold_terms(p.get("forcing", []), spec.dim, spec.base_shift)
@@ -339,6 +348,7 @@ def build_dde_rhs(spec: SystemSpec) -> LinearTrigRhs:
     if spec.rhs != "delay-linear":
         raise UnknownRegistryKey(f"no DDE right-hand side {spec.rhs!r}")
     p = spec.params
+    require_known_keys(p, ("A_self", "A_delay", "delay", "forcing"), f"{spec.rhs} params")
     if "delay" not in p:
         raise ConfigInvalid("delay-linear requires 'delay' > 0")
     if p.get("A_delay") is None:
@@ -354,6 +364,8 @@ def build_reaction(spec: SystemSpec) -> ReactionDiffusion:
     if spec.rhs != "rd-scalar":
         raise UnknownRegistryKey(f"no reaction {spec.rhs!r}")
     p = spec.params
+    require_known_keys(p, ("nu", "L", "decay", "source_amp", "omega", "phase", "profile"),
+                       f"{spec.rhs} params")
     reaction = ReactionDiffusion(
         p.get("nu", [1.0]), p.get("L", 1.0),
         p.get("decay", [0.0] * spec.dim),

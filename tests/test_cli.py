@@ -721,6 +721,33 @@ def test_run_rejects_counts_no_array_can_hold(case, tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+# Config i with the key at ``path`` renamed: a misspelt key once ran on its
+# default without a word (a dropped forcing read as a stationary run).
+@pytest.mark.parametrize("i, path, typo", [
+    (0, ("integrator",), "integrater"),
+    (0, ("system", "params", "forcing"), "forcng"),
+    (1, ("system", "params", "A_self"), "A_slef"),
+    (2, ("system", "params", "source_amp"), "sourse_amp"),
+    (0, ("analysis", "u0"), "u_0"),
+    (1, ("analysis", "history_value"), "history_valu"),
+    (2, ("analysis", "u0_value"), "u0"),
+])
+def test_run_config_with_an_unknown_key_exit_2_without_output(i, path, typo, tmp_path, capsys):
+    raw = copy.deepcopy(_VALID_CONFIGS[i])
+    parent = raw
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[typo] = parent.pop(path[-1])
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(raw))
+    out = tmp_path / "out"
+    assert main(["run", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: unknown ")
+    assert f" {typo} (accepted: " in err
+    assert not out.exists()
+
+
 # Counts an array can hold but no memory can: each needs exabytes, so numpy
 # refuses the allocation at once.
 @pytest.mark.parametrize("case, more", [

@@ -659,16 +659,14 @@ def _sin_cos(ts):
 
 @pytest.fixture
 def exact_sine():
-    f = sample_function(_sin_cos, 0.0, 50.0, 0.01)
-    return Signal(f.t0, f.dt, f.samples, exact=_sin_cos)
+    # sin t and cos t as a trig sum, the one closed form a Signal carries.
+    return forcing_signal("trig-sum", 0.0, 50.0, 0.01,
+                          components=[[[1.0, 1.0, 0.0]], [[1.0, 1.0, math.pi / 2]]])
 
 
 def test_exact_signal_keeps_the_domain_checks(exact_sine):
     spline = Signal(exact_sine.t0, exact_sine.dt, exact_sine.samples)
-    # sin t and cos t as a trig sum, whose shift_reader turns angles instead.
-    trig = forcing_signal("trig-sum", 0.0, 50.0, 0.01,
-                          components=[[[1.0, 1.0, 0.0]], [[1.0, 1.0, math.pi / 2]]])
-    for f in (exact_sine, spline, trig):
+    for f in (exact_sine, spline):
         for t in (math.nan, math.inf, -math.inf, -0.1, 50.1):
             with pytest.raises(WindowOutOfDomain):
                 f.values([1.0, t])
@@ -684,18 +682,19 @@ def test_exact_signal_keeps_the_domain_checks(exact_sine):
         assert np.abs(edge[[0, 1], [0, -1]] - _sin_cos(np.array([0.0, 50.0]))).max() < 1e-9
         assert f.shift_reader(np.array([10, 30, 59]))(np.array([])).shape == (0, 3, 2)
     # Times within the grid slack are clipped to the domain.
-    assert bitwise_equal(exact_sine.values([-1e-12, 50.0 + 1e-12]), _sin_cos(np.array([0.0, 50.0])))
+    assert bitwise_equal(exact_sine.values([-1e-12, 50.0 + 1e-12]),
+                         exact_sine.exact(np.array([0.0, 50.0])))
     assert "_spline" not in exact_sine.__dict__
 
 
 def test_exact_signal_returns_its_function_and_builds_no_spline(exact_sine):
     rng = np.random.default_rng(5)
     ts = rng.uniform(0.0, 50.0, (3, 7))
-    assert bitwise_equal(exact_sine.values(ts), _sin_cos(ts.ravel()).reshape(3, 7, 2))
+    assert bitwise_equal(exact_sine.values(ts), exact_sine.exact(ts.ravel()).reshape(3, 7, 2))
     taus = np.concatenate([rng.uniform(-0.1, 40.0, 5), [0.0, 0.5]])
     rows = 0.01 * np.arange(10, 60) + taus[:, None]
     assert bitwise_equal(exact_sine.window_values(10, 50, taus),
-                         _sin_cos(rows.ravel()).reshape(taus.size, 50, 2))
+                         exact_sine.exact(rows.ravel()).reshape(taus.size, 50, 2))
     assert "_spline" not in exact_sine.__dict__
 
 
