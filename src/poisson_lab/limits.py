@@ -13,7 +13,7 @@ configuration-visible so reports are reproducible bit for bit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 
@@ -35,33 +35,9 @@ _NODES = 64  # nodes of a parabolic start field whose config sets no ``space_poi
 # omega-fiber sampling
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class OmegaSample:
-    """Trajectory snapshots at base return times past a settle horizon."""
-
-    times: np.ndarray      # retained return times
-    snapshots: np.ndarray  # (k, dim)
-
-    def diameter(self) -> float:
-        return float((self.snapshots.max(axis=0) - self.snapshots.min(axis=0)).max())
-
-
-@dataclass(frozen=True)
-class GammaExtraction:
-    gamma: np.ndarray
-    cauchy_tail: tuple          # successive snapshot gaps
-
-
-@dataclass(frozen=True)
-class ConvergenceReport:
-    splits: tuple               # ((T, sup-distance on [T, T+w]), ...)
-    trend: str                  # decreasing | stagnant | increasing
-    passed: bool
-
-
-def omega_fiber_sample(traj: Signal, returns: ReturnSequence,
-                       settle_time: float) -> OmegaSample:
-    """Snapshots traj(t_n) for return times past the settle horizon."""
+def omega_fiber_sample(traj: Signal, returns: ReturnSequence, settle_time: float):
+    """(times, snapshots): the return times past the settle horizon and
+    traj(t_n) at them, (k, dim)."""
     times = np.asarray(returns.times, dtype=float)
     keep = times[times > settle_time]
     if keep.size < 3:
@@ -71,8 +47,7 @@ def omega_fiber_sample(traj: Signal, returns: ReturnSequence,
     lo, hi = traj.domain
     if keep[0] < lo or keep[-1] > hi:
         raise InsufficientReturns("return times leave the trajectory domain")
-    snaps = traj.values(keep)
-    return OmegaSample(keep, snaps)
+    return keep, traj.values(keep)
 
 
 # ---------------------------------------------------------------------------
@@ -80,13 +55,13 @@ def omega_fiber_sample(traj: Signal, returns: ReturnSequence,
 # ---------------------------------------------------------------------------
 
 def gamma_extract(sys: SystemSpec, start, returns: ReturnSequence,
-                  cfg: IntegratorConfig, *, tol: float = 1e-4) -> GammaExtraction:
+                  cfg: IntegratorConfig, *, tol: float = 1e-4):
     """Integrate from ``start`` and track snapshots at the base return times.
 
-    The final snapshot is the distinguished-solution estimate; the list of
-    successive snapshot gaps is the convergence evidence.  Raises NotCauchy
-    when the last five gaps fail to shrink: that is the signal that the
-    extremal-limit hypotheses fail for this scenario.
+    Returns (gamma, gaps): the final snapshot, the distinguished-solution
+    estimate, and the successive snapshot gaps, the convergence evidence.
+    Raises NotCauchy when the last five gaps fail to shrink: that is the
+    signal that the extremal-limit hypotheses fail for this scenario.
     """
     if len(returns) == 0:
         raise InsufficientReturns("empty return sequence")
@@ -105,7 +80,7 @@ def gamma_extract(sys: SystemSpec, start, returns: ReturnSequence,
     if not (final < tol and shrinking):
         raise NotCauchy(
             f"snapshot gaps not Cauchy: tail={['%.3g' % g for g in recent]}")
-    return GammaExtraction(snaps[-1], tuple(gaps))
+    return snaps[-1], tuple(gaps)
 
 
 def entire_trajectory_estimate(traj: Signal, returns: ReturnSequence,
@@ -137,9 +112,11 @@ def entire_trajectory_estimate(traj: Signal, returns: ReturnSequence,
 # convergence and contraction estimates
 # ---------------------------------------------------------------------------
 
-def convergence_check(a: Signal, b: Signal, threshold: float,
-                      split_count: int) -> ConvergenceReport:
-    """Sup-distances on trailing windows of the common domain plus a trend."""
+def convergence_check(a: Signal, b: Signal, threshold: float, split_count: int):
+    """(splits, trend, passed): the sup-distances ((T, sup on [T, T+w]), ...)
+    on trailing windows of the common domain, their trend (decreasing |
+    stagnant | increasing), and whether the last is below ``threshold``
+    and the trend not increasing."""
     lo = max(a.t0, b.t0)
     hi = min(a.t_end, b.t_end)
     if split_count < 2 or hi - lo <= 0:
@@ -155,19 +132,14 @@ def convergence_check(a: Signal, b: Signal, threshold: float,
     else:
         trend = "stagnant"
     passed = vals[-1] < threshold and trend != "increasing"
-    return ConvergenceReport(tuple(zip(starts, vals)), trend, passed)
-
-
-@dataclass(frozen=True)
-class ContractionResult:
-    contracting: bool
-    witness: tuple | None = None  # (pair index, t, d_before, d_after)
+    return tuple(zip(starts, vals)), trend, passed
 
 
 def contraction_check(sys: SystemSpec, pairs: int, horizon: float, *,
-                      box, seed: int = 0) -> ContractionResult:
+                      box, seed: int = 0) -> tuple | None:
     """Strict decrease of the gap between same-fiber pairs at five sampled
-    times (fixed-step RK4, dt 1e-3)."""
+    times (fixed-step RK4, dt 1e-3): None when it holds, else the witness
+    (pair index, t, d_before, d_after)."""
     if pairs < 8:
         raise ValueError("need at least 8 pairs")
     box = np.asarray(box, dtype=float)
@@ -182,10 +154,10 @@ def contraction_check(sys: SystemSpec, pairs: int, horizon: float, *,
     # A pair that starts together is skipped; a NaN gap fails.
     bad = ~(gaps[1:] < gaps[:-1]) & ~(gaps[0] < 1e-12)
     if not bad.any():
-        return ContractionResult(True)
+        return None
     p = int(np.argmax(bad.any(axis=0)))
     i = int(np.argmax(bad[:, p])) + 1
-    return ContractionResult(False, (p, float(ts[i]), float(gaps[i - 1, p]), float(gaps[i, p])))
+    return p, float(ts[i]), float(gaps[i - 1, p]), float(gaps[i, p])
 
 
 # ---------------------------------------------------------------------------
@@ -219,8 +191,8 @@ def comparison_battery(sys: SystemSpec, box, count: int, horizon: float, *,
     ODE starts and constant DDE histories are drawn inside ``box``; parabolic
     start fields have ``cfg.space_points`` nodes (``_NODES`` when unset) and ignore
     ``box``.  A violation counts above 1e-9 + 1e-6 times the largest state.
-    Returns (ordered: bool, worst_violation, witness or None), the witness
-    being (t, ...index of the violating entry, pair index last).
+    Returns (worst_violation, witness): None when ordered, else (t, ...index
+    of the violating entry, pair index last).
     """
     if cfg is None:
         cfg = IntegratorConfig(method="rk4_fixed", dt=1e-3, t_end=horizon,
@@ -248,6 +220,6 @@ def comparison_battery(sys: SystemSpec, box, count: int, horizon: float, *,
     gap = np.subtract(Ylo, Yup, out=Ylo)  # ordered means <= 0 (+tol); Ylo is not read again
     worst = float(gap.max())
     if worst <= tol:
-        return True, worst, None
+        return worst, None
     idx = np.unravel_index(int(np.argmax(gap)), gap.shape)
-    return False, worst, (float(ts[idx[0]]), *(int(i) for i in idx[1:]))
+    return worst, (float(ts[idx[0]]), *(int(i) for i in idx[1:]))

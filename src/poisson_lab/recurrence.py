@@ -832,13 +832,13 @@ def _classify(f: Signal, base, cfg: ClassifyConfig, D=None) -> RecurrenceReport:
     # quasi-periodic -------------------------------------------------------
     fit = quasi_periodic_fit(f, _QUASI_MAX_FREQS, cfg.fit_window or w)
     independent = rationally_independent(fit.freqs) if fit.freqs else True
-    if classes["periodic"].verdict == "yes" and classes["stationary"].verdict == "no":
-        T = classes["periodic"].params["period"]
+    if classes["periodic"].verdict == "yes":
+        T = classes["periodic"].params["period"]  # 0.0 when stationary
         classes["quasi_periodic"] = Verdict(
             "yes",
-            {"freqs": [2 * math.pi / T], "independent_count": 1,
+            {"freqs": [2 * math.pi / T] if T else [], "independent_count": int(T > 0),
              "residual": fit.residual},
-            window=w, notes="fundamental from the verified period")
+            window=w, notes="fundamental from the verified period" if T else "stationary")
     elif fit.freqs and fit.residual < cfg.quasi_residual_tol and independent:
         classes["quasi_periodic"] = Verdict(
             "yes", {"freqs": list(fit.freqs), "amplitudes": list(fit.amplitudes),

@@ -161,10 +161,9 @@ _COUNTEREXAMPLE = SystemSpec(
 def _builder(name: str, system: SystemSpec, integrator: IntegratorConfig,
              analysis: dict):
     """A catalog builder: the given horizon, if any, replaces ``t_end``."""
-    def build(seed: int = 0, outputs: str | None = None,
-              horizon: float | None = None) -> ScenarioConfig:
+    def build(seed: int = 0, horizon: float | None = None) -> ScenarioConfig:
         icfg = integrator if horizon is None else replace(integrator, t_end=float(horizon))
-        return ScenarioConfig(name, system, icfg, analysis, seed, outputs)
+        return ScenarioConfig(name, system, icfg, analysis, seed)
     return build
 
 
@@ -175,19 +174,18 @@ def _check_monotone(em: RunManifest, cfg: ScenarioConfig,
     ana = cfg.analysis
     if "battery_count" in ana:
         count, horizon = ana["battery_count"], ana["battery_horizon"]
-        ordered, worst, witness = comparison_battery(
+        worst, witness = comparison_battery(
             cfg.system, ana["state_box"], count, horizon, cfg=icfg, seed=cfg.seeds)
-        em.check("monotonicity_battery", ordered, worst,
+        em.check("monotonicity_battery", witness is None, worst,
                  f"{count} ordered pairs on [0, {horizon:g}]"
-                 + ("" if ordered else f"; violated at {witness}"))
-    res = quasimonotone_check(cfg.system)
-    em.check("quasimonotone", res.passed,
+                 + ("" if witness is None else f"; violated at {witness}"))
+    witness = quasimonotone_check(cfg.system)
+    em.check("quasimonotone", witness is None,
              detail="exact sign test: A off the diagonal and A_delay nonnegative"
-             if res.passed else f"witness {res.witness}")
-    bad = quasimonotone_check(_COUNTEREXAMPLE)
-    ok = (not bad.passed) and bad.witness == (0, 1)
-    em.check("quasimonotone_counterexample", ok,
-             detail=f"planted negative off-diagonal witnessed: {bad.witness}")
+             if witness is None else f"witness {witness}")
+    witness = quasimonotone_check(_COUNTEREXAMPLE)
+    em.check("quasimonotone_counterexample", witness == (0, 1),
+             detail=f"planted negative off-diagonal witnessed: {witness}")
 
 
 def _check_state_box(em: RunManifest, samples: np.ndarray, box) -> None:
@@ -206,10 +204,9 @@ def _check_closed_form(em: RunManifest, name: str, u_p, sig: Signal, tol: float,
 
 
 def _check_convergence(em: RunManifest, a: Signal, b: Signal) -> None:
-    conv = convergence_check(a, b, threshold=1e-3, split_count=5)
-    em.check("convergence_check", conv.passed, conv.splits[-1][1],
-             f"trend {conv.trend}")
-    em.write_rows("convergence.csv", "T,sup_dist", conv.splits)
+    splits, trend, passed = convergence_check(a, b, threshold=1e-3, split_count=5)
+    em.check("convergence_check", passed, splits[-1][1], f"trend {trend}")
+    em.write_rows("convergence.csv", "T,sup_dist", splits)
 
 
 def _check_period(em: RunManifest, name: str, rep, ana: dict, detail: str) -> None:
@@ -242,42 +239,42 @@ def _extremal_solution(em: RunManifest, cfg: ScenarioConfig, u0, returns,
     """The trajectory from u0 and its state box, the omega fiber sample, its
     extrema, and the extremal restarts.
 
-    Returns the trajectory, the omega sample and the extraction started from
-    alpha, or None when the extractions are not Cauchy.
+    Returns the trajectory, the omega sample (times, snapshots) and the
+    extraction (gamma, gaps) started from alpha, or None when the
+    extractions are not Cauchy.
     """
     ana = cfg.analysis
     traj = integrate(cfg.system, u0, cfg.integrator)
     _check_state_box(em, traj.samples, ana["state_box"])
-    omega = omega_fiber_sample(traj, returns, ana["settle_time"])
+    times, snaps = omega_fiber_sample(traj, returns, ana["settle_time"])
     em.write_rows("omega_sample.csv",
-                  "t_n," + ",".join(f"x{j+1}" for j in range(traj.dim)),
-                  omega.times, omega.snapshots)
-    em.check("omega_singleton", omega.diameter() < 1e-3, omega.diameter(),
-             "retained snapshot diameter")
-    alpha, beta = omega.snapshots.min(axis=0), omega.snapshots.max(axis=0)
+                  "t_n," + ",".join(f"x{j+1}" for j in range(traj.dim)), times, snaps)
+    alpha, beta = snaps.min(axis=0), snaps.max(axis=0)
+    diameter = float((beta - alpha).max())
+    em.check("omega_singleton", diameter < 1e-3, diameter, "retained snapshot diameter")
     try:
-        g = gamma_extract(cfg.system, alpha, returns, snap_cfg,
-                          tol=ana["gamma_tol"])
-        d = gamma_extract(cfg.system, beta, returns, snap_cfg,
-                          tol=ana["gamma_tol"])
+        gamma, gaps = gamma_extract(cfg.system, alpha, returns, snap_cfg,
+                                    tol=ana["gamma_tol"])
+        delta, _ = gamma_extract(cfg.system, beta, returns, snap_cfg,
+                                 tol=ana["gamma_tol"])
     except NotCauchy as exc:
         em.check("gamma_cauchy", False, None, str(exc))
         for name in ("gamma_delta_agree", "sandwich"):
             em.skip(name, "extraction not Cauchy")
-        return traj, omega, None
-    em.check("gamma_cauchy", True, g.cauchy_tail[-1],
-             f"final gap; tail {['%.2e' % x for x in g.cauchy_tail[-5:]]}")
-    agree = float(np.abs(g.gamma - d.gamma).max())
+        return traj, (times, snaps), None
+    em.check("gamma_cauchy", True, gaps[-1],
+             f"final gap; tail {['%.2e' % x for x in gaps[-5:]]}")
+    agree = float(np.abs(gamma - delta).max())
     em.check("gamma_delta_agree", agree < 1e-3, agree,
              "extremal-start extractions coincide")
     # The largest violation of gamma <= alpha <= beta <= delta, componentwise.
-    viol = max(float((g.gamma - alpha).max()), float((alpha - beta).max()),
-               float((beta - d.gamma).max()), 0.0)
+    viol = max(float((gamma - alpha).max()), float((alpha - beta).max()),
+               float((beta - delta).max()), 0.0)
     em.check("sandwich", viol <= ana["sandwich_tol"], viol,
              f"gamma <= alpha <= beta <= delta componentwise within "
              f"{ana['sandwich_tol']:g}; the report holds the residual")
     em.report["sandwich_violation"] = viol
-    return traj, omega, g
+    return traj, (times, snaps), (gamma, gaps)
 
 
 def _classify_entire(em: RunManifest, traj: Signal, returns, half_width: float,
@@ -389,8 +386,7 @@ def _run_s1(em: RunManifest, cfg: ScenarioConfig) -> None:
     em.report["returns"]["schedule"] = list(returns.epsilon_schedule)
     traj, _, g = _extremal_solution(em, cfg, u0, returns, cfg.integrator)
     if g is not None:
-        em.report["gamma"] = {"value": g.gamma.tolist(),
-                              "cauchy_tail": list(g.cauchy_tail)}
+        em.report["gamma"] = {"value": g[0].tolist(), "cauchy_tail": list(g[1])}
     gamma_signal, g_report = _classify_entire(
         em, traj, returns, ana["entire_half_width"], (0.4, 0.95))
     em.write_signal("gamma_signal.csv", gamma_signal)
@@ -407,8 +403,7 @@ def _run_s1(em: RunManifest, cfg: ScenarioConfig) -> None:
 # levitan
 # ---------------------------------------------------------------------------
 
-def build_levitan(seed: int = 0, outputs: str | None = None,
-                  horizon: float | None = None) -> ScenarioConfig:
+def build_levitan(seed: int = 0, horizon: float | None = None) -> ScenarioConfig:
     if horizon is not None and not float(horizon) > 0:
         raise ConfigInvalid(f"horizon must be positive, got {horizon:g}")
     span = 500.0 if horizon is None else min(float(horizon), 500.0)
@@ -422,7 +417,7 @@ def build_levitan(seed: int = 0, outputs: str | None = None,
         "lipschitz_slack": 1e-3,
     }
     # Its signals are closed forms: no system is integrated.
-    return ScenarioConfig("levitan", None, None, analysis, seed, outputs)
+    return ScenarioConfig("levitan", None, None, analysis, seed)
 
 
 def _run_levitan(em: RunManifest, cfg: ScenarioConfig) -> None:
@@ -538,24 +533,24 @@ def _run_s3(em: RunManifest, cfg: ScenarioConfig) -> None:
     returns = _returns(em, forcing, ana, Window(25.0, 25.0))
     snap_cfg = IntegratorConfig(method="rk4_fixed", dt=5e-3, t_end=t_end,
                                 record_dt=5e-3, blowup_bound=4e6)
-    traj, omega, _ = _extremal_solution(em, cfg, u_p(0.0)[0] + np.array([0.5, -0.3]),
-                                        returns, snap_cfg)
+    traj, (times, snaps), _ = _extremal_solution(
+        em, cfg, u_p(0.0)[0] + np.array([0.5, -0.3]), returns, snap_cfg)
 
     # Restart from the first retained snapshot and reproduce the others: the
     # Hausdorff distance between the original and the restarted snapshots.
-    t0 = float(omega.times[0])
-    restarted = integrate_ode_snapshots(sysspec.shifted(t0), omega.snapshots[0], snap_cfg,
-                                        np.asarray(omega.times[1:], dtype=float) - t0)
-    dist = np.abs(omega.snapshots[1:, None, :] - restarted[None, :, :]).max(axis=2)
+    t0 = float(times[0])
+    restarted = integrate_ode_snapshots(sysspec.shifted(t0), snaps[0], snap_cfg,
+                                        np.asarray(times[1:], dtype=float) - t0)
+    dist = np.abs(snaps[1:, None, :] - restarted[None, :, :]).max(axis=2)
     inv_defect = float(max(dist.min(axis=1).max(), dist.min(axis=0).max()))
     em.check("omega_invariance", inv_defect < 1e-3, inv_defect,
              "restarted snapshots reproduce the sampled fiber set")
 
-    contr = contraction_check(sysspec, pairs=16, horizon=10.0,
-                              box=ana["state_box"], seed=cfg.seeds)
-    em.check("contraction", contr.contracting,
+    witness = contraction_check(sysspec, pairs=16, horizon=10.0,
+                                box=ana["state_box"], seed=cfg.seeds)
+    em.check("contraction", witness is None,
              detail="same-fiber gaps strictly shrink at sampled times"
-             if contr.contracting else f"witness {contr.witness}")
+             if witness is None else f"witness {witness}")
 
     gamma_signal, g_report = _classify_entire(
         em, traj, returns, ana["entire_half_width"], (0.35, 0.9))
@@ -609,8 +604,7 @@ def _run_s4(em: RunManifest, cfg: ScenarioConfig) -> None:
 
     _check_monotone(em, cfg, cfg.integrator)
     bad_sys = replace(sysspec, params={**p, "A_delay": [[-1.0]]})
-    bad = quasimonotone_check(bad_sys)
-    em.check("quasimonotone_delay_counterexample", not bad.passed,
+    em.check("quasimonotone_delay_counterexample", quasimonotone_check(bad_sys) is not None,
              detail="negative delayed coefficient must fail")
 
     # Two constant histories converge to the same tail.
@@ -747,13 +741,13 @@ CATALOG = {
 }
 
 
-def build_scenario(name: str, *, seed: int = 0, outputs: str | None = None,
+def build_scenario(name: str, *, seed: int = 0,
                    horizon: float | None = None) -> ScenarioConfig:
     try:
         builder = CATALOG[name][0]
     except KeyError:
         raise ConfigInvalid(f"unknown scenario {name!r}") from None
-    return builder(seed=seed, outputs=outputs, horizon=horizon)
+    return builder(seed=seed, horizon=horizon)
 
 
 def read_json_config(path, what: str):

@@ -970,13 +970,7 @@ def require_countable(sys: SystemSpec, cfg: IntegratorConfig, m: int) -> None:
 # monotonicity checks
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class QuasimonotoneResult:
-    passed: bool
-    witness: tuple | None = None  # (i, j)
-
-
-def quasimonotone_check(sys: SystemSpec) -> QuasimonotoneResult:
+def quasimonotone_check(sys: SystemSpec) -> tuple | None:
     """Exact cooperativity test of the affine right-hand side.
 
     The ODE and parabolic kinds need Kamke's condition: every off-diagonal
@@ -984,8 +978,9 @@ def quasimonotone_check(sys: SystemSpec) -> QuasimonotoneResult:
     whose grid couplings nu/dx^2 are positive).  The DDE kind needs the
     quasimonotone condition: also every entry of A_delay is >= 0 (H. L. Smith,
     Monotone Dynamical Systems, AMS 1995, ch. 3 and 5).  For an affine system
-    these signs decide the condition on the whole state space; the witness
-    (i, j) is the first negative entry in column order.
+    these signs decide the condition on the whole state space.  Returns None
+    when they hold, else the witness (i, j), the first negative entry in
+    column order.
     """
     rhs = affine_rhs(sys)
     bad = (rhs.A < 0) & ~np.eye(rhs.dim, dtype=bool)
@@ -993,6 +988,6 @@ def quasimonotone_check(sys: SystemSpec) -> QuasimonotoneResult:
         bad |= rhs.A_delay < 0
     hits = np.argwhere(bad.T)  # rows (j, i), in column order of A
     if hits.size == 0:
-        return QuasimonotoneResult(True)
+        return None
     j, i = hits[0]
-    return QuasimonotoneResult(False, (int(i), int(j)))
+    return int(i), int(j)

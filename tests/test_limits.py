@@ -10,7 +10,6 @@ from hypothesis import assume, example, given, settings, strategies as st
 from poisson_lab import limits
 from poisson_lab.errors import DimensionMismatch, InsufficientReturns, NotCauchy
 from poisson_lab.limits import (
-    ContractionResult,
     comparison_battery,
     contraction_check,
     convergence_check,
@@ -51,9 +50,9 @@ def periodic_returns(count, period=2 * math.pi, start=1):
 
 def test_omega_sample_constant():
     f = Signal(0.0, 0.1, np.full((2001, 1), 1.25))
-    om = omega_fiber_sample(f, periodic_returns(8), settle_time=20.0)
-    assert np.abs(om.snapshots - 1.25).max() == 0.0
-    assert om.diameter() == 0.0
+    _, snaps = omega_fiber_sample(f, periodic_returns(8), settle_time=20.0)
+    assert np.abs(snaps - 1.25).max() == 0.0
+    assert (snaps.max(axis=0) - snaps.min(axis=0)).max() == 0.0
 
 
 def test_omega_sample_forced_scalar_phase_value():
@@ -61,8 +60,8 @@ def test_omega_sample_forced_scalar_phase_value():
     # multiples of the period.
     sys = ode([[-1.0]], [[[1.0, 1.0, 0.0]]])
     traj = integrate_ode(sys, [0.0], RK45)
-    om = omega_fiber_sample(traj, periodic_returns(12), settle_time=20.0)
-    assert np.abs(om.snapshots + 0.5).max() < 1e-4
+    _, snaps = omega_fiber_sample(traj, periodic_returns(12), settle_time=20.0)
+    assert np.abs(snaps + 0.5).max() < 1e-4
 
 
 def test_omega_sample_insufficient():
@@ -80,18 +79,17 @@ def test_gamma_geometric_tail_contracting():
     # per return until they hit the integration floor.
     sys = ode([[-1.0]], [[[1.0, 1.0, 0.0]]])
     cfg = replace(RK45, t_end=50.0)
-    g = gamma_extract(sys, [1.0], periodic_returns(6), cfg, tol=1e-4)
-    gaps = g.cauchy_tail
+    gamma, gaps = gamma_extract(sys, [1.0], periodic_returns(6), cfg, tol=1e-4)
     ratio = gaps[1] / gaps[0]
     assert ratio == pytest.approx(math.exp(-2 * math.pi), rel=0.2)
-    assert g.gamma[0] == pytest.approx(-0.5, abs=1e-6)
+    assert gamma[0] == pytest.approx(-0.5, abs=1e-6)
 
 
 def test_gamma_equilibrium_zero_gaps():
     sys = ode([[-1.0]], [[]])
-    g = gamma_extract(sys, [0.0], periodic_returns(5), replace(RK45, t_end=40.0))
-    assert all(x == 0.0 for x in g.cauchy_tail)
-    assert g.gamma[0] == 0.0
+    gamma, gaps = gamma_extract(sys, [0.0], periodic_returns(5), replace(RK45, t_end=40.0))
+    assert all(x == 0.0 for x in gaps)
+    assert gamma[0] == 0.0
 
 
 def test_gamma_expansion_not_cauchy():
@@ -188,9 +186,9 @@ def test_stability_modulus_matches_brute_force(case, horizon, seed):
 
 def test_convergence_identical():
     f = sample_function(np.sin, 0.0, 50.0, 0.01)
-    rep = convergence_check(f, f, threshold=1e-6, split_count=5)
-    assert rep.passed
-    assert all(s == 0.0 for _, s in rep.splits)
+    splits, _, passed = convergence_check(f, f, threshold=1e-6, split_count=5)
+    assert passed
+    assert all(s == 0.0 for _, s in splits)
 
 
 def test_convergence_contracting_pair():
@@ -200,8 +198,8 @@ def test_convergence_contracting_pair():
     b = integrate_ode(sys, [1.0], cfg)
     from poisson_lab.signals import sup_distance
     assert sup_distance(a, b, Window(12.5, 2.5)) <= math.exp(-10.0) + 1e-6
-    rep = convergence_check(a, b, threshold=1e-3, split_count=5)
-    assert rep.passed and rep.trend == "decreasing"
+    _, trend, passed = convergence_check(a, b, threshold=1e-3, split_count=5)
+    assert passed and trend == "decreasing"
 
 
 def test_convergence_expanding_pair_fails():
@@ -210,9 +208,9 @@ def test_convergence_expanding_pair_fails():
                            record_dt=0.05, blowup_bound=1e9)
     a = integrate_ode(sys, [1e-4], cfg)
     b = integrate_ode(sys, [2e-4], cfg)
-    rep = convergence_check(a, b, threshold=1e-3, split_count=4)
-    assert rep.trend == "increasing"
-    assert not rep.passed
+    _, trend, passed = convergence_check(a, b, threshold=1e-3, split_count=4)
+    assert trend == "increasing"
+    assert not passed
 
 
 def test_convergence_of_different_dims_is_a_dimension_mismatch():
@@ -257,9 +255,10 @@ def test_sparse_readers_of_a_long_trajectory_solve_local_windows():
     whole = Signal(traj.t0, traj.dt, traj.samples)
     whole._spline
     returns = periodic_returns(12, start=460)
-    omega, omega_whole = (omega_fiber_sample(f, returns, 100.0) for f in (traj, whole))
-    assert np.array_equal(omega.times, omega_whole.times)
-    assert np.array_equal(omega.snapshots, omega_whole.snapshots)
+    (times, snaps), (times_whole, snaps_whole) = (
+        omega_fiber_sample(f, returns, 100.0) for f in (traj, whole))
+    assert np.array_equal(times, times_whole)
+    assert np.array_equal(snaps, snaps_whole)
     (gamma, agreement), (gamma_whole, agreement_whole) = (
         entire_trajectory_estimate(f, returns, 12.0) for f in (traj, whole))
     assert agreement == agreement_whole
@@ -283,11 +282,10 @@ def test_sparse_readers_of_a_long_trajectory_solve_local_windows():
 
 def test_contraction_verdicts():
     box = [[-1.0, 1.0]]
-    assert contraction_check(ode([[-1.0]], [[]]), pairs=8, horizon=5.0, box=box).contracting
-    res = contraction_check(ode([[0.0]], [[]]), pairs=8, horizon=5.0, box=box)
-    assert not res.contracting
+    assert contraction_check(ode([[-1.0]], [[]]), pairs=8, horizon=5.0, box=box) is None
+    assert contraction_check(ode([[0.0]], [[]]), pairs=8, horizon=5.0, box=box) is not None
     hurwitz = ode([[-2.0, 1.0], [1.0, -2.0]], [[], []], dim=2)
-    assert contraction_check(hurwitz, pairs=8, horizon=5.0, box=box * 2).contracting
+    assert contraction_check(hurwitz, pairs=8, horizon=5.0, box=box * 2) is None
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -306,7 +304,7 @@ def test_contraction_witness_is_the_first_failing_pair_then_time(seed):
     witness = next(((p, float(ts[i]), float(gaps[i - 1, p]), float(gaps[i, p]))
                     for p in range(16) if not gaps[0, p] < 1e-12
                     for i in range(1, len(ts)) if not gaps[i, p] < gaps[i - 1, p]), None)
-    assert res == ContractionResult(witness is None, witness)
+    assert res == witness
 
 
 # ---------------------------------------------------------------------------
@@ -323,17 +321,15 @@ def test_battery_ordered_for_catalog_systems(name):
         icfg = cfg.integrator
     else:
         icfg = replace(cfg.integrator, space_points=64, record_dt=0.5, dt=0.5)
-    ordered, worst, witness = comparison_battery(cfg.system, box, 20, 20.0,
-                                                 cfg=icfg, seed=0)
-    assert ordered and witness is None
+    worst, witness = comparison_battery(cfg.system, box, 20, 20.0, cfg=icfg, seed=0)
+    assert witness is None
     assert worst <= 1e-6
 
 
 def test_battery_unordered_ode_witness():
     sys = ode([[-1.0, -0.5], [0.5, -1.0]], [[], []], dim=2)
-    ordered, worst, witness = comparison_battery(sys, [[-2.0, 2.0], [-2.0, 2.0]],
-                                                 20, 20.0, seed=0)
-    assert not ordered and worst > 0.1
+    worst, witness = comparison_battery(sys, [[-2.0, 2.0], [-2.0, 2.0]], 20, 20.0, seed=0)
+    assert witness is not None and worst > 0.1
     t, comp, pair = witness
     assert 0.0 < t <= 20.0 and comp in (0, 1) and 0 <= pair < 20
     assert t / 0.05 == pytest.approx(round(t / 0.05))
@@ -344,9 +340,8 @@ def test_battery_unordered_dde_witness():
                      {"A_self": [[-2.0]], "A_delay": [[-1.0]], "delay": 1.0,
                       "forcing": [[[1.0, 1.0, 0.0]]]})
     icfg = IntegratorConfig(method="rk4_fixed", dt=0.01, record_dt=0.05)
-    ordered, worst, witness = comparison_battery(sys, [[-2.0, 2.0]], 20, 20.0,
-                                                 cfg=icfg, seed=0)
-    assert not ordered and worst > 0.1
+    worst, witness = comparison_battery(sys, [[-2.0, 2.0]], 20, 20.0, cfg=icfg, seed=0)
+    assert witness is not None and worst > 0.1
     t, comp, pair = witness
     assert 0.0 < t <= 20.0 + 0.05 and comp == 0 and 0 <= pair < 20
 
@@ -373,7 +368,7 @@ def test_a_one_entry_battery_is_one_pass_with_the_bits_of_two(sys, integrate, co
     assert Y[..., :count].tobytes() == integrate(sys, lo, cfg)[1].tobytes()
     assert Y[..., count:].tobytes() == integrate(sys, up, cfg)[1].tobytes()
     with patch.object(limits, integrate.__name__, wraps=integrate) as spy:
-        assert comparison_battery(sys, [[-2.0, 2.0]], count, 3.0, cfg=cfg)[0]
+        assert comparison_battery(sys, [[-2.0, 2.0]], count, 3.0, cfg=cfg)[1] is None
     assert spy.call_count == 1
 
 
@@ -386,7 +381,8 @@ def test_a_wider_battery_runs_two_passes(name, integrate):
     icfg = replace(cfg.integrator, space_points=16, record_dt=0.5, dt=0.5) \
         if name == "s5-rd-scalar" else None
     with patch.object(limits, integrate, wraps=getattr(limits, integrate)) as spy:
-        assert comparison_battery(cfg.system, cfg.analysis["state_box"], 3, 2.0, cfg=icfg)[0]
+        assert comparison_battery(cfg.system, cfg.analysis["state_box"], 3, 2.0,
+                                  cfg=icfg)[1] is None
     assert spy.call_count == 2
 
 
@@ -401,12 +397,12 @@ def test_battery_holds_two_battery_arrays_and_chunk_temporaries():
     one = 8 * records * ana["battery_points"] * ana["battery_count"]
     tracemalloc.start()
     try:
-        ordered, _, _ = comparison_battery(cfg.system, ana["state_box"], ana["battery_count"],
-                                           ana["battery_horizon"], cfg=icfg, seed=0)
+        _, witness = comparison_battery(cfg.system, ana["state_box"], ana["battery_count"],
+                                        ana["battery_horizon"], cfg=icfg, seed=0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert ordered
+    assert witness is None
     assert peak < 2.5 * one
 
 
@@ -430,6 +426,6 @@ def test_battery_tolerance_is_the_largest_magnitude_bit_for_bit(values, above):
     # A one-entry battery is one integrator call, both batteries on the last axis.
     batteries = iter([np.concatenate((Ylo, Yup), axis=-1)])
     with patch.object(limits, "integrate_ode_batch", lambda *_: (ts, next(batteries))):
-        ordered, worst, witness = comparison_battery(ode([[-1.0]], [[]]), [[0.0, 1.0]], 1, 1.0)
+        worst, witness = comparison_battery(ode([[-1.0]], [[]]), [[0.0, 1.0]], 1, 1.0)
     assert worst == gap
-    assert (ordered, witness) == ((False, (ts[-1], 0, 0)) if above else (True, None))
+    assert witness == ((ts[-1], 0, 0) if above else None)

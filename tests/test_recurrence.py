@@ -1297,6 +1297,20 @@ def test_classify_constant():
     assert rep.verdict("periodic").verdict == "yes"
 
 
+def test_classify_constant_is_quasi_periodic_with_no_frequency():
+    # The verdict corpus's constant: a perfect fit with no frequency is a
+    # quasi-periodic yes, as the period 0 of its periodic yes is.
+    f = Signal(0.0, 0.05, np.ones((2000, 1)))
+    rep = classify(f)
+    assert rep.verdict("stationary").verdict == "yes"
+    assert rep.verdict("periodic").verdict == "yes"
+    assert rep.verdict("periodic").params["period"] == 0.0
+    quasi = rep.verdict("quasi_periodic")
+    assert quasi.verdict == "yes" and quasi.witness is None
+    assert quasi.params["freqs"] == [] and quasi.params["independent_count"] == 0
+    assert quasi.params["residual"] == 0.0 and quasi.notes == "stationary"
+
+
 def test_classify_ramp_never_poisson(ramp):
     rep = classify(ramp)
     assert rep.verdict("stationary").verdict == "no"
