@@ -23,6 +23,7 @@ from .signals import Signal, Window, sup_distance
 from .systems import (
     IntegratorConfig,
     SystemSpec,
+    build_reaction,
     integrate_dde_batch,
     integrate_ode_batch,
     integrate_ode_snapshots,
@@ -44,7 +45,7 @@ def omega_fiber_sample(traj: Signal, returns: ReturnSequence, settle_time: float
         raise InsufficientReturns(
             f"only {keep.size} return times past settle_time={settle_time:g}"
         )
-    lo, hi = traj.domain
+    lo, hi = traj.t0, traj.t_end
     if keep[0] < lo or keep[-1] > hi:
         raise InsufficientReturns("return times leave the trajectory domain")
     return keep, traj.values(keep)
@@ -91,7 +92,7 @@ def entire_trajectory_estimate(traj: Signal, returns: ReturnSequence,
     reported agreement between them is the numeric counterpart of a unique
     backward extension.
     """
-    lo, hi = traj.domain
+    lo, hi = traj.t0, traj.t_end
     usable = [t for t in returns.times
               if t - half_width >= lo - 1e-9 and t + half_width <= hi + 1e-9]
     if len(usable) < 2:
@@ -174,13 +175,14 @@ def ordered_pairs(box, count: int, rng: np.random.Generator):
 
 
 def _ordered_fields(sys: SystemSpec, count: int, m: int, rng: np.random.Generator):
-    """Random ordered start fields (lower, upper) on m nodes, each (1, m, count)."""
-    L = sys.params["L"]
-    xs = np.linspace(0.0, float(L), m)
-    base = rng.uniform(0.0, 1.5, size=(count, 1, 1)) \
-        + rng.uniform(-0.5, 0.5, size=(count, 1, 1)) * np.cos(math.pi * xs / L)
-    bump = rng.uniform(0.0, 1.0, size=(count, 1, 1)) \
-        * (1.0 + rng.uniform(-0.5, 0.5, size=(count, 1, 1)) * np.cos(2 * math.pi * xs / L)) / 1.5
+    """Random ordered start fields (lower, upper) on m nodes, each (dim, m, count)."""
+    L = build_reaction(sys).L
+    xs = np.linspace(0.0, L, m)
+    size = (count, sys.dim, 1)
+    base = rng.uniform(0.0, 1.5, size=size) \
+        + rng.uniform(-0.5, 0.5, size=size) * np.cos(math.pi * xs / L)
+    bump = rng.uniform(0.0, 1.0, size=size) \
+        * (1.0 + rng.uniform(-0.5, 0.5, size=size) * np.cos(2 * math.pi * xs / L)) / 1.5
     return np.transpose(base, (1, 2, 0)), np.transpose(base + np.abs(bump), (1, 2, 0))
 
 

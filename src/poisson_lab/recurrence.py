@@ -100,6 +100,26 @@ class ClassifyConfig:
     base_declared: str | None = None     # prior knowledge about the base class
     fit_window: Window | None = None     # longer window for the spectral fit
 
+    def __post_init__(self):
+        for key in ("bohr_epsilons", "poisson_schedule"):
+            vals = tuple(getattr(self, key))
+            if not (vals and all(isinstance(e, (int, float)) and type(e) is not bool
+                                 and 0 < e < math.inf for e in vals)):
+                raise ValueError(f"{key} must be a nonempty list of finite numbers > 0")
+            object.__setattr__(self, key, vals)
+        sched = self.poisson_schedule
+        if any(b > a + 1e-15 for a, b in zip(sched, sched[1:])):
+            raise ValueError("poisson_schedule must be non-increasing")
+        for key in ("stationary_tol", "quasi_residual_tol", "poisson_separation", "refute_frac",
+                    "periodic_verify_rel"):
+            object.__setattr__(self, key, float(getattr(self, key)))
+            if not 0 <= getattr(self, key) < math.inf:
+                raise ValueError(f"{key} must be finite and >= 0")
+        if self.refute_frac > 1:
+            raise ValueError("refute_frac must be at most 1")
+        if self.base_declared not in (None, "bohr", "levitan"):
+            raise ValueError("base_declared must be None, 'bohr' or 'levitan'")
+
 
 def default_classify_config(f: Signal) -> ClassifyConfig:
     """Window the middle of the signal, scan shifts over what fits."""
@@ -155,9 +175,6 @@ class ComparabilityProfile:
     verdict: str                 # comparable-evidence | refuted | inconclusive
     witness: float | None = None # refuting tau, if any
 
-    def to_dict(self) -> dict:
-        return _jsonable(self)
-
 
 @dataclass(frozen=True)
 class Verdict:
@@ -175,14 +192,8 @@ class RecurrenceReport:
     transfer: dict | None = None
     notes: tuple = ()
 
-    def verdict(self, name: str) -> Verdict:
-        return self.classes[name]
 
-    def to_dict(self) -> dict:
-        return _jsonable(self)
-
-
-def _jsonable(obj):
+def jsonable(obj):
     """The JSON form of every result: a dataclass as the dict of its fields, a
     TauGrid as [tau_min, tau_max, tau_step], an infinite float as "inf"."""
     if obj is None or isinstance(obj, (str, int, bool)):
@@ -192,15 +203,15 @@ def _jsonable(obj):
     if isinstance(obj, TauGrid):
         return [obj.tau_min, obj.tau_max, obj.tau_step]
     if is_dataclass(obj):
-        return {f.name: _jsonable(getattr(obj, f.name)) for f in fields(obj)}
+        return {f.name: jsonable(getattr(obj, f.name)) for f in fields(obj)}
     if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
+        return {k: jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
+        return [jsonable(v) for v in obj]
     if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
+        return [jsonable(v) for v in obj.tolist()]
     if isinstance(obj, (np.floating, np.integer)):
-        return _jsonable(float(obj))
+        return jsonable(float(obj))
     return str(obj)
 
 
@@ -544,15 +555,9 @@ def _deciding_reader(f: Signal, i0: int, base: np.ndarray):
 # spectral fit
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class QuasiPeriodicFit:
-    freqs: tuple          # angular frequencies, ascending
-    amplitudes: tuple
-    residual: float       # relative sup-norm of the fit error, in [0, 1]
-
-
-def quasi_periodic_fit(f: Signal, max_freqs: int, w: Window) -> QuasiPeriodicFit:
-    """Recover dominant angular frequencies on a window.
+def quasi_periodic_fit(f: Signal, max_freqs: int, w: Window) -> tuple:
+    """(freqs, amplitudes, residual): the dominant angular frequencies on a window,
+    ascending, their amplitudes and the fit error's relative sup-norm, in [0, 1].
 
     Peaks of the tapered discrete Fourier transform, sharpened by parabolic
     interpolation, start a Gauss-Newton refinement of all frequencies at once
@@ -571,11 +576,11 @@ def quasi_periodic_fit(f: Signal, max_freqs: int, w: Window) -> QuasiPeriodicFit
     x = comp - _mean(comp)
     scale = float(np.abs(x).max())
     if scale < 1e-14:
-        return QuasiPeriodicFit((), (), 0.0)
+        return (), (), 0.0
     mag = np.abs(np.fft.rfft(x * np.hanning(x.size)))
     freqs = np.array(_spectral_peaks(mag, f.dt, x.size, max_freqs))
     if not freqs.size:
-        return QuasiPeriodicFit((), (), 1.0)
+        return (), (), 1.0
     bin_w = 2.0 * math.pi / (comp.size * f.dt)
     for _ in range(2):
         lo, hi = np.maximum(freqs - 0.6 * bin_w, 0.25 * bin_w), freqs + 0.6 * bin_w
@@ -585,8 +590,8 @@ def quasi_periodic_fit(f: Signal, max_freqs: int, w: Window) -> QuasiPeriodicFit
             break
     order = np.argsort(freqs)
     amps = np.hypot(coef[1::2], coef[2::2])[order]
-    return QuasiPeriodicFit(tuple(freqs[order].tolist()), tuple(amps.tolist()),
-                            min(float(np.abs(r).max()) / scale, 1.0))
+    return (tuple(freqs[order].tolist()), tuple(amps.tolist()),
+            min(float(np.abs(r).max()) / scale, 1.0))
 
 
 def _refine(ts: np.ndarray, freqs: np.ndarray, y: np.ndarray, lo, hi, bin_w: float):
@@ -781,7 +786,7 @@ def _comparability(taus, Dx, y: Signal, Dy, cap: float, epsilon_list, tau_grid: 
 # Classes that transfer along plain comparability, and those whose transfer
 # needs comparability uniform in time.  On one window the uniform claims
 # follow the same single-window verdict, marked as a proxy in their "via".
-_TRANSFER_PLAIN = ("stationary", "periodic", "levitan", "almost_recurrent", "poisson")
+_TRANSFER_PLAIN = ("stationary", "periodic", "almost_recurrent", "poisson")
 _TRANSFER_UNIFORM = ("quasi_periodic", "bohr_ap", "pseudo_recurrent")
 
 
@@ -830,27 +835,27 @@ def _classify(f: Signal, base, cfg: ClassifyConfig, D=None) -> RecurrenceReport:
         classes["periodic"] = Verdict("no", witness=wit, window=w)
 
     # quasi-periodic -------------------------------------------------------
-    fit = quasi_periodic_fit(f, _QUASI_MAX_FREQS, cfg.fit_window or w)
-    independent = rationally_independent(fit.freqs) if fit.freqs else True
+    freqs, amps, residual = quasi_periodic_fit(f, _QUASI_MAX_FREQS, cfg.fit_window or w)
+    independent = rationally_independent(freqs) if freqs else True
     if classes["periodic"].verdict == "yes":
         T = classes["periodic"].params["period"]  # 0.0 when stationary
         classes["quasi_periodic"] = Verdict(
             "yes",
             {"freqs": [2 * math.pi / T] if T else [], "independent_count": int(T > 0),
-             "residual": fit.residual},
+             "residual": residual},
             window=w, notes="fundamental from the verified period" if T else "stationary")
-    elif fit.freqs and fit.residual < cfg.quasi_residual_tol and independent:
+    elif freqs and residual < cfg.quasi_residual_tol and independent:
         classes["quasi_periodic"] = Verdict(
-            "yes", {"freqs": list(fit.freqs), "amplitudes": list(fit.amplitudes),
-                    "independent_count": len(fit.freqs), "residual": fit.residual},
+            "yes", {"freqs": list(freqs), "amplitudes": list(amps),
+                    "independent_count": len(freqs), "residual": residual},
             window=w)
-    elif fit.freqs and fit.residual < cfg.quasi_residual_tol:
+    elif freqs and residual < cfg.quasi_residual_tol:
         classes["quasi_periodic"] = Verdict(
-            "inconclusive", {"freqs": list(fit.freqs), "residual": fit.residual},
+            "inconclusive", {"freqs": list(freqs), "residual": residual},
             window=w, notes="frequencies look rationally dependent")
     else:
         classes["quasi_periodic"] = Verdict(
-            "no", witness={"residual": fit.residual}, window=w)
+            "no", witness={"residual": residual}, window=w)
 
     # Bohr-style table ------------------------------------------------------
     classes["bohr_ap"] = _table_verdict(

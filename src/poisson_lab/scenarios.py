@@ -43,6 +43,7 @@ from .recurrence import (
     TauGrid,
     classify,
     default_classify_config,
+    jsonable,
     poisson_returns,
 )
 from .signals import Signal, Window, sup_distance, write_csv, write_signal_csv
@@ -211,7 +212,7 @@ def _check_convergence(em: RunManifest, a: Signal, b: Signal) -> None:
 
 def _check_period(em: RunManifest, name: str, rep, ana: dict, detail: str) -> None:
     """The periodic verdict holds with the forcing's period."""
-    gp = rep.verdict("periodic")
+    gp = rep.classes["periodic"]
     period = gp.params.get("period")
     ok = (gp.verdict == "yes" and period is not None
           and abs(period - ana["period_target"]) <= ana["period_tol"])
@@ -293,7 +294,7 @@ def _classify_entire(em: RunManifest, traj: Signal, returns, half_width: float,
         fit_window=Window(0.0, half_width * 0.96),
     )
     rep = classify(gamma_signal, cfg=g_cfg)
-    em.report["gamma_classification"] = rep.to_dict()
+    em.report["gamma_classification"] = jsonable(rep)
     return gamma_signal, rep
 
 
@@ -364,8 +365,8 @@ def _run_s1(em: RunManifest, cfg: ScenarioConfig) -> None:
         fit_window=Window(950.0, 950.0),
     )
     forcing_report = classify(p_short, cfg=f_cfg)
-    em.report["forcing"] = forcing_report.to_dict()
-    fq = forcing_report.verdict("quasi_periodic")
+    em.report["forcing"] = jsonable(forcing_report)
+    fq = forcing_report.classes["quasi_periodic"]
     em.check("forcing_quasi_periodic", fq.verdict == "yes",
              detail=f"freqs {fq.params.get('freqs')}")
     em.write_signal("forcing.csv", p_short.restrict(0.0, 1000.0))
@@ -390,7 +391,7 @@ def _run_s1(em: RunManifest, cfg: ScenarioConfig) -> None:
     gamma_signal, g_report = _classify_entire(
         em, traj, returns, ana["entire_half_width"], (0.4, 0.95))
     em.write_signal("gamma_signal.csv", gamma_signal)
-    gq = g_report.verdict("quasi_periodic")
+    gq = g_report.classes["quasi_periodic"]
     em.check("gamma_classification",
              _freqs_match(gq, ana) and gq.verdict == fq.verdict,
              detail=f"freqs {gq.params.get('freqs', [])} vs targets "
@@ -432,29 +433,29 @@ def _run_levitan(em: RunManifest, cfg: ScenarioConfig) -> None:
     h_cfg = ClassifyConfig(
         window=Window(span / 2, span / 2),           # [0, span]
         tau_grid=TauGrid(0.0, 0.8 * span, 4 * dt),
-        bohr_epsilons=tuple(ana["h_epsilons"]),
+        bohr_epsilons=ana["h_epsilons"],
         fit_window=Window(span / 2, span / 2),
     )
     h_report = classify(h, cfg=h_cfg)
-    em.report["h"] = h_report.to_dict()
-    hb = h_report.verdict("bohr_ap")
+    em.report["h"] = jsonable(h_report)
+    hb = h_report.classes["bohr_ap"]
     em.check("h_bohr_unsaturated", hb.verdict == "yes",
              detail=f"table {hb.params.get('table')}")
-    hq = h_report.verdict("quasi_periodic")
+    hq = h_report.classes["quasi_periodic"]
     em.check("h_quasi_periodic", _freqs_match(hq, ana),
              detail=f"freqs {sorted(hq.params.get('freqs', []))}")
 
     psi_cfg = ClassifyConfig(
         window=Window(-span / 2, span / 2),          # [-span, 0]
         tau_grid=TauGrid(0.0, span, 4 * dt),
-        bohr_epsilons=tuple(ana["psi_epsilons"]),
+        bohr_epsilons=ana["psi_epsilons"],
         base_declared="levitan",
         fit_window=Window(-span / 2, span / 2),
     )
     psi_report = classify(psi, base=phi, cfg=psi_cfg)
-    em.report["psi"] = psi_report.to_dict()
+    em.report["psi"] = jsonable(psi_report)
     rows = {e: (L, sat) for e, L, sat in
-            (tuple(r) for r in psi_report.verdict("bohr_ap").params["table"])}
+            (tuple(r) for r in psi_report.classes["bohr_ap"].params["table"])}
     L01, sat01 = rows[0.1]
     em.check("psi_bohr_saturated", bool(sat01), L01,
              "inclusion length at eps=0.1 saturates the grid "
@@ -619,7 +620,7 @@ def _run_s4(em: RunManifest, cfg: ScenarioConfig) -> None:
                           0.48 * (cfg.integrator.t_end - 20.0)),
     )
     rep = classify(sub, cfg=c_cfg)
-    em.report["tail_classification"] = rep.to_dict()
+    em.report["tail_classification"] = jsonable(rep)
     _check_period(em, "tail_classification", rep, ana,
                   "asymptotically periodic with the forcing period")
 
@@ -857,5 +858,5 @@ def _run_generic(em: RunManifest, cfg: ScenarioConfig) -> None:
     em.check("integration", True, max(-traj.samples.min(), traj.samples.max()) + 0.0,  # as state_box
              "trajectory completed inside the blowup bound")
     rep = classify(traj, cfg=default_classify_config(traj))
-    em.report["classification"] = rep.to_dict()
+    em.report["classification"] = jsonable(rep)
     em.write_signal("trajectory.csv", traj)

@@ -124,11 +124,6 @@ class Signal:
         return self.t0 + self.dt * (len(self) - 1)
 
     @property
-    def domain(self) -> tuple[float, float]:
-        # Computed, never stored.
-        return (self.t0, self.t_end)
-
-    @property
     def length(self) -> float:
         return self.dt * (len(self) - 1)
 
@@ -279,10 +274,6 @@ class Signal:
             i[at], s[at] = ia, ta - (t0 + dt * ia)
             at = at[(ta < t0 + dt * ia) | ((ta >= t0 + dt * (ia + 1)) & (ia < top))]
         return i, s
-
-    def at(self, t: float) -> np.ndarray:
-        """Value at a single time; shape (dim,)."""
-        return self.values([t])[0]
 
     # -- derived signals ----------------------------------------------------
 

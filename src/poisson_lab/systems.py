@@ -306,7 +306,7 @@ class ReactionDiffusion:
         return 0.35 * dx * dx / float(self.nu.max())
 
     def method_of_lines(self, m: int):
-        """(rhs, xs): the system on m nodes as u' = A u + p(t), u the flattened
+        """The system on m nodes as u' = A u + p(t), u the flattened
         (species, node) field.  A is nu times the Laplacian with mirrored ghost
         nodes (u[-1] = u[1]), which conserves the trapezoid-weight spatial
         mean, minus the decay; p(t) = amp profile(xs) sin(omega t + phase)."""
@@ -318,7 +318,7 @@ class ReactionDiffusion:
             A = np.kron(np.diag(self.nu), lap / (dx * dx)) - np.diag(np.repeat(self.decay, m))
             prof = np.ones(m) if self.profile_kind == "flat" else 1.0 + np.cos(np.pi * xs / self.L)
             proj = np.outer(self.source_amp, prof).reshape(-1, 1)
-        return LinearTrigRhs(A, proj, [self.omega], [self.phase]), xs
+        return LinearTrigRhs(A, proj, [self.omega], [self.phase])
 
 
 def require_known_keys(given: Mapping, accepted, what: str) -> None:
@@ -383,7 +383,7 @@ def affine_rhs(spec: SystemSpec, m: int = 8) -> LinearTrigRhs:
     if spec.kind == "dde_single_delay":
         return build_dde_rhs(spec)
     if spec.kind == "parabolic_1d":
-        return build_reaction(spec).method_of_lines(m)[0]
+        return build_reaction(spec).method_of_lines(m)
     return build_ode_rhs(spec)
 
 
@@ -930,7 +930,7 @@ def _parabolic_core(sys, W0, cfg, batch):
         raise ConfigInvalid("space_points does not match the initial field")
     if m < 8:
         raise GridTooCoarse(f"space_points={m} < 8")
-    rhs, _ = reaction.method_of_lines(m)
+    rhs = reaction.method_of_lines(m)
     Y = _rk4_record(rhs, W0.reshape((n * m,) + W0.shape[2:]),
                     replace(cfg, dt=min(cfg.dt, reaction.stable_step(m))))
     return Y.reshape((len(Y),) + W0.shape)

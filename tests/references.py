@@ -28,7 +28,6 @@ from poisson_lab.errors import (
 )
 from poisson_lab import systems
 from poisson_lab.recurrence import (
-    QuasiPeriodicFit,
     TauGrid,
     _comparability,
     _dominant_component,
@@ -214,8 +213,8 @@ def dde_cocycle_defect(sys: SystemSpec, history: Signal, cfg: IntegratorConfig,
     seg = sol.restrict(tau - r, tau)
     seg_hist = Signal(-r, seg.dt, seg.samples)
     sol2 = integrate_dde(sys.shifted(tau), seg_hist, replace(fine, t_end=t))
-    end_direct = sol.at(t + tau)
-    end_restart = sol2.at(t)
+    end_direct = sol.values([t + tau])[0]
+    end_restart = sol2.values([t])[0]
     return float(np.max(np.abs(end_direct - end_restart)))
 
 
@@ -397,14 +396,15 @@ def spectral_start(f: Signal, max_freqs: int, w: Window):
     return y, f.dt * np.arange(y.size), peaks, 2.0 * math.pi / (y.size * f.dt)
 
 
-def coordinate_fit(f: Signal, max_freqs: int, w: Window) -> QuasiPeriodicFit:
-    """Two coordinate passes from the spectral peaks: per frequency, a 28-step
+def coordinate_fit(f: Signal, max_freqs: int, w: Window) -> tuple:
+    """(freqs, amplitudes, residual) as ``quasi_periodic_fit`` returns them, from
+    two coordinate passes from the spectral peaks: per frequency, a 28-step
     golden section of ``lstsq_objective`` within 0.6 bins of the current
     value (and above 0.25 bins); then one least-squares refit."""
     y, ts, freqs, bin_w = spectral_start(f, max_freqs, w)
     scale = float(np.abs(y - y.mean()).max())
     if scale < 1e-14 or not freqs:
-        return QuasiPeriodicFit((), (), 0.0 if scale < 1e-14 else 1.0)
+        return (), (), 0.0 if scale < 1e-14 else 1.0
     M = stacked_design(ts, freqs)
     for _ in range(2):
         for idx in range(len(freqs)):
@@ -419,8 +419,8 @@ def coordinate_fit(f: Signal, max_freqs: int, w: Window) -> QuasiPeriodicFit:
     resid = float(np.abs(y - M @ coef).max()) / scale
     amps = [float(math.hypot(coef[1 + 2 * i], coef[2 + 2 * i])) for i in range(len(freqs))]
     order = np.argsort(freqs)
-    return QuasiPeriodicFit(tuple(float(freqs[i]) for i in order),
-                            tuple(amps[i] for i in order), float(min(resid, 1.0)))
+    return (tuple(float(freqs[i]) for i in order),
+            tuple(amps[i] for i in order), float(min(resid, 1.0)))
 
 
 # ---------------------------------------------------------------------------

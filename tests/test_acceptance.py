@@ -69,8 +69,8 @@ def test_criterion_2_convergence(s1_run):
 def test_criterion_3_classification(levitan_run):
     sine = sample_function(np.sin, 0.0, 200.0, 0.01)
     rep = classify(sine)
-    period = rep.verdict("periodic").params["period"]
-    ok_sine = (rep.verdict("periodic").verdict == "yes"
+    period = rep.classes["periodic"].params["period"]
+    ok_sine = (rep.classes["periodic"].verdict == "yes"
                and abs(period - 2 * math.pi) <= 0.02)
 
     h_quasi = levitan_run["report"]["h"]["classes"]["quasi_periodic"]

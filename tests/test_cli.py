@@ -18,7 +18,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from poisson_lab import scenarios
 from poisson_lab.cli import main
-from poisson_lab.recurrence import ClassifyConfig, TauGrid, classify
+from poisson_lab.recurrence import ClassifyConfig, TauGrid, classify, jsonable
 from poisson_lab.signals import Window, read_signal_csv, sample_function, write_signal_csv
 
 
@@ -174,7 +174,7 @@ def test_compare_prints_classify_comparability(base, tmp_path, capsys):
     printed = json.loads(capsys.readouterr().out)
     ccfg = ClassifyConfig(Window(30, 25), TauGrid(0, 60, 0.05),
                           bohr_epsilons=(2.5, 0.5, 0.02, 0.2), refute_frac=0.1)
-    report = classify(read_signal_csv(a), base=read_signal_csv(b), cfg=ccfg).to_dict()
+    report = jsonable(classify(read_signal_csv(a), base=read_signal_csv(b), cfg=ccfg))
     assert printed == json.loads(json.dumps(report["comparability"]))
 
 

@@ -386,6 +386,29 @@ def test_a_wider_battery_runs_two_passes(name, integrate):
     assert spy.call_count == 2
 
 
+_RD_CFG = IntegratorConfig(method="rk4_fixed", dt=0.5, t_end=2.0, record_dt=0.5,
+                           space_points=16)
+
+
+def test_battery_of_a_reaction_without_L_runs_on_its_default_length():
+    # build_reaction defaults L to 1.0; the start fields once read params["L"].
+    params = {"nu": [0.1], "decay": [1.0], "source_amp": [1.0]}
+    bare, given = (comparison_battery(SystemSpec("parabolic_1d", 1, "rd-scalar", p),
+                                      [[-2.0, 2.0]], 3, 2.0, cfg=_RD_CFG)
+                   for p in (params, {**params, "L": 1.0}))
+    assert bare == given and bare[1] is None
+
+
+def test_battery_of_two_species_draws_a_field_per_species():
+    # The start fields were once one species whatever the system's dim.
+    sys = SystemSpec("parabolic_1d", 2, "rd-scalar",
+                     {"nu": [0.1, 0.3], "L": 2.0, "decay": [1.0, 0.5], "source_amp": [1.0, 0.5]})
+    with patch.object(limits, "integrate_parabolic_batch",
+                      wraps=limits.integrate_parabolic_batch) as spy:
+        assert comparison_battery(sys, [[-2.0, 2.0]] * 2, 3, 2.0, cfg=_RD_CFG)[1] is None
+    assert [call.args[1].shape for call in spy.call_args_list] == [(2, 16, 3)] * 2
+
+
 def test_battery_holds_two_battery_arrays_and_chunk_temporaries():
     # The scale is taken from the extremes and the gap formed in place, so on s5's
     # battery the traced peak is the two batteries plus chunk-sized integration

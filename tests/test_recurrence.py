@@ -19,6 +19,7 @@ from poisson_lab.recurrence import (
     classify,
     comparability_profile,
     default_classify_config,
+    jsonable,
     poisson_returns,
     quasi_periodic_fit,
     rationally_independent,
@@ -103,7 +104,7 @@ def _density_table(f, epsilons, grid, w):
     """The inclusion-length rows (epsilon, L, saturated) of classify's
     ``bohr_ap`` verdict."""
     cfg = ClassifyConfig(w, grid, bohr_epsilons=tuple(epsilons))
-    return classify(f, cfg=cfg).verdict("bohr_ap").params["table"]
+    return classify(f, cfg=cfg).classes["bohr_ap"].params["table"]
 
 
 def test_density_table_periodic(sine):
@@ -926,7 +927,7 @@ def test_classify_of_a_trig_sum_builds_no_spline():
     rep = classify(f, cfg=ClassifyConfig(
         window=Window(250.0, 250.0), tau_grid=TauGrid(0.0, 1400.0, 10 * fdt),
         fit_window=Window(950.0, 950.0)))
-    assert rep.verdict("quasi_periodic").verdict == "yes"
+    assert rep.classes["quasi_periodic"].verdict == "yes"
     assert "_spline" not in vars(f)
 
 
@@ -971,18 +972,18 @@ def test_return_sequence_validation():
 
 def test_fit_single_mode():
     f = sample_function(np.sin, 0.0, 1000.0, 0.01)
-    fit = quasi_periodic_fit(f, 4, Window(500.0, 490.0))
-    assert len(fit.freqs) == 1
-    assert fit.freqs[0] == pytest.approx(1.0, abs=1e-2)
-    assert fit.residual < 1e-2
+    freqs, _, residual = quasi_periodic_fit(f, 4, Window(500.0, 490.0))
+    assert len(freqs) == 1
+    assert freqs[0] == pytest.approx(1.0, abs=1e-2)
+    assert residual < 1e-2
 
 
 def test_fit_two_modes(h_sig):
-    fit = quasi_periodic_fit(h_sig, 4, Window(250.0, 250.0))
-    assert len(fit.freqs) == 2
-    assert fit.freqs[0] == pytest.approx(1.0, abs=1e-2)
-    assert fit.freqs[1] == pytest.approx(1.41421, abs=1e-2)
-    assert fit.residual < 1e-2
+    freqs, _, residual = quasi_periodic_fit(h_sig, 4, Window(250.0, 250.0))
+    assert len(freqs) == 2
+    assert freqs[0] == pytest.approx(1.0, abs=1e-2)
+    assert freqs[1] == pytest.approx(1.41421, abs=1e-2)
+    assert residual < 1e-2
 
 
 def test_fit_scrambled_noise_fails(monkeypatch):
@@ -993,8 +994,8 @@ def test_fit_scrambled_noise_fails(monkeypatch):
     real = recurrence._gauss_newton
     monkeypatch.setattr(recurrence, "_gauss_newton",
                         lambda *args: factorizations.append(1) or real(*args))
-    fit = quasi_periodic_fit(f, 4, Window(100.0, 90.0))
-    assert fit.residual >= 0.5
+    residual = quasi_periodic_fit(f, 4, Window(100.0, 90.0))[2]
+    assert residual >= 0.5
     # The start's QR and one per trial step, at most _FIT_MAX_STEPS of them.
     assert len(factorizations) <= 1 + recurrence._FIT_MAX_STEPS
 
@@ -1032,12 +1033,13 @@ def test_fit_is_the_lstsq_fit(case, tmp_path):
     residual may only fall."""
     for f, w in _fit_input(case, tmp_path):
         y, ts, _, bin_w = spectral_start(f, 4, w)
-        fit, ref = quasi_periodic_fit(f, 4, w), coordinate_fit(f, 4, w)
-        assert len(fit.freqs) == len(ref.freqs)
-        assert residual_norm(y, ts, fit.freqs) <= \
-            residual_norm(y, ts, ref.freqs) * (1 + 1e-12)
-        assert np.abs(np.subtract(fit.freqs, ref.freqs)).max() <= 1e-5 * bin_w
-        assert fit.residual <= ref.residual + 1e-6
+        (freqs, _, residual), (ref_freqs, _, ref_residual) = \
+            quasi_periodic_fit(f, 4, w), coordinate_fit(f, 4, w)
+        assert len(freqs) == len(ref_freqs)
+        assert residual_norm(y, ts, freqs) <= \
+            residual_norm(y, ts, ref_freqs) * (1 + 1e-12)
+        assert np.abs(np.subtract(freqs, ref_freqs)).max() <= 1e-5 * bin_w
+        assert residual <= ref_residual + 1e-6
 
 
 def _tones(n, seed, noise, bins, amps, phases):
@@ -1087,18 +1089,18 @@ def test_fit_stays_in_bracket_and_lowers_residual(case):
     f, noise, nus = case
     w = Window(0.5 * f.t_end, 0.5 * f.t_end)
     y, ts, start, bin_w = spectral_start(f, 4, w)
-    fit = quasi_periodic_fit(f, 4, w)
-    assert len(fit.freqs) == len(start)
+    freqs = quasi_periodic_fit(f, 4, w)[0]
+    assert len(freqs) == len(start)
     reach = (1.2 + 1e-9) * bin_w  # the second bracket's ends round twice
-    for nu, nu0 in zip(fit.freqs, sorted(start)):
+    for nu, nu0 in zip(freqs, sorted(start)):
         assert max(nu0 - reach, 0.25 * bin_w) <= nu <= nu0 + reach
     if not start:
         return
-    norm = residual_norm(y, ts, fit.freqs)
+    norm = residual_norm(y, ts, freqs)
     assert norm <= residual_norm(y, ts, start) * (1 + 1e-12)
     if noise <= 0.1 and len(start) == nus.size and \
             np.abs(np.sort(start) - nus).max() <= bin_w:
-        assert norm <= residual_norm(y, ts, coordinate_fit(f, 4, w).freqs) * (1 + 1e-12)
+        assert norm <= residual_norm(y, ts, coordinate_fit(f, 4, w)[0]) * (1 + 1e-12)
 
 
 def test_fit_holds_a_frequency_at_its_bracket_end():
@@ -1109,15 +1111,33 @@ def test_fit_holds_a_frequency_at_its_bracket_end():
     f, _, _ = _tones(53, 1148422789, 0.1, [4.49], [1.115], [3.03])
     w = Window(0.5 * f.t_end, 0.5 * f.t_end)
     y, ts, start, bin_w = spectral_start(f, 4, w)
-    fit = quasi_periodic_fit(f, 4, w)
-    at_end = np.isclose(np.abs(np.subtract(fit.freqs, sorted(start))), 1.2 * bin_w)
+    freqs = quasi_periodic_fit(f, 4, w)[0]
+    at_end = np.isclose(np.abs(np.subtract(freqs, sorted(start))), 1.2 * bin_w)
     assert at_end.tolist() == [False, True]
-    M = stacked_design(ts, fit.freqs)
+    M = stacked_design(ts, freqs)
     c = np.linalg.lstsq(M, y, rcond=None)[0]
     r = y - M @ c
     D = ts[:, None] * (c[2::2] * M[:, 1::2] - c[1::2] * M[:, 2::2])
     grad = np.abs(D.T @ r) / (np.linalg.norm(D, axis=0) * np.linalg.norm(r))
     assert grad[0] <= 1e-6
+
+
+@pytest.mark.parametrize("bad", [
+    {"poisson_schedule": ()},  # once a vacuous poisson "yes", on any input
+    {"poisson_schedule": (0.1, 0.2)},
+    {"bohr_epsilons": ()},
+    {"bohr_epsilons": (0.5, 0.0)},
+    {"bohr_epsilons": (math.inf,)},
+    {"stationary_tol": -1e-8},
+    {"quasi_residual_tol": math.inf},
+    {"poisson_separation": -5.0},
+    {"periodic_verify_rel": math.nan},
+    {"refute_frac": 1.5},
+    {"base_declared": "periodic"},
+])
+def test_classify_config_rejects_each_invalid_value(bad):
+    with pytest.raises(ValueError, match=next(iter(bad))):
+        ClassifyConfig(Window(50.0, 40.0), TauGrid(0.0, 100.0, 0.1), **bad)
 
 
 def test_default_config_needs_five_samples():
@@ -1279,22 +1299,22 @@ def test_delta_hat_monotone(sine, ramp):
 
 def test_classify_sine(sine):
     rep = classify(sine)
-    assert rep.verdict("periodic").verdict == "yes"
-    assert rep.verdict("periodic").params["period"] == pytest.approx(
+    assert rep.classes["periodic"].verdict == "yes"
+    assert rep.classes["periodic"].params["period"] == pytest.approx(
         2 * math.pi, abs=0.02)
-    quasi = rep.verdict("quasi_periodic")
+    quasi = rep.classes["quasi_periodic"]
     assert quasi.verdict == "yes"
     assert quasi.params["independent_count"] == 1
-    assert rep.verdict("bohr_ap").verdict == "yes"
-    assert rep.verdict("almost_recurrent").verdict == "yes"
-    assert rep.verdict("poisson").verdict == "yes"
+    assert rep.classes["bohr_ap"].verdict == "yes"
+    assert rep.classes["almost_recurrent"].verdict == "yes"
+    assert rep.classes["poisson"].verdict == "yes"
 
 
 def test_classify_constant():
     f = Signal(0.0, 0.1, np.full((501, 1), 2.5))
     rep = classify(f)
-    assert rep.verdict("stationary").verdict == "yes"
-    assert rep.verdict("periodic").verdict == "yes"
+    assert rep.classes["stationary"].verdict == "yes"
+    assert rep.classes["periodic"].verdict == "yes"
 
 
 def test_classify_constant_is_quasi_periodic_with_no_frequency():
@@ -1302,10 +1322,10 @@ def test_classify_constant_is_quasi_periodic_with_no_frequency():
     # quasi-periodic yes, as the period 0 of its periodic yes is.
     f = Signal(0.0, 0.05, np.ones((2000, 1)))
     rep = classify(f)
-    assert rep.verdict("stationary").verdict == "yes"
-    assert rep.verdict("periodic").verdict == "yes"
-    assert rep.verdict("periodic").params["period"] == 0.0
-    quasi = rep.verdict("quasi_periodic")
+    assert rep.classes["stationary"].verdict == "yes"
+    assert rep.classes["periodic"].verdict == "yes"
+    assert rep.classes["periodic"].params["period"] == 0.0
+    quasi = rep.classes["quasi_periodic"]
     assert quasi.verdict == "yes" and quasi.witness is None
     assert quasi.params["freqs"] == [] and quasi.params["independent_count"] == 0
     assert quasi.params["residual"] == 0.0 and quasi.notes == "stationary"
@@ -1313,11 +1333,11 @@ def test_classify_constant_is_quasi_periodic_with_no_frequency():
 
 def test_classify_ramp_never_poisson(ramp):
     rep = classify(ramp)
-    assert rep.verdict("stationary").verdict == "no"
-    assert rep.verdict("periodic").verdict == "no"
-    assert rep.verdict("poisson").verdict == "no"
-    assert rep.verdict("bohr_ap").verdict == "no"
-    assert rep.verdict("pseudo_recurrent").verdict == "no"
+    assert rep.classes["stationary"].verdict == "no"
+    assert rep.classes["periodic"].verdict == "no"
+    assert rep.classes["poisson"].verdict == "no"
+    assert rep.classes["bohr_ap"].verdict == "no"
+    assert rep.classes["pseudo_recurrent"].verdict == "no"
 
 
 def test_classify_reflexive_base(sine):
@@ -1350,7 +1370,7 @@ def test_sine_never_aperiodic_window_variants(sine):
         cfg = ClassifyConfig(window=Window(center, hw),
                              tau_grid=TauGrid(0.0, tau_max, 0.01))
         rep = classify(sine, cfg=cfg)
-        assert rep.verdict("periodic").verdict == "yes"
+        assert rep.classes["periodic"].verdict == "yes"
 
 
 def noise_2001(growth):
@@ -1380,11 +1400,11 @@ def test_capped_cascade_is_the_exact_cascade(case, monkeypatch):
     else:
         base = sample_function(np.sin, 0.0, 100.0, 0.05)
         f = Signal(base.t0, base.dt, np.sin(2.0 * base.samples))
-    rep = classify(f, base=base).to_dict()
+    rep = jsonable(classify(f, base=base))
     exact = recurrence.discrepancy_profile
     monkeypatch.setattr(recurrence, "discrepancy_profile",
                         lambda f, taus, w, cap=math.inf: exact(f, taus, w))
-    assert json.dumps(classify(f, base=base).to_dict()) == json.dumps(rep)
+    assert json.dumps(jsonable(classify(f, base=base))) == json.dumps(rep)
     periodic = rep["classes"]["periodic"]
     if case == "period":
         assert periodic["verdict"] == "yes"

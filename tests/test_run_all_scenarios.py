@@ -48,7 +48,7 @@ integrate_dde(s4, Signal(-r, r / 2, np.zeros((3, 1))), cfg)
 write_signal_csv(sample_function(lambda t: np.sin(t) + np.sin(np.sqrt(2.0) * t),
                                  0.0, 400.0, 0.05), sys.argv[1])
 report = classify(read_signal_csv(sys.argv[1]))
-assert report.verdict("quasi_periodic").verdict == "yes"
+assert report.classes["quasi_periodic"].verdict == "yes"
 print("scipy" in sys.modules)
 """
 

@@ -59,13 +59,13 @@ def test_invariants_on_construction():
     with pytest.raises(ValueError):
         Signal(0.0, 0.1, np.array([[np.inf]]))
     f = Signal(1.0, 0.5, np.zeros((5, 2)))
-    assert f.domain == (1.0, 3.0)
+    assert (f.t0, f.t_end) == (1.0, 3.0)
     assert f.dim == 2
 
 
 def test_one_sample_signal_is_legal_but_windowed_ops_reject():
     f = Signal(0.0, 1.0, np.array([[2.0]]))
-    assert f.at(0.0)[0] == 2.0
+    assert f.values([0.0])[0, 0] == 2.0
     with pytest.raises(WindowOutOfDomain):
         sup_distance(f, f, Window(0.0, 0.5))
 
