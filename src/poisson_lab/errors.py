@@ -50,7 +50,7 @@ class HistoryDomainMismatch(PoissonLabError):
     """A delay-equation history segment does not cover exactly [-r, 0]."""
 
 
-class GridTooCoarse(PoissonLabError):
+class GridTooCoarse(ConfigInvalid):
     """Spatial grid with too few points for the parabolic scheme."""
 
 

@@ -15,7 +15,7 @@ delta-shift of the base is an epsilon-shift of the trajectory.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields, is_dataclass, replace
+from dataclasses import dataclass, field, fields, is_dataclass
 from fractions import Fraction
 from itertools import combinations
 
@@ -229,17 +229,6 @@ def _table_rows(epsilons, grid, taus, D) -> list:
     flags L still swallowing the grid, where relative density fails."""
     gaps = [(e, _max_gap(taus[D < e], grid)) for e in map(float, epsilons)]
     return [(e, L, L > 0.5 * grid.span) for e, L in gaps]
-
-
-def _table_verdict(rows, w, notes="") -> Verdict:
-    """yes when no row saturates; otherwise no, witnessed by the first one."""
-    table = {"table": [[e, L, s] for e, L, s in rows]}
-    saturated = [r for r in rows if r[2]]
-    if not saturated:
-        return Verdict("yes", table, window=w)
-    e, L, _ = saturated[0]
-    return Verdict("no", table, witness={"epsilon": e, "max_gap": L},
-                   window=w, notes=notes)
 
 
 # ---------------------------------------------------------------------------
@@ -794,116 +783,119 @@ def classify(f: Signal, base: Signal | None = None,
              cfg: ClassifyConfig | None = None) -> RecurrenceReport:
     """Run the recurrence cascade; attach comparability when a base is given
     (with comparability evidence the base is classified too, to transfer its classes)."""
-    return _classify(f, base, default_classify_config(f) if cfg is None else cfg)
+    cfg = default_classify_config(f) if cfg is None else cfg
+    ev, taus, D = _evidence(f, cfg)
+    classes = {name: Verdict(verdict, params, witness, cfg.window, notes)
+               for name, (verdict, params, witness, notes) in _decide(ev, cfg).items()}
+    notes = ["windowed evidence on finite grids; no verdict is a proof"]
+    comparability = transfer = None
+    if base is not None:
+        comparability, transfer, extra_notes = _compare_with_base(base, cfg, taus, D)
+        notes.extend(extra_notes)
+    return RecurrenceReport(classes, comparability, transfer, tuple(notes))
 
 
-def _classify(f: Signal, base, cfg: ClassifyConfig, D=None) -> RecurrenceReport:
-    """``classify``; D, if given, is f's exact profile, or a capped one at any cap."""
-    w = cfg.window
-    grid = cfg.tau_grid
+def _evidence(f: Signal, cfg: ClassifyConfig, D=None) -> tuple[dict, np.ndarray, np.ndarray]:
+    """(record, taus, D): the cascade's measurements of f on the config's window
+    and grid, the grid's taus and f's profile D on them (if given, f's exact
+    profile or a capped one at any cap).  The record is plain data: the window's
+    first sample, the time and spread of its largest departure from it, the
+    scale, the period and its discrepancy (None and nan if no dip is found),
+    min_D when no period is found, the fit, both tables' rows, the scaled
+    return schedule and the returns found."""
+    w, grid = cfg.window, cfg.tau_grid
     taus = grid.values(w, f)
     i0, vals, spread, scale, cap = _window_scale(f, cfg)
     if D is None:
         D = discrepancy_profile(f, taus, w, cap=cap)
-    classes: dict[str, Verdict] = {}
-    notes = [
-        "windowed evidence on finite grids; no verdict is a proof",
-    ]
-
-    # stationary ----------------------------------------------------------
-    if spread <= cfg.stationary_tol:
-        classes["stationary"] = Verdict("yes", {"value": vals[0].tolist()}, window=w)
-    else:
-        k = int(np.argmax(np.abs(vals - vals[0]).max(axis=1)))
-        classes["stationary"] = Verdict(
-            "no", witness={"t": float(f.t0 + (i0 + k) * f.dt), "spread": spread},
-            window=w)
-
-    # periodic ------------------------------------------------------------
-    verify_tol = _PERIODIC_VERIFY_ABS + cfg.periodic_verify_rel * scale
+    k = int(np.argmax(np.abs(vals - vals[0]).max(axis=1)))
     period, period_disc = _find_period(f, taus, D, w, scale)
-    if classes["stationary"].verdict == "yes":
-        classes["periodic"] = Verdict("yes", {"period": 0.0, "note": "stationary"},
-                                      window=w)
-    elif period is not None and period_disc <= verify_tol:
-        classes["periodic"] = Verdict(
-            "yes", {"period": period, "discrepancy": period_disc}, window=w)
-    else:
-        wit = {"best_tau": period, "discrepancy": period_disc} if period else \
-              {"min_D": _profile_argmin(f, taus, w, D, cap, np.arange(D.size) > 0)[1]
-               if D.size > 1 else None}
-        classes["periodic"] = Verdict("no", witness=wit, window=w)
-
-    # quasi-periodic -------------------------------------------------------
+    min_D = _profile_argmin(f, taus, w, D, cap, np.arange(D.size) > 0)[1] \
+        if not period and D.size > 1 else None
     freqs, amps, residual = quasi_periodic_fit(f, _QUASI_MAX_FREQS, cfg.fit_window or w)
-    independent = rationally_independent(freqs) if freqs else True
-    if classes["periodic"].verdict == "yes":
-        T = classes["periodic"].params["period"]  # 0.0 when stationary
-        classes["quasi_periodic"] = Verdict(
-            "yes",
-            {"freqs": [2 * math.pi / T] if T else [], "independent_count": int(T > 0),
-             "residual": residual},
-            window=w, notes="fundamental from the verified period" if T else "stationary")
-    elif freqs and residual < cfg.quasi_residual_tol and independent:
-        classes["quasi_periodic"] = Verdict(
-            "yes", {"freqs": list(freqs), "amplitudes": list(amps),
-                    "independent_count": len(freqs), "residual": residual},
-            window=w)
-    elif freqs and residual < cfg.quasi_residual_tol:
-        classes["quasi_periodic"] = Verdict(
-            "inconclusive", {"freqs": list(freqs), "residual": residual},
-            window=w, notes="frequencies look rationally dependent")
-    else:
-        classes["quasi_periodic"] = Verdict(
-            "no", witness={"residual": residual}, window=w)
-
-    # Bohr-style table ------------------------------------------------------
-    classes["bohr_ap"] = _table_verdict(
-        _table_rows(cfg.bohr_epsilons, grid, taus, D), w,
-        notes="inclusion length saturates the grid at this scale")
-
-    # almost recurrence (shift metric) --------------------------------------
-    Db = bebutov_profile(f, taus, w)
-    classes["almost_recurrent"] = _table_verdict(
-        _table_rows(cfg.bohr_epsilons, grid, taus, Db), w)
-
-    # Poisson returns --------------------------------------------------------
+    bohr_rows = _table_rows(cfg.bohr_epsilons, grid, taus, D)
+    shift_rows = _table_rows(cfg.bohr_epsilons, grid, taus, bebutov_profile(f, taus, w))
     sched = tuple(s * scale for s in cfg.poisson_schedule)
     returns = poisson_returns(f, sched, w, separation=cfg.poisson_separation)
-    if len(returns) == len(sched):
-        classes["poisson"] = Verdict(
-            "yes", {"times": list(returns.times),
-                    "discrepancies": list(returns.discrepancies),
-                    "schedule": list(sched)}, window=w)
-    elif 2 * len(returns) >= len(sched):
-        classes["poisson"] = Verdict(
-            "inconclusive", {"times": list(returns.times),
-                             "schedule": list(sched)}, window=w,
-            notes="schedule only partially satisfied on this horizon")
+    return {"value": vals[0].tolist(), "t": float(f.t0 + (i0 + k) * f.dt), "spread": spread,
+            "scale": scale, "period": period, "period_disc": period_disc, "min_D": min_D,
+            "freqs": freqs, "amps": amps, "residual": residual, "bohr_rows": bohr_rows,
+            "shift_rows": shift_rows, "schedule": sched, "times": returns.times,
+            "discrepancies": returns.discrepancies}, taus, D
+
+
+def _decide(ev: dict, cfg: ClassifyConfig) -> dict:
+    """name -> (verdict, params, witness, notes) of each class, from a record of
+    ``_evidence`` and the config's bars; it reads no Signal and changes no entry."""
+    # stationary ----------------------------------------------------------
+    if ev["spread"] <= cfg.stationary_tol:
+        c = {"stationary": ("yes", {"value": ev["value"]}, None, "")}
     else:
-        classes["poisson"] = Verdict(
-            "no", witness={"schedule": list(sched),
-                           "found": list(returns.times)}, window=w,
-            notes="the return search stalls at the probed scales")
+        c = {"stationary": ("no", {}, {"t": ev["t"], "spread": ev["spread"]}, "")}
+
+    # periodic ------------------------------------------------------------
+    verify_tol = _PERIODIC_VERIFY_ABS + cfg.periodic_verify_rel * ev["scale"]
+    period, period_disc = ev["period"], ev["period_disc"]
+    if c["stationary"][0] == "yes":
+        c["periodic"] = ("yes", {"period": 0.0, "note": "stationary"}, None, "")
+    elif period is not None and period_disc <= verify_tol:
+        c["periodic"] = ("yes", {"period": period, "discrepancy": period_disc}, None, "")
+    else:
+        wit = {"best_tau": period, "discrepancy": period_disc} if period else \
+              {"min_D": ev["min_D"]}
+        c["periodic"] = ("no", {}, wit, "")
+
+    # quasi-periodic -------------------------------------------------------
+    freqs, residual = ev["freqs"], ev["residual"]
+    if c["periodic"][0] == "yes":
+        T = c["periodic"][1]["period"]  # 0.0 when stationary
+        c["quasi_periodic"] = ("yes", {"freqs": [2 * math.pi / T] if T else [],
+                                       "independent_count": int(T > 0), "residual": residual},
+                               None, "fundamental from the verified period" if T else "stationary")
+    elif freqs and residual < cfg.quasi_residual_tol and rationally_independent(freqs):
+        c["quasi_periodic"] = ("yes", {"freqs": list(freqs), "amplitudes": list(ev["amps"]),
+                                       "independent_count": len(freqs), "residual": residual},
+                               None, "")
+    elif freqs and residual < cfg.quasi_residual_tol:
+        c["quasi_periodic"] = ("inconclusive", {"freqs": list(freqs), "residual": residual},
+                               None, "frequencies look rationally dependent")
+    else:
+        c["quasi_periodic"] = ("no", {}, {"residual": residual}, "")
+
+    # Bohr-style table, then almost recurrence (shift metric): yes when no
+    # row saturates; otherwise no, witnessed by the first one ---------------
+    bohr_note = "inclusion length saturates the grid at this scale"
+    for name, rows, note in (("bohr_ap", ev["bohr_rows"], bohr_note),
+                             ("almost_recurrent", ev["shift_rows"], "")):
+        table = {"table": [[e, L, s] for e, L, s in rows]}
+        saturated = [r for r in rows if r[2]]
+        if not saturated:
+            c[name] = ("yes", table, None, "")
+        else:
+            e, L, _ = saturated[0]
+            c[name] = ("no", table, {"epsilon": e, "max_gap": L}, note)
+
+    # Poisson returns --------------------------------------------------------
+    times, sched = list(ev["times"]), list(ev["schedule"])
+    if len(times) == len(sched):
+        c["poisson"] = ("yes", {"times": times, "discrepancies": list(ev["discrepancies"]),
+                                "schedule": sched}, None, "")
+    elif 2 * len(times) >= len(sched):
+        c["poisson"] = ("inconclusive", {"times": times, "schedule": sched}, None,
+                        "schedule only partially satisfied on this horizon")
+    else:
+        c["poisson"] = ("no", {}, {"schedule": sched, "found": times},
+                        "the return search stalls at the probed scales")
 
     # pseudo recurrence: derived flag only -----------------------------------
-    if classes["poisson"].verdict == "yes" and classes["almost_recurrent"].verdict == "yes":
-        classes["pseudo_recurrent"] = Verdict(
-            "yes", {"derived": True}, window=w,
-            notes="derived from poisson yes + finite inclusion lengths")
-    elif classes["poisson"].verdict == "no":
-        classes["pseudo_recurrent"] = Verdict("no", {"derived": True}, window=w)
+    if c["poisson"][0] == "yes" and c["almost_recurrent"][0] == "yes":
+        c["pseudo_recurrent"] = ("yes", {"derived": True}, None,
+                                 "derived from poisson yes + finite inclusion lengths")
+    elif c["poisson"][0] == "no":
+        c["pseudo_recurrent"] = ("no", {"derived": True}, None, "")
     else:
-        classes["pseudo_recurrent"] = Verdict("inconclusive", {"derived": True},
-                                              window=w)
-
-    comparability = None
-    transfer = None
-    if base is not None:
-        comparability, transfer, extra_notes = _compare_with_base(base, cfg, taus, D)
-        notes.extend(extra_notes)
-
-    return RecurrenceReport(classes, comparability, transfer, tuple(notes))
+        c["pseudo_recurrent"] = ("inconclusive", {"derived": True}, None, "")
+    return c
 
 
 def _window_scale(f: Signal, cfg: ClassifyConfig):
@@ -992,16 +984,12 @@ def _compare_with_base(base, cfg, taus, D):
     transfer = {"verdict": profile.verdict, "claims": [],
                 "relative_to": "supplied base"}
     if profile.verdict == "comparable-evidence":
-        base_classes = _classify(base, None, replace(cfg, base_declared=None), Dy).classes
+        base_classes = _decide(_evidence(base, cfg, Dy)[0], cfg)
         for names, via in ((_TRANSFER_PLAIN, "comparability"),
                            (_TRANSFER_UNIFORM, "uniform-comparability-proxy")):
-            for name in names:
-                v = base_classes.get(name)
-                if v is not None and v.verdict == "yes":
-                    transfer["claims"].append(
-                        {"class": name, "via": via, "base_verdict": "yes"})
-        base_is_bohr = base_classes.get("bohr_ap") is not None and \
-            base_classes["bohr_ap"].verdict == "yes"
+            transfer["claims"] += [{"class": name, "via": via, "base_verdict": "yes"}
+                                   for name in names if base_classes[name][0] == "yes"]
+        base_is_bohr = base_classes["bohr_ap"][0] == "yes"
         if base_is_bohr or cfg.base_declared in ("bohr", "levitan"):
             transfer["levitan_evidence"] = "yes"
             origin = "base bohr table" if base_is_bohr else \

@@ -425,6 +425,15 @@ def test_run_boolean_count_exit_2_naming_the_field(case, field, tmp_path, capsys
     assert not (tmp_path / "out").exists()
 
 
+# The method of lines needs 8 nodes: a coarser grid is a config error, not an
+# aborted run with a manifest.
+@pytest.mark.parametrize("m", range(1, 8))
+def test_run_parabolic_grid_under_8_points_exit_2_without_output(m, tmp_path, capsys):
+    assert _run_corrupted((2, ("integrator", "space_points"), m), tmp_path) == 2
+    assert capsys.readouterr().err == f"error: space_points={m} < 8\n"
+    assert not (tmp_path / "out").exists()
+
+
 # Tau grids with an infinite end or step, or more shifts than an array can
 # hold (np.iinfo(np.intp).max // 8, about 1.15e18).
 _UNBUILDABLE_GRIDS = [[0, math.inf, 1], [-math.inf, 10, 1], [-1e308, 1e308, 1],

@@ -1,7 +1,9 @@
+import copy
 import json
 import math
 import tracemalloc
 from collections import Counter
+from contextlib import ExitStack
 from unittest.mock import patch
 
 import numpy as np
@@ -1349,18 +1351,46 @@ def test_classify_reflexive_base(sine):
     assert "periodic" in claimed
 
 
-def test_classify_levitan_mechanism():
-    # Base verified uniformly almost periodic + comparability gives the
-    # transferred evidence for the composition.
+def levitan_pair():
+    """(x, base, cfg): sin of the levitan base forcing, the base, and a config
+    whose window and fit window span the first 500 time units."""
     base = forcing_signal("levitan-base", 0.0, 1000.0, 0.025)
     x = Signal(base.t0, base.dt, np.sin(base.samples))
     cfg = ClassifyConfig(window=Window(250.0, 250.0),
                          tau_grid=TauGrid(0.0, 400.0, 0.1),
                          bohr_epsilons=(0.5, 0.2),
                          fit_window=Window(250.0, 250.0))
+    return x, base, cfg
+
+
+def test_classify_levitan_mechanism():
+    # Base verified uniformly almost periodic + comparability gives the
+    # transferred evidence for the composition.
+    x, base, cfg = levitan_pair()
     rep = classify(x, base=base, cfg=cfg)
     assert rep.comparability.verdict == "comparable-evidence"
     assert rep.transfer["levitan_evidence"] == "yes"
+
+
+@pytest.mark.parametrize("case", ["levitan", "sine"])
+def test_transfer_claims_are_the_base_classes_that_hold(case, sine):
+    # The base's classes decided from its capped profile, reused from the
+    # comparability search, are those the base's own classify reads.
+    x, base, cfg = levitan_pair() if case == "levitan" else \
+        (sine, sine, default_classify_config(sine))
+    rep = classify(x, base=base, cfg=cfg)
+    assert rep.comparability.verdict == "comparable-evidence"
+    own = classify(base, cfg=cfg).classes
+    vias = [(name, "comparability") for name in recurrence._TRANSFER_PLAIN] + \
+        [(name, "uniform-comparability-proxy") for name in recurrence._TRANSFER_UNIFORM]
+    assert rep.transfer["claims"] == [{"class": name, "via": via, "base_verdict": "yes"}
+                                      for name, via in vias if own[name].verdict == "yes"]
+    if own["bohr_ap"].verdict == "yes":
+        assert rep.transfer["levitan_evidence"] == "yes"
+        assert rep.transfer["levitan_origin"] == "base bohr table"
+    else:
+        assert rep.transfer["levitan_evidence"] == "inconclusive"
+        assert "levitan_origin" not in rep.transfer
 
 
 def test_sine_never_aperiodic_window_variants(sine):
@@ -1412,3 +1442,74 @@ def test_capped_cascade_is_the_exact_cascade(case, monkeypatch):
         assert periodic["witness"]["min_D"] > 0.5
     else:
         assert rep["comparability"]["verdict"] == "comparable-evidence"
+
+
+_CLASSES = ("stationary", "periodic", "quasi_periodic", "bohr_ap", "almost_recurrent",
+            "poisson", "pseudo_recurrent")
+_DECIDE_CFG = ClassifyConfig(window=Window(50.0, 20.0), tau_grid=TauGrid(0.0, 40.0, 0.1))
+
+
+@st.composite
+def evidence_records(draw):
+    """Records of ``_evidence``'s form, with values near the default config's bars."""
+    floats = st.floats(0.0, 10.0)
+    dim = draw(st.integers(1, 3))
+    period = draw(st.one_of(st.none(), st.just(0.0), st.floats(0.01, 40.0)))
+    # Some frequencies rationally dependent, most not.
+    freqs = draw(st.lists(st.sampled_from([1.0, 2.0, SQRT2]) | st.floats(0.01, 10.0),
+                          max_size=4))
+    epsilons = _DECIDE_CFG.bohr_epsilons
+    schedule = tuple(sorted(draw(st.lists(st.floats(1e-3, 1.0), min_size=1, max_size=4)),
+                            reverse=True))
+    n_found = draw(st.integers(0, len(schedule)))
+    times = sorted(draw(st.sets(st.floats(5.0, 40.0), min_size=n_found, max_size=n_found)))
+    return {
+        "value": draw(st.lists(st.floats(-5.0, 5.0), min_size=dim, max_size=dim)),
+        "t": draw(st.floats(0.0, 100.0)),
+        "spread": draw(st.sampled_from([0.0, 1e-9, 1e-8, 2e-8]) | floats),
+        "scale": draw(st.floats(1e-12, 10.0)),
+        "period": period,
+        "period_disc": math.nan if period is None else draw(st.floats(0.0, 0.1)),
+        "min_D": draw(st.none() | floats),
+        "freqs": tuple(freqs),
+        "amps": tuple(draw(st.floats(0.0, 5.0)) for _ in freqs),
+        "residual": draw(st.floats(0.0, 1.0) | st.sampled_from([0.0, 1e-3])),
+        "bohr_rows": [(e, draw(floats), draw(st.booleans())) for e in epsilons],
+        "shift_rows": [(e, draw(floats), draw(st.booleans())) for e in epsilons],
+        "schedule": schedule,
+        "times": tuple(times),
+        "discrepancies": tuple(0.5 * e for e in schedule[:n_found]),
+    }
+
+
+def _never_called(*args, **kwargs):
+    raise AssertionError("_decide measures nothing")
+
+
+@settings(max_examples=500, deadline=None)
+@given(ev=evidence_records())
+def test_decide_keeps_the_class_rules_on_any_record(ev):
+    # ``_decide`` maps a record to the verdicts without a Signal: every
+    # measuring function fails if it is called.
+    before = copy.deepcopy(ev)
+    measuring = ("discrepancy_profile", "bebutov_profile", "poisson_returns",
+                 "quasi_periodic_fit", "_find_period", "_profile_argmin")
+    with ExitStack() as stack:
+        for name in measuring:
+            stack.enter_context(patch.object(recurrence, name, _never_called))
+        got = recurrence._decide(ev, _DECIDE_CFG)
+        assert recurrence._decide(ev, _DECIDE_CFG) == got
+    assert ev == before
+    assert tuple(got) == _CLASSES
+    verdict = {name: v[0] for name, v in got.items()}
+    assert set(verdict.values()) <= {"yes", "no", "inconclusive"}
+    if verdict["stationary"] == "yes":
+        assert verdict["periodic"] == "yes" and got["periodic"][1]["period"] == 0.0
+    if verdict["periodic"] == "yes":
+        assert verdict["quasi_periodic"] == "yes"
+    for name, rows in (("bohr_ap", ev["bohr_rows"]), ("almost_recurrent", ev["shift_rows"])):
+        assert (verdict[name] == "yes") == (not any(r[2] for r in rows))
+    assert (verdict["poisson"] == "yes") == (len(ev["times"]) == len(ev["schedule"]))
+    assert (verdict["pseudo_recurrent"] == "yes") == \
+        (verdict["poisson"] == verdict["almost_recurrent"] == "yes")
+    assert (verdict["pseudo_recurrent"] == "no") == (verdict["poisson"] == "no")
