@@ -50,6 +50,8 @@ _BLOCK_VALUES = 1 << 15
 _BATCH_VALUES = 1 << 14
 # Taus in the first batch ``_profile_argmin`` finishes exactly.
 _MIN_BATCH0 = 64
+# Most shifts a tau grid may hold: a profile over more would not fit in memory.
+_MAX_SHIFTS = 1 << 24
 
 
 # ---------------------------------------------------------------------------
@@ -71,12 +73,16 @@ class TauGrid:
                              f"{_MAX_FLOATS:.3g} shifts")
 
     def values(self, w: Window | None = None, *signals: Signal) -> np.ndarray:
-        """The taus; given a window, it and its shifts by the first and last tau
-        (so all between) must fit each of ``signals`` before the grid is built."""
+        """The taus, at most ``_MAX_SHIFTS``; given a window, it and its shifts by
+        the first and last tau (so all between) must fit each of ``signals``
+        before the grid is built."""
         n = int(math.floor(self.span / self.tau_step + 1e-9))
         for f in signals:
             w.require_inside(f)
             _require_shifts_inside(f, w, self.tau_min + self.tau_step * np.array([0, n]))
+        if n + 1 > _MAX_SHIFTS:
+            raise ConfigInvalid(f"tau grid [{self.tau_min:g}, {self.tau_max:g}, {self.tau_step:g}]"
+                                f" holds {n + 1:.3g} shifts; at most {_MAX_SHIFTS} fit")
         return self.tau_min + self.tau_step * np.arange(n + 1)
 
     @property
@@ -772,17 +778,11 @@ def _comparability(taus, Dx, y: Signal, Dy, cap: float, epsilon_list, tau_grid: 
 # the classifier cascade
 # ---------------------------------------------------------------------------
 
-# Classes that transfer along plain comparability, and those whose transfer
-# needs comparability uniform in time.  On one window the uniform claims
-# follow the same single-window verdict, marked as a proxy in their "via".
-_TRANSFER_PLAIN = ("stationary", "periodic", "almost_recurrent", "poisson")
-_TRANSFER_UNIFORM = ("quasi_periodic", "bohr_ap", "pseudo_recurrent")
-
-
 def classify(f: Signal, base: Signal | None = None,
              cfg: ClassifyConfig | None = None) -> RecurrenceReport:
-    """Run the recurrence cascade; attach comparability when a base is given
-    (with comparability evidence the base is classified too, to transfer its classes)."""
+    """Run the recurrence cascade; given a base, attach comparability and, with
+    comparability evidence, the Levitan evidence: "yes" when the base is Bohr (no
+    row of its Bohr table, read from its capped profile, saturates) or declared."""
     cfg = default_classify_config(f) if cfg is None else cfg
     ev, taus, D = _evidence(f, cfg)
     classes = {name: Verdict(verdict, params, witness, cfg.window, notes)
@@ -790,8 +790,21 @@ def classify(f: Signal, base: Signal | None = None,
     notes = ["windowed evidence on finite grids; no verdict is a proof"]
     comparability = transfer = None
     if base is not None:
-        comparability, transfer, extra_notes = _compare_with_base(base, cfg, taus, D)
-        notes.extend(extra_notes)
+        cap = _window_scale(base, cfg)[-1]
+        Dy = discrepancy_profile(base, taus, cfg.window, cap=cap)
+        comparability = _comparability(taus, D, base, Dy, cap, cfg.bohr_epsilons,
+                                       cfg.tau_grid, cfg.window, cfg.refute_frac)
+        transfer = {"verdict": comparability.verdict, "relative_to": "supplied base"}
+        if comparability.verdict == "comparable-evidence":
+            rows = _table_rows(cfg.bohr_epsilons, cfg.tau_grid, taus, Dy)
+            base_is_bohr = not any(saturated for _, _, saturated in rows)
+            if base_is_bohr or cfg.base_declared in ("bohr", "levitan"):
+                transfer["levitan_evidence"] = "yes"
+                transfer["levitan_origin"] = "base bohr table" if base_is_bohr else \
+                    f"base declared {cfg.base_declared}"
+                notes.append("levitan evidence is relative to the supplied base")
+            else:
+                transfer["levitan_evidence"] = "inconclusive"
     return RecurrenceReport(classes, comparability, transfer, tuple(notes))
 
 
@@ -970,32 +983,3 @@ def _find_period(f, taus, D, w, scale):
         if read is None or _grid_starts(f, i0, i1 - i0 + 1, x)[1].any() else read(x, bar),
         lo, hi, 50)
     return float(tau_ref[0]), float(d_ref[0])
-
-
-def _compare_with_base(base, cfg, taus, D):
-    """Comparability of the trajectory, whose discrepancy profile on the
-    config's grid ``taus`` and window is D, with the base, and the classes it transfers."""
-    notes = []
-    cap = _window_scale(base, cfg)[-1]
-    Dy = discrepancy_profile(base, taus, cfg.window, cap=cap)
-    profile = _comparability(taus, D, base, Dy, cap, cfg.bohr_epsilons, cfg.tau_grid,
-                             cfg.window, cfg.refute_frac)
-
-    transfer = {"verdict": profile.verdict, "claims": [],
-                "relative_to": "supplied base"}
-    if profile.verdict == "comparable-evidence":
-        base_classes = _decide(_evidence(base, cfg, Dy)[0], cfg)
-        for names, via in ((_TRANSFER_PLAIN, "comparability"),
-                           (_TRANSFER_UNIFORM, "uniform-comparability-proxy")):
-            transfer["claims"] += [{"class": name, "via": via, "base_verdict": "yes"}
-                                   for name in names if base_classes[name][0] == "yes"]
-        base_is_bohr = base_classes["bohr_ap"][0] == "yes"
-        if base_is_bohr or cfg.base_declared in ("bohr", "levitan"):
-            transfer["levitan_evidence"] = "yes"
-            origin = "base bohr table" if base_is_bohr else \
-                f"base declared {cfg.base_declared}"
-            transfer["levitan_origin"] = origin
-            notes.append("levitan evidence is relative to the supplied base")
-        else:
-            transfer["levitan_evidence"] = "inconclusive"
-    return profile, transfer, notes

@@ -222,8 +222,8 @@ def test_report_json_has_the_documented_form(levitan_run):
         assert set(verdict["window"]) == {"center", "half_width"}
         assert type(verdict["notes"]) is str
     _assert_comparability_form(psi["comparability"])
-    assert set(psi["transfer"]) == {"verdict", "claims", "levitan_evidence",
-                                    "levitan_origin", "relative_to"}
+    assert set(psi["transfer"]) == {"verdict", "levitan_evidence", "levitan_origin",
+                                    "relative_to"}
     assert type(psi["notes"]) is list and all(type(n) is str for n in psi["notes"])
 
 
@@ -775,12 +775,25 @@ def test_run_memory_error_is_an_aborted_stage(case, more, tmp_path, capsys):
 
 
 def test_classify_memory_error_is_one_error_line(sine_csv, tmp_path, capsys):
-    # 1e17 shifts that all fit the signal: numpy refuses the 711 PiB grid at once.
+    # 1e17 shifts that all fit the signal: a config error before the grid is built.
     cfg = tmp_path / "analysis.json"
     cfg.write_text(json.dumps({"window": [50, 40], "tau_grid": [0, 100, 1e-15]}))
-    assert main(["classify", str(sine_csv), "--config", str(cfg)]) == 1
+    assert main(["classify", str(sine_csv), "--config", str(cfg)]) == 2
     err = capsys.readouterr().err
-    assert err.count("\n") == 1 and err.startswith("error: Unable to allocate")
+    assert err.count("\n") == 1 and err.startswith("error: tau grid [0, 100, 1e-15] holds 1e+17 ")
+
+
+@pytest.mark.parametrize("command", ["classify", "compare"])
+def test_grid_one_shift_above_the_bound_is_a_config_error(sine_csv, tmp_path, capsys, command):
+    # 2**24 + 1 shifts, all inside the 200-unit signal: one above the bound, and
+    # few enough that the grid, if built without it, takes only about 134 MB.
+    cfg = tmp_path / "analysis.json"
+    cfg.write_text(json.dumps({"window": [50, 40], "tau_grid": [0, 100, 100 / 2**24]}))
+    files = [str(sine_csv)] * (1 if command == "classify" else 2)
+    assert main([command, *files, "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith(f"error: tau grid [0, 100, {100 / 2**24:g}] holds {2**24 + 1:.3g} ")
 
 
 @pytest.mark.parametrize("grid, end", [([0, 1e16, 0.1], "1e+16"), ([0, 150, 0.1], "150"),

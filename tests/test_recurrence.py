@@ -4,6 +4,7 @@ import math
 import tracemalloc
 from collections import Counter
 from contextlib import ExitStack
+from dataclasses import replace
 from unittest.mock import patch
 
 import numpy as np
@@ -1347,8 +1348,7 @@ def test_classify_reflexive_base(sine):
     assert rep.comparability.verdict == "comparable-evidence"
     for eps, dh in rep.comparability.pairs:
         assert dh >= eps
-    claimed = {c["class"] for c in rep.transfer["claims"]}
-    assert "periodic" in claimed
+    assert rep.transfer["levitan_origin"] == "base bohr table"
 
 
 def levitan_pair():
@@ -1372,25 +1372,57 @@ def test_classify_levitan_mechanism():
     assert rep.transfer["levitan_evidence"] == "yes"
 
 
-@pytest.mark.parametrize("case", ["levitan", "sine"])
-def test_transfer_claims_are_the_base_classes_that_hold(case, sine):
-    # The base's classes decided from its capped profile, reused from the
-    # comparability search, are those the base's own classify reads.
-    x, base, cfg = levitan_pair() if case == "levitan" else \
-        (sine, sine, default_classify_config(sine))
-    rep = classify(x, base=base, cfg=cfg)
-    assert rep.comparability.verdict == "comparable-evidence"
-    own = classify(base, cfg=cfg).classes
-    vias = [(name, "comparability") for name in recurrence._TRANSFER_PLAIN] + \
-        [(name, "uniform-comparability-proxy") for name in recurrence._TRANSFER_UNIFORM]
-    assert rep.transfer["claims"] == [{"class": name, "via": via, "base_verdict": "yes"}
-                                      for name, via in vias if own[name].verdict == "yes"]
-    if own["bohr_ap"].verdict == "yes":
-        assert rep.transfer["levitan_evidence"] == "yes"
-        assert rep.transfer["levitan_origin"] == "base bohr table"
+def test_the_base_is_measured_only_through_its_profile():
+    # With comparability evidence the base's Bohr table is read from the capped
+    # profile the comparability search already holds: no other measuring call
+    # of the cascade ever receives the base.
+    x, base, cfg = levitan_pair()
+    names = ("_find_period", "quasi_periodic_fit", "bebutov_profile", "poisson_returns")
+    seen = {name: [] for name in names}
+
+    def recording(name, inner):
+        def call(f, *args, **kwargs):
+            seen[name].append(f)
+            return inner(f, *args, **kwargs)
+        return call
+
+    with ExitStack() as stack:
+        for name in names:
+            stack.enter_context(patch.object(recurrence, name,
+                                             recording(name, getattr(recurrence, name))))
+        rep = classify(x, base=base, cfg=cfg)
+    assert rep.transfer["levitan_evidence"] == "yes"
+    for name in names:
+        assert any(f is x for f in seen[name]), name
+        assert not any(f is base for f in seen[name]), name
+
+
+@settings(max_examples=40, deadline=None)
+@given(a=st.floats(0.0, 1.0), w=st.floats(0.5, 3.0), span=st.integers(30, 80),
+       base_kind=st.sampled_from(["x", "sin", "levitan-base"]),
+       declared=st.sampled_from([None, "levitan"]))
+def test_levitan_evidence_is_comparability_and_a_bohr_or_declared_base(a, w, span,
+                                                                        base_kind, declared):
+    # x = sin t + a sin(w t): levitan_evidence is "yes" exactly with comparability
+    # evidence and a declared base or one whose own classify reads bohr_ap "yes",
+    # "inconclusive" with the evidence alone, and absent without it.
+    x = sample_function(lambda t: np.sin(t) + a * np.sin(w * t), 0.0, span, 0.05)
+    base = {"x": x, "sin": sample_function(np.sin, 0.0, span, 0.05),
+            "levitan-base": forcing_signal("levitan-base", 0.0, span, 0.05)}[base_kind]
+    cfg = replace(default_classify_config(x), base_declared=declared)
+    transfer = classify(x, base=base, cfg=cfg).transfer
+    assert "claims" not in transfer
+    if transfer["verdict"] != "comparable-evidence":
+        assert "levitan_evidence" not in transfer and "levitan_origin" not in transfer
+        return
+    bohr = classify(base, cfg=cfg).classes["bohr_ap"].verdict == "yes"
+    if bohr or declared:
+        assert transfer["levitan_evidence"] == "yes"
+        assert transfer["levitan_origin"] == ("base bohr table" if bohr else
+                                              "base declared levitan")
     else:
-        assert rep.transfer["levitan_evidence"] == "inconclusive"
-        assert "levitan_origin" not in rep.transfer
+        assert transfer["levitan_evidence"] == "inconclusive"
+        assert "levitan_origin" not in transfer
 
 
 def test_sine_never_aperiodic_window_variants(sine):
