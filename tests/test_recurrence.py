@@ -1397,6 +1397,25 @@ def test_the_base_is_measured_only_through_its_profile():
         assert not any(f is base for f in seen[name]), name
 
 
+@pytest.mark.parametrize("case", ["levitan", "sine"])
+def test_transfer_claims_are_the_base_classes_that_hold(case, sine):
+    # The transfer claims for the base, decided from its capped profile reused
+    # from the comparability search, are what the base's own classify reads:
+    # a Bohr origin exactly when the base's bohr_ap holds.
+    x, base, cfg = levitan_pair() if case == "levitan" else \
+        (sine, sine, default_classify_config(sine))
+    rep = classify(x, base=base, cfg=cfg)
+    assert rep.comparability.verdict == "comparable-evidence"
+    assert "claims" not in rep.transfer
+    own = classify(base, cfg=cfg).classes
+    if own["bohr_ap"].verdict == "yes":
+        assert rep.transfer["levitan_evidence"] == "yes"
+        assert rep.transfer["levitan_origin"] == "base bohr table"
+    else:
+        assert rep.transfer["levitan_evidence"] == "inconclusive"
+        assert "levitan_origin" not in rep.transfer
+
+
 @settings(max_examples=40, deadline=None)
 @given(a=st.floats(0.0, 1.0), w=st.floats(0.5, 3.0), span=st.integers(30, 80),
        base_kind=st.sampled_from(["x", "sin", "levitan-base"]),
