@@ -128,7 +128,10 @@ class ClassifyConfig:
 
 
 def default_classify_config(f: Signal) -> ClassifyConfig:
-    """Window the middle of the signal, scan shifts over what fits."""
+    """Window the first half of the signal, [t0, t0 + L/2] for its length L, and
+    scan the shifts from 0 to L/2 that keep it inside.  The shift step is
+    (L/2) / 200,000, at least dt, snapped to the nearest multiple of dt: about
+    200,001 shifts, and up to 1.5 times as many where the snap rounds it down."""
     length = f.length
     hw = length / 4.0
     if hw < f.dt:
@@ -415,20 +418,21 @@ def _probe_candidates(S, i0: int, probe_rel, base: np.ndarray, j0: int, j1: int,
     exceeds it, so that coarse bound picks where the whole one is gathered (the
     lower-bounding cascade of C. Faloutsos, M. Ranganathan and Y. Manolopoulos, SIGMOD
     1994); it is read one probe at a time, each on the shifts the probes before left
-    below the bar.  Both read the one slice of S the shifts reach (max is exact, so
-    the order of the reads changes no value); no gather leaves that slice, so
-    ``take`` may clip (no bounds check)."""
+    below the bar.  The whole bound of the shifts left is one gather of every probe,
+    in batches of at most ``_BATCH_VALUES`` values.  Both read the one slice of S the
+    shifts reach (max is exact, so the order of the reads changes no value, a NaN
+    included); no gather leaves that slice, so ``take`` may clip (no bounds check)."""
     k, dim = j1 - j0, base.shape[1]
     B = S[i0 + j0 : i0 + j1 + len(base) - 1]
     p, *coarse = probe_rel[:: -(-probe_rel.size // 4)].tolist()
     c = np.flatnonzero(np.abs(B[p : p + k] - base[p]).max(axis=1) < bar)
     for p in coarse:
         c = c[np.abs(B[p:].take(c, axis=0, mode="clip") - base[p]).max(axis=1) < bar]
-    a, d = np.zeros((c.size, dim)), np.empty((c.size, dim))
-    for p in probe_rel.tolist():
-        B[p:].take(c, axis=0, out=d, mode="clip")
-        np.maximum(a, np.abs(np.subtract(d, base[p], out=d), out=d), out=a)
-    v = a.max(axis=1)
+    v, ref = np.empty(c.size), base[probe_rel]
+    step = max(1, _BATCH_VALUES // (probe_rel.size * dim))
+    for s in range(0, c.size, step):
+        g = B.take(c[s : s + step, None] + probe_rel, axis=0, mode="clip")
+        v[s : s + step] = np.abs(np.subtract(g, ref, out=g), out=g).max(axis=(1, 2))
     return j0 + c[v < bar], v[v < bar]
 
 

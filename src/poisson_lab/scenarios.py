@@ -189,9 +189,10 @@ def _check_monotone(em: RunManifest, cfg: ScenarioConfig,
              detail=f"planted negative off-diagonal witnessed: {witness}")
 
 
-def _check_state_box(em: RunManifest, samples: np.ndarray, box) -> None:
+def _check_state_box(em: RunManifest, lo: np.ndarray, hi: np.ndarray, box) -> None:
+    """The per-component extremes lo, hi of a trajectory inside ``box``; the value
+    is max |x| = max(-lo, hi), + 0.0 dropping a -0.0."""
     box = np.asarray(box, dtype=float)
-    lo, hi = samples.min(axis=0), samples.max(axis=0)  # max |x| = max(-lo, hi); + 0.0 drops -0.0
     em.check("state_box", bool(np.all(lo >= box[:, 0] - 1e-9) and np.all(hi <= box[:, 1] + 1e-9)),
              max(-lo.min(), hi.max()) + 0.0, "boundedness proxy for conditional compactness")
 
@@ -246,7 +247,7 @@ def _extremal_solution(em: RunManifest, cfg: ScenarioConfig, u0, returns,
     """
     ana = cfg.analysis
     traj = integrate(cfg.system, u0, cfg.integrator)
-    _check_state_box(em, traj.samples, ana["state_box"])
+    _check_state_box(em, *traj.extremes, ana["state_box"])
     times, snaps = omega_fiber_sample(traj, returns, ana["settle_time"])
     em.write_rows("omega_sample.csv",
                   "t_n," + ",".join(f"x{j+1}" for j in range(traj.dim)), times, snaps)
@@ -595,7 +596,7 @@ def _run_s4(em: RunManifest, cfg: ScenarioConfig) -> None:
 
     hist = Signal(-r, r / 2, np.full((3, 1), ana["history_value"]))
     traj = integrate(sysspec, hist, cfg.integrator)
-    _check_state_box(em, traj.samples, ana["state_box"])
+    _check_state_box(em, *traj.extremes, ana["state_box"])
     em.write_signal("trajectory.csv", traj)
 
     lo, hi = ana["tail_window"]
@@ -695,7 +696,8 @@ def _run_s5(em: RunManifest, cfg: ScenarioConfig) -> None:
                        "settled field matches the separable particular solution",
                        traj.times() >= cfg.integrator.t_end - 10.0)
 
-    _check_state_box(em, traj.samples.reshape(-1, 1), ana["state_box"])
+    lo, hi = traj.extremes  # every node and species in one box
+    _check_state_box(em, lo.min(keepdims=True), hi.max(keepdims=True), ana["state_box"])
     # The battery grid is coarser than the oracle grid; let the stability
     # cap inside the integrator choose the step for it.
     _check_monotone(em, cfg, replace(cfg.integrator, space_points=ana["battery_points"],
@@ -855,7 +857,8 @@ def _run_generic(em: RunManifest, cfg: ScenarioConfig) -> None:
     except (TypeError, ValueError) as exc:
         raise ConfigInvalid(f"bad start value in the analysis section: {exc}") from exc
     traj = integrate(sysspec, start, cfg.integrator)
-    em.check("integration", True, max(-traj.samples.min(), traj.samples.max()) + 0.0,  # as state_box
+    lo, hi = traj.extremes
+    em.check("integration", True, max(-lo.min(), hi.max()) + 0.0,  # as state_box
              "trajectory completed inside the blowup bound")
     rep = classify(traj, cfg=default_classify_config(traj))
     em.report["classification"] = jsonable(rep)

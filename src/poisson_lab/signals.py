@@ -84,8 +84,9 @@ class Signal:
 
     Between samples the signal is the natural cubic spline through the
     samples (CSV inputs, trajectories, levitan's functions, derived Signals).
-    A ``LazySignal`` (a catalog ``trig-sum`` forcing) sets ``exact`` to the
-    ``systems.TrigSum`` it samples and is read by that closed form instead.
+    A ``LazySignal`` forms its rows when read: a catalog ``trig-sum`` forcing
+    sets ``exact`` to the ``systems.TrigSum`` it samples and is read by that
+    closed form instead; the scalar closed-form RK4 trajectory keeps the spline.
     """
 
     t0: float
@@ -129,6 +130,15 @@ class Signal:
 
     def times(self) -> np.ndarray:
         return self.t0 + self.dt * np.arange(len(self))
+
+    @cached_property
+    def extremes(self) -> tuple[np.ndarray, np.ndarray]:
+        """(min, max) of the samples per component."""
+        return self.samples.min(axis=0), self.samples.max(axis=0)
+
+    def _windows(self, starts: np.ndarray, m: int) -> np.ndarray:
+        """Rows s .. s + m - 1 from each start s, shape (m, len(starts), dim), one gather."""
+        return self.samples[np.arange(m)[:, None] + starts]
 
     # -- evaluation -------------------------------------------------------
 
@@ -201,7 +211,7 @@ class Signal:
             if spent <= n:
                 starts, w = np.minimum(np.flatnonzero(hit) * M, n - m), np.cumsum(hit)[key] - 1
                 self.__dict__["_local_rows"] = spent
-                c = _coefficients(self.samples[np.arange(m)[:, None] + starts], self.dt)
+                c = _coefficients(self._windows(starts, m), self.dt)
                 return c.reshape(4, -1, self.dim), (i - starts[w]) * starts.size + w
         return self._spline[1], i
 
@@ -283,7 +293,7 @@ class Signal:
         i1 = self._index_at_or_before(hi)
         if i1 < i0:
             raise WindowOutOfDomain(f"[{lo:g}, {hi:g}] contains no grid point")
-        return Signal(self.t0 + i0 * self.dt, self.dt, self.samples[i0 : i1 + 1])
+        return Signal(self.t0 + i0 * self.dt, self.dt, self[i0 : i1 + 1])
 
     def _index_at_or_after(self, t: float) -> int:
         idx = math.ceil((t - self.t0) / self.dt - _GRID_RTOL)
@@ -411,41 +421,55 @@ def sample_function(fn, t0: float, t_end: float, dt: float) -> Signal:
     uniform grid, ``_CHUNK`` times per call into one array, so that
     fn's temporaries stay chunk-sized; through ``fn.on_grid(t0, dt, k0, n)``
     where fn has it (``systems.TrigSum``)."""
-    n = int(round((t_end - t0) / dt)) + 1
+    if hasattr(fn, "on_grid"):
+        rows = lambda a, m: fn.on_grid(t0, dt, a, m)
+    else:
+        rows = lambda a, m: np.asarray(fn(t0 + dt * np.arange(a, a + m)), dtype=float)
+    return Signal(t0, dt, _formed(rows, int(round((t_end - t0) / dt)) + 1))
+
+
+def _formed(rows: Callable, n: int) -> np.ndarray:
+    """Rows 0 .. n - 1 of ``rows(a, m)`` (rows a .. a + m - 1), ``_CHUNK`` per call into one array."""
     vals = None
     for a in range(0, n, _CHUNK):
-        b = min(a + _CHUNK, n)
-        chunk = (fn.on_grid(t0, dt, a, b - a) if hasattr(fn, "on_grid")
-                 else np.asarray(fn(t0 + dt * np.arange(a, b)), dtype=float))
+        chunk = rows(a, min(_CHUNK, n - a))
         if vals is None:
             vals = np.empty((n,) + chunk.shape[1:])
         vals[a : a + len(chunk)] = chunk
-    return Signal(t0, dt, vals)
+    return vals
 
 
 class LazySignal(Signal):
-    """``sample_function(exact, t0, t_end, dt)`` with ``exact`` set, for a ``systems.TrigSum``,
-    whose ``on_grid`` gives each value the same bits however the grid is cut: a unit-step row
-    slice ``f[a:b]`` is formed alone, and ``samples`` (which any other key reads) are formed
-    (checked, then kept) when first read."""
+    """A Signal of n samples whose rows ``rows(a, m)``, rows a .. a + m - 1, are formed
+    when read, each with the same bits however the grid is cut.  A unit-step row slice
+    ``f[a:b]`` is formed alone, and so are the windows that ``_cells`` solves and that
+    ``restrict`` keeps; ``samples``, which any other read reads, are formed by
+    ``_formed``, checked, then kept.  ``exact`` is the closed form ``values`` reads
+    instead of the spline (a ``systems.TrigSum``) or None; ``extremes``, when given, are
+    the per-component (min, max) of every row, so reading them forms no row."""
 
-    def __init__(self, exact, t0: float, t_end: float, dt: float):
-        n = int(round((t_end - t0) / dt)) + 1
+    def __init__(self, rows: Callable, t0: float, dt: float, n: int, exact=None,
+                 extremes=None):
         if not (dt > 0 and math.isfinite(dt) and n >= 1):
-            raise ValueError("need a positive finite dt and t_end >= t0")
-        self.__dict__.update(t0=t0, dt=dt, exact=exact, _grid=(t0, t_end, dt), _n=n)
+            raise ValueError("need a positive finite dt and at least one sample")
+        self.__dict__.update(t0=t0, dt=dt, exact=exact, _rows=rows, _n=n)
+        if extremes is not None:
+            self.__dict__["extremes"] = extremes
 
     def __len__(self) -> int:
         return self._n
 
-    dim = property(lambda self: len(self.exact.V))
-    samples = cached_property(lambda self: sample_function(self.exact, *self._grid).samples)
+    dim = cached_property(lambda self: self._rows(0, 1).shape[1])
+    samples = cached_property(lambda self: Signal(self.t0, self.dt, _formed(self._rows, self._n)).samples)
 
     def __getitem__(self, rows) -> np.ndarray:
         if not (isinstance(rows, slice) and rows.step in (None, 1)):
             return self.samples[rows]
         a, b, _ = rows.indices(self._n)
-        return self.exact.on_grid(self.t0, self.dt, a, max(b - a, 0))
+        return self._rows(a, max(b - a, 0))
+
+    def _windows(self, starts: np.ndarray, m: int) -> np.ndarray:
+        return np.stack([self[s : s + m] for s in starts.tolist()], axis=1)
 
 
 # ---------------------------------------------------------------------------

@@ -45,6 +45,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -419,7 +420,9 @@ def forcing_signal(key: str, t0: float, t_end: float, dt: float, *,
     levitan's functions at tens of millions of points, where a cubic is
     cheaper than their three transcendentals."""
     if key == "trig-sum":
-        return LazySignal(_trig_sum(components), t0, t_end, dt)
+        f = _trig_sum(components)
+        return LazySignal(partial(f.on_grid, t0, dt), t0, dt,
+                          int(round((t_end - t0) / dt)) + 1, exact=f)
     if key not in _FORCINGS:
         raise UnknownRegistryKey(f"no forcing {key!r}")
     return sample_function(_FORCINGS[key], t0, t_end, dt)
@@ -529,27 +532,80 @@ def _affine_steps(P: np.ndarray, y: np.ndarray, q: np.ndarray) -> np.ndarray:
     return out
 
 
-def _rk4_record(rhs, y: np.ndarray, cfg: IntegratorConfig, t0: float = 0.0) -> np.ndarray:
+class _ScalarRecords:
+    """rows(a, m, out=None): records a .. a + m - 1 of the closed form of a one-entry
+    state, into ``out`` when given: record 0 is y, record r is y_p,k + P**k e at
+    k = r nsub, e = y - y_p,0.  Each is a function of r alone (``TrigSum.on_grid``
+    gives the same bits however the grid is cut, and ``**`` is elementwise), so any
+    cut of the records reads the same bits.  A chunk whose first power is 0 takes the
+    signed zeros that ``**`` gives for every later one instead of raising P."""
+
+    def __init__(self, P: float, part, y: np.ndarray, nsub: int, h: float):
+        self.P, self.part, self.y, self.nsub, self.h = P, part, y.copy(), nsub, h
+        self.tail = (1,) * (y.ndim - 1)
+        self.e = y - part([0.0])[0].reshape(-1, *self.tail)
+
+    def __call__(self, a: int, m: int, out=None) -> np.ndarray:
+        P, y, e = self.P, self.y, self.e
+        out = np.empty((m,) + y.shape) if out is None else out[:m]
+        if a == 0 and m:
+            out[0] = y
+        r0 = max(a, 1)
+        if r0 < a + m:
+            ks = self.nsub * np.arange(r0, a + m)
+            yp = self.part.on_grid(0.0, self.nsub * self.h, r0, ks.size)
+            at = out[r0 - a :]
+            at[...] = yp.reshape(yp.shape + self.tail)
+            with np.errstate(over="ignore", invalid="ignore"):  # the record check raises
+                pw = (P ** ks if P ** ks[:1] != 0.0
+                      else np.where(ks & 1, np.copysign(0.0, P), 0.0))
+                # A zero homogeneous part stays 0 instead of 0 * inf.
+                at += np.where(e == 0.0, 0.0, np.multiply.outer(pw, e))
+        return out
+
+
+# Records per chunk of the record pass of a lazy trajectory, formed into one
+# buffer: 2^16 records with fresh temporaries take twice as long, from page faults.
+_PASS = 1 << 14
+
+
+def _rk4_record(rhs, y: np.ndarray, cfg: IntegratorConfig, t0: float = 0.0,
+                lazy: bool = False):
     """RK4 from t=0 on the record grid: the states; step k starts at k h.  Blowup
     messages name the record times (formed per chunk, as ``_record_times`` does) plus t0.
 
     In closed form record r is P^k (y_0 - y_p,0) + y_p,k at k = r nsub: P**k
-    for a scalar state, formed only until the powers underflow (each later one
-    is the signed zero ``**`` gives), else one product with M = P^nsub per record.
+    for a one-entry state (``_ScalarRecords``), else one product with M = P^nsub
+    per record.  With ``lazy``, a one-entry state in closed form is not held: the
+    result is a ``LazySignal`` on the record grid whose rows are formed when read.
+    Its record pass forms every record once, ``_PASS`` per chunk into one buffer,
+    to check each chunk for blowup and to fold the per-component extremes.
     """
     if cfg.method != "rk4_fixed":
         raise ConfigInvalid(f"method {cfg.method!r}: this integrator runs rk4_fixed only")
     records = _record_count(cfg)
     nsub = max(1, math.ceil(cfg.record_dt / cfg.dt - 1e-12))
     h = cfg.record_dt / nsub
-    out = np.empty((records,) + y.shape)
-    out[0] = y
     tail = (1,) * (y.ndim - 1)
     per_chunk = max(1, _CHUNK // y.size)  # loop steps or records, times the state size
     with np.errstate(over="ignore", invalid="ignore"):  # the chunk check raises
         coeffs = _rk4_coeffs(rhs.A, h)
         steps = (records - 1) * nsub
         part = _rk4_particular(rhs, coeffs, h, steps)
+        P = coeffs[0]
+        rows = None if part is None or P.shape != (1, 1) else _ScalarRecords(
+            P[0, 0], part, y, nsub, h)
+        if lazy and rows is not None:
+            buf, (lo,) = np.empty((min(_PASS, records),) + y.shape), rows(0, 1)
+            hi = lo
+            for r0 in range(1, records, _PASS):
+                r1 = min(r0 + _PASS, records)
+                Y = rows(r0, r1 - r0, buf)
+                _check_records(Y, t0 + cfg.record_dt * np.arange(r0, r1), cfg.bound)
+                lo, hi = np.minimum(lo, Y.min(axis=0)), np.maximum(hi, Y.max(axis=0))
+            return LazySignal(rows, 0.0, cfg.record_dt, records, extremes=(lo, hi))
+        out = np.empty((records,) + y.shape)
+        out[0] = y
         if part is None:
             for k0 in range(0, steps, per_chunk):
                 states = _rk4_affine_steps(coeffs, y, rhs.forcing.on_grid(
@@ -560,22 +616,16 @@ def _rk4_record(rhs, y: np.ndarray, cfg: IntegratorConfig, t0: float = 0.0) -> n
                 out[r] = states[r * nsub - k0 - 1]
                 _check_records(out[r], t0 + cfg.record_dt * r, cfg.bound)
             return out
-        P = coeffs[0]
-        M = np.linalg.matrix_power(P, nsub)
-        e = y - part([0.0])[0].reshape(-1, *tail)
-        pw = [1.0]
+        if rows is None:
+            M = np.linalg.matrix_power(P, nsub)
+            e = y - part([0.0])[0].reshape(-1, *tail)
         for r0 in range(1, records, per_chunk):
             r1 = min(r0 + per_chunk, records)
-            ks = nsub * np.arange(r0, r1)
-            yp = part.on_grid(0.0, nsub * h, r0, r1 - r0)
-            out[r0:r1] = yp.reshape(yp.shape + tail)
-            # A zero homogeneous part stays 0 instead of 0 * inf.
-            if P.shape == (1, 1):  # past a zero power, later ones are the signed zeros ** gives
-                pw = (P[0, 0] ** ks if pw[-1] != 0.0
-                      else np.where(ks & 1, np.copysign(0.0, P[0, 0]), 0.0))
-                out[r0:r1] += np.where(e == 0.0, 0.0, np.multiply.outer(pw, e))
-                pw = [pw[-1]]  # a chunk of powers held into the next one lifts peak memory
+            if rows is not None:
+                rows(r0, r1 - r0, out[r0:r1])
             else:
+                yp = part.on_grid(0.0, nsub * h, r0, r1 - r0)
+                out[r0:r1] = yp.reshape(yp.shape + tail)
                 for r in range(r0, r1):
                     e = M @ e
                     out[r] += e
@@ -733,11 +783,15 @@ def _start(u0, shape: tuple, name: str) -> np.ndarray:
 
 
 def integrate_ode(sys: SystemSpec, u0, cfg: IntegratorConfig) -> Signal:
-    """Solve the ODE from u0 at t=0 and sample the result on the record grid."""
+    """Solve the ODE from u0 at t=0 and sample the result on the record grid: a
+    ``LazySignal`` on RK4's closed-form path with a one-entry state (see
+    ``_rk4_record``), else a Signal of every record."""
     rhs = build_ode_rhs(sys)
     u = _start(np.atleast_1d(u0), (sys.dim,), "initial state")
-    return Signal(0.0, cfg.record_dt, _rk4_record(rhs, u, cfg) if cfg.method == "rk4_fixed"
-                  else _dopri5(rhs, u, cfg, _record_times(cfg)))
+    if cfg.method != "rk4_fixed":
+        return Signal(0.0, cfg.record_dt, _dopri5(rhs, u, cfg, _record_times(cfg)))
+    Y = _rk4_record(rhs, u, cfg, lazy=True)
+    return Y if isinstance(Y, Signal) else Signal(0.0, cfg.record_dt, Y)
 
 
 def integrate_ode_snapshots(sys: SystemSpec, u0, cfg: IntegratorConfig,

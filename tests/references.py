@@ -9,9 +9,9 @@ golden-section frequency polish, for the Gauss-Newton spectral fit.
 record's power, ``sup_distance_unique`` the sup distance over ``np.unique``'s
 times, ``comparability_uncapped`` the comparability profile from both whole
 discrepancy profiles; ``spiked_noise`` is a test signal whose spike a capped
-profile's head may miss.  ``affine_steps_matmul``, ``half_values_gather`` and
-``full_lower_bound_stacked`` are the earlier forms of three kernels, which
-keep their bits.  The cocycle probes are oracles of the integrators;
+profile's head may miss.  ``affine_steps_matmul``, ``half_values_gather``,
+``full_lower_bound_stacked`` and ``probe_candidates_per_probe`` are the
+earlier forms of four kernels, which keep their bits.  The cocycle probes are oracles of the integrators;
 ``order_check``, ``uniform_stability_estimate`` and ``almost_periods`` are
 estimators no scenario runs.
 """
@@ -458,3 +458,21 @@ def full_lower_bound_stacked(f: Signal, i0: int, base: np.ndarray, lo_f: float,
     high = np.maximum.reduce([hi[j : j + m] for j in range(kb - ka + 1)])
     gap = float(np.maximum(low - base, base - high).max())
     return gap - 2.0 ** -48 * (scale + abs(gap))
+
+
+def probe_candidates_per_probe(S, i0: int, probe_rel, base: np.ndarray, j0: int, j1: int,
+                               bar: float):
+    """``recurrence._probe_candidates`` with the whole probe bound read one probe at a
+    time: a take, subtract, abs and running maximum per probe over the shifts left."""
+    k, dim = j1 - j0, base.shape[1]
+    B = S[i0 + j0 : i0 + j1 + len(base) - 1]
+    p, *coarse = probe_rel[:: -(-probe_rel.size // 4)].tolist()
+    c = np.flatnonzero(np.abs(B[p : p + k] - base[p]).max(axis=1) < bar)
+    for p in coarse:
+        c = c[np.abs(B[p:].take(c, axis=0, mode="clip") - base[p]).max(axis=1) < bar]
+    a, d = np.zeros((c.size, dim)), np.empty((c.size, dim))
+    for p in probe_rel.tolist():
+        B[p:].take(c, axis=0, out=d, mode="clip")
+        np.maximum(a, np.abs(np.subtract(d, base[p], out=d), out=d), out=a)
+    v = a.max(axis=1)
+    return j0 + c[v < bar], v[v < bar]

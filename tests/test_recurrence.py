@@ -42,6 +42,7 @@ from references import (
     comparability_uncapped,
     coordinate_fit,
     full_lower_bound_stacked,
+    probe_candidates_per_probe,
     residual_norm,
     spectral_start,
     spiked_noise,
@@ -484,6 +485,37 @@ def test_probe_candidates_are_the_dense_bound_below_the_bar():
 
     check()
     assert any(capped) and not all(capped)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32 - 1),     # seed
+       st.sampled_from([1, 2, 3]),                        # components
+       st.integers(min_value=1, max_value=150),           # window points m
+       st.integers(min_value=0, max_value=20),            # window start i0
+       st.integers(min_value=0, max_value=300),           # first shift j0
+       st.integers(min_value=1, max_value=600),           # shifts j1 - j0
+       st.floats(min_value=0.0, max_value=0.2),           # share of inf and NaN entries
+       st.floats(min_value=0.05, max_value=4.0),          # bar
+       st.sampled_from([1, 5, 64, 1 << 14]))              # batch values
+# Batches of one shift; a NaN and an inf in the window itself; no entry below the bar.
+@example(0, 1, 100, 3, 0, 300, 0.05, 2.0, 1)
+@example(1, 2, 64, 0, 10, 200, 0.2, 4.0, 5)
+@example(2, 1, 150, 20, 300, 600, 0.0, 0.05, 1 << 14)
+def test_probe_gather_is_the_per_probe_bound_bit_for_bit(seed, dim, m, i0, j0, k, odd, bar,
+                                                          batch):
+    # One gather of every probe per batch of shifts gives the same shifts and the
+    # same floats as a running maximum over the probes, NaN and inf included
+    # (inf - inf is a NaN, which both read without a warning).
+    rng = np.random.default_rng(seed)
+    S = rng.normal(size=(i0 + m + j0 + k, dim))
+    hit = rng.random(S.shape) < odd
+    S[hit] = rng.choice([np.inf, -np.inf, np.nan], size=int(hit.sum()))
+    probe_rel = np.linspace(0, m - 1, min(64, m)).round().astype(int)
+    base = S[i0 : i0 + m]
+    with patch.object(recurrence, "_BATCH_VALUES", batch), np.errstate(invalid="ignore"):
+        j, v = recurrence._probe_candidates(S, i0, probe_rel, base, j0, j0 + k, bar)
+        want_j, want_v = probe_candidates_per_probe(S, i0, probe_rel, base, j0, j0 + k, bar)
+    assert j.tobytes() == want_j.tobytes() and v.tobytes() == want_v.tobytes()
 
 
 @given(st.integers(min_value=0, max_value=2**32 - 1),     # seed

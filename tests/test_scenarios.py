@@ -33,7 +33,7 @@ def test_state_box_value_is_the_largest_magnitude_bit_for_bit(tmp_path, samples)
     # A check writes nothing, so the run's directory is not made.
     out = tmp_path / "out"
     em = RunManifest(build_scenario("s4-dde-linear"), out)
-    _check_state_box(em, samples, [[-1.0, 1.0]] * samples.shape[1])
+    _check_state_box(em, samples.min(axis=0), samples.max(axis=0), [[-1.0, 1.0]] * samples.shape[1])
     assert _same_float(em.summary["state_box"]["value"], float(np.abs(samples).max()))
     assert not out.exists()
 

@@ -19,8 +19,10 @@ from poisson_lab.errors import (
     StepUnderflow,
     UnknownRegistryKey,
 )
-from poisson_lab.scenarios import build_scenario
-from poisson_lab.signals import Signal, sample_function
+from poisson_lab.limits import entire_trajectory_estimate, omega_fiber_sample
+from poisson_lab.recurrence import ReturnSequence
+from poisson_lab.scenarios import RunManifest, _check_state_box, build_scenario
+from poisson_lab.signals import LazySignal, Signal, sample_function
 from poisson_lab.systems import (
     _BLOCK,
     IntegratorConfig,
@@ -37,6 +39,7 @@ from poisson_lab.systems import (
     _rk4_particular,
     _rk4_record,
     _trig_sum,
+    affine_rhs,
     build_dde_rhs,
     build_ode_rhs,
     build_reaction,
@@ -1548,3 +1551,105 @@ def test_closed_form_zero_powers_match_every_power(a, scale, nsub, records, chun
         runs = _closed_form_records([[a]], offset, cfg, start, scale)
     assume(runs is not None)
     assert runs[0].tobytes() == runs[1].tobytes()
+
+
+# The scalar closed-form trajectory of integrate_ode is a LazySignal: its rows are
+# formed when read, and its record pass checks the bound and folds the extremes.
+@settings(max_examples=40, deadline=None)
+@given(st.floats(-27.0, 0.01), st.sampled_from([1.0, -1.0, -0.0]),
+       st.floats(-2.0, 2.0), st.floats(0.1, 3.0), st.floats(-1.0, 1.0),
+       st.one_of(st.none(), st.floats(-3.0, 3.0)),
+       st.integers(0, 3000), st.floats(1.0, 4.0),
+       st.lists(st.integers(-3100, 3100), min_size=2, max_size=6),
+       st.lists(st.floats(0.0, 1.0), min_size=1, max_size=8),
+       st.floats(0.0, 1.0), st.floats(0.0, 1.0),
+       st.sampled_from([1, 7, 64, 1 << 14]))
+@example(-1.0, 1.0, 1.0, 1.0, 0.0, None, 3000, 1.0, [0, 3001], [0.5], 0.0, 0.33, 1 << 14)
+@example(-27.0, -1.0, 1.0, SQRT2, 0.3, 0.0, 2000, 2.5, [5, 1999, -7], [1.0, 0.0], 0.2, 0.21, 7)
+@example(-0.0075, -0.0, -0.5, 0.3, 0.1, -2.0, 1, 3.0, [0, 1, 2], [0.7], 0.0, 1.0, 1)
+def test_lazy_trajectory_reads_are_the_dense_records_bit_for_bit(
+        a, scale, amp, omega, offset, start, k, ratio, cuts, ts, lo, hi, chunk):
+    # Any A, P's sign and a zero, e = 0, a record_dt / dt ratio that is not a whole
+    # number, and a t_end off the record grid, whose record count floors.
+    sys = SystemSpec("scalar_ode", 1, "linear+trig",
+                     {"A": [[a]], "forcing": [[[amp, omega, 0.4]]], "offset": [offset]})
+    cfg = IntegratorConfig(method="rk4_fixed", dt=0.1 / ratio, t_end=0.1 * k + 0.03,
+                           record_dt=0.1, blowup_bound=1e300)
+    rhs = build_ode_rhs(sys)
+    nsub = math.ceil(ratio - 1e-12)
+    with patch.object(systems, "_rk4_coeffs", _scaled_coeffs(scale)), \
+            patch.object(systems, "_PASS", chunk):
+        part = _rk4_particular(rhs, systems._rk4_coeffs(rhs.A, 0.1 / nsub), 0.1 / nsub, k * nsub)
+        assume(part is not None)
+        y0 = np.zeros(1) if start is None else part([0.0])[0] + start
+        lazy = integrate_ode(sys, y0, cfg)
+        dense = _rk4_record(rhs, y0, cfg)
+    assert isinstance(lazy, LazySignal) and len(lazy) == len(dense) == k + 1
+    sig = Signal(0.0, 0.1, dense)
+    for i, j in zip(cuts, cuts[1:]):
+        got = lazy[i:j]
+        assert got.shape == dense[i:j].shape and got.tobytes() == dense[i:j].tobytes()
+    times = 0.1 * k * np.array(ts)
+    assert lazy.values(times).tobytes() == sig.values(times).tobytes()
+    lo = 0.1 * k * lo  # [lo, hi] holds a grid point
+    hi = lo + 0.1 * (1 + k * hi)
+    want = sig.restrict(lo, hi)
+    got = lazy.restrict(lo, hi)
+    assert (got.t0, got.dt) == (want.t0, want.dt)
+    assert got.samples.tobytes() == want.samples.tobytes()
+    # Min and max pick floats, so the fold is the whole array's; a zero's sign may
+    # differ, which the state box's + 0.0 drops.
+    for x, y in zip(lazy.extremes, (dense.min(axis=0), dense.max(axis=0))):
+        assert np.array_equal(x, y)
+    assert lazy.samples.tobytes() == dense.tobytes()
+    assert lazy.values(times).tobytes() == sig.values(times).tobytes()
+
+
+def _s1_trajectory(t_end):
+    cfg = build_scenario("s1-opial-scalar")
+    u0 = affine_rhs(cfg.system).steady_state()(0.0)[0]
+    return integrate_ode(cfg.system, u0, replace(cfg.integrator, t_end=t_end))
+
+
+def test_s1_trajectory_holds_no_record_array():
+    # The 2,150,001 records of s1's default horizon would take 17.2 MB.
+    assert build_scenario("s1-opial-scalar").integrator.t_end == 215_000.0
+    tracemalloc.start()
+    try:
+        traj = _s1_trajectory(215_000.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert isinstance(traj, LazySignal) and len(traj) == 2_150_001
+    assert "samples" not in vars(traj)
+    assert peak < 4e6
+
+
+def test_s1_reads_of_the_trajectory_form_no_samples(tmp_path):
+    # The state box, the omega sample, the entire-trajectory estimate and the
+    # trajectory.csv window read row slices only.
+    traj = _s1_trajectory(3000.0)
+    times = (700.0, 1300.05, 1900.0, 2500.0)
+    returns = ReturnSequence(times, (0.1,) * 4, (0.5,) * 4)
+    em = RunManifest(build_scenario("s1-opial-scalar"), tmp_path / "out")
+    _check_state_box(em, *traj.extremes, [[-10.0, 10.0]])
+    assert em.summary["state_box"]["status"] == "pass"
+    omega_fiber_sample(traj, returns, 100.0)
+    entire_trajectory_estimate(traj, returns, 60.0)
+    traj.restrict(0.0, 1000.0)
+    assert "samples" not in vars(traj)
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 1 << 14])
+def test_lazy_trajectory_blowup_is_raised_by_the_record_pass(chunk):
+    # An unstable scalar system on the closed form: the first record past the
+    # bound, whatever chunk it falls in, with the message the dense records give.
+    sys = SystemSpec("scalar_ode", 1, "linear+trig",
+                     {"A": [[0.5]], "forcing": [[[1.0, 1.0, 0.0]]], "offset": [0.25]})
+    cfg = IntegratorConfig(method="rk4_fixed", dt=0.05, record_dt=0.1, t_end=100.0,
+                           blowup_bound=10.0)
+    with patch.object(systems, "_PASS", chunk), \
+            patch.object(systems, "_rk4_affine_steps", side_effect=AssertionError("loop ran")), \
+            pytest.raises(BlowupDetected) as err:
+        integrate_ode(sys, [1.0], cfg)
+    assert str(err.value) == "state norm 10.5434 exceeds bound 10 at t=3"
