@@ -588,6 +588,9 @@ def _rk4_record(rhs, y: np.ndarray, cfg: IntegratorConfig, t0: float = 0.0,
     h = cfg.record_dt / nsub
     tail = (1,) * (y.ndim - 1)
     per_chunk = max(1, _CHUNK // y.size)  # loop steps or records, times the state size
+    # The records before the solves' temporaries: after them, the batch runs of
+    # catalog-mixed peaked 1.2 MB higher (glibc's heap layout).
+    out = None if lazy else np.empty((records,) + y.shape)
     with np.errstate(over="ignore", invalid="ignore"):  # the chunk check raises
         coeffs = _rk4_coeffs(rhs.A, h)
         steps = (records - 1) * nsub
@@ -604,7 +607,8 @@ def _rk4_record(rhs, y: np.ndarray, cfg: IntegratorConfig, t0: float = 0.0,
                 _check_records(Y, t0 + cfg.record_dt * np.arange(r0, r1), cfg.bound)
                 lo, hi = np.minimum(lo, Y.min(axis=0)), np.maximum(hi, Y.max(axis=0))
             return LazySignal(rows, 0.0, cfg.record_dt, records, extremes=(lo, hi))
-        out = np.empty((records,) + y.shape)
+        if out is None:
+            out = np.empty((records,) + y.shape)
         out[0] = y
         if part is None:
             for k0 in range(0, steps, per_chunk):
