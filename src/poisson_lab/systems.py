@@ -599,8 +599,7 @@ def _rk4_record(rhs, y: np.ndarray, cfg: IntegratorConfig, t0: float = 0.0,
         rows = None if part is None or P.shape != (1, 1) else _ScalarRecords(
             P[0, 0], part, y, nsub, h)
         if lazy and rows is not None:
-            buf, (lo,) = np.empty((min(_PASS, records),) + y.shape), rows(0, 1)
-            hi = lo
+            buf, lo, hi = np.empty((min(_PASS, records),) + y.shape), rows.y, rows.y
             for r0 in range(1, records, _PASS):
                 r1 = min(r0 + _PASS, records)
                 Y = rows(r0, r1 - r0, buf)
